@@ -9,7 +9,7 @@ config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 degenerate
-model.
+model, 4 internal error (an unexpected exception, reported on stderr).
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 COMMANDS = ("density", "rate", "outlier", "simulate", "verify")
 
@@ -139,7 +141,7 @@ def _write_meta(cfg: RunConfig, started, files):
         "files": sorted(files),
     }
     (cfg.output_dir / "run_meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        json.dumps(meta, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _pool_map(cfg: RunConfig, fn, items):
@@ -176,13 +178,14 @@ def cmd_density(cfg: RunConfig) -> int:
                 ["x", "density", "cell_mass"], rows)
     support = {
         "r_inf": info.r_inf,
-        "m_at_edge": info.m_at_edge,
+        # infinite for atoms only; strict JSON has no Infinity, so null
+        "m_at_edge": info.m_at_edge if np.isfinite(info.m_at_edge) else None,
         "detection_eta": info.detection_eta,
         "detection_threshold": info.detection_threshold,
         "left_edge": left_edge(st),
     }
     (cfg.output_dir / "support.json").write_text(
-        json.dumps(support, indent=2) + "\n", encoding="utf-8")
+        json.dumps(support, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -309,6 +312,11 @@ def main(argv=None) -> int:
         # bad parameter values rejected inside the library are config errors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # anything else is a bug: keep its traceback for the report
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     files = [p.name for p in cfg.output_dir.iterdir()
              if p.name not in ("run_meta.json",)]

@@ -21,6 +21,7 @@ hit 1e-7 territory near a square-root edge at sane grid sizes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,6 +359,7 @@ class _SpectralCache:
         self.c2 = self.mu2 - self.mu1 ** 2
         self.c3 = self.mu3 - 3.0 * self.mu1 * self.mu2 + 2.0 * self.mu1 ** 3
         self._m_memo = {}
+        self._m_keys = []  # sorted keys of _m_memo, for the nearest warm start
 
         if self.degenerate:
             atoms = np.linalg.eigvalsh(0.5 * (a0 + a0.conj().T))
@@ -475,14 +477,18 @@ class _SpectralCache:
             self._m_memo[key] = m
             return m
         warm = None
-        if self._m_memo:
-            nearest = min(self._m_memo, key=lambda t: abs(t - key))
+        i = bisect.bisect_left(self._m_keys, key)
+        near = self._m_keys[max(i - 1, 0):i + 1]  # the keys either side
+        if near:
+            nearest = min(near, key=lambda t: abs(t - key))
             if abs(nearest - key) < 0.5 * (key - self.r_inf):
-                warm = self._m_memo[nearest]
+                warm = self._m_memo.get(nearest)
         m, _, _ = _solve_real(self.structure, key, tol, m0=warm)
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
+            self._m_keys.clear()
         self._m_memo[key] = m
+        bisect.insort(self._m_keys, key)
         return m
 
     def m_scalar(self, x):

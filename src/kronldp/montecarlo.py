@@ -98,22 +98,6 @@ class ProfileHistogram:
     analytic_density: np.ndarray | None = None
 
 
-@dataclass
-class SimConfig:
-    """Plumbing for a simulation campaign (seeds, sizes, replication)."""
-
-    master_seed: int
-    N_schedule: list
-    reps: int
-    parallel_width: int = 1
-
-    def __post_init__(self):
-        if self.master_seed <= 0 or self.reps <= 0 or self.parallel_width <= 0:
-            raise ValueError("master_seed, reps and parallel_width must be positive")
-        if not self.N_schedule or any(n <= 0 for n in self.N_schedule):
-            raise ValueError("N_schedule must be a non-empty list of positive sizes")
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -515,4 +499,4 @@ def write_jsonl(path, records):
     """Append records (dicts) to a JSON-lines file, one per line."""
     with open(path, "a", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")

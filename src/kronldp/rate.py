@@ -7,6 +7,25 @@ sup over theta on a compact interval, then inf over trace-one PSD profiles
 Psi subject to Tr[Psi^T S(Psi)] >= eps, with eps driven down a geometric
 ladder until the value stabilizes.
 
+The sup over theta is exact. On theta = theta_x + t >= theta_x = -m(x)/2,
+phi_hat = (P + t Psi)/theta with P = -M(x)/(2L) positive definite, so
+ln det phi_hat = -L ln theta + ln det P + sum_i ln(1 + t mu_i), where
+mu_i >= 0 are the eigenvalues of P^{-1} Psi (those of R^{-1} Psi R^{-*},
+P = R R*). The -(L/2) ln theta of L J cancels the one of K, leaving
+F(theta_x + t) = beta g(t) with
+
+    g(t) = c + a t - b t^2 / 2 - (1/2) sum_i ln(1 + t mu_i),
+    a = L (x - 2 L Tr[P' S(Psi')] - Tr[A_0' Psi]),  b = 2 L^2 Tr[Psi' S(Psi')],
+
+and c = F(theta_x)/beta, which is 0 up to rounding. Since
+g''' = -sum_i mu_i^3 / (1 + t mu_i)^3 <= 0, g' is concave: it is negative on
+an initial stretch of [0, t_hi] (possibly empty), then non-negative up to its
+largest root r, then negative again. Concavity puts every Newton iterate for
+g' = 0 started right of r at or right of r (the tangent lies above g'), so
+Newton from t_hi descends monotonically onto r, or shows g' < 0 on all of
+[0, t_hi] by stepping past 0 or meeting g'' >= 0. The max is then g(0) or g(r)
+(g(t_hi) if g'(t_hi) >= 0).
+
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
 fails by exactly L ln L for every L >= 2, which would make F's plateau at 0
@@ -15,10 +34,11 @@ fails by exactly L ln L for every L >= 2, which would make F's plateau at 0
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .mde import DomainError, _cache_for
 from .model import Profile, StructureSet, apply_S, as_profile, stream
@@ -193,112 +213,84 @@ def theta_cap(structure: StructureSet, m_cap, eta, eps) -> float:
 @dataclass
 class _CurveBase:
     """Profile-independent pieces of theta -> F(theta, x, .) for one x."""
+    x: float
     theta_x: float
     p: np.ndarray
-    tpp: float
-    lap: float
-    u_x: float
+    r_inv: np.ndarray
+    c: float
 
 
 def _curve_base(structure, x, beta) -> _CurveBase:
+    """P = -M(x)/(2L), the inverse of its Cholesky factor R, and
+    c = F(theta_x, x, .)/beta, which no profile changes."""
     cache = _cache_for(structure)
     L = structure.L
-    m_mat = cache.m_matrix(float(x))
-    m_x = float(np.trace(m_mat).real) / L
+    x = float(x)
+    m_mat = cache.m_matrix(x)
+    theta_x = -float(np.trace(m_mat).real) / (2.0 * L)
     p = -m_mat / (2.0 * L)
-    return _CurveBase(theta_x=-m_x / 2.0, p=p,
-                      tpp=_quad_trace(structure, p, p, beta),
-                      lap=float(np.trace(_dagger(structure.a0, beta) @ p).real),
-                      u_x=cache.log_potential(float(x)))
+    chol = np.linalg.cholesky(p)
+    logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
+    tpp = _quad_trace(structure, p, p, beta)
+    lap = float(np.trace(_dagger(structure.a0, beta) @ p).real)
+    u_x = cache.log_potential(x)
+    c = (L * (theta_x * x - 0.5 * (1.0 + np.log(2.0)) - 0.5 * u_x)
+         - L * L * tpp - L * lap - 0.5 * (logdet_p + L * np.log(L)))
+    return _CurveBase(x=x, theta_x=theta_x, p=p, r_inv=np.linalg.inv(chol), c=c)
 
 
-def _f_curve(structure, x, psi, beta, base=None):
-    """Closed form of theta -> F(theta, x, psi) on theta >= theta_x.
+def _sup_curve(structure, psi, beta, theta_hi, base):
+    """Exact max of theta -> F(theta, x, psi) on [theta_x, theta_hi].
 
-    On that range phi_hat = P/theta + (1 - theta_x/theta) Psi with
-    P = -M(x)/(2L), so all traces in K reduce to five precomputed numbers
-    and only the log-determinant needs a per-theta evaluation.
+    With theta = theta_x + t, F = beta g(t) (module docstring). Newton on g'
+    from the right end t_hi descends monotonically onto the largest root of
+    g' or leaves [0, t_hi]; the max is the larger of g there and g(0).
+    Returns (theta_x, 0) when that max is not positive.
     """
-    if base is None:
-        base = _curve_base(structure, x, beta)
     L = structure.L
-    theta_x, p, tpp, lap, u_x = base.theta_x, base.p, base.tpp, base.lap, base.u_x
-    tps = _quad_trace(structure, p, psi, beta)
-    tss = _quad_trace(structure, psi, psi, beta)
-    las = float(np.trace(_dagger(structure.a0, beta) @ psi).real)
-    l_ln_l = L * np.log(L)
+    a = L * (base.x - 2.0 * L * _quad_trace(structure, base.p, psi, beta)
+             - float(np.trace(_dagger(structure.a0, beta) @ psi).real))
+    b = 2.0 * L * L * _quad_trace(structure, psi, psi, beta)
+    # L is small: scalar loops beat numpy's per-call overhead here
+    mu = np.linalg.eigvalsh(base.r_inv @ psi @ base.r_inv.conj().T).clip(0.0).tolist()
 
-    def f_many(thetas):
-        th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        c = 1.0 - theta_x / th
-        mats = (p[None, :, :] / th[:, None, None]
-                + c[:, None, None] * psi[None, :, :])
-        sign, logdet = np.linalg.slogdet(mats)
-        ct = c * th
-        k = (L * L * (tpp + 2.0 * ct * tps + ct * ct * tss)
-             + L * (lap + ct * las)
-             + 0.5 * (logdet + l_ln_l))
-        j = th * x - 0.5 * (1.0 + np.log(2.0 * th)) - 0.5 * u_x
-        f = beta * (L * j - k)
-        return np.where(sign > 0, f, -np.inf)
+    def slope(t):
+        """g'(t) and g''(t)."""
+        q = [m / (1.0 + t * m) for m in mu]
+        return a - b * t - 0.5 * sum(q), 0.5 * sum(v * v for v in q) - b
 
-    return theta_x, f_many
+    t = top = (theta_hi - base.theta_x if theta_hi > base.theta_x
+               else base.theta_x * 1e-6 + 1e-9)
+    d1, d2 = slope(t)
+    for _ in range(100):
+        if d1 >= 0.0:
+            break  # increasing at t_hi, or the root is reached
+        step = d1 / d2 if d2 < 0.0 else np.inf
+        if step >= t:
+            top = 0.0  # g' < 0 on all of [0, t]
+            break
+        t = top = t - step
+        if step <= 1e-15 * t:
+            break
+        d1, d2 = slope(t)
 
-
-def _sup_on_curve(theta_x, f_many, theta_hi, refine="golden"):
-    """Maximize one F curve on [theta_x, theta_hi]: coarse 64-point grid
-    (quadratically clustered toward theta_x), then local refinement.
-
-    refine="golden" is the reference mode; "zoom" shrinks the bracket with
-    batched grid evaluations instead, which costs far fewer python round
-    trips inside the profile optimizer and agrees with golden to ~1e-12 in
-    value (the curve is flat to second order at its maximum).
-    """
-    if theta_hi <= theta_x:
-        theta_hi = theta_x * (1.0 + 1e-6) + 1e-9
-    u = np.linspace(0.0, 1.0, 64)
-    grid = theta_x + (theta_hi - theta_x) * u * u
-    vals = f_many(grid)
-    i = int(np.argmax(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    th_best, f_best = float(grid[i]), float(vals[i])
-
-    if refine == "zoom":
-        for _ in range(5):
-            xs = np.linspace(lo, hi, 17)
-            ys = f_many(xs)
-            j = int(np.argmax(ys))
-            if ys[j] > f_best:
-                th_best, f_best = float(xs[j]), float(ys[j])
-            lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, 16)]
-    else:
-        def neg(t):
-            return -float(f_many(t)[0])
-
-        res = None
-        if 0 < i < len(grid) - 1 and vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            try:
-                res = minimize_scalar(neg, bracket=(lo, grid[i], hi),
-                                      method="golden", options={"xtol": 1e-9})
-            except ValueError:
-                res = None
-        if res is None:
-            res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-10})
-        if -float(res.fun) > f_best:
-            th_best, f_best = float(res.x), -float(res.fun)
-
-    if f_best <= 0.0 or not np.isfinite(f_best):
-        return float(theta_x), 0.0
-    return th_best, f_best
+    g_top = (base.c + top * (a - 0.5 * b * top)
+             - 0.5 * sum(math.log1p(top * m) for m in mu))
+    if base.c >= g_top:
+        top, g_top = 0.0, base.c
+    f = beta * g_top
+    if f <= 0.0 or not np.isfinite(f):
+        return base.theta_x, 0.0
+    return base.theta_x + top, f
 
 
 def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
     """Maximize F over [theta_x, Theta(x+1, (r_inf+x)/2, eps)].
 
-    Coarse grid of 64 points plus golden-section refinement around the best
-    bracket. Returns (theta_star, F_star) with F_star >= 0 since
-    F(theta_x) = 0 is always available.
+    Exact: one L x L eigendecomposition and a Newton iteration on the
+    closed-form derivative (module docstring), no grid. Returns
+    (theta_star, F_star) with F_star >= 0 since F(theta_x) = 0 is always
+    available.
     """
     _check_beta(beta)
     psi = as_profile(psi).psi
@@ -308,9 +300,8 @@ def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
         raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     if eps is None:
         eps = max(_quad_trace(structure, psi, psi, beta), 1e-300)
-    theta_x, f_many = _f_curve(structure, x, psi, beta)
     theta_hi = theta_cap(structure, x + 1.0, 0.5 * (cache.r_inf + x), eps)
-    return _sup_on_curve(theta_x, f_many, theta_hi)
+    return _sup_curve(structure, psi, beta, theta_hi, _curve_base(structure, x, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +399,6 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         s = min(s_candidates) if s_candidates else 1.0
         return (1.0 - s) * psi + s * id_l, s
 
-    def sup_fast(psi, th_hi):
-        theta_x, f_many = _f_curve(structure, x, psi, beta, base=base)
-        return _sup_on_curve(theta_x, f_many, th_hi, refine="zoom")
-
     def objective(v, eps, th_hi):
         evals["n"] += 1
         psi = psi_from_vec(v)
@@ -422,7 +409,7 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         if q < eps:
             psi, s = project_feasible(psi, q, eps)
         try:
-            _, f = sup_fast(psi, th_hi)
+            _, f = _sup_curve(structure, psi, beta, th_hi, base)
         except (ValueError, np.linalg.LinAlgError):
             return 1e6
         return f + (5.0 * s * (1.0 + abs(f)) if s > 0 else 0.0)
@@ -450,7 +437,7 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         q = qform(psi)
         if q < eps:
             psi, _ = project_feasible(psi, q, eps)
-        th, val = sup_fast(psi, th_hi)
+        th, val = _sup_curve(structure, psi, beta, th_hi, base)
         ladder.append((eps, val))
         # warm-start the next rung with a factor of the *projected* profile:
         # it is feasible there too, so the next rung can only improve on val

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from kronldp import cli
 from kronldp.cli import main
 from kronldp.mde import right_edge
 from kronldp.model import structure_from_dict
@@ -30,6 +31,10 @@ def run_cli(tmp_path, doc, *flags, name="run.json"):
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
     return main(["--config", str(cfg), "--out", str(out), *flags]), out
+
+
+def reject_non_json_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
 
 
 def read_csv(path):
@@ -60,8 +65,11 @@ def test_density_atoms_only_edge_is_exact(tmp_path):
            "structure": {"beta": 1, "A0": [[1.7, 0.0], [0.0, -0.3]], "A": []}}
     code, out = run_cli(tmp_path, doc)
     assert code == 0
-    support = json.loads((out / "support.json").read_text())
+    support = json.loads((out / "support.json").read_text(),
+                         parse_constant=reject_non_json_constant)
     assert support["r_inf"] == 1.7
+    # the Stieltjes transform blows up at an atom: null, not Infinity
+    assert support["m_at_edge"] is None
     # no continuous part to tabulate
     _, body = read_csv(out / "density.csv")
     assert body == []
@@ -219,6 +227,17 @@ def test_invalid_structure_rejected(tmp_path, capsys):
     code, _ = run_cli(tmp_path, doc)
     assert code == 1
     assert "structure" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "density", broken)
+    code, _ = run_cli(tmp_path, {"command": "density", "structure": GOE_DOC})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "boom" in err
 
 
 def test_missing_config_file(tmp_path, capsys):

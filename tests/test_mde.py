@@ -4,6 +4,9 @@ Expected values come from tests/oracles.py (closed forms and independent
 quadrature), frozen before this module existed.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -313,3 +316,34 @@ def test_hermitian_structure_full_path(herm2):
     u1 = mde.log_potential(herm2, x)
     u2 = mde.log_potential(herm2, x + 1e-6)
     assert (u2 - u1) / 1e-6 == pytest.approx(-m, abs=1e-5)
+
+
+
+def test_real_memo_survives_concurrent_callers():
+    # 8 threads x 600 distinct points overflow the 4096-entry memo, so a clear
+    # lands while other threads look up their warm starts
+    cache = mde._SpectralCache(make_structure(np.zeros((1, 1)), [np.ones((1, 1))]))
+    errors, wrong = [], []
+
+    def work(i):
+        try:
+            for j in range(600):
+                x = 2.5 + (8 * j + i) * 1e-4
+                got = float(cache.m_matrix(x)[0, 0])
+                if abs(got - o.semicircle_m(x).real) > 1e-9:
+                    wrong.append(x)
+        except Exception as exc:  # the failure under test: report, don't hang
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []

@@ -18,7 +18,6 @@ from kronldp.mde import right_edge, solve_mde
 from kronldp.model import _assemble, _draw_blocks, profile_vector, sample_kronecker
 from kronldp.montecarlo import (
     ProfileHistogram,
-    SimConfig,
     TailEstimate,
     _tilt_moments,
     block_resolvent_trace,
@@ -457,18 +456,3 @@ def test_write_jsonl_appends(tmp_path, sc):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0]) == json.loads(lines[1]) == rec
-
-
-def test_sim_config_validation():
-    cfg = SimConfig(master_seed=1, N_schedule=[25, 50], reps=10)
-    assert cfg.parallel_width == 1
-    with pytest.raises(ValueError):
-        SimConfig(master_seed=0, N_schedule=[25], reps=10)
-    with pytest.raises(ValueError):
-        SimConfig(master_seed=1, N_schedule=[], reps=10)
-    with pytest.raises(ValueError):
-        SimConfig(master_seed=1, N_schedule=[25, -1], reps=10)
-    with pytest.raises(ValueError):
-        SimConfig(master_seed=1, N_schedule=[25], reps=0)
-    with pytest.raises(ValueError):
-        SimConfig(master_seed=1, N_schedule=[25], reps=10, parallel_width=0)

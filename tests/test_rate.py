@@ -8,6 +8,7 @@ small exact cases spelled out inline.
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import oracles as o
 from kronldp import (
@@ -335,6 +336,44 @@ def test_sup_theta_never_negative():
         assert theta_star > 0.0
 
 
+def _brute_sup(st, x, psi, beta, theta_hi):
+    """Max of f_value on a dense theta grid, refined around the best node."""
+    theta_x = -float(np.trace(_cache_for(st).m_matrix(x)).real) / (2.0 * st.L)
+    grid = theta_x + (theta_hi - theta_x) * np.linspace(0.0, 1.0, 1501) ** 2
+    vals = [f_value(st, th, x, psi, beta=beta) for th in grid]
+    i = int(np.argmax(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda th: -f_value(st, th, x, psi, beta=beta),
+                          bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12 * (1.0 + hi)})
+    return max(vals[i], -float(res.fun))
+
+
+def test_sup_theta_matches_brute_force():
+    rng = stream(53, 1)
+    interior = 0
+    for case in range(12):
+        ell = case % 3 + 1
+        beta = case // 3 % 2 + 1
+        st = random_structure(rng, ell)
+        x = right_edge(st).r_inf + float(rng.uniform(0.1, 1.5))
+        psi = random_pd_profile(rng, ell)
+        if case >= 6 and ell > 1:
+            v = rng.standard_normal(ell)
+            psi = np.outer(v, v) / (v @ v)  # rank one
+        eps = float(np.trace(psi.T @ apply_S(st, psi.T)))
+        theta_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
+        theta_star, f_star = sup_theta(st, x, psi, beta=beta, eps=eps)
+        brute = _brute_sup(st, x, psi, beta, theta_hi)
+        assert f_star >= brute - 1e-12
+        assert abs(f_star - brute) <= 1e-10 * abs(brute) + 1e-14
+        if f_star > 0.0:
+            assert f_value(st, theta_star, x, psi, beta=beta) == \
+                pytest.approx(f_star, rel=1e-10)
+            interior += theta_star < theta_hi
+    assert interior >= 6
+
+
 # ---------------------------------------------------------------------------
 # rate function
 
@@ -409,6 +448,23 @@ def test_rate_breakdown_consistency(pair):
     assert np.trace(bd.phi_hat).real == pytest.approx(1.0, abs=1e-10)
     assert bd.F == pytest.approx(
         f_value(pair, 0.8, edge + 1.0, np.eye(2) / 2.0), abs=1e-12)
+
+
+def test_rate_direct_sum_oracle():
+    """A0 = diag(0, 0.3), A_j = E_jj: two decoupled GOE blocks, the second
+    shifted by 0.3, so I(x) = min(I_GOE(x), I_GOE(x - 0.3)) = I_GOE(x - 0.3);
+    the same after conjugating every matrix by one rotation."""
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    c, s = np.cos(0.7), np.sin(0.7)
+    u = np.array([[c, -s], [s, c]])
+    plain = make_structure(np.diag([0.0, 0.3]), [e11, e22])
+    rotated = make_structure(u @ plain.a0 @ u.T, [u @ a @ u.T for a in plain.a])
+    for st in (plain, rotated):
+        for x in (2.5, 2.8, 3.3):
+            want = o.goe_rate_closed(x - 0.3)
+            assert rate_function(st, x).value == pytest.approx(want, abs=1e-8)
+            assert rate_function(st, x, beta=2).value == \
+                pytest.approx(2.0 * want, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
