@@ -9,7 +9,12 @@ U(x) = int ln|x-y| dmu(y).
 Solver strategy: a damped fixed-point iteration is only used to enter the
 Newton basin; accuracy comes from Newton steps on the L^2-dimensional
 linearized system. Real-axis solutions are reached by continuation in the
-imaginary offset, finishing with a Newton polish at eta = 0.
+imaginary offset, finishing with a Newton polish at eta = 0. The density
+grid is solved stacked: one batched Newton (a leading grid axis on the
+defect and the L^2 x L^2 Jacobian, one batched linear solve per step) per
+eta rung for all grid points at once, each warm-started from the rung above
+at the same x. A point that fails to converge or to pass the Herglotz test
+is re-solved by the scalar robust solver and counted.
 
 The real-axis quantities m, U and (-m)^{-1} are served from a per-structure
 cache that interpolates s -> m(r_inf + s^2) on geometric Chebyshev panels
@@ -57,12 +62,15 @@ class SpectralDensity:
 
     tol_q is the declared quadrature tolerance for the unit-mass invariant;
     it only binds when [grid[0], grid[-1]] covers the whole support.
+    fallback_points counts the point solves (over all eta rungs) that the
+    stacked solver handed back to the scalar robust solver.
     """
     grid: np.ndarray
     density: np.ndarray
     eta_final: float
     tol_q: float
     matrix_components: list | None = None
+    fallback_points: int = 0
 
     @property
     def mass(self) -> float:
@@ -131,8 +139,10 @@ def _newton_refine(structure, z, m, tol, max_steps=60):
 
 
 def _herglotz_ok(m):
-    im = (m - m.conj().T) / 2j
-    return float(np.linalg.eigvalsh(im).min()) >= -1e-8 * (1.0 + np.linalg.norm(m, 2))
+    """Im M >= 0 up to rounding; m is one matrix or a stack of them."""
+    im = (m - np.conj(np.swapaxes(m, -1, -2))) / 2j
+    return (np.linalg.eigvalsh(im).min(axis=-1)
+            >= -1e-8 * (1.0 + np.linalg.norm(m, 2, axis=(-2, -1))))
 
 
 def _solve_upper(structure, z, tol, max_iter=400, m0=None):
@@ -182,6 +192,103 @@ def _solve_upper_robust(structure, z, tol, m0=None):
     if not _herglotz_ok(m):
         raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
     return m, res, its + steps
+
+
+# ---------------------------------------------------------------------------
+# stacked solver: many spectral parameters at once, leading grid axis
+
+def _b_batch(structure, z, m):
+    """B = z Id - A_0 + S[M] at each point."""
+    b = z[:, None, None] * np.eye(structure.L) - structure.a0
+    for aj in structure.a:
+        b = b + aj @ m @ aj
+    return b
+
+
+def _residual_batch(structure, z, m):
+    """Spectral norm of the defect Id + B M at each point."""
+    d = np.eye(structure.L) + _b_batch(structure, z, m) @ m
+    return np.linalg.norm(d, 2, axis=(1, 2))
+
+
+def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
+    """_newton_refine on a stack: the same Newton system and halving line
+    search per point. Returns (m, res, failed); a point fails when its line
+    search stalls or it misses tol after max_steps."""
+    G, L = len(z), structure.L
+    eye = np.eye(L)
+    failed = np.zeros(G, dtype=bool)
+    for _ in range(max_steps):
+        idx = np.flatnonzero((res > tol) & ~failed)
+        if not len(idx):
+            break
+        zi, mi = z[idx], m[idx]
+        b = _b_batch(structure, zi, mi)
+        g = eye + b @ mi
+        # kron(B, Id) + sum_j kron(A_j, (A_j M)^T), row-major (a, b), (c, d)
+        jac = np.einsum("gac,bd->gabcd", b, eye)
+        for aj in structure.a:
+            jac += np.einsum("ac,gdb->gabcd", aj, aj @ mi)
+        try:
+            dm = np.linalg.solve(jac.reshape(len(idx), L * L, L * L),
+                                 -g.reshape(len(idx), L * L, 1)).reshape(-1, L, L)
+        except np.linalg.LinAlgError:
+            failed[idx] = True  # some system is singular: re-solve these one by one
+            break
+        lam, todo = 1.0, np.arange(len(idx))
+        for _ in range(10):
+            cand = mi[todo] + lam * dm[todo]
+            r_new = _residual_batch(structure, zi[todo], cand)
+            ok = r_new < res[idx[todo]]
+            m[idx[todo[ok]]] = cand[ok]
+            res[idx[todo[ok]]] = r_new[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                break
+            lam /= 2.0
+        failed[idx[todo]] = True
+    return m, res, failed | (res > tol)
+
+
+def _solve_upper_batch(structure, z, m0, tol):
+    """Solve at a stack of Im z > 0 points with batched Newton, plus the
+    Herglotz test.
+
+    z has shape (G,); m0 has shape (G, L, L), or is None to start from -Id/z
+    with damped fixed-point steps (per-point damping, as in _solve_upper)
+    until every residual is below 1e-3. Returns (m, ok); ok is False where a
+    point did not converge or landed off the Herglotz branch, and the caller
+    re-solves those.
+    """
+    G, L = len(z), structure.L
+    m = (-np.eye(L) / z[:, None, None] if m0 is None
+         else np.array(m0, dtype=complex))
+    res = _residual_batch(structure, z, m)
+    failed = np.zeros(G, dtype=bool)
+    if m0 is None:
+        alpha = np.ones(G)
+        for _ in range(400):
+            idx = np.flatnonzero((res > 1e-3) & (alpha > 1e-8) & ~failed)
+            if not len(idx):
+                break
+            try:
+                target = -np.linalg.inv(_b_batch(structure, z[idx], m[idx]))
+            except np.linalg.LinAlgError:
+                failed[idx] = True
+                break
+            a = alpha[idx, None, None]
+            cand = (1.0 - a) * m[idx] + a * target
+            r_new = _residual_batch(structure, z[idx], cand)
+            ok = r_new <= res[idx]
+            m[idx[ok]], res[idx[ok]] = cand[ok], r_new[ok]
+            alpha[idx] = np.where(ok, np.minimum(1.0, 1.25 * alpha[idx]), alpha[idx] / 2.0)
+    live = np.flatnonzero(~failed)
+    m[live], res[live], stuck = _newton_refine_batch(
+        structure, z[live], m[live], res[live], tol)
+    failed[live] |= stuck
+    ok = np.flatnonzero(~failed)
+    failed[ok] = ~_herglotz_ok(m[ok])
+    return m, ~failed
 
 
 def _solve_real_newton(structure, x, tol, m0):
@@ -644,6 +751,13 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     The offset decreases through eta_schedule until successive density values
     agree to extrap_tol across the whole grid (or the schedule is exhausted);
     the reported values are Im<M(x + i eta_final)>/pi.
+
+    Each rung solves the whole grid at once with the stacked Newton solver,
+    warm-started from the rung above. The first rung is entered from
+    eta = 1 (damped fixed point from -Id/z, then Newton) down by factors of
+    0.2; these entry rungs do not count toward eta_final or the stop rule.
+    Points the stacked solve cannot settle are re-solved one at a time by
+    the robust scalar solver; fallback_points reports how many.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
@@ -655,34 +769,40 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
 
     L = structure.L
     grid = np.linspace(float(x_lo), float(x_hi), int(grid_size))
+    fallbacks = 0
+
+    def solve_rung(eta, m0):
+        # every point at once, warm-started one rung up at the same x: near
+        # an edge at tiny eta the neighboring-x solution is too far for
+        # Newton, while the same point one rung up is right next door
+        nonlocal fallbacks
+        z = grid + 1j * eta
+        m, ok = _solve_upper_batch(structure, z, m0, 1e-11)
+        for i in np.flatnonzero(~ok):
+            m[i], _, _ = _solve_upper_robust(
+                structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
+            fallbacks += 1
+        return m
+
+    # enter from eta = 1, where the damped fixed point converges from -Id/z,
+    # and continue down by factors of 0.2 to the first rung of the schedule
+    m, eta = None, 1.0
+    while eta > etas[0]:
+        m = solve_rung(eta, m)
+        eta *= 0.2
     prev = None
-    vals = np.empty(len(grid))
-    mats = np.empty((len(grid), L, L), dtype=complex) if components else None
-    # warm starts: along x at the first (large) offset, then along eta at
-    # fixed x. Near an edge at tiny eta the neighboring-x solution is too
-    # far for Newton, while the same point one eta rung up is right next door
-    prev_mats = None
-    eta_final = etas[0]
     for eta in etas:
-        level_mats = np.empty((len(grid), L, L), dtype=complex)
-        warm = None
-        for i, x in enumerate(grid):
-            guess = prev_mats[i] if prev_mats is not None else warm
-            m, _, _ = _solve_upper_robust(structure, x + 1j * eta, 1e-11, m0=guess)
-            warm = m
-            level_mats[i] = m
-            vals[i] = np.trace(m).imag / (L * np.pi)
-            if components:
-                mats[i] = (m - m.conj().T) / (2j * np.pi)
-        prev_mats = level_mats
-        eta_final = eta
+        m = solve_rung(eta, m)
+        vals = np.trace(m, axis1=1, axis2=2).imag / (L * np.pi)
         if prev is not None and np.max(np.abs(vals - prev)) < extrap_tol:
             break
-        prev = vals.copy()
+        prev = vals
 
     dens = np.clip(vals, 0.0, None)
     h = grid[1] - grid[0]
     tol_q = max(1e-3, 4.0 * h ** 1.5)
-    comp_list = [mats[i] for i in range(len(grid))] if components else None
-    return SpectralDensity(grid=grid, density=dens, eta_final=float(eta_final),
-                           tol_q=tol_q, matrix_components=comp_list)
+    comp_list = (list((m - np.conj(np.swapaxes(m, 1, 2))) / (2j * np.pi))
+                 if components else None)
+    return SpectralDensity(grid=grid, density=dens, eta_final=float(eta),
+                           tol_q=tol_q, matrix_components=comp_list,
+                           fallback_points=fallbacks)

@@ -481,7 +481,8 @@ def profile_histogram(L, n, reps, rng, bins=20) -> ProfileHistogram:
 # records
 
 def estimate_record(est: TailEstimate, structure, seed) -> dict:
-    """JSON-ready record of a TailEstimate with provenance fields."""
+    """Strict-JSON record of a TailEstimate with provenance fields; an
+    infinite value (rate_hat when nothing was hit) is written as null."""
     from . import __version__
 
     rec = {"kind": "tail_estimate", "structure": structure_hash(structure),
@@ -489,9 +490,8 @@ def estimate_record(est: TailEstimate, structure, seed) -> dict:
     for name in ("x", "delta", "N", "reps", "hits", "p_hat", "rate_hat",
                  "ci_low", "ci_high", "method", "ess", "unreliable"):
         val = getattr(est, name)
-        if isinstance(val, float) and math.isinf(val):
-            val = "inf"
-        rec[name] = val
+        # strict JSON has no Infinity: an infinite rate_hat (no hits) is null
+        rec[name] = None if isinstance(val, float) and math.isinf(val) else val
     return rec
 
 

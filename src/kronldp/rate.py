@@ -86,10 +86,14 @@ def _dagger(mat, beta):
     return mat.T if beta == 1 else mat.conj().T
 
 
-def _quad_trace(structure, a, b, beta):
-    """Tr[a' S(b')] with ' = transpose (beta 1) or conjugate transpose (beta 2)."""
-    return float(np.trace(_dagger(a, beta)
-                          @ apply_S(structure, _dagger(b, beta))).real)
+def _s_dagger(structure, b, beta):
+    """S(b') with ' = transpose (beta 1) or conjugate transpose (beta 2)."""
+    return apply_S(structure, _dagger(b, beta))
+
+
+def _trace_with(a, sb, beta):
+    """Tr[a' sb], which is Tr[a' S(b')] when sb = _s_dagger(b)."""
+    return float(np.trace(_dagger(a, beta) @ sb).real)
 
 
 def _check_beta(beta):
@@ -231,7 +235,7 @@ def _curve_base(structure, x, beta) -> _CurveBase:
     p = -m_mat / (2.0 * L)
     chol = np.linalg.cholesky(p)
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
-    tpp = _quad_trace(structure, p, p, beta)
+    tpp = _trace_with(p, _s_dagger(structure, p, beta), beta)
     lap = float(np.trace(_dagger(structure.a0, beta) @ p).real)
     u_x = cache.log_potential(x)
     c = (L * (theta_x * x - 0.5 * (1.0 + np.log(2.0)) - 0.5 * u_x)
@@ -239,18 +243,19 @@ def _curve_base(structure, x, beta) -> _CurveBase:
     return _CurveBase(x=x, theta_x=theta_x, p=p, r_inv=np.linalg.inv(chol), c=c)
 
 
-def _sup_curve(structure, psi, beta, theta_hi, base):
+def _sup_curve(structure, psi, s_psi, beta, theta_hi, base):
     """Exact max of theta -> F(theta, x, psi) on [theta_x, theta_hi].
 
-    With theta = theta_x + t, F = beta g(t) (module docstring). Newton on g'
-    from the right end t_hi descends monotonically onto the largest root of
-    g' or leaves [0, t_hi]; the max is the larger of g there and g(0).
-    Returns (theta_x, 0) when that max is not positive.
+    s_psi is S(psi'), from _s_dagger. With theta = theta_x + t, F = beta g(t)
+    (module docstring). Newton on g' from the right end t_hi descends
+    monotonically onto the largest root of g' or leaves [0, t_hi]; the max
+    is the larger of g there and g(0). Returns (theta_x, 0) when that max is
+    not positive.
     """
     L = structure.L
-    a = L * (base.x - 2.0 * L * _quad_trace(structure, base.p, psi, beta)
+    a = L * (base.x - 2.0 * L * _trace_with(base.p, s_psi, beta)
              - float(np.trace(_dagger(structure.a0, beta) @ psi).real))
-    b = 2.0 * L * L * _quad_trace(structure, psi, psi, beta)
+    b = 2.0 * L * L * _trace_with(psi, s_psi, beta)
     # L is small: scalar loops beat numpy's per-call overhead here
     mu = np.linalg.eigvalsh(base.r_inv @ psi @ base.r_inv.conj().T).clip(0.0).tolist()
 
@@ -298,10 +303,12 @@ def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
     x = float(x)
     if x <= cache.r_inf:
         raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
+    s_psi = _s_dagger(structure, psi, beta)
     if eps is None:
-        eps = max(_quad_trace(structure, psi, psi, beta), 1e-300)
+        eps = max(_trace_with(psi, s_psi, beta), 1e-300)
     theta_hi = theta_cap(structure, x + 1.0, 0.5 * (cache.r_inf + x), eps)
-    return _sup_curve(structure, psi, beta, theta_hi, _curve_base(structure, x, beta))
+    return _sup_curve(structure, psi, s_psi, beta, theta_hi,
+                      _curve_base(structure, x, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +364,8 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     L = structure.L
     id_l = np.eye(L) / L
-    q0 = _quad_trace(structure, id_l, id_l, beta)
+    s_id = _s_dagger(structure, id_l, beta)
+    q0 = _trace_with(id_l, s_id, beta)
     if q0 <= 1e-14:
         raise DegenerateModelError(
             "Tr[Psi S(Psi)] vanishes for every profile; the variational "
@@ -383,12 +391,14 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
             return None
         return g / tr
 
-    def qform(p):
-        return _quad_trace(structure, p, p, beta)
-
-    def project_feasible(psi, q, eps):
-        """Smallest blend s with Tr[((1-s)psi + s Id/L)' S(same)] >= eps."""
-        t_pi = _quad_trace(structure, psi, id_l, beta)
+    def feasible(psi, eps):
+        """(psi, S(psi'), s): psi blended toward Id/L by the smallest s with
+        Tr[psi' S(psi')] >= eps; S is applied once unless psi moves."""
+        s_psi = _s_dagger(structure, psi, beta)
+        q = _trace_with(psi, s_psi, beta)
+        if not q < eps:
+            return psi, s_psi, 0.0
+        t_pi = _trace_with(psi, s_id, beta)
         # q(s) = (1-s)^2 q + 2 s (1-s) t_pi + s^2 q0, q(1) = q0 >= eps
         coeffs = [q - 2.0 * t_pi + q0, 2.0 * (t_pi - q), q - eps]
         roots = np.roots(coeffs) if abs(coeffs[0]) > 1e-300 else \
@@ -397,19 +407,17 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         s_candidates = [float(r.real) for r in roots
                         if abs(r.imag) < 1e-10 and 0.0 < r.real <= 1.0]
         s = min(s_candidates) if s_candidates else 1.0
-        return (1.0 - s) * psi + s * id_l, s
+        psi = (1.0 - s) * psi + s * id_l
+        return psi, _s_dagger(structure, psi, beta), s
 
     def objective(v, eps, th_hi):
         evals["n"] += 1
         psi = psi_from_vec(v)
         if psi is None:
             return 1e6
-        q = qform(psi)
-        s = 0.0
-        if q < eps:
-            psi, s = project_feasible(psi, q, eps)
+        psi, s_psi, s = feasible(psi, eps)
         try:
-            _, f = _sup_curve(structure, psi, beta, th_hi, base)
+            _, f = _sup_curve(structure, psi, s_psi, beta, th_hi, base)
         except (ValueError, np.linalg.LinAlgError):
             return 1e6
         return f + (5.0 * s * (1.0 + abs(f)) if s > 0 else 0.0)
@@ -434,10 +442,8 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         psi = psi_from_vec(rung_best[1])
         if psi is None:
             psi = id_l
-        q = qform(psi)
-        if q < eps:
-            psi, _ = project_feasible(psi, q, eps)
-        th, val = _sup_curve(structure, psi, beta, th_hi, base)
+        psi, s_psi, _ = feasible(psi, eps)
+        th, val = _sup_curve(structure, psi, s_psi, beta, th_hi, base)
         ladder.append((eps, val))
         # warm-start the next rung with a factor of the *projected* profile:
         # it is feasible there too, so the next rung can only improve on val

@@ -176,6 +176,18 @@ def test_simulate_writes_draws_and_tail_record(tmp_path):
     assert 0.0 <= rec["p_hat"] <= 1.0
 
 
+def test_simulate_zero_hits_writes_strict_json(tmp_path):
+    doc = {"command": "simulate", "structure": GOE_DOC, "seed": 7,
+           "simulate": {"N": 20, "reps": 10, "x": 6.0, "delta": 0.1}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    rec = json.loads((out / "tail.jsonl").read_text().splitlines()[0],
+                     parse_constant=reject_non_json_constant)
+    assert rec["hits"] == 0
+    # the rate estimate is infinite without hits: null, not "inf" or Infinity
+    assert rec["rate_hat"] is None
+
+
 def test_simulate_zero_reps_exits_1(tmp_path, capsys):
     doc = {"command": "simulate", "structure": GOE_DOC, "seed": 1,
            "simulate": {"N": 20, "reps": 0}}

@@ -302,6 +302,59 @@ def test_density_custom_schedule(sc):
     assert d.eta_final == pytest.approx(5e-5)
 
 
+def _assert_matches_pointwise(st, d, tol=1e-10):
+    """Every grid value (density and matrix components) against scalar
+    solve_mde at x + i eta_final, reached point by point down its own eta
+    ladder (a cold start at tiny eta can stall near an edge)."""
+    for x, rho, comp in zip(d.grid, d.density, d.matrix_components):
+        m, eta = None, 1.0
+        while eta > d.eta_final:
+            m = mde.solve_mde(st, complex(x, eta), m0=m).m
+            eta *= 0.2
+        m = mde.solve_mde(st, complex(x, d.eta_final), m0=m).m
+        assert rho == pytest.approx(max(np.trace(m).imag / (st.L * np.pi), 0.0), abs=tol)
+        assert np.max(np.abs(comp - (m - m.conj().T) / (2j * np.pi))) <= tol
+
+
+@pytest.mark.parametrize("name", ["goe", "herm2", "random-L3"])
+def test_density_stacked_solve_matches_pointwise(name, sc, herm2):
+    from test_rate import random_structure
+
+    st = {"goe": sc, "herm2": herm2, "random-L3": random_structure(stream(29, 1), 3)}[name]
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    d = mde.density(st, left - margin, right + margin, grid_size=61, components=True)
+    assert d.fallback_points == 0
+    _assert_matches_pointwise(st, d)
+
+
+def test_density_schedule_starting_above_one(coupled3):
+    d = mde.density(coupled3, -2.0, 2.0, grid_size=21, eta_schedule=[2.0, 1.0, 0.3],
+                    components=True)
+    assert d.eta_final == 0.3
+    assert d.fallback_points == 0
+    _assert_matches_pointwise(coupled3, d)
+
+
+def test_density_fallback_is_counted(coupled3, monkeypatch):
+    stacked = mde._solve_upper_batch
+    calls = {"n": 0}
+
+    def flag_one(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        calls["n"] += 1
+        if calls["n"] == 7:  # the rung at eta = 5e-4
+            m[4] = np.nan  # garbage left behind for the scalar re-solve
+            ok[4] = False
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_upper_batch", flag_one)
+    d = mde.density(coupled3, -2.0, 2.0, grid_size=21, components=True)
+    assert calls["n"] > 7
+    assert d.fallback_points == 1
+    _assert_matches_pointwise(coupled3, d)
+
+
 # ---------------------------------------------------------------------------
 # beta = 2 end to end
 

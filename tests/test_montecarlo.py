@@ -442,7 +442,7 @@ def test_estimate_record_fields(sc):
     assert rec["kind"] == "tail_estimate"
     assert rec["structure"] == structure_hash(sc)
     assert rec["seed"] == 3
-    assert rec["rate_hat"] == "inf"
+    assert rec["rate_hat"] is None
     assert rec["method"] == "direct" and rec["ess"] is None
     json.dumps(rec)  # must be serializable as-is
 

@@ -422,6 +422,26 @@ def test_rate_deterministic_under_seed(pair, pair_result):
     assert again.theta_star == pair_result.theta_star
 
 
+def test_rate_one_s_application_per_evaluation(pair, monkeypatch):
+    import kronldp.rate as rate_mod
+
+    calls = {"n": 0}
+
+    def counted(structure, t):
+        calls["n"] += 1
+        return apply_S(structure, t)
+
+    monkeypatch.setattr(rate_mod, "apply_S", counted)
+    res = rate_function(pair, right_edge(pair).r_inf + 1.0,
+                        opt_config=OptConfig(nm_maxiter=60))
+    fevals = res.diagnostics["fevals"]
+    assert fevals > 100
+    # S(Psi') is shared by the constraint and both traces of the sup over
+    # theta; a second application only follows a projection onto the
+    # constraint. Three applications per evaluation would give 3 * fevals.
+    assert calls["n"] <= 1.2 * fevals
+
+
 def test_rate_complex_structure(herm2):
     edge = right_edge(herm2).r_inf
     res = rate_function(herm2, edge + 1.0)
