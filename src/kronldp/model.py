@@ -211,12 +211,24 @@ def _draw_blocks(structure: StructureSet, n, rng) -> np.ndarray:
     return (g + np.conj(np.swapaxes(g, -1, -2))) / np.sqrt(2.0 * n)
 
 
-def _assemble(structure: StructureSet, blocks, n) -> np.ndarray:
-    """X = sum_j A_j (x) W_j + A_0 (x) Id."""
-    x = np.kron(structure.a0, np.eye(n, dtype=structure.a0.dtype))
-    for aj, wj in zip(structure.a, blocks):
-        x += np.kron(aj, wj)
-    return x
+def _assemble(structure: StructureSet, blocks, n, out=None) -> np.ndarray:
+    """X = sum_j A_j (x) W_j + A_0 (x) Id, written into out when given.
+
+    Filled block by block: block (a, b) is A_0[a, b] Id + A_1[a, b] W_1 + ...,
+    the same products summed in the same order as the np.kron form, so X is
+    bit-identical to it.
+    """
+    L = structure.L
+    if out is None:
+        out = np.empty((L * n, L * n), dtype=structure.a0.dtype)
+    eye = np.eye(n, dtype=structure.a0.dtype)
+    for a in range(L):
+        for b in range(L):
+            blk = out[a * n:(a + 1) * n, b * n:(b + 1) * n]
+            np.multiply(structure.a0[a, b], eye, out=blk)
+            for aj, wj in zip(structure.a, blocks):
+                blk += aj[a, b] * wj
+    return out
 
 
 def _top_eig(x, want_spectrum=False):
@@ -260,9 +272,18 @@ def tilt_matrix(structure: StructureSet, u) -> np.ndarray:
     return d
 
 
+def tilt_shift(structure: StructureSet, theta, u) -> np.ndarray | None:
+    """The tilted sampler's shift 2 theta D, or None when theta is 0."""
+    return 2.0 * theta * tilt_matrix(structure, u) if theta > 0 else None
+
+
 def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False,
-                  keep_matrix=False) -> KroneckerSample:
-    """Draw from the tilted measure: a fresh sample plus the shift 2 theta D."""
+                  keep_matrix=False, shift=None) -> KroneckerSample:
+    """Draw from the tilted measure: a fresh sample plus the shift 2 theta D.
+
+    A loop drawing many samples with one (theta, u) passes the shift it built
+    once with :func:`tilt_shift`; otherwise it is built here.
+    """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     u = np.asarray(u)
@@ -274,7 +295,7 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False
     gen = stream(rng)
     x = _assemble(structure, _draw_blocks(structure, n, gen), n)
     if theta > 0:
-        x = x + 2.0 * theta * tilt_matrix(structure, u)
+        x = x + (tilt_shift(structure, theta, u) if shift is None else shift)
     lam, v1, spec = _top_eig(x, with_spectrum)
     return KroneckerSample(N=n, seed=seed, lambda1=float(lam), v1=v1, spectrum=spec,
                            matrix=x if keep_matrix else None)

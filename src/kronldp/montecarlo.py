@@ -13,10 +13,13 @@ sums go through math.fsum, which rounds exactly and is therefore
 order-independent. Passing a Generator instead of an integer seed is allowed
 but serializes the batches onto that one stream.
 
-The direct tail counter never diagonalizes a matrix it can certify instead: a
-Cholesky factorization of (x - delta)Id - X proves lambda_1 < x - delta, and
-only draws failing the certificate (a vanishing fraction in the large
-deviation regime) fall back to an eigensolve. For the scalar structures the
+The dense window estimators (direct and importance) take one draw at a time:
+each X is assembled into one reused NL x NL buffer and certified on the spot
+by a LAPACK Cholesky factorization of (x - delta)Id - X, which proves
+lambda_1 < x - delta and so rules the draw out of the window. Only draws
+failing the certificate (a vanishing fraction in the large deviation regime)
+are diagonalized, and an importance weight is computed only for a hit; no
+batch of matrices is ever held in memory. For the scalar structures the
 long 1e7-rep runs use (opt-in) the tridiagonal beta-Hermite reduction, which
 has exactly the GOE/GUE eigenvalue law at a fraction of the cost; window
 membership is then two vectorized Sturm negative-pivot counts per draw and
@@ -31,15 +34,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh as scipy_eigh
+from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.stats import beta as _beta_dist
 
 from .mde import right_edge
 from .model import (Generator, Profile, as_profile, profile_vector,
                     rho_profile, sample_kronecker, sample_tilted, stream,
-                    structure_hash, _assemble, _draw_blocks)
+                    structure_hash, tilt_shift, _assemble, _draw_blocks)
 from .outlier import largest_outlier, tilt_for_target
 
-_DENSE_BUFFER = 3.2e7  # batch buffer budget, in matrix entries
+# Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
+# from stream (seed, b); nothing is buffered, so these constants only fix
+# where one stream ends and the next begins. Changing them changes the draws.
+_DENSE_BUFFER = 3.2e7  # matrix entries per batch
 _TRI_BATCH = 32768
 
 
@@ -112,6 +119,39 @@ def _substream(rng, index):
 def _batch_size(nl, reps):
     cap = max(1, int(_DENSE_BUFFER // (nl * nl)))
     return max(1, min(512, cap, reps))
+
+
+def _uncertified_draws(structure, n, reps, rng, s, shift=None):
+    """The draws X (plus shift, when given) not proven to have lambda_1 < s.
+
+    Batch b takes _batch_size draws from stream (seed, b). Each X is built in
+    one reused buffer and certified on the spot by a LAPACK Cholesky
+    factorization of sId - X, computed in place on one reused scratch matrix;
+    it exists exactly when sId - X is positive definite. The transposed
+    (Fortran-ordered) view is factored as upper triangular, so LAPACK reads
+    X's lower triangle without a copy. A yielded X is overwritten by the next
+    draw.
+    """
+    nl = structure.L * n
+    buf = np.empty((nl, nl), dtype=structure.a0.dtype)
+    scratch = np.empty_like(buf)
+    shifted_eye = s * np.eye(nl, dtype=buf.dtype)
+    potrf = zpotrf if np.iscomplexobj(buf) else dpotrf
+    bs = _batch_size(nl, reps)
+    for batch, done in enumerate(range(0, reps, bs)):
+        gen = _substream(rng, batch)
+        for _ in range(min(bs, reps - done)):
+            xm = _assemble(structure, _draw_blocks(structure, n, gen), n, out=buf)
+            if shift is not None:
+                xm += shift  # the tilted draw of sample_tilted
+            np.subtract(shifted_eye, xm, out=scratch)
+            if potrf(scratch.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
+                yield xm
+
+
+def _top_eigenvalue(xm):
+    nl = xm.shape[0]
+    return float(scipy_eigh(xm, subset_by_index=[nl - 1, nl - 1], eigvals_only=True)[0])
 
 
 def _clopper_pearson(hits, reps, alpha=0.05):
@@ -198,38 +238,8 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
 # direct window counting
 
 def _dense_hits(structure, x, delta, n, reps, rng, one_sided):
-    L = structure.L
-    nl = L * n
-    lower = x - delta
-    eye = np.eye(nl, dtype=structure.a0.dtype)
-    bs = _batch_size(nl, reps)
-    hits = 0
-    done = 0
-    batch = 0
-    while done < reps:
-        m = min(bs, reps - done)
-        gen = _substream(rng, batch)
-        xs = np.empty((m, nl, nl), dtype=structure.a0.dtype)
-        for r in range(m):
-            xs[r] = _assemble(structure, _draw_blocks(structure, n, gen), n)
-        try:
-            np.linalg.cholesky(lower * eye - xs)
-            certified = True  # every lambda_1 in the batch is below the window
-        except np.linalg.LinAlgError:
-            certified = False
-        if not certified:
-            for r in range(m):
-                try:
-                    np.linalg.cholesky(lower * eye - xs[r])
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-                lam = float(scipy_eigh(xs[r], subset_by_index=[nl - 1, nl - 1],
-                                       eigvals_only=True)[0])
-                hits += _window(lam, x, delta, one_sided)
-        done += m
-        batch += 1
-    return hits
+    return sum(_window(_top_eigenvalue(xm), x, delta, one_sided)
+               for xm in _uncertified_draws(structure, n, reps, rng, x - delta))
 
 
 def _sturm_below(d, e2, t):
@@ -266,14 +276,14 @@ def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
             d = gen.standard_normal((m, n)) * math.sqrt(1.0 / n)
             e2 = gen.chisquare(2.0 * df, (m, n - 1)) / (2 * n) if n > 1 else np.empty((m, 0))
 
-        def below(s):
+        def below(d, e2, s):
             cnt = _sturm_below(d, e2, (s - c) / a)
             return cnt == n if a > 0 else cnt == 0
 
-        if one_sided:
-            hit = ~below(x - delta)
-        else:
-            hit = ~below(x - delta) & below(x + delta)
+        hit = ~below(d, e2, x - delta)
+        if not one_sided:
+            # only the rows above the lower edge need the upper-edge sweep
+            hit[hit] = below(d[hit], e2[hit], x + delta)
         hits += int(hit.sum())
         done += m
         batch += 1
@@ -351,29 +361,19 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     elif theta < 0:
         raise ValueError("theta must be >= 0")
 
-    bs = _batch_size(structure.L * n, reps)
     u = profile_vector(structure, psi, n, _substream(rng, reps))
     mu, t2 = _tilt_moments(structure, u)
+    shift = tilt_shift(structure, theta, u)
     beta = structure.beta
 
-    w_hit, w_hit_sq, w_all = [], [], []
-    hits = 0
-    done = 0
-    batch = 0
-    while done < reps:
-        m = min(bs, reps - done)
-        gen = _substream(rng, batch)
-        for _ in range(m):
-            s = sample_tilted(structure, n, theta, u, gen, keep_matrix=True)
-            quad = float(np.real(np.vdot(u, s.matrix @ u)))
+    w_hit, w_hit_sq = [], []
+    for xm in _uncertified_draws(structure, n, reps, rng, x - delta, shift):
+        if _window(_top_eigenvalue(xm), x, delta, one_sided):
+            quad = float(np.real(np.vdot(u, xm @ u)))
             w = math.exp(beta * n * theta * (theta * t2 - (quad - mu)))
-            w_all.append(w)
-            if _window(s.lambda1, x, delta, one_sided):
-                hits += 1
-                w_hit.append(w)
-                w_hit_sq.append(w * w)
-        done += m
-        batch += 1
+            w_hit.append(w)
+            w_hit_sq.append(w * w)
+    hits = len(w_hit)
 
     sum_hit = math.fsum(w_hit)
     p_hat = sum_hit / reps
@@ -398,8 +398,9 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     psi = as_profile(psi)
     z_pred = largest_outlier(structure, theta, psi).Z
     u = profile_vector(structure, psi, n, _substream(rng, 1))
+    shift = tilt_shift(structure, theta, u)
     gen = _substream(rng, 0)
-    lams = np.array([sample_tilted(structure, n, theta, u, gen).lambda1
+    lams = np.array([sample_tilted(structure, n, theta, u, gen, shift=shift).lambda1
                      for _ in range(reps)])
     mean = float(lams.mean())
     sd = float(lams.std(ddof=1))

@@ -9,16 +9,19 @@ pilot runs at a 2x-or-better margin; none is tighter than 4 sample sd.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
-from kronldp.model import _assemble, _draw_blocks, profile_vector, sample_kronecker
+from kronldp.model import (_assemble, _draw_blocks, profile_vector, sample_kronecker,
+                           tilt_matrix)
 from kronldp.montecarlo import (
     ProfileHistogram,
     TailEstimate,
+    _batch_size,
     _tilt_moments,
     block_resolvent_trace,
     empirical_spectrum,
@@ -262,6 +265,96 @@ def test_importance_needs_reachable_target(sc):
 def test_importance_rejects_negative_theta(sc):
     with pytest.raises(ValueError):
         importance_tail(sc, 2.5, 0.25, 50, 10, 1, theta=-0.5)
+
+
+# ---------------------------------------------------------------------------
+# per-draw dense estimators reproduce the batched algorithm bit for bit
+
+def _kron_assemble(structure, blocks, n):
+    x = np.kron(structure.a0, np.eye(n, dtype=structure.a0.dtype))
+    for aj, wj in zip(structure.a, blocks):
+        x += np.kron(aj, wj)
+    return x
+
+
+def _reference_window(structure, x, delta, n, reps, seed, one_sided, theta=None):
+    """The batched algorithm the per-draw estimators replaced: batch b holds
+    _batch_size draws from stream (seed, b), X is built with np.kron (plus the
+    tilt shift for importance sampling) and every draw is diagonalized.
+    Returns (hits, p_hat); p_hat is the weighted one when theta is given."""
+    nl = structure.L * n
+    if theta is not None:
+        u = profile_vector(structure, np.eye(structure.L) / structure.L, n,
+                           stream(seed, reps))
+        mu, t2 = _tilt_moments(structure, u)
+        shift = 2.0 * theta * tilt_matrix(structure, u)
+    bs = _batch_size(nl, reps)
+    weights = []
+    for batch, done in enumerate(range(0, reps, bs)):
+        gen = stream(seed, batch)
+        for _ in range(min(bs, reps - done)):
+            xm = _kron_assemble(structure, _draw_blocks(structure, n, gen), n)
+            if theta is not None and theta > 0:
+                xm = xm + shift
+            lam = np.linalg.eigvalsh(xm)[-1]
+            if not (lam >= x - delta if one_sided else abs(lam - x) <= delta):
+                continue
+            if theta is None:
+                weights.append(1.0)
+            else:
+                quad = float(np.real(np.vdot(u, xm @ u)))
+                weights.append(math.exp(structure.beta * n * theta
+                                        * (theta * t2 - (quad - mu))))
+    return len(weights), math.fsum(weights) / reps
+
+
+@pytest.fixture(scope="module")
+def dsum():
+    return make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def test_assemble_equals_kron_form_bitwise(sc, dsum, herm, pair):
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    generic = make_structure(-0.7 * (h + h.conj().T), [h @ h.conj().T, np.eye(2)], beta=2)
+    # off-diagonal blocks -0.5 Id + 0 W_1: the kron form leaves signed zeros there
+    zeros = make_structure([[0.1, -0.5], [-0.5, 0.2]], [np.diag([1.0, 0.5])])
+    for st in (sc, dsum, herm, pair, generic, zeros):
+        n = 7
+        blocks = _draw_blocks(st, n, stream(4, 0))
+        ref = _kron_assemble(st, blocks, n)
+        out = np.full_like(ref, np.nan)
+        assert _assemble(st, blocks, n).tobytes() == ref.tobytes()
+        assert _assemble(st, blocks, n, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("which", ["goe", "dsum", "herm"])
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_dense_estimators_match_batched_reference(which, one_sided, sc, dsum, herm):
+    st = {"goe": sc, "dsum": dsum, "herm": herm}[which]
+    n = 12 if st.L == 1 else 6
+    reps, seed, x, delta = 700, 41, 2.2, 0.2
+    assert _batch_size(st.L * n, reps) < reps  # at least two streams
+    hits, p_hat = _reference_window(st, x, delta, n, reps, seed, one_sided)
+    assert 0 < hits < reps
+    d = tail_probability(st, x, delta, n, reps, seed, one_sided=one_sided)
+    assert (d.hits, d.p_hat) == (hits, p_hat)
+    for theta in (0.0, 0.05):
+        hits, p_hat = _reference_window(st, x, delta, n, reps, seed, one_sided, theta)
+        i = importance_tail(st, x, delta, n, reps, seed, theta=theta, one_sided=one_sided)
+        assert (i.hits, i.p_hat) == (hits, p_hat)
+
+
+def test_dense_tail_holds_no_batch_buffer(sc):
+    n = 100
+    tracemalloc.start()
+    try:
+        tail_probability(sc, 2.5, 0.45, n, 1100, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n * n * 8
 
 
 # ---------------------------------------------------------------------------
