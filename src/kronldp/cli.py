@@ -8,8 +8,10 @@ written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 degenerate
-model, 4 internal error (an unexpected exception, reported on stderr).
+Exit codes: 0 success, 1 config error, 2 numerical failure (no MDE
+convergence, a point inside the support, 2 theta outside the range of -m, no
+tilt reaching a target, a singular linear system), 3 degenerate model, 4
+internal error (an unexpected exception, reported on stderr).
 """
 from __future__ import annotations
 
@@ -26,11 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mde import (ConvergenceError, DomainError, density, left_edge,
-                  right_edge)
+from .mde import (ConvergenceError, DomainError, NoInverseError, density,
+                  left_edge, right_edge)
 from .model import StructureError, structure_from_dict, structure_hash, validate
 from .montecarlo import estimate_record, simulate_lambda1, tail_probability, write_jsonl
-from .outlier import largest_outlier
+from .outlier import TiltSearchError, largest_outlier
 from .rate import DegenerateModelError, rate_function
 from .verify import render_table, run_checks
 
@@ -305,7 +307,8 @@ def main(argv=None) -> int:
     except DegenerateModelError as exc:
         print(f"degenerate model: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ConvergenceError, DomainError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, DomainError, NoInverseError, TiltSearchError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

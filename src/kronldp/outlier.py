@@ -3,12 +3,25 @@
 A rank-one tilt with profile Psi pushes an eigenvalue out of the bulk to the
 largest z > r_inf where det(Id_{L^2} + 2 theta S_big (M(z) x Psi)) vanishes.
 This module evaluates that determinant, its symmetrized eigenvalue form
-(numerically kinder when Psi is positive definite), scans-and-bisects for the
-largest root, and inverts theta -> Z(theta) to place the outlier at a target.
+(numerically kinder when Psi is positive definite), finds the largest root,
+and inverts theta -> Z(theta) to place the outlier at a target.
+
+For positive definite Psi the largest root is the one crossing of the
+monotone lambda_max(z) = 1, located by binary search on a fixed log-spaced
+z grid and refined by brentq. Put Q = -M(z) x 2 theta Psi (positive definite
+right of the edge) and B = S_big (Hermitian). When lambda_max(Q^1/2 B Q^1/2)
+is positive it equals the sup over y with y*By > 0 of y*By / y*Q^-1 y, which
+cannot decrease as Q grows in the Loewner order. -M(z) is the Stieltjes
+transform of a positive semidefinite matrix-valued measure, so it shrinks as
+z grows, and lambda_max is non-increasing in z: lambda - 1 changes sign at
+most once on the grid. The determinant of singular Psi has no such property
+(below its largest root its sign may flip any number of times), so that
+path keeps the top-down linear scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +109,13 @@ def largest_outlier(structure: StructureSet, theta, psi,
                     method=None) -> OutlierSolve:
     """Largest z > r_inf solving the outlier equation, or Z = r_inf if none.
 
-    Scans a log-spaced z grid downward from the realized bound c0 + c1 theta
-    and bisects the first sign change of the determinant (or of lambda - 1
-    when psi is positive definite), so the largest root is found first.
+    Both methods look at the same log-spaced z grid between r_inf + guard and
+    the realized bound c0 + c1 theta and refine the sign change nearest the
+    top with brentq. With positive definite psi ("lambda-root") lambda - 1 is
+    non-decreasing down the grid (module docstring), so one evaluation at the
+    bottom decides whether a root exists and a binary search finds the first
+    grid point with lambda >= 1. "det-root" scans the grid top down, since the
+    determinant's sign is not monotone below its largest root.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -121,19 +138,32 @@ def largest_outlier(structure: StructureSet, theta, psi,
 
     guard = 1e-9 * (1.0 + abs(r))
     offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
-    zs = r + offsets
-    prev_z, prev_f = None, None
-    for z in zs:
-        f = fun(float(z))
-        if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
-            root = brentq(fun, float(z), prev_z, xtol=1e-13, rtol=1e-15)
-            return OutlierSolve(theta=float(theta), psi=prof, Z=float(root),
-                                bracket=(float(z), float(prev_z)),
-                                method=method, residual=abs(fun(float(root))))
-        prev_z, prev_f = float(z), f
-    return OutlierSolve(theta=float(theta), psi=prof, Z=float(r),
-                        bracket=(float(r), float(z_top)), method=method,
-                        residual=0.0)
+    zs = [float(z) for z in r + offsets]
+    j = None  # first grid index past the sign change, counted from the top
+    if method == "lambda-root":
+        # lambda - 1 >= 0 is monotone along zs: False at the top, True from j on
+        if fun(zs[-1]) >= 0:
+            j = bisect_left(zs, True, 0, len(zs) - 1, key=lambda z: fun(z) >= 0)
+            if j == 0:
+                j = None
+    else:
+        # the determinant's sign may flip many times below the largest root,
+        # so only a scan from the top finds that root first
+        prev_f = None
+        for i, z in enumerate(zs):
+            f = fun(z)
+            if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
+                j = i
+                break
+            prev_f = f
+    if j is None:
+        return OutlierSolve(theta=float(theta), psi=prof, Z=float(r),
+                            bracket=(float(r), float(z_top)), method=method,
+                            residual=0.0)
+    root = brentq(fun, zs[j], zs[j - 1], xtol=1e-13, rtol=1e-15)
+    return OutlierSolve(theta=float(theta), psi=prof, Z=float(root),
+                        bracket=(zs[j], zs[j - 1]), method=method,
+                        residual=abs(fun(root)))
 
 
 def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:

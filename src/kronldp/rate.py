@@ -62,6 +62,10 @@ class RateBreakdown:
 
 @dataclass
 class RateResult:
+    """One rate point. At L >= 2 `value` is reproducible to ~1e-12 but
+    `theta_star` and `psi_star` only to ~5e-7: Nelder-Mead stops somewhere on
+    a flat valley of the profile objective, so F changing in its last bits
+    moves the optimizer there without moving the rate."""
     x: float
     value: float
     theta_star: float
@@ -354,7 +358,8 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     the constraint Tr[Psi' S(Psi)] >= eps is kept by projecting infeasible
     iterates toward Id/L plus a penalty, and eps runs down a geometric ladder
     seeded with the previous rung's optimum, which makes the ladder values
-    non-increasing by construction.
+    non-increasing by construction. The optimum sits on a flat valley, so at
+    L >= 2 theta_star is reproducible only to ~5e-7 (the value to ~1e-12).
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()

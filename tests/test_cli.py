@@ -16,8 +16,9 @@ import pytest
 
 from kronldp import cli
 from kronldp.cli import main
-from kronldp.mde import right_edge
+from kronldp.mde import NoInverseError, right_edge
 from kronldp.model import structure_from_dict
+from kronldp.outlier import TiltSearchError
 
 from test_oracles import FROZEN_GOE_RATE
 
@@ -250,6 +251,21 @@ def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     err = capsys.readouterr().err
     assert "internal error" in err and "boom" in err
+
+
+@pytest.mark.parametrize("error", [NoInverseError, TiltSearchError])
+def test_numerical_failures_exit_2(tmp_path, capsys, monkeypatch, error):
+    # NoInverseError is a ValueError and TiltSearchError a RuntimeError:
+    # neither may fall through to the config-error or internal-error codes
+    def failing(cfg):
+        raise error("no solution")
+
+    monkeypatch.setitem(cli.HANDLERS, "outlier", failing)
+    code, _ = run_cli(tmp_path, {"command": "outlier", "structure": GOE_DOC,
+                                 "outlier": {"theta_grid": [1.0]}})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "no solution" in err
 
 
 def test_missing_config_file(tmp_path, capsys):

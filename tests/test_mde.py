@@ -355,6 +355,30 @@ def test_density_fallback_is_counted(coupled3, monkeypatch):
     _assert_matches_pointwise(coupled3, d)
 
 
+def test_edge_build_never_hits_the_damped_iteration_cap(sc, monkeypatch):
+    # the scalar damped fixed point stays far below its 400-sweep cap on a
+    # cold cache build (about four iterations per call)
+    from test_rate import random_structure
+
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    solve = mde._solve_upper
+    iters = []
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        iters.append(out[2])
+        return out
+
+    monkeypatch.setattr(mde, "_solve_upper", recorded)
+    for st in (sc, dsum, random_structure(stream(502), 3)):
+        monkeypatch.setattr(mde, "_CACHES", {})
+        iters.clear()
+        mde.right_edge(st)
+        mde.left_edge(st)
+        assert len(iters) > 100
+        assert max(iters) < 400
+
+
 # ---------------------------------------------------------------------------
 # beta = 2 end to end
 

@@ -6,9 +6,10 @@ are checked through round trips and method cross-agreement.
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles as o
-from kronldp import make_structure, right_edge, stream
+from kronldp import make_structure, outlier, right_edge, stream
 from kronldp.mde import DomainError
 from kronldp.outlier import (
     OutlierSolve,
@@ -18,6 +19,7 @@ from kronldp.outlier import (
     tilt_for_target,
 )
 from kronldp.rate import phi_maps
+from test_rate import random_pd_profile, random_structure
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,17 @@ def pair():
         np.diag([0.3, -0.1]),
         [np.diag([1.0, 0.5]), 0.4 * np.array([[0.0, 1.0], [1.0, 0.0]])],
     )
+
+
+@pytest.fixture(scope="module")
+def herm():
+    h = np.array([[0.0, 1j], [-1j, 0.0]])
+    return make_structure(0.3 * np.eye(2), [h, np.eye(2)], beta=2)
+
+
+@pytest.fixture(scope="module")
+def rand3():
+    return random_structure(stream(502), 3)
 
 
 ONE = np.ones((1, 1))
@@ -136,6 +149,78 @@ def test_outlier_bracket_bound(sc, pair):
         assert isinstance(res, OutlierSolve)
         assert res.Z >= right_edge(st).r_inf - 1e-10
         assert res.Z <= res.bracket[1] + 1e-12
+
+
+def _linear_scan(structure, theta, psi):
+    """Reference: the top-down scan of lambda - 1 over the 160-point grid,
+    bisecting the first sign change (Z = r_inf when there is none)."""
+    r = right_edge(structure).r_inf
+    z_top = outlier._realized_bracket(structure, theta, psi)
+
+    def fun(z):
+        return lambda_sym(structure, theta, z, psi) - 1.0
+
+    guard = 1e-9 * (1.0 + abs(r))
+    offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
+    prev_z, prev_f = None, None
+    for z in r + offsets:
+        f = fun(float(z))
+        if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
+            root = brentq(fun, float(z), prev_z, xtol=1e-13, rtol=1e-15)
+            return float(root), (float(z), float(prev_z))
+        prev_z, prev_f = float(z), f
+    return float(r), (float(r), float(z_top))
+
+
+def test_lambda_sym_monotone_in_z(sc, herm, rand3):
+    rng = stream(59, 3)
+    for st in (sc, herm, rand3):
+        r = right_edge(st).r_inf
+        zs = r + np.geomspace(1e-8, 10.0, 80)
+        for _ in range(3):
+            psi = random_pd_profile(rng, st.L)
+            theta = float(rng.uniform(0.3, 3.0))
+            lam = np.array([lambda_sym(st, theta, float(z), psi) for z in zs])
+            assert np.all(lam[1:] <= lam[:-1] * (1.0 + 1e-12))
+
+
+def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
+    rng = stream(59, 4)
+    roots = 0
+    for st in (sc, pair, herm, rand3):
+        for k in range(6):
+            psi = ONE if st.L == 1 else random_pd_profile(rng, st.L)
+            theta = float(rng.uniform(0.2, 3.0)) if k else 0.45
+            z_ref, bracket_ref = _linear_scan(st, theta, psi)
+            res = largest_outlier(st, theta, psi)
+            assert res.method == "lambda-root"
+            assert res.bracket == bracket_ref
+            if z_ref == right_edge(st).r_inf:
+                assert res.Z == z_ref
+                assert res.residual == 0.0
+            else:
+                roots += 1
+                assert res.Z == pytest.approx(z_ref, abs=1e-11)
+    assert roots >= 12
+    # GOE at theta <= 1/2 has no outlier
+    for theta in (0.3, 0.5):
+        assert largest_outlier(sc, theta, ONE).Z == _linear_scan(sc, theta, ONE)[0]
+
+
+def test_largest_outlier_eval_count(sc, pair, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_sym(*args)
+
+    monkeypatch.setattr(outlier, "lambda_sym", counted)
+    # no root: one evaluation at the bottom of the grid settles it
+    for st, theta in ((sc, 0.4), (pair, 0.9)):
+        calls.clear()
+        res = largest_outlier(st, theta, np.eye(st.L) / st.L)
+        assert res.Z == right_edge(st).r_inf
+        assert len(calls) <= 2
 
 
 def test_outlier_requires_positive_theta(sc):
