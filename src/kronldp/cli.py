@@ -1,27 +1,25 @@
 """Batch front end: one JSON config, one command, reproducible files out.
 
 A run is described by a single JSON document with a "command" discriminator
-and a parameter block named after the command; --command, --seed, --threads
-and --out override the corresponding config fields, and KRONLDP_THREADS is
-the fallback when neither names a thread count. Numeric CSV cells are
+and a parameter block named after the command; --command, --seed and --out
+override the corresponding config fields. Numeric CSV cells are
 written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure (no MDE
-convergence, a point inside the support, 2 theta outside the range of -m, no
-tilt reaching a target, a singular linear system), 3 degenerate model, 4
-internal error (an unexpected exception, reported on stderr).
+convergence or no fold at the edge, a point inside the support, 2 theta
+outside the range of -m, no tilt reaching a target, a singular linear
+system), 3 degenerate model, 4 internal error (an unexpected exception,
+reported on stderr).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +54,6 @@ class RunConfig:
     params: dict
     output_dir: Path
     seed: int
-    thread_count: int
 
 
 def _fmt(x) -> str:
@@ -104,24 +101,15 @@ def load_config(path, overrides) -> RunConfig:
         raise ConfigError(f"config field 'structure' is invalid: {problems[0]}")
 
     seed = overrides.seed if overrides.seed is not None else _require(doc, "seed", int, 0)
-    if overrides.threads is not None:
-        threads = overrides.threads
-    elif "threads" in doc:
-        threads = _require(doc, "threads", int)
-    else:
-        try:
-            threads = int(os.environ.get("KRONLDP_THREADS", "1"))
-        except ValueError:
-            raise ConfigError("KRONLDP_THREADS must be an integer") from None
-    if threads < 1:
-        raise ConfigError("config field 'threads' must be >= 1")
+    if "threads" in doc:
+        raise ConfigError("config field 'threads' was removed: runs are serial")
 
     out = Path(overrides.out or doc.get("output_dir", "."))
     params = doc.get(command, {})
     if not isinstance(params, dict):
         raise ConfigError(f"config field '{command}' must be an object")
     return RunConfig(structure=structure, command=command, params=params,
-                     output_dir=out, seed=int(seed), thread_count=int(threads))
+                     output_dir=out, seed=int(seed))
 
 
 def _write_rows(path, header, rows):
@@ -135,7 +123,6 @@ def _write_meta(cfg: RunConfig, started, files):
     meta = {
         "command": cfg.command,
         "seed": cfg.seed,
-        "threads": cfg.thread_count,
         "structure": structure_hash(cfg.structure),
         "version": __version__,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
@@ -144,14 +131,6 @@ def _write_meta(cfg: RunConfig, started, files):
     }
     (cfg.output_dir / "run_meta.json").write_text(
         json.dumps(meta, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-
-
-def _pool_map(cfg: RunConfig, fn, items):
-    """Evaluate pure per-item tasks on the worker pool, preserving order."""
-    if cfg.thread_count == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +161,8 @@ def cmd_density(cfg: RunConfig) -> int:
         "r_inf": info.r_inf,
         # infinite for atoms only; strict JSON has no Infinity, so null
         "m_at_edge": info.m_at_edge if np.isfinite(info.m_at_edge) else None,
-        "detection_eta": info.detection_eta,
-        "detection_threshold": info.detection_threshold,
+        "fold_residual": info.fold_residual,
+        "fold_steps": info.fold_steps,
         "left_edge": left_edge(st),
     }
     (cfg.output_dir / "support.json").write_text(
@@ -204,7 +183,7 @@ def cmd_rate(cfg: RunConfig) -> int:
                   f"{edge:.6f}; row skipped", file=sys.stderr)
         else:
             usable.append(float(x))
-    results = _pool_map(cfg, lambda x: rate_function(st, x), usable)
+    results = [rate_function(st, x) for x in usable]
     rows = [(x, r.value, r.theta_star, r.epsilon_used)
             for x, r in zip(usable, results)]
     _write_rows(cfg.output_dir / "rate.csv",
@@ -219,7 +198,7 @@ def cmd_outlier(cfg: RunConfig) -> int:
         raise ConfigError("config field 'outlier.theta_grid' must be a non-empty list")
     psi = cfg.params.get("psi")
     psi = np.eye(st.L) / st.L if psi is None else np.asarray(psi, dtype=float)
-    results = _pool_map(cfg, lambda t: largest_outlier(st, float(t), psi), grid)
+    results = [largest_outlier(st, float(t), psi) for t in grid]
     rows = [(t, r.Z, r.residual) for t, r in zip(grid, results)]
     _write_rows(cfg.output_dir / "outlier.csv", ["theta", "Z", "residual"], rows)
     return EXIT_OK
@@ -277,9 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", choices=COMMANDS,
                         help="override the config's command")
     parser.add_argument("--seed", type=int, help="override the config's seed")
-    parser.add_argument("--threads", type=int,
-                        help="override the config's thread count "
-                             "(fallback: KRONLDP_THREADS)")
     parser.add_argument("--out", help="override the config's output directory")
     parser.add_argument("--version", action="version", version=__version__)
     return parser

@@ -16,6 +16,12 @@ eta rung for all grid points at once, each warm-started from the rung above
 at the same x. A point that fails to converge or to pass the Herglotz test
 is re-solved by the scalar robust solver and counted.
 
+The right edge r_inf is the fold of the real-axis equation: where the
+stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
+warm-started walk in along the real axis gets close, and Newton on the
+extended system (the equation, a kernel vector, its normalization) lands on
+it to rounding. The left edge is the mirrored structure's right edge.
+
 The real-axis quantities m, U and (-m)^{-1} are served from a per-structure
 cache that interpolates s -> m(r_inf + s^2) on geometric Chebyshev panels
 (the square-root substitution makes the edge analytic) and integrates the
@@ -27,7 +33,7 @@ hit 1e-7 territory near a square-root edge at sane grid sizes.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -81,8 +87,8 @@ class SpectralDensity:
 class SupportInfo:
     r_inf: float
     m_at_edge: float
-    detection_eta: float
-    detection_threshold: float
+    fold_residual: float
+    fold_steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +104,23 @@ def _fixed_point_map(structure, z, m):
     return -np.linalg.inv(b)
 
 
+def _jacobian(structure, b, x):
+    """Row-major matrix of D -> B D + S[D] X: kron(B, Id) + sum_j
+    kron(A_j, (A_j X)^T), optionally stacked. B = z Id - A_0 + S[M], X = M
+    gives the Newton Jacobian of Id + B M (-M^{-1} times the stability
+    operator D -> D - M S[D] M); B = S[V], X = V its derivative along V."""
+    L = structure.L
+    jac = np.einsum("...ac,bd->...abcd", b, np.eye(L))
+    for aj in structure.a:
+        jac = jac + np.einsum("ac,...db->...abcd", aj, aj @ x)
+    return jac.reshape(b.shape[:-2] + (L * L, L * L))
+
+
 def _newton_step(structure, z, m, g):
     """Solve the linearization B dM + S[dM] M = -G for dM (row-major vec)."""
-    L = structure.L
-    b = z * np.eye(L) - structure.a0 + apply_S(structure, m)
-    jac = np.kron(b, np.eye(L, dtype=np.result_type(b, m)))
-    for aj in structure.a:
-        jac += np.kron(aj, (aj @ m).T)
-    dm = np.linalg.solve(jac, -g.reshape(-1))
-    return dm.reshape(L, L)
+    b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
+    dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(-1))
+    return dm.reshape(m.shape)
 
 
 def _newton_refine(structure, z, m, tol, max_steps=60):
@@ -225,12 +239,8 @@ def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
         zi, mi = z[idx], m[idx]
         b = _b_batch(structure, zi, mi)
         g = eye + b @ mi
-        # kron(B, Id) + sum_j kron(A_j, (A_j M)^T), row-major (a, b), (c, d)
-        jac = np.einsum("gac,bd->gabcd", b, eye)
-        for aj in structure.a:
-            jac += np.einsum("ac,gdb->gabcd", aj, aj @ mi)
         try:
-            dm = np.linalg.solve(jac.reshape(len(idx), L * L, L * L),
+            dm = np.linalg.solve(_jacobian(structure, b, mi),
                                  -g.reshape(len(idx), L * L, 1)).reshape(-1, L, L)
         except np.linalg.LinAlgError:
             failed[idx] = True  # some system is singular: re-solve these one by one
@@ -350,11 +360,7 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, max_iter=400, m0=None) -> M
 
 
 # ---------------------------------------------------------------------------
-# edge detection
-
-_EDGE_C = 0.05          # density threshold coefficient: c * sqrt(eta)
-_EDGE_ETA = 2e-5        # coarse detection offset; refined at half this value
-
+# right edge: the fold of the real-axis equation
 
 def _scan_hi(structure):
     norms = [np.linalg.norm(aj, 2) for aj in structure.a]
@@ -368,79 +374,101 @@ def _is_degenerate(structure) -> bool:
         float(np.trace(apply_S(structure, np.eye(structure.L))).real) <= 0.0
 
 
-def _detect_right_edge(structure):
-    """Bisect the thresholded density indicator at two eta offsets and
-    Richardson-extrapolate the linear-in-eta detection shift away."""
-    L = structure.L
-    mu1 = float(np.trace(structure.a0).real) / L
-    hi = _scan_hi(structure)
-    lo_end = mu1 - 0.05 * (hi - mu1) - 1e-9
-
-    warm = {"m": None}
-
-    def indicator(x, eta):
-        m, _, _ = _solve_upper_robust(structure, x + 1j * eta, 1e-11, m0=warm["m"])
-        warm["m"] = m
-        return float(np.trace(m).imag) / (L * np.pi) > _EDGE_C * np.sqrt(eta)
-
-    xs = np.linspace(hi, lo_end, 512)
-    eta1 = _EDGE_ETA
-    bracket = None
-    for outside, inside in zip(xs[:-1], xs[1:]):
-        if indicator(inside, eta1):
-            bracket = (inside, outside)
-            break
-    if bracket is None:
-        raise ConvergenceError("no spectral mass detected during edge scan")
-
-    def bisect(eta, lo, hi_):
-        # invariant: indicator(lo) True (inside), indicator(hi_) False (outside)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi_)
-            if indicator(mid, eta):
-                lo = mid
-            else:
-                hi_ = mid
-            if hi_ - lo < 1e-10:
-                break
-        return 0.5 * (lo + hi_)
-
-    # The detection point expands as x*(eta) = r + a*eta + b*eta^(3/2) + ...:
-    # the linear term from the square-root edge's scale invariance, the 3/2
-    # term from the analytic part of Im m against the c*sqrt(eta) threshold.
-    # Three offsets cancel both, leaving O(eta^2) ~ 1e-9.
-    etas = [eta1, eta1 / 2.0, eta1 / 4.0]
-    stars = [bisect(eta1, bracket[0], bracket[1])]
-    for eta in etas[1:]:
-        lo, hi_ = stars[-1] - 8.0 * eta1, stars[-1] + 8.0 * eta1
-        while not indicator(lo, eta):
-            lo -= 8.0 * eta1
-            if lo < lo_end:
-                raise ConvergenceError("edge refinement lost its bracket")
-        while indicator(hi_, eta):
-            hi_ += 8.0 * eta1
-        stars.append(bisect(eta, lo, hi_))
-    ratios = np.array(etas) / eta1
-    vand = np.vstack([np.ones(3), ratios, ratios ** 1.5])
-    weights = np.linalg.solve(vand, np.array([1.0, 0.0, 0.0]))
-    r = float(weights @ np.array(stars))
-    return r, etas[-1], _EDGE_C * np.sqrt(etas[-1])
+def _no_fold(x, side):
+    return ConvergenceError(
+        f"no fold of the real-axis Dyson equation near x={side * x:.6g}: the "
+        f"{'right' if side > 0 else 'left'} edge may carry an atom (a point "
+        f"mass), where M diverges instead of folding")
 
 
-def right_edge(structure: StructureSet, tol=1e-6) -> SupportInfo:
-    """Right endpoint r_inf of the limiting spectral measure.
+def _fold(structure, side=1):
+    """The right (side=1) or left (side=-1) edge as a fold of Id + (x - A_0 +
+    S[M]) M = 0; returns (edge, M(edge), residual, steps), or raises
+    ConvergenceError where there is no fold (an atom on the edge). The left
+    edge is the right edge of the mirror A_0 -> -A_0, whose solution is
+    M'(x) = -M(-x).
 
-    Detection accuracy on square-root edges is O(eta^(3/2)) ~ 1e-7, below the
-    default tolerance; tol is validated but does not re-tune the offsets.
+    Walk in from _scan_hi by warm-started Newton, stepping 0.6 (x - r_hat):
+    r_hat extrapolates the squared smallest |eigenvalue| of the Jacobian,
+    linear in x - r_inf near the edge, to zero. A step whose solve fails
+    (inside the support or a gap) is halved. Then Newton on {Id + B M = 0,
+    B V + S[V] M = 0, <l, V> = 1}, B = x - A_0 + S[M], for (M, x, V)
+    (Keller 1977), in least squares: by symmetry the kernel can have more
+    than one dimension, which makes the extended Jacobian singular.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if side < 0:
+        structure = replace(structure, a0=-structure.a0)
+    L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
+    x = _scan_hi(structure)
+    m, _, _ = _solve_real(structure, x, 1e-12)
+    prev = None
+    for steps in range(61):
+        b = x * eye - structure.a0 + apply_S(structure, m)
+        w, vecs = np.linalg.eig(_jacobian(structure, b, m))
+        i = int(np.argmin(np.abs(w)))
+        lam2, v = abs(w[i]) ** 2, vecs[:, i]
+        # far from the edge the Jacobian is ~ x - A_0: step by half |lambda|
+        gap = (lam2 * (prev[0] - x) / (prev[1] - lam2) if prev and prev[1] > lam2
+               else 0.5 * np.sqrt(lam2))
+        if gap < 2e-2 * max(1.0, abs(x)):
+            break
+        step = 0.6 * gap
+        for _ in range(30):
+            try:
+                m_new, _, _ = _solve_real_newton(structure, x - step, 1e-12, m)
+                break
+            except ConvergenceError:
+                step /= 2.0
+        else:
+            raise _no_fold(x, side)
+        prev, x, m = (x, lam2), x - step, m_new
+    else:
+        raise _no_fold(x, side)
+
+    x_walk, size = x, np.inf
+    v = (v.real if structure.beta == 1 else v) / np.linalg.norm(v)
+    ell = np.conj(v)
+    for _ in range(61):  # a kernel of full dimension converges only linearly
+        b = x * eye - structure.a0 + apply_S(structure, m)
+        jac_m = _jacobian(structure, b, m)
+        rhs = np.concatenate([(eye + b @ m).reshape(-1), jac_m @ v, [ell @ v - 1.0]])
+        res = float(np.linalg.norm(rhs))
+        if size <= 1e-13 * max(1.0, abs(x)):
+            break
+        vm = v.reshape(L, L)
+        jac = np.block([[jac_m, m.reshape(-1, 1), np.zeros((n, n))],
+                        [_jacobian(structure, apply_S(structure, vm), vm), v[:, None], jac_m],
+                        [np.zeros((1, n + 1)), ell[None, :]]])
+        delta = np.linalg.lstsq(jac, -rhs)[0]
+        size = float(np.linalg.norm(delta))
+        m, x, v = m + delta[:n].reshape(L, L), x + delta[n], v + delta[n + 1:]
+        steps += 1
+    else:
+        raise _no_fold(x_walk, side)
+    r, m = float(np.real(x)), 0.5 * (m + m.conj().T)
+    if not (res <= 1e-10 and r < x_walk and np.linalg.eigvalsh(m).max() < 0.0):
+        raise _no_fold(x_walk, side)
+    return side * r, side * m, res, steps
+
+
+def right_edge(structure: StructureSet) -> SupportInfo:
+    """Right endpoint r_inf of the limiting spectral measure, with
+    m_at_edge = -m(r_inf) and the fold solve's residual and step count.
+
+    Atoms only: the largest eigenvalue of A_0, exact. Otherwise the fold of
+    the real-axis Dyson equation (see _fold), accurate to rounding on
+    square-root edges; ConvergenceError where there is no fold.
+    """
     return _cache_for(structure).support
 
 
 def left_edge(structure: StructureSet) -> float:
-    """Left endpoint, from the mirrored structure's right edge."""
-    return _cache_for(structure).left
+    """Left endpoint, the fold of the mirrored structure; ConvergenceError
+    where there is no fold (the right-edge quantities are still served)."""
+    cache = _cache_for(structure)
+    if cache.left is None:
+        raise ConvergenceError(cache.left_error)
+    return cache.left
 
 
 # ---------------------------------------------------------------------------
@@ -473,38 +501,29 @@ class _SpectralCache:
             self.atoms = np.real(atoms)
             self.r_inf = float(self.atoms.max())
             self.left = float(self.atoms.min())
-            self.width = max(self.r_inf - self.left, 1.0)
             self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=np.inf,
-                                       detection_eta=0.0, detection_threshold=0.0)
+                                       fold_residual=0.0, fold_steps=0)
             return
 
-        self.r_inf, eta_d, thr_d = _detect_right_edge(structure)
-        mirror = StructureSet(L=L, k=structure.k, beta=structure.beta,
-                              a0=np.ascontiguousarray(-structure.a0), a=structure.a)
-        left_mirrored, _, _ = _detect_right_edge(mirror)
-        self.left = -left_mirrored
+        self.r_inf, m_edge, res, steps = _fold(structure)
+        self.q_edge = -float(np.trace(m_edge).real) / L
+        try:
+            self.left = _fold(structure, side=-1)[0]
+        except ConvergenceError as err:
+            self.left, self.left_error = None, str(err)
+        # with no left fold, -_scan_hi bounds the support from below
+        lo = -_scan_hi(structure) if self.left is None else self.left
 
-        self.width = max(self.r_inf - self.mu1, self.mu1 - self.left, 1.0)
+        self.width = max(self.r_inf - self.mu1, self.mu1 - lo, 1.0)
         self.t_big = self.mu1 + 2500.0 * self.width
         self._build_panels()
-        self.support = SupportInfo(r_inf=self.r_inf,
-                                   m_at_edge=-self._m_panel(self.s0),
-                                   detection_eta=eta_d, detection_threshold=thr_d)
+        self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=self.q_edge,
+                                   fold_residual=res, fold_steps=steps)
 
     # -- panel construction --------------------------------------------
 
     def _build_panels(self):
-        gap0 = 3e-7 * self.width
-        for _ in range(10):
-            try:
-                self._try_build_panels(np.sqrt(gap0))
-                return
-            except ConvergenceError:
-                gap0 *= 4.0  # edge estimate was optimistic; start further out
-        raise ConvergenceError("could not build real-axis panels near the edge")
-
-    def _try_build_panels(self, s0):
-        self.s0 = float(s0)
+        self.s0 = float(np.sqrt(3e-7 * self.width))
         s_hi = float(np.sqrt(self.t_big - self.r_inf))
         edges = [self.s0]
         while edges[-1] * _PANEL_RATIO < s_hi:
@@ -556,7 +575,7 @@ class _SpectralCache:
         rng = np.random.default_rng(0)
         for s in rng.uniform(2.0 * self.s0, min(1.0, float(self.s_edges[-1])), 3):
             t = self.r_inf + s * s
-            direct = float(np.trace(self.m_matrix(t)).real) / self.structure.L
+            direct = self._m_direct(t)
             if abs(direct - self._m_panel(s)) > 1e-8 * (1.0 + abs(direct)):
                 raise ConvergenceError("panel interpolant failed validation")
 
@@ -598,6 +617,10 @@ class _SpectralCache:
         bisect.insort(self._m_keys, key)
         return m
 
+    def _m_direct(self, x):
+        """m(x) from the exact real-axis solve (no panel)."""
+        return float(np.trace(self.m_matrix(x)).real) / self.structure.L
+
     def m_scalar(self, x):
         """m(x) = Tr M(x) / L for real x > r_inf (panel-accurate, fast)."""
         if self.degenerate:
@@ -609,7 +632,7 @@ class _SpectralCache:
             return self._m_series(x)
         s = np.sqrt(gap)
         if s < self.s0:
-            return float(np.trace(self.m_matrix(x)).real) / self.structure.L
+            return self._m_direct(x)
         return self._m_panel(s)
 
     def log_potential(self, x):
@@ -617,11 +640,11 @@ class _SpectralCache:
         if self.degenerate:
             with np.errstate(divide="ignore"):
                 return float(np.mean(np.log(np.abs(x - self.atoms))))
-        # acceptance slack must cover the edge-detection error (~1e-8), or
-        # evaluation at the true edge could be rejected
-        if x < self.r_inf - 1e-6 * self.width:
+        # r_inf is exact to a few ulps: a closed-form edge rounding below it
+        # is the edge, not a point inside the support
+        if x < self.r_inf - 8.0 * np.spacing(max(1.0, abs(self.r_inf))):
             raise DomainError(f"x={x} is below the right edge {self.r_inf}")
-        x = max(x, self.r_inf + 1e-7 * self.width)
+        x = max(x, self.r_inf)
         if x >= self.t_big:
             tau = x - self.mu1
             return float(np.log(tau) - self.c2 / (2.0 * tau * tau)
@@ -643,9 +666,7 @@ class _SpectralCache:
         mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
         total = 0.0
         for s, w in zip(mid + half * nodes, weights):
-            t = self.r_inf + s * s
-            mval = float(np.trace(self.m_matrix(t)).real) / self.structure.L
-            total += w * mval * 2.0 * s
+            total += w * self._m_direct(self.r_inf + s * s) * 2.0 * s
         return total * half
 
     def inverse_neg_m(self, q):
@@ -663,17 +684,26 @@ class _SpectralCache:
                 hi = self.r_inf + 2.0 * (hi - self.r_inf)
             t = brentq(f_atoms, lo, hi, xtol=1e-14)
         else:
-            q_edge = -self._m_panel(self.s0)
-            if q >= q_edge:
+            if q >= self.q_edge:
                 raise NoInverseError(
                     f"two_theta={q} is at or beyond the range of -m "
-                    f"(sup ~ {q_edge:.6g}); no inverse, use branch-2 formulas")
+                    f"(sup {self.q_edge:.6g}); no inverse, use branch-2 formulas")
             if q <= -self.m_big:
                 def f_tail(tau):
                     return (1.0 / tau + self.c2 / tau ** 3 + self.c3 / tau ** 4) - q
 
                 t = self.mu1 + brentq(f_tail, self.t_big - self.mu1 - 1e-12,
                                       2.0 / q, xtol=1e-12)
+            elif q > -self._m_panel(self.s0):
+                # above the first panel's range: fresh solves on the direct
+                # leg, with the fold's m(r_inf) at s = 0; the leg runs to the
+                # first panel's far end so its sign change is never in doubt
+                def f_direct(s):
+                    return self.q_edge - q if s == 0.0 else \
+                        -self._m_direct(self.r_inf + s * s) - q
+
+                s_root = brentq(f_direct, 0.0, self.s_edges[1], xtol=1e-14)
+                t = self.r_inf + s_root * s_root
             else:
                 panel = self.panels[0]
                 for p in self.panels:
@@ -685,9 +715,9 @@ class _SpectralCache:
                 t = self.r_inf + s_root * s_root
         # secant corrections against the exact solver tighten the round trip
         t0, t1 = t, t * (1.0 + 1e-7) + 1e-12
-        f0 = -float(np.trace(self.m_matrix(t0)).real) / self.structure.L - q
+        f0 = -self._m_direct(t0) - q
         for _ in range(3):
-            f1 = -float(np.trace(self.m_matrix(t1)).real) / self.structure.L - q
+            f1 = -self._m_direct(t1) - q
             if f1 == f0:
                 break
             t2 = t1 - f1 * (t1 - t0) / (f1 - f0)

@@ -96,8 +96,8 @@ def _check_support_edges():
     atoms = make_structure(np.diag([1.7, -0.3]), [])
     exact = right_edge(atoms).r_inf == 1.7
     worst = max(errs)
-    return worst <= 1e-6 and exact, (
-        f"edge errors {worst:.2e} (tol 1e-6), atom edge exact: {exact}")
+    return worst <= 1e-10 and exact, (
+        f"edge errors {worst:.2e} (tol 1e-10), atom edge exact: {exact}")
 
 
 _SWEEP_CACHE = {}

@@ -66,8 +66,8 @@ def test_c02_edge_oracles():
     atoms = make_structure([[1.7, 0.0], [0.0, -0.3]], [])
     atom_edge = right_edge(atoms).r_inf
     elapsed = time.perf_counter() - t0
-    assert e1 <= 1e-6
-    assert e2 <= 1e-6
+    assert e1 <= 1e-10
+    assert e2 <= 1e-10
     assert atom_edge == 1.7  # atoms are exact, not approximate
     assert elapsed < 5.0
     _report(2, f"edge errors {max(e1, e2):.2e}, atom edge exact "

@@ -57,8 +57,10 @@ def test_density_semicircle_mass(tmp_path):
     mass = sum(float(row[2]) for row in body)
     assert mass == pytest.approx(1.0, abs=1e-3)
     support = json.loads((out / "support.json").read_text())
-    assert support["r_inf"] == pytest.approx(2.0, abs=1e-6)
-    assert support["left_edge"] == pytest.approx(-2.0, abs=1e-6)
+    assert support["r_inf"] == pytest.approx(2.0, abs=1e-10)
+    assert support["left_edge"] == pytest.approx(-2.0, abs=1e-10)
+    assert support["m_at_edge"] == pytest.approx(1.0, abs=1e-10)
+    assert support["fold_residual"] <= 1e-10 and support["fold_steps"] > 0
 
 
 def test_density_atoms_only_edge_is_exact(tmp_path):
@@ -71,6 +73,7 @@ def test_density_atoms_only_edge_is_exact(tmp_path):
     assert support["r_inf"] == 1.7
     # the Stieltjes transform blows up at an atom: null, not Infinity
     assert support["m_at_edge"] is None
+    assert support["fold_residual"] == 0.0 and support["fold_steps"] == 0
     # no continuous part to tabulate
     _, body = read_csv(out / "density.csv")
     assert body == []
@@ -282,39 +285,13 @@ def test_command_flag_overrides_config(tmp_path):
     assert not (out / "density.csv").exists()
 
 
-def test_threads_env_fallback_and_flag(tmp_path, monkeypatch):
-    doc = {"command": "outlier", "structure": GOE_DOC, "seed": 1,
-           "outlier": {"theta_grid": [0.6, 1.0, 2.0]}}
-    monkeypatch.setenv("KRONLDP_THREADS", "3")
-    code, out = run_cli(tmp_path, doc)
-    assert code == 0
-    assert json.loads((out / "run_meta.json").read_text())["threads"] == 3
-    code, out = run_cli(tmp_path, doc, "--threads", "2", name="t2.json")
-    assert code == 0
-    assert json.loads((out / "run_meta.json").read_text())["threads"] == 2
-
-
-def test_threads_env_garbage_is_config_error(tmp_path, monkeypatch, capsys):
-    doc = {"command": "outlier", "structure": GOE_DOC, "seed": 1,
+def test_threads_field_is_config_error(tmp_path, capsys):
+    # runs are serial; a leftover thread count is named, not silently ignored
+    doc = {"command": "outlier", "structure": GOE_DOC, "seed": 1, "threads": 2,
            "outlier": {"theta_grid": [1.0]}}
-    monkeypatch.setenv("KRONLDP_THREADS", "many")
     code, _ = run_cli(tmp_path, doc)
     assert code == 1
-    assert "KRONLDP_THREADS" in capsys.readouterr().err
-
-
-def test_thread_pool_output_matches_serial(tmp_path):
-    doc = {"command": "rate", "structure": GOE_DOC, "seed": 1,
-           "rate": {"x_grid": [2.3, 2.7, 3.1, 3.5]}}
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    bodies = []
-    for tag, nthreads in (("s", "1"), ("p", "4")):
-        out = tmp_path / tag
-        assert main(["--config", str(cfg), "--out", str(out),
-                     "--threads", nthreads]) == 0
-        bodies.append((out / "rate.csv").read_bytes())
-    assert bodies[0] == bodies[1]
+    assert "'threads' was removed" in capsys.readouterr().err
 
 
 def test_cells_are_locale_free_17g(tmp_path):

@@ -123,27 +123,93 @@ def test_bad_tol_rejected(sc):
 
 def test_edge_semicircle(sc):
     info = mde.right_edge(sc)
-    assert info.r_inf == pytest.approx(2.0, abs=1e-6)
-    assert info.detection_eta > 0 and info.detection_threshold > 0
+    assert info.r_inf == pytest.approx(2.0, abs=1e-10)
+    assert info.fold_residual <= 1e-10 and info.fold_steps > 0
+    # -m(2) = 1 for the semicircle: the fold's M(r_inf), not a panel value
+    assert info.m_at_edge == pytest.approx(1.0, abs=1e-10)
 
 
 def test_edge_two_blocks(sc2):
-    assert mde.right_edge(sc2).r_inf == pytest.approx(2.0 * SQRT2, abs=1e-6)
+    assert mde.right_edge(sc2).r_inf == pytest.approx(2.0 * SQRT2, abs=1e-10)
 
 
 def test_edge_atoms_exact(atoms):
     info = mde.right_edge(atoms)
     assert info.r_inf == 3.0
     assert np.isinf(info.m_at_edge)
+    assert info.fold_residual == 0.0 and info.fold_steps == 0
 
 
 def test_left_edge_is_mirror(sc):
-    assert mde.left_edge(sc) == pytest.approx(-2.0, abs=1e-6)
+    assert mde.left_edge(sc) == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_edge_shifted_structure():
     st = make_structure(np.array([[1.5]]), [np.ones((1, 1))])
-    assert mde.right_edge(st).r_inf == pytest.approx(3.5, abs=1e-6)
+    assert mde.right_edge(st).r_inf == pytest.approx(3.5, abs=1e-10)
+
+
+def test_edge_two_bands():
+    # semicircles of radius 2 at 0 and radius 1 at 10: only the right band counts
+    st = make_structure(np.diag([0.0, 10.0]), [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
+    assert mde.right_edge(st).r_inf == pytest.approx(11.0, abs=1e-10)
+    assert mde.left_edge(st) == pytest.approx(-2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("a1, beta", [([[0.0, 1.0], [1.0, 0.0]], 1),
+                                      ([[0.0, 1.0], [1.0, 0.0]], 2),
+                                      (np.eye(2), 1)])
+def test_edge_degenerate_kernel(a1, beta):
+    # M = m_sc Id, and at the edge the stability operator kills Id and A_1
+    # (for A_1 = Id: every D), so the extended Newton system is singular at
+    # the solution
+    st = make_structure(np.zeros((2, 2)), [a1], beta=beta)
+    info = mde.right_edge(st)
+    assert info.r_inf == pytest.approx(2.0, abs=1e-10)
+    assert info.m_at_edge == pytest.approx(1.0, abs=1e-9)
+
+
+def test_edge_atom_on_the_edge_raises():
+    # mu = semicircle/2 + delta_5/2: r_inf = 5 is an atom, where M diverges
+    # instead of folding; no edge is better than a wrong one
+    st = make_structure(np.diag([0.0, 5.0]), [np.diag([1.0, 0.0])])
+    with pytest.raises(mde.ConvergenceError, match="atom"):
+        mde.right_edge(st)
+
+
+def test_atom_on_the_left_edge_spares_the_right_edge():
+    # mu = delta_-5/2 + semicircle/2: r_inf = 2 is an ordinary square-root
+    # fold, so everything measured from it works; only left_edge raises
+    st = make_structure(np.diag([-5.0, 0.0]), [np.diag([0.0, 1.0])])
+    info = mde.right_edge(st)
+    assert info.r_inf == pytest.approx(2.0, abs=1e-10)
+    assert info.m_at_edge == pytest.approx(0.5 * (1.0 / 7.0 + 1.0), abs=1e-10)
+    # -m(x) = (1/(x+5) + m_sc(x)) / 2 at x = 2.5, where -m_sc(2.5) = 1/2
+    q = 0.5 * (1.0 / 7.5 + 0.5)
+    assert mde.inverse_neg_stieltjes(st, q) == pytest.approx(2.5, abs=1e-10)
+    with pytest.raises(mde.ConvergenceError, match="left edge may carry an atom"):
+        mde.left_edge(st)
+
+
+def test_edge_random_structures_square_root_law():
+    # no closed form: just inside a square-root edge r the density is
+    # c sqrt(r - x), so a 4x longer distance doubles it; just outside, the
+    # real-axis solve succeeds. An edge off by more than ~1e-10 breaks one.
+    from test_rate import random_structure
+
+    def rho(st, x, eta=1e-13):
+        m, e = None, 0.1
+        while e > eta:
+            m = mde.solve_mde(st, complex(x, e), tol=1e-13, m0=m).m
+            e *= 0.2
+        m = mde.solve_mde(st, complex(x, eta), tol=1e-13, m0=m).m
+        return np.trace(m).imag / (st.L * np.pi)
+
+    for i in range(4):
+        st = random_structure(stream(700 + i), [1, 2, 3, 3][i])
+        r = mde.right_edge(st).r_inf
+        assert rho(st, r - 4e-8) / rho(st, r - 1e-8) == pytest.approx(2.0, abs=1e-3)
+        assert np.linalg.eigvalsh(mde.solve_mde(st, r + 1e-9).m).max() < 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +271,13 @@ def test_inverse_round_trip(sc, coupled3):
             assert -m == pytest.approx(q, abs=1e-10)
 
 
+def test_inverse_next_to_the_edge(sc):
+    # q above the first panel's range (-m(2 + 6e-7) ~ 0.99923) is solved on
+    # the direct leg down to the edge
+    q = 0.9995
+    assert mde.inverse_neg_stieltjes(sc, q) == pytest.approx(q + 1.0 / q, abs=1e-12)
+
+
 def test_inverse_out_of_range(sc):
     with pytest.raises(mde.NoInverseError):
         mde.inverse_neg_stieltjes(sc, 1.5)
@@ -213,10 +286,22 @@ def test_inverse_out_of_range(sc):
 
 
 def test_log_potential_semicircle(sc):
-    assert mde.log_potential(sc, 2.0) == pytest.approx(0.5, abs=1e-6)
+    assert mde.log_potential(sc, mde.right_edge(sc).r_inf) == pytest.approx(0.5, abs=1e-10)
+    assert mde.log_potential(sc, 2.0) == pytest.approx(0.5, abs=1e-10)
     for x in (2.5, 3.0, 6.0):
         assert mde.log_potential(sc, x) == pytest.approx(
             o.semicircle_log_potential(x), abs=1e-9)
+
+
+def test_log_potential_accepts_the_edge_to_rounding(sc2):
+    # U(2 sigma) = 1/2 + ln sigma; the computed r_inf may round either side of
+    # the closed-form edge, and an ulp below it is still the edge
+    want = 0.5 + 0.5 * np.log(2.0)
+    r = mde.right_edge(sc2).r_inf
+    for x in (2.0 * SQRT2, np.nextafter(r, 0.0), np.nextafter(r, 3.0)):
+        assert mde.log_potential(sc2, x) == pytest.approx(want, abs=1e-10)
+    with pytest.raises(mde.DomainError):
+        mde.log_potential(sc2, r - 1e-12)
 
 
 def test_log_potential_point_mass():
@@ -375,7 +460,7 @@ def test_edge_build_never_hits_the_damped_iteration_cap(sc, monkeypatch):
         iters.clear()
         mde.right_edge(st)
         mde.left_edge(st)
-        assert len(iters) > 100
+        assert len(iters) > 10
         assert max(iters) < 400
 
 
