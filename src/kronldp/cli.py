@@ -7,11 +7,11 @@ written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure (no MDE
-convergence or no fold at the edge, a point inside the support, 2 theta
-outside the range of -m, no tilt reaching a target, a singular linear
-system), 3 degenerate model, 4 internal error (an unexpected exception,
-reported on stderr).
+Exit codes: 0 success, 1 config error (a command-line usage error
+included), 2 numerical failure (no MDE convergence or no fold at the edge,
+a point inside the support, 2 theta outside the range of -m, no tilt
+reaching a target, a singular linear system), 3 degenerate model, 4
+internal error (an unexpected exception, reported on stderr).
 """
 from __future__ import annotations
 
@@ -247,8 +247,17 @@ HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors exit 2, the code of a numerical failure here;
+    they are config errors. --help and --version still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: config error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kronldp",
         description="Rate functions and rare-event checks for Gaussian "
                     "Kronecker random matrices.")

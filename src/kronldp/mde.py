@@ -27,7 +27,16 @@ cache that interpolates s -> m(r_inf + s^2) on geometric Chebyshev panels
 (the square-root substitution makes the edge analytic) and integrates the
 interpolant in coefficient space; beyond the panels a three-moment Laurent
 tail takes over. This replaces grid quadrature of the density, which cannot
-hit 1e-7 territory near a square-root edge at sane grid sizes.
+hit 1e-7 territory near a square-root edge at sane grid sizes. The panels
+are built walking inward, one stacked real-axis Newton per panel over all
+its nodes. Each node starts from the tangent predictor M(s_k) + (s - s_k)
+2 s_k M'(t_k) at the innermost node solved so far; M' = dM/dz comes from
+one solve with the Newton Jacobian (the stability operator up to a factor).
+A node that stalls or leaves the negative-definite branch is re-solved by
+the scalar solver and counted in panel_fallbacks. Every real-axis solve
+takes one Newton step past its residual test: near the edge the Jacobian's
+smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual alone would
+leave M off by up to tol over that.
 """
 
 from __future__ import annotations
@@ -121,6 +130,13 @@ def _newton_step(structure, z, m, g):
     b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
     dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(-1))
     return dm.reshape(m.shape)
+
+
+def _dm_dz(structure, z, m):
+    """dM/dz at a solution M(z): differentiating Id + B M = 0 gives
+    B M' + S[M'] M = -M, one solve with the Newton Jacobian, which is -M^{-1}
+    times the stability operator D -> D - M S[D] M."""
+    return _newton_step(structure, z, m, m)
 
 
 def _newton_refine(structure, z, m, tol, max_steps=60):
@@ -301,9 +317,26 @@ def _solve_upper_batch(structure, z, m0, tol):
     return m, ~failed
 
 
+def _polish_batch(structure, z, m):
+    """One Newton step past the residual test on a stack of real-axis solves.
+
+    Near the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x -
+    r_inf), so a residual at tol leaves M off by up to tol over it; one more
+    step squares that error away. The complex-axis solvers skip it.
+    """
+    L = structure.L
+    b = _b_batch(structure, z, m)
+    g = np.eye(L) + b @ m
+    try:
+        dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(len(z), L * L, 1))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("singular Newton system at a real-axis solution") from exc
+    return m + dm.reshape(m.shape)
+
+
 def _solve_real_newton(structure, x, tol, m0):
-    """Newton directly at eta = 0 from a good initial guess; verifies the
-    negative-definite Herglotz-limit branch."""
+    """Newton directly at eta = 0 from a good initial guess, one polishing
+    step; verifies the negative-definite Herglotz-limit branch."""
     if structure.beta == 1:
         m = np.real(np.asarray(m0)).astype(float)
         z = float(x)
@@ -311,6 +344,7 @@ def _solve_real_newton(structure, x, tol, m0):
         m = np.asarray(m0, dtype=complex)
         z = complex(x)
     m, res, steps = _newton_refine(structure, z, m, tol)
+    m = _polish_batch(structure, np.array([z]), m[None])[0]
     m = 0.5 * (m + m.conj().T)
     w = np.linalg.eigvalsh(m)
     if w.max() >= 0.0:
@@ -320,14 +354,31 @@ def _solve_real_newton(structure, x, tol, m0):
     return m, res, steps
 
 
-def _solve_real(structure, x, tol, m0=None, eta0=None):
+def _solve_real_batch(structure, t, m0, tol):
+    """_solve_real_newton on a stack of real points t from the guesses m0:
+    stacked Newton, one polishing step, the negative-definite test. Returns
+    (m, ok); ok is False where the line search stalled or M is not negative
+    definite, and the caller re-solves those."""
+    if structure.beta == 1:
+        z, m = t, np.real(m0).astype(float)
+    else:
+        z, m = t.astype(complex), np.array(m0, dtype=complex)
+    m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
+    ok = np.flatnonzero(~failed)
+    m[ok] = _polish_batch(structure, z[ok], m[ok])
+    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    failed[ok] = np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0
+    return m, ~failed
+
+
+def _solve_real(structure, x, tol, m0=None):
     """Real-axis solution for x > r_inf via eta-continuation plus polish."""
     if m0 is not None:
         try:
             return _solve_real_newton(structure, x, tol, m0)
         except ConvergenceError:
             pass  # guess too far off; fall back to continuation
-    eta = eta0 if eta0 is not None else 0.1 * (1.0 + abs(x))
+    eta = 0.1 * (1.0 + abs(x))
     m, its = None, 0
     while eta > 1e-9:
         m, _, steps = _solve_upper(structure, x + 1j * eta, max(tol, 1e-11), m0=m)
@@ -394,7 +445,13 @@ def _fold(structure, side=1):
     (inside the support or a gap) is halved. Then Newton on {Id + B M = 0,
     B V + S[V] M = 0, <l, V> = 1}, B = x - A_0 + S[M], for (M, x, V)
     (Keller 1977), in least squares: by symmetry the kernel can have more
-    than one dimension, which makes the extended Jacobian singular.
+    than one dimension, which makes the extended Jacobian singular. V starts
+    from the eigenvector of the Jacobian's smallest |eigenvalue| at the end
+    of the walk; where that eigenvalue is multiple, from the member of its
+    eigenspace along dM/dz, the direction M folds in. An arbitrary member
+    can be blind to part of M's error (A_1 = Id: V = E_11 misses the other
+    diagonal entry), which then shrinks only linearly and stalls near the
+    square root of rounding, where the defect, quadratic in it, vanishes.
     """
     if side < 0:
         structure = replace(structure, a0=-structure.a0)
@@ -405,8 +462,7 @@ def _fold(structure, side=1):
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
         w, vecs = np.linalg.eig(_jacobian(structure, b, m))
-        i = int(np.argmin(np.abs(w)))
-        lam2, v = abs(w[i]) ** 2, vecs[:, i]
+        lam2 = float(np.min(np.abs(w))) ** 2
         # far from the edge the Jacobian is ~ x - A_0: step by half |lambda|
         gap = (lam2 * (prev[0] - x) / (prev[1] - lam2) if prev and prev[1] > lam2
                else 0.5 * np.sqrt(lam2))
@@ -426,9 +482,13 @@ def _fold(structure, side=1):
         raise _no_fold(x, side)
 
     x_walk, size = x, np.inf
+    # eig's basis of an eigenspace of more than one dimension is arbitrary:
+    # take its member along dM/dz, the direction M folds in
+    basis = vecs[:, np.abs(w) <= (1.0 + 1e-8) * np.sqrt(lam2)]
+    v = basis @ np.linalg.lstsq(basis, _dm_dz(structure, x, m).reshape(-1))[0]
     v = (v.real if structure.beta == 1 else v) / np.linalg.norm(v)
     ell = np.conj(v)
-    for _ in range(61):  # a kernel of full dimension converges only linearly
+    for _ in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
         jac_m = _jacobian(structure, b, m)
         rhs = np.concatenate([(eye + b @ m).reshape(-1), jac_m @ v, [ell @ v - 1.0]])
@@ -495,6 +555,7 @@ class _SpectralCache:
         self.c3 = self.mu3 - 3.0 * self.mu1 * self.mu2 + 2.0 * self.mu1 ** 3
         self._m_memo = {}
         self._m_keys = []  # sorted keys of _m_memo, for the nearest warm start
+        self.panel_fallbacks = 0  # panel nodes the stacked solve handed back
 
         if self.degenerate:
             atoms = np.linalg.eigvalsh(0.5 * (a0 + a0.conj().T))
@@ -531,24 +592,31 @@ class _SpectralCache:
         edges.append(s_hi)
         self.s_edges = np.array(edges)
 
-        warm = {"m": None}
+        # walk the panels inward, each one a stacked Newton over its nodes,
+        # every node warm-started by the tangent predictor M(s_k) + (s - s_k)
+        # 2 s_k M'(t_k) at the innermost node solved so far; the walk starts
+        # from a solve at the outer end, where M ~ -(t - A_0)^-1
+        st, L = self.structure, self.structure.L
+        t_k = self.r_inf + s_hi * s_hi
+        s_k = s_hi
+        m_k, _, _ = _solve_real(st, t_k, 1e-12, m0=-np.linalg.inv(t_k * np.eye(L) - st.a0))
 
-        def m_of_s(svals):
-            out = np.empty(len(svals))
-            order = np.argsort(svals)[::-1]  # walk inward: continuation direction
-            for idx in order:
-                t = self.r_inf + svals[idx] ** 2
-                m_mat, _, _ = _solve_real(
-                    self.structure, t, 1e-12, m0=warm["m"],
-                    eta0=1e-4 * (1.0 + abs(t)) if warm["m"] is None else None)
-                warm["m"] = m_mat
-                out[idx] = float(np.trace(m_mat).real) / self.structure.L
-            return out
+        def solve_nodes(s):
+            nonlocal s_k, t_k, m_k
+            t = self.r_inf + s * s
+            guess = m_k + (s - s_k)[:, None, None] * (2.0 * s_k * _dm_dz(st, t_k, m_k))
+            m, ok = _solve_real_batch(st, t, guess, 1e-12)
+            for i in np.flatnonzero(~ok):
+                m[i], _, _ = _solve_real(st, t[i], 1e-12, m0=guess[i])
+                self.panel_fallbacks += 1
+            k = int(np.argmin(s))
+            s_k, t_k, m_k = s[k], t[k], m[k]
+            return np.trace(m, axis1=1, axis2=2).real / L
 
         panels = []
         for i in range(len(self.s_edges) - 2, -1, -1):
             a, b = self.s_edges[i], self.s_edges[i + 1]
-            panels.append(Chebyshev.interpolate(m_of_s, _PANEL_DEG, domain=[a, b]))
+            panels.append(Chebyshev.interpolate(solve_nodes, _PANEL_DEG, domain=[a, b]))
         panels.reverse()
         self.panels = panels
 

@@ -17,6 +17,12 @@ z grows, and lambda_max is non-increasing in z: lambda - 1 changes sign at
 most once on the grid. The determinant of singular Psi has no such property
 (below its largest root its sign may flip any number of times), so that
 path keeps the top-down linear scan.
+
+The same monotonicity makes the inversion a search at one point: the
+outlier sits at or beyond x exactly when lambda_max at z = x is at least 1.
+lambda_sym is linear in theta for a fixed profile, so tilt_for_target
+solves lambda_sym(theta, x, phi_hat(theta)) = 1 in theta alone, on the one
+memoized M(x), with no search in z.
 """
 
 from __future__ import annotations
@@ -160,7 +166,7 @@ def largest_outlier(structure: StructureSet, theta, psi,
         return OutlierSolve(theta=float(theta), psi=prof, Z=float(r),
                             bracket=(float(r), float(z_top)), method=method,
                             residual=0.0)
-    root = brentq(fun, zs[j], zs[j - 1], xtol=1e-13, rtol=1e-15)
+    root = brentq(fun, zs[j], zs[j - 1], xtol=1e-12, rtol=1e-15)
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(root),
                         bracket=(zs[j], zs[j - 1]), method=method,
                         residual=abs(fun(root)))
@@ -170,9 +176,14 @@ def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:
     """Smallest theta whose tilt places the outlier at x, using phi_hat.
 
     Z_phi(theta) := largest_outlier at the profile phi_hat(theta, x, Psi).
-    Continuation runs theta upward from theta_0 = -m(x)/2 by factors of 1.15
-    until Z_phi brackets x, then bisects. Starting at theta_0 keeps the
-    returned root the smallest one: Z_phi(theta_0) = r_inf < x always.
+    Since lambda_sym is non-increasing in z (module docstring), Z_phi(theta)
+    >= x exactly when g(theta) = lambda_sym(theta, x, phi_hat(theta)) - 1 >= 0,
+    so the search stays at z = x: each theta costs one eigenproblem on the
+    memoized M(x), not a search in z. Continuation runs theta upward from
+    theta_0 = -m(x)/2 by factors of 1.15 until g >= 0, then brentq solves
+    g = 0. Starting at theta_0 keeps the returned root the smallest one:
+    Z_phi(theta_0) = r_inf < x always. On this range 2 theta >= -m(x), so
+    phi_hat needs no inverse of -m.
     """
     cache = _cache_for(structure)
     x = float(x)
@@ -182,26 +193,20 @@ def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")
 
-    def z_of(theta):
+    def lam(theta):
         _, phi_hat = phi_maps(structure, theta, x, psi)
-        return largest_outlier(structure, theta, phi_hat).Z
+        return lambda_sym(structure, theta, x, phi_hat)
 
-    theta0 = -cache.m_scalar(x) / 2.0
-    trace = [(theta0, z_of(theta0))]
-    theta_lo = theta0
-    theta_hi = None
+    theta_lo = -cache.m_scalar(x) / 2.0
+    trace = []
     for _ in range(theta_steps):
-        theta = trace[-1][0] * 1.15
-        z = z_of(theta)
-        trace.append((theta, z))
-        if z >= x:
-            theta_hi = theta
-            break
+        theta = theta_lo * 1.15
+        trace.append((theta, lam(theta)))
+        if trace[-1][1] >= 1.0:
+            return float(brentq(lambda t: lam(t) - 1.0, theta_lo, theta,
+                                xtol=1e-11, rtol=1e-14))
         theta_lo = theta
-    if theta_hi is None:
-        lines = ", ".join(f"(theta={t:.4g}, Z={z:.6g})" for t, z in trace[-6:])
-        raise TiltSearchError(
-            f"no tilt below {trace[-1][0]:.4g} reaches Z={x} "
-            f"(scan tail: {lines})")
-    return float(brentq(lambda t: z_of(t) - x, theta_lo, theta_hi,
-                        xtol=1e-11, rtol=1e-14))
+    lines = ", ".join(f"(theta={t:.4g}, lambda_sym={v:.6g})" for t, v in trace[-6:])
+    raise TiltSearchError(
+        f"no tilt below {theta_lo:.4g} reaches Z={x}: lambda_sym(theta, x, "
+        f"phi_hat) stays below 1 (scan tail: {lines})")

@@ -294,6 +294,24 @@ def test_threads_field_is_config_error(tmp_path, capsys):
     assert "'threads' was removed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--threads", "2"], ["--command", "transmogrify"]])
+def test_usage_errors_exit_1(tmp_path, capsys, flags):
+    # a command-line usage error is a config error, not argparse's 2 (which
+    # here means a numerical failure)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "run.json"), *flags])
+    assert exc.value.code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_cells_are_locale_free_17g(tmp_path):
     doc = {"command": "outlier", "structure": GOE_DOC, "seed": 1,
            "outlier": {"theta_grid": [1.0 / 3.0]}}

@@ -6,6 +6,8 @@ are checked through round trips and method cross-agreement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 import oracles as o
@@ -44,6 +46,22 @@ def herm():
 @pytest.fixture(scope="module")
 def rand3():
     return random_structure(stream(502), 3)
+
+
+@pytest.fixture(scope="module")
+def dsum():
+    return make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def _counting(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_sym(*args)
+
+    monkeypatch.setattr(outlier, "lambda_sym", counted)
+    return calls
 
 
 ONE = np.ones((1, 1))
@@ -102,6 +120,18 @@ def test_lambda_grows_with_theta(pair):
 def test_lambda_rejects_singular_psi(pair):
     with pytest.raises(ValueError):
         lambda_sym(pair, 1.0, right_edge(pair).r_inf + 0.5, np.diag([1.0, 0.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=hs.floats(0.01, 5.0), c=hs.floats(0.1, 10.0),
+       gap=hs.floats(0.01, 5.0), seed=hs.integers(0, 2 ** 16))
+def test_lambda_sym_is_linear_in_theta(pair, herm, rand3, theta, c, gap, seed):
+    rng = stream(59, 5, seed)
+    for st in (pair, herm, rand3):
+        psi = random_pd_profile(rng, st.L)
+        z = right_edge(st).r_inf + gap
+        assert lambda_sym(st, c * theta, z, psi) == pytest.approx(
+            c * lambda_sym(st, theta, z, psi), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +238,22 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
 
 
 def test_largest_outlier_eval_count(sc, pair, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return lambda_sym(*args)
-
-    monkeypatch.setattr(outlier, "lambda_sym", counted)
+    calls = _counting(monkeypatch)
     # no root: one evaluation at the bottom of the grid settles it
     for st, theta in ((sc, 0.4), (pair, 0.9)):
         calls.clear()
         res = largest_outlier(st, theta, np.eye(st.L) / st.L)
         assert res.Z == right_edge(st).r_inf
         assert len(calls) <= 2
+
+
+def test_largest_outlier_eval_count_with_root(sc, monkeypatch):
+    # brentq's xtol sits at the ~1e-12 accuracy of the real-axis M(z), so
+    # it does not fall back to bisection on rounding noise near the root
+    calls = _counting(monkeypatch)
+    res = largest_outlier(sc, 1.0, ONE)
+    assert res.Z == pytest.approx(2.5, abs=1e-11)
+    assert len(calls) <= 20
 
 
 def test_outlier_requires_positive_theta(sc):
@@ -253,3 +286,49 @@ def test_tilt_round_trip_matrix_case(pair):
 def test_tilt_rejects_singular_psi(pair):
     with pytest.raises(ValueError):
         tilt_for_target(pair, right_edge(pair).r_inf + 0.5, np.diag([1.0, 0.0]))
+
+
+def _nested_tilt(structure, x, psi, theta_steps=80):
+    """Reference: the theta continuation and brentq on Z_phi(theta) - x, with
+    a full largest_outlier search at every theta."""
+    def z_of(theta):
+        _, phi_hat = phi_maps(structure, theta, x, psi)
+        return largest_outlier(structure, theta, phi_hat).Z
+
+    theta_lo = -outlier._cache_for(structure).m_scalar(x) / 2.0
+    for _ in range(theta_steps):
+        theta = theta_lo * 1.15
+        if z_of(theta) >= x:
+            return float(brentq(lambda t: z_of(t) - x, theta_lo, theta,
+                                xtol=1e-11, rtol=1e-14))
+        theta_lo = theta
+    raise AssertionError("the reference found no bracket")
+
+
+def _tilt_cases(sc, herm, dsum, rand3):
+    rng = stream(59, 6)
+    for st in (sc, herm, dsum, rand3):
+        for gap in (0.1, 0.5, 1.5):
+            psi = ONE if st.L == 1 else random_pd_profile(rng, st.L)
+            yield st, right_edge(st).r_inf + gap, psi
+
+
+def test_tilt_matches_nested_search(sc, herm, dsum, rand3):
+    for st, x, psi in _tilt_cases(sc, herm, dsum, rand3):
+        ref = _nested_tilt(st, x, psi)
+        assert tilt_for_target(st, x, psi) == pytest.approx(ref, rel=1e-11)
+
+
+def test_tilt_eval_count(sc, herm, dsum, rand3, monkeypatch):
+    # one eigenproblem at z = x per theta, not a search in z per theta
+    calls = _counting(monkeypatch)
+    for st, x, psi in _tilt_cases(sc, herm, dsum, rand3):
+        calls.clear()
+        tilt_for_target(st, x, psi)
+        assert 0 < len(calls) <= 40
+        assert all(z == x for _, _, z, _ in calls)
+
+
+def test_tilt_failure_reports_lambda(sc):
+    with pytest.raises(outlier.TiltSearchError, match="lambda_sym="):
+        tilt_for_target(sc, 2.5, ONE, theta_steps=2)
