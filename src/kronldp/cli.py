@@ -5,7 +5,9 @@ and a parameter block named after the command; --command, --seed and --out
 override the corresponding config fields. Numeric CSV cells are
 written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
-separate run_meta.json that is allowed to differ between runs.
+separate run_meta.json that is allowed to differ between runs, together with
+what a command reports about its own work (for rate: each point's profile
+search evaluations, ladder rungs and stability flag).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -20,7 +22,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,7 @@ class RunConfig:
     params: dict
     output_dir: Path
     seed: int
+    meta: dict = field(default_factory=dict)  # command-specific run_meta.json entries
 
 
 def _fmt(x) -> str:
@@ -128,6 +131,7 @@ def _write_meta(cfg: RunConfig, started, files):
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "elapsed_seconds": round(time.time() - started, 3),
         "files": sorted(files),
+        **cfg.meta,
     }
     (cfg.output_dir / "run_meta.json").write_text(
         json.dumps(meta, indent=2, allow_nan=False) + "\n", encoding="utf-8")
@@ -188,6 +192,9 @@ def cmd_rate(cfg: RunConfig) -> int:
             for x, r in zip(usable, results)]
     _write_rows(cfg.output_dir / "rate.csv",
                 ["x", "rate", "theta_star", "epsilon"], rows)
+    cfg.meta["rate_points"] = [
+        {"x": x, "fevals": r.diagnostics["fevals"], "rungs": len(r.diagnostics["ladder"]),
+         "stability_flag": r.stability_flag} for x, r in zip(usable, results)]
     return EXIT_OK
 
 

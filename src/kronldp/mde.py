@@ -9,7 +9,10 @@ U(x) = int ln|x-y| dmu(y).
 Solver strategy: a damped fixed-point iteration is only used to enter the
 Newton basin; accuracy comes from Newton steps on the L^2-dimensional
 linearized system. Real-axis solutions are reached by continuation in the
-imaginary offset, finishing with a Newton polish at eta = 0. The density
+imaginary offset, finishing with a Newton polish at eta = 0, and must lie on
+the physical branch: M negative definite, and D -> M S[D] M of spectral
+radius below 1 (another negative-definite root can pass the first test
+alone). The density
 grid is solved stacked: one batched Newton (a leading grid axis on the
 defect and the L^2 x L^2 Jacobian, one batched linear solve per step) per
 eta rung for all grid points at once, each warm-started from the rung above
@@ -32,8 +35,9 @@ are built walking inward, one stacked real-axis Newton per panel over all
 its nodes. Each node starts from the tangent predictor M(s_k) + (s - s_k)
 2 s_k M'(t_k) at the innermost node solved so far; M' = dM/dz comes from
 one solve with the Newton Jacobian (the stability operator up to a factor).
-A node that stalls or leaves the negative-definite branch is re-solved by
-the scalar solver and counted in panel_fallbacks. Every real-axis solve
+A node that stalls or leaves the physical branch is re-solved by the scalar
+solver and counted in panel_fallbacks. The node solutions then seed the
+memo of exact real-axis solves, so each later one starts Newton nearby. Every real-axis solve
 takes one Newton step past its residual test: near the edge the Jacobian's
 smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual alone would
 leave M off by up to tol over that.
@@ -334,9 +338,22 @@ def _polish_batch(structure, z, m):
     return m + dm.reshape(m.shape)
 
 
+def _feedback_radius(structure, m):
+    """Spectral radius of D -> M S[D] M at one M or a stack. On the real-axis
+    branch that continues the Herglotz solution it is below 1 (it reaches 1
+    at the edge, where the stability operator Id minus this map turns
+    singular); the other negative-definite roots (GOE: m^2 > 1) exceed 1."""
+    L = structure.L
+    op = np.zeros(m.shape[:-2] + (L * L, L * L), dtype=m.dtype)
+    for aj in structure.a:
+        op = op + np.einsum("...ac,...db->...abcd", m @ aj, aj @ m).reshape(op.shape)
+    return np.abs(np.linalg.eigvals(op)).max(axis=-1)
+
+
 def _solve_real_newton(structure, x, tol, m0):
     """Newton directly at eta = 0 from a good initial guess, one polishing
-    step; verifies the negative-definite Herglotz-limit branch."""
+    step; verifies the physical branch: M negative definite with
+    _feedback_radius below 1."""
     if structure.beta == 1:
         m = np.real(np.asarray(m0)).astype(float)
         z = float(x)
@@ -351,14 +368,17 @@ def _solve_real_newton(structure, x, tol, m0):
         raise ConvergenceError(
             f"real solution at x={x} is not negative definite "
             f"(max eig {w.max():.3e}); x is inside or too close to the support")
+    if _feedback_radius(structure, m) >= 1.0:
+        raise ConvergenceError(f"real solution at x={x} is not the physical branch")
     return m, res, steps
 
 
 def _solve_real_batch(structure, t, m0, tol):
     """_solve_real_newton on a stack of real points t from the guesses m0:
-    stacked Newton, one polishing step, the negative-definite test. Returns
-    (m, ok); ok is False where the line search stalled or M is not negative
-    definite, and the caller re-solves those."""
+    stacked Newton, one polishing step, the physical-branch test. Returns
+    (m, ok); ok is False where the line search stalled, M is not negative
+    definite or its _feedback_radius is not below 1, and the caller re-solves
+    those."""
     if structure.beta == 1:
         z, m = t, np.real(m0).astype(float)
     else:
@@ -367,7 +387,8 @@ def _solve_real_batch(structure, t, m0, tol):
     ok = np.flatnonzero(~failed)
     m[ok] = _polish_batch(structure, z[ok], m[ok])
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    failed[ok] = np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0
+    failed[ok] = ((np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0)
+                  | (_feedback_radius(structure, m[ok]) >= 1.0))
     return m, ~failed
 
 
@@ -609,6 +630,7 @@ class _SpectralCache:
             for i in np.flatnonzero(~ok):
                 m[i], _, _ = _solve_real(st, t[i], 1e-12, m0=guess[i])
                 self.panel_fallbacks += 1
+            self._m_memo.update(zip(t.tolist(), m))
             k = int(np.argmin(s))
             s_k, t_k, m_k = s[k], t[k], m[k]
             return np.trace(m, axis1=1, axis2=2).real / L
@@ -619,6 +641,9 @@ class _SpectralCache:
             panels.append(Chebyshev.interpolate(solve_nodes, _PANEL_DEG, domain=[a, b]))
         panels.reverse()
         self.panels = panels
+        # the node solutions seed m_matrix's memo: every later real-axis solve,
+        # the spot check below included, starts Newton from a nearby node
+        self._m_keys = sorted(self._m_memo)
 
         # integral pieces for U: g(s) = 2 s m(r_inf + s^2) on each panel
         gints = []
@@ -639,7 +664,7 @@ class _SpectralCache:
                            - self.c3 / (3.0 * tau ** 3))
         self.m_big = self._m_panel(self.s_edges[-1])
 
-        # spot check: interpolant vs fresh direct solves
+        # spot check: interpolant vs fresh direct solves at non-node points
         rng = np.random.default_rng(0)
         for s in rng.uniform(2.0 * self.s0, min(1.0, float(self.s_edges[-1])), 3):
             t = self.r_inf + s * s

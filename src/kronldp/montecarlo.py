@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh as scipy_eigh
 from scipy.linalg.lapack import dpotrf, zpotrf
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .mde import right_edge
 from .model import (Generator, Profile, as_profile, profile_vector,
@@ -155,8 +155,9 @@ def _top_eigenvalue(xm):
 
 
 def _clopper_pearson(hits, reps, alpha=0.05):
-    lo = 0.0 if hits == 0 else float(_beta_dist.ppf(alpha / 2, hits, reps - hits + 1))
-    hi = 1.0 if hits == reps else float(_beta_dist.ppf(1 - alpha / 2, hits + 1, reps - hits))
+    # betaincinv(a, b, q) is the Beta(a, b) quantile at q
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, reps - hits + 1, alpha / 2))
+    hi = 1.0 if hits == reps else float(betaincinv(hits + 1, reps - hits, 1 - alpha / 2))
     return lo, hi
 
 

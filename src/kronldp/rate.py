@@ -26,6 +26,13 @@ Newton from t_hi descends monotonically onto r, or shows g' < 0 on all of
 [0, t_hi] by stepping past 0 or meeting g'' >= 0. The max is then g(0) or g(r)
 (g(t_hi) if g'(t_hi) >= 0).
 
+The inf over profiles follows the gradient of sup_theta F, which by the
+envelope theorem is that of beta g at the maximizer t: d sup F = Re Tr[G dPsi],
+G = beta herm(t L (-2 L S(P')' - A_0') - 2 L^2 t^2 S(Psi')' - (t/2) (P + t Psi)^{-1})
+with herm(X) = (X + X*)/2 (G = 0 where the sup is F(theta_x) = 0), plus the
+chain rule through the blend toward Id/L that meets the constraint. In the
+factor of Psi = C C*/Tr(C C*) it is 2 (G - Tr[G Psi] Id) C / Tr(C C*).
+
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
 fails by exactly L ln L for every L >= 2, which would make F's plateau at 0
@@ -62,10 +69,8 @@ class RateBreakdown:
 
 @dataclass
 class RateResult:
-    """One rate point. At L >= 2 `value` is reproducible to ~1e-12 but
-    `theta_star` and `psi_star` only to ~5e-7: Nelder-Mead stops somewhere on
-    a flat valley of the profile objective, so F changing in its last bits
-    moves the optimizer there without moving the rate."""
+    """One rate point: the value, the optimal tilt and profile, the eps of
+    the last ladder rung, and whether the ladder stabilized before its end."""
     x: float
     value: float
     theta_star: float
@@ -81,9 +86,11 @@ class OptConfig:
     starts: int = 8
     stab_tol: float = 1e-4
     max_rungs: int = 12
-    nm_maxiter: int = 150
     seed: int = 0
     eps0: float | None = None
+
+
+_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}  # each profile search start
 
 
 def _dagger(mat, beta):
@@ -224,13 +231,14 @@ class _CurveBase:
     x: float
     theta_x: float
     p: np.ndarray
+    s_p: np.ndarray
     r_inv: np.ndarray
     c: float
 
 
 def _curve_base(structure, x, beta) -> _CurveBase:
-    """P = -M(x)/(2L), the inverse of its Cholesky factor R, and
-    c = F(theta_x, x, .)/beta, which no profile changes."""
+    """P = -M(x)/(2L), S(P'), the inverse of the Cholesky factor R of P,
+    and c = F(theta_x, x, .)/beta, which no profile changes."""
     cache = _cache_for(structure)
     L = structure.L
     x = float(x)
@@ -239,12 +247,13 @@ def _curve_base(structure, x, beta) -> _CurveBase:
     p = -m_mat / (2.0 * L)
     chol = np.linalg.cholesky(p)
     logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
-    tpp = _trace_with(p, _s_dagger(structure, p, beta), beta)
+    s_p = _s_dagger(structure, p, beta)
+    tpp = _trace_with(p, s_p, beta)
     lap = float(np.trace(_dagger(structure.a0, beta) @ p).real)
     u_x = cache.log_potential(x)
     c = (L * (theta_x * x - 0.5 * (1.0 + np.log(2.0)) - 0.5 * u_x)
          - L * L * tpp - L * lap - 0.5 * (logdet_p + L * np.log(L)))
-    return _CurveBase(x=x, theta_x=theta_x, p=p, r_inv=np.linalg.inv(chol), c=c)
+    return _CurveBase(x=x, theta_x=theta_x, p=p, s_p=s_p, r_inv=np.linalg.inv(chol), c=c)
 
 
 def _sup_curve(structure, psi, s_psi, beta, theta_hi, base):
@@ -324,9 +333,8 @@ def _seed_factors(structure, cfg, rung, warm, complex_params):
     L = structure.L
     seeds = [np.eye(L)]
     w, v = np.linalg.eigh(structure.a0)
-    top = np.zeros((L, L), dtype=v.dtype)
-    top[:, 0] = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(L)[:, 0]
-    seeds.append(top)
+    top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(L)[:, 0]
+    seeds.append(np.outer(top, top.conj()))
     rng = stream(cfg.seed, 7, rung)
     while len(seeds) < max(cfg.starts, 2):
         c = np.eye(L) / np.sqrt(L) + 0.7 * rng.standard_normal((L, L))
@@ -339,15 +347,57 @@ def _seed_factors(structure, cfg, rung, warm, complex_params):
 
 
 def _pack(c, complex_params):
-    if complex_params:
-        return np.concatenate([np.real(c).ravel(), np.imag(c).ravel()])
-    return np.real(c).ravel()
+    """Real parameter vector of C (real and imaginary parts interleaved)."""
+    return np.ascontiguousarray(c, complex if complex_params else float).view(float).ravel()
 
 
 def _unpack(v, L, complex_params):
-    if complex_params:
-        return v[:L * L].reshape(L, L) + 1j * v[L * L:].reshape(L, L)
-    return v.reshape(L, L)
+    return (v.view(complex) if complex_params else v).reshape(L, L)
+
+
+def _feasible(structure, psi, eps, beta, s_id):
+    """(psi, S(psi'), s): psi blended toward Id/L by the smallest s with
+    Tr[psi' S(psi')] >= eps; s_id = S(Id/L). S is applied once unless psi moves."""
+    s_psi = _s_dagger(structure, psi, beta)
+    q = _trace_with(psi, s_psi, beta)
+    if not q < eps:
+        return psi, s_psi, 0.0
+    id_l, t_pi = np.eye(structure.L) / structure.L, _trace_with(psi, s_id, beta)
+    # smallest root of q(s) = (1-s)^2 q + 2 s (1-s) t_pi + s^2 q0 = eps, in
+    # its cancellation-free form; q(0) < eps <= q(1) = q0 puts it in (0, 1]
+    a, b, gap = q - 2.0 * t_pi + _trace_with(id_l, s_id, beta), 2.0 * (t_pi - q), eps - q
+    den = b + math.sqrt(max(b * b + 4.0 * a * gap, 0.0))
+    s = 2.0 * gap / den if den > 2.0 * gap else 1.0  # 1 also where rounding leaves no root
+    psi = (1.0 - s) * psi + s * id_l
+    return psi, _s_dagger(structure, psi, beta), s
+
+
+def _profile_objective(v, structure, beta, base, s_id, eps, th_hi):
+    """sup_theta F at the profile C C*/Tr(C C*), C = _unpack(v), after the
+    projection of _feasible, and its gradient in v (module docstring)."""
+    L, complex_params = structure.L, not structure.is_real
+    c = _unpack(v, L, complex_params)
+    tr = float(np.vdot(c, c).real)
+    if not np.isfinite(tr) or tr <= 1e-300:
+        return 1e6, np.zeros_like(v)
+    psi = c @ c.conj().T / tr
+    psi_p, s_psi, s = _feasible(structure, psi, eps, beta, s_id)
+    try:
+        th, f = _sup_curve(structure, psi_p, s_psi, beta, th_hi, base)
+        t = th - base.theta_x
+        grad = (t * L * (-2.0 * L * _dagger(base.s_p, beta) - _dagger(structure.a0, beta))
+                - 2.0 * L * L * t * t * _dagger(s_psi, beta)
+                - 0.5 * t * np.linalg.inv(base.p + t * psi_p))
+    except (ValueError, np.linalg.LinAlgError):
+        return 1e6, np.zeros_like(v)
+    grad = 0.5 * beta * (grad + grad.conj().T)
+    if s > 0.0:
+        # psi_p = (1-s) psi + s Id/L keeps q(psi_p) = eps, so with D = Id/L - psi
+        # and Q = S(psi_p')' (half the gradient of q), ds = -(1-s) <Q, dpsi>/<Q, D>
+        d, q = np.eye(L) / L - psi, _dagger(s_psi, beta)
+        grad = (1.0 - s) * (grad - np.vdot(d, grad).real / np.vdot(d, q).real * q)
+    grad = grad - float(np.trace(grad @ psi).real) * np.eye(L)
+    return f, _pack(2.0 * grad @ c / tr, complex_params)
 
 
 def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
@@ -356,10 +406,11 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
 
     Profiles are parametrized as C C*/Tr(C C*) (PSD and trace one for free),
     the constraint Tr[Psi' S(Psi)] >= eps is kept by projecting infeasible
-    iterates toward Id/L plus a penalty, and eps runs down a geometric ladder
+    iterates toward Id/L, and eps runs down a geometric ladder
     seeded with the previous rung's optimum, which makes the ladder values
-    non-increasing by construction. The optimum sits on a flat valley, so at
-    L >= 2 theta_star is reproducible only to ~5e-7 (the value to ~1e-12).
+    non-increasing by construction. Each start is an L-BFGS-B run on the
+    closed-form gradient of the projected sup over theta (module docstring);
+    `diagnostics["fevals"]` counts its value-and-gradient evaluations.
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()
@@ -381,91 +432,40 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         th, val = sup_theta(structure, x, one, beta=beta, eps=q0)
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=q0, stability_flag=True,
-                          diagnostics={"ladder": [(q0, val)], "fevals": 1,
-                                       "starts": 1})
+                          diagnostics={"ladder": [(q0, val)], "fevals": 1})
 
     complex_params = not structure.is_real
-    evals = {"n": 0}
+    fevals = 0
     base = _curve_base(structure, x, beta)
-
-    def psi_from_vec(v):
-        c = _unpack(v, L, complex_params)
-        g = c @ c.conj().T
-        tr = float(np.trace(g).real)
-        if not np.isfinite(tr) or tr <= 1e-300:
-            return None
-        return g / tr
-
-    def feasible(psi, eps):
-        """(psi, S(psi'), s): psi blended toward Id/L by the smallest s with
-        Tr[psi' S(psi')] >= eps; S is applied once unless psi moves."""
-        s_psi = _s_dagger(structure, psi, beta)
-        q = _trace_with(psi, s_psi, beta)
-        if not q < eps:
-            return psi, s_psi, 0.0
-        t_pi = _trace_with(psi, s_id, beta)
-        # q(s) = (1-s)^2 q + 2 s (1-s) t_pi + s^2 q0, q(1) = q0 >= eps
-        coeffs = [q - 2.0 * t_pi + q0, 2.0 * (t_pi - q), q - eps]
-        roots = np.roots(coeffs) if abs(coeffs[0]) > 1e-300 else \
-            np.array([-coeffs[2] / coeffs[1]]) if abs(coeffs[1]) > 1e-300 else \
-            np.array([])
-        s_candidates = [float(r.real) for r in roots
-                        if abs(r.imag) < 1e-10 and 0.0 < r.real <= 1.0]
-        s = min(s_candidates) if s_candidates else 1.0
-        psi = (1.0 - s) * psi + s * id_l
-        return psi, _s_dagger(structure, psi, beta), s
-
-    def objective(v, eps, th_hi):
-        evals["n"] += 1
-        psi = psi_from_vec(v)
-        if psi is None:
-            return 1e6
-        psi, s_psi, s = feasible(psi, eps)
-        try:
-            _, f = _sup_curve(structure, psi, s_psi, beta, th_hi, base)
-        except (ValueError, np.linalg.LinAlgError):
-            return 1e6
-        return f + (5.0 * s * (1.0 + abs(f)) if s > 0 else 0.0)
-
     eps0 = cfg.eps0 if cfg.eps0 is not None else q0
     ladder = []
-    warm_c = np.array(warm_start) if warm_start is not None else None
-    best = None  # (value, theta, psi, eps)
+    warm_c = warm_start
     stable = False
-    prev_val = None
     for rung in range(cfg.max_rungs):
         eps = eps0 * 2.0 ** (-rung)
         th_hi = theta_cap(structure, x + 1.0, 0.5 * (cache.r_inf + x), eps)
-        rung_best = None
-        for c0 in _seed_factors(structure, cfg, rung, warm_c, complex_params):
-            v0 = _pack(c0, complex_params)
-            out = minimize(objective, v0, args=(eps, th_hi), method="Nelder-Mead",
-                           options={"maxiter": cfg.nm_maxiter, "fatol": 1e-9,
-                                    "xatol": 1e-8})
-            if rung_best is None or out.fun < rung_best[0]:
-                rung_best = (out.fun, out.x)
-        psi = psi_from_vec(rung_best[1])
-        if psi is None:
-            psi = id_l
-        psi, s_psi, _ = feasible(psi, eps)
+        runs = [minimize(_profile_objective, _pack(c0, complex_params),
+                         args=(structure, beta, base, s_id, eps, th_hi),
+                         method="L-BFGS-B", jac=True, options=_LBFGS_OPTIONS)
+                for c0 in _seed_factors(structure, cfg, rung, warm_c, complex_params)]
+        fevals += sum(out.nfev for out in runs)
+        c = _unpack(min(runs, key=lambda out: out.fun).x, L, complex_params)
+        psi = c @ c.conj().T
+        psi, s_psi, _ = _feasible(structure, psi / np.trace(psi).real, eps, beta, s_id)
         th, val = _sup_curve(structure, psi, s_psi, beta, th_hi, base)
         ladder.append((eps, val))
         # warm-start the next rung with a factor of the *projected* profile:
         # it is feasible there too, so the next rung can only improve on val
         w_psi, v_psi = np.linalg.eigh(psi)
         warm_c = v_psi @ np.diag(np.sqrt(np.clip(w_psi, 0.0, None)))
-        best = (val, th, psi, eps)
-        if prev_val is not None and abs(val - prev_val) <= cfg.stab_tol * max(1.0, abs(val)):
+        if len(ladder) > 1 and abs(val - ladder[-2][1]) <= cfg.stab_tol * max(1.0, abs(val)):
             stable = True
             break
-        prev_val = val
 
-    val, th, psi, eps = best
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=float(eps),
                       stability_flag=stable,
-                      diagnostics={"ladder": ladder, "fevals": evals["n"],
-                                   "starts": cfg.starts})
+                      diagnostics={"ladder": ladder, "fevals": fevals})
 
 
 def rate_curve(structure: StructureSet, x_grid, beta=None,

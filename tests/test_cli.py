@@ -114,6 +114,21 @@ def test_rate_goe_matches_quadrature_and_skips_bulk(tmp_path, capsys):
     assert got[3.0] == pytest.approx(FROZEN_GOE_RATE[3.0], abs=1e-3)
 
 
+def test_rate_run_meta_reports_each_point(tmp_path):
+    doc = {"command": "rate", "structure": PAIR_DOC, "seed": 1,
+           "rate": {"x_grid": [3.0, 3.5]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    header, _ = read_csv(out / "rate.csv")
+    assert header == ["x", "rate", "theta_star", "epsilon"]
+    points = json.loads((out / "run_meta.json").read_text(),
+                        parse_constant=reject_non_json_constant)["rate_points"]
+    assert [p["x"] for p in points] == [3.0, 3.5]
+    for p in points:
+        assert p["fevals"] > 0 and 1 <= p["rungs"] <= 12
+        assert p["stability_flag"] is True
+
+
 def test_rate_beta2_at_most_twice_beta1(tmp_path):
     st = structure_from_dict(PAIR_DOC)
     edge = right_edge(st).r_inf

@@ -113,6 +113,20 @@ def test_real_z_inside_support_fails(sc):
         mde.solve_mde(sc, 0.0)
 
 
+def test_real_solve_rejects_the_unphysical_root(sc):
+    # m^2 + 3 m + 1 = 0 has the negative roots -0.382 (physical, m^2 < 1) and
+    # -2.618; Newton from -5 lands on the second, which must be turned down
+    physical = (np.sqrt(5.0) - 3.0) / 2.0
+    with pytest.raises(mde.ConvergenceError):
+        mde._solve_real_newton(sc, 3.0, 1e-12, -5.0 * np.eye(1))
+    m, ok = mde._solve_real_batch(sc, np.array([3.0, 3.0]),
+                                  np.array([[[-5.0]], [[-0.4]]]), 1e-12)
+    assert ok.tolist() == [False, True]
+    assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
+    sol = mde.solve_mde(sc, 3.0, m0=-5.0 * np.eye(1))
+    assert sol.m[0, 0] == pytest.approx(physical, abs=1e-14)
+
+
 def test_bad_tol_rejected(sc):
     with pytest.raises(ValueError):
         mde.solve_mde(sc, 1j, tol=0.0)
@@ -315,6 +329,23 @@ def test_panel_nodes_match_sequential_scalar_solves(name, monkeypatch):
         for s in nodes[::-1]:
             warm, _, _ = mde._solve_real(st, cache.r_inf + s * s, 1e-12, m0=warm)
             assert abs(p(s) - np.trace(warm).real / st.L) <= 1e-12
+
+
+def test_cold_build_spot_check_needs_no_continuation(sc, monkeypatch):
+    # the eta continuation runs only where the two fold walks start; the
+    # spot check starts Newton from a panel node
+    solve = mde._solve_upper
+    at = []
+
+    def recorded(structure, z, *args, **kwargs):
+        at.append(z.real)
+        return solve(structure, z, *args, **kwargs)
+
+    monkeypatch.setattr(mde, "_solve_upper", recorded)
+    monkeypatch.setattr(mde, "_CACHES", {})
+    cache = mde._cache_for(sc)
+    assert at and set(at) == {mde._scan_hi(sc)}
+    assert cache.panel_fallbacks == 0
 
 
 def test_panel_fallback_is_counted(monkeypatch):

@@ -9,6 +9,8 @@ pilot runs at a 2x-or-better margin; none is tighter than 4 sample sd.
 
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from kronldp.montecarlo import (
     ProfileHistogram,
     TailEstimate,
     _batch_size,
+    _clopper_pearson,
     _tilt_moments,
     block_resolvent_trace,
     empirical_spectrum,
@@ -183,6 +186,25 @@ def test_tail_validation(sc, pair):
         tail_probability(sc, 2.0, 0.1, 50, 100, 0, sampler="fancy")
     with pytest.raises(ValueError):
         tail_probability(pair, 2.0, 0.1, 50, 100, 0, sampler="tridiagonal")
+
+
+@pytest.mark.parametrize("reps", [1, 7, 400, 18000])
+def test_clopper_pearson_equals_beta_quantiles(reps):
+    from scipy.stats import beta
+
+    for hits in sorted({0, 1, reps // 3, reps // 2, reps - 1, reps}):
+        want_lo = 0.0 if hits == 0 else beta.ppf(0.025, hits, reps - hits + 1)
+        want_hi = 1.0 if hits == reps else beta.ppf(0.975, hits + 1, reps - hits)
+        assert _clopper_pearson(hits, reps) == (want_lo, want_hi)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about as much to import as the rest of the package
+    code = "import sys, kronldp, kronldp.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ small exact cases spelled out inline.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import minimize_scalar
 
 import oracles as o
@@ -30,6 +32,7 @@ from kronldp import (
     sup_theta,
     theta_cap,
 )
+from kronldp import rate as rate_mod
 from kronldp.mde import _cache_for
 from test_oracles import FROZEN_GOE_RATE
 
@@ -432,8 +435,7 @@ def test_rate_one_s_application_per_evaluation(pair, monkeypatch):
         return apply_S(structure, t)
 
     monkeypatch.setattr(rate_mod, "apply_S", counted)
-    res = rate_function(pair, right_edge(pair).r_inf + 1.0,
-                        opt_config=OptConfig(nm_maxiter=60))
+    res = rate_function(pair, right_edge(pair).r_inf + 1.0)
     fevals = res.diagnostics["fevals"]
     assert fevals > 100
     # S(Psi') is shared by the constraint and both traces of the sup over
@@ -485,6 +487,131 @@ def test_rate_direct_sum_oracle():
             assert rate_function(st, x).value == pytest.approx(want, abs=1e-8)
             assert rate_function(st, x, beta=2).value == \
                 pytest.approx(2.0 * want, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# L >= 2 oracles of the profile optimizer: gradient, invariances, envelope
+
+# few derandomized examples: every one costs several rate_function calls
+ORACLE_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True)
+CASES = hs.tuples(hs.integers(0, 2 ** 16), hs.sampled_from([2, 3]), hs.sampled_from([1, 2]))
+
+
+def random_unitary(rng, ell, beta):
+    g = rng.standard_normal((ell, ell))
+    if beta == 2:
+        g = g + 1j * rng.standard_normal((ell, ell))
+    return np.linalg.qr(g)[0]
+
+
+def conjugated(st, u):
+    return make_structure(u @ st.a0 @ u.conj().T, [u @ a @ u.conj().T for a in st.a],
+                          beta=st.beta)
+
+
+def oracle_case(case):
+    """(rng, structure, x) for one drawn (seed, L, beta); at beta = 2 the
+    structure is conjugated by a random unitary, so it is complex."""
+    seed, ell, beta = case
+    rng = stream(61, seed)
+    st = random_structure(rng, ell)
+    st = conjugated(make_structure(st.a0, list(st.a), beta=beta),
+                    random_unitary(rng, ell, beta) if beta == 2 else np.eye(ell))
+    return rng, st, right_edge(st).r_inf + float(rng.uniform(0.2, 1.0))
+
+
+def _objective_pieces(st, x, beta, eps_of):
+    """Arguments of rate_mod._profile_objective at x, with eps = eps_of(q0)."""
+    id_l = np.eye(st.L) / st.L
+    s_id = rate_mod._s_dagger(st, id_l, beta)
+    eps = eps_of(rate_mod._trace_with(id_l, s_id, beta))
+    th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
+    return (st, beta, rate_mod._curve_base(st, x, beta), s_id, eps, th_hi)
+
+
+def _relative_gradient_error(v, args):
+    value, grad = rate_mod._profile_objective(v, *args)
+    h = 1e-6
+    num = np.array([(rate_mod._profile_objective(v + h * e, *args)[0]
+                     - rate_mod._profile_objective(v - h * e, *args)[0]) / (2.0 * h)
+                    for e in np.eye(len(v))])
+    assert value > 0.0
+    return np.linalg.norm(num - grad) / np.linalg.norm(grad)
+
+
+@ORACLE_SETTINGS
+@given(case=CASES)
+def test_profile_gradient_matches_central_differences(case):
+    rng, st, x = oracle_case(case)
+    beta, ell = st.beta, st.L
+    complex_params = not st.is_real
+    # free: a random factor, with every eps at or below the constraint
+    c = rng.standard_normal((ell, ell)) + (1j * rng.standard_normal((ell, ell))
+                                           if complex_params else 0.0)
+    free = _objective_pieces(st, x, beta, lambda q0: 1e-3 * q0)
+    assert _relative_gradient_error(rate_mod._pack(c, complex_params), free) <= 1e-6
+    # projected: of a few near-rank-one profiles the one of least
+    # q = Tr[Psi' S(Psi')], with eps between q and q0 = q(Id/L), so the
+    # projection blends it part of the way toward Id/L
+    def q_of(psi):
+        return rate_mod._trace_with(psi, rate_mod._s_dagger(st, psi, beta), beta)
+
+    near_rank_one = []
+    for _ in range(20):
+        u = rng.standard_normal(ell) + (1j * rng.standard_normal(ell) if complex_params else 0.0)
+        g = np.outer(u, u.conj()) / np.vdot(u, u).real + 0.05 * np.eye(ell)
+        near_rank_one.append(g / np.trace(g).real)
+    psi = min(near_rank_one, key=q_of)
+    q, q0 = q_of(psi), q_of(np.eye(ell) / ell)
+    assert q < q0
+    args = _objective_pieces(st, x, beta, lambda _: 0.5 * (q + q0))
+    assert rate_mod._feasible(st, psi, args[4], beta, args[3])[2] > 0.0
+    w, u = np.linalg.eigh(psi)
+    c = u * np.sqrt(w)
+    assert _relative_gradient_error(rate_mod._pack(c, complex_params), args) <= 1e-6
+
+
+@ORACLE_SETTINGS
+@given(case=CASES)
+def test_rate_invariant_under_unitary_conjugation(case):
+    rng, st, x = oracle_case(case)
+    rot = conjugated(st, random_unitary(rng, st.L, st.beta))
+    want = rate_function(st, x).value
+    assert rate_function(rot, x).value == pytest.approx(want, abs=1e-10 * max(1.0, want))
+
+
+@ORACLE_SETTINGS
+@given(case=CASES, shift=hs.floats(-1.0, 1.0))
+def test_rate_shift_of_a0_shifts_x(case, shift):
+    _, st, x = oracle_case(case)
+    moved = make_structure(st.a0 + shift * np.eye(st.L), list(st.a), beta=st.beta)
+    want = rate_function(st, x).value
+    assert rate_function(moved, x + shift).value == \
+        pytest.approx(want, abs=1e-10 * max(1.0, want))
+
+
+@ORACLE_SETTINGS
+@given(case=CASES, scale=hs.floats(0.5, 2.0))
+def test_rate_scale_invariance(case, scale):
+    _, st, x = oracle_case(case)
+    scaled = make_structure(scale * st.a0, [scale * a for a in st.a], beta=st.beta)
+    want = rate_function(st, x).value
+    assert rate_function(scaled, scale * x).value == \
+        pytest.approx(want, abs=1e-10 * max(1.0, want))
+
+
+@ORACLE_SETTINGS
+@given(case=CASES)
+def test_rate_envelope_identity(case):
+    # I'(x) = dF/dx at the optimum held fixed; this pins theta* and Psi*
+    _, st, x = oracle_case(case)
+    res = rate_function(st, x)
+    h = 1e-4
+    di = (rate_function(st, x + h).value - rate_function(st, x - h).value) / (2.0 * h)
+    psi, beta = res.psi_star.psi, st.beta
+    df = (f_value(st, res.theta_star, x + h, psi, beta=beta)
+          - f_value(st, res.theta_star, x - h, psi, beta=beta)) / (2.0 * h)
+    assert di == pytest.approx(df, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
