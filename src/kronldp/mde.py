@@ -6,24 +6,28 @@ Stieltjes transform m(z) = Tr M(z) / L, the right support edge r_inf, the
 functional inverse of -m on (r_inf, inf) and the logarithmic potential
 U(x) = int ln|x-y| dmu(y).
 
-Solver strategy: a damped fixed-point iteration is only used to enter the
-Newton basin; accuracy comes from Newton steps on the L^2-dimensional
-linearized system. Real-axis solutions are reached by continuation in the
-imaginary offset, finishing with a Newton polish at eta = 0, and must lie on
-the physical branch: M negative definite, and D -> M S[D] M of spectral
-radius below 1 (another negative-definite root can pass the first test
-alone). The density
-grid is solved stacked: one batched Newton (a leading grid axis on the
-defect and the L^2 x L^2 Jacobian, one batched linear solve per step) per
-eta rung for all grid points at once, each warm-started from the rung above
-at the same x. A point that fails to converge or to pass the Herglotz test
-is re-solved by the scalar robust solver and counted.
+Solver strategy: one solver, Newton on the L^2-dimensional linearized
+system, stacked over a leading axis of spectral parameters (one batched
+linear solve per step); a one-point solve is a stack of one. Newton starts
+from a warm start where the caller has one; a damped fixed-point iteration
+runs only from the cold start -Id/z, to enter the Newton basin. Every
+solution passes a branch test: Im M >= 0 (Herglotz) above the axis; on the
+real axis M negative definite and D -> M S[D] M of spectral radius below 1
+(another negative-definite root can pass the first test alone), after one
+polishing Newton step. A one-point solve that fails its test is redone from
+continuation in the imaginary offset eta from far above, which inherits the
+physical branch. The density grid is one stacked Newton per eta rung for
+all grid points at once, each warm-started from the rung above at the same
+x; a point that fails is re-solved on its own, with the continuation behind
+it, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
-warm-started walk in along the real axis gets close, and Newton on the
-extended system (the equation, a kernel vector, its normalization) lands on
-it to rounding. The left edge is the mirrored structure's right edge.
+walk in along the real axis gets close, each step Newton warm-started by
+the last and the first from the far-field guess -(x - A_0)^{-1}, so a cold
+cache build runs no eta continuation at all. Newton on the extended system
+(the equation, a kernel vector, its normalization) lands on it to rounding.
+The left edge is the mirrored structure's right edge.
 
 The real-axis quantities m, U and (-m)^{-1} are served from a per-structure
 cache that interpolates s -> m(r_inf + s^2) on geometric Chebyshev panels
@@ -35,12 +39,12 @@ are built walking inward, one stacked real-axis Newton per panel over all
 its nodes. Each node starts from the tangent predictor M(s_k) + (s - s_k)
 2 s_k M'(t_k) at the innermost node solved so far; M' = dM/dz comes from
 one solve with the Newton Jacobian (the stability operator up to a factor).
-A node that stalls or leaves the physical branch is re-solved by the scalar
-solver and counted in panel_fallbacks. The node solutions then seed the
-memo of exact real-axis solves, so each later one starts Newton nearby. Every real-axis solve
-takes one Newton step past its residual test: near the edge the Jacobian's
-smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual alone would
-leave M off by up to tol over that.
+A node that stalls or leaves the physical branch is re-solved on its own
+and counted in panel_fallbacks. The node solutions then seed the memo of
+exact real-axis solves, so each later one starts Newton nearby. Every
+real-axis solve takes one Newton step past its residual test: near the edge
+the Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual
+alone would leave M off by up to tol over that.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ class MdeSolution:
     z: complex
     m: np.ndarray
     residual: float
-    iterations: int
 
 
 @dataclass
@@ -82,7 +85,8 @@ class SpectralDensity:
     tol_q is the declared quadrature tolerance for the unit-mass invariant;
     it only binds when [grid[0], grid[-1]] covers the whole support.
     fallback_points counts the point solves (over all eta rungs) that the
-    stacked solver handed back to the scalar robust solver.
+    stacked solve handed back to a one-point solve with the eta continuation
+    behind it.
     """
     grid: np.ndarray
     density: np.ndarray
@@ -105,17 +109,8 @@ class SupportInfo:
 
 
 # ---------------------------------------------------------------------------
-# core solver
-
-def _defect(structure, z, m):
-    eye = np.eye(structure.L)
-    return eye + (z * eye - structure.a0 + apply_S(structure, m)) @ m
-
-
-def _fixed_point_map(structure, z, m):
-    b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
-    return -np.linalg.inv(b)
-
+# solver: stacked Newton over a leading axis of spectral parameters; a
+# one-point solve is a stack of one
 
 def _jacobian(structure, b, x):
     """Row-major matrix of D -> B D + S[D] X: kron(B, Id) + sum_j
@@ -129,47 +124,12 @@ def _jacobian(structure, b, x):
     return jac.reshape(b.shape[:-2] + (L * L, L * L))
 
 
-def _newton_step(structure, z, m, g):
-    """Solve the linearization B dM + S[dM] M = -G for dM (row-major vec)."""
-    b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
-    dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(-1))
-    return dm.reshape(m.shape)
-
-
 def _dm_dz(structure, z, m):
     """dM/dz at a solution M(z): differentiating Id + B M = 0 gives
     B M' + S[M'] M = -M, one solve with the Newton Jacobian, which is -M^{-1}
     times the stability operator D -> D - M S[D] M."""
-    return _newton_step(structure, z, m, m)
-
-
-def _newton_refine(structure, z, m, tol, max_steps=60):
-    res = float(np.linalg.norm(_defect(structure, z, m), 2))
-    steps = 0
-    for _ in range(max_steps):
-        if res <= tol:
-            return m, res, steps
-        g = _defect(structure, z, m)
-        try:
-            dm = _newton_step(structure, z, m, g)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Newton system at z={z!r}") from exc
-        lam = 1.0
-        for _ in range(10):
-            cand = m + lam * dm
-            r_new = float(np.linalg.norm(_defect(structure, z, cand), 2))
-            if r_new < res:
-                m, res = cand, r_new
-                break
-            lam /= 2.0
-        else:
-            raise ConvergenceError(
-                f"Newton stalled at z={z!r}, residual {res:.3e}")
-        steps += 1
-    if res <= tol:
-        return m, res, steps
-    raise ConvergenceError(f"Newton did not reach tol={tol:.1e} at z={z!r} "
-                           f"(residual {res:.3e})")
+    b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
+    return np.linalg.solve(_jacobian(structure, b, m), -m.reshape(-1)).reshape(m.shape)
 
 
 def _herglotz_ok(m):
@@ -178,58 +138,6 @@ def _herglotz_ok(m):
     return (np.linalg.eigvalsh(im).min(axis=-1)
             >= -1e-8 * (1.0 + np.linalg.norm(m, 2, axis=(-2, -1))))
 
-
-def _solve_upper(structure, z, tol, max_iter=400, m0=None):
-    """Solve at Im z > 0: damped fixed point into the Newton basin, then Newton."""
-    L = structure.L
-    m = np.array(m0, dtype=complex) if m0 is not None else -np.eye(L) / z
-    res = float(np.linalg.norm(_defect(structure, z, m), 2))
-    alpha, its = 1.0, 0
-    while res > 1e-3 and its < max_iter and alpha > 1e-8:
-        try:
-            target = _fixed_point_map(structure, z, m)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular update matrix at z={z!r}") from exc
-        cand = (1.0 - alpha) * m + alpha * target
-        r_new = float(np.linalg.norm(_defect(structure, z, cand), 2))
-        if r_new <= res:
-            m, res = cand, r_new
-            alpha = min(1.0, 1.25 * alpha)
-        else:
-            alpha /= 2.0
-        its += 1
-    m, res, steps = _newton_refine(structure, z, m, tol)
-    return m, res, its + steps
-
-
-def _solve_upper_robust(structure, z, tol, m0=None):
-    """_solve_upper plus a Herglotz branch guard.
-
-    A warm start taken from a distant spectral parameter can park Newton on a
-    non-physical solution; when the branch check fails the point is re-solved
-    by continuation in eta from far above, which inherits the right branch.
-    """
-    its = 0
-    try:
-        m, res, its = _solve_upper(structure, z, tol, m0=m0)
-        if _herglotz_ok(m):
-            return m, res, its
-    except ConvergenceError:
-        pass  # e.g. a near-edge point warm-started from across the edge
-    eta = 0.1 * (1.0 + abs(z))
-    m = None
-    while eta > z.imag:
-        m, _, steps = _solve_upper(structure, complex(z.real, eta), max(tol, 1e-10), m0=m)
-        its += steps
-        eta *= 0.2
-    m, res, steps = _solve_upper(structure, z, tol, m0=m)
-    if not _herglotz_ok(m):
-        raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
-    return m, res, its + steps
-
-
-# ---------------------------------------------------------------------------
-# stacked solver: many spectral parameters at once, leading grid axis
 
 def _b_batch(structure, z, m):
     """B = z Id - A_0 + S[M] at each point."""
@@ -246,9 +154,10 @@ def _residual_batch(structure, z, m):
 
 
 def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
-    """_newton_refine on a stack: the same Newton system and halving line
-    search per point. Returns (m, res, failed); a point fails when its line
-    search stalls or it misses tol after max_steps."""
+    """Newton on the linearization B dM + S[dM] M = -(Id + B M), with a
+    halving line search on the residual, per point. Returns (m, res, failed);
+    a point fails when its line search stalls, its Newton system is singular
+    or it misses tol after max_steps."""
     G, L = len(z), structure.L
     eye = np.eye(L)
     failed = np.zeros(G, dtype=bool)
@@ -280,38 +189,48 @@ def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
     return m, res, failed | (res > tol)
 
 
+def _enter_newton_basin(structure, z):
+    """Damped fixed-point steps M -> (1 - alpha) M - alpha B^{-1} from the
+    cold start -Id/z at Im z > 0, with per-point damping alpha, until every
+    residual is below 1e-3 (or its damping collapses, or 400 sweeps pass).
+    Returns (m, res, failed); failed marks a singular B."""
+    G, L = len(z), structure.L
+    m = -np.eye(L) / z[:, None, None]
+    res = _residual_batch(structure, z, m)
+    failed = np.zeros(G, dtype=bool)
+    alpha = np.ones(G)
+    for _ in range(400):
+        idx = np.flatnonzero((res > 1e-3) & (alpha > 1e-8) & ~failed)
+        if not len(idx):
+            break
+        try:
+            target = -np.linalg.inv(_b_batch(structure, z[idx], m[idx]))
+        except np.linalg.LinAlgError:
+            failed[idx] = True
+            break
+        a = alpha[idx, None, None]
+        cand = (1.0 - a) * m[idx] + a * target
+        r_new = _residual_batch(structure, z[idx], cand)
+        ok = r_new <= res[idx]
+        m[idx[ok]], res[idx[ok]] = cand[ok], r_new[ok]
+        alpha[idx] = np.where(ok, np.minimum(1.0, 1.25 * alpha[idx]), alpha[idx] / 2.0)
+    return m, res, failed
+
+
 def _solve_upper_batch(structure, z, m0, tol):
     """Solve at a stack of Im z > 0 points with batched Newton, plus the
     Herglotz test.
 
-    z has shape (G,); m0 has shape (G, L, L), or is None to start from -Id/z
-    with damped fixed-point steps (per-point damping, as in _solve_upper)
-    until every residual is below 1e-3. Returns (m, ok); ok is False where a
-    point did not converge or landed off the Herglotz branch, and the caller
-    re-solves those.
+    z has shape (G,); m0 has shape (G, L, L) and Newton starts from it, or is
+    None to enter Newton's basin from -Id/z (_enter_newton_basin). Returns
+    (m, ok); ok is False where a point did not converge or landed off the
+    Herglotz branch, and the caller re-solves those.
     """
-    G, L = len(z), structure.L
-    m = (-np.eye(L) / z[:, None, None] if m0 is None
-         else np.array(m0, dtype=complex))
-    res = _residual_batch(structure, z, m)
-    failed = np.zeros(G, dtype=bool)
     if m0 is None:
-        alpha = np.ones(G)
-        for _ in range(400):
-            idx = np.flatnonzero((res > 1e-3) & (alpha > 1e-8) & ~failed)
-            if not len(idx):
-                break
-            try:
-                target = -np.linalg.inv(_b_batch(structure, z[idx], m[idx]))
-            except np.linalg.LinAlgError:
-                failed[idx] = True
-                break
-            a = alpha[idx, None, None]
-            cand = (1.0 - a) * m[idx] + a * target
-            r_new = _residual_batch(structure, z[idx], cand)
-            ok = r_new <= res[idx]
-            m[idx[ok]], res[idx[ok]] = cand[ok], r_new[ok]
-            alpha[idx] = np.where(ok, np.minimum(1.0, 1.25 * alpha[idx]), alpha[idx] / 2.0)
+        m, res, failed = _enter_newton_basin(structure, z)
+    else:
+        m = np.array(m0, dtype=complex)
+        res, failed = _residual_batch(structure, z, m), np.zeros(len(z), dtype=bool)
     live = np.flatnonzero(~failed)
     m[live], res[live], stuck = _newton_refine_batch(
         structure, z[live], m[live], res[live], tol)
@@ -331,10 +250,7 @@ def _polish_batch(structure, z, m):
     L = structure.L
     b = _b_batch(structure, z, m)
     g = np.eye(L) + b @ m
-    try:
-        dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(len(z), L * L, 1))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError("singular Newton system at a real-axis solution") from exc
+    dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(len(z), L * L, 1))
     return m + dm.reshape(m.shape)
 
 
@@ -350,85 +266,95 @@ def _feedback_radius(structure, m):
     return np.abs(np.linalg.eigvals(op)).max(axis=-1)
 
 
-def _solve_real_newton(structure, x, tol, m0):
-    """Newton directly at eta = 0 from a good initial guess, one polishing
-    step; verifies the physical branch: M negative definite with
-    _feedback_radius below 1."""
-    if structure.beta == 1:
-        m = np.real(np.asarray(m0)).astype(float)
-        z = float(x)
-    else:
-        m = np.asarray(m0, dtype=complex)
-        z = complex(x)
-    m, res, steps = _newton_refine(structure, z, m, tol)
-    m = _polish_batch(structure, np.array([z]), m[None])[0]
-    m = 0.5 * (m + m.conj().T)
-    w = np.linalg.eigvalsh(m)
-    if w.max() >= 0.0:
-        raise ConvergenceError(
-            f"real solution at x={x} is not negative definite "
-            f"(max eig {w.max():.3e}); x is inside or too close to the support")
-    if _feedback_radius(structure, m) >= 1.0:
-        raise ConvergenceError(f"real solution at x={x} is not the physical branch")
-    return m, res, steps
-
-
 def _solve_real_batch(structure, t, m0, tol):
-    """_solve_real_newton on a stack of real points t from the guesses m0:
-    stacked Newton, one polishing step, the physical-branch test. Returns
-    (m, ok); ok is False where the line search stalled, M is not negative
-    definite or its _feedback_radius is not below 1, and the caller re-solves
-    those."""
+    """Solve at a stack of real points t from the guesses m0: stacked Newton,
+    one polishing step, the physical-branch test. Returns (m, ok); ok is
+    False where Newton failed, M is not negative definite or its
+    _feedback_radius is not below 1, and the caller re-solves those."""
     if structure.beta == 1:
         z, m = t, np.real(m0).astype(float)
     else:
         z, m = t.astype(complex), np.array(m0, dtype=complex)
     m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
     ok = np.flatnonzero(~failed)
-    m[ok] = _polish_batch(structure, z[ok], m[ok])
+    try:
+        m[ok] = _polish_batch(structure, z[ok], m[ok])
+    except np.linalg.LinAlgError:
+        failed[ok] = True  # some system is singular: the caller re-solves these
+    ok = np.flatnonzero(~failed)
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
     failed[ok] = ((np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0)
                   | (_feedback_radius(structure, m[ok]) >= 1.0))
     return m, ~failed
 
 
-def _solve_real(structure, x, tol, m0=None):
-    """Real-axis solution for x > r_inf via eta-continuation plus polish."""
-    if m0 is not None:
-        try:
-            return _solve_real_newton(structure, x, tol, m0)
-        except ConvergenceError:
-            pass  # guess too far off; fall back to continuation
-    eta = 0.1 * (1.0 + abs(x))
-    m, its = None, 0
-    while eta > 1e-9:
-        m, _, steps = _solve_upper(structure, x + 1j * eta, max(tol, 1e-11), m0=m)
-        its += steps
+def _eta_continuation(structure, x, eta_end, tol):
+    """M at the last rung above eta_end of the ladder x + i eta, eta = 0.1 (1
+    + |x|) 0.2^k, each rung warm-started by the one above and the first
+    entered from -Id/z, so every rung inherits the Herglotz branch from far
+    above. Returns a stack of one, or None when no rung lies above eta_end."""
+    eta, m = 0.1 * (1.0 + abs(x)), None
+    while eta > eta_end:
+        m, ok = _solve_upper_batch(structure, np.array([complex(x, eta)]), m, max(tol, 1e-11))
+        if not ok[0]:
+            raise ConvergenceError(f"eta continuation failed at z={complex(x, eta)!r}")
         eta *= 0.2
-    m, res, steps = _solve_real_newton(structure, x, tol, m)
-    return m, res, its + steps
+    return m
 
 
-def solve_mde(structure: StructureSet, z, tol=1e-12, max_iter=400, m0=None) -> MdeSolution:
-    """Solve the MDE at a spectral parameter z.
+def _solve_upper(structure, z, tol, m0=None):
+    """The Herglotz solution at one z with Im z > 0: Newton from m0 (from the
+    basin entry at -Id/z without one); where that fails or lands off the
+    Herglotz branch, again from the eta continuation down to Im z."""
+    zs = np.array([z])
+    m, ok = _solve_upper_batch(structure, zs, None if m0 is None else np.asarray(m0)[None], tol)
+    if not ok[0]:
+        m, ok = _solve_upper_batch(
+            structure, zs, _eta_continuation(structure, z.real, z.imag, tol), tol)
+        if not ok[0]:
+            raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
+    return m[0]
 
-    Im z > 0 uses the damped-iteration/Newton combination; real z > r_inf is
-    reached by continuation from above and returns the symmetric (Hermitian)
-    negative-definite branch. Im z < 0 returns the conjugate solution.
+
+def _solve_real(structure, x, tol, m0=None):
+    """The physical real-axis solution at one x > r_inf: Newton from m0, then
+    polish and branch test (_solve_real_batch); without m0, or where that
+    fails, again from the eta continuation down to eta = 1e-9."""
+    t = np.array([float(x)])
+    if m0 is not None:
+        m, ok = _solve_real_batch(structure, t, np.asarray(m0)[None], tol)
+        if ok[0]:
+            return m[0]
+    m, ok = _solve_real_batch(structure, t, _eta_continuation(structure, x, 1e-9, tol), tol)
+    if not ok[0]:
+        raise ConvergenceError(
+            f"no real solution on the physical branch at x={x}: M is not negative "
+            f"definite or not the continuation of the Herglotz solution; x is "
+            f"inside or too close to the support")
+    return m[0]
+
+
+def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
+    """Solve the MDE at a spectral parameter z, from m0 if given.
+
+    Im z > 0 returns the Herglotz solution (Im M >= 0): a start that fails
+    to converge or converges off that branch is redone by continuation in
+    eta from far above. Real z > r_inf returns the symmetric (Hermitian)
+    negative-definite branch that continues it, reached the same way.
+    Im z < 0 returns the conjugate solution. residual is the spectral norm of
+    the defect Id + (z - A_0 + S[M]) M at the returned M.
     """
     z = complex(z)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if z.imag > 0:
-        m, res, its = _solve_upper(structure, z, tol, max_iter=max_iter, m0=m0)
-        return MdeSolution(z=z, m=m, residual=res, iterations=its)
     if z.imag < 0:
-        sol = solve_mde(structure, z.conjugate(), tol=tol, max_iter=max_iter,
+        sol = solve_mde(structure, z.conjugate(), tol=tol,
                         m0=np.conj(m0) if m0 is not None else None)
-        return MdeSolution(z=z, m=sol.m.conj(), residual=sol.residual,
-                           iterations=sol.iterations)
-    m, res, its = _solve_real(structure, z.real, tol, m0=m0)
-    return MdeSolution(z=z, m=m, residual=res, iterations=its)
+        return MdeSolution(z=z, m=sol.m.conj(), residual=sol.residual)
+    m = (_solve_upper(structure, z, tol, m0) if z.imag > 0
+         else _solve_real(structure, z.real, tol, m0))
+    res = float(_residual_batch(structure, np.array([z]), m[None])[0])
+    return MdeSolution(z=z, m=m, residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +386,8 @@ def _fold(structure, side=1):
     edge is the right edge of the mirror A_0 -> -A_0, whose solution is
     M'(x) = -M(-x).
 
-    Walk in from _scan_hi by warm-started Newton, stepping 0.6 (x - r_hat):
+    Walk in from _scan_hi, where Newton starts from the far-field guess
+    -(x - A_0)^{-1}, by warm-started Newton, stepping 0.6 (x - r_hat):
     r_hat extrapolates the squared smallest |eigenvalue| of the Jacobian,
     linear in x - r_inf near the edge, to zero. A step whose solve fails
     (inside the support or a gap) is halved. Then Newton on {Id + B M = 0,
@@ -478,7 +405,7 @@ def _fold(structure, side=1):
         structure = replace(structure, a0=-structure.a0)
     L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
     x = _scan_hi(structure)
-    m, _, _ = _solve_real(structure, x, 1e-12)
+    m = _solve_real(structure, x, 1e-12, m0=-np.linalg.inv(x * eye - structure.a0))
     prev = None
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
@@ -491,14 +418,13 @@ def _fold(structure, side=1):
             break
         step = 0.6 * gap
         for _ in range(30):
-            try:
-                m_new, _, _ = _solve_real_newton(structure, x - step, 1e-12, m)
+            m_new, ok = _solve_real_batch(structure, np.array([x - step]), m[None], 1e-12)
+            if ok[0]:
                 break
-            except ConvergenceError:
-                step /= 2.0
+            step /= 2.0
         else:
             raise _no_fold(x, side)
-        prev, x, m = (x, lam2), x - step, m_new
+        prev, x, m = (x, lam2), x - step, m_new[0]
     else:
         raise _no_fold(x, side)
 
@@ -620,7 +546,7 @@ class _SpectralCache:
         st, L = self.structure, self.structure.L
         t_k = self.r_inf + s_hi * s_hi
         s_k = s_hi
-        m_k, _, _ = _solve_real(st, t_k, 1e-12, m0=-np.linalg.inv(t_k * np.eye(L) - st.a0))
+        m_k = _solve_real(st, t_k, 1e-12, m0=-np.linalg.inv(t_k * np.eye(L) - st.a0))
 
         def solve_nodes(s):
             nonlocal s_k, t_k, m_k
@@ -628,7 +554,7 @@ class _SpectralCache:
             guess = m_k + (s - s_k)[:, None, None] * (2.0 * s_k * _dm_dz(st, t_k, m_k))
             m, ok = _solve_real_batch(st, t, guess, 1e-12)
             for i in np.flatnonzero(~ok):
-                m[i], _, _ = _solve_real(st, t[i], 1e-12, m0=guess[i])
+                m[i] = _solve_real(st, t[i], 1e-12, m0=guess[i])
                 self.panel_fallbacks += 1
             self._m_memo.update(zip(t.tolist(), m))
             k = int(np.argmin(s))
@@ -702,7 +628,7 @@ class _SpectralCache:
             nearest = min(near, key=lambda t: abs(t - key))
             if abs(nearest - key) < 0.5 * (key - self.r_inf):
                 warm = self._m_memo.get(nearest)
-        m, _, _ = _solve_real(self.structure, key, tol, m0=warm)
+        m = _solve_real(self.structure, key, tol, m0=warm)
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()
@@ -879,8 +805,8 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     warm-started from the rung above. The first rung is entered from
     eta = 1 (damped fixed point from -Id/z, then Newton) down by factors of
     0.2; these entry rungs do not count toward eta_final or the stop rule.
-    Points the stacked solve cannot settle are re-solved one at a time by
-    the robust scalar solver; fallback_points reports how many.
+    Points the stacked solve cannot settle are re-solved one at a time, with
+    the eta continuation behind them; fallback_points reports how many.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
@@ -902,8 +828,7 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
         z = grid + 1j * eta
         m, ok = _solve_upper_batch(structure, z, m0, 1e-11)
         for i in np.flatnonzero(~ok):
-            m[i], _, _ = _solve_upper_robust(
-                structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
+            m[i] = _solve_upper(structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
             fallbacks += 1
         return m
 

@@ -2,21 +2,24 @@
 
 A rank-one tilt with profile Psi pushes an eigenvalue out of the bulk to the
 largest z > r_inf where det(Id_{L^2} + 2 theta S_big (M(z) x Psi)) vanishes.
-This module evaluates that determinant, its symmetrized eigenvalue form
-(numerically kinder when Psi is positive definite), finds the largest root,
-and inverts theta -> Z(theta) to place the outlier at a target.
+This module evaluates that determinant, its symmetrized eigenvalue form,
+finds the largest root, and inverts theta -> Z(theta) to place the outlier
+at a target.
 
-For positive definite Psi the largest root is the one crossing of the
-monotone lambda_max(z) = 1, located by binary search on a fixed log-spaced
-z grid and refined by brentq. Put Q = -M(z) x 2 theta Psi (positive definite
-right of the edge) and B = S_big (Hermitian). When lambda_max(Q^1/2 B Q^1/2)
-is positive it equals the sup over y with y*By > 0 of y*By / y*Q^-1 y, which
-cannot decrease as Q grows in the Loewner order. -M(z) is the Stieltjes
-transform of a positive semidefinite matrix-valued measure, so it shrinks as
-z grows, and lambda_max is non-increasing in z: lambda - 1 changes sign at
-most once on the grid. The determinant of singular Psi has no such property
-(below its largest root its sign may flip any number of times), so that
-path keeps the top-down linear scan.
+Put Q = -M(z) x 2 theta Psi (positive semidefinite right of the edge) and
+B = S_big (Hermitian). det(Id - B Q) = det(Id - Q^1/2 B Q^1/2) (Sylvester),
+so the determinant vanishes exactly where an eigenvalue of Q^1/2 B Q^1/2
+equals 1, and the largest root is where lambda_max(z) crosses 1, located by
+binary search on a fixed log-spaced z grid and refined by brentq. That
+crossing is unique because lambda_max^+ = max(lambda_max, 0) cannot grow as
+Q shrinks in the Loewner order: if Q_1 <= Q_2, then Q_1^1/2 = K Q_2^1/2 with
+||K|| <= 1 (Douglas' lemma), so Q_1^1/2 B Q_1^1/2 = K (Q_2^1/2 B Q_2^1/2)
+K* has lambda_max^+ at most ||K||^2 <= 1 times that of Q_2. -M(z) is the
+Stieltjes transform of a positive semidefinite matrix-valued measure, so it
+shrinks as z grows, and lambda_max is non-increasing in z: lambda - 1
+changes sign at most once on the grid. This holds for singular Psi too,
+where the determinant's sign may flip any number of times below its
+largest root.
 
 The same monotonicity makes the inversion a search at one point: the
 outlier sits at or beyond x exactly when lambda_max at z = x is at least 1.
@@ -48,7 +51,6 @@ class OutlierSolve:
     psi: Profile
     Z: float
     bracket: tuple
-    method: str
     residual: float
 
 
@@ -76,17 +78,17 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
 def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
     """Largest eigenvalue of sqrt(-M x 2 theta Psi) S_big sqrt(same).
 
-    Similar to -2 theta S_big (M x Psi), so it hits 1 exactly where the
-    outlier determinant vanishes with a sign change, but through a Hermitian
-    eigenproblem. Requires positive definite psi (the square root must not
-    collapse); lambda -> 0 linearly as theta -> 0.
+    Its nonzero eigenvalues are those of -2 theta S_big (M x Psi), so it
+    reaches 1 at the outlier determinant's largest root (module docstring),
+    but through a Hermitian eigenproblem.
+    Requires positive semidefinite psi (up to the -1e-12 a Profile allows);
+    lambda -> 0 linearly as theta -> 0.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
     psi = np.asarray(psi)
-    if np.linalg.eigvalsh(psi).min() <= 0:
-        raise ValueError("psi must be positive definite for the symmetrized "
-                         "form; use the determinant root instead")
+    if np.linalg.eigvalsh(psi).min() < -1e-12:
+        raise ValueError("psi must be positive semidefinite")
     m_mat, _ = _m_kron_psi(structure, z, psi)
     big = s_big(structure)
     if big.shape[0] == 0 or not big.any():
@@ -111,65 +113,39 @@ def _realized_bracket(structure, theta, psi):
     return c0 + c1 * theta
 
 
-def largest_outlier(structure: StructureSet, theta, psi,
-                    method=None) -> OutlierSolve:
+def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     """Largest z > r_inf solving the outlier equation, or Z = r_inf if none.
 
-    Both methods look at the same log-spaced z grid between r_inf + guard and
-    the realized bound c0 + c1 theta and refine the sign change nearest the
-    top with brentq. With positive definite psi ("lambda-root") lambda - 1 is
-    non-decreasing down the grid (module docstring), so one evaluation at the
-    bottom decides whether a root exists and a binary search finds the first
-    grid point with lambda >= 1. "det-root" scans the grid top down, since the
-    determinant's sign is not monotone below its largest root.
+    lambda_sym - 1 is non-decreasing down a log-spaced z grid between
+    r_inf + guard and the realized bound c0 + c1 theta (module docstring),
+    so one evaluation at the bottom decides whether a root exists, a binary
+    search finds the first grid point with lambda >= 1, and brentq refines
+    the root between it and the point above.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     prof = as_profile(psi)
     psi_mat = prof.psi
-    cache = _cache_for(structure)
-    r = cache.r_inf
+    r = _cache_for(structure).r_inf
     z_top = _realized_bracket(structure, theta, psi_mat)
-    if method is None:
-        pd = np.linalg.eigvalsh(psi_mat).min() > 1e-12
-        method = "lambda-root" if pd else "det-root"
-    if method == "lambda-root":
-        def fun(z):
-            return lambda_sym(structure, theta, z, psi_mat) - 1.0
-    elif method == "det-root":
-        def fun(z):
-            return outlier_det(structure, theta, psi_mat, z)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+
+    def fun(z):
+        return lambda_sym(structure, theta, z, psi_mat) - 1.0
 
     guard = 1e-9 * (1.0 + abs(r))
     offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
     zs = [float(z) for z in r + offsets]
-    j = None  # first grid index past the sign change, counted from the top
-    if method == "lambda-root":
-        # lambda - 1 >= 0 is monotone along zs: False at the top, True from j on
-        if fun(zs[-1]) >= 0:
-            j = bisect_left(zs, True, 0, len(zs) - 1, key=lambda z: fun(z) >= 0)
-            if j == 0:
-                j = None
-    else:
-        # the determinant's sign may flip many times below the largest root,
-        # so only a scan from the top finds that root first
-        prev_f = None
-        for i, z in enumerate(zs):
-            f = fun(z)
-            if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
-                j = i
-                break
-            prev_f = f
-    if j is None:
+    # lambda - 1 >= 0 is monotone along zs: False at the top, True from j on;
+    # j = 0 means no sign change
+    j = 0
+    if fun(zs[-1]) >= 0:
+        j = bisect_left(zs, True, 0, len(zs) - 1, key=lambda z: fun(z) >= 0)
+    if j == 0:
         return OutlierSolve(theta=float(theta), psi=prof, Z=float(r),
-                            bracket=(float(r), float(z_top)), method=method,
-                            residual=0.0)
+                            bracket=(float(r), float(z_top)), residual=0.0)
     root = brentq(fun, zs[j], zs[j - 1], xtol=1e-12, rtol=1e-15)
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(root),
-                        bracket=(zs[j], zs[j - 1]), method=method,
-                        residual=abs(fun(root)))
+                        bracket=(zs[j], zs[j - 1]), residual=abs(fun(root)))
 
 
 def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:

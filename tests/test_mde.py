@@ -117,14 +117,29 @@ def test_real_solve_rejects_the_unphysical_root(sc):
     # m^2 + 3 m + 1 = 0 has the negative roots -0.382 (physical, m^2 < 1) and
     # -2.618; Newton from -5 lands on the second, which must be turned down
     physical = (np.sqrt(5.0) - 3.0) / 2.0
-    with pytest.raises(mde.ConvergenceError):
-        mde._solve_real_newton(sc, 3.0, 1e-12, -5.0 * np.eye(1))
     m, ok = mde._solve_real_batch(sc, np.array([3.0, 3.0]),
                                   np.array([[[-5.0]], [[-0.4]]]), 1e-12)
     assert ok.tolist() == [False, True]
     assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
     sol = mde.solve_mde(sc, 3.0, m0=-5.0 * np.eye(1))
     assert sol.m[0, 0] == pytest.approx(physical, abs=1e-14)
+
+
+def test_upper_solve_rejects_the_non_herglotz_root(sc):
+    # m^2 + z m + 1 = 0 has one root with Im m > 0 and one with Im m < 0;
+    # Newton started next to the second lands on it, which must be turned
+    # down in favour of the Herglotz root
+    z = 1.0 + 0.1j
+    physical = o.semicircle_m(z)
+    other = -z - physical
+    assert physical.imag > 0 > other.imag
+    m, ok = mde._solve_upper_batch(sc, np.array([z, z]),
+                                   np.array([[[other + 0.01]], [[physical + 0.01]]]), 1e-12)
+    assert ok.tolist() == [False, True]
+    sol = mde.solve_mde(sc, z, m0=np.array([[other + 0.01]]))
+    assert sol.m[0, 0] == pytest.approx(physical, abs=1e-12)
+    sol = mde.solve_mde(sc, np.conj(z), m0=np.array([[np.conj(other) + 0.01]]))
+    assert sol.m[0, 0] == pytest.approx(np.conj(physical), abs=1e-12)
 
 
 def test_bad_tol_rejected(sc):
@@ -318,7 +333,7 @@ def test_panels_match_semicircle_to_rounding(beta, monkeypatch):
 @pytest.mark.parametrize("name", sorted(BENCH_STRUCTURES))
 def test_panel_nodes_match_sequential_scalar_solves(name, monkeypatch):
     # reference: the node-by-node walk inward, each node warm-started by the
-    # last one and solved by the scalar real-axis solver
+    # last one and solved by the one-point real-axis solve
     monkeypatch.setattr(mde, "_CACHES", {})
     st = BENCH_STRUCTURES[name]
     cache = mde._cache_for(st)
@@ -327,25 +342,31 @@ def test_panel_nodes_match_sequential_scalar_solves(name, monkeypatch):
     for p in cache.panels[::-1]:
         nodes = _panel_nodes(p)
         for s in nodes[::-1]:
-            warm, _, _ = mde._solve_real(st, cache.r_inf + s * s, 1e-12, m0=warm)
+            warm = mde._solve_real(st, cache.r_inf + s * s, 1e-12, m0=warm)
             assert abs(p(s) - np.trace(warm).real / st.L) <= 1e-12
 
 
 def test_cold_build_spot_check_needs_no_continuation(sc, monkeypatch):
-    # the eta continuation runs only where the two fold walks start; the
-    # spot check starts Newton from a panel node
-    solve = mde._solve_upper
+    # both fold walks start Newton from the far-field guess, the panel walk
+    # from its outer end and the spot check from a panel node: a cold build
+    # makes no solve off the real axis
+    from test_rate import random_structure
+
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    stacked = mde._solve_upper_batch
     at = []
 
-    def recorded(structure, z, *args, **kwargs):
-        at.append(z.real)
-        return solve(structure, z, *args, **kwargs)
+    def recorded(structure, z, *args):
+        at.extend(z.tolist())
+        return stacked(structure, z, *args)
 
-    monkeypatch.setattr(mde, "_solve_upper", recorded)
-    monkeypatch.setattr(mde, "_CACHES", {})
-    cache = mde._cache_for(sc)
-    assert at and set(at) == {mde._scan_hi(sc)}
-    assert cache.panel_fallbacks == 0
+    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    for st in (sc, dsum, random_structure(stream(502), 3)):
+        monkeypatch.setattr(mde, "_CACHES", {})
+        cache = mde._cache_for(st)
+        mde.left_edge(st)
+        assert at == []
+        assert cache.panel_fallbacks == 0
 
 
 def test_panel_fallback_is_counted(monkeypatch):
@@ -354,10 +375,11 @@ def test_panel_fallback_is_counted(monkeypatch):
 
     def flag_one(structure, t, m0, tol):
         m, ok = stacked(structure, t, m0, tol)
-        calls["n"] += 1
-        if calls["n"] == 3:
-            m[4] = np.nan  # garbage left behind for the scalar re-solve
-            ok[4] = False
+        if len(t) > 1:  # a panel's nodes; one-point solves pass through
+            calls["n"] += 1
+            if calls["n"] == 3:
+                m[4] = np.nan  # garbage left behind for the one-point re-solve
+                ok[4] = False
         return m, ok
 
     monkeypatch.setattr(mde, "_solve_real_batch", flag_one)
@@ -557,27 +579,38 @@ def test_density_fallback_is_counted(coupled3, monkeypatch):
 
 
 def test_edge_build_never_hits_the_damped_iteration_cap(sc, monkeypatch):
-    # the scalar damped fixed point stays far below its 400-sweep cap on a
-    # cold cache build (about four iterations per call)
+    # the damped fixed point runs only from the cold start -Id/z: on the
+    # density's entry rung at eta = 1 and at the top of an eta continuation,
+    # never in a cold cache build; where it runs it stops far below its
+    # 400-sweep cap. Each sweep evaluates the residual once, after one
+    # evaluation at the start.
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    solve = mde._solve_upper
-    iters = []
+    residual, enter = mde._residual_batch, mde._enter_newton_basin
+    evals, sweeps = [0], []
 
-    def recorded(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        iters.append(out[2])
+    def counted(*args):
+        evals[0] += 1
+        return residual(*args)
+
+    def entered(structure, z):
+        evals[0] = 0
+        out = enter(structure, z)
+        sweeps.append(evals[0] - 1)
         return out
 
-    monkeypatch.setattr(mde, "_solve_upper", recorded)
+    monkeypatch.setattr(mde, "_residual_batch", counted)
+    monkeypatch.setattr(mde, "_enter_newton_basin", entered)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
-        iters.clear()
-        mde.right_edge(st)
-        mde.left_edge(st)
-        assert len(iters) > 10
-        assert max(iters) < 400
+        sweeps.clear()
+        right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+        assert sweeps == []
+        mde.density(st, left, right, grid_size=41)
+        mde.solve_mde(st, right + 0.5)  # no warm start: continuation from far above
+        assert len(sweeps) == 2
+        assert 0 < max(sweeps) < 20
 
 
 # ---------------------------------------------------------------------------

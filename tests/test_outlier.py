@@ -12,7 +12,8 @@ from scipy.optimize import brentq
 
 import oracles as o
 from kronldp import make_structure, outlier, right_edge, stream
-from kronldp.mde import DomainError
+from kronldp.mde import DomainError, stieltjes_real
+from kronldp.model import s_big
 from kronldp.outlier import (
     OutlierSolve,
     largest_outlier,
@@ -117,9 +118,16 @@ def test_lambda_grows_with_theta(pair):
         assert lambda_sym(pair, 2 * theta, z, psi) > lambda_sym(pair, theta, z, psi)
 
 
-def test_lambda_rejects_singular_psi(pair):
-    with pytest.raises(ValueError):
-        lambda_sym(pair, 1.0, right_edge(pair).r_inf + 0.5, np.diag([1.0, 0.0]))
+def test_lambda_rejects_indefinite_psi(pair):
+    z = right_edge(pair).r_inf + 0.5
+    with pytest.raises(ValueError, match="semidefinite"):
+        lambda_sym(pair, 1.0, z, np.diag([1.5, -0.5]))
+    # a singular profile is served: the nonzero eigenvalues of Q^1/2 B Q^1/2
+    # are those of B Q, and the kernel of Q adds zeros
+    psi = np.diag([1.0, 0.0])
+    q = np.kron(-stieltjes_real(pair, z)[1], 2.0 * psi)
+    want = max(0.0, np.linalg.eigvals(s_big(pair) @ q).real.max())
+    assert lambda_sym(pair, 1.0, z, psi) == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,17 +158,48 @@ def test_bbp_subcritical_returns_edge(sc):
     assert res.Z == right_edge(sc).r_inf
 
 
-def test_methods_agree(sc, pair):
+def _det_scan(structure, theta, psi):
+    """Reference: the top-down scan of the outlier determinant over the
+    160-point grid, brentq on its first sign change (Z = r_inf without one).
+    Below its largest root the determinant's sign may flip any number of
+    times, so only a scan from the top finds that root first."""
+    r = right_edge(structure).r_inf
+    z_top = outlier._realized_bracket(structure, theta, psi)
+
+    def fun(z):
+        return outlier_det(structure, theta, psi, z)
+
+    guard = 1e-9 * (1.0 + abs(r))
+    offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
+    prev_z, prev_f = None, None
+    for z in r + offsets:
+        f = fun(float(z))
+        if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
+            return float(brentq(fun, float(z), prev_z, xtol=1e-12, rtol=1e-15))
+        prev_z, prev_f = float(z), f
+    return float(r)
+
+
+def test_methods_agree(sc, pair, dsum, rand3):
+    # the lambda path serves every PSD profile: rank one and positive
+    # definite profiles give the determinant's largest root. (The reference
+    # sees only sign changes; at herm the crossing of lambda_max is a double
+    # root, which the determinant touches without changing sign.)
     rng = stream(59, 2)
-    for st in (sc, pair):
-        ell = st.L
-        c = np.eye(ell) + 0.4 * rng.standard_normal((ell, ell))
-        psi = c @ c.T + 0.1 * np.eye(ell)
-        psi /= np.trace(psi)
-        theta = 1.3
-        z_det = largest_outlier(st, theta, psi, method="det-root").Z
-        z_lam = largest_outlier(st, theta, psi, method="lambda-root").Z
-        assert z_det == pytest.approx(z_lam, abs=1e-8)
+    roots = 0
+    for st in (sc, pair, dsum, rand3):
+        for rank_one in (True, False):
+            if rank_one:
+                u = rng.standard_normal(st.L)
+                psi = np.outer(u, u) / (u @ u)
+            else:
+                psi = random_pd_profile(rng, st.L)
+            for theta in (0.7, 1.3, 2.6):
+                z_det = _det_scan(st, theta, psi)
+                z_lam = largest_outlier(st, theta, psi).Z
+                assert z_lam == pytest.approx(z_det, abs=1e-11)
+                roots += z_det > right_edge(st).r_inf
+    assert roots >= 12
 
 
 def test_exactly_critical_case_has_no_crossing():
@@ -223,7 +262,6 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
             theta = float(rng.uniform(0.2, 3.0)) if k else 0.45
             z_ref, bracket_ref = _linear_scan(st, theta, psi)
             res = largest_outlier(st, theta, psi)
-            assert res.method == "lambda-root"
             assert res.bracket == bracket_ref
             if z_ref == right_edge(st).r_inf:
                 assert res.Z == z_ref
