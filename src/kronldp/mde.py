@@ -29,11 +29,11 @@ cache build runs no eta continuation at all. Newton on the extended system
 (the equation, a kernel vector, its normalization) lands on it to rounding.
 The left edge is the mirrored structure's right edge.
 
-The real-axis quantities m, U and (-m)^{-1} are served from a per-structure
-cache that interpolates s -> m(r_inf + s^2) on geometric Chebyshev panels
-(the square-root substitution makes the edge analytic) and integrates the
-interpolant in coefficient space; beyond the panels a three-moment Laurent
-tail takes over. This replaces grid quadrature of the density, which cannot
+On the real axis, m(x) is the trace of the memoized exact solve M(x). U and
+(-m)^{-1} are served from a per-structure cache that interpolates
+s -> m(r_inf + s^2) on geometric Chebyshev panels (the square-root
+substitution makes the edge analytic) and integrates the interpolant in
+coefficient space; beyond the panels a three-moment Laurent tail takes over. This replaces grid quadrature of the density, which cannot
 hit 1e-7 territory near a square-root edge at sane grid sizes. The panels
 are built walking inward, one stacked real-axis Newton per panel over all
 its nodes. Each node starts from the tangent predictor M(s_k) + (s - s_k)
@@ -594,7 +594,7 @@ class _SpectralCache:
         rng = np.random.default_rng(0)
         for s in rng.uniform(2.0 * self.s0, min(1.0, float(self.s_edges[-1])), 3):
             t = self.r_inf + s * s
-            direct = self._m_direct(t)
+            direct = self.m_scalar(t)
             if abs(direct - self._m_panel(s)) > 1e-8 * (1.0 + abs(direct)):
                 raise ConvergenceError("panel interpolant failed validation")
 
@@ -606,10 +606,6 @@ class _SpectralCache:
         return float(self.panels[self._panel_index(s)](s))
 
     # -- real-axis evaluations -------------------------------------------
-
-    def _m_series(self, t):
-        tau = t - self.mu1
-        return -(1.0 / tau + self.c2 / tau ** 3 + self.c3 / tau ** 4)
 
     def m_matrix(self, x, tol=1e-12):
         """Real MDE solution M(x), memoized, x > r_inf."""
@@ -636,23 +632,11 @@ class _SpectralCache:
         bisect.insort(self._m_keys, key)
         return m
 
-    def _m_direct(self, x):
-        """m(x) from the exact real-axis solve (no panel)."""
-        return float(np.trace(self.m_matrix(x)).real) / self.structure.L
-
     def m_scalar(self, x):
-        """m(x) = Tr M(x) / L for real x > r_inf (panel-accurate, fast)."""
-        if self.degenerate:
-            return float(np.mean(1.0 / (self.atoms - x)))
-        gap = x - self.r_inf
-        if gap <= 0:
+        """m(x) = Tr M(x) / L for real x > r_inf, from the memoized exact solve."""
+        if x <= self.r_inf:
             raise DomainError(f"x={x} is not above the right edge {self.r_inf}")
-        if x >= self.t_big:
-            return self._m_series(x)
-        s = np.sqrt(gap)
-        if s < self.s0:
-            return self._m_direct(x)
-        return self._m_panel(s)
+        return float(np.trace(self.m_matrix(x)).real) / self.structure.L
 
     def log_potential(self, x):
         """U(x) = int ln|x-y| dmu(y) for x >= r_inf, via U(T) + int_x^T m."""
@@ -685,11 +669,18 @@ class _SpectralCache:
         mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
         total = 0.0
         for s, w in zip(mid + half * nodes, weights):
-            total += w * self._m_direct(self.r_inf + s * s) * 2.0 * s
+            total += w * self.m_scalar(self.r_inf + s * s) * 2.0 * s
         return total * half
 
     def inverse_neg_m(self, q):
-        """t with -m(t) = q, for q in (0, -m(r_inf+)). Round trip <= 1e-10."""
+        """t with -m(t) = q, for q in (0, -m(r_inf+)), by one bracket solve
+        on whichever form of m serves t: the Laurent tail beyond the panels,
+        a Chebyshev panel in s = sqrt(t - r_inf), or exact solves on the leg
+        between the edge and the first panel. Each is exact to rounding, so
+        the round trip -m(t) = q holds to ~1e-13 relative. Within ~1e-12 of
+        the edge it reads ~1e-10 and worse closer in: there the real-axis
+        solve that evaluates m(t) loses digits itself (the Jacobian's
+        smallest eigenvalue is ~ 2 sqrt(t - r_inf))."""
         if q <= 0:
             raise NoInverseError("two_theta must be positive")
         if self.degenerate:
@@ -718,8 +709,8 @@ class _SpectralCache:
                 # leg, with the fold's m(r_inf) at s = 0; the leg runs to the
                 # first panel's far end so its sign change is never in doubt
                 def f_direct(s):
-                    return self.q_edge - q if s == 0.0 else \
-                        -self._m_direct(self.r_inf + s * s) - q
+                    t = self.r_inf + s * s
+                    return self.q_edge - q if t <= self.r_inf else -self.m_scalar(t) - q
 
                 s_root = brentq(f_direct, 0.0, self.s_edges[1], xtol=1e-14)
                 t = self.r_inf + s_root * s_root
@@ -732,18 +723,7 @@ class _SpectralCache:
                 s_root = brentq(lambda s: -panel(s) - q,
                                 panel.domain[0], panel.domain[1], xtol=1e-14)
                 t = self.r_inf + s_root * s_root
-        # secant corrections against the exact solver tighten the round trip
-        t0, t1 = t, t * (1.0 + 1e-7) + 1e-12
-        f0 = -self._m_direct(t0) - q
-        for _ in range(3):
-            f1 = -self._m_direct(t1) - q
-            if f1 == f0:
-                break
-            t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-            t0, f0, t1 = t1, f1, t2
-            if abs(t1 - t0) < 1e-13 * max(1.0, abs(t1)):
-                break
-        return float(t1)
+        return float(t)
 
 
 _CACHES: dict = {}

@@ -1,25 +1,39 @@
 """Outlier location under exponential tilts.
 
 A rank-one tilt with profile Psi pushes an eigenvalue out of the bulk to the
-largest z > r_inf where det(Id_{L^2} + 2 theta S_big (M(z) x Psi)) vanishes.
-This module evaluates that determinant, its symmetrized eigenvalue form,
+largest z > r_inf where det(Id_{L^2} + 2 theta S_big (M(z) x Psi)) vanishes
+(the finite-rank outlier equation of Benaych-Georges and Nadakuditi). This
+module evaluates that determinant, its symmetrized eigenvalue form,
 finds the largest root, and inverts theta -> Z(theta) to place the outlier
 at a target.
 
 Put Q = -M(z) x 2 theta Psi (positive semidefinite right of the edge) and
 B = S_big (Hermitian). det(Id - B Q) = det(Id - Q^1/2 B Q^1/2) (Sylvester),
 so the determinant vanishes exactly where an eigenvalue of Q^1/2 B Q^1/2
-equals 1, and the largest root is where lambda_max(z) crosses 1, located by
-binary search on a fixed log-spaced z grid and refined by brentq. That
+equals 1, and the largest root is where lambda_max(z) crosses 1. That
 crossing is unique because lambda_max^+ = max(lambda_max, 0) cannot grow as
 Q shrinks in the Loewner order: if Q_1 <= Q_2, then Q_1^1/2 = K Q_2^1/2 with
 ||K|| <= 1 (Douglas' lemma), so Q_1^1/2 B Q_1^1/2 = K (Q_2^1/2 B Q_2^1/2)
 K* has lambda_max^+ at most ||K||^2 <= 1 times that of Q_2. -M(z) is the
 Stieltjes transform of a positive semidefinite matrix-valued measure, so it
-shrinks as z grows, and lambda_max is non-increasing in z: lambda - 1
-changes sign at most once on the grid. This holds for singular Psi too,
-where the determinant's sign may flip any number of times below its
-largest root.
+shrinks as z grows, and lambda_max is non-increasing in z. This holds for
+singular Psi too, where the determinant's sign may flip any number of times
+below its largest root.
+
+The crossing is found by Newton on h(z) = 1/lambda_max(z) = 1 from just
+right of the edge, with no bracket and no safeguard, because h is concave
+and increasing wherever lambda_max > 0. -M(z) = int dV(t) / (z - t) is
+operator convex in z > r_inf, S is a positive map, so by the MDE
+-M(z)^{-1} = z - A_0 + S[M(z)] is operator concave and increasing, and so
+is Q(z)^+ = -M(z)^{-1} x (2 theta Psi)^+ on the range of Q, which does not
+depend on z. With y = Q^1/2 x, h(z) = min over y in that range with
+y* B y > 0 of y* Q(z)^+ y / y* B y: a minimum of concave increasing
+functions. Its tangent lies above it, so each Newton iterate stays at or
+below the root and climbs toward it. At a multiple top eigenvalue any v in
+the eigenspace gives a supergradient, which keeps the argument (the double
+root of the herm structure with a positive definite profile). The slope is
+Hellmann-Feynman: d lambda / dz = w* (dQ/dz) w / lambda with w = B Q^1/2 v
+for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi.
 
 The same monotonicity makes the inversion a search at one point: the
 outlier sits at or beyond x exactly when lambda_max at z = x is at least 1.
@@ -30,13 +44,12 @@ memoized M(x), with no search in z.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .mde import DomainError, _cache_for
+from .mde import DomainError, _cache_for, _dm_dz
 from .model import Profile, StructureSet, as_profile, s_big
 from .rate import phi_maps
 
@@ -50,15 +63,14 @@ class OutlierSolve:
     theta: float
     psi: Profile
     Z: float
-    bracket: tuple
     residual: float
 
 
-def _m_kron_psi(structure, z, psi):
+def _m_beyond_edge(structure, z):
     cache = _cache_for(structure)
     if z <= cache.r_inf:
         raise DomainError(f"z={z} must lie right of the edge {cache.r_inf}")
-    return cache.m_matrix(float(z)), cache.r_inf
+    return cache.m_matrix(float(z))
 
 
 def outlier_det(structure: StructureSet, theta, psi, z) -> float:
@@ -66,13 +78,30 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     if theta < 0:
         raise ValueError("theta must be non-negative")
     psi = np.asarray(psi)
-    m_mat, _ = _m_kron_psi(structure, z, psi)
+    m_mat = _m_beyond_edge(structure, z)
     big = s_big(structure)
     if big.shape[0] == 0 or not big.any():
         return 1.0
     ident = np.eye(big.shape[0])
     val = np.linalg.det(ident + 2.0 * theta * big @ np.kron(m_mat, psi))
     return float(np.real(val))
+
+
+def _sym(structure, theta, z, psi):
+    """(Q^1/2 S_big Q^1/2, S_big Q^1/2, M(z)) with Q = -M(z) x 2 theta Psi,
+    or None where S_big vanishes (then lambda_max = 0)."""
+    if theta < 0:
+        raise ValueError("theta must be non-negative")
+    psi = np.asarray(psi)
+    if np.linalg.eigvalsh(psi).min() < -1e-12:
+        raise ValueError("psi must be positive semidefinite")
+    m_mat = _m_beyond_edge(structure, z)
+    big = s_big(structure)
+    if big.shape[0] == 0 or not big.any():
+        return None
+    w, v = np.linalg.eigh(np.kron(-m_mat, 2.0 * theta * psi))
+    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return root @ big @ root, big @ root, m_mat
 
 
 def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
@@ -84,68 +113,50 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
     Requires positive semidefinite psi (up to the -1e-12 a Profile allows);
     lambda -> 0 linearly as theta -> 0.
     """
-    if theta < 0:
-        raise ValueError("theta must be non-negative")
-    psi = np.asarray(psi)
-    if np.linalg.eigvalsh(psi).min() < -1e-12:
-        raise ValueError("psi must be positive semidefinite")
-    m_mat, _ = _m_kron_psi(structure, z, psi)
-    big = s_big(structure)
-    if big.shape[0] == 0 or not big.any():
-        return 0.0
-    q = np.kron(-m_mat, 2.0 * theta * psi)
-    w, v = np.linalg.eigh(q)
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return float(np.linalg.eigvalsh(root @ big @ root).max())
+    sym = _sym(structure, theta, z, psi)
+    return 0.0 if sym is None else float(np.linalg.eigvalsh(sym[0]).max())
 
 
-def _realized_bracket(structure, theta, psi):
-    """Upper end of the z scan: any root satisfies
-    1 <= 2 theta ||S_big|| ||Psi|| / (z - r_inf), so c0 + c1 theta with
-    c1 = 4 ||S_big|| (||Psi|| + 1) clears it with slack."""
-    cache = _cache_for(structure)
-    big = s_big(structure)
-    norm_s = np.linalg.norm(big, 2) if big.size else 0.0
-    norm_psi = np.linalg.norm(psi, 2)
-    norm_m1 = np.linalg.norm(cache.m_matrix(cache.r_inf + 1.0), 2)
-    c0 = cache.r_inf + 1.0 + norm_s * norm_m1
-    c1 = 4.0 * norm_s * (norm_psi + 1.0)
-    return c0 + c1 * theta
+def _lambda_slope(structure, theta, z, psi):
+    """(lambda_sym, d lambda_sym / dz) at z: w* (dQ/dz) w / lambda with
+    w = S_big Q^1/2 v for the top unit eigenvector v, dQ/dz = -M'(z) x 2
+    theta Psi (Hellmann-Feynman on S_big Q, whose right eigenvector is w)."""
+    sym = _sym(structure, theta, z, psi)
+    if sym is None:
+        return 0.0, 0.0
+    vals, vecs = np.linalg.eigh(sym[0])
+    lam, w = float(vals[-1]), sym[1] @ vecs[:, -1]
+    if lam <= 0.0:
+        return lam, 0.0
+    dq = np.kron(-_dm_dz(structure, z, sym[2]), 2.0 * theta * psi)
+    return lam, float(np.real(np.conj(w) @ dq @ w)) / lam
 
 
 def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     """Largest z > r_inf solving the outlier equation, or Z = r_inf if none.
 
-    lambda_sym - 1 is non-decreasing down a log-spaced z grid between
-    r_inf + guard and the realized bound c0 + c1 theta (module docstring),
-    so one evaluation at the bottom decides whether a root exists, a binary
-    search finds the first grid point with lambda >= 1, and brentq refines
-    the root between it and the point above.
+    Newton on 1/lambda_sym = 1 from z_0 = r_inf + 1e-9 (1 + |r_inf|), where
+    one evaluation decides whether a root exists (lambda < 1: none). 1/lambda
+    is concave and increasing (module docstring), so every iterate climbs
+    toward the root without passing it; Z is the last iterate, reached when
+    the step falls to rounding or lambda to 1.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     prof = as_profile(psi)
     psi_mat = prof.psi
     r = _cache_for(structure).r_inf
-    z_top = _realized_bracket(structure, theta, psi_mat)
-
-    def fun(z):
-        return lambda_sym(structure, theta, z, psi_mat) - 1.0
-
-    guard = 1e-9 * (1.0 + abs(r))
-    offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
-    zs = [float(z) for z in r + offsets]
-    # lambda - 1 >= 0 is monotone along zs: False at the top, True from j on;
-    # j = 0 means no sign change
-    j = 0
-    if fun(zs[-1]) >= 0:
-        j = bisect_left(zs, True, 0, len(zs) - 1, key=lambda z: fun(z) >= 0)
-    if j == 0:
-        return OutlierSolve(theta=float(theta), psi=prof, Z=float(r),
-                            bracket=(float(r), float(z_top)), residual=0.0)
-    root = brentq(fun, zs[j], zs[j - 1], xtol=1e-12, rtol=1e-15)
-    return OutlierSolve(theta=float(theta), psi=prof, Z=float(root),
-                        bracket=(zs[j], zs[j - 1]), residual=abs(fun(root)))
+    z = r + 1e-9 * (1.0 + abs(r))
+    lam, slope = _lambda_slope(structure, theta, z, psi_mat)
+    if lam < 1.0:
+        return OutlierSolve(theta=float(theta), psi=prof, Z=float(r), residual=0.0)
+    while lam > 1.0:
+        step = lam * (lam - 1.0) / -slope
+        if step <= 1e-14 * (1.0 + abs(z)):
+            break
+        z += step
+        lam, slope = _lambda_slope(structure, theta, z, psi_mat)
+    return OutlierSolve(theta=float(theta), psi=prof, Z=float(z), residual=abs(lam - 1.0))
 
 
 def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:

@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles as o
 from kronldp import mde
@@ -414,6 +415,24 @@ def test_inverse_next_to_the_edge(sc):
     # the direct leg down to the edge
     q = 0.9995
     assert mde.inverse_neg_stieltjes(sc, q) == pytest.approx(q + 1.0 / q, abs=1e-12)
+
+
+def test_inverse_a_hair_from_the_edge(sc):
+    # t - r_inf ~ 1e-12 to 1e-14: the bracket solve is exact on its own,
+    # with no correction steps that could land inside the support
+    for q in (1.0 - 1e-6, 1.0 - 1e-7):
+        assert mde.inverse_neg_stieltjes(sc, q) == pytest.approx(q + 1.0 / q, abs=1e-12)
+    # two semicircles, the second shifted by 0.3: -m(t) = (G(t) + G(t - 0.3)) / 2,
+    # G(2 + e) = (2 + e - sqrt(e (4 + e))) / 2, solved in s = sqrt(t - 2.3)
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+    def g(e):
+        return (2.0 + e - np.sqrt(e * (4.0 + e))) / 2.0
+
+    for f in (1e-6, 1e-7):
+        q = mde.right_edge(dsum).m_at_edge * (1.0 - f)
+        s = brentq(lambda s: 0.5 * (g(0.3 + s * s) + g(s * s)) - q, 0.0, 1.0, xtol=1e-300)
+        assert mde.inverse_neg_stieltjes(dsum, q) == pytest.approx(2.3 + s * s, abs=1e-12)
 
 
 def test_inverse_out_of_range(sc):

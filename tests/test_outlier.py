@@ -54,14 +54,15 @@ def dsum():
     return make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
-def _counting(monkeypatch):
+def _counting(monkeypatch, name="lambda_sym"):
     calls = []
+    fun = getattr(outlier, name)
 
     def counted(*args):
         calls.append(args)
-        return lambda_sym(*args)
+        return fun(*args)
 
-    monkeypatch.setattr(outlier, "lambda_sym", counted)
+    monkeypatch.setattr(outlier, name, counted)
     return calls
 
 
@@ -158,21 +159,32 @@ def test_bbp_subcritical_returns_edge(sc):
     assert res.Z == right_edge(sc).r_inf
 
 
+def _scan_grid(structure, theta, psi):
+    """The 160-point log grid of the reference scans, top down from a bound
+    on any root: 1 <= 2 theta ||S_big|| ||Psi|| / (z - r_inf), so c0 + c1
+    theta with c1 = 4 ||S_big|| (||Psi|| + 1) clears it with slack."""
+    r = right_edge(structure).r_inf
+    big = s_big(structure)
+    norm_s = np.linalg.norm(big, 2) if big.size else 0.0
+    norm_m1 = np.linalg.norm(stieltjes_real(structure, r + 1.0)[1], 2)
+    c0 = r + 1.0 + norm_s * norm_m1
+    z_top = c0 + 4.0 * norm_s * (np.linalg.norm(psi, 2) + 1.0) * theta
+    guard = 1e-9 * (1.0 + abs(r))
+    return r, r + np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
+
+
 def _det_scan(structure, theta, psi):
     """Reference: the top-down scan of the outlier determinant over the
     160-point grid, brentq on its first sign change (Z = r_inf without one).
     Below its largest root the determinant's sign may flip any number of
     times, so only a scan from the top finds that root first."""
-    r = right_edge(structure).r_inf
-    z_top = outlier._realized_bracket(structure, theta, psi)
+    r, zs = _scan_grid(structure, theta, psi)
 
     def fun(z):
         return outlier_det(structure, theta, psi, z)
 
-    guard = 1e-9 * (1.0 + abs(r))
-    offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
     prev_z, prev_f = None, None
-    for z in r + offsets:
+    for z in zs:
         f = fun(float(z))
         if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
             return float(brentq(fun, float(z), prev_z, xtol=1e-12, rtol=1e-15))
@@ -211,34 +223,29 @@ def test_exactly_critical_case_has_no_crossing():
     assert res.Z == pytest.approx(2.0, abs=1e-6)
 
 
-def test_outlier_bracket_bound(sc, pair):
+def test_outlier_lies_beyond_the_edge(sc, pair):
     for st, theta in ((sc, 2.0), (pair, 0.9)):
         psi = np.eye(st.L) / st.L
         res = largest_outlier(st, theta, psi)
         assert isinstance(res, OutlierSolve)
         assert res.Z >= right_edge(st).r_inf - 1e-10
-        assert res.Z <= res.bracket[1] + 1e-12
 
 
 def _linear_scan(structure, theta, psi):
     """Reference: the top-down scan of lambda - 1 over the 160-point grid,
-    bisecting the first sign change (Z = r_inf when there is none)."""
-    r = right_edge(structure).r_inf
-    z_top = outlier._realized_bracket(structure, theta, psi)
+    brentq on the first sign change (Z = r_inf when there is none)."""
+    r, zs = _scan_grid(structure, theta, psi)
 
     def fun(z):
         return lambda_sym(structure, theta, z, psi) - 1.0
 
-    guard = 1e-9 * (1.0 + abs(r))
-    offsets = np.geomspace(guard, max(z_top - r, 2.0 * guard), 160)[::-1]
     prev_z, prev_f = None, None
-    for z in r + offsets:
+    for z in zs:
         f = fun(float(z))
         if prev_f is not None and np.sign(f) != np.sign(prev_f) and prev_f != 0:
-            root = brentq(fun, float(z), prev_z, xtol=1e-13, rtol=1e-15)
-            return float(root), (float(z), float(prev_z))
+            return float(brentq(fun, float(z), prev_z, xtol=1e-13, rtol=1e-15))
         prev_z, prev_f = float(z), f
-    return float(r), (float(r), float(z_top))
+    return float(r)
 
 
 def test_lambda_sym_monotone_in_z(sc, herm, rand3):
@@ -260,9 +267,8 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
         for k in range(6):
             psi = ONE if st.L == 1 else random_pd_profile(rng, st.L)
             theta = float(rng.uniform(0.2, 3.0)) if k else 0.45
-            z_ref, bracket_ref = _linear_scan(st, theta, psi)
+            z_ref = _linear_scan(st, theta, psi)
             res = largest_outlier(st, theta, psi)
-            assert res.bracket == bracket_ref
             if z_ref == right_edge(st).r_inf:
                 assert res.Z == z_ref
                 assert res.residual == 0.0
@@ -272,12 +278,12 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
     assert roots >= 12
     # GOE at theta <= 1/2 has no outlier
     for theta in (0.3, 0.5):
-        assert largest_outlier(sc, theta, ONE).Z == _linear_scan(sc, theta, ONE)[0]
+        assert largest_outlier(sc, theta, ONE).Z == _linear_scan(sc, theta, ONE)
 
 
 def test_largest_outlier_eval_count(sc, pair, monkeypatch):
-    calls = _counting(monkeypatch)
-    # no root: one evaluation at the bottom of the grid settles it
+    calls = _counting(monkeypatch, "_lambda_slope")
+    # no root: one evaluation next to the edge settles it
     for st, theta in ((sc, 0.4), (pair, 0.9)):
         calls.clear()
         res = largest_outlier(st, theta, np.eye(st.L) / st.L)
@@ -286,12 +292,67 @@ def test_largest_outlier_eval_count(sc, pair, monkeypatch):
 
 
 def test_largest_outlier_eval_count_with_root(sc, monkeypatch):
-    # brentq's xtol sits at the ~1e-12 accuracy of the real-axis M(z), so
-    # it does not fall back to bisection on rounding noise near the root
-    calls = _counting(monkeypatch)
+    # Newton from r_inf + 3e-9: linear while the square-root edge dominates,
+    # quadratic near the root
+    calls = _counting(monkeypatch, "_lambda_slope")
     res = largest_outlier(sc, 1.0, ONE)
     assert res.Z == pytest.approx(2.5, abs=1e-11)
-    assert len(calls) <= 20
+    assert len(calls) <= 10
+
+
+def _profiles(rng, L):
+    u = rng.standard_normal(L)
+    return np.outer(u, u) / (u @ u), random_pd_profile(rng, L)
+
+
+def test_inverse_lambda_sym_is_concave_in_z(sc, herm, rand3):
+    # the premise of largest_outlier's Newton (module docstring): 1/lambda
+    # is concave in z, so its tangent lies above it
+    rng = stream(59, 7)
+    for st in (sc, herm, rand3):
+        zs = right_edge(st).r_inf + np.geomspace(1e-6, 10.0, 60)
+        for psi in _profiles(rng, st.L):
+            theta = float(rng.uniform(0.3, 3.0))
+            h = 1.0 / np.array([lambda_sym(st, theta, float(z), psi) for z in zs])
+            # the chord slopes d must not increase; on the uneven grid their
+            # differences are scaled back to second differences of h
+            d = np.diff(h) / np.diff(zs)
+            second = (d[1:] - d[:-1]) * (zs[2:] - zs[:-2]) / 2.0
+            assert second.max() <= 1e-10 * np.abs(h).max()
+
+
+def test_outlier_slope_matches_central_differences(sc, herm, rand3):
+    rng = stream(59, 8)
+    for st in (sc, herm, rand3):
+        r = right_edge(st).r_inf
+        for psi in _profiles(rng, st.L):
+            theta = float(rng.uniform(0.3, 3.0))
+            for gap in (1e-3, 0.1, 2.0):
+                z, eps = r + gap, 1e-5 * gap
+                lam, slope = outlier._lambda_slope(st, theta, z, psi)
+                assert lam == pytest.approx(lambda_sym(st, theta, z, psi), rel=1e-14)
+                fd = (lambda_sym(st, theta, z + eps, psi)
+                      - lambda_sym(st, theta, z - eps, psi)) / (2.0 * eps)
+                assert slope == pytest.approx(fd, rel=1e-6)
+
+
+def test_largest_outlier_climbs_monotonically(sc, herm, dsum, rand3, monkeypatch):
+    calls = _counting(monkeypatch, "_lambda_slope")
+    rng = stream(59, 9)
+    roots = 0
+    for st in (sc, herm, dsum, rand3):
+        for psi in _profiles(rng, st.L):
+            for theta in (0.7, 1.3, 2.6):
+                calls.clear()
+                res = largest_outlier(st, theta, psi)
+                if res.Z == right_edge(st).r_inf:
+                    assert len(calls) == 1
+                    continue
+                roots += 1
+                zs = [z for _, _, z, _ in calls]
+                assert np.all(np.diff(zs) > 0)
+                assert zs[-1] == res.Z
+    assert roots >= 16
 
 
 def test_outlier_requires_positive_theta(sc):
