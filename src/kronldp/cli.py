@@ -7,7 +7,8 @@ written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs, together with
 what a command reports about its own work (for rate: each point's profile
-search evaluations, ladder rungs and stability flag).
+search evaluations, searches run, stability flag, certificate and
+optimality residual).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -32,8 +33,8 @@ from .mde import (ConvergenceError, DomainError, NoInverseError, density,
                   left_edge, right_edge)
 from .model import StructureError, structure_from_dict, structure_hash, validate
 from .montecarlo import estimate_record, simulate_lambda1, tail_probability, write_jsonl
-from .outlier import TiltSearchError, largest_outlier
-from .rate import DegenerateModelError, rate_function
+from .outlier import TiltSearchError, lambda_sym, largest_outlier
+from .rate import DegenerateModelError, phi_maps, rate_function
 from .verify import render_table, run_checks
 
 EXIT_OK = 0
@@ -192,10 +193,22 @@ def cmd_rate(cfg: RunConfig) -> int:
             for x, r in zip(usable, results)]
     _write_rows(cfg.output_dir / "rate.csv",
                 ["x", "rate", "theta_star", "epsilon"], rows)
-    cfg.meta["rate_points"] = [
-        {"x": x, "fevals": r.diagnostics["fevals"], "rungs": len(r.diagnostics["ladder"]),
-         "stability_flag": r.stability_flag} for x, r in zip(usable, results)]
+    cfg.meta["rate_points"] = [_rate_point_meta(st, x, r) for x, r in zip(usable, results)]
     return EXIT_OK
+
+
+def _rate_point_meta(st, x, res):
+    """run_meta.json entry of one rate point. The optimality residual is
+    |L lambda_sym(theta*, x, phi_hat*) - 1|: at the optimum the tilt L theta*
+    with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x."""
+    diag = res.diagnostics
+    point = {"x": x, "fevals": diag["fevals"], "rungs": len(diag["ladder"]),
+             "stability_flag": res.stability_flag, "certified": diag["certified"]}
+    if not diag["certified"]:
+        point["failed_condition"] = diag["failed"]
+    phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]
+    point["optimality_residual"] = abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0)
+    return point
 
 
 def cmd_outlier(cfg: RunConfig) -> int:

@@ -4,8 +4,11 @@ The objects here combine the real-axis spectral quantities (Stieltjes
 transform, its inverse, the log potential) into the tilted free energy
 F(theta, x, Psi) = beta (L J(x, theta) - K(theta, phi_hat)) and optimize it:
 sup over theta on a compact interval, then inf over trace-one PSD profiles
-Psi subject to Tr[Psi^T S(Psi)] >= eps, with eps driven down a geometric
-ladder until the value stabilizes.
+Psi subject to Tr[Psi^T S(Psi)] >= eps, taken as eps -> 0. One search runs
+at a small eps and certifies that its optimum does not feel eps (the
+constraint and the theta cap are inactive there, and no eigenprojector of
+S(Id) that the constraint excludes does better); only an uncertified optimum
+costs a second search at half that eps (`rate_function`).
 
 The sup over theta is exact. On theta = theta_x + t >= theta_x = -m(x)/2,
 phi_hat = (P + t Psi)/theta with P = -M(x)/(2L) positive definite, so
@@ -70,7 +73,10 @@ class RateBreakdown:
 @dataclass
 class RateResult:
     """One rate point: the value, the optimal tilt and profile, the eps of
-    the last ladder rung, and whether the ladder stabilized before its end."""
+    the last search, and whether the value is trusted not to depend on eps:
+    certified at the first search, or, after the second, equal to the first
+    to `stab_tol` with no excluded eigenprojector of S(Id) doing better
+    (`rate_function`)."""
     x: float
     value: float
     theta_star: float
@@ -82,12 +88,14 @@ class RateResult:
 
 @dataclass
 class OptConfig:
-    """Knobs for the profile optimizer; defaults match the CLI."""
+    """Knobs for the profile optimizer; defaults match the CLI. The search
+    runs at eps = q0 2^-(max_rungs - 2), an uncertified one is repeated at
+    q0 2^-(max_rungs - 1), and stab_tol is how close the two values must be
+    for the second to count as stable."""
     starts: int = 8
     stab_tol: float = 1e-4
     max_rungs: int = 12
     seed: int = 0
-    eps0: float | None = None
 
 
 _LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}  # each profile search start
@@ -327,16 +335,18 @@ def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
 # ---------------------------------------------------------------------------
 # inf over profiles
 
-def _seed_factors(structure, cfg, rung, warm, complex_params):
-    """Start factors C for one ladder rung: identity profile, the top
-    eigenprojector of A_0, seeded random perturbations, and any warm factor."""
+def _seed_factors(structure, cfg, rung, warm, projectors, complex_params):
+    """Start factors C for one search: the identity profile, the top
+    eigenprojector of A_0, the eigenprojectors of S(Id), seeded random
+    perturbations up to cfg.starts, and any warm factor."""
     L = structure.L
     seeds = [np.eye(L)]
     w, v = np.linalg.eigh(structure.a0)
     top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(L)[:, 0]
     seeds.append(np.outer(top, top.conj()))
+    seeds += projectors
     rng = stream(cfg.seed, 7, rung)
-    while len(seeds) < max(cfg.starts, 2):
+    while len(seeds) < cfg.starts:
         c = np.eye(L) / np.sqrt(L) + 0.7 * rng.standard_normal((L, L))
         if complex_params:
             c = c + 0.7j * rng.standard_normal((L, L))
@@ -405,15 +415,29 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     """Rate of the upper tail at x: inf over profiles of sup over tilts.
 
     Profiles are parametrized as C C*/Tr(C C*) (PSD and trace one for free),
-    the constraint Tr[Psi' S(Psi)] >= eps is kept by projecting infeasible
-    iterates toward Id/L, and eps runs down a geometric ladder
-    seeded with the previous rung's optimum, which makes the ladder values
-    non-increasing by construction. Each start is an L-BFGS-B run on the
+    and the constraint Tr[Psi' S(Psi')] >= eps is kept by projecting
+    infeasible iterates toward Id/L. Each start is an L-BFGS-B run on the
     closed-form gradient of the projected sup over theta (module docstring);
     `diagnostics["fevals"]` counts its value-and-gradient evaluations.
+
+    One search runs at eps_1 = q0 2^-(max_rungs - 2), q0 = Tr[Id/L S(Id/L)].
+    Its optimum is certified when (a) the constraint is inactive there
+    (nothing is blended, q > eps_1), (b) theta* lies below the theta cap, and
+    (c) no eigenprojector of S(Id) with q < eps_1, which the constraint
+    excludes, beats the value at its own sup over theta. A certified value
+    does not depend on eps on the searched profiles, and it is returned with
+    `stability_flag` True. Otherwise one more search runs at eps_1 / 2 (the
+    last rung), warm-started from the first optimum, and the flag is True
+    only if the two values agree to `stab_tol` and no excluded eigenprojector
+    beats the last one. `diagnostics["certified"]` and, when it is False,
+    `diagnostics["failed"]` (the failed conditions) say which path ran. An
+    optimum with q < eps_1 off the eigenprojectors of S(Id) stays out of
+    reach of both searches.
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()
+    if cfg.max_rungs < 2:
+        raise ValueError(f"max_rungs must be at least 2, got {cfg.max_rungs}")
     cache = _cache_for(structure)
     x = float(x)
     if x <= cache.r_inf:
@@ -432,40 +456,69 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         th, val = sup_theta(structure, x, one, beta=beta, eps=q0)
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=q0, stability_flag=True,
-                          diagnostics={"ladder": [(q0, val)], "fevals": 1})
+                          diagnostics={"ladder": [(q0, val)], "fevals": 1,
+                                       "certified": True})
 
     complex_params = not structure.is_real
-    fevals = 0
     base = _curve_base(structure, x, beta)
-    eps0 = cfg.eps0 if cfg.eps0 is not None else q0
-    ladder = []
-    warm_c = warm_start
-    stable = False
-    for rung in range(cfg.max_rungs):
-        eps = eps0 * 2.0 ** (-rung)
-        th_hi = theta_cap(structure, x + 1.0, 0.5 * (cache.r_inf + x), eps)
+    edge_mid = 0.5 * (cache.r_inf + x)
+    projectors = [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
+    # (q, sup over theta at its own q) of every eigenprojector of S(Id); the
+    # ones with q < eps are excluded from the search, and condition (c) reads them
+    proj_values = []
+    for p in projectors:
+        s_p = _s_dagger(structure, p, beta)
+        q = _trace_with(p, s_p, beta)
+        th_p = theta_cap(structure, x + 1.0, edge_mid, max(q, 1e-300))
+        proj_values.append((q, _sup_curve(structure, p, s_p, beta, th_p, base)[1]))
+    fevals = len(projectors)
+
+    def search(rung, warm_c):
+        """One multistart at eps = q0 2^-rung; returns the projected optimum
+        and the conditions (a)-(c) it fails."""
+        eps = q0 * 2.0 ** (-rung)
+        th_hi = theta_cap(structure, x + 1.0, edge_mid, eps)
         runs = [minimize(_profile_objective, _pack(c0, complex_params),
                          args=(structure, beta, base, s_id, eps, th_hi),
                          method="L-BFGS-B", jac=True, options=_LBFGS_OPTIONS)
-                for c0 in _seed_factors(structure, cfg, rung, warm_c, complex_params)]
-        fevals += sum(out.nfev for out in runs)
+                for c0 in _seed_factors(structure, cfg, rung, warm_c, projectors,
+                                        complex_params)]
         c = _unpack(min(runs, key=lambda out: out.fun).x, L, complex_params)
         psi = c @ c.conj().T
-        psi, s_psi, _ = _feasible(structure, psi / np.trace(psi).real, eps, beta, s_id)
+        psi, s_psi, s = _feasible(structure, psi / np.trace(psi).real, eps, beta, s_id)
         th, val = _sup_curve(structure, psi, s_psi, beta, th_hi, base)
-        ladder.append((eps, val))
-        # warm-start the next rung with a factor of the *projected* profile:
-        # it is feasible there too, so the next rung can only improve on val
+        failed = []
+        if s > 0.0 or not _trace_with(psi, s_psi, beta) > eps:
+            failed.append("a: constraint active")
+        if not th < th_hi:
+            failed.append("b: theta at cap")
+        if any(q < eps and f < val - 1e-12 * max(1.0, abs(val)) for q, f in proj_values):
+            failed.append("c: an excluded eigenprojector of S(Id) beats the value")
+        return eps, th, val, psi, sum(out.nfev for out in runs), failed
+
+    rung = cfg.max_rungs - 2
+    eps, th, val, psi, n, failed = search(rung, warm_start)
+    fevals += n
+    ladder = [(eps, val)]
+    stable = not failed
+    if failed:
+        # the last rung, warm-started with a factor of the projected optimum:
+        # it is feasible there too, so this search can only improve on val
         w_psi, v_psi = np.linalg.eigh(psi)
         warm_c = v_psi @ np.diag(np.sqrt(np.clip(w_psi, 0.0, None)))
-        if len(ladder) > 1 and abs(val - ladder[-2][1]) <= cfg.stab_tol * max(1.0, abs(val)):
-            stable = True
-            break
+        first = val
+        eps, th, val, psi, n, last_failed = search(rung + 1, warm_c)
+        fevals += n
+        ladder.append((eps, val))
+        stable = bool(abs(val - first) <= cfg.stab_tol * max(1.0, abs(val))
+                      and not any(f.startswith("c") for f in last_failed))
 
+    diagnostics = {"ladder": ladder, "fevals": fevals, "certified": not failed}
+    if failed:
+        diagnostics["failed"] = "; ".join(failed)
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=float(eps),
-                      stability_flag=stable,
-                      diagnostics={"ladder": ladder, "fevals": fevals})
+                      stability_flag=stable, diagnostics=diagnostics)
 
 
 def rate_curve(structure: StructureSet, x_grid, beta=None,

@@ -125,8 +125,31 @@ def test_rate_run_meta_reports_each_point(tmp_path):
                         parse_constant=reject_non_json_constant)["rate_points"]
     assert [p["x"] for p in points] == [3.0, 3.5]
     for p in points:
-        assert p["fevals"] > 0 and 1 <= p["rungs"] <= 12
-        assert p["stability_flag"] is True
+        # one certified search per point, at the optimum of the tilt identity
+        assert p["fevals"] > 0 and p["rungs"] == 1
+        assert p["stability_flag"] is True and p["certified"] is True
+        assert "failed_condition" not in p
+        assert p["optimality_residual"] <= 1e-10
+
+
+def test_rate_run_meta_reports_the_fallback_search(tmp_path):
+    # GOE next to a block of noise 0.01 shifted by 4: the optimum is E22,
+    # where q = 1e-4 lies below eps_1 = q0 / 1024, so the single search ends
+    # on the constraint, and the last rung runs and is reported
+    low_noise = {"beta": 1, "A0": [[0.0, 0.0], [0.0, 4.0]],
+                 "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.01]]]}
+    doc = {"command": "rate", "structure": low_noise, "seed": 1,
+           "rate": {"x_grid": [4.023]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    (p,) = json.loads((out / "run_meta.json").read_text(),
+                      parse_constant=reject_non_json_constant)["rate_points"]
+    assert p["rungs"] == 2 and p["certified"] is False
+    assert p["failed_condition"].startswith("a:")
+    assert p["stability_flag"] is False
+    _, body = read_csv(out / "rate.csv")
+    q0 = (1.0 + 1e-4) / 4.0  # Tr[Id/2 S(Id/2)]
+    assert float(body[0][3]) == q0 * 2.0 ** -11
 
 
 def test_rate_beta2_at_most_twice_beta1(tmp_path):
