@@ -9,8 +9,10 @@ tilted), and the block profile map rho.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,18 +199,67 @@ def stream(seed, *path) -> Generator:
     return Generator(Philox(SeedSequence((int(seed),) + tuple(int(p) for p in path))))
 
 
+@functools.lru_cache(maxsize=8)
+def _block_layout(beta, n, k):
+    """(scale, index) of `_draw_blocks` for k blocks of size N: the factor of
+    each normal a block draws, and the map from the drawn normals to the
+    entries of the blocks. Cached and read-only."""
+    a, b = np.triu_indices(n)  # the upper triangle, row by row
+    t = a.size
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[a, b] = pos[b, a] = np.arange(t)
+    if beta == 1:
+        scale = np.where(a == b, math.sqrt(2.0 / n), math.sqrt(1.0 / n))
+        index = pos + t * np.arange(k)[:, None, None]
+    else:
+        # per block N^2 normals: the real parts of the upper triangle, then the
+        # imaginary parts of the strict upper triangle; after all k blocks the
+        # negated imaginary parts (for the lower triangle) and one zero
+        s = t - n
+        spos = np.full((n, n), -1, dtype=np.intp)
+        au, bu = np.triu_indices(n, 1)
+        spos[au, bu] = spos[bu, au] = np.arange(s)
+        scale = np.concatenate([np.where(a == b, math.sqrt(1.0 / n), math.sqrt(0.5 / n)),
+                                np.full(s, math.sqrt(0.5 / n))])
+        upper = np.arange(n)[:, None] < np.arange(n)[None, :]
+        j = np.arange(k)[:, None, None]
+        index = np.empty((k, n, 2 * n), dtype=np.intp)
+        index[:, :, 0::2] = pos + n * n * j
+        index[:, :, 1::2] = np.where(upper, n * n * j + t + spos, k * n * n + s * j + spos)
+        index[:, np.arange(n), 2 * np.arange(n) + 1] = k * (n * n + s)
+    scale.setflags(write=False)
+    index.setflags(write=False)
+    return scale, index
+
+
 def _draw_blocks(structure: StructureSet, n, rng) -> np.ndarray:
-    """Draw W_1..W_k, shape (k, N, N). GOE: entry variance (1+delta_ij)/N;
-    GUE: variance 1/N for every entry. Entry (a, b) of W_j symmetrizes the
-    (a*N+b)-th standard normal of the stream, so it is addressable from
-    (seed, j, a, b)."""
+    """Draw W_1..W_k, shape (k, N, N), from one standard normal per
+    independent real, drawn block after block.
+
+    GOE: block j takes N(N+1)/2 normals, the upper triangle (diagonal
+    included) row by row; entry (a, b) = entry (b, a) is its normal times
+    sqrt(2/N) on the diagonal and sqrt(1/N) off it, so the entry variance is
+    (1 + delta_ab)/N. GUE: block j takes N^2 normals, first the upper
+    triangle row by row as real parts (times sqrt(1/N) on the diagonal,
+    sqrt(1/(2N)) off it), then the strict upper triangle row by row as
+    imaginary parts (times sqrt(1/(2N))); entry (b, a) is the conjugate of
+    (a, b), so every entry has variance 1/N. The blocks are filled from the
+    normals by one `np.take` through the cached map of `_block_layout`.
+    """
     k = structure.k
+    scale, index = _block_layout(structure.beta, n, k)
     if structure.beta == 1:
-        g = rng.standard_normal((k, n, n))
-        return (g + np.swapaxes(g, -1, -2)) / np.sqrt(2.0 * n)
-    g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-    g /= np.sqrt(2.0)
-    return (g + np.conj(np.swapaxes(g, -1, -2))) / np.sqrt(2.0 * n)
+        g = rng.standard_normal((k, scale.size))
+        g *= scale
+        return np.take(g, index)
+    s = n * (n - 1) // 2
+    src = np.empty(k * (n * n + s) + 1)
+    g = src[:k * n * n].reshape(k, n * n)
+    rng.standard_normal(out=g)
+    g *= scale
+    np.negative(g[:, n * n - s:], out=src[k * n * n:-1].reshape(k, s))
+    src[-1] = 0.0
+    return np.take(src, index).view(np.complex128)
 
 
 def _assemble(structure: StructureSet, blocks, n, out=None) -> np.ndarray:

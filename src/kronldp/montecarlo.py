@@ -8,10 +8,13 @@ and profiles of uniform sphere vectors against the renormalized-Wishart law.
 
 Replicates are grouped into fixed-size batches and batch b draws from the
 derived stream (seed, b), so estimates are bit-identical for a given integer
-master seed no matter how batches would be scheduled; weight and indicator
-sums go through math.fsum, which rounds exactly and is therefore
+master seed and version no matter how batches would be scheduled; weight and
+indicator sums go through math.fsum, which rounds exactly and is therefore
 order-independent. Passing a Generator instead of an integer seed is allowed
-but serializes the batches onto that one stream.
+but serializes the batches onto that one stream. Version 0.2.0 changed the
+draws (one normal per independent real of a block, `model._draw_blocks`;
+tridiagonal batches drawn row by row), not their law, so a given seed gives
+other draws than before.
 
 The dense window estimators (direct and importance) take one draw at a time:
 each X is assembled into one reused NL x NL buffer and certified on the spot
@@ -244,14 +247,23 @@ def _dense_hits(structure, x, delta, n, reps, rng, one_sided):
 
 
 def _sturm_below(d, e2, t):
-    """Per row: number of eigenvalues of the tridiagonal (diag d, e^2 = e2)
-    lying below t, by counting negative pivots of the shifted LDL sweep."""
-    m, n = d.shape
-    cnt = (d[:, 0] - t < 0).astype(np.int64)
-    q = d[:, 0] - t
-    for i in range(1, n):
-        q = np.where(np.abs(q) < 1e-120, -1e-120, q)
-        q = d[:, i] - t - e2[:, i - 1] / q
+    """Per column: number of eigenvalues of the tridiagonal (diag d, e^2 = e2)
+    lying below t, by counting negative pivots of the shifted LDL sweep.
+
+    d has shape (n, m) and e2 shape (n - 1, m): row i holds entry i of all m
+    matrices, so each step of the sweep reads two contiguous rows. A pivot
+    below 1e-120 in modulus is replaced by -1e-120 before it is counted and
+    divided by (LAPACK's dstebz does the same), so an exactly zero pivot
+    counts as negative."""
+    q = d[0] - t
+    row = np.empty_like(q)
+    cnt = np.zeros(q.shape, dtype=np.int64)
+    for i in range(d.shape[0]):
+        if i:
+            np.divide(e2[i - 1], q, out=q)
+            np.subtract(d[i], t, out=row)
+            np.subtract(row, q, out=q)
+        np.copyto(q, -1e-120, where=np.abs(q, out=row) < 1e-120)
         cnt += q < 0
     return cnt
 
@@ -263,32 +275,30 @@ def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
         return reps * int(_window(c, x, delta, one_sided))
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
     #                  <=>  no eigenvalue of W below (s-c)/a     (a < 0)
-    df = np.arange(n - 1, 0, -1, dtype=float)
-    hits = 0
-    done = 0
-    batch = 0
-    while done < reps:
-        m = min(_TRI_BATCH, reps - done)
-        gen = _substream(rng, batch)
-        if structure.beta == 1:
-            d = gen.standard_normal((m, n)) * math.sqrt(2.0 / n)
-            e2 = gen.chisquare(df, (m, n - 1)) / n if n > 1 else np.empty((m, 0))
-        else:
-            d = gen.standard_normal((m, n)) * math.sqrt(1.0 / n)
-            e2 = gen.chisquare(2.0 * df, (m, n - 1)) / (2 * n) if n > 1 else np.empty((m, 0))
+    beta = structure.beta
 
-        def below(d, e2, s):
-            cnt = _sturm_below(d, e2, (s - c) / a)
-            return cnt == n if a > 0 else cnt == 0
+    def below(d, e2, s):
+        cnt = _sturm_below(d, e2, (s - c) / a)
+        return cnt == n if a > 0 else cnt == 0
 
+    def batch_hits(gen, m):
+        # row i holds entry i of all m draws: d_i ~ N(0, 2/(beta n)) and
+        # e_i^2 ~ chi^2_{beta (n-1-i)} / (beta n), filled in place; the batch
+        # is freed before the next one is drawn
+        d = np.empty((n, m))
+        gen.standard_normal(out=d)
+        d *= math.sqrt(2.0 / (beta * n))
+        e2 = np.empty((n - 1, m))
+        for i in range(n - 1):
+            np.divide(gen.chisquare(beta * (n - 1 - i), m), beta * n, out=e2[i])
         hit = ~below(d, e2, x - delta)
         if not one_sided:
-            # only the rows above the lower edge need the upper-edge sweep
-            hit[hit] = below(d[hit], e2[hit], x + delta)
-        hits += int(hit.sum())
-        done += m
-        batch += 1
-    return hits
+            # only the draws above the lower edge need the upper-edge sweep
+            hit[hit] = below(d[:, hit], e2[:, hit], x + delta)
+        return int(hit.sum())
+
+    return sum(batch_hits(_substream(rng, batch), min(_TRI_BATCH, reps - done))
+               for batch, done in enumerate(range(0, reps, _TRI_BATCH)))
 
 
 def _tridiagonal_ok(structure):

@@ -429,10 +429,12 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     `stability_flag` True. Otherwise one more search runs at eps_1 / 2 (the
     last rung), warm-started from the first optimum, and the flag is True
     only if the two values agree to `stab_tol` and no excluded eigenprojector
-    beats the last one. `diagnostics["certified"]` and, when it is False,
-    `diagnostics["failed"]` (the failed conditions) say which path ran. An
-    optimum with q < eps_1 off the eigenprojectors of S(Id) stays out of
-    reach of both searches.
+    beats the last one. If one still does, that eigenprojector, with its
+    theta and value, is returned instead: it is feasible at every eps below
+    its own q. `diagnostics["certified"]` and, when it is False,
+    `diagnostics["failed"]` (the failed conditions, and the eigenprojector
+    returned) say which path ran. An optimum with q < eps_1 off the
+    eigenprojectors of S(Id) stays out of reach of both searches.
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()
@@ -463,14 +465,23 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     base = _curve_base(structure, x, beta)
     edge_mid = 0.5 * (cache.r_inf + x)
     projectors = [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
-    # (q, sup over theta at its own q) of every eigenprojector of S(Id); the
-    # ones with q < eps are excluded from the search, and condition (c) reads them
+    # (q, theta, value) of the sup over theta of every eigenprojector of S(Id)
+    # at its own q; the ones with q < eps are excluded from the search, and
+    # condition (c) reads them
     proj_values = []
     for p in projectors:
         s_p = _s_dagger(structure, p, beta)
         q = _trace_with(p, s_p, beta)
         th_p = theta_cap(structure, x + 1.0, edge_mid, max(q, 1e-300))
-        proj_values.append((q, _sup_curve(structure, p, s_p, beta, th_p, base)[1]))
+        proj_values.append((q, *_sup_curve(structure, p, s_p, beta, th_p, base)))
+
+    def best_excluded(eps, val):
+        """Index of the excluded eigenprojector with the lowest value, if it
+        beats val by more than 1e-12 relative; else None."""
+        beats = [(f, j) for j, (q, _, f) in enumerate(proj_values)
+                 if q < eps and f < val - 1e-12 * max(1.0, abs(val))]
+        return min(beats)[1] if beats else None
+
     fevals = len(projectors)
 
     def search(rung, warm_c):
@@ -492,7 +503,7 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
             failed.append("a: constraint active")
         if not th < th_hi:
             failed.append("b: theta at cap")
-        if any(q < eps and f < val - 1e-12 * max(1.0, abs(val)) for q, f in proj_values):
+        if best_excluded(eps, val) is not None:
             failed.append("c: an excluded eigenprojector of S(Id) beats the value")
         return eps, th, val, psi, sum(out.nfev for out in runs), failed
 
@@ -507,11 +518,16 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
         w_psi, v_psi = np.linalg.eigh(psi)
         warm_c = v_psi @ np.diag(np.sqrt(np.clip(w_psi, 0.0, None)))
         first = val
-        eps, th, val, psi, n, last_failed = search(rung + 1, warm_c)
+        eps, th, val, psi, n, _ = search(rung + 1, warm_c)
         fevals += n
         ladder.append((eps, val))
-        stable = bool(abs(val - first) <= cfg.stab_tol * max(1.0, abs(val))
-                      and not any(f.startswith("c") for f in last_failed))
+        j = best_excluded(eps, val)
+        stable = bool(abs(val - first) <= cfg.stab_tol * max(1.0, abs(val)) and j is None)
+        if j is not None:
+            # feasible at every eps below its q, so it bounds the eps -> 0 value
+            th, val = proj_values[j][1:]
+            psi = projectors[j]
+            failed.append(f"returned the excluded eigenprojector {j} of S(Id)")
 
     diagnostics = {"ladder": ladder, "fevals": fevals, "certified": not failed}
     if failed:

@@ -20,12 +20,15 @@ from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
 from kronldp.model import (_assemble, _draw_blocks, profile_vector, sample_kronecker,
                            tilt_matrix)
+from kronldp import montecarlo
 from kronldp.montecarlo import (
     ProfileHistogram,
     TailEstimate,
     _batch_size,
     _clopper_pearson,
+    _sturm_below,
     _tilt_moments,
+    _tridiagonal_hits,
     block_resolvent_trace,
     empirical_spectrum,
     estimate_record,
@@ -209,6 +212,57 @@ def test_import_leaves_scipy_stats_unloaded():
 
 # ---------------------------------------------------------------------------
 # tridiagonal reduction agrees with the dense sampler
+
+def _tridiagonals(d, e2):
+    """The (m, n, n) stack of tridiagonals with diagonal d[:, c] and squared
+    off-diagonal e2[:, c], column c of the (n, m) and (n - 1, m) arrays."""
+    n, m = d.shape
+    t = np.zeros((m, n, n))
+    i = np.arange(n)
+    t[:, i, i] = d.T
+    t[:, i[:-1], i[1:]] = t[:, i[1:], i[:-1]] = np.sqrt(e2.T)
+    return t
+
+
+def test_sturm_count_matches_eigvalsh():
+    rng = np.random.default_rng(8)
+    n, m = 7, 60
+    d = rng.standard_normal((n, m))
+    e2 = rng.chisquare(2.0, (n - 1, m))
+    eigs = np.linalg.eigvalsh(_tridiagonals(d, e2))
+    # t = d[0, 3] makes the first pivot of column 3 exactly zero
+    for t in (-2.0, 0.0, 0.4, 1.7, d[0, 3]):
+        assert np.min(np.abs(eigs - t)) > 1e-9
+        want = (eigs < t).sum(axis=1)
+        assert _sturm_below(d, e2, t).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("beta, c, a, x, delta", [
+    (1, 0.0, 1.0, 2.0, 0.2),
+    (2, 0.0, 1.0, 1.9, 0.15),
+    (1, 0.3, -1.5, 3.3, 0.3),
+])
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_tridiagonal_hits_match_dense_eigensolve(beta, c, a, x, delta, one_sided,
+                                                 monkeypatch):
+    # batches of 128 draws: the 300 draws come from streams (seed, 0), (seed, 1)
+    # and (seed, 2), rebuilt here in the layout `_tridiagonal_hits` draws them
+    monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
+    st = make_structure([[c]], [[[a]]], beta=beta)
+    n, reps, seed = 8, 300, 19
+    want = 0
+    for batch, done in enumerate(range(0, reps, 128)):
+        m = min(128, reps - done)
+        gen = stream(seed, batch)
+        d = gen.standard_normal((n, m)) * math.sqrt(2.0 / (beta * n))
+        e2 = np.array([gen.chisquare(beta * (n - 1 - i), m) / (beta * n)
+                       for i in range(n - 1)])
+        spec = c + a * np.linalg.eigvalsh(_tridiagonals(d, e2))
+        lam = spec.max(axis=1)
+        want += int(np.sum(lam >= x - delta if one_sided else np.abs(lam - x) <= delta))
+    assert 0 < want < reps
+    assert _tridiagonal_hits(st, x, delta, n, reps, seed, one_sided) == want
+
 
 def test_tridiagonal_matches_dense_goe(sc):
     pd = tail_probability(sc, 2.0, 0.05, 100, 2000, 31, one_sided=True)

@@ -507,26 +507,29 @@ def test_rate_finds_the_optimum_on_an_eigenvector_of_s_id():
         assert abs(i2 - 2.0 * i1) <= 1e-10
 
 
-@pytest.mark.parametrize("sigma, shift, x, exact_or_flagged", [
+@pytest.mark.parametrize("sigma, shift, x, excluded", [
     (0.2, 2.5, 3.0, False),
     (0.05, 2.4, 2.6, False),
     (0.01, 2.48, 2.503, True),
+    (0.01, 4.0, 4.023, True),
 ])
-def test_rate_direct_sum_with_a_low_noise_block(sigma, shift, x, exact_or_flagged):
+def test_rate_direct_sum_with_a_low_noise_block(sigma, shift, x, excluded):
     """A0 = diag(0, shift), A1 = E11, A2 = sigma E22: a GOE block and a
     shifted GOE block of noise sigma, so I(x) = min(I_GOE(x),
     I_GOE((x - shift)/sigma)). The eps ladder from eps = q0 returned
-    I_GOE(3) = 0.714627 for the first case and 0.246607 for the last, both
-    flagged stable. In the last case the optimum E22 has q = 1e-4 < eps_1,
-    which the constraint excludes, so the value may miss, but then it must
-    not be flagged stable."""
+    I_GOE(3) = 0.714627 for the first case and 0.246607 for the third, both
+    flagged stable. In the last two cases the optimum E22 has q = 1e-4 <
+    eps_1, which the constraint excludes: both searches miss it (0.235194
+    and 0.808189), so the eigenprojector itself is returned, flagged
+    unstable."""
     st = make_structure(np.diag([0.0, shift]), [np.diag([1.0, 0.0]), np.diag([0.0, sigma])])
     want = min(o.goe_rate_closed(x), o.goe_rate_closed((x - shift) / sigma))
     res = rate_function(st, x)
-    if exact_or_flagged and not res.stability_flag:
-        return
     assert res.value == pytest.approx(want, abs=1e-8)
-    assert res.stability_flag
+    assert res.stability_flag is not excluded
+    if excluded:
+        assert np.allclose(res.psi_star.psi, np.diag([0.0, 1.0]), atol=1e-12)
+        assert "returned the excluded eigenprojector" in res.diagnostics["failed"]
 
 
 def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
