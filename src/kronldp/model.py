@@ -346,7 +346,10 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False
     gen = stream(rng)
     x = _assemble(structure, _draw_blocks(structure, n, gen), n)
     if theta > 0:
-        x = x + (tilt_shift(structure, theta, u) if shift is None else shift)
+        shift = tilt_shift(structure, theta, u) if shift is None else shift
+        # x is freshly assembled; it is widened only for a complex u at beta = 1
+        x = x.astype(np.result_type(x, shift), copy=False)
+        x += shift
     lam, v1, spec = _top_eig(x, with_spectrum)
     return KroneckerSample(N=n, seed=seed, lambda1=float(lam), v1=v1, spectrum=spec,
                            matrix=x if keep_matrix else None)

@@ -14,7 +14,9 @@ order-independent. Passing a Generator instead of an integer seed is allowed
 but serializes the batches onto that one stream. Version 0.2.0 changed the
 draws (one normal per independent real of a block, `model._draw_blocks`;
 tridiagonal batches drawn row by row), not their law, so a given seed gives
-other draws than before.
+other draws than before. Version 0.3.0 changed the tilted draws of scalar
+structures, again not their law: `tilted_outlier_check` draws them as
+spiked tridiagonals.
 
 The dense window estimators (direct and importance) take one draw at a time:
 each X is assembled into one reused NL x NL buffer and certified on the spot
@@ -26,7 +28,11 @@ batch of matrices is ever held in memory. For the scalar structures the
 long 1e7-rep runs use (opt-in) the tridiagonal beta-Hermite reduction, which
 has exactly the GOE/GUE eigenvalue law at a fraction of the cost; window
 membership is then two vectorized Sturm negative-pivot counts per draw and
-needs no eigensolve at all.
+needs no eigensolve at all. The tilted mean check of a scalar structure
+always takes that reduction: a rank-one tilt only shifts the first diagonal
+entry of the tridiagonal (Bloemendal-Virag), so a tilted draw takes 2N - 1
+random numbers and one tridiagonal bisection for lambda_1 instead of a dense
+matrix and its eigensolve.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh as scipy_eigh
+from scipy.linalg import eigh as scipy_eigh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
@@ -268,9 +274,31 @@ def _sturm_below(d, e2, t):
     return cnt
 
 
+def _tridiagonal_batch(gen, beta, n, m):
+    """m draws of the beta-Hermite tridiagonal form of an N x N GOE (beta=1)
+    or GUE (beta=2) block, which has the block's eigenvalue law.
+
+    Row i holds entry i of all m draws: d (n, m) with d_i ~ N(0, 2/(beta n)),
+    then e2 (n - 1, m) with e_i^2 ~ chi^2_{beta (n-1-i)} / (beta n), one
+    chisquare call per row, filled in place. Row 0 is the block's (1, 1)
+    entry: Householder reduction from the first column fixes e_1.
+    """
+    d = np.empty((n, m))
+    gen.standard_normal(out=d)
+    d *= math.sqrt(2.0 / (beta * n))
+    e2 = np.empty((n - 1, m))
+    for i in range(n - 1):
+        np.divide(gen.chisquare(beta * (n - 1 - i), m), beta * n, out=e2[i])
+    return d, e2
+
+
+def _scalar_coefficients(structure):
+    """(c, a) of a scalar structure X = c Id + a W."""
+    return float(np.real(structure.a0[0, 0])), float(np.real(structure.a[0][0, 0]))
+
+
 def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
-    a = float(np.real(structure.a[0][0, 0]))
-    c = float(np.real(structure.a0[0, 0]))
+    c, a = _scalar_coefficients(structure)
     if a == 0.0:
         return reps * int(_window(c, x, delta, one_sided))
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
@@ -282,15 +310,8 @@ def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
         return cnt == n if a > 0 else cnt == 0
 
     def batch_hits(gen, m):
-        # row i holds entry i of all m draws: d_i ~ N(0, 2/(beta n)) and
-        # e_i^2 ~ chi^2_{beta (n-1-i)} / (beta n), filled in place; the batch
-        # is freed before the next one is drawn
-        d = np.empty((n, m))
-        gen.standard_normal(out=d)
-        d *= math.sqrt(2.0 / (beta * n))
-        e2 = np.empty((n - 1, m))
-        for i in range(n - 1):
-            np.divide(gen.chisquare(beta * (n - 1 - i), m), beta * n, out=e2[i])
+        # the batch is freed before the next one is drawn
+        d, e2 = _tridiagonal_batch(gen, beta, n, m)
         hit = ~below(d, e2, x - delta)
         if not one_sided:
             # only the draws above the lower edge need the upper-edge sweep
@@ -398,25 +419,71 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
                         unreliable=ess < 10)
 
 
+def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
+    """lambda_1 of reps tilted draws of a scalar structure X = c Id + a W.
+
+    The tilted draw X + 2 theta a^2 u u* is c Id + a (W + 2 theta a u u*). A
+    rotation taking u to e_1 leaves the law of W unchanged, and Householder
+    tridiagonalization from the first column leaves e_1 e_1^T unchanged, so
+    its eigenvalues have the law of those of c Id + a (T + 2 theta a e_1
+    e_1^T) for the beta-Hermite T (Bloemendal-Virag): the tilt shifts T's
+    first diagonal entry. lambda_1 is c + a times T's top eigenvalue (its bottom one when
+    a < 0), one LAPACK bisection (stebz) per draw. Batches are those of
+    `_tridiagonal_hits`.
+    """
+    c, a = _scalar_coefficients(structure)
+    if a == 0.0:
+        return np.full(reps, c)
+    k = n - 1 if a > 0 else 0
+
+    def batch_lambda1(gen, m):
+        d, e2 = _tridiagonal_batch(gen, structure.beta, n, m)
+        d[0] += 2.0 * theta * a
+        e = np.sqrt(e2, out=e2)
+        return [eigvalsh_tridiagonal(dj, ej, select="i", select_range=(k, k))[0]
+                for dj, ej in zip(d.T, e.T)]
+
+    top = np.concatenate([batch_lambda1(_substream(rng, batch), min(_TRI_BATCH, reps - done))
+                          for batch, done in enumerate(range(0, reps, _TRI_BATCH))])
+    return c + a * top
+
+
 def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     """Empirical mean of lambda_1 under the tilt vs the predicted root Z(theta).
+
+    theta is the sampler tilt: the draws are X + 2 theta D as in
+    `model.sample_tilted`, and Z is `largest_outlier`(theta, psi). A scalar
+    structure (L = 1, k = 1) draws the spiked tridiagonal form of the tilted
+    law (`_tilted_tridiagonal_lambda1`), O(N) per draw; other structures
+    draw dense tilted matrices with u = `profile_vector`(psi) from stream
+    (seed, 1) and the draws from stream (seed, 0).
 
     Z = r_inf (no crossing of the outlier equation) is a valid prediction: it
     says the tilt is too weak to pull lambda_1 off the bulk edge.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2 to report a spread")
+    if n < 1:
+        raise ValueError("N must be >= 1")
     psi = as_profile(psi)
     z_pred = largest_outlier(structure, theta, psi).Z
-    u = profile_vector(structure, psi, n, _substream(rng, 1))
-    shift = tilt_shift(structure, theta, u)
-    gen = _substream(rng, 0)
-    lams = np.array([sample_tilted(structure, n, theta, u, gen, shift=shift).lambda1
-                     for _ in range(reps)])
-    mean = float(lams.mean())
-    sd = float(lams.std(ddof=1))
+    if _tridiagonal_ok(structure):
+        lams = _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng)
+    else:
+        u = profile_vector(structure, psi, n, _substream(rng, 1))
+        shift = tilt_shift(structure, theta, u)
+        gen = _substream(rng, 0)
+        lams = np.array([sample_tilted(structure, n, theta, u, gen, shift=shift).lambda1
+                         for _ in range(reps)])
+    dev = lams - lams[0]  # all exactly 0 when the draws have no spread
+    mean = float(lams[0] + dev.mean())
+    sd = float(dev.std(ddof=1))
     se = sd / math.sqrt(reps)
-    disc = (mean - z_pred) / se if se > 0 else math.inf * np.sign(mean - z_pred)
+    diff = mean - z_pred
+    if se > 0:
+        disc = diff / se
+    else:
+        disc = 0.0 if diff == 0 else math.copysign(math.inf, diff)
     return TiltCheck(theta=float(theta), N=n, reps=reps, mean_lambda1=mean,
                      sd_lambda1=sd, se_mean=se, predicted_z=z_pred,
                      discrepancy=float(disc))

@@ -171,6 +171,13 @@ def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:
     g = 0. Starting at theta_0 keeps the returned root the smallest one:
     Z_phi(theta_0) = r_inf < x always. On this range 2 theta >= -m(x), so
     phi_hat needs no inverse of -m.
+
+    It solves lambda_sym(theta, x, phi_hat(theta)) = 1, with the same theta in
+    the tilt and in phi_hat, and returns a sampler tilt for
+    `tilted_outlier_check` with the profile phi_hat(theta). At L = 1 that is
+    the rate's sampler tilt L theta* (`rate.RateResult`); at L >= 2 it is
+    not L theta*: the rate's tilt solves L lambda_sym(theta*, x,
+    phi_hat(theta*)) = 1, a different theta with a different profile.
     """
     cache = _cache_for(structure)
     x = float(x)

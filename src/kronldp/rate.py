@@ -76,7 +76,13 @@ class RateResult:
     the last search, and whether the value is trusted not to depend on eps:
     certified at the first search, or, after the second, equal to the first
     to `stab_tol` with no excluded eigenprojector of S(Id) doing better
-    (`rate_function`)."""
+    (`rate_function`).
+
+    The tilted law that realises the value is the sampler tilt L theta_star
+    with profile phi_hat(theta_star, x, psi_star) (`phi_maps`): with it
+    `tilted_outlier_check` places the outlier at x, since L lambda_sym(
+    theta_star, x, phi_hat) = 1 at the optimum. theta_star itself is the
+    rate's tilt, a factor L below the sampler's."""
     x: float
     value: float
     theta_star: float
@@ -435,6 +441,9 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     `diagnostics["failed"]` (the failed conditions, and the eigenprojector
     returned) say which path ran. An optimum with q < eps_1 off the
     eigenprojectors of S(Id) stays out of reach of both searches.
+
+    The sampler tilt that realises I_beta(x) is L theta_star with profile
+    phi_hat(theta_star, x, psi_star) (`RateResult`).
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()

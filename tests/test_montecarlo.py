@@ -12,14 +12,16 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
 from kronldp.model import (_assemble, _draw_blocks, profile_vector, sample_kronecker,
-                           tilt_matrix)
+                           sample_tilted, tilt_matrix)
 from kronldp import montecarlo
 from kronldp.montecarlo import (
     ProfileHistogram,
@@ -28,6 +30,8 @@ from kronldp.montecarlo import (
     _clopper_pearson,
     _sturm_below,
     _tilt_moments,
+    _tilted_tridiagonal_lambda1,
+    _tridiagonal_batch,
     _tridiagonal_hits,
     block_resolvent_trace,
     empirical_spectrum,
@@ -300,6 +304,40 @@ def test_tridiagonal_auto_dispatch(sc, pair):
     assert d.hits == d_explicit.hits
 
 
+def _batch_as_drawn_in_0_2_0(gen, beta, n, m):
+    # the batch draw of version 0.2.0's `_tridiagonal_hits`, copied verbatim
+    d = np.empty((n, m))
+    gen.standard_normal(out=d)
+    d *= math.sqrt(2.0 / (beta * n))
+    e2 = np.empty((n - 1, m))
+    for i in range(n - 1):
+        np.divide(gen.chisquare(beta * (n - 1 - i), m), beta * n, out=e2[i])
+    return d, e2
+
+
+@pytest.mark.parametrize("beta, c, a, x, delta, one_sided", [
+    (1, 0.0, 1.0, 1.7, 0.25, False),
+    (2, 0.2, -0.9, 1.9, 0.3, True),
+])
+def test_tridiagonal_counts_keep_the_0_2_0_draws(beta, c, a, x, delta, one_sided):
+    # reps spills past one _TRI_BATCH, so streams (seed, 0) and (seed, 1) are used
+    st = make_structure([[c]], [[[a]]], beta=beta)
+    n, seed = 10, 41
+    reps = montecarlo._TRI_BATCH + 700
+    want = 0
+    for batch, done in enumerate(range(0, reps, montecarlo._TRI_BATCH)):
+        m = min(montecarlo._TRI_BATCH, reps - done)
+        d, e2 = _batch_as_drawn_in_0_2_0(stream(seed, batch), beta, n, m)
+        got_d, got_e2 = _tridiagonal_batch(stream(seed, batch), beta, n, m)
+        assert np.array_equal(got_d, d) and np.array_equal(got_e2, e2)
+        lam = (c + a * np.linalg.eigvalsh(_tridiagonals(d, e2))).max(axis=1)
+        want += int(np.sum(lam >= x - delta if one_sided else np.abs(lam - x) <= delta))
+    assert 0 < want < reps
+    est = tail_probability(st, x, delta, n, reps, seed, one_sided=one_sided,
+                           sampler="tridiagonal")
+    assert est.hits == want
+
+
 # ---------------------------------------------------------------------------
 # importance sampling
 
@@ -552,6 +590,81 @@ def test_tilted_mean_block_critical():
 def test_tilted_check_validation(sc):
     with pytest.raises(ValueError):
         tilted_outlier_check(sc, 1.0, [[1.0]], 50, 1, rng=0)
+
+
+@pytest.mark.parametrize("c, a_list", [(0.5, []), (0.5, [[[0.0]]]), (-1.3, [[[0.0]]])],
+                         ids=["no-noise", "zero-coefficient", "inexact-sum"])
+def test_tilted_check_without_spread(c, a_list):
+    # every draw is c = Z, so se = 0 and the discrepancy is exactly 0; 200
+    # copies of -1.3 do not sum to 200 (-1.3) in floating point
+    st = make_structure([[c]], a_list)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = tilted_outlier_check(st, 1.0, [[1.0]], 20, 200, rng=0)
+    assert chk.mean_lambda1 == chk.predicted_z == c
+    assert chk.se_mean == 0.0
+    assert chk.discrepancy == 0.0
+
+
+def test_tilted_check_of_a_scalar_structure_draws_no_dense_matrix(sc, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense tilted draw")
+
+    monkeypatch.setattr(montecarlo, "sample_tilted", dense)
+    chk = tilted_outlier_check(sc, 1.0, [[1.0]], 100, 50, rng=2)
+    assert abs(chk.discrepancy) < 5
+
+
+def _unitary_with_first_column(u, rng):
+    """A unitary (orthogonal for real u) Q with Q e_1 = u."""
+    g = rng.standard_normal((u.size, u.size))
+    if np.iscomplexobj(u):
+        g = g + 1j * rng.standard_normal((u.size, u.size))
+    g[:, 0] = u
+    q, r = np.linalg.qr(g)
+    return q * (r[0, 0] / abs(r[0, 0]))
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_tilt_is_a_shift_of_the_first_tridiagonal_entry(beta):
+    # W + c u u* = Q (W' + c e_1 e_1*) Q* with W' = Q* W Q; Householder
+    # reduction of W' from its first column fixes e_1, and a diagonal unitary
+    # makes the off-diagonal |e|, so W + c u u* has the eigenvalues of the
+    # real tridiagonal T + c e_1 e_1^T
+    n, c = 30, 1.7
+    rng = stream(23, beta)
+    st = make_structure([[0.0]], [[[1.0]]], beta=beta)
+    w = _draw_blocks(st, n, rng)[0]
+    u = rng.standard_normal(n) + (1j * rng.standard_normal(n) if beta == 2 else 0.0)
+    u /= np.linalg.norm(u)
+    q = _unitary_with_first_column(u, rng)
+    assert np.allclose(q[:, 0], u, atol=1e-14)
+    t, h = hessenberg(q.conj().T @ w @ q, calc_q=True)
+    assert np.allclose(h[:, 0], np.eye(n)[0], atol=1e-14)
+    d = np.real(np.diagonal(t)).copy()
+    d[0] += c
+    got = eigvalsh_tridiagonal(d, np.abs(np.diagonal(t, -1)))
+    want = np.linalg.eigvalsh(w + c * np.outer(u, u.conj()))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("a", [0.8, -0.8])
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+def test_tilted_tridiagonal_law_matches_dense(beta, a, theta):
+    from scipy.stats import ks_2samp
+
+    n, reps, c = 40, 2000, 0.2
+    st = make_structure([[c]], [[[a]]], beta=beta)
+    tri = _tilted_tridiagonal_lambda1(st, theta, n, reps, stream(47, beta))
+    u = profile_vector(st, [[1.0]], n, stream(48, beta, 1))
+    shift = 2.0 * theta * tilt_matrix(st, u)
+    gen = stream(48, beta, 0)
+    dense = np.array([sample_tilted(st, n, theta, u, gen, shift=shift).lambda1
+                      for _ in range(reps)])
+    se = math.sqrt(tri.var(ddof=1) / reps + dense.var(ddof=1) / reps)
+    assert abs(tri.mean() - dense.mean()) <= 5.0 * se
+    assert ks_2samp(tri, dense).pvalue > 1e-4
 
 
 # ---------------------------------------------------------------------------

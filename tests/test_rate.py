@@ -734,6 +734,15 @@ def test_rate_scale_invariance(case, scale):
 
 @ORACLE_SETTINGS
 @given(case=CASES)
+def test_rate_optimal_tilt_places_the_outlier_at_x(case):
+    # the sampler tilt L theta* with profile phi_hat* plants the outlier at x
+    _, st, x = oracle_case(case)
+    res = rate_function(st, x)
+    assert _tilt_residual(st, x, res.theta_star, res.psi_star.psi) <= 1e-10
+
+
+@ORACLE_SETTINGS
+@given(case=CASES)
 def test_rate_envelope_identity(case):
     # I'(x) = dF/dx at the optimum held fixed; this pins theta* and Psi*
     _, st, x = oracle_case(case)
