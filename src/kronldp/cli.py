@@ -76,6 +76,15 @@ def _require(doc, field, kind, default=None):
     return val
 
 
+def _number(value, name, kind=float):
+    """A JSON number as kind (an integral one for int), else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and not float(value).is_integer()):
+        raise ConfigError(f"config field '{name}' must be {kind.__name__}, "
+                          f"got {json.dumps(value)}")
+    return kind(value)
+
+
 def load_config(path, overrides) -> RunConfig:
     """Parse and validate the JSON config, applying CLI overrides."""
     try:
@@ -146,11 +155,9 @@ def cmd_density(cfg: RunConfig) -> int:
     info = right_edge(st)
     lo = cfg.params.get("x_lo")
     hi = cfg.params.get("x_hi")
-    if lo is None:
-        lo = left_edge(st) - 0.1
-    if hi is None:
-        hi = info.r_inf + 0.1
-    grid_size = int(cfg.params.get("grid_size", 1001))
+    lo = left_edge(st) - 0.1 if lo is None else _number(lo, "density.x_lo")
+    hi = info.r_inf + 0.1 if hi is None else _number(hi, "density.x_hi")
+    grid_size = _number(cfg.params.get("grid_size", 1001), "density.grid_size", int)
     if st.k == 0:
         # atoms only: no continuous density to tabulate, but the edge is exact
         rows = []
@@ -182,12 +189,12 @@ def cmd_rate(cfg: RunConfig) -> int:
         raise ConfigError("config field 'rate.x_grid' must be a non-empty list")
     edge = right_edge(st).r_inf
     usable = []
-    for x in grid:
-        if float(x) <= edge:
+    for x in (_number(v, "rate.x_grid") for v in grid):
+        if x <= edge:
             print(f"warning: x = {x} is not beyond the support edge "
                   f"{edge:.6f}; row skipped", file=sys.stderr)
         else:
-            usable.append(float(x))
+            usable.append(x)
     results = [rate_function(st, x) for x in usable]
     rows = [(x, r.value, r.theta_star, r.epsilon_used)
             for x, r in zip(usable, results)]
@@ -218,7 +225,7 @@ def cmd_outlier(cfg: RunConfig) -> int:
         raise ConfigError("config field 'outlier.theta_grid' must be a non-empty list")
     psi = cfg.params.get("psi")
     psi = np.eye(st.L) / st.L if psi is None else np.asarray(psi, dtype=float)
-    results = [largest_outlier(st, float(t), psi) for t in grid]
+    results = [largest_outlier(st, _number(t, "outlier.theta_grid"), psi) for t in grid]
     rows = [(t, r.Z, r.residual) for t, r in zip(grid, results)]
     _write_rows(cfg.output_dir / "outlier.csv", ["theta", "Z", "residual"], rows)
     return EXIT_OK
@@ -226,19 +233,23 @@ def cmd_outlier(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     st = cfg.structure
-    n = int(cfg.params.get("N", 100))
-    reps = int(cfg.params.get("reps", 0))
+    n = _number(cfg.params.get("N", 100), "simulate.N", int)
+    reps = _number(cfg.params.get("reps", 0), "simulate.reps", int)
     if reps <= 0:
         raise ConfigError("reps must be positive")
     if n <= 0:
         raise ConfigError("N must be positive")
+    x, delta = cfg.params.get("x"), cfg.params.get("delta")
+    if (x is None) != (delta is None):
+        raise ConfigError("config fields 'simulate.x' and 'simulate.delta' go "
+                          "together: give both for tail.jsonl, or neither")
+    if x is not None:
+        x, delta = _number(x, "simulate.x"), _number(delta, "simulate.delta")
     draws = simulate_lambda1(st, n, reps, cfg.seed)
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
     _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)
-    x = cfg.params.get("x")
-    delta = cfg.params.get("delta")
-    if x is not None and delta is not None:
-        est = tail_probability(st, float(x), float(delta), n, reps, cfg.seed,
+    if x is not None:
+        est = tail_probability(st, x, delta, n, reps, cfg.seed,
                                sampler=cfg.params.get("sampler", "dense"))
         out = cfg.output_dir / "tail.jsonl"
         out.unlink(missing_ok=True)

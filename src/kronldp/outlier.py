@@ -35,11 +35,17 @@ root of the herm structure with a positive definite profile). The slope is
 Hellmann-Feynman: d lambda / dz = w* (dQ/dz) w / lambda with w = B Q^1/2 v
 for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi.
 
-The same monotonicity makes the inversion a search at one point: the
-outlier sits at or beyond x exactly when lambda_max at z = x is at least 1.
-lambda_sym is linear in theta for a fixed profile, so tilt_for_target
-solves lambda_sym(theta, x, phi_hat(theta)) = 1 in theta alone, on the one
-memoized M(x), with no search in z.
+The same monotonicity inverts the tilt in closed form. For theta >=
+theta_0 = -m(x)/2, 2 theta phi_hat(theta) = -M/L + tau Psi with M = M(x)
+and tau = 2 theta + m(x) >= 0, so the tilt matrix at z = x is affine:
+Q = Q_0 + tau Q_1, Q_0 = -M x (-M/L), Q_1 = -M x Psi. At tau = 0 the
+outlier sits at r_inf, so lambda_max < 1 and Id - Q_0 B is invertible;
+det(Id - B Q) = 0 then reads det(Id - tau H Q_1) = 0 with the Hermitian
+H = B (Id - Q_0 B)^{-1} = (Id - B Q_0)^{-1} B (push-through). Its roots are
+tau = 1/mu over the positive eigenvalues mu of C* H C, Q_1 = C C*. As Q
+grows with tau, lambda_max^+ cannot fall, and it is >= 1 at every root, so
+the smallest root, tau = 1/mu_max, is where lambda_max first reaches 1.
+No tilt reaches x when mu_max <= 0.
 """
 
 from __future__ import annotations
@@ -47,15 +53,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .mde import DomainError, _cache_for, _dm_dz
 from .model import Profile, StructureSet, as_profile, s_big
-from .rate import phi_maps
 
 
 class TiltSearchError(RuntimeError):
-    """No tilt bracket found for the requested target (numerical failure)."""
+    """No tilt places the outlier at the requested target (numerical failure)."""
 
 
 @dataclass
@@ -159,25 +163,17 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(z), residual=abs(lam - 1.0))
 
 
-def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:
+def tilt_for_target(structure: StructureSet, x, psi) -> float:
     """Smallest theta whose tilt places the outlier at x, using phi_hat.
 
-    Z_phi(theta) := largest_outlier at the profile phi_hat(theta, x, Psi).
-    Since lambda_sym is non-increasing in z (module docstring), Z_phi(theta)
-    >= x exactly when g(theta) = lambda_sym(theta, x, phi_hat(theta)) - 1 >= 0,
-    so the search stays at z = x: each theta costs one eigenproblem on the
-    memoized M(x), not a search in z. Continuation runs theta upward from
-    theta_0 = -m(x)/2 by factors of 1.15 until g >= 0, then brentq solves
-    g = 0. Starting at theta_0 keeps the returned root the smallest one:
-    Z_phi(theta_0) = r_inf < x always. On this range 2 theta >= -m(x), so
-    phi_hat needs no inverse of -m.
-
-    It solves lambda_sym(theta, x, phi_hat(theta)) = 1, with the same theta in
-    the tilt and in phi_hat, and returns a sampler tilt for
-    `tilted_outlier_check` with the profile phi_hat(theta). At L = 1 that is
-    the rate's sampler tilt L theta* (`rate.RateResult`); at L >= 2 it is
-    not L theta*: the rate's tilt solves L lambda_sym(theta*, x,
-    phi_hat(theta*)) = 1, a different theta with a different profile.
+    Solves lambda_sym(theta, x, phi_hat(theta, x, Psi)) = 1 in closed form,
+    theta = (1/mu - m(x))/2 on the memoized M(x) (module docstring), and
+    raises TiltSearchError when mu <= 0. The same theta is in the tilt and
+    in phi_hat, so the result is a sampler tilt for `tilted_outlier_check`
+    with the profile phi_hat(theta). At L = 1 that is the rate's sampler
+    tilt L theta* (`rate.RateResult`); at L >= 2 it is not: the rate's tilt
+    solves L lambda_sym(theta*, x, phi_hat(theta*)) = 1, a different theta
+    with a different profile.
     """
     cache = _cache_for(structure)
     x = float(x)
@@ -186,21 +182,11 @@ def tilt_for_target(structure: StructureSet, x, psi, theta_steps=80) -> float:
     psi = as_profile(psi).psi
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")
-
-    def lam(theta):
-        _, phi_hat = phi_maps(structure, theta, x, psi)
-        return lambda_sym(structure, theta, x, phi_hat)
-
-    theta_lo = -cache.m_scalar(x) / 2.0
-    trace = []
-    for _ in range(theta_steps):
-        theta = theta_lo * 1.15
-        trace.append((theta, lam(theta)))
-        if trace[-1][1] >= 1.0:
-            return float(brentq(lambda t: lam(t) - 1.0, theta_lo, theta,
-                                xtol=1e-11, rtol=1e-14))
-        theta_lo = theta
-    lines = ", ".join(f"(theta={t:.4g}, lambda_sym={v:.6g})" for t, v in trace[-6:])
-    raise TiltSearchError(
-        f"no tilt below {theta_lo:.4g} reaches Z={x}: lambda_sym(theta, x, "
-        f"phi_hat) stays below 1 (scan tail: {lines})")
+    neg_m, big = -cache.m_matrix(x), s_big(structure)
+    h = np.linalg.solve(np.eye(big.shape[0]) - big @ np.kron(neg_m, neg_m / structure.L), big)
+    c = np.kron(np.linalg.cholesky(neg_m), np.linalg.cholesky(psi))
+    mu = float(np.linalg.eigvalsh(c.conj().T @ h @ c).max())
+    if mu <= 0.0:
+        raise TiltSearchError(f"no tilt reaches Z={x}: lambda_sym(theta, x, phi_hat) "
+                              f"stays below 1 (mu_max={mu:.6g})")
+    return (1.0 / mu + float(np.trace(neg_m).real) / structure.L) / 2.0

@@ -182,9 +182,9 @@ def _check_outlier_bbp():
     sub = largest_outlier(st, 0.4, psi).Z
     edge_err = abs(sub - right_edge(st).r_inf)
     tilt_err = abs(tilt_for_target(st, 2.5, psi) - 1.0)
-    ok = worst <= 1e-8 and edge_err <= 1e-8 and tilt_err <= 1e-6
+    ok = worst <= 1e-8 and edge_err <= 1e-8 and tilt_err <= 1e-12
     return ok, (f"max |Z - BBP| = {worst:.2e} (tol 1e-8), subcritical edge err "
-                f"{edge_err:.2e}, tilt inversion err {tilt_err:.2e} (tol 1e-6)")
+                f"{edge_err:.2e}, tilt inversion err {tilt_err:.2e} (tol 1e-12)")
 
 
 def _check_tilted_mean():

@@ -238,6 +238,24 @@ def test_simulate_zero_reps_exits_1(tmp_path, capsys):
     assert "reps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, params, named", [
+    ("outlier", {"theta_grid": [1.0, None]}, "outlier.theta_grid"),
+    ("rate", {"x_grid": [2.5, [3]]}, "rate.x_grid"),
+    ("simulate", {"N": 10, "reps": None}, "simulate.reps"),
+    ("simulate", {"N": 10.5, "reps": 5}, "simulate.N"),
+    ("density", {"grid_size": "201"}, "density.grid_size"),
+    ("simulate", {"N": 10, "reps": 5, "x": 2.5}, "simulate.delta"),
+])
+def test_malformed_numeric_param_is_config_error(tmp_path, capsys, command, params, named):
+    # a value that is not a number, or half of the tail window, is named
+    # as a config error, not an internal error or a silently skipped file
+    doc = {"command": command, "structure": GOE_DOC, "seed": 1, command: params}
+    code, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and named in err
+
+
 def test_simulate_seed_override_changes_draws(tmp_path):
     doc = {"command": "simulate", "structure": GOE_DOC, "seed": 7,
            "simulate": {"N": 30, "reps": 10}}

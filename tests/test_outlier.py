@@ -404,30 +404,52 @@ def _nested_tilt(structure, x, psi, theta_steps=80):
     raise AssertionError("the reference found no bracket")
 
 
+def _complex_pd_profile(rng, ell):
+    c = np.eye(ell) + 0.6 * (rng.standard_normal((ell, ell))
+                             + 1j * rng.standard_normal((ell, ell)))
+    g = c @ c.conj().T + 0.05 * np.eye(ell)
+    return g / np.trace(g).real
+
+
 def _tilt_cases(sc, herm, dsum, rand3):
     rng = stream(59, 6)
     for st in (sc, herm, dsum, rand3):
         for gap in (0.1, 0.5, 1.5):
             psi = ONE if st.L == 1 else random_pd_profile(rng, st.L)
             yield st, right_edge(st).r_inf + gap, psi
+    yield herm, right_edge(herm).r_inf + 10.0, _complex_pd_profile(rng, 2)
+    for i in range(12):
+        rng = stream(800 + i)
+        st = random_structure(rng, 2 + i % 3)
+        for gap in (0.05, 0.5, 2.0):
+            yield st, right_edge(st).r_inf + gap, random_pd_profile(rng, st.L)
 
 
 def test_tilt_matches_nested_search(sc, herm, dsum, rand3):
     for st, x, psi in _tilt_cases(sc, herm, dsum, rand3):
         ref = _nested_tilt(st, x, psi)
-        assert tilt_for_target(st, x, psi) == pytest.approx(ref, rel=1e-11)
+        theta = tilt_for_target(st, x, psi)
+        assert theta == pytest.approx(ref, rel=1e-11)
+        _, phi_hat = phi_maps(st, theta, x, psi)
+        assert abs(largest_outlier(st, theta, phi_hat).Z - x) <= 1e-9
 
 
 def test_tilt_eval_count(sc, herm, dsum, rand3, monkeypatch):
-    # one eigenproblem at z = x per theta, not a search in z per theta
-    calls = _counting(monkeypatch)
+    # closed form on the memoized M(x): no eigenvalue search in theta or z
+    lam_calls = _counting(monkeypatch)
+    outlier_calls = _counting(monkeypatch, "largest_outlier")
     for st, x, psi in _tilt_cases(sc, herm, dsum, rand3):
-        calls.clear()
-        tilt_for_target(st, x, psi)
-        assert 0 < len(calls) <= 40
-        assert all(z == x for _, _, z, _ in calls)
+        cache, reads = outlier._cache_for(st), []
+        read = cache.m_matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache, "m_matrix", lambda z, *a: reads.append(z) or read(z, *a))
+            tilt_for_target(st, x, psi)
+        assert lam_calls == [] and outlier_calls == []
+        assert reads and all(z == x for z in reads)
 
 
-def test_tilt_failure_reports_lambda(sc):
-    with pytest.raises(outlier.TiltSearchError, match="lambda_sym="):
-        tilt_for_target(sc, 2.5, ONE, theta_steps=2)
+def test_tilt_failure_reports_lambda():
+    # atoms only: S_big = 0, so no tilt moves the top eigenvalue (mu = 0)
+    atoms = make_structure(np.diag([1.0, -0.3]), [])
+    with pytest.raises(outlier.TiltSearchError, match="mu_max=0"):
+        tilt_for_target(atoms, 2.0, np.eye(2) / 2.0)
