@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .mde import (ConvergenceError, DomainError, NoInverseError, density,
                   left_edge, right_edge)
-from .model import StructureError, structure_from_dict, structure_hash, validate
+from .model import StructureError, parse_matrix, structure_from_dict, structure_hash
 from .montecarlo import estimate_record, simulate_lambda1, tail_probability, write_jsonl
 from .outlier import TiltSearchError, lambda_sym, largest_outlier
 from .rate import DegenerateModelError, phi_maps, rate_function
@@ -109,9 +109,6 @@ def load_config(path, overrides) -> RunConfig:
         structure = structure_from_dict(doc["structure"])
     except (StructureError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'structure' is invalid: {exc}") from exc
-    problems = validate(structure)
-    if problems:
-        raise ConfigError(f"config field 'structure' is invalid: {problems[0]}")
 
     seed = overrides.seed if overrides.seed is not None else _require(doc, "seed", int, 0)
     if "threads" in doc:
@@ -224,7 +221,15 @@ def cmd_outlier(cfg: RunConfig) -> int:
     if not isinstance(grid, list) or not grid:
         raise ConfigError("config field 'outlier.theta_grid' must be a non-empty list")
     psi = cfg.params.get("psi")
-    psi = np.eye(st.L) / st.L if psi is None else np.asarray(psi, dtype=float)
+    if psi is None:
+        psi = np.eye(st.L) / st.L
+    else:
+        try:
+            psi = np.array(parse_matrix(psi, "psi"))
+        except StructureError as exc:
+            raise ConfigError(f"config field 'outlier.psi' is invalid: {exc}") from exc
+        if st.beta == 1 and np.iscomplexobj(psi):
+            raise ConfigError("config field 'outlier.psi' has [re, im] entries but beta=1")
     results = [largest_outlier(st, _number(t, "outlier.theta_grid"), psi) for t in grid]
     rows = [(t, r.Z, r.residual) for t, r in zip(grid, results)]
     _write_rows(cfg.output_dir / "outlier.csv", ["theta", "Z", "residual"], rows)

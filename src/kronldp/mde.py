@@ -29,21 +29,21 @@ cache build runs no eta continuation at all. Newton on the extended system
 (the equation, a kernel vector, its normalization) lands on it to rounding.
 The left edge is the mirrored structure's right edge.
 
-On the real axis, m(x) is the trace of the memoized exact solve M(x). U and
-(-m)^{-1} are served from a per-structure cache that interpolates
-s -> m(r_inf + s^2) on geometric Chebyshev panels (the square-root
-substitution makes the edge analytic) and integrates the interpolant in
-coefficient space; beyond the panels a three-moment Laurent tail takes over. This replaces grid quadrature of the density, which cannot
-hit 1e-7 territory near a square-root edge at sane grid sizes. The panels
-are built walking inward, one stacked real-axis Newton per panel over all
-its nodes. Each node starts from the tangent predictor M(s_k) + (s - s_k)
-2 s_k M'(t_k) at the innermost node solved so far; M' = dM/dz comes from
-one solve with the Newton Jacobian (the stability operator up to a factor).
-A node that stalls or leaves the physical branch is re-solved on its own
-and counted in panel_fallbacks. The node solutions then seed the memo of
-exact real-axis solves, so each later one starts Newton nearby. Every
-real-axis solve takes one Newton step past its residual test: near the edge
-the Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual
+On the real axis everything is read off the memoized exact solve M(x), kept
+per structure. m(x) is its trace over L. U(x) is the Dyson equation's free
+energy at M(x) (Alt-Erdos-Kruger 2020),
+
+    U(x) = -1 - (1/L) [ln det(-M) + Tr((x - A_0) M) + Tr(M S[M]) / 2],
+
+whose bracket is stationary in M at the solution: its gradient M^{-1} + x -
+A_0 + S[M] is what the MDE sets to 0. So dU/dx = -m(x), the constant is
+fixed by U ~ ln x at infinity, and an error dM in the solve moves U only by
+O(|dM|^2). (-m)^{-1} is one bracket solve in s = sqrt(t - r_inf), which
+makes the edge analytic, on the exact m. The memo starts out with the right
+fold walk's solutions; a miss starts Newton from the nearest memoized
+solution, or from the far-field guess where none is near. Every real-axis
+solve takes one Newton step past its residual test: near the edge the
+Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual
 alone would leave M off by up to tol over that.
 """
 
@@ -53,7 +53,6 @@ import bisect
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
 from .model import StructureSet, apply_S, structure_hash
@@ -381,10 +380,10 @@ def _no_fold(x, side):
 
 def _fold(structure, side=1):
     """The right (side=1) or left (side=-1) edge as a fold of Id + (x - A_0 +
-    S[M]) M = 0; returns (edge, M(edge), residual, steps), or raises
-    ConvergenceError where there is no fold (an atom on the edge). The left
-    edge is the right edge of the mirror A_0 -> -A_0, whose solution is
-    M'(x) = -M(-x).
+    S[M]) M = 0; returns (edge, M(edge), residual, steps, walk), walk the
+    (x, M(x)) pairs solved on the way in, or raises ConvergenceError where
+    there is no fold (an atom on the edge). The left edge is the right edge
+    of the mirror A_0 -> -A_0, whose solution is M'(x) = -M(-x).
 
     Walk in from _scan_hi, where Newton starts from the far-field guess
     -(x - A_0)^{-1}, by warm-started Newton, stepping 0.6 (x - r_hat):
@@ -406,7 +405,7 @@ def _fold(structure, side=1):
     L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
     x = _scan_hi(structure)
     m = _solve_real(structure, x, 1e-12, m0=-np.linalg.inv(x * eye - structure.a0))
-    prev = None
+    prev, walk = None, [(x, m)]
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
         w, vecs = np.linalg.eig(_jacobian(structure, b, m))
@@ -425,6 +424,7 @@ def _fold(structure, side=1):
         else:
             raise _no_fold(x, side)
         prev, x, m = (x, lam2), x - step, m_new[0]
+        walk.append((x, m))
     else:
         raise _no_fold(x, side)
 
@@ -455,7 +455,7 @@ def _fold(structure, side=1):
     r, m = float(np.real(x)), 0.5 * (m + m.conj().T)
     if not (res <= 1e-10 and r < x_walk and np.linalg.eigvalsh(m).max() < 0.0):
         raise _no_fold(x_walk, side)
-    return side * r, side * m, res, steps
+    return side * r, side * m, res, steps, [(side * t, side * mt) for t, mt in walk]
 
 
 def right_edge(structure: StructureSet) -> SupportInfo:
@@ -481,28 +481,17 @@ def left_edge(structure: StructureSet) -> float:
 # ---------------------------------------------------------------------------
 # per-structure spectral cache
 
-_PANEL_DEG = 48
-_PANEL_RATIO = 4.0
-
-
 class _SpectralCache:
-    """Edges, moments, Chebyshev panels for m on the real axis, and the
-    integrated log-potential, all per structure."""
+    """Edges and the memo of exact real-axis solves M(x), per structure; m,
+    U and (-m)^{-1} are all read off M. The memo starts out seeded with the
+    right fold walk's solutions."""
 
     def __init__(self, structure: StructureSet):
         self.structure = structure
-        L = structure.L
         a0 = structure.a0
         self.degenerate = _is_degenerate(structure)
-        s_id = apply_S(structure, np.eye(L))
-        self.mu1 = float(np.trace(a0).real) / L
-        self.mu2 = float(np.trace(a0 @ a0 + s_id).real) / L
-        self.mu3 = float(np.trace(a0 @ a0 @ a0 + 3.0 * (a0 @ s_id)).real) / L
-        self.c2 = self.mu2 - self.mu1 ** 2
-        self.c3 = self.mu3 - 3.0 * self.mu1 * self.mu2 + 2.0 * self.mu1 ** 3
         self._m_memo = {}
         self._m_keys = []  # sorted keys of _m_memo, for the nearest warm start
-        self.panel_fallbacks = 0  # panel nodes the stacked solve handed back
 
         if self.degenerate:
             atoms = np.linalg.eigvalsh(0.5 * (a0 + a0.conj().T))
@@ -513,118 +502,37 @@ class _SpectralCache:
                                        fold_residual=0.0, fold_steps=0)
             return
 
-        self.r_inf, m_edge, res, steps = _fold(structure)
-        self.q_edge = -float(np.trace(m_edge).real) / L
+        self.r_inf, self.m_edge, res, steps, walk = _fold(structure)
+        self.q_edge = -float(np.trace(self.m_edge).real) / structure.L
         try:
             self.left = _fold(structure, side=-1)[0]
         except ConvergenceError as err:
             self.left, self.left_error = None, str(err)
-        # with no left fold, -_scan_hi bounds the support from below
-        lo = -_scan_hi(structure) if self.left is None else self.left
-
-        self.width = max(self.r_inf - self.mu1, self.mu1 - lo, 1.0)
-        self.t_big = self.mu1 + 2500.0 * self.width
-        self._build_panels()
+        # the walk's solutions warm-start every later real-axis solve nearby
+        self._m_memo.update(walk)
+        self._m_keys = sorted(self._m_memo)
         self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=self.q_edge,
                                    fold_residual=res, fold_steps=steps)
 
-    # -- panel construction --------------------------------------------
-
-    def _build_panels(self):
-        self.s0 = float(np.sqrt(3e-7 * self.width))
-        s_hi = float(np.sqrt(self.t_big - self.r_inf))
-        edges = [self.s0]
-        while edges[-1] * _PANEL_RATIO < s_hi:
-            edges.append(edges[-1] * _PANEL_RATIO)
-        edges.append(s_hi)
-        self.s_edges = np.array(edges)
-
-        # walk the panels inward, each one a stacked Newton over its nodes,
-        # every node warm-started by the tangent predictor M(s_k) + (s - s_k)
-        # 2 s_k M'(t_k) at the innermost node solved so far; the walk starts
-        # from a solve at the outer end, where M ~ -(t - A_0)^-1
-        st, L = self.structure, self.structure.L
-        t_k = self.r_inf + s_hi * s_hi
-        s_k = s_hi
-        m_k = _solve_real(st, t_k, 1e-12, m0=-np.linalg.inv(t_k * np.eye(L) - st.a0))
-
-        def solve_nodes(s):
-            nonlocal s_k, t_k, m_k
-            t = self.r_inf + s * s
-            guess = m_k + (s - s_k)[:, None, None] * (2.0 * s_k * _dm_dz(st, t_k, m_k))
-            m, ok = _solve_real_batch(st, t, guess, 1e-12)
-            for i in np.flatnonzero(~ok):
-                m[i] = _solve_real(st, t[i], 1e-12, m0=guess[i])
-                self.panel_fallbacks += 1
-            self._m_memo.update(zip(t.tolist(), m))
-            k = int(np.argmin(s))
-            s_k, t_k, m_k = s[k], t[k], m[k]
-            return np.trace(m, axis1=1, axis2=2).real / L
-
-        panels = []
-        for i in range(len(self.s_edges) - 2, -1, -1):
-            a, b = self.s_edges[i], self.s_edges[i + 1]
-            panels.append(Chebyshev.interpolate(solve_nodes, _PANEL_DEG, domain=[a, b]))
-        panels.reverse()
-        self.panels = panels
-        # the node solutions seed m_matrix's memo: every later real-axis solve,
-        # the spot check below included, starts Newton from a nearby node
-        self._m_keys = sorted(self._m_memo)
-
-        # integral pieces for U: g(s) = 2 s m(r_inf + s^2) on each panel
-        gints = []
-        self.g_antider = []
-        for p in panels:
-            g = p * Chebyshev.identity(domain=list(p.domain)) * 2.0
-            gg = g.integ()
-            self.g_antider.append(gg)
-            gints.append(float(gg(p.domain[1]) - gg(p.domain[0])))
-        # tail_after[i] = integral of g from the end of panel i to s_hi
-        tail = [0.0]
-        for gi in gints[::-1]:
-            tail.append(tail[-1] + gi)
-        self.tail_after = tail[::-1][1:]
-
-        tau = self.t_big - self.mu1
-        self.v_big = float(np.log(tau) - self.c2 / (2.0 * tau * tau)
-                           - self.c3 / (3.0 * tau ** 3))
-        self.m_big = self._m_panel(self.s_edges[-1])
-
-        # spot check: interpolant vs fresh direct solves at non-node points
-        rng = np.random.default_rng(0)
-        for s in rng.uniform(2.0 * self.s0, min(1.0, float(self.s_edges[-1])), 3):
-            t = self.r_inf + s * s
-            direct = self.m_scalar(t)
-            if abs(direct - self._m_panel(s)) > 1e-8 * (1.0 + abs(direct)):
-                raise ConvergenceError("panel interpolant failed validation")
-
-    def _panel_index(self, s):
-        i = int(np.searchsorted(self.s_edges, s, side="right") - 1)
-        return min(max(i, 0), len(self.panels) - 1)
-
-    def _m_panel(self, s):
-        return float(self.panels[self._panel_index(s)](s))
-
-    # -- real-axis evaluations -------------------------------------------
-
     def m_matrix(self, x, tol=1e-12):
-        """Real MDE solution M(x), memoized, x > r_inf."""
+        """Real MDE solution M(x), memoized, x > r_inf. A miss starts Newton
+        from the nearest memoized solution, or from the far-field guess
+        -(x - A_0)^{-1} when none lies within half the distance to the edge
+        (with atoms only, S = 0 and that guess is the exact solution)."""
         key = float(x)
         hit = self._m_memo.get(key)
         if hit is not None:
             return hit
-        if self.degenerate:
-            m = np.linalg.inv(self.structure.a0 - key * np.eye(self.structure.L))
-            self._m_memo[key] = m
-            return m
-        warm = None
+        st, warm = self.structure, None
         i = bisect.bisect_left(self._m_keys, key)
         near = self._m_keys[max(i - 1, 0):i + 1]  # the keys either side
         if near:
             nearest = min(near, key=lambda t: abs(t - key))
             if abs(nearest - key) < 0.5 * (key - self.r_inf):
                 warm = self._m_memo.get(nearest)
-        m = _solve_real(self.structure, key, tol, m0=warm)
+        if warm is None:
+            warm = -np.linalg.inv(key * np.eye(st.L) - st.a0)
+        m = _solve_real(st, key, tol, m0=warm)
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()
@@ -639,7 +547,17 @@ class _SpectralCache:
         return float(np.trace(self.m_matrix(x)).real) / self.structure.L
 
     def log_potential(self, x):
-        """U(x) = int ln|x-y| dmu(y) for x >= r_inf, via U(T) + int_x^T m."""
+        """U(x) = int ln|x-y| dmu(y) for x >= r_inf, as the Dyson free energy
+        at M = M(x) (the fold's M(r_inf) at the edge):
+
+            U(x) = -1 - (1/L) [ln det(-M) + Tr((x - A_0) M) + Tr(M S[M]) / 2].
+
+        The bracket's gradient in M is M^{-1} + x - A_0 + S[M], which the MDE
+        makes 0, so dU/dx = -Tr M / L = -m(x); U ~ ln x as x -> oo fixes the
+        constant. Being stationary in M, the bracket moves only by O(|dM|^2)
+        under an error dM in the solve, so U is exact to rounding even next
+        to the edge, where the real-axis solve itself loses digits."""
+        st = self.structure
         if self.degenerate:
             with np.errstate(divide="ignore"):
                 return float(np.mean(np.log(np.abs(x - self.atoms))))
@@ -648,39 +566,20 @@ class _SpectralCache:
         if x < self.r_inf - 8.0 * np.spacing(max(1.0, abs(self.r_inf))):
             raise DomainError(f"x={x} is below the right edge {self.r_inf}")
         x = max(x, self.r_inf)
-        if x >= self.t_big:
-            tau = x - self.mu1
-            return float(np.log(tau) - self.c2 / (2.0 * tau * tau)
-                         - self.c3 / (3.0 * tau ** 3))
-        s = np.sqrt(x - self.r_inf)
-        if s < self.s0:
-            # below the panels: short direct leg up to the first panel point
-            t0 = self.r_inf + self.s0 ** 2 * 1.0000001
-            return self.log_potential(t0) + self._direct_m_integral(x, t0)
-        i = self._panel_index(s)
-        gg = self.g_antider[i]
-        inner = float(gg(self.panels[i].domain[1]) - gg(s)) + self.tail_after[i]
-        return self.v_big + inner
-
-    def _direct_m_integral(self, a, b):
-        """int_a^b m(t) dt with fresh solves (short near-edge legs only)."""
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        sa, sb = np.sqrt(a - self.r_inf), np.sqrt(b - self.r_inf)
-        mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-        total = 0.0
-        for s, w in zip(mid + half * nodes, weights):
-            total += w * self.m_scalar(self.r_inf + s * s) * 2.0 * s
-        return total * half
+        m = self.m_edge if x == self.r_inf else self.m_matrix(x)
+        b = x * np.eye(st.L) - st.a0 + 0.5 * apply_S(st, m)
+        bracket = np.linalg.slogdet(-m)[1] + np.trace(b @ m).real
+        return float(-1.0 - bracket / st.L)
 
     def inverse_neg_m(self, q):
-        """t with -m(t) = q, for q in (0, -m(r_inf+)), by one bracket solve
-        on whichever form of m serves t: the Laurent tail beyond the panels,
-        a Chebyshev panel in s = sqrt(t - r_inf), or exact solves on the leg
-        between the edge and the first panel. Each is exact to rounding, so
-        the round trip -m(t) = q holds to ~1e-13 relative. Within ~1e-12 of
-        the edge it reads ~1e-10 and worse closer in: there the real-axis
-        solve that evaluates m(t) loses digits itself (the Jacobian's
-        smallest eigenvalue is ~ 2 sqrt(t - r_inf))."""
+        """t with -m(t) = q, for q in (0, -m(r_inf+)): one bracket solve in s =
+        sqrt(t - r_inf) (the substitution makes the edge analytic) on the
+        exact m over [0, 1/sqrt(q)]. At s = 0 the fold gives -m = q_edge > q;
+        at the far end -m(t) <= 1/(t - r_inf) = q. The round trip -m(t) = q
+        holds to ~1e-13 relative. Within ~1e-12 of the edge it reads ~1e-10
+        and worse closer in: there the real-axis solve that evaluates m(t)
+        loses digits itself (the Jacobian's smallest eigenvalue is ~ 2 sqrt(t
+        - r_inf))."""
         if q <= 0:
             raise NoInverseError("two_theta must be positive")
         if self.degenerate:
@@ -692,38 +591,18 @@ class _SpectralCache:
 
             while f_atoms(hi) > 0:
                 hi = self.r_inf + 2.0 * (hi - self.r_inf)
-            t = brentq(f_atoms, lo, hi, xtol=1e-14)
-        else:
-            if q >= self.q_edge:
-                raise NoInverseError(
-                    f"two_theta={q} is at or beyond the range of -m "
-                    f"(sup {self.q_edge:.6g}); no inverse, use branch-2 formulas")
-            if q <= -self.m_big:
-                def f_tail(tau):
-                    return (1.0 / tau + self.c2 / tau ** 3 + self.c3 / tau ** 4) - q
+            return float(brentq(f_atoms, lo, hi, xtol=1e-14))
+        if q >= self.q_edge:
+            raise NoInverseError(
+                f"two_theta={q} is at or beyond the range of -m "
+                f"(sup {self.q_edge:.6g}); no inverse, use branch-2 formulas")
 
-                t = self.mu1 + brentq(f_tail, self.t_big - self.mu1 - 1e-12,
-                                      2.0 / q, xtol=1e-12)
-            elif q > -self._m_panel(self.s0):
-                # above the first panel's range: fresh solves on the direct
-                # leg, with the fold's m(r_inf) at s = 0; the leg runs to the
-                # first panel's far end so its sign change is never in doubt
-                def f_direct(s):
-                    t = self.r_inf + s * s
-                    return self.q_edge - q if t <= self.r_inf else -self.m_scalar(t) - q
+        def f(s):
+            t = self.r_inf + s * s
+            return self.q_edge - q if t <= self.r_inf else -self.m_scalar(t) - q
 
-                s_root = brentq(f_direct, 0.0, self.s_edges[1], xtol=1e-14)
-                t = self.r_inf + s_root * s_root
-            else:
-                panel = self.panels[0]
-                for p in self.panels:
-                    if -p(p.domain[1]) <= q <= -p(p.domain[0]):
-                        panel = p
-                        break
-                s_root = brentq(lambda s: -panel(s) - q,
-                                panel.domain[0], panel.domain[1], xtol=1e-14)
-                t = self.r_inf + s_root * s_root
-        return float(t)
+        s_root = brentq(f, 0.0, 1.0 / np.sqrt(q), xtol=1e-14)
+        return float(self.r_inf + s_root * s_root)
 
 
 _CACHES: dict = {}

@@ -113,20 +113,36 @@ def structure_hash(structure: StructureSet) -> str:
     return h.hexdigest()[:16]
 
 
-def _entry(x):
-    if isinstance(x, (list, tuple)):
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _entry(x, name):
+    if _is_number(x):
+        return float(x)
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
-    return float(x)
+    raise StructureError(f"{name} entries must be numbers or [re, im] pairs of "
+                         f"numbers, got {x!r}")
+
+
+def parse_matrix(rows, name) -> list:
+    """A matrix given in JSON as a list of rows whose entries are each a
+    number, or a [re, im] pair of numbers for a complex entry; anything else
+    raises StructureError naming `name`."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise StructureError(f"{name} must be a list of rows, got {rows!r}")
+    return [[_entry(x, name) for x in row] for row in rows]
 
 
 def structure_from_dict(doc) -> StructureSet:
     """Parse the JSON schema {"L", "k", "beta", "A0", "A"}; complex as [re, im]."""
     try:
-        beta = int(doc["beta"])
-        a0 = [[_entry(x) for x in row] for row in doc["A0"]]
-        a_list = [[[_entry(x) for x in row] for row in mat] for mat in doc.get("A", [])]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        beta, a0, mats = int(doc["beta"]), doc["A0"], list(doc.get("A", []))
+    except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed structure document: {exc!r}") from exc
+    a0 = parse_matrix(a0, "A0")
+    a_list = [parse_matrix(mat, f"A{j + 1}") for j, mat in enumerate(mats)]
     s = make_structure(a0, a_list, beta=beta)
     if "L" in doc and int(doc["L"]) != s.L:
         raise StructureError(f"declared L={doc['L']} but A0 is {s.L}x{s.L}")

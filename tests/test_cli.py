@@ -18,7 +18,7 @@ from kronldp import cli
 from kronldp.cli import main
 from kronldp.mde import NoInverseError, right_edge
 from kronldp.model import structure_from_dict
-from kronldp.outlier import TiltSearchError
+from kronldp.outlier import TiltSearchError, largest_outlier
 
 from test_oracles import FROZEN_GOE_RATE
 
@@ -254,6 +254,38 @@ def test_malformed_numeric_param_is_config_error(tmp_path, capsys, command, para
     err = capsys.readouterr().err
     assert code == 1
     assert "config error" in err and named in err
+
+
+@pytest.mark.parametrize("structure, params, named", [
+    (PAIR_DOC, {"psi": [[0.5, "0.1"], [0.1, 0.5]]}, "outlier.psi"),
+    (PAIR_DOC, {"psi": [[0.5, None], [0.1, 0.5]]}, "outlier.psi"),
+    (PAIR_DOC, {"psi": [[0.5, [0.1, 0.0]], [[0.1, 0.0], 0.5]]}, "outlier.psi"),
+    ({"beta": 1, "A0": [["0.5"]], "A": [[[1.0]]]}, {}, "A0"),
+    ({"beta": 1, "A0": [[0.5]], "A": [[[True]]]}, {}, "A1"),
+])
+def test_malformed_matrix_entry_is_config_error(tmp_path, capsys, structure, params, named):
+    # matrix entries are JSON numbers, or [re, im] pairs where complex
+    # entries are allowed; a string, a boolean or a null is named, not
+    # coerced or misreported as a property of the matrix
+    doc = {"command": "outlier", "structure": structure, "seed": 1,
+           "outlier": {"theta_grid": [1.0], **params}}
+    code, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and named in err
+
+
+def test_outlier_complex_psi_at_beta2(tmp_path):
+    # at beta = 2 a Hermitian profile may have [re, im] entries
+    structure = {**PAIR_DOC, "beta": 2}
+    doc = {"command": "outlier", "structure": structure, "seed": 1,
+           "outlier": {"theta_grid": [1.0], "psi": [[0.5, [0.0, 0.1]], [[0.0, -0.1], 0.5]]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    _, body = read_csv(out / "outlier.csv")
+    psi = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    want = largest_outlier(structure_from_dict(structure), 1.0, psi).Z
+    assert float(body[0][1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_simulate_seed_override_changes_draws(tmp_path):

@@ -155,7 +155,7 @@ def test_edge_semicircle(sc):
     info = mde.right_edge(sc)
     assert info.r_inf == pytest.approx(2.0, abs=1e-10)
     assert info.fold_residual <= 1e-10 and info.fold_steps > 0
-    # -m(2) = 1 for the semicircle: the fold's M(r_inf), not a panel value
+    # -m(2) = 1 for the semicircle: the fold's M(r_inf), exact to rounding
     assert info.m_at_edge == pytest.approx(1.0, abs=1e-10)
 
 
@@ -279,11 +279,16 @@ def test_stieltjes_real_negative_definite_monotone(coupled3):
     assert all(v < 0 for v in vals)
 
 
-def test_panel_m_matches_oracle(sc):
-    cache = mde._cache_for(sc)
+@pytest.mark.parametrize("beta", [1, 2])
+def test_real_m_matches_semicircle(beta, monkeypatch):
+    monkeypatch.setattr(mde, "_CACHES", {})
+    st = make_structure(np.zeros((1, 1)), [np.ones((1, 1))], beta=beta)
+    cache = mde._cache_for(st)
     for gap in np.geomspace(1e-6, 30.0, 40):
         assert cache.m_scalar(2.0 + gap) == pytest.approx(
-            o.semicircle_m(2.0 + gap).real, abs=2e-9)
+            o.semicircle_m(2.0 + gap).real, abs=1e-12)
+    m, _ = mde.stieltjes_real(st, 2.0 + 2e-8)
+    assert abs(m - o.semicircle_m(2.0 + 2e-8).real) <= 1e-12
 
 
 def _rotated_direct_sum(rng, ell, beta=1):
@@ -311,45 +316,8 @@ def _bench_structures():
 BENCH_STRUCTURES = _bench_structures()
 
 
-def _panel_nodes(panel):
-    a, b = panel.domain
-    return a + (b - a) * (np.polynomial.chebyshev.chebpts1(mde._PANEL_DEG + 1) + 1.0) / 2.0
-
-
-@pytest.mark.parametrize("beta", [1, 2])
-def test_panels_match_semicircle_to_rounding(beta, monkeypatch):
-    # the extra Newton step after the residual test removes the error
-    # residual / lambda_min that the innermost panel used to carry
-    monkeypatch.setattr(mde, "_CACHES", {})
-    st = make_structure(np.zeros((1, 1)), [np.ones((1, 1))], beta=beta)
-    cache = mde._cache_for(st)
-    for p in cache.panels:
-        a, b = p.domain
-        for s in np.concatenate([_panel_nodes(p), np.linspace(a, b, 17)]):
-            assert abs(p(s) - o.semicircle_m(2.0 + s * s).real) <= 1e-12
-    m, _ = mde.stieltjes_real(st, 2.0 + 2e-8)
-    assert abs(m - o.semicircle_m(2.0 + 2e-8).real) <= 1e-12
-
-
-@pytest.mark.parametrize("name", sorted(BENCH_STRUCTURES))
-def test_panel_nodes_match_sequential_scalar_solves(name, monkeypatch):
-    # reference: the node-by-node walk inward, each node warm-started by the
-    # last one and solved by the one-point real-axis solve
-    monkeypatch.setattr(mde, "_CACHES", {})
-    st = BENCH_STRUCTURES[name]
-    cache = mde._cache_for(st)
-    assert cache.panel_fallbacks == 0
-    warm = None
-    for p in cache.panels[::-1]:
-        nodes = _panel_nodes(p)
-        for s in nodes[::-1]:
-            warm = mde._solve_real(st, cache.r_inf + s * s, 1e-12, m0=warm)
-            assert abs(p(s) - np.trace(warm).real / st.L) <= 1e-12
-
-
-def test_cold_build_spot_check_needs_no_continuation(sc, monkeypatch):
-    # both fold walks start Newton from the far-field guess, the panel walk
-    # from its outer end and the spot check from a panel node: a cold build
+def test_cold_build_needs_no_continuation(sc, monkeypatch):
+    # both fold walks start Newton from the far-field guess: a cold build
     # makes no solve off the real axis
     from test_rate import random_structure
 
@@ -364,33 +332,35 @@ def test_cold_build_spot_check_needs_no_continuation(sc, monkeypatch):
     monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
-        cache = mde._cache_for(st)
         mde.left_edge(st)
         assert at == []
-        assert cache.panel_fallbacks == 0
 
 
-def test_panel_fallback_is_counted(monkeypatch):
-    stacked = mde._solve_real_batch
-    calls = {"n": 0}
+def test_real_axis_work_needs_no_continuation(sc, monkeypatch):
+    # from a cold cache, every real-axis solve starts Newton from a fold walk
+    # solution or from the far-field guess -(x - A_0)^{-1}, next to the edge
+    # too (the outlier's first point is r_inf + 1e-9 (1 + |r_inf|)): none
+    # needs the eta continuation above the axis
+    from kronldp.outlier import largest_outlier, tilt_for_target
+    from kronldp.rate import rate_function
+    from test_rate import random_structure
 
-    def flag_one(structure, t, m0, tol):
-        m, ok = stacked(structure, t, m0, tol)
-        if len(t) > 1:  # a panel's nodes; one-point solves pass through
-            calls["n"] += 1
-            if calls["n"] == 3:
-                m[4] = np.nan  # garbage left behind for the one-point re-solve
-                ok[4] = False
-        return m, ok
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    stacked = mde._solve_upper_batch
+    at = []
 
-    monkeypatch.setattr(mde, "_solve_real_batch", flag_one)
-    monkeypatch.setattr(mde, "_CACHES", {})
-    cache = mde._cache_for(make_structure(np.zeros((1, 1)), [np.ones((1, 1))]))
-    assert calls["n"] == len(cache.panels) > 3
-    assert cache.panel_fallbacks == 1
-    for p in cache.panels:
-        for s in _panel_nodes(p):
-            assert abs(p(s) - o.semicircle_m(2.0 + s * s).real) <= 1e-12
+    def recorded(structure, z, *args):
+        at.extend(z.tolist())
+        return stacked(structure, z, *args)
+
+    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    for st in (sc, dsum, random_structure(stream(502), 3)):
+        monkeypatch.setattr(mde, "_CACHES", {})
+        r, psi = mde.right_edge(st).r_inf, np.eye(st.L) / st.L
+        largest_outlier(st, 1.0, psi)
+        tilt_for_target(st, r + 0.5, psi)
+        rate_function(st, r + 0.25)
+        assert at == []
 
 
 def test_inverse_examples(sc):
@@ -411,8 +381,8 @@ def test_inverse_round_trip(sc, coupled3):
 
 
 def test_inverse_next_to_the_edge(sc):
-    # q above the first panel's range (-m(2 + 6e-7) ~ 0.99923) is solved on
-    # the direct leg down to the edge
+    # t - r_inf = (1 - q)^2 / q ~ 2.5e-7: the bracket solve on the exact m
+    # resolves the square-root edge in s = sqrt(t - r_inf)
     q = 0.9995
     assert mde.inverse_neg_stieltjes(sc, q) == pytest.approx(q + 1.0 / q, abs=1e-12)
 
@@ -488,6 +458,22 @@ def test_log_potential_derivative_is_minus_m(coupled3):
                - mde.log_potential(coupled3, x - h)) / (2.0 * h)
         m, _ = mde.stieltjes_real(coupled3, x)
         assert num == pytest.approx(-m, abs=1e-7)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_log_potential_matches_rotated_semicircles(beta):
+    # a rotated direct sum of semicircles of centre a_j and radius 2 g_j:
+    # U is the mean over blocks of ln g_j + U_sc((x - a_j) / g_j); A_j = g_j
+    # q_j q_j^T gives g_j = Tr A_j and a_j = q_j^T A_0 q_j = Tr(A_0 A_j) / g_j
+    for i in range(6):
+        st = _rotated_direct_sum(stream(0, 0, 10 + i), 1 + i % 3, beta=beta)
+        g = np.trace(st.a, axis1=1, axis2=2).real
+        a = np.einsum("ab,jba->j", st.a0, st.a).real / g
+        r = mde.right_edge(st).r_inf
+        for gap in (0.0, 1e-10, 1e-6, 0.3, 3.0, 30.0):
+            want = np.mean([np.log(gj) + o.semicircle_log_potential((r + gap - aj) / gj)
+                            for aj, gj in zip(a, g)])
+            assert abs(mde.log_potential(st, r + gap) - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
