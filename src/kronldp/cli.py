@@ -31,7 +31,8 @@ import numpy as np
 from . import __version__
 from .mde import (ConvergenceError, DomainError, NoInverseError, density,
                   left_edge, right_edge)
-from .model import StructureError, parse_matrix, structure_from_dict, structure_hash
+from .model import (StructureError, parse_matrix, parse_number, structure_from_dict,
+                    structure_hash)
 from .montecarlo import estimate_record, simulate_lambda1, tail_probability, write_jsonl
 from .outlier import TiltSearchError, lambda_sym, largest_outlier
 from .rate import DegenerateModelError, phi_maps, rate_function
@@ -74,15 +75,6 @@ def _require(doc, field, kind, default=None):
         raise ConfigError(f"config field '{field}' must be {kind.__name__}, "
                           f"got {type(val).__name__}")
     return val
-
-
-def _number(value, name, kind=float):
-    """A JSON number as kind (an integral one for int), else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            kind is int and not float(value).is_integer()):
-        raise ConfigError(f"config field '{name}' must be {kind.__name__}, "
-                          f"got {json.dumps(value)}")
-    return kind(value)
 
 
 def load_config(path, overrides) -> RunConfig:
@@ -152,9 +144,9 @@ def cmd_density(cfg: RunConfig) -> int:
     info = right_edge(st)
     lo = cfg.params.get("x_lo")
     hi = cfg.params.get("x_hi")
-    lo = left_edge(st) - 0.1 if lo is None else _number(lo, "density.x_lo")
-    hi = info.r_inf + 0.1 if hi is None else _number(hi, "density.x_hi")
-    grid_size = _number(cfg.params.get("grid_size", 1001), "density.grid_size", int)
+    lo = left_edge(st) - 0.1 if lo is None else parse_number(lo, "density.x_lo")
+    hi = info.r_inf + 0.1 if hi is None else parse_number(hi, "density.x_hi")
+    grid_size = parse_number(cfg.params.get("grid_size", 1001), "density.grid_size", int)
     if st.k == 0:
         # atoms only: no continuous density to tabulate, but the edge is exact
         rows = []
@@ -186,7 +178,7 @@ def cmd_rate(cfg: RunConfig) -> int:
         raise ConfigError("config field 'rate.x_grid' must be a non-empty list")
     edge = right_edge(st).r_inf
     usable = []
-    for x in (_number(v, "rate.x_grid") for v in grid):
+    for x in (parse_number(v, "rate.x_grid") for v in grid):
         if x <= edge:
             print(f"warning: x = {x} is not beyond the support edge "
                   f"{edge:.6f}; row skipped", file=sys.stderr)
@@ -230,7 +222,7 @@ def cmd_outlier(cfg: RunConfig) -> int:
             raise ConfigError(f"config field 'outlier.psi' is invalid: {exc}") from exc
         if st.beta == 1 and np.iscomplexobj(psi):
             raise ConfigError("config field 'outlier.psi' has [re, im] entries but beta=1")
-    results = [largest_outlier(st, _number(t, "outlier.theta_grid"), psi) for t in grid]
+    results = [largest_outlier(st, parse_number(t, "outlier.theta_grid"), psi) for t in grid]
     rows = [(t, r.Z, r.residual) for t, r in zip(grid, results)]
     _write_rows(cfg.output_dir / "outlier.csv", ["theta", "Z", "residual"], rows)
     return EXIT_OK
@@ -238,8 +230,8 @@ def cmd_outlier(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     st = cfg.structure
-    n = _number(cfg.params.get("N", 100), "simulate.N", int)
-    reps = _number(cfg.params.get("reps", 0), "simulate.reps", int)
+    n = parse_number(cfg.params.get("N", 100), "simulate.N", int)
+    reps = parse_number(cfg.params.get("reps", 0), "simulate.reps", int)
     if reps <= 0:
         raise ConfigError("reps must be positive")
     if n <= 0:
@@ -249,7 +241,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("config fields 'simulate.x' and 'simulate.delta' go "
                           "together: give both for tail.jsonl, or neither")
     if x is not None:
-        x, delta = _number(x, "simulate.x"), _number(delta, "simulate.delta")
+        x, delta = parse_number(x, "simulate.x"), parse_number(delta, "simulate.delta")
     draws = simulate_lambda1(st, n, reps, cfg.seed)
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
     _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)

@@ -16,7 +16,9 @@ draws (one normal per independent real of a block, `model._draw_blocks`;
 tridiagonal batches drawn row by row), not their law, so a given seed gives
 other draws than before. Version 0.3.0 changed the tilted draws of scalar
 structures, again not their law: `tilted_outlier_check` draws them as
-spiked tridiagonals.
+spiked tridiagonals. Version 0.4.0 draws every sample from SFC64 streams
+(`model._draw_stream`) with the same (seed, path) derivation as before, so
+the laws are the same and the draws are different.
 
 The dense window estimators (direct and importance) take one draw at a time:
 each X is assembled into one reused NL x NL buffer and certified on the spot
@@ -47,9 +49,9 @@ from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
 from .mde import right_edge
-from .model import (Generator, Profile, as_profile, profile_vector,
-                    rho_profile, sample_kronecker, sample_tilted, stream,
-                    structure_hash, tilt_shift, _assemble, _draw_blocks)
+from .model import (as_profile, profile_vector, rho_profile, sample_kronecker,
+                    sample_tilted, structure_hash, tilt_shift, _assemble,
+                    _draw_blocks, _draw_stream)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -117,14 +119,6 @@ class ProfileHistogram:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _substream(rng, index):
-    """Derived stream (seed, index) for integer seeds, the generator itself
-    otherwise (sequential fallback, still reproducible for a caller-owned rng)."""
-    if isinstance(rng, Generator):
-        return rng
-    return stream(rng, index)
-
-
 def _batch_size(nl, reps):
     cap = max(1, int(_DENSE_BUFFER // (nl * nl)))
     return max(1, min(512, cap, reps))
@@ -148,7 +142,7 @@ def _uncertified_draws(structure, n, reps, rng, s, shift=None):
     potrf = zpotrf if np.iscomplexobj(buf) else dpotrf
     bs = _batch_size(nl, reps)
     for batch, done in enumerate(range(0, reps, bs)):
-        gen = _substream(rng, batch)
+        gen = _draw_stream(rng, batch)
         for _ in range(min(bs, reps - done)):
             xm = _assemble(structure, _draw_blocks(structure, n, gen), n, out=buf)
             if shift is not None:
@@ -195,7 +189,7 @@ def simulate_lambda1(structure, n, reps, rng) -> list:
     """Independent draws of (lambda_1, rho(v_1)) at size N."""
     if n < 1 or reps < 1:
         raise ValueError("N and reps must be >= 1")
-    gen = stream(rng)
+    gen = _draw_stream(rng)
     out = []
     for _ in range(reps):
         s = sample_kronecker(structure, n, gen)
@@ -213,7 +207,7 @@ def empirical_spectrum(structure, n, reps, rng=0, bins=200, span=None):
         raise ValueError("N and reps must be >= 1")
     if span is not None and not span[1] > span[0]:
         raise ValueError("span must have positive width")
-    gen = stream(rng)
+    gen = _draw_stream(rng)
     eigs = np.empty((reps, structure.L * n))
     for r in range(reps):
         x = _assemble(structure, _draw_blocks(structure, n, gen), n)
@@ -230,7 +224,7 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
     z = complex(z)
     if z.imag <= 0 and z.real <= right_edge(structure).r_inf + 1e-8:
         raise ValueError("z must have positive imaginary part or lie right of the support")
-    gen = stream(rng)
+    gen = _draw_stream(rng)
     L = structure.L
     acc = np.zeros((L, L), dtype=complex)
     for _ in range(reps):
@@ -318,7 +312,7 @@ def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
             hit[hit] = below(d[:, hit], e2[:, hit], x + delta)
         return int(hit.sum())
 
-    return sum(batch_hits(_substream(rng, batch), min(_TRI_BATCH, reps - done))
+    return sum(batch_hits(_draw_stream(rng, batch), min(_TRI_BATCH, reps - done))
                for batch, done in enumerate(range(0, reps, _TRI_BATCH)))
 
 
@@ -393,7 +387,7 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     elif theta < 0:
         raise ValueError("theta must be >= 0")
 
-    u = profile_vector(structure, psi, n, _substream(rng, reps))
+    u = profile_vector(structure, psi, n, _draw_stream(rng, reps))
     mu, t2 = _tilt_moments(structure, u)
     shift = tilt_shift(structure, theta, u)
     beta = structure.beta
@@ -443,7 +437,7 @@ def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
         return [eigvalsh_tridiagonal(dj, ej, select="i", select_range=(k, k))[0]
                 for dj, ej in zip(d.T, e.T)]
 
-    top = np.concatenate([batch_lambda1(_substream(rng, batch), min(_TRI_BATCH, reps - done))
+    top = np.concatenate([batch_lambda1(_draw_stream(rng, batch), min(_TRI_BATCH, reps - done))
                           for batch, done in enumerate(range(0, reps, _TRI_BATCH))])
     return c + a * top
 
@@ -470,9 +464,9 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     if _tridiagonal_ok(structure):
         lams = _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng)
     else:
-        u = profile_vector(structure, psi, n, _substream(rng, 1))
+        u = profile_vector(structure, psi, n, _draw_stream(rng, 1))
         shift = tilt_shift(structure, theta, u)
-        gen = _substream(rng, 0)
+        gen = _draw_stream(rng, 0)
         lams = np.array([sample_tilted(structure, n, theta, u, gen, shift=shift).lambda1
                          for _ in range(reps)])
     dev = lams - lams[0]  # all exactly 0 when the draws have no spread
@@ -522,7 +516,7 @@ def profile_histogram(L, n, reps, rng, bins=20) -> ProfileHistogram:
         raise ValueError("need L >= 1 and N >= L")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    gen = stream(rng)
+    gen = _draw_stream(rng)
     psis = np.empty((reps, L, L))
     done = 0
     while done < reps:

@@ -275,6 +275,22 @@ def test_malformed_matrix_entry_is_config_error(tmp_path, capsys, structure, par
     assert "config error" in err and named in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta", 1.9), ("beta", "2"), ("beta", True),
+    ("L", 1.9), ("L", "1"), ("L", True),
+    ("k", 1.9), ("k", "1"), ("k", True),
+])
+def test_non_integer_structure_field_is_config_error(tmp_path, capsys, field, value):
+    # beta, L and k are integral JSON numbers: a fraction, a string or a
+    # boolean is named, not truncated or coerced to an integer
+    doc = {"command": "outlier", "structure": {**GOE_DOC, field: value}, "seed": 1,
+           "outlier": {"theta_grid": [1.0]}}
+    code, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and f"{field} must be int" in err
+
+
 def test_outlier_complex_psi_at_beta2(tmp_path):
     # at beta = 2 a Hermitian profile may have [re, im] entries
     structure = {**PAIR_DOC, "beta": 2}

@@ -8,6 +8,7 @@ import pytest
 from kronldp.model import (
     Profile,
     _draw_blocks,
+    _draw_stream,
     StructureError,
     apply_S,
     as_profile,
@@ -162,6 +163,15 @@ def test_stream_is_pinned():
     assert stream(0, 0, 2).standard_normal(4).tolist() == [
         1.4638732642954329, 0.6670197020938433, 0.7506733927049692, -0.11134872966780032]
     assert stream(7, 3).random(2).tolist() == [0.4130290155584696, 0.18247657885780033]
+
+
+def test_draw_stream_is_pinned():
+    # every Monte Carlo draw comes from _draw_stream(); a change of its bit
+    # generator or seed derivation shows here
+    assert _draw_stream(0, 0, 2).standard_normal(4).tolist() == [
+        -0.9840738557035651, 0.40104737691404657, -0.9266492928355051, 1.0787449507953266]
+    gen = stream(7, 3)
+    assert _draw_stream(gen, 1) is gen
 
 
 def _blocks_from_normals(beta, n, k, z):

@@ -20,8 +20,8 @@ from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
-from kronldp.model import (_assemble, _draw_blocks, profile_vector, sample_kronecker,
-                           sample_tilted, tilt_matrix)
+from kronldp.model import (_assemble, _draw_blocks, _draw_stream, profile_vector,
+                           sample_kronecker, sample_tilted, tilt_matrix)
 from kronldp import montecarlo
 from kronldp.montecarlo import (
     ProfileHistogram,
@@ -257,7 +257,7 @@ def test_tridiagonal_hits_match_dense_eigensolve(beta, c, a, x, delta, one_sided
     want = 0
     for batch, done in enumerate(range(0, reps, 128)):
         m = min(128, reps - done)
-        gen = stream(seed, batch)
+        gen = _draw_stream(seed, batch)
         d = gen.standard_normal((n, m)) * math.sqrt(2.0 / (beta * n))
         e2 = np.array([gen.chisquare(beta * (n - 1 - i), m) / (beta * n)
                        for i in range(n - 1)])
@@ -304,8 +304,9 @@ def test_tridiagonal_auto_dispatch(sc, pair):
     assert d.hits == d_explicit.hits
 
 
-def _batch_as_drawn_in_0_2_0(gen, beta, n, m):
-    # the batch draw of version 0.2.0's `_tridiagonal_hits`, copied verbatim
+def _batch_in_row_layout(gen, beta, n, m):
+    # the row-by-row batch draw of version 0.2.0's `_tridiagonal_hits`, copied
+    # verbatim
     d = np.empty((n, m))
     gen.standard_normal(out=d)
     d *= math.sqrt(2.0 / (beta * n))
@@ -319,7 +320,7 @@ def _batch_as_drawn_in_0_2_0(gen, beta, n, m):
     (1, 0.0, 1.0, 1.7, 0.25, False),
     (2, 0.2, -0.9, 1.9, 0.3, True),
 ])
-def test_tridiagonal_counts_keep_the_0_2_0_draws(beta, c, a, x, delta, one_sided):
+def test_tridiagonal_counts_keep_the_row_layout(beta, c, a, x, delta, one_sided):
     # reps spills past one _TRI_BATCH, so streams (seed, 0) and (seed, 1) are used
     st = make_structure([[c]], [[[a]]], beta=beta)
     n, seed = 10, 41
@@ -327,8 +328,8 @@ def test_tridiagonal_counts_keep_the_0_2_0_draws(beta, c, a, x, delta, one_sided
     want = 0
     for batch, done in enumerate(range(0, reps, montecarlo._TRI_BATCH)):
         m = min(montecarlo._TRI_BATCH, reps - done)
-        d, e2 = _batch_as_drawn_in_0_2_0(stream(seed, batch), beta, n, m)
-        got_d, got_e2 = _tridiagonal_batch(stream(seed, batch), beta, n, m)
+        d, e2 = _batch_in_row_layout(_draw_stream(seed, batch), beta, n, m)
+        got_d, got_e2 = _tridiagonal_batch(_draw_stream(seed, batch), beta, n, m)
         assert np.array_equal(got_d, d) and np.array_equal(got_e2, e2)
         lam = (c + a * np.linalg.eigvalsh(_tridiagonals(d, e2))).max(axis=1)
         want += int(np.sum(lam >= x - delta if one_sided else np.abs(lam - x) <= delta))
@@ -399,13 +400,13 @@ def _reference_window(structure, x, delta, n, reps, seed, one_sided, theta=None)
     nl = structure.L * n
     if theta is not None:
         u = profile_vector(structure, np.eye(structure.L) / structure.L, n,
-                           stream(seed, reps))
+                           _draw_stream(seed, reps))
         mu, t2 = _tilt_moments(structure, u)
         shift = 2.0 * theta * tilt_matrix(structure, u)
     bs = _batch_size(nl, reps)
     weights = []
     for batch, done in enumerate(range(0, reps, bs)):
-        gen = stream(seed, batch)
+        gen = _draw_stream(seed, batch)
         for _ in range(min(bs, reps - done)):
             xm = _kron_assemble(structure, _draw_blocks(structure, n, gen), n)
             if theta is not None and theta > 0:
@@ -433,7 +434,11 @@ def test_assemble_equals_kron_form_bitwise(sc, dsum, herm, pair):
     generic = make_structure(-0.7 * (h + h.conj().T), [h @ h.conj().T, np.eye(2)], beta=2)
     # off-diagonal blocks -0.5 Id + 0 W_1: the kron form leaves signed zeros there
     zeros = make_structure([[0.1, -0.5], [-0.5, 0.2]], [np.diag([1.0, 0.5])])
-    for st in (sc, dsum, herm, pair, generic, zeros):
+    # L = 3, k = 3 with dense complex A_j pins the (L, N, L, N) view past L = 2
+    g = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    herm3 = g + np.conj(np.swapaxes(g, 1, 2))
+    wide = make_structure(herm3[0], herm3[1:], beta=2)
+    for st in (sc, dsum, herm, pair, generic, zeros, wide):
         n = 7
         blocks = _draw_blocks(st, n, stream(4, 0))
         ref = _kron_assemble(st, blocks, n)
