@@ -65,10 +65,8 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _require(doc, field, kind, default=None):
+def _require(doc, field, kind):
     if field not in doc:
-        if default is not None:
-            return default
         raise ConfigError(f"config field '{field}' is missing")
     val = doc[field]
     if not isinstance(val, kind):
@@ -102,7 +100,13 @@ def load_config(path, overrides) -> RunConfig:
     except (StructureError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'structure' is invalid: {exc}") from exc
 
-    seed = overrides.seed if overrides.seed is not None else _require(doc, "seed", int, 0)
+    try:
+        seed = (overrides.seed if overrides.seed is not None
+                else parse_number(doc.get("seed", 0), "seed", int))
+    except StructureError as exc:
+        raise ConfigError(str(exc)) from exc
+    if seed < 0:
+        raise ConfigError(f"config field 'seed' must be non-negative, got {seed}")
     if "threads" in doc:
         raise ConfigError("config field 'threads' was removed: runs are serial")
 
@@ -111,7 +115,7 @@ def load_config(path, overrides) -> RunConfig:
     if not isinstance(params, dict):
         raise ConfigError(f"config field '{command}' must be an object")
     return RunConfig(structure=structure, command=command, params=params,
-                     output_dir=out, seed=int(seed))
+                     output_dir=out, seed=seed)
 
 
 def _write_rows(path, header, rows):

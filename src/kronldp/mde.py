@@ -9,8 +9,11 @@ U(x) = int ln|x-y| dmu(y).
 Solver strategy: one solver, Newton on the L^2-dimensional linearized
 system, stacked over a leading axis of spectral parameters (one batched
 linear solve per step); a one-point solve is a stack of one. Newton starts
-from a warm start where the caller has one; a damped fixed-point iteration
-runs only from the cold start -Id/z, to enter the Newton basin. Every
+from a warm start where the caller has one. Above the axis the one cold
+start is Newton at Im z >= 1 from the one-step far-field guess -(z - A_0 +
+S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: high above the axis the fixed-point
+map contracts onto the Herglotz solution (Helton-Rashidi Far-Speicher
+2007). Every
 solution passes a branch test: Im M >= 0 (Herglotz) above the axis; on the
 real axis M negative definite and D -> M S[D] M of spectral radius below 1
 (another negative-definite root can pass the first test alone), after one
@@ -188,32 +191,13 @@ def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
     return m, res, failed | (res > tol)
 
 
-def _enter_newton_basin(structure, z):
-    """Damped fixed-point steps M -> (1 - alpha) M - alpha B^{-1} from the
-    cold start -Id/z at Im z > 0, with per-point damping alpha, until every
-    residual is below 1e-3 (or its damping collapses, or 400 sweeps pass).
-    Returns (m, res, failed); failed marks a singular B."""
-    G, L = len(z), structure.L
-    m = -np.eye(L) / z[:, None, None]
-    res = _residual_batch(structure, z, m)
-    failed = np.zeros(G, dtype=bool)
-    alpha = np.ones(G)
-    for _ in range(400):
-        idx = np.flatnonzero((res > 1e-3) & (alpha > 1e-8) & ~failed)
-        if not len(idx):
-            break
-        try:
-            target = -np.linalg.inv(_b_batch(structure, z[idx], m[idx]))
-        except np.linalg.LinAlgError:
-            failed[idx] = True
-            break
-        a = alpha[idx, None, None]
-        cand = (1.0 - a) * m[idx] + a * target
-        r_new = _residual_batch(structure, z[idx], cand)
-        ok = r_new <= res[idx]
-        m[idx[ok]], res[idx[ok]] = cand[ok], r_new[ok]
-        alpha[idx] = np.where(ok, np.minimum(1.0, 1.25 * alpha[idx]), alpha[idx] / 2.0)
-    return m, res, failed
+def _far_field_guess(structure, z):
+    """-(z - A_0 + S[G_0])^{-1} with G_0 = -(z - A_0)^{-1} at each point: one
+    fixed-point step from the far field. At large Im z the fixed-point map
+    contracts onto the unique solution with Im M > 0 (Helton-Rashidi
+    Far-Speicher 2007); from Im z >= 1 on, Newton from here lands on it."""
+    g0 = -np.linalg.inv(z[:, None, None] * np.eye(structure.L) - structure.a0)
+    return -np.linalg.inv(_b_batch(structure, z, g0))
 
 
 def _solve_upper_batch(structure, z, m0, tol):
@@ -221,19 +205,13 @@ def _solve_upper_batch(structure, z, m0, tol):
     Herglotz test.
 
     z has shape (G,); m0 has shape (G, L, L) and Newton starts from it, or is
-    None to enter Newton's basin from -Id/z (_enter_newton_basin). Returns
-    (m, ok); ok is False where a point did not converge or landed off the
-    Herglotz branch, and the caller re-solves those.
+    None to start from the one-step far-field guess (_far_field_guess), the
+    cold start for Im z >= 1. Returns (m, ok); ok is False where a point did
+    not converge or landed off the Herglotz branch, and the caller re-solves
+    those.
     """
-    if m0 is None:
-        m, res, failed = _enter_newton_basin(structure, z)
-    else:
-        m = np.array(m0, dtype=complex)
-        res, failed = _residual_batch(structure, z, m), np.zeros(len(z), dtype=bool)
-    live = np.flatnonzero(~failed)
-    m[live], res[live], stuck = _newton_refine_batch(
-        structure, z[live], m[live], res[live], tol)
-    failed[live] |= stuck
+    m = _far_field_guess(structure, z) if m0 is None else np.array(m0, dtype=complex)
+    m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
     ok = np.flatnonzero(~failed)
     failed[ok] = ~_herglotz_ok(m[ok])
     return m, ~failed
@@ -289,29 +267,37 @@ def _solve_real_batch(structure, t, m0, tol):
 
 def _eta_continuation(structure, x, eta_end, tol):
     """M at the last rung above eta_end of the ladder x + i eta, eta = 0.1 (1
-    + |x|) 0.2^k, each rung warm-started by the one above and the first
-    entered from -Id/z, so every rung inherits the Herglotz branch from far
-    above. Returns a stack of one, or None when no rung lies above eta_end."""
-    eta, m = 0.1 * (1.0 + abs(x)), None
+    + |x|) 0.2^k, each rung warm-started by the one above, so every rung
+    inherits the Herglotz branch from far above. The ladder is entered at
+    eta = max(1, 0.1 (1 + |x|)) by Newton from the one-step far-field guess.
+    Below 1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k from 1 would
+    retrace the density's own rungs, so a density point handed back would
+    fail again at the same jump. Returns a stack of one, or None when no
+    rung lies above eta_end."""
+    top = 0.1 * (1.0 + abs(x))
+    eta, m = max(1.0, top), None
     while eta > eta_end:
         m, ok = _solve_upper_batch(structure, np.array([complex(x, eta)]), m, max(tol, 1e-11))
         if not ok[0]:
             raise ConvergenceError(f"eta continuation failed at z={complex(x, eta)!r}")
-        eta *= 0.2
+        eta = top if eta > top else 0.2 * eta
     return m
 
 
 def _solve_upper(structure, z, tol, m0=None):
-    """The Herglotz solution at one z with Im z > 0: Newton from m0 (from the
-    basin entry at -Id/z without one); where that fails or lands off the
-    Herglotz branch, again from the eta continuation down to Im z."""
+    """The Herglotz solution at one z with Im z > 0: Newton from m0, and
+    where that fails or lands off the Herglotz branch, or without m0, from
+    the eta continuation down to Im z (from the far-field guess itself when
+    Im z is at or above the continuation's first rung)."""
     zs = np.array([z])
-    m, ok = _solve_upper_batch(structure, zs, None if m0 is None else np.asarray(m0)[None], tol)
+    if m0 is not None:
+        m, ok = _solve_upper_batch(structure, zs, np.asarray(m0)[None], tol)
+        if ok[0]:
+            return m[0]
+    m, ok = _solve_upper_batch(
+        structure, zs, _eta_continuation(structure, z.real, z.imag, tol), tol)
     if not ok[0]:
-        m, ok = _solve_upper_batch(
-            structure, zs, _eta_continuation(structure, z.real, z.imag, tol), tol)
-        if not ok[0]:
-            raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
+        raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
     return m[0]
 
 
@@ -662,7 +648,7 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
 
     Each rung solves the whole grid at once with the stacked Newton solver,
     warm-started from the rung above. The first rung is entered from
-    eta = 1 (damped fixed point from -Id/z, then Newton) down by factors of
+    eta = 1 (Newton from the one-step far-field guess) down by factors of
     0.2; these entry rungs do not count toward eta_final or the stop rule.
     Points the stacked solve cannot settle are re-solved one at a time, with
     the eta continuation behind them; fallback_points reports how many.
@@ -691,7 +677,7 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
             fallbacks += 1
         return m
 
-    # enter from eta = 1, where the damped fixed point converges from -Id/z,
+    # enter from eta = 1, where Newton converges from the far-field guess,
     # and continue down by factors of 0.2 to the first rung of the schedule
     m, eta = None, 1.0
     while eta > etas[0]:

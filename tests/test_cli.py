@@ -291,6 +291,19 @@ def test_non_integer_structure_field_is_config_error(tmp_path, capsys, field, va
     assert "config error" in err and f"{field} must be int" in err
 
 
+@pytest.mark.parametrize("value", [True, "1", -1])
+def test_malformed_seed_is_config_error(tmp_path, capsys, value):
+    # the seed is a non-negative integral JSON number: a boolean or a string
+    # is not coerced, and a negative seed is named rather than left to the
+    # random number generator's own message
+    doc = {"command": "simulate", "structure": GOE_DOC, "seed": value,
+           "simulate": {"N": 4, "reps": 2}}
+    code, _ = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and "seed" in err
+
+
 def test_outlier_complex_psi_at_beta2(tmp_path):
     # at beta = 2 a Hermitian profile may have [re, im] entries
     structure = {**PAIR_DOC, "beta": 2}

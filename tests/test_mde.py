@@ -63,6 +63,11 @@ def test_semicircle_solver_accuracy(sc):
         z = complex(rng.uniform(-4, 4), rng.uniform(0.05, 5.0))
         sol = mde.solve_mde(sc, z, tol=1e-13)
         assert abs(sol.m[0, 0] - o.semicircle_m(z)) < 1e-10
+    # cold starts inside the bulk, close to the axis
+    for _ in range(100):
+        z = complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 0))
+        sol = mde.solve_mde(sc, z, tol=1e-13)
+        assert abs(sol.m[0, 0] - o.semicircle_m(z)) < 1e-10
 
 
 def test_solver_contract_examples(sc):
@@ -583,39 +588,47 @@ def test_density_fallback_is_counted(coupled3, monkeypatch):
     _assert_matches_pointwise(coupled3, d)
 
 
-def test_edge_build_never_hits_the_damped_iteration_cap(sc, monkeypatch):
-    # the damped fixed point runs only from the cold start -Id/z: on the
-    # density's entry rung at eta = 1 and at the top of an eta continuation,
-    # never in a cold cache build; where it runs it stops far below its
-    # 400-sweep cap. Each sweep evaluates the residual once, after one
-    # evaluation at the start.
+def test_density_fallback_recovers_at_a_near_atom():
+    # one direction carries little noise, so the stacked solve hands a point
+    # back at eta = 0.008; its continuation must not retrace the density's
+    # own rungs, where it would fail at the same jump
+    from test_rate import random_structure
+
+    st = random_structure(stream(1392651949, 1, 1), 3)
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    assert d.fallback_points >= 1 and np.all(np.isfinite(d.density))
+
+
+def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
+    # the one cold start above the axis is Newton from the far-field guess at
+    # Im z >= 1: a cold cache build never leaves the real axis, the density
+    # hands no point back, and a cold solve_mde (the eta continuation, near
+    # the axis inside the bulk too) fails no rung and no first attempt
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    residual, enter = mde._residual_batch, mde._enter_newton_basin
-    evals, sweeps = [0], []
+    stacked = mde._solve_upper_batch
+    oks = []
 
-    def counted(*args):
-        evals[0] += 1
-        return residual(*args)
+    def recorded(structure, z, *args):
+        m, ok = stacked(structure, z, *args)
+        oks.append(ok.all())
+        return m, ok
 
-    def entered(structure, z):
-        evals[0] = 0
-        out = enter(structure, z)
-        sweeps.append(evals[0] - 1)
-        return out
-
-    monkeypatch.setattr(mde, "_residual_batch", counted)
-    monkeypatch.setattr(mde, "_enter_newton_basin", entered)
-    for st in (sc, dsum, random_structure(stream(502), 3)):
+    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    for st in (sc, dsum, herm2, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
-        sweeps.clear()
+        oks.clear()
         right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
-        assert sweeps == []
-        mde.density(st, left, right, grid_size=41)
-        mde.solve_mde(st, right + 0.5)  # no warm start: continuation from far above
-        assert len(sweeps) == 2
-        assert 0 < max(sweeps) < 20
+        assert oks == []
+        assert mde.density(st, left, right, grid_size=41).fallback_points == 0
+        oks.clear()
+        mde.solve_mde(st, right + 0.5)
+        for x in np.linspace(left, right, 9)[1:-1]:
+            mde.solve_mde(st, complex(x, 1e-3))
+        assert len(oks) > 8 and all(oks)
 
 
 # ---------------------------------------------------------------------------
