@@ -69,7 +69,16 @@ def make_structure(a0, a_list, beta=1) -> StructureSet:
     violations = validate(s)
     if violations:
         raise StructureError("; ".join(violations))
-    return s
+    # validate allows asymmetry up to 1e-12; the samplers read one triangle
+    # and the MDE the whole matrix, so both get the exactly Hermitian part.
+    # Exactly Hermitian input is kept bit for bit (and so is its hash).
+    a = np.array([_hermitian_part(m) for m in a], dtype=a.dtype).reshape(a.shape)
+    return StructureSet(L=L, k=s.k, beta=s.beta, a0=_hermitian_part(a0c), a=a)
+
+
+def _hermitian_part(m):
+    adj = m.conj().T
+    return m if np.array_equal(m, adj) else (m + adj) / 2
 
 
 def validate(structure: StructureSet) -> list:

@@ -20,15 +20,20 @@ spiked tridiagonals. Version 0.4.0 draws every sample from SFC64 streams
 (`model._draw_stream`) with the same (seed, path) derivation as before, so
 the laws are the same and the draws are different.
 
-The dense window estimators (direct and importance) take one draw at a time:
-each X is assembled into one reused NL x NL buffer and certified on the spot
-by a LAPACK Cholesky factorization of (x - delta)Id - X, which proves
-lambda_1 < x - delta and so rules the draw out of the window. Only draws
-failing the certificate (a vanishing fraction in the large deviation regime)
-are diagonalized, and an importance weight is computed only for a hit; no
-batch of matrices is ever held in memory. For the scalar structures the
-long 1e7-rep runs use (opt-in) the tridiagonal beta-Hermite reduction, which
-has exactly the GOE/GUE eigenvalue law at a fraction of the cost; window
+The dense window estimators (direct and importance) take one draw at a time
+and decide the window with no eigensolve: a LAPACK Cholesky factorization of
+(x - delta)Id - X exists exactly when lambda_1 < x - delta, which rules the
+draw out, and for the few draws that fail it (a vanishing fraction in the
+large deviation regime) a second one at x + delta decides a two-sided
+window. A structure whose matrices commute (A_0 = q diag(c) q*, A_j = q
+diag(a_j) q*: direct sums, every L = 1 structure) is certified block by
+block: in q's basis X is the direct sum of the L blocks c_l + sum_j a_jl
+W_j, each factored as an N x N matrix built straight from the drawn W_j.
+Other structures are factored whole, as NL x NL matrices. Only a hit of the
+importance sampler is assembled, for its weight; no batch of matrices is
+ever held in memory. For the scalar structures the long 1e7-rep runs use
+(opt-in) the tridiagonal beta-Hermite reduction, which has exactly the
+GOE/GUE eigenvalue law at a fraction of the cost; window
 membership is then two vectorized Sturm negative-pivot counts per draw and
 needs no eigensolve at all. The tilted mean check of a scalar structure
 always takes that reduction: a rank-one tilt only shifts the first diagonal
@@ -44,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh as scipy_eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
@@ -124,37 +129,97 @@ def _batch_size(nl, reps):
     return max(1, min(512, cap, reps))
 
 
-def _uncertified_draws(structure, n, reps, rng, s, shift=None):
-    """The draws X (plus shift, when given) not proven to have lambda_1 < s.
+# A structure is split into L parts when every matrix is diagonal to this
+# many ulps of its norm in the eigenbasis of one generic combination.
+_COMMUTE_ULPS = 32
 
-    Batch b takes _batch_size draws from stream (seed, b). Each X is built in
-    one reused buffer and certified on the spot by a LAPACK Cholesky
-    factorization of sId - X, computed in place on one reused scratch matrix;
-    it exists exactly when sId - X is positive definite. The transposed
-    (Fortran-ordered) view is factored as upper triangular, so LAPACK reads
-    X's lower triangle without a copy. A yielded X is overwritten by the next
-    draw.
+
+def _parts(structure):
+    """The parts of X, as triples (basis, c0, c): X is unitarily the direct
+    sum over parts of c0 (x) Id + sum_j c_j (x) W_j, a P N x P N matrix whose
+    rows are those of X in the basis (an L x P block of a unitary) (x) Id.
+
+    When the structure's matrices commute they share an eigenbasis q, and X
+    splits into L parts of size 1, c_l + sum_j a_jl W_j. The test
+    diagonalizes one generic real combination of A_0 and the A_j (each
+    scaled to unit norm) and requires every q* A q to be diagonal to
+    _COMMUTE_ULPS ulps of ||A||, so the off-diagonal entries it drops
+    perturb X at the rounding level. Otherwise there is one part, X itself.
     """
-    nl = structure.L * n
-    buf = np.empty((nl, nl), dtype=structure.a0.dtype)
-    scratch = np.empty_like(buf)
-    shifted_eye = s * np.eye(nl, dtype=buf.dtype)
-    potrf = zpotrf if np.iscomplexobj(buf) else dpotrf
-    bs = _batch_size(nl, reps)
+    mats = np.concatenate([structure.a0[None], structure.a])
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    weights = np.cos(1.0 + np.arange(len(mats))) / np.where(norms > 0, norms, 1.0)
+    q = np.linalg.eigh(np.tensordot(weights, mats, axes=1))[1]
+    rotated = q.conj().T @ mats @ q
+    diag = np.einsum("jll->jl", rotated).real
+    off = np.abs(rotated - diag[:, :, None] * np.eye(structure.L)).max(axis=(1, 2))
+    if np.all(off <= _COMMUTE_ULPS * np.finfo(float).eps * norms):
+        return [(q[:, [l]], diag[0, l].reshape(1, 1), diag[1:, l].reshape(-1, 1, 1))
+                for l in range(structure.L)]
+    return [(np.eye(structure.L), structure.a0, structure.a)]
+
+
+class _Part:
+    """One part of X (plus its share of the shift, when given), tested for
+    lambda_1 < t by a LAPACK Cholesky factorization of t Id - part.
+
+    t Id - part is built straight from the drawn W_j in one reused matrix:
+    one broadcast product per noise term on its (P, N, P, N) view, the
+    shift, then t Id - c0 added to the diagonal of every N x N block. The
+    factorization exists exactly when t Id - part is positive definite. The
+    transposed (Fortran-ordered) view is factored as upper triangular, so
+    LAPACK reads the lower triangle, in place and without a copy.
+    """
+
+    def __init__(self, basis, c0, c, n, dtype, shift):
+        ell, p = basis.shape
+        self.eye, self.c0 = np.eye(p)[:, :, None], c0[:, :, None]
+        self.neg_c = -c[:, :, None, :, None]
+        self.mat = np.empty((p * n, p * n), dtype=dtype)
+        self.view = self.mat.reshape(p, n, p, n)
+        self.diag = np.einsum("aibi->abi", self.view)  # writeable view
+        self.shift = None
+        if shift is not None:  # the part's diagonal block of basis* shift basis
+            self.shift = np.einsum("ap,aibj,bq->piqj", basis.conj(),
+                                   shift.reshape(ell, n, ell, n), basis).reshape(p * n, p * n)
+        self.potrf = zpotrf if np.iscomplexobj(self.mat) else dpotrf
+
+    def below(self, blocks, t):
+        """Whether every eigenvalue of the part lies below t."""
+        if len(blocks):
+            np.multiply(self.neg_c[0], blocks[0][None, :, None, :], out=self.view)
+        else:
+            self.view.fill(0.0)
+        for c, w in zip(self.neg_c[1:], blocks[1:]):
+            self.view += c * w[None, :, None, :]
+        if self.shift is not None:
+            self.mat -= self.shift
+        self.diag += t * self.eye - self.c0
+        return self.potrf(self.mat.T, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+
+def _window_draws(structure, x, delta, n, reps, rng, one_sided, shift=None):
+    """The blocks W of the draws whose X (plus shift, when given) has
+    lambda_1 in the window: lambda_1 >= x - delta, and for a two-sided
+    window also lambda_1 <= x + delta.
+
+    Batch b takes _batch_size draws from stream (seed, b). No eigenvalue is
+    computed: a draw is in the window when some part fails the Cholesky test
+    at x - delta and, two-sided, every such part passes it at x + delta.
+    The test is exact up to rounding, so a draw is placed differently from
+    an eigensolve only when its lambda_1 lies within rounding of a window
+    end. The yielded blocks are fresh for every draw.
+    """
+    parts = [_Part(basis, c0, c, n, structure.a0.dtype, shift)
+             for basis, c0, c in _parts(structure)]
+    bs = _batch_size(structure.L * n, reps)
     for batch, done in enumerate(range(0, reps, bs)):
         gen = _draw_stream(rng, batch)
         for _ in range(min(bs, reps - done)):
-            xm = _assemble(structure, _draw_blocks(structure, n, gen), n, out=buf)
-            if shift is not None:
-                xm += shift  # the tilted draw of sample_tilted
-            np.subtract(shifted_eye, xm, out=scratch)
-            if potrf(scratch.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
-                yield xm
-
-
-def _top_eigenvalue(xm):
-    nl = xm.shape[0]
-    return float(scipy_eigh(xm, subset_by_index=[nl - 1, nl - 1], eigvals_only=True)[0])
+            blocks = _draw_blocks(structure, n, gen)
+            above = [part for part in parts if not part.below(blocks, x - delta)]
+            if above and (one_sided or all(part.below(blocks, x + delta) for part in above)):
+                yield blocks
 
 
 def _clopper_pearson(hits, reps, alpha=0.05):
@@ -242,8 +307,7 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
 # direct window counting
 
 def _dense_hits(structure, x, delta, n, reps, rng, one_sided):
-    return sum(_window(_top_eigenvalue(xm), x, delta, one_sided)
-               for xm in _uncertified_draws(structure, n, reps, rng, x - delta))
+    return sum(1 for _ in _window_draws(structure, x, delta, n, reps, rng, one_sided))
 
 
 def _sturm_below(d, e2, t):
@@ -329,6 +393,12 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
     eigenvalue law, no dense matrices; scalar structures only) for long runs;
     "auto" picks it whenever it applies. Matched-seed comparisons against
     importance_tail require the default dense sampler.
+
+    The dense sampler decides the window by Cholesky factorizations at both
+    ends (lambda_1 < x - delta, then lambda_1 < x + delta), block by block
+    in the joint eigenbasis when the structure's matrices commute, and never
+    computes an eigenvalue. A draw is counted differently from an eigensolve
+    only when its lambda_1 lies within rounding of a window end.
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
@@ -373,6 +443,12 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     by the mean hit weight; unlike the direct case it is a heuristic. ess is
     the effective sample size of the hit estimator; below 10 the estimate is
     flagged unreliable.
+
+    The window is decided as in `tail_probability`'s dense sampler, by
+    Cholesky factorizations of the tilted draw at both window ends, block by
+    block when the matrices commute (the tilt is block-diagonal in the same
+    basis). Only a hit is assembled, exactly as `model.sample_tilted` builds
+    it, for its weight.
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
@@ -393,12 +469,14 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     beta = structure.beta
 
     w_hit, w_hit_sq = [], []
-    for xm in _uncertified_draws(structure, n, reps, rng, x - delta, shift):
-        if _window(_top_eigenvalue(xm), x, delta, one_sided):
-            quad = float(np.real(np.vdot(u, xm @ u)))
-            w = math.exp(beta * n * theta * (theta * t2 - (quad - mu)))
-            w_hit.append(w)
-            w_hit_sq.append(w * w)
+    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, shift):
+        xm = _assemble(structure, blocks, n)
+        if shift is not None:
+            xm += shift  # the tilted draw of sample_tilted
+        quad = float(np.real(np.vdot(u, xm @ u)))
+        w = math.exp(beta * n * theta * (theta * t2 - (quad - mu)))
+        w_hit.append(w)
+        w_hit_sq.append(w * w)
     hits = len(w_hit)
 
     sum_hit = math.fsum(w_hit)

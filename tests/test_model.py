@@ -7,6 +7,7 @@ import pytest
 
 from kronldp.model import (
     Profile,
+    _assemble,
     _draw_blocks,
     _draw_stream,
     StructureError,
@@ -50,6 +51,25 @@ def test_make_structure_rejects_bad_input():
     with pytest.raises(StructureError):
         # complex data is only legal for the Hermitian symmetry class
         make_structure(np.array([[0.0, 1j], [-1j, 0.0]]), [], beta=1)
+
+
+def test_make_structure_stores_the_hermitian_part(pair_structure, herm_structure):
+    # validate accepts asymmetry up to 1e-12; the samplers read one triangle
+    # and the MDE the whole matrix, so the stored matrices are exactly Hermitian
+    st = make_structure(np.zeros((2, 2)), [[[1.0, 5e-13], [0.0, 1.0]], np.eye(2)])
+    assert st.a[0][0, 1] == st.a[0][1, 0] == 2.5e-13
+    x = _assemble(st, _draw_blocks(st, 5, _draw_stream(1)), 5)
+    assert np.array_equal(x, x.T)
+    h = make_structure([[0.3 + 4e-13j, 1j], [-1j, 0.1]], [np.eye(2)], beta=2)
+    assert np.array_equal(h.a0, [[0.3, 1j], [-1j, 0.1]])
+    # exactly Hermitian input is stored bit for bit, signed zeros included,
+    # so its hash is the one it had before the Hermitian part was stored
+    signed = make_structure(np.array([[complex(-1.0, -0.0), 0.5j], [-0.5j, complex(2.0, -0.0)]]),
+                            [-0.5 * FLIP], beta=2)
+    assert np.signbit(signed.a0.imag).tolist() == [[True, False], [True, True]]
+    assert structure_hash(pair_structure) == "ae927d26f6187fb9"
+    assert structure_hash(herm_structure) == "4ae7b35f00578bbd"
+    assert structure_hash(signed) == "e9a351f51c5567af"
 
 
 def test_validate_reports_asymmetry(pair_structure):

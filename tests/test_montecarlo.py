@@ -16,6 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from kronldp import make_structure, stream, structure_hash
@@ -448,10 +449,24 @@ def test_assemble_equals_kron_form_bitwise(sc, dsum, herm, pair):
         assert out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("which", ["goe", "dsum", "herm"])
+@pytest.fixture(scope="module")
+def rot3():
+    """Commuting L = 3, beta = 2: every matrix is q diag(.) q* for one complex
+    unitary q, so X is unitarily the direct sum of three GUE-driven blocks."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+
+    def rot(d):
+        return q @ np.diag(d) @ q.conj().T
+
+    return make_structure(rot([0.2, -0.1, 0.0]), [rot([1.0, 0.5, -0.8]), rot([0.3, 0.9, 0.4])],
+                          beta=2)
+
+
+@pytest.mark.parametrize("which", ["goe", "dsum", "herm", "pair", "rot3"])
 @pytest.mark.parametrize("one_sided", [False, True])
-def test_dense_estimators_match_batched_reference(which, one_sided, sc, dsum, herm):
-    st = {"goe": sc, "dsum": dsum, "herm": herm}[which]
+def test_dense_estimators_match_batched_reference(which, one_sided, sc, dsum, herm, pair, rot3):
+    st = {"goe": sc, "dsum": dsum, "herm": herm, "pair": pair, "rot3": rot3}[which]
     n = 12 if st.L == 1 else 6
     reps, seed, x, delta = 700, 41, 2.2, 0.2
     assert _batch_size(st.L * n, reps) < reps  # at least two streams
@@ -463,6 +478,61 @@ def test_dense_estimators_match_batched_reference(which, one_sided, sc, dsum, he
         hits, p_hat = _reference_window(st, x, delta, n, reps, seed, one_sided, theta)
         i = importance_tail(st, x, delta, n, reps, seed, theta=theta, one_sided=one_sided)
         assert (i.hits, i.p_hat) == (hits, p_hat)
+
+
+def _record_cholesky_shapes(monkeypatch):
+    shapes = []
+    for name in ("dpotrf", "zpotrf"):
+        def recorded(a, *args, _potrf=getattr(montecarlo, name), **kwargs):
+            shapes.append(a.shape)
+            return _potrf(a, *args, **kwargs)
+        monkeypatch.setattr(montecarlo, name, recorded)
+    return shapes
+
+
+def test_commuting_structure_factors_only_n_by_n(herm, monkeypatch):
+    # herm's matrices commute: X is unitarily two N x N blocks, and neither
+    # the count nor the tilted count ever factors the 2N x 2N matrix
+    shapes = _record_cholesky_shapes(monkeypatch)
+    n = 20
+    tail_probability(herm, 2.2, 0.2, n, 200, 3)
+    importance_tail(herm, 2.2, 0.2, n, 200, 3, theta=0.05)
+    assert shapes and set(shapes) == {(n, n)}
+
+
+def test_nearly_commuting_structure_is_factored_whole(dsum, monkeypatch):
+    # a 1e-9 off-diagonal entry breaks the joint eigenbasis: one 2N x 2N part
+    shapes = _record_cholesky_shapes(monkeypatch)
+    n = 10
+    bent = make_structure(dsum.a0, [dsum.a[0] + 1e-9 * FLIP, dsum.a[1]])
+    tail_probability(dsum, 2.2, 0.2, n, 50, 3)
+    assert set(shapes) == {(n, n)}
+    shapes.clear()
+    tail_probability(bent, 2.2, 0.2, n, 50, 3)
+    assert set(shapes) == {(2 * n, 2 * n)}
+
+
+@pytest.mark.parametrize("which", ["goe", "herm", "pair"])
+def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch):
+    # the window is decided by Cholesky factorizations alone: no matrix of
+    # the draw's size reaches an eigensolver (the L x L split and the tilt
+    # search stay far smaller than N)
+    st = {"goe": sc, "herm": herm, "pair": pair}[which]
+    x = right_edge(st).r_inf + 0.2
+    solvers = [np.linalg.eigh, np.linalg.eigvalsh, scipy.linalg.eigh, scipy.linalg.eigvalsh]
+    sizes = []
+    for module in (np.linalg, scipy.linalg, montecarlo):
+        for name, f in list(vars(module).items()):
+            if any(f is s for s in solvers):
+                def recorded(a, *args, _f=f, **kwargs):
+                    sizes.append(np.shape(a)[0])
+                    return _f(a, *args, **kwargs)
+                monkeypatch.setattr(module, name, recorded)
+    n = 16
+    assert tail_probability(st, x, 0.15, n, 300, 9).hits > 0
+    assert importance_tail(st, x, 0.15, n, 300, 9).hits > 0
+    assert importance_tail(st, x, 0.15, n, 300, 9, theta=0.05, one_sided=True).hits > 0
+    assert max(sizes, default=0) < n
 
 
 def test_dense_tail_holds_no_batch_buffer(sc):
