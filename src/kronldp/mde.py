@@ -30,11 +30,13 @@ walk in along the real axis gets close, each step Newton warm-started by
 the last and the first from the far-field guess -(x - A_0)^{-1}, so a cold
 cache build runs no eta continuation at all. Newton on the extended system
 (the equation, a kernel vector, its normalization) lands on it to rounding.
-The left edge is the mirrored structure's right edge.
+The left edge is the mirrored structure's right edge, solved on first use.
 
 On the real axis everything is read off the memoized exact solve M(x), kept
-per structure. m(x) is its trace over L. U(x) is the Dyson equation's free
-energy at M(x) (Alt-Erdos-Kruger 2020),
+per structure for x >= r_inf (at r_inf the fold's M; left of it a
+DomainError before any solve, so callers check nothing). m(x) is its trace
+over L. U(x) is the Dyson equation's free energy at M(x) (Alt-Erdos-Kruger
+2020),
 
     U(x) = -1 - (1/L) [ln det(-M) + Tr((x - A_0) M) + Tr(M S[M]) / 2],
 
@@ -53,6 +55,7 @@ alone would leave M off by up to tol over that.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,39 +287,31 @@ def _eta_continuation(structure, x, eta_end, tol):
     return m
 
 
-def _solve_upper(structure, z, tol, m0=None):
-    """The Herglotz solution at one z with Im z > 0: Newton from m0, and
-    where that fails or lands off the Herglotz branch, or without m0, from
-    the eta continuation down to Im z (from the far-field guess itself when
-    Im z is at or above the continuation's first rung)."""
-    zs = np.array([z])
+def _solve_point(structure, z, tol, m0=None):
+    """The solution at one z, Im z >= 0: Herglotz above the axis, the
+    physical branch on it. Newton from m0 (_solve_upper_batch, or
+    _solve_real_batch with its polish and branch test); without m0, or
+    where that fails, again from the eta continuation down to Im z, 1e-9 on
+    the axis (from the far-field guess itself when Im z is at or above the
+    continuation's first rung)."""
+    z = complex(z)
+    if z.imag > 0:
+        zs, batch, eta_end = np.array([z]), _solve_upper_batch, z.imag
+    else:
+        zs, batch, eta_end = np.array([z.real]), _solve_real_batch, 1e-9
     if m0 is not None:
-        m, ok = _solve_upper_batch(structure, zs, np.asarray(m0)[None], tol)
+        m, ok = batch(structure, zs, np.asarray(m0)[None], tol)
         if ok[0]:
             return m[0]
-    m, ok = _solve_upper_batch(
-        structure, zs, _eta_continuation(structure, z.real, z.imag, tol), tol)
-    if not ok[0]:
+    m, ok = batch(structure, zs, _eta_continuation(structure, z.real, eta_end, tol), tol)
+    if ok[0]:
+        return m[0]
+    if z.imag > 0:
         raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
-    return m[0]
-
-
-def _solve_real(structure, x, tol, m0=None):
-    """The physical real-axis solution at one x > r_inf: Newton from m0, then
-    polish and branch test (_solve_real_batch); without m0, or where that
-    fails, again from the eta continuation down to eta = 1e-9."""
-    t = np.array([float(x)])
-    if m0 is not None:
-        m, ok = _solve_real_batch(structure, t, np.asarray(m0)[None], tol)
-        if ok[0]:
-            return m[0]
-    m, ok = _solve_real_batch(structure, t, _eta_continuation(structure, x, 1e-9, tol), tol)
-    if not ok[0]:
-        raise ConvergenceError(
-            f"no real solution on the physical branch at x={x}: M is not negative "
-            f"definite or not the continuation of the Herglotz solution; x is "
-            f"inside or too close to the support")
-    return m[0]
+    raise ConvergenceError(
+        f"no real solution on the physical branch at x={z.real}: M is not negative "
+        f"definite or not the continuation of the Herglotz solution; x is "
+        f"inside or too close to the support")
 
 
 def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
@@ -336,8 +331,7 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
         sol = solve_mde(structure, z.conjugate(), tol=tol,
                         m0=np.conj(m0) if m0 is not None else None)
         return MdeSolution(z=z, m=sol.m.conj(), residual=sol.residual)
-    m = (_solve_upper(structure, z, tol, m0) if z.imag > 0
-         else _solve_real(structure, z.real, tol, m0))
+    m = _solve_point(structure, z, tol, m0)
     res = float(_residual_batch(structure, np.array([z]), m[None])[0])
     return MdeSolution(z=z, m=m, residual=res)
 
@@ -390,7 +384,7 @@ def _fold(structure, side=1):
         structure = replace(structure, a0=-structure.a0)
     L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
     x = _scan_hi(structure)
-    m = _solve_real(structure, x, 1e-12, m0=-np.linalg.inv(x * eye - structure.a0))
+    m = _solve_point(structure, x, 1e-12, m0=-np.linalg.inv(x * eye - structure.a0))
     prev, walk = None, [(x, m)]
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
@@ -456,12 +450,10 @@ def right_edge(structure: StructureSet) -> SupportInfo:
 
 
 def left_edge(structure: StructureSet) -> float:
-    """Left endpoint, the fold of the mirrored structure; ConvergenceError
-    where there is no fold (the right-edge quantities are still served)."""
-    cache = _cache_for(structure)
-    if cache.left is None:
-        raise ConvergenceError(cache.left_error)
-    return cache.left
+    """Left endpoint, the fold of the mirrored structure, solved on first
+    use; ConvergenceError where there is no fold (the right-edge quantities
+    are still served)."""
+    return _cache_for(structure).left
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +462,7 @@ def left_edge(structure: StructureSet) -> float:
 class _SpectralCache:
     """Edges and the memo of exact real-axis solves M(x), per structure; m,
     U and (-m)^{-1} are all read off M. The memo starts out seeded with the
-    right fold walk's solutions."""
+    right fold walk's solutions; the left edge is solved on first use."""
 
     def __init__(self, structure: StructureSet):
         self.structure = structure
@@ -483,29 +475,36 @@ class _SpectralCache:
             atoms = np.linalg.eigvalsh(0.5 * (a0 + a0.conj().T))
             self.atoms = np.real(atoms)
             self.r_inf = float(self.atoms.max())
-            self.left = float(self.atoms.min())
             self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=np.inf,
                                        fold_residual=0.0, fold_steps=0)
             return
 
         self.r_inf, self.m_edge, res, steps, walk = _fold(structure)
         self.q_edge = -float(np.trace(self.m_edge).real) / structure.L
-        try:
-            self.left = _fold(structure, side=-1)[0]
-        except ConvergenceError as err:
-            self.left, self.left_error = None, str(err)
         # the walk's solutions warm-start every later real-axis solve nearby
         self._m_memo.update(walk)
         self._m_keys = sorted(self._m_memo)
         self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=self.q_edge,
                                    fold_residual=res, fold_steps=steps)
 
+    @functools.cached_property
+    def left(self):
+        if self.degenerate:
+            return float(self.atoms.min())
+        return _fold(self.structure, side=-1)[0]
+
     def m_matrix(self, x, tol=1e-12):
-        """Real MDE solution M(x), memoized, x > r_inf. A miss starts Newton
-        from the nearest memoized solution, or from the far-field guess
-        -(x - A_0)^{-1} when none lies within half the distance to the edge
-        (with atoms only, S = 0 and that guess is the exact solution)."""
+        """Real MDE solution M(x), memoized, x >= r_inf: the fold's M at
+        r_inf, DomainError before any solve left of it (and at it, with
+        atoms only). A miss starts Newton from the nearest memoized
+        solution, or from the far-field guess -(x - A_0)^{-1} when none lies
+        within half the distance to the edge (with atoms only, S = 0 and
+        that guess is the exact solution)."""
         key = float(x)
+        if key <= self.r_inf:
+            if key == self.r_inf and not self.degenerate:
+                return self.m_edge
+            raise DomainError(f"x={key} must lie right of the edge {self.r_inf}")
         hit = self._m_memo.get(key)
         if hit is not None:
             return hit
@@ -518,7 +517,7 @@ class _SpectralCache:
                 warm = self._m_memo.get(nearest)
         if warm is None:
             warm = -np.linalg.inv(key * np.eye(st.L) - st.a0)
-        m = _solve_real(st, key, tol, m0=warm)
+        m = _solve_point(st, key, tol, m0=warm)
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()
@@ -527,9 +526,7 @@ class _SpectralCache:
         return m
 
     def m_scalar(self, x):
-        """m(x) = Tr M(x) / L for real x > r_inf, from the memoized exact solve."""
-        if x <= self.r_inf:
-            raise DomainError(f"x={x} is not above the right edge {self.r_inf}")
+        """m(x) = Tr M(x) / L for real x >= r_inf, from the memoized exact solve."""
         return float(np.trace(self.m_matrix(x)).real) / self.structure.L
 
     def log_potential(self, x):
@@ -552,7 +549,7 @@ class _SpectralCache:
         if x < self.r_inf - 8.0 * np.spacing(max(1.0, abs(self.r_inf))):
             raise DomainError(f"x={x} is below the right edge {self.r_inf}")
         x = max(x, self.r_inf)
-        m = self.m_edge if x == self.r_inf else self.m_matrix(x)
+        m = self.m_matrix(x)
         b = x * np.eye(st.L) - st.a0 + 0.5 * apply_S(st, m)
         bracket = np.linalg.slogdet(-m)[1] + np.trace(b @ m).real
         return float(-1.0 - bracket / st.L)
@@ -584,8 +581,7 @@ class _SpectralCache:
                 f"(sup {self.q_edge:.6g}); no inverse, use branch-2 formulas")
 
         def f(s):
-            t = self.r_inf + s * s
-            return self.q_edge - q if t <= self.r_inf else -self.m_scalar(t) - q
+            return -self.m_scalar(self.r_inf + s * s) - q
 
         s_root = brentq(f, 0.0, 1.0 / np.sqrt(q), xtol=1e-14)
         return float(self.r_inf + s_root * s_root)
@@ -673,7 +669,7 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
         z = grid + 1j * eta
         m, ok = _solve_upper_batch(structure, z, m0, 1e-11)
         for i in np.flatnonzero(~ok):
-            m[i] = _solve_upper(structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
+            m[i] = _solve_point(structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
             fallbacks += 1
         return m
 

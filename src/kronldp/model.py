@@ -459,12 +459,17 @@ def profile_vector(structure: StructureSet, psi, n, rng) -> np.ndarray:
 
     Built as u_a = sum_b conj(C)_{ab} f_b from a factorization psi = C C* and
     random orthonormal f_1..f_L; the conjugate on C is what makes the Gram
-    matrix come out as psi rather than its transpose.
+    matrix come out as psi rather than its transpose. At beta = 1 u, and so
+    psi, is real.
     """
     L = structure.L
     if n < L:
         raise ValueError(f"N={n} cannot host {L} orthonormal block directions")
     psi = as_profile(psi).psi
+    if structure.beta == 1:
+        if np.any(np.imag(psi) != 0):
+            raise ValueError("psi must be real at beta = 1")
+        psi = np.real(psi)
     gen = _draw_stream(rng)
     w, v = np.linalg.eigh(psi)
     c = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))  # psi = c c*

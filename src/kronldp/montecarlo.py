@@ -49,14 +49,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
 from .mde import right_edge
 from .model import (as_profile, profile_vector, rho_profile, sample_kronecker,
-                    sample_tilted, structure_hash, tilt_shift, _assemble,
-                    _draw_blocks, _draw_stream)
+                    structure_hash, tilt_shift, _assemble, _draw_blocks, _draw_stream)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -160,15 +159,17 @@ def _parts(structure):
 
 
 class _Part:
-    """One part of X (plus its share of the shift, when given), tested for
-    lambda_1 < t by a LAPACK Cholesky factorization of t Id - part.
+    """One part of X (plus its share of the shift, when given): `below`
+    tests lambda_1 < t by a LAPACK Cholesky factorization of t Id - part,
+    `top` returns lambda_1.
 
     t Id - part is built straight from the drawn W_j in one reused matrix:
     one broadcast product per noise term on its (P, N, P, N) view, the
     shift, then t Id - c0 added to the diagonal of every N x N block. The
     factorization exists exactly when t Id - part is positive definite. The
     transposed (Fortran-ordered) view is factored as upper triangular, so
-    LAPACK reads the lower triangle, in place and without a copy.
+    LAPACK reads the lower triangle, in place and without a copy; `top`
+    hands the same view to the eigensolver.
     """
 
     def __init__(self, basis, c0, c, n, dtype, shift):
@@ -184,8 +185,8 @@ class _Part:
                                    shift.reshape(ell, n, ell, n), basis).reshape(p * n, p * n)
         self.potrf = zpotrf if np.iscomplexobj(self.mat) else dpotrf
 
-    def below(self, blocks, t):
-        """Whether every eigenvalue of the part lies below t."""
+    def _fill(self, blocks, t):
+        """Write t Id - part into the reused matrix."""
         if len(blocks):
             np.multiply(self.neg_c[0], blocks[0][None, :, None, :], out=self.view)
         else:
@@ -195,7 +196,17 @@ class _Part:
         if self.shift is not None:
             self.mat -= self.shift
         self.diag += t * self.eye - self.c0
+
+    def below(self, blocks, t):
+        """Whether every eigenvalue of the part lies below t."""
+        self._fill(blocks, t)
         return self.potrf(self.mat.T, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+    def top(self, blocks):
+        """The part's largest eigenvalue (minus the smallest of -part)."""
+        self._fill(blocks, 0.0)
+        return -eigvalsh(self.mat.T, lower=False, overwrite_a=True, check_finite=False,
+                         subset_by_index=[0, 0])[0]
 
 
 def _window_draws(structure, x, delta, n, reps, rng, one_sided, shift=None):
@@ -527,8 +538,9 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     `model.sample_tilted`, and Z is `largest_outlier`(theta, psi). A scalar
     structure (L = 1, k = 1) draws the spiked tridiagonal form of the tilted
     law (`_tilted_tridiagonal_lambda1`), O(N) per draw; other structures
-    draw dense tilted matrices with u = `profile_vector`(psi) from stream
-    (seed, 1) and the draws from stream (seed, 0).
+    draw the blocks of `sample_tilted`, with u = `profile_vector`(psi) from
+    stream (seed, 1) and the draws from stream (seed, 0), and take lambda_1
+    part by part (`_Part.top`; a commuting structure's parts are N x N).
 
     Z = r_inf (no crossing of the outlier equation) is a valid prediction: it
     says the tilt is too weak to pull lambda_1 off the bulk edge.
@@ -544,9 +556,11 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     else:
         u = profile_vector(structure, psi, n, _draw_stream(rng, 1))
         shift = tilt_shift(structure, theta, u)
+        parts = [_Part(basis, c0, c, n, structure.a0.dtype, shift)
+                 for basis, c0, c in _parts(structure)]
         gen = _draw_stream(rng, 0)
-        lams = np.array([sample_tilted(structure, n, theta, u, gen, shift=shift).lambda1
-                         for _ in range(reps)])
+        lams = np.array([max(part.top(blocks) for part in parts)
+                         for blocks in (_draw_blocks(structure, n, gen) for _ in range(reps))])
     dev = lams - lams[0]  # all exactly 0 when the draws have no spread
     mean = float(lams[0] + dev.mean())
     sd = float(dev.std(ddof=1))

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mde import DomainError, _cache_for, _dm_dz
+from .mde import _cache_for, _dm_dz
 from .model import Profile, StructureSet, as_profile, s_big
 
 
@@ -70,19 +70,12 @@ class OutlierSolve:
     residual: float
 
 
-def _m_beyond_edge(structure, z):
-    cache = _cache_for(structure)
-    if z <= cache.r_inf:
-        raise DomainError(f"z={z} must lie right of the edge {cache.r_inf}")
-    return cache.m_matrix(float(z))
-
-
 def outlier_det(structure: StructureSet, theta, psi, z) -> float:
-    """det(Id + 2 theta S_big (M(z) x Psi)) for real z beyond the edge."""
+    """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
     psi = np.asarray(psi)
-    m_mat = _m_beyond_edge(structure, z)
+    m_mat = _cache_for(structure).m_matrix(z)
     big = s_big(structure)
     if big.shape[0] == 0 or not big.any():
         return 1.0
@@ -99,7 +92,7 @@ def _sym(structure, theta, z, psi):
     psi = np.asarray(psi)
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
-    m_mat = _m_beyond_edge(structure, z)
+    m_mat = _cache_for(structure).m_matrix(z)
     big = s_big(structure)
     if big.shape[0] == 0 or not big.any():
         return None
@@ -173,12 +166,10 @@ def tilt_for_target(structure: StructureSet, x, psi) -> float:
     with the profile phi_hat(theta). At L = 1 that is the rate's sampler
     tilt L theta* (`rate.RateResult`); at L >= 2 it is not: the rate's tilt
     solves L lambda_sym(theta*, x, phi_hat(theta*)) = 1, a different theta
-    with a different profile.
+    with a different profile. x >= r_inf (the fold's exact M at r_inf).
     """
     cache = _cache_for(structure)
     x = float(x)
-    if x <= cache.r_inf:
-        raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     psi = as_profile(psi).psi
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .mde import DomainError, _cache_for
+from .mde import _cache_for
 from .model import Profile, StructureSet, apply_S, as_profile, stream
 
 
@@ -131,13 +131,12 @@ def _check_beta(beta):
 # pointwise quantities
 
 def j_value(structure: StructureSet, x, theta) -> float:
-    """Two-branch tilted log-potential functional J(x, theta), theta > 0."""
+    """Two-branch tilted log-potential functional J(x, theta), theta > 0,
+    x >= r_inf (the fold's exact M at r_inf)."""
     if theta <= 0:
         raise ValueError("theta must be positive (callers use F(0) = 0 instead)")
     cache = _cache_for(structure)
     x = float(x)
-    if x <= cache.r_inf:
-        raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     m_x = float(np.trace(cache.m_matrix(x)).real) / structure.L
     head = -0.5 * (1.0 + np.log(2.0 * theta))
     if 2.0 * theta <= -m_x:
@@ -174,14 +173,13 @@ def phi_maps(structure: StructureSet, theta, x, psi):
 
     varphi = -M(max{(-m)^{-1}(2 theta), x}) / (2 theta L), with the inverse
     read as r_inf when 2 theta exceeds the range of -m (the max then resolves
-    to x); phi_hat adds (1 + m(x)/(2 theta))_+ Psi and has unit trace.
+    to x); phi_hat adds (1 + m(x)/(2 theta))_+ Psi and has unit trace;
+    x >= r_inf (the fold's exact M at r_inf).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     cache = _cache_for(structure)
     x = float(x)
-    if x <= cache.r_inf:
-        raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     psi = as_profile(psi).psi
     L = structure.L
     m_mat = cache.m_matrix(x)
@@ -225,12 +223,10 @@ def rate_breakdown(structure: StructureSet, theta, x, psi, beta=1) -> RateBreakd
 
 def theta_cap(structure: StructureSet, m_cap, eta, eps) -> float:
     """Compact-interval endpoint -m(eta) + 4 (m_cap + b0) / (L^2 eps),
-    with b0 = 2 L ||A_0||."""
+    with b0 = 2 L ||A_0|| and eta >= r_inf."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     cache = _cache_for(structure)
-    if eta <= cache.r_inf:
-        raise DomainError(f"eta={eta} must lie right of the edge {cache.r_inf}")
     b0 = 2.0 * structure.L * np.linalg.norm(structure.a0, 2)
     return float(-cache.m_scalar(float(eta))
                  + 4.0 * (float(m_cap) + b0) / (structure.L ** 2 * eps))
@@ -322,20 +318,17 @@ def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
     Exact: one L x L eigendecomposition and a Newton iteration on the
     closed-form derivative (module docstring), no grid. Returns
     (theta_star, F_star) with F_star >= 0 since F(theta_x) = 0 is always
-    available.
+    available. x >= r_inf; left of it the DomainError names x.
     """
     _check_beta(beta)
     psi = as_profile(psi).psi
-    cache = _cache_for(structure)
     x = float(x)
-    if x <= cache.r_inf:
-        raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
+    base = _curve_base(structure, x, beta)
     s_psi = _s_dagger(structure, psi, beta)
     if eps is None:
         eps = max(_trace_with(psi, s_psi, beta), 1e-300)
-    theta_hi = theta_cap(structure, x + 1.0, 0.5 * (cache.r_inf + x), eps)
-    return _sup_curve(structure, psi, s_psi, beta, theta_hi,
-                      _curve_base(structure, x, beta))
+    theta_hi = theta_cap(structure, x + 1.0, 0.5 * (_cache_for(structure).r_inf + x), eps)
+    return _sup_curve(structure, psi, s_psi, beta, theta_hi, base)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +436,14 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     eigenprojectors of S(Id) stays out of reach of both searches.
 
     The sampler tilt that realises I_beta(x) is L theta_star with profile
-    phi_hat(theta_star, x, psi_star) (`RateResult`).
+    phi_hat(theta_star, x, psi_star) (`RateResult`). x >= r_inf (the
+    fold's exact M at r_inf).
     """
     beta = _check_beta(structure.beta if beta is None else beta)
     cfg = opt_config or OptConfig()
     if cfg.max_rungs < 2:
         raise ValueError(f"max_rungs must be at least 2, got {cfg.max_rungs}")
-    cache = _cache_for(structure)
     x = float(x)
-    if x <= cache.r_inf:
-        raise DomainError(f"x={x} must lie right of the edge {cache.r_inf}")
     L = structure.L
     id_l = np.eye(L) / L
     s_id = _s_dagger(structure, id_l, beta)
@@ -472,7 +463,7 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x, beta)
-    edge_mid = 0.5 * (cache.r_inf + x)
+    edge_mid = 0.5 * (_cache_for(structure).r_inf + x)
     projectors = [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
     # (q, theta, value) of the sup over theta of every eigenprojector of S(Id)
     # at its own q; the ones with q < eps are excluded from the search, and

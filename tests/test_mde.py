@@ -228,6 +228,63 @@ def test_atom_on_the_left_edge_spares_the_right_edge():
         mde.left_edge(st)
 
 
+def _gapped():
+    """Semicircles at 0 and at 10: r_inf = 12, and x = 5 lies in the gap."""
+    return make_structure(np.diag([0.0, 10.0]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("which, x", [("goe", 1.9), ("goe", 0.0), ("gapped", 5.0)])
+def test_m_matrix_left_of_the_edge_raises_before_any_solve(sc, which, x, monkeypatch):
+    st = sc if which == "goe" else _gapped()
+    cache = mde._cache_for(st)
+    calls = []
+
+    def recorded(batch):
+        def solve(*args):
+            calls.append(batch.__name__)
+            return batch(*args)
+        return solve
+
+    for name in ("_solve_upper_batch", "_solve_real_batch"):
+        monkeypatch.setattr(mde, name, recorded(getattr(mde, name)))
+    with pytest.raises(mde.DomainError, match=f"x={x}.*{cache.r_inf}"):
+        cache.m_matrix(x)
+    assert calls == []
+
+
+def test_m_matrix_at_the_edge_is_the_fold_solution(sc, atoms):
+    cache = mde._cache_for(sc)
+    got = cache.m_matrix(cache.r_inf)
+    assert got is cache.m_edge
+    assert got[0, 0] == pytest.approx(-1.0, abs=1e-14)
+    # with atoms only M diverges at the edge
+    with pytest.raises(mde.DomainError):
+        mde._cache_for(atoms).m_matrix(mde.right_edge(atoms).r_inf)
+
+
+@pytest.mark.parametrize("call", ["rate", "outlier", "tilt"])
+def test_right_side_work_runs_no_left_fold(sc, call, monkeypatch):
+    # a cold cache solves the right fold only; the left edge is solved on
+    # first use, once
+    from kronldp.outlier import largest_outlier, tilt_for_target
+    from kronldp.rate import rate_function
+
+    folds, fold = [], mde._fold
+
+    def recorded(structure, side=1):
+        folds.append(side)
+        return fold(structure, side)
+
+    monkeypatch.setattr(mde, "_fold", recorded)
+    monkeypatch.setattr(mde, "_CACHES", {})
+    {"rate": lambda: rate_function(sc, 2.5),
+     "outlier": lambda: largest_outlier(sc, 1.0, np.ones((1, 1))),
+     "tilt": lambda: tilt_for_target(sc, 2.5, np.ones((1, 1)))}[call]()
+    assert folds == [1]
+    assert mde.left_edge(sc) == mde.left_edge(sc) == pytest.approx(-2.0, abs=1e-10)
+    assert folds == [1, -1]
+
+
 def test_edge_random_structures_square_root_law():
     # no closed form: just inside a square-root edge r the density is
     # c sqrt(r - x), so a 4x longer distance doubles it; just outside, the

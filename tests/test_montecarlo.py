@@ -685,9 +685,47 @@ def test_tilted_check_of_a_scalar_structure_draws_no_dense_matrix(sc, monkeypatc
     def dense(*args, **kwargs):
         raise AssertionError("dense tilted draw")
 
-    monkeypatch.setattr(montecarlo, "sample_tilted", dense)
+    monkeypatch.setattr(montecarlo._Part, "top", dense)
     chk = tilted_outlier_check(sc, 1.0, [[1.0]], 100, 50, rng=2)
     assert abs(chk.discrepancy) < 5
+
+
+def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypatch):
+    # herm's matrices commute, so each tilted draw is two N x N eigenvalue
+    # problems; lambda_1 is the one of sample_tilted's dense draw, the same
+    # blocks from the same stream
+    from kronldp import model
+
+    n, reps, theta, seed = 30, 40, 0.8, 4
+    psi = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+    u = profile_vector(herm, psi, n, _draw_stream(seed, 1))
+    shift = 2.0 * theta * tilt_matrix(herm, u)
+    gen = _draw_stream(seed, 0)
+    want = np.mean([sample_tilted(herm, n, theta, u, gen, shift=shift).lambda1
+                    for _ in range(reps)])
+    sides = []
+
+    def recorded(solver):
+        def solve(a, *args, **kwargs):
+            sides.append(a.shape[0])
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(model, "scipy_eigh", recorded(model.scipy_eigh))
+    monkeypatch.setattr(montecarlo, "eigvalsh", recorded(scipy.linalg.eigvalsh), raising=False)
+    chk = tilted_outlier_check(herm, theta, psi, n, reps, rng=seed)
+    assert sides and max(sides) < 2 * n
+    assert abs(chk.mean_lambda1 - want) <= 1e-12
+
+
+@pytest.mark.parametrize("call", ["importance", "tilted"])
+def test_complex_profile_at_beta_one_is_rejected(pair, call):
+    psi = [[0.5, 0.2j], [-0.2j, 0.5]]
+    with pytest.raises(ValueError, match="psi"):
+        if call == "importance":
+            importance_tail(pair, 2.6, 0.2, 10, 20, 1, psi=psi, theta=0.1)
+        else:
+            tilted_outlier_check(pair, 0.1, psi, 10, 20, 1)
 
 
 def _unitary_with_first_column(u, rng):
