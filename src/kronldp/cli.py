@@ -108,7 +108,8 @@ def load_config(path, overrides) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"config field 'seed' must be non-negative, got {seed}")
     if "threads" in doc:
-        raise ConfigError("config field 'threads' was removed: runs are serial")
+        raise ConfigError("config field 'threads' was removed: the CPU affinity "
+                          "mask sets the sampler processes")
 
     out = Path(overrides.out or doc.get("output_dir", "."))
     params = doc.get(command, {})
@@ -249,12 +250,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     draws = simulate_lambda1(st, n, reps, cfg.seed)
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
     _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)
+    cfg.meta["sampler_processes"] = 1  # the lambda_1 draws are one stream, drawn here
     if x is not None:
         est = tail_probability(st, x, delta, n, reps, cfg.seed,
                                sampler=cfg.params.get("sampler", "dense"))
         out = cfg.output_dir / "tail.jsonl"
         out.unlink(missing_ok=True)
         write_jsonl(out, [estimate_record(est, st, cfg.seed)])
+        cfg.meta["sampler_processes"] = est.processes
     return EXIT_OK
 
 

@@ -488,10 +488,22 @@ class _SpectralCache:
                                    fold_residual=res, fold_steps=steps)
 
     @functools.cached_property
-    def left(self):
+    def _left(self):
+        """(left edge, None), or (None, the left fold's ConvergenceError):
+        a failed fold is kept too, so it is walked once."""
         if self.degenerate:
-            return float(self.atoms.min())
-        return _fold(self.structure, side=-1)[0]
+            return float(self.atoms.min()), None
+        try:
+            return _fold(self.structure, side=-1)[0], None
+        except ConvergenceError as exc:
+            return None, exc
+
+    @property
+    def left(self):
+        edge, failure = self._left
+        if failure is not None:
+            raise failure
+        return edge
 
     def m_matrix(self, x, tol=1e-12):
         """Real MDE solution M(x), memoized, x >= r_inf: the fold's M at

@@ -373,12 +373,8 @@ def tilt_shift(structure: StructureSet, theta, u) -> np.ndarray | None:
 
 
 def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False,
-                  keep_matrix=False, shift=None) -> KroneckerSample:
-    """Draw from the tilted measure: a fresh sample plus the shift 2 theta D.
-
-    A loop drawing many samples with one (theta, u) passes the shift it built
-    once with :func:`tilt_shift`; otherwise it is built here.
-    """
+                  keep_matrix=False) -> KroneckerSample:
+    """Draw from the tilted measure: a fresh sample plus the shift 2 theta D."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     u = np.asarray(u)
@@ -386,14 +382,13 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False
         raise ValueError(f"u has length {u.size}, expected N*L = {n * structure.L}")
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("u must be a unit vector")
+    if structure.beta == 1 and np.iscomplexobj(u):
+        raise ValueError("u must be real at beta = 1")
     seed = rng if isinstance(rng, (int, np.integer)) else None
     gen = _draw_stream(rng)
     x = _assemble(structure, _draw_blocks(structure, n, gen), n)
     if theta > 0:
-        shift = tilt_shift(structure, theta, u) if shift is None else shift
-        # x is freshly assembled; it is widened only for a complex u at beta = 1
-        x = x.astype(np.result_type(x, shift), copy=False)
-        x += shift
+        x += tilt_shift(structure, theta, u)
     lam, v1, spec = _top_eig(x, with_spectrum)
     return KroneckerSample(N=n, seed=seed, lambda1=float(lam), v1=v1, spectrum=spec,
                            matrix=x if keep_matrix else None)

@@ -8,10 +8,16 @@ and profiles of uniform sphere vectors against the renormalized-Wishart law.
 
 Replicates are grouped into fixed-size batches and batch b draws from the
 derived stream (seed, b), so estimates are bit-identical for a given integer
-master seed and version no matter how batches would be scheduled; weight and
+master seed and version no matter how batches are scheduled; weight and
 indicator sums go through math.fsum, which rounds exactly and is therefore
-order-independent. Passing a Generator instead of an integer seed is allowed
-but serializes the batches onto that one stream. Version 0.2.0 changed the
+order-independent. With an integer seed and at least two batches, the
+batches run on one forked worker process per CPU of this process's affinity
+mask (at most one per batch; `_map_batches`), and the results are gathered
+in batch order. A process limited to one CPU (for example by `taskset -c
+0`), a platform without the fork start method, and a daemonic process (which
+may not start children) run the batches in-process, one after the other.
+Passing a Generator instead of an integer seed is allowed but serializes the
+batches onto that one stream, in-process. Version 0.2.0 changed the
 draws (one normal per independent real of a block, `model._draw_blocks`;
 tridiagonal batches drawn row by row), not their law, so a given seed gives
 other draws than before. Version 0.3.0 changed the tilted draws of scalar
@@ -43,8 +49,10 @@ matrix and its eigensolve.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +92,8 @@ class TailEstimate:
     method: str  # "direct" | "importance"
     ess: float | None = None
     unreliable: bool = False
+    # processes that drew the batches (1: the caller's); scheduling, not the estimate
+    processes: int = field(default=1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,55 @@ class ProfileHistogram:
 def _batch_size(nl, reps):
     cap = max(1, int(_DENSE_BUFFER // (nl * nl)))
     return max(1, min(512, cap, reps))
+
+
+def _nbatches(reps, size):
+    return -(-reps // size)
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _processes(nbatches, rng):
+    """How many processes `_map_batches` runs nbatches batches on: one per
+    CPU, at most one per batch, or 1 (the caller's) for a Generator, whose
+    one stream orders the batches, a single batch or CPU, a platform without
+    the fork start method, or a daemonic caller, which may not start
+    children."""
+    if isinstance(rng, np.random.Generator) or nbatches < 2:
+        return 1
+    cpus = _cpu_count()
+    if cpus < 2:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(cpus, nbatches)
+
+
+def _map_batches(fn, nbatches, rng):
+    """[fn(b) for b in range(nbatches)], in batch order.
+
+    Batch b draws from stream (seed, b) whoever runs it, so the results do
+    not depend on the schedule. With more than one process (`_processes`)
+    the batches go to a pool of forked workers, each of which inherits the
+    caller's modules; fn and its results are pickled, so fn is a module-level
+    function (or a partial of one). The pool is shut down, every worker
+    joined, before the call returns, and an exception raised in a batch is
+    re-raised here as its own type.
+    """
+    processes = _processes(nbatches, rng)
+    if processes == 1:
+        return [fn(b) for b in range(nbatches)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, range(nbatches)))
 
 
 # A structure is split into L parts when every matrix is diagonal to this
@@ -209,28 +268,28 @@ class _Part:
                          subset_by_index=[0, 0])[0]
 
 
-def _window_draws(structure, x, delta, n, reps, rng, one_sided, shift=None):
-    """The blocks W of the draws whose X (plus shift, when given) has
-    lambda_1 in the window: lambda_1 >= x - delta, and for a two-sided
-    window also lambda_1 <= x + delta.
+def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift=None):
+    """The blocks W of batch `batch`'s draws whose X (plus shift, when
+    given) has lambda_1 in the window: lambda_1 >= x - delta, and for a
+    two-sided window also lambda_1 <= x + delta.
 
-    Batch b takes _batch_size draws from stream (seed, b). No eigenvalue is
-    computed: a draw is in the window when some part fails the Cholesky test
-    at x - delta and, two-sided, every such part passes it at x + delta.
-    The test is exact up to rounding, so a draw is placed differently from
-    an eigensolve only when its lambda_1 lies within rounding of a window
-    end. The yielded blocks are fresh for every draw.
+    Batch b takes the _batch_size draws from b _batch_size on, from stream
+    (seed, b). No eigenvalue is computed: a draw is in the window when some
+    part fails the Cholesky test at x - delta and, two-sided, every such
+    part passes it at x + delta. The test is exact up to rounding, so a draw
+    is placed differently from an eigensolve only when its lambda_1 lies
+    within rounding of a window end. The yielded blocks are fresh for every
+    draw.
     """
     parts = [_Part(basis, c0, c, n, structure.a0.dtype, shift)
              for basis, c0, c in _parts(structure)]
     bs = _batch_size(structure.L * n, reps)
-    for batch, done in enumerate(range(0, reps, bs)):
-        gen = _draw_stream(rng, batch)
-        for _ in range(min(bs, reps - done)):
-            blocks = _draw_blocks(structure, n, gen)
-            above = [part for part in parts if not part.below(blocks, x - delta)]
-            if above and (one_sided or all(part.below(blocks, x + delta) for part in above)):
-                yield blocks
+    gen = _draw_stream(rng, batch)
+    for _ in range(min(bs, reps - batch * bs)):
+        blocks = _draw_blocks(structure, n, gen)
+        above = [part for part in parts if not part.below(blocks, x - delta)]
+        if above and (one_sided or all(part.below(blocks, x + delta) for part in above)):
+            yield blocks
 
 
 def _clopper_pearson(hits, reps, alpha=0.05):
@@ -317,8 +376,8 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # direct window counting
 
-def _dense_hits(structure, x, delta, n, reps, rng, one_sided):
-    return sum(1 for _ in _window_draws(structure, x, delta, n, reps, rng, one_sided))
+def _dense_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch):
+    return sum(1 for _ in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch))
 
 
 def _sturm_below(d, e2, t):
@@ -366,29 +425,25 @@ def _scalar_coefficients(structure):
     return float(np.real(structure.a0[0, 0])), float(np.real(structure.a[0][0, 0]))
 
 
-def _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided):
+def _tridiagonal_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch):
+    """Hits among batch `batch`'s tridiagonal draws, from stream (seed, b)."""
     c, a = _scalar_coefficients(structure)
+    m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
     if a == 0.0:
-        return reps * int(_window(c, x, delta, one_sided))
+        return m * int(_window(c, x, delta, one_sided))
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
     #                  <=>  no eigenvalue of W below (s-c)/a     (a < 0)
-    beta = structure.beta
 
     def below(d, e2, s):
         cnt = _sturm_below(d, e2, (s - c) / a)
         return cnt == n if a > 0 else cnt == 0
 
-    def batch_hits(gen, m):
-        # the batch is freed before the next one is drawn
-        d, e2 = _tridiagonal_batch(gen, beta, n, m)
-        hit = ~below(d, e2, x - delta)
-        if not one_sided:
-            # only the draws above the lower edge need the upper-edge sweep
-            hit[hit] = below(d[:, hit], e2[:, hit], x + delta)
-        return int(hit.sum())
-
-    return sum(batch_hits(_draw_stream(rng, batch), min(_TRI_BATCH, reps - done))
-               for batch, done in enumerate(range(0, reps, _TRI_BATCH)))
+    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, m)
+    hit = ~below(d, e2, x - delta)
+    if not one_sided:
+        # only the draws above the lower edge need the upper-edge sweep
+        hit[hit] = below(d[:, hit], e2[:, hit], x + delta)
+    return int(hit.sum())
 
 
 def _tridiagonal_ok(structure):
@@ -410,6 +465,11 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
     in the joint eigenbasis when the structure's matrices commute, and never
     computes an eigenvalue. A draw is counted differently from an eigensolve
     only when its lambda_1 lies within rounding of a window end.
+
+    With an integer seed and at least two batches, the batches run on one
+    forked process per CPU this process may use (its affinity mask; `taskset
+    -c 0` keeps them in-process), at most one per batch; `processes` reports
+    how many drew them. The estimate is the same either way.
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
@@ -420,17 +480,20 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
     if sampler == "tridiagonal":
         if not _tridiagonal_ok(structure):
             raise ValueError("tridiagonal sampling needs a scalar structure (L=1, k=1)")
-        hits = _tridiagonal_hits(structure, x, delta, n, reps, rng, one_sided)
+        batch_hits, size = _tridiagonal_batch_hits, _TRI_BATCH
     elif sampler == "dense":
-        hits = _dense_hits(structure, x, delta, n, reps, rng, one_sided)
+        batch_hits, size = _dense_batch_hits, _batch_size(structure.L * n, reps)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
+    nbatches = _nbatches(reps, size)
+    batch = functools.partial(batch_hits, structure, x, delta, n, reps, rng, one_sided)
+    hits = sum(_map_batches(batch, nbatches, rng))
     p_hat = hits / reps
     rate_hat = math.inf if hits == 0 else -math.log(p_hat) / n
     lo, hi = _clopper_pearson(hits, reps)
     return TailEstimate(x=float(x), delta=float(delta), N=n, reps=reps, hits=hits,
                         p_hat=p_hat, rate_hat=rate_hat, ci_low=lo, ci_high=hi,
-                        method="direct")
+                        method="direct", processes=_processes(nbatches, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -475,31 +538,36 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
         raise ValueError("theta must be >= 0")
 
     u = profile_vector(structure, psi, n, _draw_stream(rng, reps))
-    mu, t2 = _tilt_moments(structure, u)
-    shift = tilt_shift(structure, theta, u)
-    beta = structure.beta
-
-    w_hit, w_hit_sq = [], []
-    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, shift):
-        xm = _assemble(structure, blocks, n)
-        if shift is not None:
-            xm += shift  # the tilted draw of sample_tilted
-        quad = float(np.real(np.vdot(u, xm @ u)))
-        w = math.exp(beta * n * theta * (theta * t2 - (quad - mu)))
-        w_hit.append(w)
-        w_hit_sq.append(w * w)
+    nbatches = _nbatches(reps, _batch_size(structure.L * n, reps))
+    batch = functools.partial(_importance_batch_weights, structure, x, delta, n, reps, rng,
+                              one_sided, theta, u)
+    w_hit = [w for ws in _map_batches(batch, nbatches, rng) for w in ws]
     hits = len(w_hit)
 
     sum_hit = math.fsum(w_hit)
     p_hat = sum_hit / reps
     rate_hat = math.inf if p_hat <= 0 else -math.log(p_hat) / n
-    ess = sum_hit * sum_hit / math.fsum(w_hit_sq) if hits else 0.0
+    ess = sum_hit * sum_hit / math.fsum(w * w for w in w_hit) if hits else 0.0
     lo, hi = _clopper_pearson(hits, reps)
     scale = sum_hit / hits if hits else 1.0
     return TailEstimate(x=float(x), delta=float(delta), N=n, reps=reps, hits=hits,
                         p_hat=p_hat, rate_hat=rate_hat, ci_low=lo * scale,
                         ci_high=hi * scale, method="importance", ess=ess,
-                        unreliable=ess < 10)
+                        unreliable=ess < 10, processes=_processes(nbatches, rng))
+
+
+def _importance_batch_weights(structure, x, delta, n, reps, rng, one_sided, theta, u, batch):
+    """The weights of batch `batch`'s tilted hits, in draw order."""
+    mu, t2 = _tilt_moments(structure, u)
+    shift = tilt_shift(structure, theta, u)
+    weights = []
+    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift):
+        xm = _assemble(structure, blocks, n)
+        if shift is not None:
+            xm += shift  # the tilted draw of sample_tilted
+        quad = float(np.real(np.vdot(u, xm @ u)))
+        weights.append(math.exp(structure.beta * n * theta * (theta * t2 - (quad - mu))))
+    return weights
 
 
 def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
@@ -512,23 +580,26 @@ def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
     e_1^T) for the beta-Hermite T (Bloemendal-Virag): the tilt shifts T's
     first diagonal entry. lambda_1 is c + a times T's top eigenvalue (its bottom one when
     a < 0), one LAPACK bisection (stebz) per draw. Batches are those of
-    `_tridiagonal_hits`.
+    `_tridiagonal_batch_hits`.
     """
     c, a = _scalar_coefficients(structure)
     if a == 0.0:
         return np.full(reps, c)
+    batch = functools.partial(_tilted_tridiagonal_batch, structure, theta, n, reps, rng)
+    return c + a * np.concatenate(_map_batches(batch, _nbatches(reps, _TRI_BATCH), rng))
+
+
+def _tilted_tridiagonal_batch(structure, theta, n, reps, rng, batch):
+    """The spiked tridiagonal's top (a > 0) or bottom (a < 0) eigenvalue for
+    each of batch `batch`'s draws, from stream (seed, b)."""
+    a = _scalar_coefficients(structure)[1]
     k = n - 1 if a > 0 else 0
-
-    def batch_lambda1(gen, m):
-        d, e2 = _tridiagonal_batch(gen, structure.beta, n, m)
-        d[0] += 2.0 * theta * a
-        e = np.sqrt(e2, out=e2)
-        return [eigvalsh_tridiagonal(dj, ej, select="i", select_range=(k, k))[0]
-                for dj, ej in zip(d.T, e.T)]
-
-    top = np.concatenate([batch_lambda1(_draw_stream(rng, batch), min(_TRI_BATCH, reps - done))
-                          for batch, done in enumerate(range(0, reps, _TRI_BATCH))])
-    return c + a * top
+    m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
+    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, m)
+    d[0] += 2.0 * theta * a
+    e = np.sqrt(e2, out=e2)
+    return np.array([eigvalsh_tridiagonal(dj, ej, select="i", select_range=(k, k))[0]
+                     for dj, ej in zip(d.T, e.T)])
 
 
 def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:

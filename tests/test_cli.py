@@ -218,6 +218,32 @@ def test_simulate_writes_draws_and_tail_record(tmp_path):
     assert 0.0 <= rec["p_hat"] <= 1.0
 
 
+def test_simulate_reports_its_sampler_processes(tmp_path, monkeypatch):
+    # three dense batches: two worker processes draw them when two CPUs are
+    # there, the caller alone when one is, and the files are the same
+    import multiprocessing
+
+    from kronldp import montecarlo
+
+    doc = {"command": "simulate", "structure": GOE_DOC, "seed": 7,
+           "simulate": {"N": 8, "reps": 1100, "x": 2.0, "delta": 0.3}}
+    files = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        (tmp_path / str(cpus)).mkdir()
+        code, out = run_cli(tmp_path / str(cpus), doc)
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["sampler_processes"] == cpus
+        files[cpus] = [(out / name).read_bytes() for name in ("simulate.csv", "tail.jsonl")]
+    assert files[1] == files[2]
+    del doc["simulate"]["x"], doc["simulate"]["delta"]
+    (tmp_path / "draws").mkdir()
+    code, out = run_cli(tmp_path / "draws", doc)
+    assert json.loads((out / "run_meta.json").read_text())["sampler_processes"] == 1
+
+
 def test_simulate_zero_hits_writes_strict_json(tmp_path):
     doc = {"command": "simulate", "structure": GOE_DOC, "seed": 7,
            "simulate": {"N": 20, "reps": 10, "x": 6.0, "delta": 0.1}}

@@ -228,6 +228,28 @@ def test_atom_on_the_left_edge_spares_the_right_edge():
         mde.left_edge(st)
 
 
+def test_failed_left_fold_is_kept(monkeypatch):
+    # the atom on the left edge is found once: later calls re-raise the
+    # failure instead of walking the mirrored fold again
+    folds, fold = [], mde._fold
+
+    def recorded(structure, side=1):
+        folds.append(side)
+        return fold(structure, side)
+
+    monkeypatch.setattr(mde, "_fold", recorded)
+    monkeypatch.setattr(mde, "_CACHES", {})
+    st = make_structure(np.diag([-5.0, 0.0]), [np.diag([0.0, 1.0])])
+    mde.right_edge(st)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(mde.ConvergenceError, match="left edge may carry an atom") as info:
+            mde.left_edge(st)
+        raised.append(type(info.value))
+    assert folds == [1, -1]
+    assert raised == [mde.ConvergenceError] * 3
+
+
 def _gapped():
     """Semicircles at 0 and at 10: r_inf = 12, and x = 5 lies in the gap."""
     return make_structure(np.diag([0.0, 10.0]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

@@ -262,6 +262,8 @@ def test_tilted_draw_validates_u(pair_structure):
         sample_tilted(pair_structure, 10, 0.5, np.ones(20), stream(0))
     with pytest.raises(ValueError):
         sample_tilted(pair_structure, 10, -0.1, np.eye(20)[0], stream(0))
+    with pytest.raises(ValueError, match="real"):
+        sample_tilted(pair_structure, 10, 0.5, 1j * np.eye(20)[0], stream(0))
 
 
 def test_profile_validation():

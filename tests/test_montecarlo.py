@@ -7,8 +7,10 @@ break. Statistical assertions run on fixed seeds and were calibrated with
 pilot runs at a 2x-or-better margin; none is tighter than 4 sample sd.
 """
 
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -33,7 +35,6 @@ from kronldp.montecarlo import (
     _tilt_moments,
     _tilted_tridiagonal_lambda1,
     _tridiagonal_batch,
-    _tridiagonal_hits,
     block_resolvent_trace,
     empirical_spectrum,
     estimate_record,
@@ -251,7 +252,7 @@ def test_sturm_count_matches_eigvalsh():
 def test_tridiagonal_hits_match_dense_eigensolve(beta, c, a, x, delta, one_sided,
                                                  monkeypatch):
     # batches of 128 draws: the 300 draws come from streams (seed, 0), (seed, 1)
-    # and (seed, 2), rebuilt here in the layout `_tridiagonal_hits` draws them
+    # and (seed, 2), rebuilt here in the layout `_tridiagonal_batch_hits` draws them
     monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
     st = make_structure([[c]], [[[a]]], beta=beta)
     n, reps, seed = 8, 300, 19
@@ -266,7 +267,8 @@ def test_tridiagonal_hits_match_dense_eigensolve(beta, c, a, x, delta, one_sided
         lam = spec.max(axis=1)
         want += int(np.sum(lam >= x - delta if one_sided else np.abs(lam - x) <= delta))
     assert 0 < want < reps
-    assert _tridiagonal_hits(st, x, delta, n, reps, seed, one_sided) == want
+    assert tail_probability(st, x, delta, n, reps, seed, one_sided,
+                            sampler="tridiagonal").hits == want
 
 
 def test_tridiagonal_matches_dense_goe(sc):
@@ -480,6 +482,12 @@ def test_dense_estimators_match_batched_reference(which, one_sided, sc, dsum, he
         assert (i.hits, i.p_hat) == (hits, p_hat)
 
 
+@pytest.fixture
+def serial(monkeypatch):
+    """Every batch runs in this process, where a recorder can see it."""
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+
+
 def _record_cholesky_shapes(monkeypatch):
     shapes = []
     for name in ("dpotrf", "zpotrf"):
@@ -490,7 +498,7 @@ def _record_cholesky_shapes(monkeypatch):
     return shapes
 
 
-def test_commuting_structure_factors_only_n_by_n(herm, monkeypatch):
+def test_commuting_structure_factors_only_n_by_n(herm, monkeypatch, serial):
     # herm's matrices commute: X is unitarily two N x N blocks, and neither
     # the count nor the tilted count ever factors the 2N x 2N matrix
     shapes = _record_cholesky_shapes(monkeypatch)
@@ -500,7 +508,7 @@ def test_commuting_structure_factors_only_n_by_n(herm, monkeypatch):
     assert shapes and set(shapes) == {(n, n)}
 
 
-def test_nearly_commuting_structure_is_factored_whole(dsum, monkeypatch):
+def test_nearly_commuting_structure_is_factored_whole(dsum, monkeypatch, serial):
     # a 1e-9 off-diagonal entry breaks the joint eigenbasis: one 2N x 2N part
     shapes = _record_cholesky_shapes(monkeypatch)
     n = 10
@@ -513,7 +521,7 @@ def test_nearly_commuting_structure_is_factored_whole(dsum, monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["goe", "herm", "pair"])
-def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch):
+def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch, serial):
     # the window is decided by Cholesky factorizations alone: no matrix of
     # the draw's size reaches an eigensolver (the L x L split and the tilt
     # search stay far smaller than N)
@@ -532,10 +540,12 @@ def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch
     assert tail_probability(st, x, 0.15, n, 300, 9).hits > 0
     assert importance_tail(st, x, 0.15, n, 300, 9).hits > 0
     assert importance_tail(st, x, 0.15, n, 300, 9, theta=0.05, one_sided=True).hits > 0
-    assert max(sizes, default=0) < n
+    assert sizes and max(sizes) < n
 
 
-def test_dense_tail_holds_no_batch_buffer(sc):
+def test_dense_tail_holds_no_batch_buffer(sc, serial):
+    # three batches, all drawn here: the reused N x N matrix is the largest
+    # thing held
     n = 100
     tracemalloc.start()
     try:
@@ -543,7 +553,131 @@ def test_dense_tail_holds_no_batch_buffer(sc):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * n * n * 8
+    assert n * n * 8 <= peak < 20 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# batches on worker processes give the in-process results bit for bit
+
+class _BatchFailure(Exception):
+    pass
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def _on_cpus(monkeypatch, cpus, call):
+    """call() with the batch helper seeing `cpus` CPUs; no worker may outlive it."""
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_cpu_count", lambda: cpus)
+        out = call()
+    assert multiprocessing.active_children() == []
+    return out
+
+
+@pytest.fixture(scope="module")
+def gue():
+    return make_structure([[0.0]], [[[1.0]]], beta=2)
+
+
+@pytest.mark.parametrize("which, sampler", [
+    ("goe", "dense"), ("herm", "dense"), ("pair", "dense"),
+    ("goe", "tridiagonal"), ("gue", "tridiagonal"),
+    ("goe", "importance"), ("herm", "importance"), ("pair", "importance")])
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_worker_processes_give_the_in_process_estimate(which, sampler, one_sided, sc, gue,
+                                                       herm, pair, monkeypatch):
+    # herm commutes (beta = 2), pair does not (beta = 1); three batches each
+    monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
+    st = {"goe": sc, "gue": gue, "herm": herm, "pair": pair}[which]
+    n, reps = 8 if st.L == 1 else 4, 1100 if sampler != "tridiagonal" else 300
+    x, delta = right_edge(st).r_inf, 0.3
+
+    def call():
+        if sampler == "importance":
+            return importance_tail(st, x, delta, n, reps, 13, theta=0.05, one_sided=one_sided)
+        return tail_probability(st, x, delta, n, reps, 13, one_sided=one_sided,
+                                sampler=sampler)
+
+    alone, pooled = _on_cpus(monkeypatch, 1, call), _on_cpus(monkeypatch, 2, call)
+    assert (alone.processes, pooled.processes) == (1, 2)
+    assert 0 < alone.hits < reps
+    assert (pooled.hits, pooled.p_hat, pooled.ess) == (alone.hits, alone.p_hat, alone.ess)
+    assert pooled == alone
+
+
+def test_noiseless_tridiagonal_count_is_exact(monkeypatch):
+    # X = c Id: every draw is c, so the count is all or nothing in every batch
+    monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
+    st = make_structure([[0.5]], [[[0.0]]])
+    for x, hits in ((0.6, 300), (0.9, 0)):
+        for cpus in (1, 2):
+            est = _on_cpus(monkeypatch, cpus, lambda: tail_probability(
+                st, x, 0.2, 8, 300, 5, sampler="tridiagonal"))
+            assert (est.hits, est.processes) == (hits, cpus)
+
+
+def test_worker_processes_give_the_in_process_tilted_lambda1(gue, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
+    st = make_structure([[0.2]], [[[-0.8]]])
+
+    def call(structure):
+        return lambda: _tilted_tridiagonal_lambda1(structure, 0.7, 12, 300, 17)
+
+    for structure in (st, gue):
+        alone = _on_cpus(monkeypatch, 1, call(structure))
+        pooled = _on_cpus(monkeypatch, 2, call(structure))
+        assert alone.shape == (300,)
+        assert pooled.tobytes() == alone.tobytes()
+
+
+def test_a_generator_runs_its_batches_in_process(sc, monkeypatch):
+    # a Generator is one stream, which orders the batches
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    est = _on_cpus(monkeypatch, 2, lambda: tail_probability(
+        sc, 2.0, 0.3, 8, 1100, np.random.default_rng(3)))
+    assert est.processes == 1 and 0 < est.hits < est.reps
+
+
+def test_a_daemonic_caller_runs_its_batches_in_process(sc, monkeypatch):
+    # a daemonic process may not start children: the batches run in it, and
+    # the estimate is the one drawn here
+    want = _on_cpus(monkeypatch, 1, lambda: tail_probability(sc, 2.0, 0.3, 8, 1100, 3))
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def run():
+        try:
+            send.send(tail_probability(sc, 2.0, 0.3, 8, 1100, 3))
+        except BaseException as exc:
+            send.send(repr(exc))
+
+    proc = ctx.Process(target=run, daemon=True)
+    proc.start()
+    try:
+        assert recv.poll(120), "the daemonic caller sent nothing"
+        got = recv.recv()
+    finally:
+        proc.join(10)
+    assert got == want and got.processes == 1
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("sampler", ["dense", "tridiagonal"])
+def test_a_failed_batch_raises_its_own_error(sc, sampler, monkeypatch):
+    def fail(*args, **kwargs):
+        raise _BatchFailure("drawn in a worker")
+
+    monkeypatch.setattr(montecarlo, "_TRI_BATCH", 128)
+    monkeypatch.setattr(montecarlo, "_draw_blocks", fail)
+    monkeypatch.setattr(montecarlo, "_tridiagonal_batch", fail)
+    with pytest.raises(_BatchFailure, match="drawn in a worker"):
+        _on_cpus(monkeypatch, 2, lambda: tail_probability(sc, 2.0, 0.3, 8, 1100, 3,
+                                                          sampler=sampler))
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +833,8 @@ def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypa
     n, reps, theta, seed = 30, 40, 0.8, 4
     psi = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
     u = profile_vector(herm, psi, n, _draw_stream(seed, 1))
-    shift = 2.0 * theta * tilt_matrix(herm, u)
     gen = _draw_stream(seed, 0)
-    want = np.mean([sample_tilted(herm, n, theta, u, gen, shift=shift).lambda1
-                    for _ in range(reps)])
+    want = np.mean([sample_tilted(herm, n, theta, u, gen).lambda1 for _ in range(reps)])
     sides = []
 
     def recorded(solver):
@@ -771,10 +903,8 @@ def test_tilted_tridiagonal_law_matches_dense(beta, a, theta):
     st = make_structure([[c]], [[[a]]], beta=beta)
     tri = _tilted_tridiagonal_lambda1(st, theta, n, reps, stream(47, beta))
     u = profile_vector(st, [[1.0]], n, stream(48, beta, 1))
-    shift = 2.0 * theta * tilt_matrix(st, u)
     gen = stream(48, beta, 0)
-    dense = np.array([sample_tilted(st, n, theta, u, gen, shift=shift).lambda1
-                      for _ in range(reps)])
+    dense = np.array([sample_tilted(st, n, theta, u, gen).lambda1 for _ in range(reps)])
     se = math.sqrt(tri.var(ddof=1) / reps + dense.var(ddof=1) / reps)
     assert abs(tri.mean() - dense.mean()) <= 5.0 * se
     assert ks_2samp(tri, dense).pvalue > 1e-4
