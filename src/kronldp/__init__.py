@@ -16,7 +16,6 @@ from .mde import (
     stieltjes_real,
 )
 from .model import (
-    KroneckerSample,
     Profile,
     StructureError,
     StructureSet,
@@ -26,7 +25,6 @@ from .model import (
     profile_vector,
     rho_profile,
     s_big,
-    sample_kronecker,
     sample_tilted,
     stream,
     structure_from_dict,
@@ -73,4 +71,4 @@ from .rate import (
     theta_cap,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -8,7 +8,7 @@ config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs, together with
 what a command reports about its own work (for rate: each point's profile
 search evaluations, searches run, stability flag, certificate and
-optimality residual).
+optimality residual; for simulate: the mean profile rho(v_1) of the draws).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .mde import (ConvergenceError, DomainError, NoInverseError, density,
                   left_edge, right_edge)
-from .model import (StructureError, parse_matrix, parse_number, structure_from_dict,
-                    structure_hash)
+from .model import (StructureError, format_matrix, parse_matrix, parse_number,
+                    structure_from_dict, structure_hash)
 from .montecarlo import estimate_record, simulate_lambda1, tail_probability, write_jsonl
 from .outlier import TiltSearchError, lambda_sym, largest_outlier
 from .rate import DegenerateModelError, phi_maps, rate_function
@@ -250,6 +250,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     draws = simulate_lambda1(st, n, reps, cfg.seed)
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
     _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)
+    cfg.meta["mean_profile"] = format_matrix(np.mean([p.psi for _, p in draws], axis=0), st.beta)
     cfg.meta["sampler_processes"] = 1  # the lambda_1 draws are one stream, drawn here
     if x is not None:
         est = tail_probability(st, x, delta, n, reps, cfg.seed,

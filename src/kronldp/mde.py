@@ -351,11 +351,12 @@ def _is_degenerate(structure) -> bool:
         float(np.trace(apply_S(structure, np.eye(structure.L))).real) <= 0.0
 
 
-def _no_fold(x, side):
-    return ConvergenceError(
-        f"no fold of the real-axis Dyson equation near x={side * x:.6g}: the "
-        f"{'right' if side > 0 else 'left'} edge may carry an atom (a point "
-        f"mass), where M diverges instead of folding")
+def _no_fold(x, side, crowded=False):
+    why = ("the smallest eigenvalues of the stability operator do not separate, as "
+           "where two edges of different widths coincide" if crowded else
+           f"the {'right' if side > 0 else 'left'} edge may carry an atom (a point "
+           f"mass), where M diverges instead of folding")
+    return ConvergenceError(f"no fold of the real-axis Dyson equation near x={side * x:.6g}: {why}")
 
 
 def _fold(structure, side=1):
@@ -369,8 +370,12 @@ def _fold(structure, side=1):
     -(x - A_0)^{-1}, by warm-started Newton, stepping 0.6 (x - r_hat):
     r_hat extrapolates the squared smallest |eigenvalue| of the Jacobian,
     linear in x - r_inf near the edge, to zero. A step whose solve fails
-    (inside the support or a gap) is halved. Then Newton on {Id + B M = 0,
-    B V + S[V] M = 0, <l, V> = 1}, B = x - A_0 + S[M], for (M, x, V)
+    (inside the support or a gap) is halved. It stops within 2e-2 of r_hat
+    once that eigenvalue is at most half the next distinct one (1e-8 apart):
+    next to a second edge the smallest mode can be that edge's, or a cross
+    mode orthogonal to dM/dz (two coincident edges never separate). Then
+    Newton on {Id + B M = 0, B V + S[V] M = 0, <l, V> = 1}, B = x - A_0 +
+    S[M], for (M, x, V)
     (Keller 1977), in least squares: by symmetry the kernel can have more
     than one dimension, which makes the extended Jacobian singular. V starts
     from the eigenvector of the Jacobian's smallest |eigenvalue| at the end
@@ -389,11 +394,15 @@ def _fold(structure, side=1):
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
         w, vecs = np.linalg.eig(_jacobian(structure, b, m))
-        lam2 = float(np.min(np.abs(w))) ** 2
+        mags = np.sort(np.abs(w))
+        lam2 = float(mags[0]) ** 2
         # far from the edge the Jacobian is ~ x - A_0: step by half |lambda|
         gap = (lam2 * (prev[0] - x) / (prev[1] - lam2) if prev and prev[1] > lam2
                else 0.5 * np.sqrt(lam2))
-        if gap < 2e-2 * max(1.0, abs(x)):
+        near = gap < 2e-2 * max(1.0, abs(x))
+        others = mags[mags > (1.0 + 1e-8) * mags[0]]
+        crowded = near and others.size > 0 and mags[0] > 0.5 * others[0]
+        if near and not crowded:
             break
         step = 0.6 * gap
         for _ in range(30):
@@ -402,11 +411,11 @@ def _fold(structure, side=1):
                 break
             step /= 2.0
         else:
-            raise _no_fold(x, side)
+            raise _no_fold(x, side, crowded)
         prev, x, m = (x, lam2), x - step, m_new[0]
         walk.append((x, m))
     else:
-        raise _no_fold(x, side)
+        raise _no_fold(x, side, crowded)
 
     x_walk, size = x, np.inf
     # eig's basis of an eigenspace of more than one dimension is arbitrary:

@@ -1,10 +1,13 @@
-"""Structure matrices, superoperators and Gaussian Kronecker samplers.
+"""Structure matrices, superoperators and the draws of Gaussian Kronecker matrices.
 
 The model is X = sum_j A_j (x) W_j + A_0 (x) Id_N with deterministic L x L
 matrices A_j and independent GOE (beta=1) or GUE (beta=2) blocks W_j. This
 module owns the deterministic data (`StructureSet`), the superoperators
-S[T] = sum_j A_j T A_j and S = sum_j A_j (x) A_j, the samplers (plain and
-tilted), and the block profile map rho.
+S[T] = sum_j A_j T A_j and S = sum_j A_j (x) A_j, the draws, and the block
+profile map rho.
+
+One draw path, `_draw_stream` -> `_draw_blocks` (the W_j) -> `_assemble` (X;
+`_tilted_draw` adds a tilt's shift): this module draws, `montecarlo` solves.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SFC64, Generator, Philox, SeedSequence
-from scipy.linalg import eigh as scipy_eigh
 
 
 class StructureError(ValueError):
@@ -168,18 +170,20 @@ def structure_from_dict(doc) -> StructureSet:
     return s
 
 
-def structure_to_dict(structure: StructureSet) -> dict:
-    def enc(mat):
-        if structure.beta == 1:
-            return [[float(x) for x in row] for row in np.real(mat)]
-        return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
+def format_matrix(mat, beta) -> list:
+    """The JSON rows `parse_matrix` reads: numbers at beta = 1, [re, im] pairs at beta = 2."""
+    if beta == 1:
+        return [[float(x) for x in row] for row in np.real(mat)]
+    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
 
+
+def structure_to_dict(structure: StructureSet) -> dict:
     return {
         "L": structure.L,
         "k": structure.k,
         "beta": structure.beta,
-        "A0": enc(structure.a0),
-        "A": [enc(m) for m in structure.a],
+        "A0": format_matrix(structure.a0, structure.beta),
+        "A": [format_matrix(m, structure.beta) for m in structure.a],
     }
 
 
@@ -207,19 +211,7 @@ def s_big(structure: StructureSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling
-
-@dataclass
-class KroneckerSample:
-    """One draw of the NL x NL model with its top eigenpair."""
-
-    N: int
-    seed: int | None
-    lambda1: float
-    v1: np.ndarray
-    spectrum: np.ndarray | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
-
+# draws
 
 def stream(seed, *path) -> Generator:
     """Counter-based RNG stream for (master seed, task index...) derivations.
@@ -306,9 +298,8 @@ def _draw_blocks(structure: StructureSet, n, rng) -> np.ndarray:
     return np.take(src, index).view(np.complex128)
 
 
-def _assemble(structure: StructureSet, blocks, n, out=None) -> np.ndarray:
-    """X = sum_j A_j (x) W_j + A_0 (x) Id, written into out (C-ordered) when
-    given.
+def _assemble(structure: StructureSet, blocks, n) -> np.ndarray:
+    """X = sum_j A_j (x) W_j + A_0 (x) Id, C-ordered.
 
     One broadcast product per term on the (L, N, L, N) view of X: entry
     (a, i, b, l) is A_0[a, b] Id[i, l] + A_1[a, b] W_1[i, l] + ..., the same
@@ -316,36 +307,13 @@ def _assemble(structure: StructureSet, blocks, n, out=None) -> np.ndarray:
     bit-identical to it.
     """
     L = structure.L
-    if out is None:
-        out = np.empty((L * n, L * n), dtype=structure.a0.dtype)
-    x4 = out.reshape(L, n, L, n, copy=False)
+    out = np.empty((L * n, L * n), dtype=structure.a0.dtype)
+    x4 = out.reshape(L, n, L, n)
     eye = np.eye(n, dtype=structure.a0.dtype)
     np.multiply(structure.a0[:, None, :, None], eye[None, :, None, :], out=x4)
     for aj, wj in zip(structure.a, blocks):
         x4 += aj[:, None, :, None] * wj[None, :, None, :]
     return out
-
-
-def _top_eig(x, want_spectrum=False):
-    n = x.shape[0]
-    if want_spectrum:
-        vals, vecs = np.linalg.eigh(x)
-        return vals[-1], vecs[:, -1], vals[::-1].copy()
-    vals, vecs = scipy_eigh(x, subset_by_index=[n - 1, n - 1])
-    return vals[0], vecs[:, 0], None
-
-
-def sample_kronecker(structure: StructureSet, n, rng, with_spectrum=False,
-                     keep_matrix=False) -> KroneckerSample:
-    """Draw X = sum_j A_j (x) W_j + A_0 (x) Id and return its top eigenpair."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = _draw_stream(rng)
-    x = _assemble(structure, _draw_blocks(structure, n, gen), n)
-    lam, v1, spec = _top_eig(x, with_spectrum)
-    return KroneckerSample(N=n, seed=seed, lambda1=float(lam), v1=v1, spectrum=spec,
-                           matrix=x if keep_matrix else None)
 
 
 def tilt_matrix(structure: StructureSet, u) -> np.ndarray:
@@ -372,9 +340,16 @@ def tilt_shift(structure: StructureSet, theta, u) -> np.ndarray | None:
     return 2.0 * theta * tilt_matrix(structure, u) if theta > 0 else None
 
 
-def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False,
-                  keep_matrix=False) -> KroneckerSample:
-    """Draw from the tilted measure: a fresh sample plus the shift 2 theta D."""
+def _tilted_draw(structure: StructureSet, blocks, n, shift) -> np.ndarray:
+    """The draw of the blocks W as a matrix: X, plus the shift when given."""
+    x = _assemble(structure, blocks, n)
+    if shift is not None:
+        x += shift
+    return x
+
+
+def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
+    """One NL x NL draw of the tilted measure: a fresh X plus the shift 2 theta D."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     u = np.asarray(u)
@@ -384,14 +359,8 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng, with_spectrum=False
         raise ValueError("u must be a unit vector")
     if structure.beta == 1 and np.iscomplexobj(u):
         raise ValueError("u must be real at beta = 1")
-    seed = rng if isinstance(rng, (int, np.integer)) else None
-    gen = _draw_stream(rng)
-    x = _assemble(structure, _draw_blocks(structure, n, gen), n)
-    if theta > 0:
-        x += tilt_shift(structure, theta, u)
-    lam, v1, spec = _top_eig(x, with_spectrum)
-    return KroneckerSample(N=n, seed=seed, lambda1=float(lam), v1=v1, spectrum=spec,
-                           matrix=x if keep_matrix else None)
+    blocks = _draw_blocks(structure, n, _draw_stream(rng))
+    return _tilted_draw(structure, blocks, n, tilt_shift(structure, theta, u))
 
 
 # ---------------------------------------------------------------------------

@@ -17,27 +17,25 @@ in batch order. A process limited to one CPU (for example by `taskset -c
 0`), a platform without the fork start method, and a daemonic process (which
 may not start children) run the batches in-process, one after the other.
 Passing a Generator instead of an integer seed is allowed but serializes the
-batches onto that one stream, in-process. Version 0.2.0 changed the
-draws (one normal per independent real of a block, `model._draw_blocks`;
-tridiagonal batches drawn row by row), not their law, so a given seed gives
-other draws than before. Version 0.3.0 changed the tilted draws of scalar
-structures, again not their law: `tilted_outlier_check` draws them as
-spiked tridiagonals. Version 0.4.0 draws every sample from SFC64 streams
-(`model._draw_stream`) with the same (seed, path) derivation as before, so
-the laws are the same and the draws are different.
+batches onto that one stream, in-process. The README lists what each
+version changed in the draws (0.2.0-0.4.0: other draws, the same laws) and
+in how they are solved (0.5.0: lambda_1 part by part).
+
+`model` draws the blocks W_j; this module solves every dense draw part by
+part (`_parts`, `_Part`): lambda_1 and rho(v_1), pooled spectra, block
+resolvent traces, window decisions and tilted lambda_1. A structure whose
+matrices commute (A_0 = q diag(c) q*, A_j = q diag(a_j) q*: direct sums,
+every L = 1 structure) has L parts: in q's basis X is the direct sum of the
+N x N blocks c_l + sum_j a_jl W_j, built straight from the drawn W_j. Any
+other structure is one part, X itself. Only a hit of the importance sampler
+is assembled whole, for its weight; no batch of matrices is ever held.
 
 The dense window estimators (direct and importance) take one draw at a time
 and decide the window with no eigensolve: a LAPACK Cholesky factorization of
 (x - delta)Id - X exists exactly when lambda_1 < x - delta, which rules the
 draw out, and for the few draws that fail it (a vanishing fraction in the
 large deviation regime) a second one at x + delta decides a two-sided
-window. A structure whose matrices commute (A_0 = q diag(c) q*, A_j = q
-diag(a_j) q*: direct sums, every L = 1 structure) is certified block by
-block: in q's basis X is the direct sum of the L blocks c_l + sum_j a_jl
-W_j, each factored as an N x N matrix built straight from the drawn W_j.
-Other structures are factored whole, as NL x NL matrices. Only a hit of the
-importance sampler is assembled, for its weight; no batch of matrices is
-ever held in memory. For the scalar structures the long 1e7-rep runs use
+window. For the scalar structures the long 1e7-rep runs use
 (opt-in) the tridiagonal beta-Hermite reduction, which has exactly the
 GOE/GUE eigenvalue law at a fraction of the cost; window
 membership is then two vectorized Sturm negative-pivot counts per draw and
@@ -57,13 +55,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigvalsh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
 from .mde import right_edge
-from .model import (as_profile, profile_vector, rho_profile, sample_kronecker,
-                    structure_hash, tilt_shift, _assemble, _draw_blocks, _draw_stream)
+from .model import (as_profile, profile_vector, rho_profile, structure_hash, tilt_shift,
+                    _draw_blocks, _draw_stream, _tilted_draw)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -192,10 +190,11 @@ def _map_batches(fn, nbatches, rng):
 _COMMUTE_ULPS = 32
 
 
-def _parts(structure):
-    """The parts of X, as triples (basis, c0, c): X is unitarily the direct
-    sum over parts of c0 (x) Id + sum_j c_j (x) W_j, a P N x P N matrix whose
-    rows are those of X in the basis (an L x P block of a unitary) (x) Id.
+def _parts(structure, n, shift=None):
+    """The parts of X at size N (plus the shift, when given), as `_Part`s: X is
+    unitarily the direct sum over parts of c0 (x) Id + sum_j c_j (x) W_j, a
+    P N x P N matrix whose rows are those of X in the basis (an L x P block of
+    a unitary) (x) Id.
 
     When the structure's matrices commute they share an eigenbasis q, and X
     splits into L parts of size 1, c_l + sum_j a_jl W_j. The test
@@ -212,9 +211,11 @@ def _parts(structure):
     diag = np.einsum("jll->jl", rotated).real
     off = np.abs(rotated - diag[:, :, None] * np.eye(structure.L)).max(axis=(1, 2))
     if np.all(off <= _COMMUTE_ULPS * np.finfo(float).eps * norms):
-        return [(q[:, [l]], diag[0, l].reshape(1, 1), diag[1:, l].reshape(-1, 1, 1))
-                for l in range(structure.L)]
-    return [(np.eye(structure.L), structure.a0, structure.a)]
+        split = [(q[:, [l]], diag[0, l].reshape(1, 1), diag[1:, l].reshape(-1, 1, 1))
+                 for l in range(structure.L)]
+    else:
+        split = [(np.eye(structure.L), structure.a0, structure.a)]
+    return [_Part(basis, c0, c, n, structure.a0.dtype, shift) for basis, c0, c in split]
 
 
 class _Part:
@@ -228,11 +229,13 @@ class _Part:
     factorization exists exactly when t Id - part is positive definite. The
     transposed (Fortran-ordered) view is factored as upper triangular, so
     LAPACK reads the lower triangle, in place and without a copy; `top`
-    hands the same view to the eigensolver.
+    hands the same view to the eigensolver (the conjugate of -part, so
+    `top_profile` conjugates its eigenvector back).
     """
 
     def __init__(self, basis, c0, c, n, dtype, shift):
         ell, p = basis.shape
+        self.basis = basis
         self.eye, self.c0 = np.eye(p)[:, :, None], c0[:, :, None]
         self.neg_c = -c[:, :, None, :, None]
         self.mat = np.empty((p * n, p * n), dtype=dtype)
@@ -267,6 +270,41 @@ class _Part:
         return -eigvalsh(self.mat.T, lower=False, overwrite_a=True, check_finite=False,
                          subset_by_index=[0, 0])[0]
 
+    def top_profile(self, blocks):
+        """(lambda_1, rho(v_1)) of the part, rho in X's blocks. A part of size
+        1 is q (x) Id in X, so v_1 = q (x) w and rho(v_1) = conj(q) q^T with no
+        eigenvector computed; a larger part takes its top eigenpair in one
+        subset eigensolve."""
+        b = self.basis
+        if b.shape[1] == 1:
+            return self.top(blocks), np.outer(b[:, 0].conj(), b[:, 0])
+        self._fill(blocks, 0.0)
+        w, y = eigh(self.mat.T, lower=False, overwrite_a=True, check_finite=False,
+                    subset_by_index=[0, 0])
+        return -w[0], b.conj() @ rho_profile(y[:, 0].conj(), b.shape[1]) @ b.T
+
+    def eigvals(self, blocks):
+        """Every eigenvalue of the part, in descending order."""
+        self._fill(blocks, 0.0)
+        return -np.linalg.eigvalsh(self.mat)
+
+    def resolvent_trace(self, blocks, z):
+        """The part's share basis G basis* of X's block traces, G the P x P
+        matrix (1/N) Tr[(part - z)^-1_{pq}]; a part of size 1 needs only its
+        eigenvalues, G = (1/N) sum_i 1/(lambda_i - z)."""
+        p, n = self.view.shape[:2]
+        self._fill(blocks, 0.0)
+        if p == 1:
+            vals, cross = np.linalg.eigvalsh(self.mat), np.ones((1, 1, n))
+        else:
+            vals, vecs = np.linalg.eigh(self.mat)
+            vr = vecs.reshape(p, n, p * n)
+            cross = np.einsum("ikm,jkm->ijm", vr, vr.conj())
+        vals = -vals
+        if np.abs(vals - z).min() < 1e-8:
+            raise ValueError("z within 1e-8 of a sampled eigenvalue; resolvent ill-conditioned")
+        return self.basis @ (cross @ (1.0 / (vals - z)) / n) @ self.basis.conj().T
+
 
 def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift=None):
     """The blocks W of batch `batch`'s draws whose X (plus shift, when
@@ -281,8 +319,7 @@ def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift=Non
     within rounding of a window end. The yielded blocks are fresh for every
     draw.
     """
-    parts = [_Part(basis, c0, c, n, structure.a0.dtype, shift)
-             for basis, c0, c in _parts(structure)]
+    parts = _parts(structure, n, shift)
     bs = _batch_size(structure.L * n, reps)
     gen = _draw_stream(rng, batch)
     for _ in range(min(bs, reps - batch * bs)):
@@ -297,12 +334,6 @@ def _clopper_pearson(hits, reps, alpha=0.05):
     lo = 0.0 if hits == 0 else float(betaincinv(hits, reps - hits + 1, alpha / 2))
     hi = 1.0 if hits == reps else float(betaincinv(hits + 1, reps - hits, 1 - alpha / 2))
     return lo, hi
-
-
-def _window(lam, x, delta, one_sided):
-    if one_sided:
-        return lam >= x - delta
-    return abs(lam - x) <= delta
 
 
 def _tilt_moments(structure, u):
@@ -320,57 +351,48 @@ def _tilt_moments(structure, u):
 # ---------------------------------------------------------------------------
 # lambda_1 draws and spectra
 
-def simulate_lambda1(structure, n, reps, rng) -> list:
-    """Independent draws of (lambda_1, rho(v_1)) at size N."""
+def _draws(structure, n, reps, rng, shift=None):
+    """The parts of X at size N (plus the shift, when given) and an iterator
+    over reps draws of the blocks W, all from the stream of rng."""
     if n < 1 or reps < 1:
         raise ValueError("N and reps must be >= 1")
     gen = _draw_stream(rng)
-    out = []
-    for _ in range(reps):
-        s = sample_kronecker(structure, n, gen)
-        out.append((s.lambda1, as_profile(rho_profile(s.v1, structure.L))))
-    return out
+    return _parts(structure, n, shift), (_draw_blocks(structure, n, gen) for _ in range(reps))
+
+
+def simulate_lambda1(structure, n, reps, rng) -> list:
+    """Independent draws of (lambda_1, rho(v_1)) at size N, taken part by
+    part (`_Part.top_profile`): lambda_1 is the largest of the parts' and
+    v_1 lies in the part that has it."""
+    parts, draws = _draws(structure, n, reps, rng)
+    tops = (max((part.top_profile(blocks) for part in parts), key=lambda t: t[0])
+            for blocks in draws)
+    return [(float(lam), as_profile(rho)) for lam, rho in tops]
 
 
 def empirical_spectrum(structure, n, reps, rng=0, bins=200, span=None):
-    """Pooled eigenvalue histogram over reps draws, unit mass per matrix.
+    """Pooled eigenvalue histogram over reps draws, unit mass per matrix; each
+    draw's eigenvalues are its parts' pooled.
 
     Returns (density, edges) as np.histogram does; with the default span the
     histogram covers every pooled eigenvalue, so the density integrates to 1.
     """
-    if n < 1 or reps < 1:
-        raise ValueError("N and reps must be >= 1")
     if span is not None and not span[1] > span[0]:
         raise ValueError("span must have positive width")
-    gen = _draw_stream(rng)
-    eigs = np.empty((reps, structure.L * n))
-    for r in range(reps):
-        x = _assemble(structure, _draw_blocks(structure, n, gen), n)
-        eigs[r] = np.linalg.eigvalsh(x)
-    density, edges = np.histogram(eigs.ravel(), bins=bins, range=span, density=True)
-    return density, edges
+    parts, draws = _draws(structure, n, reps, rng)
+    eigs = [part.eigvals(blocks) for blocks in draws for part in parts]
+    return np.histogram(np.concatenate(eigs), bins=bins, range=span, density=True)
 
 
 def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
     """Average over reps of the L x L matrix of per-block normalized resolvent
-    traces (1/N) Tr[(X - z)^-1_{ij}]; the finite-N counterpart of M(z)."""
-    if n < 1 or reps < 1:
-        raise ValueError("N and reps must be >= 1")
+    traces (1/N) Tr[(X - z)^-1_{ij}]; the finite-N counterpart of M(z). Each
+    draw's is the sum of its parts' shares (`_Part.resolvent_trace`)."""
+    parts, draws = _draws(structure, n, reps, rng)
     z = complex(z)
     if z.imag <= 0 and z.real <= right_edge(structure).r_inf + 1e-8:
         raise ValueError("z must have positive imaginary part or lie right of the support")
-    gen = _draw_stream(rng)
-    L = structure.L
-    acc = np.zeros((L, L), dtype=complex)
-    for _ in range(reps):
-        x = _assemble(structure, _draw_blocks(structure, n, gen), n)
-        vals, vecs = np.linalg.eigh(x)
-        if np.abs(vals - z).min() < 1e-8:
-            raise ValueError("z within 1e-8 of a sampled eigenvalue; resolvent ill-conditioned")
-        vr = vecs.reshape(L, n, L * n)
-        cross = np.einsum("ikm,jkm->ijm", vr, vr.conj())
-        acc += cross @ (1.0 / (vals - z)) / n
-    return acc / reps
+    return sum(part.resolvent_trace(blocks, z) for blocks in draws for part in parts) / reps
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +452,7 @@ def _tridiagonal_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch)
     c, a = _scalar_coefficients(structure)
     m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
     if a == 0.0:
-        return m * int(_window(c, x, delta, one_sided))
+        return m * int(c >= x - delta if one_sided else abs(c - x) <= delta)  # X = c Id
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
     #                  <=>  no eigenvalue of W below (s-c)/a     (a < 0)
 
@@ -562,9 +584,7 @@ def _importance_batch_weights(structure, x, delta, n, reps, rng, one_sided, thet
     shift = tilt_shift(structure, theta, u)
     weights = []
     for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift):
-        xm = _assemble(structure, blocks, n)
-        if shift is not None:
-            xm += shift  # the tilted draw of sample_tilted
+        xm = _tilted_draw(structure, blocks, n, shift)  # as `model.sample_tilted` builds it
         quad = float(np.real(np.vdot(u, xm @ u)))
         weights.append(math.exp(structure.beta * n * theta * (theta * t2 - (quad - mu))))
     return weights
@@ -627,11 +647,8 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     else:
         u = profile_vector(structure, psi, n, _draw_stream(rng, 1))
         shift = tilt_shift(structure, theta, u)
-        parts = [_Part(basis, c0, c, n, structure.a0.dtype, shift)
-                 for basis, c0, c in _parts(structure)]
-        gen = _draw_stream(rng, 0)
-        lams = np.array([max(part.top(blocks) for part in parts)
-                         for blocks in (_draw_blocks(structure, n, gen) for _ in range(reps))])
+        parts, draws = _draws(structure, n, reps, _draw_stream(rng, 0), shift)
+        lams = np.array([max(part.top(blocks) for part in parts) for blocks in draws])
     dev = lams - lams[0]  # all exactly 0 when the draws have no spread
     mean = float(lams[0] + dev.mean())
     sd = float(dev.std(ddof=1))

@@ -244,6 +244,30 @@ def test_simulate_reports_its_sampler_processes(tmp_path, monkeypatch):
     assert json.loads((out / "run_meta.json").read_text())["sampler_processes"] == 1
 
 
+HERM_DOC = {"beta": 2, "A0": [[0.3, 0.0], [0.0, 0.3]],
+            "A": [[[0.0, [0.0, 1.0]], [[0.0, -1.0], 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}
+
+
+@pytest.mark.parametrize("doc", [PAIR_DOC, HERM_DOC], ids=["beta1", "beta2"])
+def test_simulate_reports_the_mean_profile(tmp_path, doc):
+    # run_meta.json carries the mean rho(v_1), [re, im] pairs at beta = 2;
+    # simulate.csv keeps its two columns
+    from kronldp.montecarlo import simulate_lambda1
+
+    run = {"command": "simulate", "structure": doc, "seed": 7, "simulate": {"N": 20, "reps": 6}}
+    code, out = run_cli(tmp_path, run)
+    assert code == 0
+    assert read_csv(out / "simulate.csv")[0] == ["rep", "lambda1"]
+    got = json.loads((out / "run_meta.json").read_text())["mean_profile"]
+    draws = simulate_lambda1(structure_from_dict(doc), 20, 6, 7)
+    want = np.mean([prof.psi for _, prof in draws], axis=0)
+    if doc["beta"] == 2:
+        got = np.array(got) @ [1.0, 1j]
+    assert np.array(got).shape == (2, 2)
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
+
+
 def test_simulate_zero_hits_writes_strict_json(tmp_path):
     doc = {"command": "simulate", "structure": GOE_DOC, "seed": 7,
            "simulate": {"N": 20, "reps": 10, "x": 6.0, "delta": 0.1}}

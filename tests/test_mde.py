@@ -191,6 +191,40 @@ def test_edge_two_bands():
     assert mde.left_edge(st) == pytest.approx(-2.0, abs=1e-10)
 
 
+def _near_equal_edges(k, gap):
+    """A_0 = diag(0, 1) with noise widths g_1 = 1, g_2 = (1 + gap)/2 on one
+    matrix (k = 1) or split over two (k = 2): edges 2 and 2 + gap."""
+    g = (1.0 + gap) / 2.0
+    a = ([np.diag([1.0, g])] if k == 1
+         else [np.diag([0.6, 0.8 * g]), np.diag([0.8, 0.6 * g])])
+    return make_structure(np.diag([0.0, 1.0]), a), max(2.0, 2.0 + gap)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("gap", [0.02, 0.01, 5e-3, 1e-3, 1e-4, 1e-6, 1e-9, -2e-3, -5e-3])
+def test_edge_next_to_a_second_edge(k, gap):
+    # r_inf = max_l (c_l + 2 g_l); near the other edge the Jacobian's smallest
+    # eigenvalue can be the E_12 cross mode, orthogonal to dM/dz, so the walk
+    # goes on until the fold's own mode stands apart
+    st, want = _near_equal_edges(k, gap)
+    assert mde.right_edge(st).r_inf == pytest.approx(want, abs=1e-12)
+
+
+def test_edge_next_to_a_second_edge_of_another_noise():
+    # edges 2 sqrt(1.09) = 2.088 and 1 + 2 sqrt(0.29) = 2.077
+    st = make_structure(np.diag([0.0, 1.0]), [np.diag([1.0, 0.5]), np.diag([0.3, -0.2])])
+    assert mde.right_edge(st).r_inf == pytest.approx(2.0 * np.sqrt(1.09), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_coincident_edges_of_different_widths_raise(k):
+    # two square-root edges at 2 with widths 1 and 1/2: no simple fold, and no atom
+    st, _ = _near_equal_edges(k, 0.0)
+    with pytest.raises(mde.ConvergenceError, match="do not separate") as err:
+        mde.right_edge(st)
+    assert "atom" not in str(err.value)
+
+
 @pytest.mark.parametrize("a1, beta", [([[0.0, 1.0], [1.0, 0.0]], 1),
                                       ([[0.0, 1.0], [1.0, 0.0]], 2),
                                       (np.eye(2), 1)])

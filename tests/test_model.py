@@ -17,7 +17,6 @@ from kronldp.model import (
     profile_vector,
     rho_profile,
     s_big,
-    sample_kronecker,
     sample_tilted,
     stream,
     structure_from_dict,
@@ -130,7 +129,7 @@ def test_sample_mean_is_deterministic_part(pair_structure):
     rng = stream(123)
     acc = np.zeros((2 * n, 2 * n))
     for _ in range(reps):
-        acc += sample_kronecker(pair_structure, n, rng, keep_matrix=True).matrix
+        acc += _assemble(pair_structure, _draw_blocks(pair_structure, n, rng), n)
     acc /= reps
     target = np.kron(pair_structure.a0, np.eye(n))
     # entry standard error <= 2*sqrt(2)/sqrt(reps*N); allow the Gaussian max
@@ -146,7 +145,7 @@ def test_entry_variance_scaling(beta):
     n, reps = 30, 400
     off, diag = [], []
     for _ in range(reps):
-        x = sample_kronecker(st, n, rng, keep_matrix=True).matrix
+        x = _assemble(st, _draw_blocks(st, n, rng), n)
         off.append(x[0, 1])
         diag.append(x[2, 2])
     off, diag = np.array(off), np.array(diag)
@@ -164,17 +163,18 @@ def test_operator_norm_stays_bounded(pair_structure):
     bound = (np.linalg.norm(pair_structure.a0, 2)
              + 2.0 * sum(np.linalg.norm(aj, 2) for aj in pair_structure.a) + 1.0)
     rng = stream(29)
-    tops = [sample_kronecker(pair_structure, 60, rng).lambda1 for _ in range(200)]
+    tops = [np.linalg.eigvalsh(_assemble(pair_structure, _draw_blocks(pair_structure, 60, rng),
+                                         60))[-1] for _ in range(200)]
     assert max(tops) < bound
 
 
 def test_sampling_reproducible(pair_structure):
-    a = sample_kronecker(pair_structure, 50, stream(7, 3))
-    b = sample_kronecker(pair_structure, 50, stream(7, 3))
-    c = sample_kronecker(pair_structure, 50, stream(7, 4))
-    assert a.lambda1 == b.lambda1
-    assert np.array_equal(a.v1, b.v1)
-    assert a.lambda1 != c.lambda1
+    u = profile_vector(pair_structure, np.eye(2) / 2.0, 50, stream(7))
+    a = sample_tilted(pair_structure, 50, 0.3, u, 7)
+    b = sample_tilted(pair_structure, 50, 0.3, u, 7)
+    c = sample_tilted(pair_structure, 50, 0.3, u, 8)
+    assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(a, c)
 
 
 def test_stream_is_pinned():
@@ -232,20 +232,13 @@ def test_draw_blocks_layout(beta, n):
     assert blocks.tobytes() == want.tobytes()
 
 
-def test_spectrum_request(pair_structure):
-    s = sample_kronecker(pair_structure, 30, stream(1), with_spectrum=True)
-    assert s.spectrum.shape == (60,)
-    assert s.spectrum[0] == pytest.approx(s.lambda1)
-    assert np.all(np.diff(s.spectrum) <= 0)
-
-
 def test_zero_tilt_equals_plain_draw(pair_structure):
     n = 40
     u = np.zeros(2 * n)
     u[0] = 1.0
-    a = sample_kronecker(pair_structure, n, stream(5, 0))
+    a = _assemble(pair_structure, _draw_blocks(pair_structure, n, stream(5, 0)), n)
     b = sample_tilted(pair_structure, n, 0.0, u, stream(5, 0))
-    assert a.lambda1 == b.lambda1
+    assert a.tobytes() == b.tobytes()
 
 
 def test_tilt_matrix_rank_and_symmetry(pair_structure):

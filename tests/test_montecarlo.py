@@ -23,9 +23,9 @@ from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
-from kronldp.model import (_assemble, _draw_blocks, _draw_stream, profile_vector,
-                           sample_kronecker, sample_tilted, tilt_matrix)
-from kronldp import montecarlo
+from kronldp.model import (_assemble, _draw_blocks, _draw_stream, profile_vector, rho_profile,
+                           sample_tilted, tilt_matrix)
+from kronldp import model, montecarlo
 from kronldp.montecarlo import (
     ProfileHistogram,
     TailEstimate,
@@ -105,22 +105,20 @@ def test_mean_weight_is_one_at_zero_tilt(sc):
     mu, t2 = _tilt_moments(sc, u)
     gen = stream(17, 0)
     for _ in range(reps):
-        s = sample_kronecker(sc, n, gen, keep_matrix=True)
-        quad = float(np.real(np.vdot(u, s.matrix @ u)))
+        x = _assemble(sc, _draw_blocks(sc, n, gen), n)
+        quad = float(np.real(np.vdot(u, x @ u)))
         assert math.exp(0.0 * (0.0 * t2 - (quad - mu))) == 1.0
 
 
 def test_mean_weight_small_tilt(sc):
-    from kronldp.model import sample_tilted
-
     n, reps, theta = 50, 4000, 0.05
     u = profile_vector(sc, [[1.0]], n, stream(17, reps))
     mu, t2 = _tilt_moments(sc, u)
     gen = stream(17, 0)
     ws = np.empty(reps)
     for r in range(reps):
-        s = sample_tilted(sc, n, theta, u, gen, keep_matrix=True)
-        quad = float(np.real(np.vdot(u, s.matrix @ u)))
+        x = sample_tilted(sc, n, theta, u, gen)
+        quad = float(np.real(np.vdot(u, x @ u)))
         ws[r] = math.exp(n * theta * (theta * t2 - (quad - mu)))
     assert abs(ws.mean() - 1.0) <= 3.0 / math.sqrt(reps)
 
@@ -129,8 +127,6 @@ def test_change_of_measure_identity(sc):
     # E_tilted[w g(X)] = E[g(X)] for a bounded spectral statistic, checked on
     # matched draws: the tilted matrix is the base matrix plus the shift, so
     # the paired differences carry most of the variance away.
-    from kronldp.model import tilt_matrix
-
     n, reps, theta = 50, 2000, 0.05
     u = profile_vector(sc, [[1.0]], n, stream(23, reps))
     mu, t2 = _tilt_moments(sc, u)
@@ -138,12 +134,12 @@ def test_change_of_measure_identity(sc):
     gen = stream(23, 0)
     diffs = np.empty(reps)
     for r in range(reps):
-        s = sample_kronecker(sc, n, gen, keep_matrix=True)
-        x_tilted = s.matrix + shift
+        x = _assemble(sc, _draw_blocks(sc, n, gen), n)
+        x_tilted = x + shift
         lam_t = float(np.linalg.eigvalsh(x_tilted)[-1])
         quad = float(np.real(np.vdot(u, x_tilted @ u)))
         w = math.exp(n * theta * (theta * t2 - (quad - mu)))
-        diffs[r] = w * min(lam_t, 3.0) - min(s.lambda1, 3.0)
+        diffs[r] = w * min(lam_t, 3.0) - min(float(np.linalg.eigvalsh(x)[-1]), 3.0)
     se = diffs.std(ddof=1) / math.sqrt(reps)
     assert abs(diffs.mean()) <= 5 * se
 
@@ -444,11 +440,7 @@ def test_assemble_equals_kron_form_bitwise(sc, dsum, herm, pair):
     for st in (sc, dsum, herm, pair, generic, zeros, wide):
         n = 7
         blocks = _draw_blocks(st, n, stream(4, 0))
-        ref = _kron_assemble(st, blocks, n)
-        out = np.full_like(ref, np.nan)
-        assert _assemble(st, blocks, n).tobytes() == ref.tobytes()
-        assert _assemble(st, blocks, n, out=out) is out
-        assert out.tobytes() == ref.tobytes()
+        assert _assemble(st, blocks, n).tobytes() == _kron_assemble(st, blocks, n).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +512,20 @@ def test_nearly_commuting_structure_is_factored_whole(dsum, monkeypatch, serial)
     assert set(shapes) == {(2 * n, 2 * n)}
 
 
+def _record_eigensolver_sizes(monkeypatch):
+    """The sizes of the matrices handed to any symmetric eigensolver."""
+    solvers = [np.linalg.eigh, np.linalg.eigvalsh, scipy.linalg.eigh, scipy.linalg.eigvalsh]
+    sizes = []
+    for module in (np.linalg, scipy.linalg, model, montecarlo):
+        for name, f in list(vars(module).items()):
+            if any(f is s for s in solvers):
+                def recorded(a, *args, _f=f, **kwargs):
+                    sizes.append(np.shape(a)[0])
+                    return _f(a, *args, **kwargs)
+                monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("which", ["goe", "herm", "pair"])
 def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch, serial):
     # the window is decided by Cholesky factorizations alone: no matrix of
@@ -527,15 +533,7 @@ def test_window_estimators_make_no_eigensolve(which, sc, herm, pair, monkeypatch
     # search stay far smaller than N)
     st = {"goe": sc, "herm": herm, "pair": pair}[which]
     x = right_edge(st).r_inf + 0.2
-    solvers = [np.linalg.eigh, np.linalg.eigvalsh, scipy.linalg.eigh, scipy.linalg.eigvalsh]
-    sizes = []
-    for module in (np.linalg, scipy.linalg, montecarlo):
-        for name, f in list(vars(module).items()):
-            if any(f is s for s in solvers):
-                def recorded(a, *args, _f=f, **kwargs):
-                    sizes.append(np.shape(a)[0])
-                    return _f(a, *args, **kwargs)
-                monkeypatch.setattr(module, name, recorded)
+    sizes = _record_eigensolver_sizes(monkeypatch)
     n = 16
     assert tail_probability(st, x, 0.15, n, 300, 9).hits > 0
     assert importance_tail(st, x, 0.15, n, 300, 9).hits > 0
@@ -681,7 +679,65 @@ def test_a_failed_batch_raises_its_own_error(sc, sampler, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# lambda_1 draws
+# lambda_1 draws, spectra and resolvent traces, part by part
+
+@pytest.fixture(scope="module")
+def cgen():
+    """Non-commuting, beta = 2: one part, X itself."""
+    return make_structure(0.3 * np.diag([1.0, -1.0]), [[[1.0, 0.5j], [-0.5j, 0.2]], FLIP],
+                          beta=2)
+
+
+def _by_parts_and_whole(call, st, n, reps, seed):
+    """(what `call` returns, the same from the draws assembled whole): lambda_1
+    and rho(v_1) per draw, the pooled histogram, or the mean block traces."""
+    gen = _draw_stream(seed)
+    xs = [_assemble(st, _draw_blocks(st, n, gen), n) for _ in range(reps)]
+    if call == "simulate":
+        got = [(lam, prof.psi) for lam, prof in simulate_lambda1(st, n, reps, seed)]
+        tops = [np.linalg.eigh(x) for x in xs]
+        return got, [(w[-1], rho_profile(v[:, -1], st.L)) for w, v in tops]
+    if call == "spectrum":
+        got = empirical_spectrum(st, n, reps, rng=seed, bins=17)
+        return got, np.histogram([np.linalg.eigvalsh(x) for x in xs], bins=17, density=True)
+    z = right_edge(st).r_inf + 0.5 + 0.3j
+    resolvents = [np.linalg.inv(x - z * np.eye(len(x))).reshape(st.L, n, st.L, n) for x in xs]
+    return (block_resolvent_trace(st, n, reps, z, rng=seed),
+            np.mean([np.einsum("ikjk->ij", r) / n for r in resolvents], axis=0))
+
+
+@pytest.mark.parametrize("call", ["simulate", "spectrum", "resolvent"])
+@pytest.mark.parametrize("which", ["dsum", "rot3", "pair", "cgen", "atoms"])
+def test_parts_match_the_whole_matrix(call, which, dsum, rot3, pair, cgen):
+    # commuting beta = 1 and 2, non-commuting beta = 1 and 2, atoms only
+    st = {"dsum": dsum, "rot3": rot3, "pair": pair, "cgen": cgen,
+          "atoms": make_structure(np.diag([3.0, 1.0]), [])}[which]
+    got, want = _by_parts_and_whole(call, st, 15, 6, 3)
+    if call == "simulate":
+        for (lam, rho), (lam_ref, rho_ref) in zip(got, want, strict=True):
+            assert abs(lam - lam_ref) <= 1e-12
+            assert np.abs(rho - rho_ref).max() <= 1e-12
+    else:
+        assert np.abs(np.asarray(got[0]) - want[0]).max() <= 1e-12
+        assert np.abs(np.asarray(got[1]) - want[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("call", ["simulate", "spectrum", "resolvent"])
+@pytest.mark.parametrize("which", ["dsum", "rot3"])
+def test_commuting_draws_solve_only_n_by_n(call, which, dsum, rot3, monkeypatch):
+    # the matrices commute: every eigensolve is one part's N x N matrix, and
+    # the NL x NL draw never reaches an eigensolver
+    st = {"dsum": dsum, "rot3": rot3}[which]
+    sizes = _record_eigensolver_sizes(monkeypatch)
+    n = 12
+    if call == "simulate":
+        simulate_lambda1(st, n, 3, 5)
+    elif call == "spectrum":
+        empirical_spectrum(st, n, 3, rng=5)
+    else:
+        block_resolvent_trace(st, n, 3, 1j, rng=5)
+    assert sizes and max(sizes) == n
+
 
 def test_simulate_edge_location(sc):
     rows = simulate_lambda1(sc, 500, 40, 21)
@@ -828,13 +884,12 @@ def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypa
     # herm's matrices commute, so each tilted draw is two N x N eigenvalue
     # problems; lambda_1 is the one of sample_tilted's dense draw, the same
     # blocks from the same stream
-    from kronldp import model
-
     n, reps, theta, seed = 30, 40, 0.8, 4
     psi = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
     u = profile_vector(herm, psi, n, _draw_stream(seed, 1))
     gen = _draw_stream(seed, 0)
-    want = np.mean([sample_tilted(herm, n, theta, u, gen).lambda1 for _ in range(reps)])
+    want = np.mean([np.linalg.eigvalsh(sample_tilted(herm, n, theta, u, gen))[-1]
+                    for _ in range(reps)])
     sides = []
 
     def recorded(solver):
@@ -843,7 +898,6 @@ def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypa
             return solver(a, *args, **kwargs)
         return solve
 
-    monkeypatch.setattr(model, "scipy_eigh", recorded(model.scipy_eigh))
     monkeypatch.setattr(montecarlo, "eigvalsh", recorded(scipy.linalg.eigvalsh), raising=False)
     chk = tilted_outlier_check(herm, theta, psi, n, reps, rng=seed)
     assert sides and max(sides) < 2 * n
@@ -904,7 +958,8 @@ def test_tilted_tridiagonal_law_matches_dense(beta, a, theta):
     tri = _tilted_tridiagonal_lambda1(st, theta, n, reps, stream(47, beta))
     u = profile_vector(st, [[1.0]], n, stream(48, beta, 1))
     gen = stream(48, beta, 0)
-    dense = np.array([sample_tilted(st, n, theta, u, gen).lambda1 for _ in range(reps)])
+    dense = np.array([np.linalg.eigvalsh(sample_tilted(st, n, theta, u, gen))[-1]
+                      for _ in range(reps)])
     se = math.sqrt(tri.var(ddof=1) / reps + dense.var(ddof=1) / reps)
     assert abs(tri.mean() - dense.mean()) <= 5.0 * se
     assert ks_2samp(tri, dense).pvalue > 1e-4
