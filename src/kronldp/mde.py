@@ -8,7 +8,11 @@ U(x) = int ln|x-y| dmu(y).
 
 Solver strategy: one solver, Newton on the L^2-dimensional linearized
 system, stacked over a leading axis of spectral parameters (one batched
-linear solve per step); a one-point solve is a stack of one. Newton starts
+linear solve per step); a one-point solve is a stack of one. S is one fixed
+L^2 x L^2 matrix per structure (`model.SuperOperator`, built once), so it
+acts on the whole stack as one matrix product, and so does the noise term
+of the Jacobian; the residual's spectral norm is sqrt(lambda_max(D* D)) of
+the defects D, one stacked symmetric eigensolve. Newton starts
 from a warm start where the caller has one. Above the axis the one cold
 start is Newton at Im z >= 1 from the one-step far-field guess -(z - A_0 +
 S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: high above the axis the fixed-point
@@ -119,13 +123,16 @@ class SupportInfo:
 
 def _jacobian(structure, b, x):
     """Row-major matrix of D -> B D + S[D] X: kron(B, Id) + sum_j
-    kron(A_j, (A_j X)^T), optionally stacked. B = z Id - A_0 + S[M], X = M
-    gives the Newton Jacobian of Id + B M (-M^{-1} times the stability
-    operator D -> D - M S[D] M); B = S[V], X = V its derivative along V."""
+    kron(A_j, (A_j X)^T), at each point of a stack (a 2-D B, X is a stack of
+    one). B = z Id - A_0 + S[M], X = M gives the Newton Jacobian of Id + B M
+    (-M^{-1} times the stability operator D -> D - M S[D] M); B = S[V],
+    X = V its derivative along V. The noise term of the whole stack is one
+    (L^3 x L)(L x G L) product with the structure's k4."""
     L = structure.L
-    jac = np.einsum("...ac,bd->...abcd", b, np.eye(L))
-    for aj in structure.a:
-        jac = jac + np.einsum("ac,...db->...abcd", aj, aj @ x)
+    bs, xs = b.reshape(-1, L, L), x.reshape(-1, L, L)
+    g = len(bs)
+    noise = (structure.s_op.k4 @ np.moveaxis(xs, 0, 1).reshape(L, g * L)).reshape(L, L, L, g, L)
+    jac = bs[:, :, None, :, None] * np.eye(L)[:, None, :] + noise.transpose(3, 0, 4, 1, 2)
     return jac.reshape(b.shape[:-2] + (L * L, L * L))
 
 
@@ -137,25 +144,30 @@ def _dm_dz(structure, z, m):
     return np.linalg.solve(_jacobian(structure, b, m), -m.reshape(-1)).reshape(m.shape)
 
 
+def _spectral_norm(d):
+    """Spectral norm of one matrix or of each in a stack, sqrt(lambda_max(D*
+    D)): one stacked eigvalsh instead of an SVD per matrix."""
+    gram = np.conj(np.swapaxes(d, -1, -2)) @ d
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
 def _herglotz_ok(m):
     """Im M >= 0 up to rounding; m is one matrix or a stack of them."""
     im = (m - np.conj(np.swapaxes(m, -1, -2))) / 2j
-    return (np.linalg.eigvalsh(im).min(axis=-1)
-            >= -1e-8 * (1.0 + np.linalg.norm(m, 2, axis=(-2, -1))))
+    return np.linalg.eigvalsh(im).min(axis=-1) >= -1e-8 * (1.0 + _spectral_norm(m))
 
 
 def _b_batch(structure, z, m):
-    """B = z Id - A_0 + S[M] at each point."""
-    b = z[:, None, None] * np.eye(structure.L) - structure.a0
-    for aj in structure.a:
-        b = b + aj @ m @ aj
-    return b
+    """B = z Id - A_0 + S[M] at each point; S acts on the whole stack as one
+    (G x L^2)(L^2 x L^2) product."""
+    L = structure.L
+    s_m = (m.reshape(len(m), L * L) @ structure.s_op.k.T).reshape(m.shape)
+    return z[:, None, None] * np.eye(L) - structure.a0 + s_m
 
 
 def _residual_batch(structure, z, m):
     """Spectral norm of the defect Id + B M at each point."""
-    d = np.eye(structure.L) + _b_batch(structure, z, m) @ m
-    return np.linalg.norm(d, 2, axis=(1, 2))
+    return _spectral_norm(np.eye(structure.L) + _b_batch(structure, z, m) @ m)
 
 
 def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
@@ -240,9 +252,10 @@ def _feedback_radius(structure, m):
     at the edge, where the stability operator Id minus this map turns
     singular); the other negative-definite roots (GOE: m^2 > 1) exceed 1."""
     L = structure.L
-    op = np.zeros(m.shape[:-2] + (L * L, L * L), dtype=m.dtype)
-    for aj in structure.a:
-        op = op + np.einsum("...ac,...db->...abcd", m @ aj, aj @ m).reshape(op.shape)
+    # kron(M, M^T) @ k: entry ((a, b), (c, d)) of kron(M, M^T) is M[a, c] M[d, b]
+    mt = np.swapaxes(m, -1, -2)
+    kron = m[..., :, None, :, None] * mt[..., None, :, None, :]
+    op = kron.reshape(m.shape[:-2] + (L * L, L * L)) @ structure.s_op.k
     return np.abs(np.linalg.eigvals(op)).max(axis=-1)
 
 

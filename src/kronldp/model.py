@@ -3,8 +3,14 @@
 The model is X = sum_j A_j (x) W_j + A_0 (x) Id_N with deterministic L x L
 matrices A_j and independent GOE (beta=1) or GUE (beta=2) blocks W_j. This
 module owns the deterministic data (`StructureSet`), the superoperators
-S[T] = sum_j A_j T A_j and S = sum_j A_j (x) A_j, the draws, and the block
-profile map rho.
+S[T] = sum_j A_j T A_j and S_big = sum_j A_j (x) A_j, the draws, and the
+block profile map rho.
+
+S is one fixed linear map per structure, so its matrix forms
+(`SuperOperator`) are built once per structure, on first use, and are
+read-only: concurrent readers share them safely. `apply_S`, `s_big` and the
+stacked kernels of `mde` all read them, so every module uses one definition
+of S.
 
 One draw path, `_draw_stream` -> `_draw_blocks` (the W_j) -> `_assemble` (X;
 `_tilted_draw` adds a tilt's shift): this module draws, `montecarlo` solves.
@@ -48,6 +54,11 @@ class StructureSet:
     @property
     def is_real(self) -> bool:
         return self.beta == 1
+
+    @functools.cached_property
+    def s_op(self) -> SuperOperator:
+        """S's matrix forms (`SuperOperator`), built on first use."""
+        return _superoperator(self.a)
 
 
 def make_structure(a0, a_list, beta=1) -> StructureSet:
@@ -190,24 +201,52 @@ def structure_to_dict(structure: StructureSet) -> dict:
 # ---------------------------------------------------------------------------
 # superoperators
 
+@dataclass(frozen=True)
+class SuperOperator:
+    """The matrix forms of S, read-only. With vec T the row-major flattening
+    of an L x L matrix:
+
+    k    (L^2, L^2): vec S[T] = k vec T, k = sum_j A_j (x) A_j^T. On a stack
+         of G matrices S is one (G x L^2)(L^2 x L^2) product.
+    k4   (L^3, L): k4[(a, c, d), e] = sum_j A_j[a, c] A_j[d, e], the noise
+         term of the Newton Jacobian, (S[D] X)[a, b] = sum k4[(a, c, d), e]
+         D[c, d] X[e, b].
+    big  (L^2, L^2): S_big = sum_j A_j (x) A_j, the operator of the outlier
+         equation.
+
+    For real symmetric A_j, k and big coincide; for complex Hermitian A_j
+    they differ (A_j^T = conj A_j).
+    """
+
+    k: np.ndarray
+    k4: np.ndarray
+    big: np.ndarray
+
+
+def _superoperator(a) -> SuperOperator:
+    """SuperOperator of the stack a of A_j, shape (k, L, L), k >= 0."""
+    L = a.shape[-1]
+    t = np.einsum("jac,jde->acde", a, a)  # sum_j A_j[a, c] A_j[d, e]
+    forms = SuperOperator(k=t.transpose(0, 3, 1, 2).reshape(L * L, L * L),
+                          k4=t.reshape(L ** 3, L),
+                          big=t.transpose(0, 2, 1, 3).reshape(L * L, L * L))
+    for arr in (forms.k, forms.k4, forms.big):
+        arr.setflags(write=False)
+    return forms
+
+
 def apply_S(structure: StructureSet, t) -> np.ndarray:
     """S[T] = sum_j A_j T A_j (linear, PSD-preserving on Hermitian PSD T)."""
     t = np.asarray(t)
     if t.shape != (structure.L, structure.L):
         raise ValueError(f"T has shape {t.shape}, expected ({structure.L}, {structure.L})")
-    out = np.zeros((structure.L, structure.L), dtype=np.result_type(t, structure.a0))
-    for aj in structure.a:
-        out += aj @ t @ aj
-    return out
+    return (structure.s_op.k @ t.reshape(-1)).reshape(t.shape)
 
 
 def s_big(structure: StructureSet) -> np.ndarray:
-    """S = sum_j A_j (x) A_j on L^2-dimensional vectors, lexicographic index (a, b)."""
-    L = structure.L
-    out = np.zeros((L * L, L * L), dtype=structure.a0.dtype)
-    for aj in structure.a:
-        out += np.kron(aj, aj)
-    return out
+    """S_big = sum_j A_j (x) A_j on L^2-dimensional vectors, lexicographic
+    index (a, b); a writable copy of the structure's read-only form."""
+    return structure.s_op.big.copy()
 
 
 # ---------------------------------------------------------------------------

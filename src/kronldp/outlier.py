@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mde import _cache_for, _dm_dz
-from .model import Profile, StructureSet, as_profile, s_big
+from .model import Profile, StructureSet, as_profile
 
 
 class TiltSearchError(RuntimeError):
@@ -76,7 +76,7 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
         raise ValueError("theta must be non-negative")
     psi = np.asarray(psi)
     m_mat = _cache_for(structure).m_matrix(z)
-    big = s_big(structure)
+    big = structure.s_op.big
     if big.shape[0] == 0 or not big.any():
         return 1.0
     ident = np.eye(big.shape[0])
@@ -93,7 +93,7 @@ def _sym(structure, theta, z, psi):
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
     m_mat = _cache_for(structure).m_matrix(z)
-    big = s_big(structure)
+    big = structure.s_op.big
     if big.shape[0] == 0 or not big.any():
         return None
     w, v = np.linalg.eigh(np.kron(-m_mat, 2.0 * theta * psi))
@@ -173,7 +173,7 @@ def tilt_for_target(structure: StructureSet, x, psi) -> float:
     psi = as_profile(psi).psi
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")
-    neg_m, big = -cache.m_matrix(x), s_big(structure)
+    neg_m, big = -cache.m_matrix(x), structure.s_op.big
     h = np.linalg.solve(np.eye(big.shape[0]) - big @ np.kron(neg_m, neg_m / structure.L), big)
     c = np.kron(np.linalg.cholesky(neg_m), np.linalg.cholesky(psi))
     mu = float(np.linalg.eigvalsh(c.conj().T @ h @ c).max())

@@ -6,14 +6,17 @@ quadrature), frozen before this module existed.
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 import oracles as o
 from kronldp import mde
-from kronldp.model import make_structure, stream
+from kronldp.model import apply_S, make_structure, s_big, stream
 
 SQRT2 = np.sqrt(2.0)
 
@@ -674,6 +677,28 @@ def test_density_stacked_solve_matches_pointwise(name, sc, herm2):
     _assert_matches_pointwise(st, d)
 
 
+@pytest.mark.parametrize("name, eta_final", [
+    ("goe", 4.8828125e-07), ("herm", 4.8828125e-07), ("dsum", 9.765625e-07),
+    ("sum-L3", 4.8828125e-07), ("sum-L2", 4.8828125e-07)])
+def test_density_stop_rule_and_semicircle_mixtures(name, eta_final):
+    # eta_final and fallback_points are the values the per-j kernels gave,
+    # so faster kernels must leave the stop rule's rung count alone. The law
+    # is a mixture of semicircles of centre a_j and radius 2 g_j (herm: the
+    # standard semicircle); a_j, g_j as in the log-potential test above
+    st = BENCH_STRUCTURES[name]
+    if name == "herm":
+        a, g = [0.0], [1.0]
+    else:
+        g = np.trace(st.a, axis1=1, axis2=2).real
+        a = np.einsum("ab,jba->j", st.a0, st.a).real / g
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    assert d.eta_final == eta_final and d.fallback_points == 0
+    want = np.mean([o.semicircle_density((d.grid - aj) / gj) / gj for aj, gj in zip(a, g)], axis=0)
+    assert np.max(np.abs(d.density - want)) <= 1e-6
+
+
 def test_density_schedule_starting_above_one(coupled3):
     d = mde.density(coupled3, -2.0, 2.0, grid_size=21, eta_schedule=[2.0, 1.0, 0.3],
                     components=True)
@@ -742,6 +767,76 @@ def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
         for x in np.linspace(left, right, 9)[1:-1]:
             mde.solve_mde(st, complex(x, 1e-3))
         assert len(oks) > 8 and all(oks)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against per-j reference loops
+
+def _random_hermitian(rng, beta, L):
+    g = rng.standard_normal((L, L))
+    if beta == 2:
+        g = g + 1j * rng.standard_normal((L, L))
+    return (g + g.conj().T) / 2.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(beta=hs.sampled_from([1, 2]), L=hs.integers(1, 4), k=hs.integers(0, 3),
+       points=hs.sampled_from([1, 7]), real_z=hs.booleans(), mirrored=hs.booleans(),
+       seed=hs.integers(0, 2 ** 32 - 1))
+@example(beta=2, L=3, k=0, points=7, real_z=False, mirrored=True, seed=1)
+@example(beta=1, L=2, k=0, points=1, real_z=True, mirrored=False, seed=2)
+def test_stacked_kernels_match_reference_loops(beta, L, k, points, real_z, mirrored, seed):
+    # S acts through the structure's cached matrix forms; every kernel must
+    # equal the per-j sums. Sum A_j (x) A_j and sum A_j (x) A_j^T agree on
+    # real symmetric A_j, so only the beta = 2 cases catch a mix-up.
+    rng = np.random.default_rng(seed)
+    st = make_structure(_random_hermitian(rng, beta, L),
+                        [_random_hermitian(rng, beta, L) for _ in range(k)], beta=beta)
+    if mirrored:  # the structure _fold(side=-1) builds
+        st = replace(st, a0=-st.a0)
+    real_z = real_z and beta == 1
+    if real_z:
+        z = rng.standard_normal(points)
+        m = rng.standard_normal((points, L, L))
+    else:
+        z = rng.standard_normal(points) + 1j * rng.uniform(0.1, 2.0, points)
+        m = rng.standard_normal((points, L, L)) + 1j * rng.standard_normal((points, L, L))
+        # Im M shifted both ways, so the Herglotz test says yes and no
+        m = m + 1j * rng.uniform(-1.0, 3.0, points)[:, None, None] * np.eye(L)
+    x = rng.standard_normal((points, L, L))
+    if not real_z:
+        x = x + 1j * rng.standard_normal((points, L, L))
+    eye = np.eye(L)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    s_ref = np.array([sum((aj @ mi @ aj for aj in st.a), np.zeros((L, L))) for mi in m])
+    b_ref = z[:, None, None] * eye - st.a0 + s_ref
+    close(mde._b_batch(st, z, m), b_ref)
+    close(np.array([apply_S(st, mi) for mi in m]), s_ref)
+    close(s_big(st), sum((np.kron(aj, aj) for aj in st.a), np.zeros((L * L, L * L))))
+
+    jac_ref = np.array([np.kron(bi, eye) + sum((np.kron(aj, (aj @ xi).T) for aj in st.a),
+                                                np.zeros((L * L, L * L)))
+                        for bi, xi in zip(b_ref, x)])
+    close(mde._jacobian(st, b_ref, x), jac_ref)
+    close(mde._jacobian(st, b_ref[0], x[0]), jac_ref[0])
+
+    res_ref = np.linalg.norm(eye + b_ref @ m, 2, axis=(1, 2))
+    close(mde._residual_batch(st, z, m), res_ref)
+
+    op_ref = [sum((np.kron(mi @ aj, (aj @ mi).T) for aj in st.a), np.zeros((L * L, L * L)))
+              for mi in m]
+    radius_ref = np.array([np.abs(np.linalg.eigvals(op)).max() for op in op_ref])
+    close(mde._feedback_radius(st, m), radius_ref)
+    close(mde._feedback_radius(st, m[0]), radius_ref[0])
+
+    im = (m - np.conj(np.swapaxes(m, 1, 2))) / 2j
+    ok_ref = (np.linalg.eigvalsh(im).min(axis=-1)
+              >= -1e-8 * (1.0 + np.linalg.norm(m, 2, axis=(1, 2))))
+    assert np.array_equal(mde._herglotz_ok(m), ok_ref)
 
 
 # ---------------------------------------------------------------------------
