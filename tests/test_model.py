@@ -1,6 +1,8 @@
 """Structure sets, sampling, tilts and eigenvector profiles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +115,45 @@ def test_s_big_matches_apply_s_on_vec(pair_structure):
         x = x + x.T
         lhs = (big @ x.reshape(-1)).reshape(2, 2)
         assert np.max(np.abs(lhs - apply_S(pair_structure, x))) < 1e-12
+
+
+def test_superoperator_is_shared_read_only_by_concurrent_readers():
+    # 8 threads race to first use of a fresh structure's S: every reader
+    # sees the finished forms, which no caller can write
+    rng = np.random.default_rng(3)
+    herm = [(g + g.conj().T) / 2 for g in rng.standard_normal((4, 3, 3))
+            + 1j * rng.standard_normal((4, 3, 3))]
+    st = make_structure(herm[0], herm[1:], beta=2)
+    t = herm[0] @ herm[1]
+    want = sum(aj @ t @ aj for aj in st.a)
+    barrier, errors = threading.Barrier(8), []
+
+    def work():
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(200):
+                if np.max(np.abs(apply_S(st, t) - want)) > 1e-13:
+                    errors.append("wrong S[T]")
+        except Exception as exc:  # the failure under test: report, don't hang
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    forms = st.s_op
+    assert not any(a.flags.writeable for a in (forms.k, forms.k4, forms.big))
+    big = s_big(st)
+    big[0, 0] += 1.0
+    assert s_big(st)[0, 0] == forms.big[0, 0] != big[0, 0]
 
 
 def test_structure_dict_round_trip(pair_structure, herm_structure):
