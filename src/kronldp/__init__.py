@@ -71,4 +71,4 @@ from .rate import (
     theta_cap,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"

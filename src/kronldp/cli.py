@@ -147,9 +147,15 @@ def _write_meta(cfg: RunConfig, started, files):
 def cmd_density(cfg: RunConfig) -> int:
     st = cfg.structure
     info = right_edge(st)
-    lo = cfg.params.get("x_lo")
-    hi = cfg.params.get("x_hi")
-    lo = left_edge(st) - 0.1 if lo is None else parse_number(lo, "density.x_lo")
+    lo, hi = cfg.params.get("x_lo"), cfg.params.get("x_hi")
+    try:
+        left = left_edge(st)
+    except ConvergenceError as exc:
+        if lo is None:
+            raise  # the grid starts at the left edge: nothing is written
+        print(f"warning: {exc}; left_edge written as null", file=sys.stderr)
+        left = None
+    lo = left - 0.1 if lo is None else parse_number(lo, "density.x_lo")
     hi = info.r_inf + 0.1 if hi is None else parse_number(hi, "density.x_hi")
     grid_size = parse_number(cfg.params.get("grid_size", 1001), "density.grid_size", int)
     if st.k == 0:
@@ -169,7 +175,7 @@ def cmd_density(cfg: RunConfig) -> int:
         "m_at_edge": info.m_at_edge if np.isfinite(info.m_at_edge) else None,
         "fold_residual": info.fold_residual,
         "fold_steps": info.fold_steps,
-        "left_edge": left_edge(st),
+        "left_edge": left,
     }
     (cfg.output_dir / "support.json").write_text(
         json.dumps(support, indent=2, allow_nan=False) + "\n", encoding="utf-8")

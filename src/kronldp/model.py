@@ -12,8 +12,8 @@ read-only: concurrent readers share them safely. `apply_S`, `s_big` and the
 stacked kernels of `mde` all read them, so every module uses one definition
 of S.
 
-One draw path, `_draw_stream` -> `_draw_blocks` (the W_j) -> `_assemble` (X;
-`_tilted_draw` adds a tilt's shift): this module draws, `montecarlo` solves.
+One draw path, `_draw_stream` -> `_draw_blocks` (the W_j, plus 2 theta C_j
+under a tilt) -> `_assemble` (X): this module draws, `montecarlo` solves.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def tilt_matrix(structure: StructureSet, u) -> np.ndarray:
     The tilted sample is X~ + 2 theta D; D is the deterministic finite-rank
     shift produced by tilting the Gaussian law with exp(beta N theta <u, X u>).
     The transpose on the inner A_j comes from <u,(A (x) W)u> = Tr[W U A^T U*];
-    it only matters when A_j has complex entries.
+    it only matters when A_j has complex entries. No sampler builds D (`_tilt_blocks`).
     """
     u = np.asarray(u)
     L = structure.L
@@ -374,21 +374,16 @@ def tilt_matrix(structure: StructureSet, u) -> np.ndarray:
     return d
 
 
-def tilt_shift(structure: StructureSet, theta, u) -> np.ndarray | None:
-    """The tilted sampler's shift 2 theta D, or None when theta is 0."""
-    return 2.0 * theta * tilt_matrix(structure, u) if theta > 0 else None
-
-
-def _tilted_draw(structure: StructureSet, blocks, n, shift) -> np.ndarray:
-    """The draw of the blocks W as a matrix: X, plus the shift when given."""
-    x = _assemble(structure, blocks, n)
-    if shift is not None:
-        x += shift
-    return x
+def _tilt_blocks(structure: StructureSet, u) -> np.ndarray:
+    """C_j = U A_j^T U*, shape (k, N, N), U's columns the blocks of u. The tilt
+    exp(beta N theta <u, X u>) = exp(beta N theta sum_j Tr[W_j C_j]) moves the
+    law of each W_j by its mean 2 theta C_j (complete the square), nothing else."""
+    ub = np.asarray(u).reshape(structure.L, -1)  # row a = block u_a
+    return ub.T @ np.swapaxes(structure.a, 1, 2) @ np.conj(ub)
 
 
 def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
-    """One NL x NL draw of the tilted measure: a fresh X plus the shift 2 theta D."""
+    """One NL x NL draw of the tilted measure: X of the blocks W_j + 2 theta C_j."""
     if theta < 0:
         raise ValueError("theta must be >= 0")
     u = np.asarray(u)
@@ -399,7 +394,8 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
     if structure.beta == 1 and np.iscomplexobj(u):
         raise ValueError("u must be real at beta = 1")
     blocks = _draw_blocks(structure, n, _draw_stream(rng))
-    return _tilted_draw(structure, blocks, n, tilt_shift(structure, theta, u))
+    blocks += 2.0 * theta * _tilt_blocks(structure, u)
+    return _assemble(structure, blocks, n)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +434,20 @@ def as_profile(psi) -> Profile:
     return Profile(np.asarray(psi, dtype=np.result_type(np.asarray(psi), np.float64)))
 
 
+def _sized_psi(structure: StructureSet, psi) -> np.ndarray:
+    """psi (a matrix or Profile) as an array; a ValueError unless it is L x L."""
+    psi = psi.psi if isinstance(psi, Profile) else np.asarray(psi)
+    if psi.shape != (structure.L, structure.L):
+        raise ValueError(f"psi must be L x L = {structure.L} x {structure.L}, got {psi.shape}")
+    return psi
+
+
+def _psd_factor(h) -> np.ndarray:
+    """F with F F* = h for Hermitian PSD h: v sqrt(w), rounding below 0 clipped."""
+    w, v = np.linalg.eigh(h)
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
 def rho_profile(w1, L, w2=None) -> np.ndarray:
     """Block Gram matrix rho(w)_{ij} = <w_i, w_j> of an NL vector.
 
@@ -468,14 +478,13 @@ def profile_vector(structure: StructureSet, psi, n, rng) -> np.ndarray:
     L = structure.L
     if n < L:
         raise ValueError(f"N={n} cannot host {L} orthonormal block directions")
-    psi = as_profile(psi).psi
+    psi = as_profile(_sized_psi(structure, psi)).psi
     if structure.beta == 1:
         if np.any(np.imag(psi) != 0):
             raise ValueError("psi must be real at beta = 1")
         psi = np.real(psi)
     gen = _draw_stream(rng)
-    w, v = np.linalg.eigh(psi)
-    c = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))  # psi = c c*
+    c = _psd_factor(psi)  # psi = c c*
     if structure.beta == 1:
         g = gen.standard_normal((n, L))
     else:

@@ -13,37 +13,31 @@ indicator sums go through math.fsum, which rounds exactly and is therefore
 order-independent. With an integer seed and at least two batches, the
 batches run on one forked worker process per CPU of this process's affinity
 mask (at most one per batch; `_map_batches`), and the results are gathered
-in batch order. A process limited to one CPU (for example by `taskset -c
-0`), a platform without the fork start method, and a daemonic process (which
-may not start children) run the batches in-process, one after the other.
-Passing a Generator instead of an integer seed is allowed but serializes the
-batches onto that one stream, in-process. The README lists what each
-version changed in the draws (0.2.0-0.4.0: other draws, the same laws) and
-in how they are solved (0.5.0: lambda_1 part by part).
+in batch order; where `_processes` allows only one (a single CPU, no fork
+start method, a daemonic caller, or a Generator passed instead of an
+integer seed) they run in-process, one after the other. The README lists
+what each version changed in the draws and in how they are solved.
 
-`model` draws the blocks W_j; this module solves every dense draw part by
-part (`_parts`, `_Part`): lambda_1 and rho(v_1), pooled spectra, block
-resolvent traces, window decisions and tilted lambda_1. A structure whose
-matrices commute (A_0 = q diag(c) q*, A_j = q diag(a_j) q*: direct sums,
-every L = 1 structure) has L parts: in q's basis X is the direct sum of the
-N x N blocks c_l + sum_j a_jl W_j, built straight from the drawn W_j. Any
-other structure is one part, X itself. Only a hit of the importance sampler
-is assembled whole, for its weight; no batch of matrices is ever held.
+`model` draws the blocks W_j, under a tilt W_j + 2 theta C_j (the tilted
+law's mean, `model._tilt_blocks`); this module solves every dense draw
+part by part (`_parts`, `_Part`): lambda_1 and rho(v_1), pooled spectra,
+block resolvent traces, window decisions and tilted lambda_1. A structure
+whose matrices commute (A_0 = q diag(c) q*, A_j = q diag(a_j) q*: direct
+sums, every L = 1 structure) has L parts: in q's basis X is the direct sum
+of the N x N blocks c_l + sum_j a_jl W_j, built straight from the drawn W_j.
+Any other structure is one part, X itself. Only a hit of the importance
+sampler is assembled whole, for its weight; no batch of matrices is ever
+held.
 
 The dense window estimators (direct and importance) take one draw at a time
-and decide the window with no eigensolve: a LAPACK Cholesky factorization of
-(x - delta)Id - X exists exactly when lambda_1 < x - delta, which rules the
-draw out, and for the few draws that fail it (a vanishing fraction in the
-large deviation regime) a second one at x + delta decides a two-sided
-window. For the scalar structures the long 1e7-rep runs use
+and decide the window with no eigensolve, by Cholesky factorizations at the
+window ends (`_window_draws`). Long runs on a scalar structure may take
 (opt-in) the tridiagonal beta-Hermite reduction, which has exactly the
-GOE/GUE eigenvalue law at a fraction of the cost; window
-membership is then two vectorized Sturm negative-pivot counts per draw and
-needs no eigensolve at all. The tilted mean check of a scalar structure
-always takes that reduction: a rank-one tilt only shifts the first diagonal
-entry of the tridiagonal (Bloemendal-Virag), so a tilted draw takes 2N - 1
-random numbers and one tridiagonal bisection for lambda_1 instead of a dense
-matrix and its eigensolve.
+GOE/GUE eigenvalue law: window membership is two vectorized Sturm counts per
+draw. The tilted mean check of a scalar structure always takes it: a
+rank-one tilt only shifts the tridiagonal's first diagonal entry
+(Bloemendal-Virag), so a tilted draw takes 2N - 1 random numbers and one
+tridiagonal bisection instead of a dense matrix and its eigensolve.
 """
 from __future__ import annotations
 
@@ -60,8 +54,8 @@ from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
 from .mde import right_edge
-from .model import (as_profile, profile_vector, rho_profile, structure_hash, tilt_shift,
-                    _draw_blocks, _draw_stream, _tilted_draw)
+from .model import (as_profile, profile_vector, rho_profile, structure_hash, _assemble,
+                    _draw_blocks, _draw_stream, _tilt_blocks)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -96,7 +90,7 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class TiltCheck:
-    """Empirical mean of lambda_1 under a tilt vs the predicted outlier Z."""
+    """Empirical mean of lambda_1 under a tilt (blocks W_j + 2 theta C_j) vs the predicted Z."""
 
     theta: float
     N: int
@@ -190,11 +184,10 @@ def _map_batches(fn, nbatches, rng):
 _COMMUTE_ULPS = 32
 
 
-def _parts(structure, n, shift=None):
-    """The parts of X at size N (plus the shift, when given), as `_Part`s: X is
-    unitarily the direct sum over parts of c0 (x) Id + sum_j c_j (x) W_j, a
-    P N x P N matrix whose rows are those of X in the basis (an L x P block of
-    a unitary) (x) Id.
+def _parts(structure, n):
+    """The parts of X at size N, as `_Part`s: X is unitarily the direct sum
+    over parts of c0 (x) Id + sum_j c_j (x) W_j, a P N x P N matrix whose rows
+    are those of X in the basis (an L x P block of a unitary) (x) Id.
 
     When the structure's matrices commute they share an eigenbasis q, and X
     splits into L parts of size 1, c_l + sum_j a_jl W_j. The test
@@ -215,17 +208,16 @@ def _parts(structure, n, shift=None):
                  for l in range(structure.L)]
     else:
         split = [(np.eye(structure.L), structure.a0, structure.a)]
-    return [_Part(basis, c0, c, n, structure.a0.dtype, shift) for basis, c0, c in split]
+    return [_Part(basis, c0, c, n, structure.a0.dtype) for basis, c0, c in split]
 
 
 class _Part:
-    """One part of X (plus its share of the shift, when given): `below`
-    tests lambda_1 < t by a LAPACK Cholesky factorization of t Id - part,
-    `top` returns lambda_1.
+    """One part of X: `below` tests lambda_1 < t by a LAPACK Cholesky
+    factorization of t Id - part, `top` returns lambda_1.
 
     t Id - part is built straight from the drawn W_j in one reused matrix:
-    one broadcast product per noise term on its (P, N, P, N) view, the
-    shift, then t Id - c0 added to the diagonal of every N x N block. The
+    one broadcast product per noise term on its (P, N, P, N) view, then
+    t Id - c0 added to the diagonal of every N x N block. The
     factorization exists exactly when t Id - part is positive definite. The
     transposed (Fortran-ordered) view is factored as upper triangular, so
     LAPACK reads the lower triangle, in place and without a copy; `top`
@@ -233,18 +225,14 @@ class _Part:
     `top_profile` conjugates its eigenvector back).
     """
 
-    def __init__(self, basis, c0, c, n, dtype, shift):
-        ell, p = basis.shape
+    def __init__(self, basis, c0, c, n, dtype):
+        p = basis.shape[1]
         self.basis = basis
         self.eye, self.c0 = np.eye(p)[:, :, None], c0[:, :, None]
         self.neg_c = -c[:, :, None, :, None]
         self.mat = np.empty((p * n, p * n), dtype=dtype)
         self.view = self.mat.reshape(p, n, p, n)
         self.diag = np.einsum("aibi->abi", self.view)  # writeable view
-        self.shift = None
-        if shift is not None:  # the part's diagonal block of basis* shift basis
-            self.shift = np.einsum("ap,aibj,bq->piqj", basis.conj(),
-                                   shift.reshape(ell, n, ell, n), basis).reshape(p * n, p * n)
         self.potrf = zpotrf if np.iscomplexobj(self.mat) else dpotrf
 
     def _fill(self, blocks, t):
@@ -255,8 +243,6 @@ class _Part:
             self.view.fill(0.0)
         for c, w in zip(self.neg_c[1:], blocks[1:]):
             self.view += c * w[None, :, None, :]
-        if self.shift is not None:
-            self.mat -= self.shift
         self.diag += t * self.eye - self.c0
 
     def below(self, blocks, t):
@@ -306,10 +292,10 @@ class _Part:
         return self.basis @ (cross @ (1.0 / (vals - z)) / n) @ self.basis.conj().T
 
 
-def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift=None):
-    """The blocks W of batch `batch`'s draws whose X (plus shift, when
-    given) has lambda_1 in the window: lambda_1 >= x - delta, and for a
-    two-sided window also lambda_1 <= x + delta.
+def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, mean=None):
+    """The blocks W (each plus the mean, when given) of batch `batch`'s
+    draws whose X has lambda_1 in the window: lambda_1 >= x - delta, and for
+    a two-sided window also lambda_1 <= x + delta.
 
     Batch b takes the _batch_size draws from b _batch_size on, from stream
     (seed, b). No eigenvalue is computed: a draw is in the window when some
@@ -319,11 +305,10 @@ def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift=Non
     within rounding of a window end. The yielded blocks are fresh for every
     draw.
     """
-    parts = _parts(structure, n, shift)
     bs = _batch_size(structure.L * n, reps)
-    gen = _draw_stream(rng, batch)
-    for _ in range(min(bs, reps - batch * bs)):
-        blocks = _draw_blocks(structure, n, gen)
+    parts, draws = _draws(structure, n, min(bs, reps - batch * bs), _draw_stream(rng, batch),
+                          mean)
+    for blocks in draws:
         above = [part for part in parts if not part.below(blocks, x - delta)]
         if above and (one_sided or all(part.below(blocks, x + delta) for part in above)):
             yield blocks
@@ -337,27 +322,25 @@ def _clopper_pearson(hits, reps, alpha=0.05):
 
 
 def _tilt_moments(structure, u):
-    """mu = <u,(A0 x Id)u> and T2 = sum_j Tr[C_j^2] for the weight exponent."""
-    ub = np.asarray(u).reshape(structure.L, -1)
-    gram = ub.conj() @ ub.T
-    mu = float(np.real(np.sum(structure.a0 * gram)))
-    t2 = 0.0
-    for aj in structure.a:
-        cj = ub.T @ aj.T @ np.conj(ub)
-        t2 += float(np.real(np.trace(cj @ cj)))
-    return mu, t2
+    """mu = <u,(A0 x Id)u> and T2 = sum_j Tr[C_j^2] = sum_j ||C_j||_F^2 (Hermitian C_j)."""
+    ub, c = np.asarray(u).reshape(structure.L, -1), _tilt_blocks(structure, u)
+    mu = float(np.real(np.sum(structure.a0 * (ub.conj() @ ub.T))))
+    return mu, float(np.vdot(c, c).real)
 
 
 # ---------------------------------------------------------------------------
 # lambda_1 draws and spectra
 
-def _draws(structure, n, reps, rng, shift=None):
-    """The parts of X at size N (plus the shift, when given) and an iterator
-    over reps draws of the blocks W, all from the stream of rng."""
+def _draws(structure, n, reps, rng, mean=None):
+    """The parts of X at size N and an iterator over reps draws of the blocks W
+    from the stream of rng, each plus the mean (added in place) when given."""
     if n < 1 or reps < 1:
         raise ValueError("N and reps must be >= 1")
     gen = _draw_stream(rng)
-    return _parts(structure, n, shift), (_draw_blocks(structure, n, gen) for _ in range(reps))
+    draws = (_draw_blocks(structure, n, gen) for _ in range(reps))
+    if mean is not None:
+        draws = (np.add(blocks, mean, out=blocks) for blocks in draws)
+    return _parts(structure, n), draws
 
 
 def simulate_lambda1(structure, n, reps, rng) -> list:
@@ -540,11 +523,10 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     the effective sample size of the hit estimator; below 10 the estimate is
     flagged unreliable.
 
-    The window is decided as in `tail_probability`'s dense sampler, by
-    Cholesky factorizations of the tilted draw at both window ends, block by
-    block when the matrices commute (the tilt is block-diagonal in the same
-    basis). Only a hit is assembled, exactly as `model.sample_tilted` builds
-    it, for its weight.
+    A tilted draw is a draw of the blocks W_j + 2 theta C_j, its window
+    decided as in `tail_probability`'s dense sampler (Cholesky factorizations
+    at both ends, block by block when the matrices commute). Only a hit is
+    assembled, exactly as `model.sample_tilted` builds it, for its weight.
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
@@ -581,10 +563,10 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
 def _importance_batch_weights(structure, x, delta, n, reps, rng, one_sided, theta, u, batch):
     """The weights of batch `batch`'s tilted hits, in draw order."""
     mu, t2 = _tilt_moments(structure, u)
-    shift = tilt_shift(structure, theta, u)
+    mean = 2.0 * theta * _tilt_blocks(structure, u)
     weights = []
-    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, shift):
-        xm = _tilted_draw(structure, blocks, n, shift)  # as `model.sample_tilted` builds it
+    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, mean):
+        xm = _assemble(structure, blocks, n)  # as `model.sample_tilted` builds it
         quad = float(np.real(np.vdot(u, xm @ u)))
         weights.append(math.exp(structure.beta * n * theta * (theta * t2 - (quad - mu))))
     return weights
@@ -625,13 +607,13 @@ def _tilted_tridiagonal_batch(structure, theta, n, reps, rng, batch):
 def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
     """Empirical mean of lambda_1 under the tilt vs the predicted root Z(theta).
 
-    theta is the sampler tilt: the draws are X + 2 theta D as in
-    `model.sample_tilted`, and Z is `largest_outlier`(theta, psi). A scalar
-    structure (L = 1, k = 1) draws the spiked tridiagonal form of the tilted
-    law (`_tilted_tridiagonal_lambda1`), O(N) per draw; other structures
-    draw the blocks of `sample_tilted`, with u = `profile_vector`(psi) from
-    stream (seed, 1) and the draws from stream (seed, 0), and take lambda_1
-    part by part (`_Part.top`; a commuting structure's parts are N x N).
+    theta is the sampler tilt: the draws are those of `model.sample_tilted`,
+    from the blocks W_j + 2 theta C_j, and Z is `largest_outlier`(theta,
+    psi). A scalar structure (L = 1, k = 1) draws the spiked tridiagonal form
+    of the tilted law (`_tilted_tridiagonal_lambda1`), O(N) per draw; other
+    structures draw the blocks of `sample_tilted`, with u = `profile_vector`(psi)
+    from stream (seed, 1) and the draws from stream (seed, 0), and take
+    lambda_1 part by part (`_Part.top`; a commuting structure's parts are N x N).
 
     Z = r_inf (no crossing of the outlier equation) is a valid prediction: it
     says the tilt is too weak to pull lambda_1 off the bulk edge.
@@ -646,8 +628,8 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
         lams = _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng)
     else:
         u = profile_vector(structure, psi, n, _draw_stream(rng, 1))
-        shift = tilt_shift(structure, theta, u)
-        parts, draws = _draws(structure, n, reps, _draw_stream(rng, 0), shift)
+        mean = 2.0 * theta * _tilt_blocks(structure, u)
+        parts, draws = _draws(structure, n, reps, _draw_stream(rng, 0), mean)
         lams = np.array([max(part.top(blocks) for part in parts) for blocks in draws])
     dev = lams - lams[0]  # all exactly 0 when the draws have no spread
     mean = float(lams[0] + dev.mean())

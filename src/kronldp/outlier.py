@@ -33,7 +33,10 @@ below the root and climbs toward it. At a multiple top eigenvalue any v in
 the eigenspace gives a supergradient, which keeps the argument (the double
 root of the herm structure with a positive definite profile). The slope is
 Hellmann-Feynman: d lambda / dz = w* (dQ/dz) w / lambda with w = B Q^1/2 v
-for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi.
+for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi. Q^1/2
+is never formed: with -M = R R* and 2 theta Psi = F F*, C = R x F is
+Q^1/2 U for a unitary U (`_q_factor`), so C* B C has the eigenvalues of
+Q^1/2 B Q^1/2 and B C (U* v) = B Q^1/2 v is the same w.
 
 The same monotonicity inverts the tilt in closed form. For theta >=
 theta_0 = -m(x)/2, 2 theta phi_hat(theta) = -M/L + tau Psi with M = M(x)
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mde import _cache_for, _dm_dz
-from .model import Profile, StructureSet, as_profile
+from .model import Profile, StructureSet, _psd_factor, _sized_psi, as_profile
 
 
 class TiltSearchError(RuntimeError):
@@ -74,7 +77,7 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    psi = np.asarray(psi)
+    psi = _sized_psi(structure, psi)
     m_mat = _cache_for(structure).m_matrix(z)
     big = structure.s_op.big
     if big.shape[0] == 0 or not big.any():
@@ -84,21 +87,26 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     return float(np.real(val))
 
 
+def _q_factor(neg_m, h):
+    """C with C C* = -M x h (-M positive definite, h PSD) from L x L factors."""
+    return np.kron(np.linalg.cholesky(neg_m), _psd_factor(h))
+
+
 def _sym(structure, theta, z, psi):
-    """(Q^1/2 S_big Q^1/2, S_big Q^1/2, M(z)) with Q = -M(z) x 2 theta Psi,
+    """(C* S_big C, S_big C, M(z)) with C C* = Q = -M(z) x 2 theta Psi,
     or None where S_big vanishes (then lambda_max = 0)."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    psi = np.asarray(psi)
+    psi = _sized_psi(structure, psi)
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
     m_mat = _cache_for(structure).m_matrix(z)
     big = structure.s_op.big
     if big.shape[0] == 0 or not big.any():
         return None
-    w, v = np.linalg.eigh(np.kron(-m_mat, 2.0 * theta * psi))
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return root @ big @ root, big @ root, m_mat
+    c = _q_factor(-m_mat, 2.0 * theta * psi)
+    bc = big @ c
+    return c.conj().T @ bc, bc, m_mat
 
 
 def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
@@ -106,7 +114,7 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
 
     Its nonzero eigenvalues are those of -2 theta S_big (M x Psi), so it
     reaches 1 at the outlier determinant's largest root (module docstring),
-    but through a Hermitian eigenproblem.
+    but through a Hermitian eigenproblem (that of C* S_big C, `_sym`).
     Requires positive semidefinite psi (up to the -1e-12 a Profile allows);
     lambda -> 0 linearly as theta -> 0.
     """
@@ -115,18 +123,18 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
 
 
 def _lambda_slope(structure, theta, z, psi):
-    """(lambda_sym, d lambda_sym / dz) at z: w* (dQ/dz) w / lambda with
-    w = S_big Q^1/2 v for the top unit eigenvector v, dQ/dz = -M'(z) x 2
-    theta Psi (Hellmann-Feynman on S_big Q, whose right eigenvector is w)."""
+    """(lambda_sym, d lambda_sym / dz) at z: w* (dQ/dz) w / lambda with w = S_big C y
+    for the top unit eigenvector y of C* S_big C, dQ/dz = -M'(z) x 2 theta Psi
+    (Hellmann-Feynman on S_big Q); (A x B) w is A W B^T for w read as W, L x L."""
     sym = _sym(structure, theta, z, psi)
     if sym is None:
         return 0.0, 0.0
     vals, vecs = np.linalg.eigh(sym[0])
-    lam, w = float(vals[-1]), sym[1] @ vecs[:, -1]
+    lam, w = float(vals[-1]), (sym[1] @ vecs[:, -1]).reshape(structure.L, structure.L)
     if lam <= 0.0:
         return lam, 0.0
-    dq = np.kron(-_dm_dz(structure, z, sym[2]), 2.0 * theta * psi)
-    return lam, float(np.real(np.conj(w) @ dq @ w)) / lam
+    dq_w = -_dm_dz(structure, z, sym[2]) @ w @ (2.0 * theta * np.asarray(psi)).T
+    return lam, float(np.real(np.vdot(w, dq_w))) / lam
 
 
 def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
@@ -140,11 +148,10 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    prof = as_profile(psi)
-    psi_mat = prof.psi
+    prof = as_profile(_sized_psi(structure, psi))
     r = _cache_for(structure).r_inf
     z = r + 1e-9 * (1.0 + abs(r))
-    lam, slope = _lambda_slope(structure, theta, z, psi_mat)
+    lam, slope = _lambda_slope(structure, theta, z, prof.psi)
     if lam < 1.0:
         return OutlierSolve(theta=float(theta), psi=prof, Z=float(r), residual=0.0)
     while lam > 1.0:
@@ -152,7 +159,7 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
         if step <= 1e-14 * (1.0 + abs(z)):
             break
         z += step
-        lam, slope = _lambda_slope(structure, theta, z, psi_mat)
+        lam, slope = _lambda_slope(structure, theta, z, prof.psi)
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(z), residual=abs(lam - 1.0))
 
 
@@ -170,12 +177,12 @@ def tilt_for_target(structure: StructureSet, x, psi) -> float:
     """
     cache = _cache_for(structure)
     x = float(x)
-    psi = as_profile(psi).psi
+    psi = as_profile(_sized_psi(structure, psi)).psi
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")
     neg_m, big = -cache.m_matrix(x), structure.s_op.big
     h = np.linalg.solve(np.eye(big.shape[0]) - big @ np.kron(neg_m, neg_m / structure.L), big)
-    c = np.kron(np.linalg.cholesky(neg_m), np.linalg.cholesky(psi))
+    c = _q_factor(neg_m, psi)
     mu = float(np.linalg.eigvalsh(c.conj().T @ h @ c).max())
     if mu <= 0.0:
         raise TiltSearchError(f"no tilt reaches Z={x}: lambda_sym(theta, x, phi_hat) "

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .mde import _cache_for
-from .model import Profile, StructureSet, apply_S, as_profile, stream
+from .model import Profile, StructureSet, _psd_factor, _sized_psi, apply_S, as_profile, stream
 
 
 class DegenerateModelError(ValueError):
@@ -150,9 +150,7 @@ def k_value(structure: StructureSet, theta, psi, beta=1) -> float:
     _check_beta(beta)
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    psi = np.asarray(psi)
-    if psi.shape != (structure.L, structure.L):
-        raise ValueError(f"psi must be {structure.L}x{structure.L}")
+    psi = _sized_psi(structure, psi)
     if np.max(np.abs(psi - psi.conj().T)) > 1e-8:
         raise ValueError("psi must be symmetric/Hermitian")
     if np.linalg.eigvalsh(psi).min() < -1e-10:
@@ -180,7 +178,7 @@ def phi_maps(structure: StructureSet, theta, x, psi):
         raise ValueError("theta must be positive")
     cache = _cache_for(structure)
     x = float(x)
-    psi = as_profile(psi).psi
+    psi = as_profile(_sized_psi(structure, psi)).psi
     L = structure.L
     m_mat = cache.m_matrix(x)
     m_x = float(np.trace(m_mat).real) / L
@@ -212,7 +210,7 @@ def rate_breakdown(structure: StructureSet, theta, x, psi, beta=1) -> RateBreakd
     _check_beta(beta)
     if theta <= 0:
         raise ValueError("theta must be positive for a breakdown")
-    prof = as_profile(psi)
+    prof = as_profile(_sized_psi(structure, psi))
     varphi, phi_hat = phi_maps(structure, theta, x, prof.psi)
     j = j_value(structure, x, theta)
     k = k_value(structure, theta, phi_hat, beta=beta)
@@ -321,7 +319,7 @@ def sup_theta(structure: StructureSet, x, psi, beta=1, eps=None):
     available. x >= r_inf; left of it the DomainError names x.
     """
     _check_beta(beta)
-    psi = as_profile(psi).psi
+    psi = as_profile(_sized_psi(structure, psi)).psi
     x = float(x)
     base = _curve_base(structure, x, beta)
     s_psi = _s_dagger(structure, psi, beta)
@@ -515,10 +513,8 @@ def rate_function(structure: StructureSet, x, beta=None, opt_config=None,
     if failed:
         # the last rung, warm-started with a factor of the projected optimum:
         # it is feasible there too, so this search can only improve on val
-        w_psi, v_psi = np.linalg.eigh(psi)
-        warm_c = v_psi @ np.diag(np.sqrt(np.clip(w_psi, 0.0, None)))
         first = val
-        eps, th, val, psi, n, _ = search(rung + 1, warm_c)
+        eps, th, val, psi, n, _ = search(rung + 1, _psd_factor(psi))
         fevals += n
         ladder.append((eps, val))
         j = best_excluded(eps, val)
@@ -546,6 +542,5 @@ def rate_curve(structure: StructureSet, x_grid, beta=None,
         res = rate_function(structure, x, beta=beta, opt_config=opt_config,
                             warm_start=warm)
         results.append(res)
-        w, v = np.linalg.eigh(res.psi_star.psi)
-        warm = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        warm = _psd_factor(res.psi_star.psi)
     return results

@@ -97,6 +97,33 @@ def test_density_rerun_is_byte_identical(tmp_path):
     assert "density.csv" in meta["files"]
 
 
+LEFT_ATOM_DOC = {"beta": 1, "A0": [[-5.0, 0.0], [0.0, 0.0]], "A": [[[0.0, 0.0], [0.0, 1.0]]]}
+
+
+def test_density_with_x_lo_survives_a_failed_left_fold(tmp_path, capsys):
+    # block 1 is the atom -5 with no noise, so the left fold fails; an
+    # explicit x_lo needs no left edge, and support.json says it has none
+    doc = {"command": "density", "structure": LEFT_ATOM_DOC, "seed": 1,
+           "density": {"x_lo": -3.0, "x_hi": 3.0, "grid_size": 61}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    support = json.loads((out / "support.json").read_text())
+    assert support["left_edge"] is None
+    assert support["r_inf"] == pytest.approx(2.0, abs=1e-10)
+    assert "support.json" in json.loads((out / "run_meta.json").read_text())["files"]
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and "atom" in err
+
+
+def test_density_without_x_lo_fails_on_the_left_fold_before_writing(tmp_path, capsys):
+    doc = {"command": "density", "structure": LEFT_ATOM_DOC, "seed": 1,
+           "density": {"x_hi": 3.0, "grid_size": 61}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 2
+    assert list(out.iterdir()) == []
+    assert "numerical failure" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # rate
 
@@ -352,6 +379,15 @@ def test_malformed_seed_is_config_error(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert code == 1
     assert "config error" in err and "seed" in err
+
+
+def test_outlier_psi_of_another_size_is_config_error(tmp_path, capsys):
+    doc = {"command": "outlier", "structure": PAIR_DOC, "seed": 1,
+           "outlier": {"theta_grid": [1.0], "psi": (np.eye(3) / 3).tolist()}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 1
+    assert "psi must be L x L = 2 x 2" in capsys.readouterr().err
+    assert not (out / "outlier.csv").exists()
 
 
 def test_outlier_complex_psi_at_beta2(tmp_path):

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import kronldp
 from kronldp.model import (
     Profile,
     _assemble,
@@ -291,6 +292,24 @@ def test_tilt_matrix_rank_and_symmetry(pair_structure):
     assert np.linalg.matrix_rank(d, tol=1e-10) <= pair_structure.L ** 2 * pair_structure.k
 
 
+def test_tilted_draw_is_the_draw_of_shifted_blocks(pair_structure, herm_structure):
+    # the tilt moves each block's mean by 2 theta C_j, so X built from the
+    # shifted blocks is the untilted X plus 2 theta D (tilt_matrix)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h3 = g + np.conj(np.swapaxes(g, 1, 2))
+    wide = make_structure(h3[0], h3[1:], beta=2)
+    n = 9
+    for st in (pair_structure, herm_structure, wide):
+        u = profile_vector(st, np.eye(st.L) / st.L, n, stream(3))
+        for theta in (0.3, 1.7):
+            for seed in (1, 2):
+                got = sample_tilted(st, n, theta, u, seed)
+                want = (_assemble(st, _draw_blocks(st, n, _draw_stream(seed)), n)
+                        + 2.0 * theta * tilt_matrix(st, u))
+                assert np.abs(got - want).max() <= 1e-13
+
+
 def test_tilted_draw_validates_u(pair_structure):
     with pytest.raises(ValueError):
         sample_tilted(pair_structure, 10, 0.5, np.ones(20), stream(0))
@@ -346,3 +365,30 @@ def test_profile_vector_complex_target(herm_structure):
 def test_profile_vector_needs_enough_dimensions(pair_structure):
     with pytest.raises(ValueError):
         profile_vector(pair_structure, np.eye(2) / 2.0, 1, stream(0))
+
+
+# ---------------------------------------------------------------------------
+# a profile must have the structure's size
+
+@pytest.mark.parametrize("call", ["phi_maps", "f_value", "rate_breakdown", "sup_theta",
+                                  "k_value", "lambda_sym", "largest_outlier",
+                                  "tilt_for_target", "outlier_det", "profile_vector"])
+def test_profile_of_another_size_is_rejected(call):
+    # a 1 x 1 psi on an L = 2 structure was broadcast by phi_maps (and so
+    # f_value and rate_breakdown) and ended in a matmul error elsewhere
+    st = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    psi = np.ones((1, 1))
+    calls = {
+        "phi_maps": lambda: kronldp.phi_maps(st, 2.0, 3.0, psi),
+        "f_value": lambda: kronldp.f_value(st, 2.0, 3.0, psi),
+        "rate_breakdown": lambda: kronldp.rate_breakdown(st, 2.0, 3.0, psi),
+        "sup_theta": lambda: kronldp.sup_theta(st, 3.0, psi),
+        "k_value": lambda: kronldp.k_value(st, 2.0, psi),
+        "lambda_sym": lambda: kronldp.lambda_sym(st, 2.0, 3.0, psi),
+        "largest_outlier": lambda: kronldp.largest_outlier(st, 2.0, psi),
+        "tilt_for_target": lambda: kronldp.tilt_for_target(st, 3.0, psi),
+        "outlier_det": lambda: kronldp.outlier_det(st, 2.0, psi, 3.0),
+        "profile_vector": lambda: profile_vector(st, psi, 10, stream(0)),
+    }
+    with pytest.raises(ValueError, match=r"psi must be L x L = 2 x 2"):
+        calls[call]()

@@ -393,23 +393,26 @@ def _kron_assemble(structure, blocks, n):
 
 def _reference_window(structure, x, delta, n, reps, seed, one_sided, theta=None):
     """The batched algorithm the per-draw estimators replaced: batch b holds
-    _batch_size draws from stream (seed, b), X is built with np.kron (plus the
-    tilt shift for importance sampling) and every draw is diagonalized.
-    Returns (hits, p_hat); p_hat is the weighted one when theta is given."""
+    _batch_size draws from stream (seed, b), X is built with np.kron (from
+    the blocks shifted by the tilted law's mean 2 theta C_j for importance
+    sampling) and every draw is diagonalized. Returns (hits, p_hat); p_hat
+    is the weighted one when theta is given."""
     nl = structure.L * n
     if theta is not None:
         u = profile_vector(structure, np.eye(structure.L) / structure.L, n,
                            _draw_stream(seed, reps))
         mu, t2 = _tilt_moments(structure, u)
-        shift = 2.0 * theta * tilt_matrix(structure, u)
+        ub = u.reshape(structure.L, n)
+        mean = np.array([2.0 * theta * (ub.T @ aj.T @ np.conj(ub)) for aj in structure.a])
     bs = _batch_size(nl, reps)
     weights = []
     for batch, done in enumerate(range(0, reps, bs)):
         gen = _draw_stream(seed, batch)
         for _ in range(min(bs, reps - done)):
-            xm = _kron_assemble(structure, _draw_blocks(structure, n, gen), n)
+            blocks = _draw_blocks(structure, n, gen)
             if theta is not None and theta > 0:
-                xm = xm + shift
+                blocks = blocks + mean
+            xm = _kron_assemble(structure, blocks, n)
             lam = np.linalg.eigvalsh(xm)[-1]
             if not (lam >= x - delta if one_sided else abs(lam - x) <= delta):
                 continue
@@ -902,6 +905,19 @@ def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypa
     chk = tilted_outlier_check(herm, theta, psi, n, reps, rng=seed)
     assert sides and max(sides) < 2 * n
     assert abs(chk.mean_lambda1 - want) <= 1e-12
+
+
+def test_no_sampler_builds_the_whole_tilt_shift(pair, monkeypatch):
+    # a tilted draw is a draw of the shifted blocks W_j + 2 theta C_j: the
+    # NL x NL shift 2 theta D is never assembled
+    def whole(*args, **kwargs):
+        raise AssertionError("NL x NL tilt shift built")
+
+    monkeypatch.setattr(model, "tilt_matrix", whole)
+    est = importance_tail(pair, 2.6, 0.2, 10, 60, 1, theta=0.3)
+    assert est.hits > 0 and est.p_hat > 0
+    chk = tilted_outlier_check(pair, 0.5, np.eye(2) / 2, 10, 20, 1)
+    assert math.isfinite(chk.mean_lambda1) and chk.sd_lambda1 > 0
 
 
 @pytest.mark.parametrize("call", ["importance", "tilted"])

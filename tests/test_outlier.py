@@ -453,3 +453,55 @@ def test_tilt_failure_reports_lambda():
     atoms = make_structure(np.diag([1.0, -0.3]), [])
     with pytest.raises(outlier.TiltSearchError, match="mu_max=0"):
         tilt_for_target(atoms, 2.0, np.eye(2) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Q's Kronecker factor against a root of the L^2 x L^2 matrix
+
+def _root_reference(st, theta, z, psi):
+    """(lambda_sym, its z-slope) from the Hermitian root of the whole L^2 x
+    L^2 matrix Q = kron(-M, 2 theta Psi), with dQ/dz built by np.kron."""
+    m_mat = outlier._cache_for(st).m_matrix(z)
+    big = st.s_op.big
+    w, v = np.linalg.eigh(np.kron(-m_mat, 2.0 * theta * psi))
+    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    vals, vecs = np.linalg.eigh(root @ big @ root)
+    lam, top = vals[-1], big @ root @ vecs[:, -1]
+    dq = np.kron(-outlier._dm_dz(st, z, m_mat), 2.0 * theta * psi)
+    return lam, float(np.real(np.conj(top) @ dq @ top)) / lam
+
+
+def _factor_cases():
+    for ell in (1, 2, 3):
+        for beta in (1, 2):
+            rng = stream(911, ell, beta)
+            mats = []
+            for _ in range(2):
+                g = rng.standard_normal((ell, ell))
+                if beta == 2:
+                    g = g + 1j * rng.standard_normal((ell, ell))
+                mats.append((g + g.conj().T) / 2.0)
+            st = make_structure(0.2 * mats[0], [mats[1], np.eye(ell)], beta=beta)
+            g = rng.standard_normal((ell, ell))
+            if beta == 2:
+                g = g + 1j * rng.standard_normal((ell, ell))
+            full = g @ g.conj().T + 0.1 * np.eye(ell)
+            vec = g[:, 0]
+            rank_one = np.outer(vec, vec.conj())
+            for psi in (full / np.trace(full).real, rank_one / np.trace(rank_one).real):
+                yield st, psi
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.3])
+def test_kronecker_factor_matches_the_whole_root(theta):
+    # C = kron(cholesky(-M), F(2 theta Psi)) is Q^1/2 times a unitary, so
+    # lambda_sym and the Hellmann-Feynman slope equal those of Q^1/2
+    # (rank-one and full-rank Psi, beta = 1 and 2, L = 1-3)
+    for st, psi in _factor_cases():
+        r = right_edge(st).r_inf
+        for z in (r + 0.05, r + 0.7):
+            lam, slope = outlier._lambda_slope(st, theta, z, psi)
+            ref_lam, ref_slope = _root_reference(st, theta, z, psi)
+            assert lam == pytest.approx(ref_lam, rel=1e-13, abs=1e-13)
+            assert lambda_sym(st, theta, z, psi) == pytest.approx(ref_lam, rel=1e-13, abs=1e-13)
+            assert slope == pytest.approx(ref_slope, rel=1e-13, abs=1e-13)
