@@ -661,6 +661,9 @@ def log_potential(structure: StructureSet, x) -> float:
 # ---------------------------------------------------------------------------
 # density on a grid
 
+_EXTRAP_TOL = 1e-6  # density's stop rule: successive rungs agree to this
+
+
 def _default_eta_schedule():
     etas = [1e-3]
     while etas[-1] > 2e-8:
@@ -669,11 +672,11 @@ def _default_eta_schedule():
 
 
 def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
-            eta_schedule=None, extrap_tol=1e-6, components=False) -> SpectralDensity:
+            eta_schedule=None, components=False) -> SpectralDensity:
     """Spectral density by Stieltjes inversion with a descending eta ladder.
 
     The offset decreases through eta_schedule until successive density values
-    agree to extrap_tol across the whole grid (or the schedule is exhausted);
+    agree to `_EXTRAP_TOL` across the whole grid (or the schedule is exhausted);
     the reported values are Im<M(x + i eta_final)>/pi.
 
     Each rung solves the whole grid at once with the stacked Newton solver,
@@ -717,7 +720,7 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     for eta in etas:
         m = solve_rung(eta, m)
         vals = np.trace(m, axis1=1, axis2=2).imag / (L * np.pi)
-        if prev is not None and np.max(np.abs(vals - prev)) < extrap_tol:
+        if prev is not None and np.max(np.abs(vals - prev)) < _EXTRAP_TOL:
             break
         prev = vals
 

@@ -435,10 +435,15 @@ def as_profile(psi) -> Profile:
 
 
 def _sized_psi(structure: StructureSet, psi) -> np.ndarray:
-    """psi (a matrix or Profile) as an array; a ValueError unless it is L x L."""
+    """psi (a matrix or Profile) as an array; a ValueError unless it is L x L,
+    and real at beta = 1 (where a zero imaginary part is dropped)."""
     psi = psi.psi if isinstance(psi, Profile) else np.asarray(psi)
     if psi.shape != (structure.L, structure.L):
         raise ValueError(f"psi must be L x L = {structure.L} x {structure.L}, got {psi.shape}")
+    if structure.beta == 1 and np.iscomplexobj(psi):
+        if np.any(psi.imag != 0):
+            raise ValueError("psi must be real at beta = 1")
+        psi = psi.real
     return psi
 
 
@@ -479,10 +484,6 @@ def profile_vector(structure: StructureSet, psi, n, rng) -> np.ndarray:
     if n < L:
         raise ValueError(f"N={n} cannot host {L} orthonormal block directions")
     psi = as_profile(_sized_psi(structure, psi)).psi
-    if structure.beta == 1:
-        if np.any(np.imag(psi) != 0):
-            raise ValueError("psi must be real at beta = 1")
-        psi = np.real(psi)
     gen = _draw_stream(rng)
     c = _psd_factor(psi)  # psi = c c*
     if structure.beta == 1:

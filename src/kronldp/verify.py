@@ -160,8 +160,8 @@ def _check_rate_order():
     for ell in (1, 2, 3):
         st = _random_structure(rng, ell)
         x = right_edge(st).r_inf + 1.0
-        i1 = rate_function(st, x, beta=1).value
-        i2 = rate_function(st, x, beta=2).value
+        i1 = rate_function(st, x).value
+        i2 = rate_function(make_structure(st.a0, list(st.a), beta=2), x).value
         worst_gap = max(worst_gap, i2 - 2.0 * i1)
     st = _goe()
     grid = 2.0 + np.linspace(0.3, 1.5, 5)

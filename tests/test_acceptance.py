@@ -141,8 +141,8 @@ def test_c06_beta_order_and_monotonicity():
     for ell in (1, 2, 3):
         st = random_structure(rng, ell)
         x = right_edge(st).r_inf + 1.0
-        i1 = rate_function(st, x, beta=1).value
-        i2 = rate_function(st, x, beta=2).value
+        i1 = rate_function(st, x).value
+        i2 = rate_function(make_structure(st.a0, list(st.a), beta=2), x).value
         worst_gap = max(worst_gap, i2 - 2.0 * i1)
         assert i2 <= 2.0 * i1 + 1e-6
     vals = [r.value for r in rate_curve(GOE, 2.0 + np.linspace(0.3, 1.5, 5))]
@@ -286,6 +286,6 @@ def test_c12_verify_subcommand(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = (tmp_path / "out" / "verify.txt").read_text(encoding="utf-8")
     assert "10/10 checks passed" in report
-    # budgeted for an eight-way pool; a single worker clears it with room
+    # a loose bound: the ten checks run one after another in about 50 s on a 2-core machine
     assert elapsed < 600.0
     _report(12, f"verify exit 0, 10/10 checks, {elapsed:.0f}s wall")

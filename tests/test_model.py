@@ -368,16 +368,16 @@ def test_profile_vector_needs_enough_dimensions(pair_structure):
 
 
 # ---------------------------------------------------------------------------
-# a profile must have the structure's size
+# a profile must have the structure's size, and be real at beta = 1
 
-@pytest.mark.parametrize("call", ["phi_maps", "f_value", "rate_breakdown", "sup_theta",
-                                  "k_value", "lambda_sym", "largest_outlier",
-                                  "tilt_for_target", "outlier_det", "profile_vector"])
-def test_profile_of_another_size_is_rejected(call):
-    # a 1 x 1 psi on an L = 2 structure was broadcast by phi_maps (and so
-    # f_value and rate_breakdown) and ended in a matmul error elsewhere
+PROFILE_CALLS = ["phi_maps", "f_value", "rate_breakdown", "sup_theta", "k_value",
+                 "lambda_sym", "largest_outlier", "tilt_for_target", "outlier_det",
+                 "profile_vector"]
+
+
+def _profile_call(call, psi):
+    """One public function that takes a profile, called with psi on dsum."""
     st = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    psi = np.ones((1, 1))
     calls = {
         "phi_maps": lambda: kronldp.phi_maps(st, 2.0, 3.0, psi),
         "f_value": lambda: kronldp.f_value(st, 2.0, 3.0, psi),
@@ -390,5 +390,27 @@ def test_profile_of_another_size_is_rejected(call):
         "outlier_det": lambda: kronldp.outlier_det(st, 2.0, psi, 3.0),
         "profile_vector": lambda: profile_vector(st, psi, 10, stream(0)),
     }
+    return calls[call]()
+
+
+@pytest.mark.parametrize("call", PROFILE_CALLS)
+def test_profile_of_another_size_is_rejected(call):
+    # a 1 x 1 psi on an L = 2 structure was broadcast by phi_maps (and so
+    # f_value and rate_breakdown) and ended in a matmul error elsewhere
     with pytest.raises(ValueError, match=r"psi must be L x L = 2 x 2"):
-        calls[call]()
+        _profile_call(call, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("call", PROFILE_CALLS)
+def test_complex_profile_at_beta_one_is_rejected(call):
+    # beta = 1 profiles are real symmetric: the rate formulas rely on psi^T = psi
+    psi = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    with pytest.raises(ValueError, match=r"psi must be real at beta = 1"):
+        _profile_call(call, psi)
+
+
+@pytest.mark.parametrize("call", ["f_value", "sup_theta", "k_value", "lambda_sym",
+                                  "tilt_for_target", "outlier_det"])
+def test_real_profile_of_complex_dtype_is_taken_as_real_at_beta_one(call):
+    psi = np.array([[0.5, 0.25], [0.25, 0.5]])
+    assert _profile_call(call, psi.astype(complex)) == _profile_call(call, psi)

@@ -91,6 +91,11 @@ def random_pd_profile(rng, ell):
     return g / np.trace(g)
 
 
+def twin(st):
+    """The beta = 2 structure with st's matrices: its rate is I_2 of st."""
+    return make_structure(st.a0, list(st.a), beta=2)
+
+
 # ---------------------------------------------------------------------------
 # J
 
@@ -162,14 +167,12 @@ def test_k_rejects_bad_profiles():
         k_value(s2, 1.0, np.array([[0.5, 0.3], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         k_value(s2, 1.0, np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        k_value(s2, 1.0, np.eye(2) / 2.0, beta=3)
 
 
 def test_k_beta_two_equals_beta_one_on_real_inputs(pair):
     psi = np.diag([0.7, 0.3])
-    assert k_value(pair, 0.9, psi, beta=2) == pytest.approx(
-        k_value(pair, 0.9, psi, beta=1), abs=1e-14)
+    assert k_value(twin(pair), 0.9, psi) == pytest.approx(
+        k_value(pair, 0.9, psi), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,8 @@ def test_f_matches_goe_oracle(sc):
 def test_f_beta_two_doubles_real_structure(pair):
     edge = right_edge(pair).r_inf
     psi = np.eye(2) / 2.0
-    f1 = f_value(pair, 0.8, edge + 1.0, psi, beta=1)
-    f2 = f_value(pair, 0.8, edge + 1.0, psi, beta=2)
+    f1 = f_value(pair, 0.8, edge + 1.0, psi)
+    f2 = f_value(twin(pair), 0.8, edge + 1.0, psi)
     assert f2 == pytest.approx(2.0 * f1, rel=1e-12)
     assert f1 > 0.0
 
@@ -340,14 +343,14 @@ def test_sup_theta_never_negative():
         assert theta_star > 0.0
 
 
-def _brute_sup(st, x, psi, beta, theta_hi):
+def _brute_sup(st, x, psi, theta_hi):
     """Max of f_value on a dense theta grid, refined around the best node."""
     theta_x = -float(np.trace(_cache_for(st).m_matrix(x)).real) / (2.0 * st.L)
     grid = theta_x + (theta_hi - theta_x) * np.linspace(0.0, 1.0, 1501) ** 2
-    vals = [f_value(st, th, x, psi, beta=beta) for th in grid]
+    vals = [f_value(st, th, x, psi) for th in grid]
     i = int(np.argmax(vals))
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda th: -f_value(st, th, x, psi, beta=beta),
+    res = minimize_scalar(lambda th: -f_value(st, th, x, psi),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12 * (1.0 + hi)})
     return max(vals[i], -float(res.fun))
@@ -361,18 +364,20 @@ def test_sup_theta_matches_brute_force():
         beta = case // 3 % 2 + 1
         st = random_structure(rng, ell)
         x = right_edge(st).r_inf + float(rng.uniform(0.1, 1.5))
+        if beta == 2:
+            st = twin(st)
         psi = random_pd_profile(rng, ell)
         if case >= 6 and ell > 1:
             v = rng.standard_normal(ell)
             psi = np.outer(v, v) / (v @ v)  # rank one
-        eps = float(np.trace(psi.T @ apply_S(st, psi.T)))
+        eps = float(np.trace(psi @ apply_S(st, psi)).real)
         theta_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
-        theta_star, f_star = sup_theta(st, x, psi, beta=beta, eps=eps)
-        brute = _brute_sup(st, x, psi, beta, theta_hi)
+        theta_star, f_star = sup_theta(st, x, psi, eps=eps)
+        brute = _brute_sup(st, x, psi, theta_hi)
         assert f_star >= brute - 1e-12
         assert abs(f_star - brute) <= 1e-10 * abs(brute) + 1e-14
         if f_star > 0.0:
-            assert f_value(st, theta_star, x, psi, beta=beta) == \
+            assert f_value(st, theta_star, x, psi) == \
                 pytest.approx(f_star, rel=1e-10)
             interior += theta_star < theta_hi
     assert interior >= 6
@@ -399,7 +404,7 @@ def test_rate_vanishes_toward_edge(sc):
 
 
 def test_rate_beta_two_doubles(pair, pair_result):
-    res2 = rate_function(pair, pair_result.x, beta=2)
+    res2 = rate_function(twin(pair), pair_result.x)
     assert abs(res2.value - 2.0 * pair_result.value) <= 1e-6
 
 
@@ -475,6 +480,19 @@ def test_rate_breakdown_consistency(pair):
         f_value(pair, 0.8, edge + 1.0, np.eye(2) / 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["herm2", "twin-702"])
+def test_sup_theta_and_f_take_beta_from_the_structure(name, herm2):
+    """At a beta = 2 optimum, sup_theta, f_value and rate_breakdown equal the
+    rate: each is beta g with the structure's beta, not half of it."""
+    st = herm2 if name == "herm2" else twin(random_structure(stream(702), 4))
+    x = right_edge(st).r_inf + 0.5
+    res = rate_function(st, x)
+    psi, theta = res.psi_star.psi, res.theta_star
+    assert sup_theta(st, x, psi)[1] == pytest.approx(res.value, rel=1e-12)
+    assert f_value(st, theta, x, psi) == pytest.approx(res.value, rel=1e-12)
+    assert rate_breakdown(st, theta, x, psi).F == pytest.approx(res.value, rel=1e-12)
+
+
 def test_rate_direct_sum_oracle():
     """A0 = diag(0, 0.3), A_j = E_jj: two decoupled GOE blocks, the second
     shifted by 0.3, so I(x) = min(I_GOE(x), I_GOE(x - 0.3)) = I_GOE(x - 0.3);
@@ -488,7 +506,7 @@ def test_rate_direct_sum_oracle():
         for x in (2.5, 2.8, 3.3):
             want = o.goe_rate_closed(x - 0.3)
             assert rate_function(st, x).value == pytest.approx(want, abs=1e-8)
-            assert rate_function(st, x, beta=2).value == \
+            assert rate_function(twin(st), x).value == \
                 pytest.approx(2.0 * want, abs=1e-8)
 
 
@@ -540,7 +558,7 @@ def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
     top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(ell)[:, 0]
     seeds = [np.eye(ell), np.outer(top, top.conj())]
     rng = stream(cfg.seed, 7, rung)
-    while len(seeds) < max(cfg.starts, 2):
+    while len(seeds) < max(rate_mod._STARTS, 2):
         c = np.eye(ell) / np.sqrt(ell) + 0.7 * rng.standard_normal((ell, ell))
         if complex_params:
             c = c + 0.7j * rng.standard_normal((ell, ell))
@@ -550,30 +568,31 @@ def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
     return seeds
 
 
-def _ladder_rate(st, x, beta):
+def _ladder_rate(st, x):
     """The eps ladder: eps = q0 2^-rung, each rung warm-started from the
-    last, until two rungs agree to stab_tol. Returns the last rung's value."""
+    last, until two rungs agree to _STAB_TOL. Returns the last rung's value."""
     cfg = OptConfig()
     ell, complex_params = st.L, not st.is_real
     id_l = np.eye(ell) / ell
-    s_id = rate_mod._s_dagger(st, id_l, beta)
-    q0 = rate_mod._trace_with(id_l, s_id, beta)
-    base = rate_mod._curve_base(st, x, beta)
+    s_id = apply_S(st, id_l)
+    q0 = rate_mod._re_trace(id_l, s_id)
+    base = rate_mod._curve_base(st, x)
     values, warm = [], None
     for rung in range(cfg.max_rungs):
         eps = q0 * 2.0 ** -rung
         th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
         runs = [minimize(rate_mod._profile_objective, rate_mod._pack(c0, complex_params),
-                         args=(st, beta, base, s_id, eps, th_hi), method="L-BFGS-B",
+                         args=(st, base, s_id, eps, th_hi), method="L-BFGS-B",
                          jac=True, options=rate_mod._LBFGS_OPTIONS)
                 for c0 in _ladder_seed_factors(st, cfg, rung, warm, complex_params)]
         c = rate_mod._unpack(min(runs, key=lambda out: out.fun).x, ell, complex_params)
         psi = c @ c.conj().T
-        psi, s_psi, _ = rate_mod._feasible(st, psi / np.trace(psi).real, eps, beta, s_id)
-        values.append(rate_mod._sup_curve(st, psi, s_psi, beta, th_hi, base)[1])
+        psi, s_psi, _ = rate_mod._feasible(st, psi / np.trace(psi).real, eps, s_id)
+        values.append(rate_mod._sup_curve(st, psi, s_psi, th_hi, base)[1])
         w, v = np.linalg.eigh(psi)
         warm = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        if len(values) > 1 and abs(values[-1] - values[-2]) <= cfg.stab_tol * max(1.0, abs(values[-1])):
+        if len(values) > 1 and (abs(values[-1] - values[-2])
+                                <= rate_mod._STAB_TOL * max(1.0, abs(values[-1]))):
             break
     return values[-1]
 
@@ -605,7 +624,7 @@ def test_certified_search_agrees_with_the_eps_ladder():
                 st = make_structure(plain.a0, list(plain.a), beta=beta)
                 res = rate_function(st, x)
                 values[beta] = res.value
-                old = _ladder_rate(st, x, beta)
+                old = _ladder_rate(st, x)
                 assert res.stability_flag and res.diagnostics["certified"]
                 assert res.value <= old * (1.0 + 1e-12)
                 if abs(res.value - old) > 1e-12 * old:
@@ -613,7 +632,7 @@ def test_certified_search_agrees_with_the_eps_ladder():
                 assert _tilt_residual(st, x, res.theta_star, res.psi_star.psi) <= 1e-10
                 rng = stream(710, i, beta)
                 psi = 0.7 * res.psi_star.psi + 0.3 * random_pd_profile(rng, st.L)
-                theta = sup_theta(st, x, psi, beta=beta)[0]
+                theta = sup_theta(st, x, psi)[0]
                 assert _tilt_residual(st, x, theta, psi) > 1e-3
             if any(key[:2] == (i, dx) for key in lower):
                 assert values[2] == pytest.approx(2.0 * values[1], rel=1e-12)
@@ -652,13 +671,13 @@ def oracle_case(case):
     return rng, st, right_edge(st).r_inf + float(rng.uniform(0.2, 1.0))
 
 
-def _objective_pieces(st, x, beta, eps_of):
+def _objective_pieces(st, x, eps_of):
     """Arguments of rate_mod._profile_objective at x, with eps = eps_of(q0)."""
     id_l = np.eye(st.L) / st.L
-    s_id = rate_mod._s_dagger(st, id_l, beta)
-    eps = eps_of(rate_mod._trace_with(id_l, s_id, beta))
+    s_id = apply_S(st, id_l)
+    eps = eps_of(rate_mod._re_trace(id_l, s_id))
     th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
-    return (st, beta, rate_mod._curve_base(st, x, beta), s_id, eps, th_hi)
+    return (st, rate_mod._curve_base(st, x), s_id, eps, th_hi)
 
 
 def _relative_gradient_error(v, args):
@@ -675,18 +694,18 @@ def _relative_gradient_error(v, args):
 @given(case=CASES)
 def test_profile_gradient_matches_central_differences(case):
     rng, st, x = oracle_case(case)
-    beta, ell = st.beta, st.L
+    ell = st.L
     complex_params = not st.is_real
     # free: a random factor, with every eps at or below the constraint
     c = rng.standard_normal((ell, ell)) + (1j * rng.standard_normal((ell, ell))
                                            if complex_params else 0.0)
-    free = _objective_pieces(st, x, beta, lambda q0: 1e-3 * q0)
+    free = _objective_pieces(st, x, lambda q0: 1e-3 * q0)
     assert _relative_gradient_error(rate_mod._pack(c, complex_params), free) <= 1e-6
     # projected: of a few near-rank-one profiles the one of least
-    # q = Tr[Psi' S(Psi')], with eps between q and q0 = q(Id/L), so the
+    # q = Tr[Psi S(Psi)], with eps between q and q0 = q(Id/L), so the
     # projection blends it part of the way toward Id/L
     def q_of(psi):
-        return rate_mod._trace_with(psi, rate_mod._s_dagger(st, psi, beta), beta)
+        return rate_mod._re_trace(psi, apply_S(st, psi))
 
     near_rank_one = []
     for _ in range(20):
@@ -696,8 +715,8 @@ def test_profile_gradient_matches_central_differences(case):
     psi = min(near_rank_one, key=q_of)
     q, q0 = q_of(psi), q_of(np.eye(ell) / ell)
     assert q < q0
-    args = _objective_pieces(st, x, beta, lambda _: 0.5 * (q + q0))
-    assert rate_mod._feasible(st, psi, args[4], beta, args[3])[2] > 0.0
+    args = _objective_pieces(st, x, lambda _: 0.5 * (q + q0))
+    assert rate_mod._feasible(st, psi, args[3], args[2])[2] > 0.0
     w, u = np.linalg.eigh(psi)
     c = u * np.sqrt(w)
     assert _relative_gradient_error(rate_mod._pack(c, complex_params), args) <= 1e-6
@@ -749,9 +768,9 @@ def test_rate_envelope_identity(case):
     res = rate_function(st, x)
     h = 1e-4
     di = (rate_function(st, x + h).value - rate_function(st, x - h).value) / (2.0 * h)
-    psi, beta = res.psi_star.psi, st.beta
-    df = (f_value(st, res.theta_star, x + h, psi, beta=beta)
-          - f_value(st, res.theta_star, x - h, psi, beta=beta)) / (2.0 * h)
+    psi = res.psi_star.psi
+    df = (f_value(st, res.theta_star, x + h, psi)
+          - f_value(st, res.theta_star, x - h, psi)) / (2.0 * h)
     assert di == pytest.approx(df, rel=1e-6)
 
 
