@@ -30,7 +30,6 @@ from .model import (
     structure_from_dict,
     structure_hash,
     structure_to_dict,
-    tilt_matrix,
     validate,
 )
 from .montecarlo import (
@@ -71,4 +70,4 @@ from .rate import (
     theta_cap,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

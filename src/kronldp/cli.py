@@ -158,8 +158,8 @@ def cmd_density(cfg: RunConfig) -> int:
     lo = left - 0.1 if lo is None else parse_number(lo, "density.x_lo")
     hi = info.r_inf + 0.1 if hi is None else parse_number(hi, "density.x_hi")
     grid_size = parse_number(cfg.params.get("grid_size", 1001), "density.grid_size", int)
-    if st.k == 0:
-        # atoms only: no continuous density to tabulate, but the edge is exact
+    if st.noiseless:
+        # noiseless, atoms only: no continuous density to tabulate, but the edge is exact
         rows = []
     else:
         dens = density(st, lo, hi, grid_size=grid_size)
@@ -171,7 +171,7 @@ def cmd_density(cfg: RunConfig) -> int:
                 ["x", "density", "cell_mass"], rows)
     support = {
         "r_inf": info.r_inf,
-        # infinite for atoms only; strict JSON has no Infinity, so null
+        # infinite when noiseless; strict JSON has no Infinity, so null
         "m_at_edge": info.m_at_edge if np.isfinite(info.m_at_edge) else None,
         "fold_residual": info.fold_residual,
         "fold_steps": info.fold_steps,

@@ -54,6 +54,12 @@ solution, or from the far-field guess where none is near. Every real-axis
 solve takes one Newton step past its residual test: near the edge the
 Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual
 alone would leave M off by up to tol over that.
+
+A noiseless structure (`StructureSet.noiseless`, S = 0) has atoms only: its
+edges are A_0's extreme eigenvalues, with no fold, and M(x) = -(x -
+A_0)^{-1} is the far-field guess itself, so m, U and (-m)^{-1} take the
+same path as above. Only (-m)^{-1}'s bracket differs, because -m diverges
+at the atom r_inf.
 """
 
 from __future__ import annotations
@@ -359,11 +365,6 @@ def _scan_hi(structure):
                  + 1.0)
 
 
-def _is_degenerate(structure) -> bool:
-    return structure.k == 0 or \
-        float(np.trace(apply_S(structure, np.eye(structure.L))).real) <= 0.0
-
-
 def _no_fold(x, side, crowded=False):
     why = ("the smallest eigenvalues of the stability operator do not separate, as "
            "where two edges of different widths coincide" if crowded else
@@ -464,8 +465,9 @@ def right_edge(structure: StructureSet) -> SupportInfo:
     """Right endpoint r_inf of the limiting spectral measure, with
     m_at_edge = -m(r_inf) and the fold solve's residual and step count.
 
-    Atoms only: the largest eigenvalue of A_0, exact. Otherwise the fold of
-    the real-axis Dyson equation (see _fold), accurate to rounding on
+    Noiseless (`StructureSet.noiseless`, atoms only): the largest eigenvalue
+    of A_0, exact, with m_at_edge infinite. Otherwise the fold of the
+    real-axis Dyson equation (see _fold), accurate to rounding on
     square-root edges; ConvergenceError where there is no fold.
     """
     return _cache_for(structure).support
@@ -488,16 +490,15 @@ class _SpectralCache:
 
     def __init__(self, structure: StructureSet):
         self.structure = structure
-        a0 = structure.a0
-        self.degenerate = _is_degenerate(structure)
         self._m_memo = {}
         self._m_keys = []  # sorted keys of _m_memo, for the nearest warm start
 
-        if self.degenerate:
-            atoms = np.linalg.eigvalsh(0.5 * (a0 + a0.conj().T))
-            self.atoms = np.real(atoms)
-            self.r_inf = float(self.atoms.max())
-            self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=np.inf,
+        if structure.noiseless:
+            # atoms only: the edges are A_0's extreme eigenvalues, exact, and
+            # -m diverges at r_inf instead of folding
+            self.atoms = np.linalg.eigvalsh(structure.a0)
+            self.r_inf, self.q_edge = float(self.atoms[-1]), np.inf
+            self.support = SupportInfo(r_inf=self.r_inf, m_at_edge=self.q_edge,
                                        fold_residual=0.0, fold_steps=0)
             return
 
@@ -513,8 +514,8 @@ class _SpectralCache:
     def _left(self):
         """(left edge, None), or (None, the left fold's ConvergenceError):
         a failed fold is kept too, so it is walked once."""
-        if self.degenerate:
-            return float(self.atoms.min()), None
+        if self.structure.noiseless:
+            return float(self.atoms[0]), None
         try:
             return _fold(self.structure, side=-1)[0], None
         except ConvergenceError as exc:
@@ -532,11 +533,12 @@ class _SpectralCache:
         r_inf, DomainError before any solve left of it (and at it, with
         atoms only). A miss starts Newton from the nearest memoized
         solution, or from the far-field guess -(x - A_0)^{-1} when none lies
-        within half the distance to the edge (with atoms only, S = 0 and
-        that guess is the exact solution)."""
+        within half the distance to the edge. With atoms only (S = 0) the
+        equation is linear, M(x) = -(x - A_0)^{-1}: that guess is the exact
+        solution, and Newton reaches it in one step from any other start."""
         key = float(x)
         if key <= self.r_inf:
-            if key == self.r_inf and not self.degenerate:
+            if key == self.r_inf and not self.structure.noiseless:
                 return self.m_edge
             raise DomainError(f"x={key} must lie right of the edge {self.r_inf}")
         hit = self._m_memo.get(key)
@@ -573,11 +575,10 @@ class _SpectralCache:
         makes 0, so dU/dx = -Tr M / L = -m(x); U ~ ln x as x -> oo fixes the
         constant. Being stationary in M, the bracket moves only by O(|dM|^2)
         under an error dM in the solve, so U is exact to rounding even next
-        to the edge, where the real-axis solve itself loses digits."""
+        to the edge, where the real-axis solve itself loses digits. With atoms
+        only, M = -(x - A_0)^{-1} makes it (1/L) ln det(x - A_0), and an atom
+        at r_inf is a DomainError (U = -inf there)."""
         st = self.structure
-        if self.degenerate:
-            with np.errstate(divide="ignore"):
-                return float(np.mean(np.log(np.abs(x - self.atoms))))
         # r_inf is exact to a few ulps: a closed-form edge rounding below it
         # is the edge, not a point inside the support
         if x < self.r_inf - 8.0 * np.spacing(max(1.0, abs(self.r_inf))):
@@ -592,23 +593,15 @@ class _SpectralCache:
         """t with -m(t) = q, for q in (0, -m(r_inf+)): one bracket solve in s =
         sqrt(t - r_inf) (the substitution makes the edge analytic) on the
         exact m over [0, 1/sqrt(q)]. At s = 0 the fold gives -m = q_edge > q;
-        at the far end -m(t) <= 1/(t - r_inf) = q. The round trip -m(t) = q
-        holds to ~1e-13 relative. Within ~1e-12 of the edge it reads ~1e-10
-        and worse closer in: there the real-axis solve that evaluates m(t)
-        loses digits itself (the Jacobian's smallest eigenvalue is ~ 2 sqrt(t
-        - r_inf))."""
+        at the far end -m(t) <= 1/(t - r_inf) = q. With atoms only -m
+        diverges at r_inf, so the bracket is [1/sqrt(2 L q), 2/sqrt(q)]: the
+        atom at r_inf alone gives -m >= 2q at its left end, and -m <= q/4 at
+        its right end. The round trip -m(t) = q holds to ~1e-13 relative.
+        Within ~1e-12 of the edge it reads ~1e-10 and worse closer in: there
+        the real-axis solve that evaluates m(t) loses digits itself (the
+        Jacobian's smallest eigenvalue is ~ 2 sqrt(t - r_inf))."""
         if q <= 0:
             raise NoInverseError("two_theta must be positive")
-        if self.degenerate:
-            lo = self.r_inf + 1e-14 / max(1.0, q)
-            hi = self.r_inf + len(self.atoms) / q + 1.0
-
-            def f_atoms(t):
-                return float(np.mean(1.0 / (t - self.atoms))) - q
-
-            while f_atoms(hi) > 0:
-                hi = self.r_inf + 2.0 * (hi - self.r_inf)
-            return float(brentq(f_atoms, lo, hi, xtol=1e-14))
         if q >= self.q_edge:
             raise NoInverseError(
                 f"two_theta={q} is at or beyond the range of -m "
@@ -617,7 +610,11 @@ class _SpectralCache:
         def f(s):
             return -self.m_scalar(self.r_inf + s * s) - q
 
-        s_root = brentq(f, 0.0, 1.0 / np.sqrt(q), xtol=1e-14)
+        if self.structure.noiseless:
+            lo, hi = 1.0 / np.sqrt(2.0 * self.structure.L * q), 2.0 / np.sqrt(q)
+        else:
+            lo, hi = 0.0, 1.0 / np.sqrt(q)
+        s_root = brentq(f, lo, hi, xtol=1e-14)
         return float(self.r_inf + s_root * s_root)
 
 

@@ -60,6 +60,12 @@ class StructureSet:
         """S's matrix forms (`SuperOperator`), built on first use."""
         return _superoperator(self.a)
 
+    @functools.cached_property
+    def noiseless(self) -> bool:
+        """S = 0 exactly: the limit law is A_0's atoms and X = A_0 (x) Id_N.
+        The one test every module makes for "no noise"."""
+        return not self.s_op.k.any()
+
 
 def make_structure(a0, a_list, beta=1) -> StructureSet:
     """Build a validated StructureSet from A_0 and the list [A_1, ..., A_k]."""
@@ -353,25 +359,6 @@ def _assemble(structure: StructureSet, blocks, n) -> np.ndarray:
     for aj, wj in zip(structure.a, blocks):
         x4 += aj[:, None, :, None] * wj[None, :, None, :]
     return out
-
-
-def tilt_matrix(structure: StructureSet, u) -> np.ndarray:
-    """D = sum_j A_j (x) (U A_j^T U*) for the block matrix U of the unit vector u.
-
-    The tilted sample is X~ + 2 theta D; D is the deterministic finite-rank
-    shift produced by tilting the Gaussian law with exp(beta N theta <u, X u>).
-    The transpose on the inner A_j comes from <u,(A (x) W)u> = Tr[W U A^T U*];
-    it only matters when A_j has complex entries. No sampler builds D (`_tilt_blocks`).
-    """
-    u = np.asarray(u)
-    L = structure.L
-    n = u.size // L
-    ublocks = u.reshape(L, n)  # row a = block u_a
-    d = np.zeros((L * n, L * n), dtype=np.result_type(u, structure.a0))
-    for aj in structure.a:
-        bj = ublocks.T @ aj.T @ np.conj(ublocks)  # U A_j^T U*, U = ublocks.T (columns u_a)
-        d += np.kron(aj, bj)
-    return d
 
 
 def _tilt_blocks(structure: StructureSet, u) -> np.ndarray:

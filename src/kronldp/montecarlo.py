@@ -25,9 +25,9 @@ block resolvent traces, window decisions and tilted lambda_1. A structure
 whose matrices commute (A_0 = q diag(c) q*, A_j = q diag(a_j) q*: direct
 sums, every L = 1 structure) has L parts: in q's basis X is the direct sum
 of the N x N blocks c_l + sum_j a_jl W_j, built straight from the drawn W_j.
-Any other structure is one part, X itself. Only a hit of the importance
-sampler is assembled whole, for its weight; no batch of matrices is ever
-held.
+Any other structure is one part, X itself. No sampler assembles X, and no
+batch of matrices is ever held: an importance weight is read off the
+blocks.
 
 The dense window estimators (direct and importance) take one draw at a time
 and decide the window with no eigensolve, by Cholesky factorizations at the
@@ -54,8 +54,8 @@ from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
 
 from .mde import right_edge
-from .model import (as_profile, profile_vector, rho_profile, structure_hash, _assemble,
-                    _draw_blocks, _draw_stream, _tilt_blocks)
+from .model import (as_profile, profile_vector, rho_profile, structure_hash, _draw_blocks,
+                    _draw_stream, _tilt_blocks)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -321,13 +321,6 @@ def _clopper_pearson(hits, reps, alpha=0.05):
     return lo, hi
 
 
-def _tilt_moments(structure, u):
-    """mu = <u,(A0 x Id)u> and T2 = sum_j Tr[C_j^2] = sum_j ||C_j||_F^2 (Hermitian C_j)."""
-    ub, c = np.asarray(u).reshape(structure.L, -1), _tilt_blocks(structure, u)
-    mu = float(np.real(np.sum(structure.a0 * (ub.conj() @ ub.T))))
-    return mu, float(np.vdot(c, c).real)
-
-
 # ---------------------------------------------------------------------------
 # lambda_1 draws and spectra
 
@@ -434,7 +427,7 @@ def _tridiagonal_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch)
     """Hits among batch `batch`'s tridiagonal draws, from stream (seed, b)."""
     c, a = _scalar_coefficients(structure)
     m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
-    if a == 0.0:
+    if structure.noiseless:
         return m * int(c >= x - delta if one_sided else abs(c - x) <= delta)  # X = c Id
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
     #                  <=>  no eigenvalue of W below (s-c)/a     (a < 0)
@@ -512,9 +505,10 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     u realizing psi (default Id/L) and reweights by the exact density ratio
 
         w = exp(beta N theta (theta T2 - T1)),
-        T1 = <u,Xu> - mu,  mu = <u,(A0 x Id)u>,  T2 = sum_j Tr[(U A_j^T U*)^2],
+        T1 = <u,Xu> - <u,(A0 x Id)u> = sum_j Re Tr[B_j C_j],  T2 = sum_j ||C_j||_F^2,
 
-    the closed form of exp(-beta N theta <u,Xu> + Lambda). theta defaults to
+    the closed form of exp(-beta N theta <u,Xu> + Lambda), with C_j = U A_j^T
+    U* (Hermitian) and B_j = W_j + 2 theta C_j the tilted blocks. theta defaults to
     the tilt whose predicted outlier sits at the window's lower edge x - delta
     (tilting to x itself would push most of the mass past the window).
 
@@ -525,8 +519,8 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
 
     A tilted draw is a draw of the blocks W_j + 2 theta C_j, its window
     decided as in `tail_probability`'s dense sampler (Cholesky factorizations
-    at both ends, block by block when the matrices commute). Only a hit is
-    assembled, exactly as `model.sample_tilted` builds it, for its weight.
+    at both ends, block by block when the matrices commute), and its weight
+    is read off the blocks: X is never assembled.
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
@@ -562,13 +556,13 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
 
 def _importance_batch_weights(structure, x, delta, n, reps, rng, one_sided, theta, u, batch):
     """The weights of batch `batch`'s tilted hits, in draw order."""
-    mu, t2 = _tilt_moments(structure, u)
-    mean = 2.0 * theta * _tilt_blocks(structure, u)
+    c = _tilt_blocks(structure, u)
+    t2 = float(np.vdot(c, c).real)
     weights = []
-    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, mean):
-        xm = _assemble(structure, blocks, n)  # as `model.sample_tilted` builds it
-        quad = float(np.real(np.vdot(u, xm @ u)))
-        weights.append(math.exp(structure.beta * n * theta * (theta * t2 - (quad - mu))))
+    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch,
+                                2.0 * theta * c):
+        t1 = float(np.vdot(c, blocks).real)
+        weights.append(math.exp(structure.beta * n * theta * (theta * t2 - t1)))
     return weights
 
 
@@ -585,7 +579,7 @@ def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
     `_tridiagonal_batch_hits`.
     """
     c, a = _scalar_coefficients(structure)
-    if a == 0.0:
+    if structure.noiseless:
         return np.full(reps, c)
     batch = functools.partial(_tilted_tridiagonal_batch, structure, theta, n, reps, rng)
     return c + a * np.concatenate(_map_batches(batch, _nbatches(reps, _TRI_BATCH), rng))

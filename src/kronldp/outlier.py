@@ -79,11 +79,10 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
         raise ValueError("theta must be non-negative")
     psi = _sized_psi(structure, psi)
     m_mat = _cache_for(structure).m_matrix(z)
-    big = structure.s_op.big
-    if big.shape[0] == 0 or not big.any():
+    if structure.noiseless:
         return 1.0
-    ident = np.eye(big.shape[0])
-    val = np.linalg.det(ident + 2.0 * theta * big @ np.kron(m_mat, psi))
+    big = structure.s_op.big
+    val = np.linalg.det(np.eye(big.shape[0]) + 2.0 * theta * big @ np.kron(m_mat, psi))
     return float(np.real(val))
 
 
@@ -94,18 +93,17 @@ def _q_factor(neg_m, h):
 
 def _sym(structure, theta, z, psi):
     """(C* S_big C, S_big C, M(z)) with C C* = Q = -M(z) x 2 theta Psi,
-    or None where S_big vanishes (then lambda_max = 0)."""
+    or None for a noiseless structure (S_big = 0, so lambda_max = 0)."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
     psi = _sized_psi(structure, psi)
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
     m_mat = _cache_for(structure).m_matrix(z)
-    big = structure.s_op.big
-    if big.shape[0] == 0 or not big.any():
+    if structure.noiseless:
         return None
     c = _q_factor(-m_mat, 2.0 * theta * psi)
-    bc = big @ c
+    bc = structure.s_op.big @ c
     return c.conj().T @ bc, bc, m_mat
 
 

@@ -64,7 +64,8 @@ from .model import Profile, StructureSet, _psd_factor, _sized_psi, apply_S, as_p
 
 
 class DegenerateModelError(ValueError):
-    """S annihilates every profile (all A_j = 0); no tilt changes the law."""
+    """The structure is noiseless (`StructureSet.noiseless`, S = 0): S
+    annihilates every profile, and no tilt changes the law."""
 
 
 @dataclass
@@ -430,15 +431,15 @@ def rate_function(structure: StructureSet, x, opt_config=None,
     cfg = opt_config or OptConfig()
     if cfg.max_rungs < 2:
         raise ValueError(f"max_rungs must be at least 2, got {cfg.max_rungs}")
+    if structure.noiseless:
+        raise DegenerateModelError(
+            "Tr[Psi S(Psi)] vanishes for every profile; the variational "
+            "rate function is not defined for a noiseless model")
     x = float(x)
     L = structure.L
     id_l = np.eye(L) / L
     s_id = apply_S(structure, id_l)
     q0 = _re_trace(id_l, s_id)
-    if q0 <= 1e-14:
-        raise DegenerateModelError(
-            "Tr[Psi S(Psi)] vanishes for every profile; the variational "
-            "rate function is not defined for a noiseless model")
 
     if L == 1:
         one = np.ones((1, 1))

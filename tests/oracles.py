@@ -120,6 +120,28 @@ def atoms_log_potential(x, atoms):
 
 
 # ---------------------------------------------------------------------------
+# the tilt's shift, assembled whole
+
+def tilt_matrix(structure, u):
+    """D = sum_j A_j (x) (U A_j^T U*) for the block matrix U of the unit vector u.
+
+    The tilted sample is X + 2 theta D: tilting the Gaussian law with
+    exp(beta N theta <u, X u>) shifts it by this finite-rank matrix. The
+    transpose on the inner A_j comes from <u, (A (x) W) u> = Tr[W U A^T U*];
+    it only matters when A_j has complex entries. A reference assembly: the
+    samplers shift the blocks W_j instead. structure needs only .L and .a.
+    """
+    u = np.asarray(u)
+    L = structure.L
+    ublocks = u.reshape(L, -1)  # row a = block u_a
+    d = np.zeros((u.size, u.size), dtype=np.result_type(u, structure.a))
+    for aj in structure.a:
+        bj = ublocks.T @ aj.T @ np.conj(ublocks)  # U A_j^T U*, U = ublocks.T (columns u_a)
+        d += np.kron(aj, bj)
+    return d
+
+
+# ---------------------------------------------------------------------------
 # profile of a uniform sphere vector, L = 2, beta = 1 (block-Wishart law)
 #
 # For u uniform on S^(2N-1) split into two N-blocks, the profile

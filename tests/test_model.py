@@ -25,9 +25,9 @@ from kronldp.model import (
     structure_from_dict,
     structure_hash,
     structure_to_dict,
-    tilt_matrix,
     validate,
 )
+from oracles import tilt_matrix
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 

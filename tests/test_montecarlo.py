@@ -23,8 +23,8 @@ from scipy.linalg import eigvalsh_tridiagonal, hessenberg
 
 from kronldp import make_structure, stream, structure_hash
 from kronldp.mde import right_edge, solve_mde
-from kronldp.model import (_assemble, _draw_blocks, _draw_stream, profile_vector, rho_profile,
-                           sample_tilted, tilt_matrix)
+from kronldp.model import (_assemble, _draw_blocks, _draw_stream, _tilt_blocks, profile_vector,
+                           rho_profile, sample_tilted)
 from kronldp import model, montecarlo
 from kronldp.montecarlo import (
     ProfileHistogram,
@@ -32,7 +32,6 @@ from kronldp.montecarlo import (
     _batch_size,
     _clopper_pearson,
     _sturm_below,
-    _tilt_moments,
     _tilted_tridiagonal_lambda1,
     _tridiagonal_batch,
     block_resolvent_trace,
@@ -45,6 +44,7 @@ from kronldp.montecarlo import (
     tilted_outlier_check,
     write_jsonl,
 )
+from oracles import tilt_matrix
 
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -78,6 +78,14 @@ def _log_block_density_drop(structure, raw, shifted, n):
         drop -= scale * float(np.real(np.trace(shifted[j] @ shifted[j])
                                       - np.trace(raw[j] @ raw[j])))
     return drop
+
+
+def _tilt_moments(structure, u):
+    """mu = <u,(A0 x Id)u> and T2 = sum_j Tr[C_j^2] = sum_j ||C_j||_F^2
+    (Hermitian C_j): the weight formula's terms read off the assembled X."""
+    ub, c = np.asarray(u).reshape(structure.L, -1), _tilt_blocks(structure, u)
+    mu = float(np.real(np.sum(structure.a0 * (ub.conj() @ ub.T))))
+    return mu, float(np.vdot(c, c).real)
 
 
 @pytest.mark.parametrize("which", ["pair", "herm"])
@@ -908,12 +916,14 @@ def test_tilted_check_solves_a_commuting_structure_block_by_block(herm, monkeypa
 
 
 def test_no_sampler_builds_the_whole_tilt_shift(pair, monkeypatch):
-    # a tilted draw is a draw of the shifted blocks W_j + 2 theta C_j: the
-    # NL x NL shift 2 theta D is never assembled
+    # a tilted draw is a draw of the shifted blocks W_j + 2 theta C_j, its
+    # weight is read off the blocks: neither the NL x NL shift 2 theta D nor
+    # X itself is ever assembled
     def whole(*args, **kwargs):
-        raise AssertionError("NL x NL tilt shift built")
+        raise AssertionError("NL x NL matrix assembled")
 
-    monkeypatch.setattr(model, "tilt_matrix", whole)
+    assert not hasattr(model, "tilt_matrix") and not hasattr(montecarlo, "_assemble")
+    monkeypatch.setattr(model, "_assemble", whole)
     est = importance_tail(pair, 2.6, 0.2, 10, 60, 1, theta=0.3)
     assert est.hits > 0 and est.p_hat > 0
     chk = tilted_outlier_check(pair, 0.5, np.eye(2) / 2, 10, 20, 1)

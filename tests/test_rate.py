@@ -466,6 +466,19 @@ def test_rate_degenerate_model_raises():
         rate_function(make_structure(np.diag([1.0, 0.0]), []), 2.0)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the default search certifies a rank-one saddle of the C C* "
+    "parametrization, 2.5e-4 above the optimum that seeds 1, 3 and 4 reach; "
+    "ROADMAP items 2 and 4 replace that search"))
+def test_known_defect_rank_one_saddle_is_certified():
+    """At rs717 (L = 4), x = r_inf + 1.5, the default seed's certified rate is
+    1.872535239467589, at an exactly rank-one optimum whose first-order test
+    on trace-one PSD profiles fails; seeds 1, 3 and 4 certify
+    1.8720636046291 (to 1e-14), and the beta = 2 twin's rate is twice that."""
+    st = random_structure(stream(717), 4)
+    assert rate_function(st, right_edge(st).r_inf + 1.5).value <= 1.8720636046296 + 1e-9
+
+
 def test_rate_requires_x_beyond_edge(sc):
     with pytest.raises(DomainError):
         rate_function(sc, 1.9)
