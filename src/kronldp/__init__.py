@@ -70,4 +70,4 @@ from .rate import (
     theta_cap,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"

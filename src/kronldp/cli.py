@@ -207,7 +207,9 @@ def cmd_rate(cfg: RunConfig) -> int:
 def _rate_point_meta(st, x, res):
     """run_meta.json entry of one rate point. The optimality residual is
     |L lambda_sym(theta*, x, phi_hat*) - 1|: at the optimum the tilt L theta*
-    with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x."""
+    with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x.
+    The first-order gap is rate_function's test of Psi* on the trace-one PSD
+    profiles, 0 at a first-order optimum and below -1e-5 where it fails."""
     diag = res.diagnostics
     point = {"x": x, "fevals": diag["fevals"], "rungs": len(diag["ladder"]),
              "stability_flag": res.stability_flag, "certified": diag["certified"]}
@@ -215,6 +217,7 @@ def _rate_point_meta(st, x, res):
         point["failed_condition"] = diag["failed"]
     phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]
     point["optimality_residual"] = abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0)
+    point["first_order_gap"] = diag["first_order_gap"]
     return point
 
 

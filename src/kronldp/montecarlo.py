@@ -219,9 +219,10 @@ class _Part:
     one broadcast product per noise term on its (P, N, P, N) view, then
     t Id - c0 added to the diagonal of every N x N block. The
     factorization exists exactly when t Id - part is positive definite. The
-    transposed (Fortran-ordered) view is factored as upper triangular, so
-    LAPACK reads the lower triangle, in place and without a copy; `top`
-    hands the same view to the eigensolver (the conjugate of -part, so
+    transposed (Fortran-ordered) view is factored in place and without a
+    copy, as lower triangular (the faster of OpenBLAS's two `potrf`
+    variants on this layout; `_fill` writes both triangles); `top` hands
+    the same view to the eigensolver (the conjugate of -part, so
     `top_profile` conjugates its eigenvector back).
     """
 
@@ -248,7 +249,7 @@ class _Part:
     def below(self, blocks, t):
         """Whether every eigenvalue of the part lies below t."""
         self._fill(blocks, t)
-        return self.potrf(self.mat.T, lower=0, clean=0, overwrite_a=1)[1] == 0
+        return self.potrf(self.mat.T, lower=1, clean=0, overwrite_a=1)[1] == 0
 
     def top(self, blocks):
         """The part's largest eigenvalue (minus the smallest of -part)."""

@@ -5,10 +5,12 @@ transform, its inverse, the log potential) into the tilted free energy
 F(theta, x, Psi) = beta (L J(x, theta) - K(theta, phi_hat)) and optimize it:
 sup over theta on a compact interval, then inf over trace-one PSD profiles
 Psi subject to Tr[Psi S(Psi)] >= eps, taken as eps -> 0. One search runs
-at a small eps and certifies that its optimum does not feel eps (the
-constraint and the theta cap are inactive there, and no eigenprojector of
-S(Id) that the constraint excludes does better); only an uncertified optimum
-costs a second search at half that eps (`rate_function`).
+at a small eps: it screens every start loosely, polishes only the best, and
+certifies that the optimum does not feel eps (the constraint and the theta
+cap are inactive there, and no eigenprojector of S(Id) that the constraint
+excludes does better) and passes the first-order test on trace-one PSD
+profiles; only an uncertified optimum costs a second search at half that eps
+(`rate_function`).
 
 beta is the structure's symmetry class, `StructureSet.beta`: 1 for GOE and
 2 for GUE noise. The paper's formulas carry a prime, the transpose at
@@ -43,7 +45,11 @@ envelope theorem is that of beta g at the maximizer t: d sup F = Re Tr[G dPsi],
 G = beta (t L (-2 L S(P) - A_0) - 2 L^2 t^2 S(Psi) - (t/2) (P + t Psi)^{-1}),
 a Hermitian matrix (G = 0 where the sup is F(theta_x) = 0), plus the chain
 rule through the blend toward Id/L that meets the constraint. In the factor
-of Psi = C C*/Tr(C C*) it is 2 (G - Tr[G Psi] Id) C / Tr(C C*).
+of Psi = C C*/Tr(C C*) it is 2 (G - Tr[G Psi] Id) C / Tr(C C*). That
+factor gradient vanishes wherever G C = Tr[G Psi] C, so a rank-deficient
+Psi can be a stationary point that is no minimum: the first-order test on
+trace-one PSD profiles is lambda_min(G) >= Re Tr[G Psi], and where it fails,
+F falls from Psi toward G's bottom eigenvector w (the direction w w*).
 
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
@@ -111,9 +117,12 @@ class OptConfig:
     seed: int = 0
 
 
-_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}  # each profile search start
+_SCREEN_OPTIONS = {"ftol": 1e-8, "gtol": 1e-5, "maxiter": 500}  # every profile search start
+_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}  # the best screened start
 _STARTS = 8  # starts per search, random ones filling up to this count
 _STAB_TOL = 1e-4  # relative agreement of the two searches for a stable value
+_GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
+_ESCAPE_ROUNDS = 5  # polishes from a descent direction off a failed test, per search
 
 
 def _re_trace(a, b):
@@ -368,6 +377,26 @@ def _feasible(structure, psi, eps, s_id):
     return psi, apply_S(structure, psi), s
 
 
+def _envelope_gradient(structure, base, psi, s_psi, theta):
+    """G, the Hermitian gradient in Psi of sup_theta F at its maximizer theta,
+    with s_psi = S(psi) (module docstring)."""
+    L, t = structure.L, theta - base.theta_x
+    g = (t * L * (-2.0 * L * base.s_p - structure.a0) - 2.0 * L * L * t * t * s_psi
+         - 0.5 * t * np.linalg.inv(base.p + t * psi))
+    return 0.5 * structure.beta * (g + g.conj().T)  # Hermitian up to rounding
+
+
+def _first_order_gap(structure, base, psi, s_psi, theta, value):
+    """(lambda_min(G) - Re Tr[G Psi]) / max(1, value), and G's bottom
+    eigenvector w. The gap is <= 0, and 0 at a first-order optimum over the
+    trace-one PSD profiles; a negative one is the slope of F from Psi toward
+    w w* over max(1, value), so a rank-deficient saddle of the C C*
+    parametrization fails it."""
+    g = _envelope_gradient(structure, base, psi, s_psi, theta)
+    w, v = np.linalg.eigh(g)
+    return (w[0] - _re_trace(g, psi)) / max(1.0, value), v[:, 0]
+
+
 def _profile_objective(v, structure, base, s_id, eps, th_hi):
     """sup_theta F at the profile C C*/Tr(C C*), C = _unpack(v), after the
     projection of _feasible, and its gradient in v (module docstring)."""
@@ -380,13 +409,9 @@ def _profile_objective(v, structure, base, s_id, eps, th_hi):
     psi_p, s_psi, s = _feasible(structure, psi, eps, s_id)
     try:
         th, f = _sup_curve(structure, psi_p, s_psi, th_hi, base)
-        t = th - base.theta_x
-        grad = (t * L * (-2.0 * L * base.s_p - structure.a0)
-                - 2.0 * L * L * t * t * s_psi
-                - 0.5 * t * np.linalg.inv(base.p + t * psi_p))
+        grad = _envelope_gradient(structure, base, psi_p, s_psi, th)
     except (ValueError, np.linalg.LinAlgError):
         return 1e6, np.zeros_like(v)
-    grad = 0.5 * structure.beta * (grad + grad.conj().T)  # Hermitian up to rounding
     if s > 0.0:
         # psi_p = (1-s) psi + s Id/L keeps q(psi_p) = eps, so with D = Id/L - psi
         # and S(psi_p) half the gradient of q, ds = -(1-s) <S(psi_p), dpsi>/<S(psi_p), D>
@@ -404,15 +429,25 @@ def rate_function(structure: StructureSet, x, opt_config=None,
 
     Profiles are parametrized as C C*/Tr(C C*) (PSD and trace one for free),
     and the constraint Tr[Psi S(Psi)] >= eps is kept by projecting
-    infeasible iterates toward Id/L. Each start is an L-BFGS-B run on the
-    closed-form gradient of the projected sup over theta (module docstring);
-    `diagnostics["fevals"]` counts its value-and-gradient evaluations.
+    infeasible iterates toward Id/L. A search runs L-BFGS-B on the
+    closed-form gradient of the projected sup over theta (module docstring)
+    from every start to the screening tolerance `_SCREEN_OPTIONS`, then
+    polishes only the start with the lowest screened value to
+    `_LBFGS_OPTIONS`. While the polished profile fails the first-order test,
+    first_order_gap = (lambda_min(G) - Re Tr[G Psi]) / max(1, value)
+    < -_GAP_TOL, it is polished again from the factor of
+    0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
+    `_ESCAPE_ROUNDS` rounds, each kept only if it lowers the value.
+    `diagnostics["fevals"]` counts the value-and-gradient evaluations of
+    every phase, and `diagnostics["first_order_gap"]` holds the returned
+    profile's gap.
 
     One search runs at eps_1 = q0 2^-(max_rungs - 2), q0 = Tr[Id/L S(Id/L)].
     Its optimum is certified when (a) the constraint is inactive there
-    (nothing is blended, q > eps_1), (b) theta* lies below the theta cap, and
+    (nothing is blended, q > eps_1), (b) theta* lies below the theta cap,
     (c) no eigenprojector of S(Id) with q < eps_1, which the constraint
-    excludes, beats the value at its own sup over theta. A certified value
+    excludes, beats the value at its own sup over theta, and (d) the
+    first-order test passes. A certified value
     does not depend on eps on the searched profiles, and it is returned with
     `stability_flag` True. Otherwise one more search runs at eps_1 / 2 (the
     last rung), warm-started from the first optimum, and the flag is True
@@ -447,7 +482,7 @@ def rate_function(structure: StructureSet, x, opt_config=None,
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=q0, stability_flag=True,
                           diagnostics={"ladder": [(q0, val)], "fevals": 1,
-                                       "certified": True})
+                                       "certified": True, "first_order_gap": 0.0})
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x)
@@ -473,19 +508,41 @@ def rate_function(structure: StructureSet, x, opt_config=None,
     fevals = len(projectors)
 
     def search(rung, warm_c):
-        """One multistart at eps = q0 2^-rung; returns the projected optimum
-        and the conditions (a)-(c) it fails."""
+        """One multistart at eps = q0 2^-rung: every start screened, the best
+        polished, then polished again off any failed first-order test. Returns
+        the projected optimum, its first-order gap and the conditions (a)-(d)
+        it fails."""
         eps = q0 * 2.0 ** (-rung)
         th_hi = theta_cap(structure, x + 1.0, edge_mid, eps)
-        runs = [minimize(_profile_objective, _pack(c0, complex_params),
-                         args=(structure, base, s_id, eps, th_hi),
-                         method="L-BFGS-B", jac=True, options=_LBFGS_OPTIONS)
+
+        def run(v, options):
+            return minimize(_profile_objective, v, args=(structure, base, s_id, eps, th_hi),
+                            method="L-BFGS-B", jac=True, options=options)
+
+        def projected(out):
+            """(psi, S(psi), s, theta, value) at the projection of a run's optimum."""
+            c = _unpack(out.x, L, complex_params)
+            psi = c @ c.conj().T
+            psi, s_psi, s = _feasible(structure, psi / np.trace(psi).real, eps, s_id)
+            return (psi, s_psi, s, *_sup_curve(structure, psi, s_psi, th_hi, base))
+
+        runs = [run(_pack(c0, complex_params), _SCREEN_OPTIONS)
                 for c0 in _seed_factors(structure, cfg, rung, warm_c, projectors,
                                         complex_params)]
-        c = _unpack(min(runs, key=lambda out: out.fun).x, L, complex_params)
-        psi = c @ c.conj().T
-        psi, s_psi, s = _feasible(structure, psi / np.trace(psi).real, eps, s_id)
-        th, val = _sup_curve(structure, psi, s_psi, th_hi, base)
+        runs.append(run(min(runs, key=lambda out: out.fun).x, _LBFGS_OPTIONS))
+        psi, s_psi, s, th, val = projected(runs[-1])
+        gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
+        for _ in range(_ESCAPE_ROUNDS):
+            if gap >= -_GAP_TOL:
+                break
+            # F falls from psi toward w w*: polish again from a step that way
+            step = _psd_factor(0.9 * psi + 0.1 * np.outer(w, w.conj()))
+            runs.append(run(_pack(step, complex_params), _LBFGS_OPTIONS))
+            point = projected(runs[-1])
+            if not point[4] < val:
+                break
+            psi, s_psi, s, th, val = point
+            gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
         failed = []
         if s > 0.0 or not _re_trace(psi, s_psi) > eps:
             failed.append("a: constraint active")
@@ -493,10 +550,12 @@ def rate_function(structure: StructureSet, x, opt_config=None,
             failed.append("b: theta at cap")
         if best_excluded(eps, val) is not None:
             failed.append("c: an excluded eigenprojector of S(Id) beats the value")
-        return eps, th, val, psi, sum(out.nfev for out in runs), failed
+        if gap < -_GAP_TOL:
+            failed.append("d: first-order test fails")
+        return eps, th, val, psi, gap, sum(out.nfev for out in runs), failed
 
     rung = cfg.max_rungs - 2
-    eps, th, val, psi, n, failed = search(rung, warm_start)
+    eps, th, val, psi, gap, n, failed = search(rung, warm_start)
     fevals += n
     ladder = [(eps, val)]
     stable = not failed
@@ -504,7 +563,7 @@ def rate_function(structure: StructureSet, x, opt_config=None,
         # the last rung, warm-started with a factor of the projected optimum:
         # it is feasible there too, so this search can only improve on val
         first = val
-        eps, th, val, psi, n, _ = search(rung + 1, _psd_factor(psi))
+        eps, th, val, psi, gap, n, _ = search(rung + 1, _psd_factor(psi))
         fevals += n
         ladder.append((eps, val))
         j = best_excluded(eps, val)
@@ -513,9 +572,11 @@ def rate_function(structure: StructureSet, x, opt_config=None,
             # feasible at every eps below its q, so it bounds the eps -> 0 value
             th, val = proj_values[j][1:]
             psi = projectors[j]
+            gap = _first_order_gap(structure, base, psi, apply_S(structure, psi), th, val)[0]
             failed.append(f"returned the excluded eigenprojector {j} of S(Id)")
 
-    diagnostics = {"ladder": ladder, "fevals": fevals, "certified": not failed}
+    diagnostics = {"ladder": ladder, "fevals": fevals, "certified": not failed,
+                   "first_order_gap": float(gap)}
     if failed:
         diagnostics["failed"] = "; ".join(failed)
     return RateResult(x=x, value=float(val), theta_star=float(th),

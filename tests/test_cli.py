@@ -157,6 +157,7 @@ def test_rate_run_meta_reports_each_point(tmp_path):
         assert p["stability_flag"] is True and p["certified"] is True
         assert "failed_condition" not in p
         assert p["optimality_residual"] <= 1e-10
+        assert p["first_order_gap"] >= -1e-5
 
 
 def test_rate_run_meta_reports_the_fallback_search(tmp_path):
