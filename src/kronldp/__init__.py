@@ -67,7 +67,6 @@ from .rate import (
     rate_curve,
     rate_function,
     sup_theta,
-    theta_cap,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"

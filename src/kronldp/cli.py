@@ -7,8 +7,8 @@ written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs, together with
 what a command reports about its own work (for rate: each point's profile
-search evaluations, searches run, stability flag, certificate and
-optimality residual; for simulate: the mean profile rho(v_1) of the draws).
+search evaluations, stability flag, certificate, optimality residual and
+first-order gap; for simulate: the mean profile rho(v_1) of the draws).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -211,8 +211,8 @@ def _rate_point_meta(st, x, res):
     The first-order gap is rate_function's test of Psi* on the trace-one PSD
     profiles, 0 at a first-order optimum and below -1e-5 where it fails."""
     diag = res.diagnostics
-    point = {"x": x, "fevals": diag["fevals"], "rungs": len(diag["ladder"]),
-             "stability_flag": res.stability_flag, "certified": diag["certified"]}
+    point = {"x": x, "fevals": diag["fevals"], "stability_flag": res.stability_flag,
+             "certified": diag["certified"]}
     if not diag["certified"]:
         point["failed_condition"] = diag["failed"]
     phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]

@@ -3,7 +3,8 @@
 Most tests invoke main() in-process with a config written to tmp_path; one
 test goes through the installed console script to cover the entry point.
 Numeric expectations reuse the closed-form GOE oracles (rate quadrature
-values from test_oracles, BBP map 2*theta + 1/(2*theta)); everything else
+values from test_oracles, the closed-form GOE rate, BBP map
+2*theta + 1/(2*theta)); everything else
 here is contract, not math: which files appear, which exit code fires,
 which stream carries the diagnostic.
 """
@@ -20,6 +21,7 @@ from kronldp.mde import NoInverseError, right_edge
 from kronldp.model import structure_from_dict
 from kronldp.outlier import TiltSearchError, largest_outlier
 
+from oracles import goe_rate_closed
 from test_oracles import FROZEN_GOE_RATE
 
 GOE_DOC = {"beta": 1, "A0": [[0.0]], "A": [[[1.0]]]}
@@ -153,17 +155,17 @@ def test_rate_run_meta_reports_each_point(tmp_path):
     assert [p["x"] for p in points] == [3.0, 3.5]
     for p in points:
         # one certified search per point, at the optimum of the tilt identity
-        assert p["fevals"] > 0 and p["rungs"] == 1
+        assert p["fevals"] > 0
         assert p["stability_flag"] is True and p["certified"] is True
         assert "failed_condition" not in p
         assert p["optimality_residual"] <= 1e-10
         assert p["first_order_gap"] >= -1e-5
 
 
-def test_rate_run_meta_reports_the_fallback_search(tmp_path):
+def test_rate_run_meta_reports_one_certified_search_at_low_noise(tmp_path):
     # GOE next to a block of noise 0.01 shifted by 4: the optimum is E22,
-    # where q = 1e-4 lies below eps_1 = q0 / 1024, so the single search ends
-    # on the constraint, and the last rung runs and is reported
+    # whose q = Tr[E22 S(E22)] = 1e-4 lies far below q0 = Tr[Id/2 S(Id/2)];
+    # one search reaches and certifies it, and the epsilon column holds its q
     low_noise = {"beta": 1, "A0": [[0.0, 0.0], [0.0, 4.0]],
                  "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.01]]]}
     doc = {"command": "rate", "structure": low_noise, "seed": 1,
@@ -172,12 +174,13 @@ def test_rate_run_meta_reports_the_fallback_search(tmp_path):
     assert code == 0
     (p,) = json.loads((out / "run_meta.json").read_text(),
                       parse_constant=reject_non_json_constant)["rate_points"]
-    assert p["rungs"] == 2 and p["certified"] is False
-    assert p["failed_condition"].startswith("a:")
-    assert p["stability_flag"] is False
+    assert p["certified"] is True and p["stability_flag"] is True
+    assert "failed_condition" not in p
     _, body = read_csv(out / "rate.csv")
-    q0 = (1.0 + 1e-4) / 4.0  # Tr[Id/2 S(Id/2)]
-    assert float(body[0][3]) == q0 * 2.0 ** -11
+    # I_GOE((4.023 - 4) / 0.01), below I_GOE(4.023)
+    want = goe_rate_closed((4.023 - 4.0) / 0.01)
+    assert float(body[0][1]) == pytest.approx(want, rel=1e-12)
+    assert float(body[0][3]) == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_rate_beta2_at_most_twice_beta1(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.optimize import minimize, minimize_scalar
 
+import eps_reference as ref
 import oracles as o
 from kronldp import (
     DegenerateModelError,
@@ -30,7 +31,6 @@ from kronldp import (
     right_edge,
     stream,
     sup_theta,
-    theta_cap,
 )
 from kronldp import rate as rate_mod
 from kronldp.mde import _cache_for
@@ -302,27 +302,17 @@ def test_f_zero_crossing_point(pair):
 
 
 # ---------------------------------------------------------------------------
-# theta cap and sup
+# sup over theta
 
-def test_theta_cap_semicircle_value(sc):
-    # -m_sc(3) + 4(4+0)/1 = (3-sqrt(5))/2 + 16
-    want = (3.0 - np.sqrt(5.0)) / 2.0 + 16.0
-    assert theta_cap(sc, 4.0, 3.0, 1.0) == pytest.approx(want, abs=1e-9)
-
-
-def test_theta_cap_scales_like_inverse_eps(pair):
-    edge = right_edge(pair).r_inf
-    big = theta_cap(pair, 3.0, edge + 1.0, 1e-3)
-    small = theta_cap(pair, 3.0, edge + 1.0, 1.0)
-    m_eta = small - 4.0 * (3.0 + 4.0 * np.linalg.norm(pair.a0, 2)) / 4.0
-    assert big == pytest.approx(m_eta + 1e3 * (small - m_eta), rel=1e-12)
-
-
-def test_theta_cap_requires_eta_beyond_edge(pair):
-    with pytest.raises(DomainError):
-        theta_cap(pair, 3.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        theta_cap(pair, 3.0, right_edge(pair).r_inf + 1.0, 0.0)
+def _newton_start(st, x, psi):
+    """theta_x and a/b of the rate module docstring: every maximizer of
+    theta -> F(theta, x, psi) lies in [theta_x, theta_x + max(a/b, 0)]."""
+    ell = st.L
+    m_mat = _cache_for(st).m_matrix(x)
+    s_psi = apply_S(st, psi)
+    a = ell * (x + float(np.trace(m_mat @ s_psi).real) - float(np.trace(st.a0 @ psi).real))
+    b = 2.0 * ell * ell * float(np.trace(psi @ s_psi).real)
+    return -float(np.trace(m_mat).real) / (2.0 * ell), a / b
 
 
 def test_sup_theta_goe_closed_form(sc):
@@ -357,6 +347,9 @@ def _brute_sup(st, x, psi, theta_hi):
 
 
 def test_sup_theta_matches_brute_force():
+    """The exact sup against a dense grid over [theta_x, theta_x + 2 a/b],
+    twice as far as any maximizer can lie and beyond the old eps cap, so it
+    pins the uncapped sup."""
     rng = stream(53, 1)
     interior = 0
     for case in range(12):
@@ -370,16 +363,16 @@ def test_sup_theta_matches_brute_force():
         if case >= 6 and ell > 1:
             v = rng.standard_normal(ell)
             psi = np.outer(v, v) / (v @ v)  # rank one
-        eps = float(np.trace(psi @ apply_S(st, psi)).real)
-        theta_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
-        theta_star, f_star = sup_theta(st, x, psi, eps=eps)
+        theta_x, t_hi = _newton_start(st, x, psi)
+        theta_hi = theta_x + 2.0 * max(t_hi, 1e-3)
+        theta_star, f_star = sup_theta(st, x, psi)
         brute = _brute_sup(st, x, psi, theta_hi)
         assert f_star >= brute - 1e-12
         assert abs(f_star - brute) <= 1e-10 * abs(brute) + 1e-14
         if f_star > 0.0:
             assert f_value(st, theta_star, x, psi) == \
                 pytest.approx(f_star, rel=1e-10)
-            interior += theta_star < theta_hi
+            interior += theta_x < theta_star <= theta_x + t_hi
     assert interior >= 6
 
 
@@ -408,21 +401,15 @@ def test_rate_beta_two_doubles(pair, pair_result):
     assert abs(res2.value - 2.0 * pair_result.value) <= 1e-6
 
 
-def test_rate_ladder_values_non_increasing(pair_result):
-    ladder = [v for _, v in pair_result.diagnostics["ladder"]]
-    assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
-
-
 def test_rate_result_invariants(pair, pair_result):
     res = pair_result
     assert res.value >= -1e-8
     psi = res.psi_star.psi
     assert np.trace(psi).real == pytest.approx(1.0, abs=1e-12)
-    q = float(np.trace(psi.T @ apply_S(pair, psi.T)).real)
-    assert q >= res.epsilon_used - 1e-10
-    cap = theta_cap(pair, res.x + 1.0,
-                    0.5 * (right_edge(pair).r_inf + res.x), res.epsilon_used)
-    assert 0.0 <= res.theta_star <= cap
+    q = float(np.trace(psi @ apply_S(pair, psi)).real)
+    assert res.epsilon_used == pytest.approx(q, rel=1e-12)
+    theta_x, t_hi = _newton_start(pair, res.x, psi)
+    assert theta_x < res.theta_star <= theta_x + t_hi
 
 
 def test_rate_deterministic_under_seed(pair, pair_result):
@@ -441,14 +428,13 @@ def test_rate_one_s_application_per_evaluation(pair, monkeypatch):
         return apply_S(structure, t)
 
     monkeypatch.setattr(rate_mod, "apply_S", counted)
-    # one search per point takes ~55 evaluations here: count over three points
+    # one search per point takes ~50 evaluations here: count over three points
     edge = right_edge(pair).r_inf
     fevals = sum(rate_function(pair, edge + dx).diagnostics["fevals"]
                  for dx in (0.5, 1.0, 1.5))
     assert fevals > 100
-    # S(Psi') is shared by the constraint and both traces of the sup over
-    # theta; a second application only follows a projection onto the
-    # constraint. Three applications per evaluation would give 3 * fevals.
+    # S(Psi) is shared by both traces of the sup over theta and the
+    # gradient; two applications per evaluation would give 2 * fevals.
     assert calls["n"] <= 1.2 * fevals
 
 
@@ -540,29 +526,42 @@ def test_rate_finds_the_optimum_on_an_eigenvector_of_s_id():
         assert abs(i2 - 2.0 * i1) <= 1e-10
 
 
-@pytest.mark.parametrize("sigma, shift, x, excluded", [
+@pytest.mark.parametrize("sigma, shift, x, low_q", [
     (0.2, 2.5, 3.0, False),
     (0.05, 2.4, 2.6, False),
     (0.01, 2.48, 2.503, True),
     (0.01, 4.0, 4.023, True),
 ])
-def test_rate_direct_sum_with_a_low_noise_block(sigma, shift, x, excluded):
+def test_rate_direct_sum_with_a_low_noise_block(sigma, shift, x, low_q):
     """A0 = diag(0, shift), A1 = E11, A2 = sigma E22: a GOE block and a
     shifted GOE block of noise sigma, so I(x) = min(I_GOE(x),
     I_GOE((x - shift)/sigma)). The eps ladder from eps = q0 returned
-    I_GOE(3) = 0.714627 for the first case and 0.246607 for the third, both
-    flagged stable. In the last two cases the optimum E22 has q = 1e-4 <
-    eps_1, which the constraint excludes: both searches miss it (0.235194
-    and 0.808189), so the eigenprojector itself is returned, flagged
-    unstable."""
+    I_GOE(3) = 0.714627 for the first case and 0.246607 for the third. In
+    the last two cases the optimum is E22, whose q = 1e-4 lies below
+    q0 / 1024: a search at that eps missed it (0.235194 and 0.808189). The
+    uncapped, unconstrained search reaches it and certifies it."""
     st = make_structure(np.diag([0.0, shift]), [np.diag([1.0, 0.0]), np.diag([0.0, sigma])])
     want = min(o.goe_rate_closed(x), o.goe_rate_closed((x - shift) / sigma))
     res = rate_function(st, x)
     assert res.value == pytest.approx(want, abs=1e-8)
-    assert res.stability_flag is not excluded
-    if excluded:
+    assert res.stability_flag and res.diagnostics["certified"]
+    if low_q:
         assert np.allclose(res.psi_star.psi, np.diag([0.0, 1.0]), atol=1e-12)
-        assert "returned the excluded eigenprojector" in res.diagnostics["failed"]
+        assert res.epsilon_used == pytest.approx(sigma ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("shift, x", [(1.0, 2.5), (-1.0, 3.0), (1.5, 2.2)])
+def test_rate_with_a_profile_that_s_annihilates(shift, x):
+    """A0 = diag(0, shift), A = [E11]: a GOE block next to a noiseless one
+    at shift < 2. S annihilates E22 (q = 0, an eigenprojector of S(Id) and
+    so a start), where the sup over theta is +inf; the rate is I_GOE(x),
+    at psi* = E11."""
+    st = make_structure(np.diag([0.0, shift]), [np.diag([1.0, 0.0])])
+    assert sup_theta(st, x, np.diag([0.0, 1.0])) == (np.inf, np.inf)
+    res = rate_function(st, x)
+    assert res.value == pytest.approx(o.goe_rate_closed(x), rel=1e-12)
+    assert res.stability_flag and res.diagnostics["certified"]
+    assert np.allclose(res.psi_star.psi, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
@@ -584,8 +583,9 @@ def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
 
 
 def _ladder_rate(st, x):
-    """The eps ladder: eps = q0 2^-rung, each rung warm-started from the
-    last, until two rungs agree to _STAB_TOL. Returns the last rung's value."""
+    """The eps ladder on the eps-constrained reference: eps = q0 2^-rung for
+    rungs 0-11, each warm-started from the last, until two rungs agree to
+    1e-4 relative. Returns the last rung's value."""
     cfg = OptConfig()
     ell, complex_params = st.L, not st.is_real
     id_l = np.eye(ell) / ell
@@ -593,21 +593,21 @@ def _ladder_rate(st, x):
     q0 = rate_mod._re_trace(id_l, s_id)
     base = rate_mod._curve_base(st, x)
     values, warm = [], None
-    for rung in range(cfg.max_rungs):
+    for rung in range(12):
         eps = q0 * 2.0 ** -rung
-        th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
-        runs = [minimize(rate_mod._profile_objective, rate_mod._pack(c0, complex_params),
+        th_hi = ref.theta_cap(st, x, eps)
+        runs = [minimize(ref.objective, rate_mod._pack(c0, complex_params),
                          args=(st, base, s_id, eps, th_hi), method="L-BFGS-B",
                          jac=True, options=rate_mod._LBFGS_OPTIONS)
                 for c0 in _ladder_seed_factors(st, cfg, rung, warm, complex_params)]
         c = rate_mod._unpack(min(runs, key=lambda out: out.fun).x, ell, complex_params)
         psi = c @ c.conj().T
-        psi, s_psi, _ = rate_mod._feasible(st, psi / np.trace(psi).real, eps, s_id)
-        values.append(rate_mod._sup_curve(st, psi, s_psi, th_hi, base)[1])
+        psi, s_psi, _ = ref.feasible(st, psi / np.trace(psi).real, eps, s_id)
+        values.append(ref.capped_sup(st, psi, s_psi, th_hi, base)[1])
         w, v = np.linalg.eigh(psi)
         warm = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         if len(values) > 1 and (abs(values[-1] - values[-2])
-                                <= rate_mod._STAB_TOL * max(1.0, abs(values[-1]))):
+                                <= 1e-4 * max(1.0, abs(values[-1]))):
             break
     return values[-1]
 
@@ -621,11 +621,12 @@ def _tilt_residual(st, x, theta, psi):
 
 def test_certified_search_agrees_with_the_eps_ladder():
     """60 points: random L = 2-4 structures, beta 1 and 2, three distances
-    from the edge. The single certified search matches the eps ladder to
-    1e-12 relative, except where the ladder stops short of the global
-    minimum; there the new value is lower and satisfies I_2 = 2 I_1, which
-    the ladder's does not (stream(705), L = 4: a missed start at x = r_inf +
-    0.4, beta = 1, and a slow approach to the rank-one optimum at the rest).
+    from the edge. The uncapped, unconstrained search matches the eps ladder
+    of the eps-constrained reference (eps_reference.py) to 1e-12 relative,
+    except where the ladder stops short of the global minimum; there the
+    new value is lower and satisfies I_2 = 2 I_1, which the ladder's does
+    not (stream(705), L = 4: a missed start at x = r_inf + 0.4, beta = 1,
+    and a slow approach to the rank-one optimum at the rest).
     At every point the optimal tilt plants the outlier at x to 1e-10, and
     a profile a third of the way to a random one does not (> 1e-3)."""
     lower = set()
@@ -656,27 +657,23 @@ def test_certified_search_agrees_with_the_eps_ladder():
 
 
 def _full_multistart(st, x):
-    """The certified search with every start polished to _LBFGS_OPTIONS and
-    the best kept, as before screening. Returns (value, summed nfev)."""
+    """The eps-constrained reference at eps = q0 / 1024 from the search's
+    starts, every one polished to _LBFGS_OPTIONS and the best kept.
+    Returns (value, summed nfev)."""
     cfg = OptConfig()
     ell, complex_params = st.L, not st.is_real
     id_l = np.eye(ell) / ell
     s_id = apply_S(st, id_l)
-    rung = cfg.max_rungs - 2
-    eps = rate_mod._re_trace(id_l, s_id) * 2.0 ** -rung
+    eps = rate_mod._re_trace(id_l, s_id) / 1024.0
     base = rate_mod._curve_base(st, x)
-    th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
+    th_hi = ref.theta_cap(st, x, eps)
     projectors = [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
-    runs = [minimize(rate_mod._profile_objective, rate_mod._pack(c0, complex_params),
+    runs = [minimize(ref.objective, rate_mod._pack(c0, complex_params),
                      args=(st, base, s_id, eps, th_hi), method="L-BFGS-B",
                      jac=True, options=rate_mod._LBFGS_OPTIONS)
-            for c0 in rate_mod._seed_factors(st, cfg, rung, None, projectors,
-                                             complex_params)]
-    c = rate_mod._unpack(min(runs, key=lambda out: out.fun).x, ell, complex_params)
-    psi = c @ c.conj().T
-    psi, s_psi, _ = rate_mod._feasible(st, psi / np.trace(psi).real, eps, s_id)
-    value = rate_mod._sup_curve(st, psi, s_psi, th_hi, base)[1]
-    return value, sum(out.nfev for out in runs)
+            for c0 in rate_mod._seed_factors(st, cfg, None, projectors, complex_params)]
+    best = min(runs, key=lambda out: out.fun).x
+    return ref.projected_value(st, best, base, s_id, eps, th_hi), sum(out.nfev for out in runs)
 
 
 def rotated_direct_sum(rng, ell):
@@ -690,12 +687,15 @@ def rotated_direct_sum(rng, ell):
 
 
 def test_screened_search_matches_the_full_multistart():
-    """Screening every start and polishing only the best gives the value of
-    polishing every start, on the 60 points of the eps ladder test and on
-    12 points of rotated L = 2 direct sums, with at most 0.6 times the
-    evaluations. A value may sit above the full search's only by the
-    polish's own resolution, 1e-14 max(1, I): at stream(708), L = 4,
-    x = r_inf + 0.05, beta = 1 it is 2.7e-15 (2.4e-13 relative) above."""
+    """The uncapped search, screening every start and polishing only the
+    best, gives the value of the eps-constrained reference at eps = q0 /
+    1024 with every start polished, on the 60 points of the eps ladder test
+    and on 12 points of rotated L = 2 direct sums, with at most 0.6 times
+    the evaluations (measured 9138 against 16412). A value may sit above
+    the reference's only by the polish's own resolution, 1e-14 max(1, I):
+    the largest rise is 3.2e-15 at stream(707), L = 3, x = r_inf + 0.4,
+    beta = 1, and the largest relative difference 2.6e-13 at stream(708),
+    L = 4, x = r_inf + 0.05, beta = 1."""
     points = []
     for i in range(10):
         plain = random_structure(stream(700 + i), 2 + i % 3)
@@ -750,15 +750,6 @@ def oracle_case(case):
     return rng, st, right_edge(st).r_inf + float(rng.uniform(0.2, 1.0))
 
 
-def _objective_pieces(st, x, eps_of):
-    """Arguments of rate_mod._profile_objective at x, with eps = eps_of(q0)."""
-    id_l = np.eye(st.L) / st.L
-    s_id = apply_S(st, id_l)
-    eps = eps_of(rate_mod._re_trace(id_l, s_id))
-    th_hi = theta_cap(st, x + 1.0, 0.5 * (right_edge(st).r_inf + x), eps)
-    return (st, rate_mod._curve_base(st, x), s_id, eps, th_hi)
-
-
 def _relative_gradient_error(v, args):
     value, grad = rate_mod._profile_objective(v, *args)
     h = 1e-6
@@ -775,14 +766,14 @@ def test_profile_gradient_matches_central_differences(case):
     rng, st, x = oracle_case(case)
     ell = st.L
     complex_params = not st.is_real
-    # free: a random factor, with every eps at or below the constraint
+    args = (st, rate_mod._curve_base(st, x))
+    # a random factor
     c = rng.standard_normal((ell, ell)) + (1j * rng.standard_normal((ell, ell))
                                            if complex_params else 0.0)
-    free = _objective_pieces(st, x, lambda q0: 1e-3 * q0)
-    assert _relative_gradient_error(rate_mod._pack(c, complex_params), free) <= 1e-6
-    # projected: of a few near-rank-one profiles the one of least
-    # q = Tr[Psi S(Psi)], with eps between q and q0 = q(Id/L), so the
-    # projection blends it part of the way toward Id/L
+    assert _relative_gradient_error(rate_mod._pack(c, complex_params), args) <= 1e-6
+
+    # of a few near-rank-one profiles the one of least q = Tr[Psi S(Psi)],
+    # where the sup over theta reaches furthest
     def q_of(psi):
         return rate_mod._re_trace(psi, apply_S(st, psi))
 
@@ -792,10 +783,7 @@ def test_profile_gradient_matches_central_differences(case):
         g = np.outer(u, u.conj()) / np.vdot(u, u).real + 0.05 * np.eye(ell)
         near_rank_one.append(g / np.trace(g).real)
     psi = min(near_rank_one, key=q_of)
-    q, q0 = q_of(psi), q_of(np.eye(ell) / ell)
-    assert q < q0
-    args = _objective_pieces(st, x, lambda _: 0.5 * (q + q0))
-    assert rate_mod._feasible(st, psi, args[3], args[2])[2] > 0.0
+    assert q_of(psi) < q_of(np.eye(ell) / ell)
     w, u = np.linalg.eigh(psi)
     c = u * np.sqrt(w)
     assert _relative_gradient_error(rate_mod._pack(c, complex_params), args) <= 1e-6
@@ -851,6 +839,29 @@ def test_rate_envelope_identity(case):
     df = (f_value(st, res.theta_star, x + h, psi)
           - f_value(st, res.theta_star, x - h, psi)) / (2.0 * h)
     assert di == pytest.approx(df, rel=1e-6)
+
+
+def test_rate_slope_is_beta_l_times_the_tilt_above_theta_x():
+    """I'(x) = beta L (theta* - theta_x), an equality for every L >= 2 point:
+    central differences (h = 1e-4) of rate_function on 8 structures of the
+    60-point family at d = 0.3 and 1.5 right of the edge, beta 1 and 2.
+    Measured worst 8.1e-8 relative, at stream(701), L = 3, d = 0.3,
+    beta = 1, where theta* itself is that far off (its beta = 2 twin gives
+    4.3e-9); the other 31 points are within 1.7e-8. Bound 2e-7."""
+    h = 1e-4
+    for i in range(8):
+        plain = random_structure(stream(700 + i), 2 + i % 3)
+        edge = right_edge(plain).r_inf
+        for d in (0.3, 1.5):
+            x = edge + d
+            for beta in (1, 2):
+                st = make_structure(plain.a0, list(plain.a), beta=beta)
+                res = rate_function(st, x)
+                theta_x = -float(np.trace(_cache_for(st).m_matrix(x)).real) / (2.0 * st.L)
+                slope = (rate_function(st, x + h).value
+                         - rate_function(st, x - h).value) / (2.0 * h)
+                assert slope == pytest.approx(beta * st.L * (res.theta_star - theta_x),
+                                              rel=2e-7)
 
 
 # ---------------------------------------------------------------------------
