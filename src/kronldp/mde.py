@@ -24,9 +24,10 @@ real axis M negative definite and D -> M S[D] M of spectral radius below 1
 polishing Newton step. A one-point solve that fails its test is redone from
 continuation in the imaginary offset eta from far above, which inherits the
 physical branch. The density grid is one stacked Newton per eta rung for
-all grid points at once, each warm-started from the rung above at the same
-x; a point that fails is re-solved on its own, with the continuation behind
-it, and counted.
+all grid points at once, each started at the same x from the quadratic in
+eta through the three rungs above (the continuation's predictor,
+Allgower-Georg 1990); a point that fails is re-solved on its own from the
+rung above, with the continuation behind it, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -49,11 +50,11 @@ A_0 + S[M] is what the MDE sets to 0. So dU/dx = -m(x), the constant is
 fixed by U ~ ln x at infinity, and an error dM in the solve moves U only by
 O(|dM|^2). (-m)^{-1} is one bracket solve in s = sqrt(t - r_inf), which
 makes the edge analytic, on the exact m. The memo starts out with the right
-fold walk's solutions; a miss starts Newton from the nearest memoized
-solution, or from the far-field guess where none is near. Every real-axis
-solve takes one Newton step past its residual test: near the edge the
-Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so the residual
-alone would leave M off by up to tol over that.
+fold walk's solutions; a miss starts Newton from the line in s through the
+two nearest memoized solutions, or from the far-field guess where none is
+near. Every real-axis solve takes one Newton step past its residual test:
+near the edge the Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so
+the residual alone would leave M off by up to tol over that.
 
 A noiseless structure (`StructureSet.noiseless`, S = 0) has atoms only: its
 edges are A_0's extreme eigenvalues, with no fold, and M(x) = -(x -
@@ -253,16 +254,24 @@ def _polish_batch(structure, z, m):
 
 
 def _feedback_radius(structure, m):
-    """Spectral radius of D -> M S[D] M at one M or a stack. On the real-axis
-    branch that continues the Herglotz solution it is below 1 (it reaches 1
-    at the edge, where the stability operator Id minus this map turns
-    singular); the other negative-definite roots (GOE: m^2 > 1) exceed 1."""
+    """Spectral radius of D -> M S[D] M at one negative definite M or a
+    stack. On the real-axis branch that continues the Herglotz solution it
+    is below 1 (it reaches 1 at the edge, where the stability operator Id
+    minus this map turns singular); the other negative-definite roots (GOE:
+    m^2 > 1) exceed 1. With -M = R R*, D = R E R* makes the map E -> R*
+    S[R E R*] R, Hermitian (S is self-adjoint) and positive semidefinite, so
+    one eigvalsh gives the radius. R = V sqrt(-w) from -M's eigenpairs; a
+    positive eigenvalue of M is clipped, which makes the radius meaningless
+    there, and the caller's definiteness test rejects M anyway."""
     L = structure.L
-    # kron(M, M^T) @ k: entry ((a, b), (c, d)) of kron(M, M^T) is M[a, c] M[d, b]
-    mt = np.swapaxes(m, -1, -2)
-    kron = m[..., :, None, :, None] * mt[..., None, :, None, :]
-    op = kron.reshape(m.shape[:-2] + (L * L, L * L)) @ structure.s_op.k
-    return np.abs(np.linalg.eigvals(op)).max(axis=-1)
+    w, v = np.linalg.eigh(m)
+    r = v * np.sqrt(np.maximum(-w, 0.0))[..., None, :]
+    # vec(R E R*) = kron(R, conj R) vec E for row-major vec: entry ((a, b),
+    # (c, d)) is R[a, c] conj(R)[b, d]
+    c = (r[..., :, None, :, None] * np.conj(r)[..., None, :, None, :]).reshape(
+        m.shape[:-2] + (L * L, L * L))
+    op = np.conj(np.swapaxes(c, -1, -2)) @ structure.s_op.k @ c
+    return np.abs(np.linalg.eigvalsh(op)).max(axis=-1)
 
 
 def _solve_real_batch(structure, t, m0, tol):
@@ -304,6 +313,22 @@ def _eta_continuation(structure, x, eta_end, tol):
             raise ConvergenceError(f"eta continuation failed at z={complex(x, eta)!r}")
         eta = top if eta > top else 0.2 * eta
     return m
+
+
+def _lagrange(nodes, t):
+    """The polynomial through the (t_k, M_k) nodes, at t: the predictor that
+    starts a continuation's next Newton solve. One node gives its M, none
+    None."""
+    if not nodes:
+        return None
+    out = 0.0
+    for k, (tk, mk) in enumerate(nodes):
+        w = 1.0
+        for j, (tj, _) in enumerate(nodes):
+            if j != k:
+                w *= (t - tj) / (tk - tj)
+        out = out + w * mk
+    return out
 
 
 def _solve_point(structure, z, tol, m0=None):
@@ -531,11 +556,13 @@ class _SpectralCache:
     def m_matrix(self, x, tol=1e-12):
         """Real MDE solution M(x), memoized, x >= r_inf: the fold's M at
         r_inf, DomainError before any solve left of it (and at it, with
-        atoms only). A miss starts Newton from the nearest memoized
-        solution, or from the far-field guess -(x - A_0)^{-1} when none lies
-        within half the distance to the edge. With atoms only (S = 0) the
-        equation is linear, M(x) = -(x - A_0)^{-1}: that guess is the exact
-        solution, and Newton reaches it in one step from any other start."""
+        atoms only). A miss starts Newton from the linear interpolation (or
+        extrapolation) in s = sqrt(x - r_inf) of the two nearest memoized
+        solutions, or from the far-field guess -(x - A_0)^{-1} when none
+        lies within half the distance to the edge (`_start`). With atoms
+        only (S = 0) the equation is linear, M(x) = -(x - A_0)^{-1}: that
+        guess is the exact solution, and Newton reaches it in one step from
+        any other start."""
         key = float(x)
         if key <= self.r_inf:
             if key == self.r_inf and not self.structure.noiseless:
@@ -544,22 +571,34 @@ class _SpectralCache:
         hit = self._m_memo.get(key)
         if hit is not None:
             return hit
-        st, warm = self.structure, None
-        i = bisect.bisect_left(self._m_keys, key)
-        near = self._m_keys[max(i - 1, 0):i + 1]  # the keys either side
-        if near:
-            nearest = min(near, key=lambda t: abs(t - key))
-            if abs(nearest - key) < 0.5 * (key - self.r_inf):
-                warm = self._m_memo.get(nearest)
-        if warm is None:
-            warm = -np.linalg.inv(key * np.eye(st.L) - st.a0)
-        m = _solve_point(st, key, tol, m0=warm)
+        m = _solve_point(self.structure, key, tol, m0=self._start(key))
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()
         self._m_memo[key] = m
         bisect.insort(self._m_keys, key)
         return m
+
+    def _start(self, key):
+        """Newton's start for a memo miss at key: the line in s = sqrt(x -
+        r_inf) through the memoized solutions at the two keys nearest to it
+        (M is analytic in s at the edge), or the far-field guess -(x -
+        A_0)^{-1} when the nearest lies half the distance to the edge or
+        farther. A key another thread's clear() dropped after the keys were
+        read is left out, and so is a second node whose s rounds onto the
+        first's."""
+        i = bisect.bisect_left(self._m_keys, key)
+        near = sorted(self._m_keys[max(i - 2, 0):i + 2], key=lambda t: abs(t - key))[:2]
+        nodes = []
+        if near and abs(near[0] - key) < 0.5 * (key - self.r_inf):
+            for t in near:
+                m, s = self._m_memo.get(t), np.sqrt(t - self.r_inf)
+                if m is None or (nodes and s == nodes[0][0]):
+                    break
+                nodes.append((s, m))
+        if nodes:
+            return _lagrange(nodes, np.sqrt(key - self.r_inf))
+        return -np.linalg.inv(key * np.eye(self.structure.L) - self.structure.a0)
 
     def m_scalar(self, x):
         """m(x) = Tr M(x) / L for real x >= r_inf, from the memoized exact solve."""
@@ -677,11 +716,14 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     the reported values are Im<M(x + i eta_final)>/pi.
 
     Each rung solves the whole grid at once with the stacked Newton solver,
-    warm-started from the rung above. The first rung is entered from
-    eta = 1 (Newton from the one-step far-field guess) down by factors of
-    0.2; these entry rungs do not count toward eta_final or the stop rule.
-    Points the stacked solve cannot settle are re-solved one at a time, with
-    the eta continuation behind them; fallback_points reports how many.
+    started from the quadratic extrapolation in eta of the last three rungs'
+    solutions (at their own eta, so any schedule works); the second rung
+    starts from the first, the third from the line through both. The first
+    rung is entered from eta = 1 (Newton from the one-step far-field guess)
+    down by factors of 0.2; these entry rungs do not count toward eta_final
+    or the stop rule. Points the stacked solve cannot settle are re-solved
+    one at a time from the rung above, with the eta continuation behind
+    them; fallback_points reports how many.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
@@ -695,27 +737,31 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     grid = np.linspace(float(x_lo), float(x_hi), int(grid_size))
     fallbacks = 0
 
-    def solve_rung(eta, m0):
-        # every point at once, warm-started one rung up at the same x: near
-        # an edge at tiny eta the neighboring-x solution is too far for
-        # Newton, while the same point one rung up is right next door
+    rungs = []  # (eta, M) of the last three rungs, the newest last
+
+    def solve_rung(eta):
+        # every point at once, from the rungs above at the same x: near an
+        # edge at tiny eta the neighboring-x solution is too far for Newton,
+        # while the same point one rung up is right next door. A point handed
+        # back restarts from the rung above, not from the extrapolation.
         nonlocal fallbacks
         z = grid + 1j * eta
-        m, ok = _solve_upper_batch(structure, z, m0, 1e-11)
+        m, ok = _solve_upper_batch(structure, z, _lagrange(rungs, eta), 1e-11)
         for i in np.flatnonzero(~ok):
-            m[i] = _solve_point(structure, z[i], 1e-11, m0=None if m0 is None else m0[i])
+            m[i] = _solve_point(structure, z[i], 1e-11, m0=rungs[-1][1][i] if rungs else None)
             fallbacks += 1
+        rungs[:] = rungs[-2:] + [(eta, m)]
         return m
 
     # enter from eta = 1, where Newton converges from the far-field guess,
     # and continue down by factors of 0.2 to the first rung of the schedule
-    m, eta = None, 1.0
+    eta = 1.0
     while eta > etas[0]:
-        m = solve_rung(eta, m)
+        solve_rung(eta)
         eta *= 0.2
     prev = None
     for eta in etas:
-        m = solve_rung(eta, m)
+        m = solve_rung(eta)
         vals = np.trace(m, axis1=1, axis2=2).imag / (L * np.pi)
         if prev is not None and np.max(np.abs(vals - prev)) < _EXTRAP_TOL:
             break

@@ -4,6 +4,7 @@ Expected values come from tests/oracles.py (closed forms and independent
 quadrature), frozen before this module existed.
 """
 
+import bisect
 import sys
 import threading
 from dataclasses import replace
@@ -412,6 +413,18 @@ def test_real_m_matches_semicircle(beta, monkeypatch):
     assert abs(m - o.semicircle_m(2.0 + 2e-8).real) <= 1e-12
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_real_m_next_to_the_edge(beta, monkeypatch):
+    # GOE/GUE m(2 + d) against the semicircle, cold cache: every point starts
+    # from the far-field guess (no memoized solution is near enough). The
+    # errors measured here are 3.9e-12, 5.3e-13 and 3.7e-14; the bounds are
+    # those, rounded up by about a third
+    monkeypatch.setattr(mde, "_CACHES", {})
+    cache = mde._cache_for(make_structure(np.zeros((1, 1)), [np.ones((1, 1))], beta=beta))
+    for d, bound in ((1e-10, 5e-12), (1e-8, 7e-13), (1e-6, 5e-14)):
+        assert abs(cache.m_scalar(2.0 + d) - o.semicircle_m(2.0 + d).real) <= bound
+
+
 def _rotated_direct_sum(rng, ell, beta=1):
     """A direct sum of ell scaled, shifted GOE blocks with every matrix
     conjugated by one random orthogonal Q, drawn as the benchmark draws it."""
@@ -435,6 +448,7 @@ def _bench_structures():
 
 
 BENCH_STRUCTURES = _bench_structures()
+PINNED = ["goe", "herm", "dsum", "sum-L3", "sum-L2"]  # the density stop rule's structures
 
 
 def test_cold_build_needs_no_continuation(sc, monkeypatch):
@@ -699,6 +713,113 @@ def test_density_stop_rule_and_semicircle_mixtures(name, eta_final):
     assert np.max(np.abs(d.density - want)) <= 1e-6
 
 
+class _Work:
+    """Counts, while installed, the points the stacked Newton solves (every
+    point of every Jacobian built, so polishing and dM/dz count too) and the
+    Newton steps of _newton_refine_batch."""
+
+    def __init__(self, monkeypatch):
+        self.points = self.steps = 0
+        self._in_newton = False
+        jacobian, refine = mde._jacobian, mde._newton_refine_batch
+
+        def counted_jacobian(structure, b, x):
+            self.points += len(np.reshape(b, (-1, structure.L, structure.L)))
+            self.steps += self._in_newton
+            return jacobian(structure, b, x)
+
+        def counted_refine(*args, **kwargs):
+            self._in_newton = True
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                self._in_newton = False
+
+        monkeypatch.setattr(mde, "_jacobian", counted_jacobian)
+        monkeypatch.setattr(mde, "_newton_refine_batch", counted_refine)
+
+
+def _density_from_the_rung_above(st, x_lo, x_hi, grid_size):
+    """density() with the zero-order start: each rung's stacked Newton starts
+    from the rung above at the same x. Returns (density, eta_final)."""
+    grid, etas = np.linspace(x_lo, x_hi, grid_size), mde._default_eta_schedule()
+
+    def rung(eta, m0):
+        z = grid + 1j * eta
+        m, ok = mde._solve_upper_batch(st, z, m0, 1e-11)
+        for i in np.flatnonzero(~ok):
+            m[i] = mde._solve_point(st, z[i], 1e-11, m0=None if m0 is None else m0[i])
+        return m
+
+    m, eta = None, 1.0
+    while eta > etas[0]:
+        m, eta = rung(eta, m), 0.2 * eta
+    prev = None
+    for eta in etas:
+        m = rung(eta, m)
+        vals = np.trace(m, axis1=1, axis2=2).imag / (st.L * np.pi)
+        if prev is not None and np.max(np.abs(vals - prev)) < mde._EXTRAP_TOL:
+            break
+        prev = vals
+    return np.clip(vals, 0.0, None), eta
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_density_eta_predictor_saves_work(name, monkeypatch):
+    # extrapolating each rung in eta from the three above it against the
+    # zero-order start: the same eta_final and densities, in at most 0.65x
+    # the stacked point solves (0.53x to 0.58x on these structures)
+    st = BENCH_STRUCTURES[name]
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    work = _Work(monkeypatch)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    predicted, work.points = work.points, 0
+    want, eta_final = _density_from_the_rung_above(st, left - margin, right + margin, 201)
+    assert predicted <= 0.65 * work.points
+    assert d.eta_final == eta_final
+    assert np.max(np.abs(d.density - want)) <= 1e-10
+
+
+def _nearest_start(cache, key):
+    """The zero-order memo start: the nearest memoized solution within half
+    the distance to the edge, else the far-field guess."""
+    i = bisect.bisect_left(cache._m_keys, key)
+    near = cache._m_keys[max(i - 1, 0):i + 1]
+    if near:
+        nearest = min(near, key=lambda t: abs(t - key))
+        if abs(nearest - key) < 0.5 * (key - cache.r_inf):
+            return cache._m_memo[nearest]
+    return -np.linalg.inv(key * np.eye(cache.structure.L) - cache.structure.a0)
+
+
+def test_memo_predictor_saves_outlier_newton_steps(monkeypatch):
+    # a memo miss starts from the line in s = sqrt(x - r_inf) through the two
+    # nearest memoized solutions: over the outlier scans of the benchmark's
+    # tilts, fewer real-axis Newton steps than from the nearest solution
+    # alone, and the same Z
+    from kronldp.outlier import largest_outlier
+
+    thetas = np.linspace(0.6, 3.0, 6)
+
+    structures = [BENCH_STRUCTURES[name] for name in PINNED]
+
+    def scan():
+        monkeypatch.setattr(mde, "_CACHES", {})
+        for st in structures:
+            mde.right_edge(st)
+        work = _Work(monkeypatch)
+        zs = [largest_outlier(st, float(t), np.eye(st.L) / st.L).Z
+              for st in structures for t in thetas]
+        return np.array(zs), work.steps
+
+    z, steps = scan()
+    monkeypatch.setattr(mde._SpectralCache, "_start", _nearest_start)
+    z_ref, steps_ref = scan()
+    assert steps < steps_ref
+    assert np.max(np.abs(z - z_ref)) <= 1e-13
+
+
 def test_density_schedule_starting_above_one(coupled3):
     d = mde.density(coupled3, -2.0, 2.0, grid_size=21, eta_schedule=[2.0, 1.0, 0.3],
                     components=True)
@@ -726,17 +847,34 @@ def test_density_fallback_is_counted(coupled3, monkeypatch):
     _assert_matches_pointwise(coupled3, d)
 
 
-def test_density_fallback_recovers_at_a_near_atom():
-    # one direction carries little noise, so the stacked solve hands a point
-    # back at eta = 0.008; its continuation must not retrace the density's
-    # own rungs, where it would fail at the same jump
+def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
+    # one direction carries little noise: started from the rung above, Newton
+    # at point 111 fails at eta = 0.008 (the fourth rung), and again from the
+    # rung above once the point is handed back. The eta predictor gets past
+    # it, so the hand-back is forced there; its continuation must not retrace
+    # the density's own rungs, where it would fail at the same jump
     from test_rate import random_structure
 
     st = random_structure(stream(1392651949, 1, 1), 3)
     right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
     margin = 0.02 * (right - left)
+    assert mde.density(st, left - margin, right + margin, grid_size=201).fallback_points == 0
+
+    stacked = mde._solve_upper_batch
+    oks = []
+
+    def flag_one(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        if len(oks) == 3:  # the rung at eta = 0.008
+            m[111] = np.nan
+            ok[111] = False
+        oks.append(ok.all())
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_upper_batch", flag_one)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
-    assert d.fallback_points >= 1 and np.all(np.isfinite(d.density))
+    assert not oks[4]  # the re-solve from the rung above fails too
+    assert d.fallback_points == 1 and np.all(np.isfinite(d.density))
 
 
 def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
@@ -827,11 +965,15 @@ def test_stacked_kernels_match_reference_loops(beta, L, k, points, real_z, mirro
     res_ref = np.linalg.norm(eye + b_ref @ m, 2, axis=(1, 2))
     close(mde._residual_batch(st, z, m), res_ref)
 
+    # the radius is taken at a negative definite M, as the real-axis branch
+    # test takes it; the reference is the general eigensolve of the map
+    neg = np.array([-(h @ h.conj().T) - 0.1 * eye
+                    for h in (_random_hermitian(rng, beta, L) for _ in range(points))])
     op_ref = [sum((np.kron(mi @ aj, (aj @ mi).T) for aj in st.a), np.zeros((L * L, L * L)))
-              for mi in m]
+              for mi in neg]
     radius_ref = np.array([np.abs(np.linalg.eigvals(op)).max() for op in op_ref])
-    close(mde._feedback_radius(st, m), radius_ref)
-    close(mde._feedback_radius(st, m[0]), radius_ref[0])
+    close(mde._feedback_radius(st, neg), radius_ref)
+    close(mde._feedback_radius(st, neg[0]), radius_ref[0])
 
     im = (m - np.conj(np.swapaxes(m, 1, 2))) / 2j
     ok_ref = (np.linalg.eigvalsh(im).min(axis=-1)
