@@ -7,8 +7,8 @@ written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs, together with
 what a command reports about its own work (for rate: each point's profile
-search evaluations, stability flag, certificate, optimality residual and
-first-order gap; for simulate: the mean profile rho(v_1) of the draws).
+search evaluations, stability flag (its certificate), optimality residual
+and first-order gap; for simulate: the mean profile rho(v_1) of the draws).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -205,20 +205,16 @@ def cmd_rate(cfg: RunConfig) -> int:
 
 
 def _rate_point_meta(st, x, res):
-    """run_meta.json entry of one rate point. The optimality residual is
+    """run_meta.json entry of one rate point. stability_flag is the one
+    certificate: Psi* passes rate_function's first-order test on the
+    trace-one PSD profiles, whose first-order gap is 0 at a first-order
+    optimum and below -1e-5 where it fails. The optimality residual is
     |L lambda_sym(theta*, x, phi_hat*) - 1|: at the optimum the tilt L theta*
-    with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x.
-    The first-order gap is rate_function's test of Psi* on the trace-one PSD
-    profiles, 0 at a first-order optimum and below -1e-5 where it fails."""
-    diag = res.diagnostics
-    point = {"x": x, "fevals": diag["fevals"], "stability_flag": res.stability_flag,
-             "certified": diag["certified"]}
-    if not diag["certified"]:
-        point["failed_condition"] = diag["failed"]
+    with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x."""
     phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]
-    point["optimality_residual"] = abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0)
-    point["first_order_gap"] = diag["first_order_gap"]
-    return point
+    return {"x": x, "fevals": res.diagnostics["fevals"], "stability_flag": res.stability_flag,
+            "optimality_residual": abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0),
+            "first_order_gap": res.diagnostics["first_order_gap"]}
 
 
 def cmd_outlier(cfg: RunConfig) -> int:

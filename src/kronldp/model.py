@@ -440,23 +440,13 @@ def _psd_factor(h) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def rho_profile(w1, L, w2=None) -> np.ndarray:
-    """Block Gram matrix rho(w)_{ij} = <w_i, w_j> of an NL vector.
-
-    With two vectors, returns the symmetrized bilinear form
-    rho(w, w')_{ij} = <w_i, w'_j> + <w'_i, w_j>.
-    """
-    w1 = np.asarray(w1)
-    if w1.size % L:
-        raise ValueError(f"vector length {w1.size} not divisible by L={L}")
-    b1 = w1.reshape(L, -1)
-    if w2 is None:
-        return b1.conj() @ b1.T
-    w2 = np.asarray(w2)
-    if w2.size != w1.size:
-        raise ValueError("both vectors must have the same length")
-    b2 = w2.reshape(L, -1)
-    return b1.conj() @ b2.T + b2.conj() @ b1.T
+def rho_profile(w, L) -> np.ndarray:
+    """Block Gram matrix rho(w)_{ij} = <w_i, w_j> of an NL vector."""
+    w = np.asarray(w)
+    if w.size % L:
+        raise ValueError(f"vector length {w.size} not divisible by L={L}")
+    b = w.reshape(L, -1)
+    return b.conj() @ b.T
 
 
 def profile_vector(structure: StructureSet, psi, n, rng) -> np.ndarray:

@@ -30,10 +30,16 @@ mu_i >= 0 are the eigenvalues of P^{-1} Psi (those of R^{-1} Psi R^{-*},
 P = R R*). The -(L/2) ln theta of L J cancels the one of K, leaving
 F(theta_x + t) = beta g(t) with
 
-    g(t) = c + a t - b t^2 / 2 - (1/2) sum_i ln(1 + t mu_i),
-    a = L (x - 2 L Tr[P S(Psi)] - Tr[A_0 Psi]),  b = 2 L^2 Tr[Psi S(Psi)],
+    g(t) = a t - b t^2 / 2 - (1/2) sum_i ln(1 + t mu_i),
+    a = L (x - 2 L Tr[P S(Psi)] - Tr[A_0 Psi]),  b = 2 L^2 Tr[Psi S(Psi)].
 
-and c = F(theta_x)/beta, which is 0 up to rounding. Since mu_i >= 0,
+g has no constant term: F(theta_x) = 0 is an identity. With M = M(x),
+theta_x = -Tr M/(2L) and the log potential in its Dyson free energy form
+U(x) = -1 - (1/L) [ln det(-M) + Tr((x - A_0) M) + (1/2) Tr(M S[M])],
+the constant L J(x, theta_x) - K(theta_x, P/theta_x) cancels term by term:
+x Tr M, ln det(-M), Tr[A_0 M], Tr[M S(M)], L ln 2 and L ln L each appear once
+with each sign, for every negative definite M. So no rate point evaluates
+U(x). Since mu_i >= 0,
 g'(t) <= a - b t, which is <= 0 from t_hi = a/b on: every root of g' lies in
 [0, t_hi]. If a <= 0 the max is g(0); if b = 0 < a (S annihilates Psi) the
 sup is +inf. Otherwise g''' = -sum_i mu_i^3 / (1 + t mu_i)^3 <= 0 makes g'
@@ -102,8 +108,8 @@ class RateBreakdown:
 @dataclass
 class RateResult:
     """One rate point: the value, the optimal tilt and profile, and whether
-    the profile passes the first-order test (`stability_flag`, the same as
-    `diagnostics["certified"]`; `rate_function`). value is I_beta(x) at the
+    the profile passes the first-order test (`stability_flag`, the one
+    certificate; `rate_function`). value is I_beta(x) at the
     structure's own beta. epsilon_used is q(psi_star) = Tr[psi_star
     S(psi_star)], the largest eps at which the optimum is feasible for the
     paper's constraint Tr[Psi S(Psi)] >= eps; at L = 1 it is q0.
@@ -209,15 +215,13 @@ def phi_maps(structure: StructureSet, theta, x, psi):
 
 
 def f_value(structure: StructureSet, theta, x, psi) -> float:
-    """F(theta, x, psi) = beta (L J - K at phi_hat), beta = structure.beta;
-    F(0) := 0 by continuity."""
+    """F(theta, x, psi) = beta (L J - K at phi_hat), beta = structure.beta,
+    as `rate_breakdown` assembles it; F(0) := 0 by continuity."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
     if theta == 0:
         return 0.0
-    _, phi_hat = phi_maps(structure, theta, x, psi)
-    return structure.beta * (structure.L * j_value(structure, x, theta)
-                             - k_value(structure, theta, phi_hat))
+    return rate_breakdown(structure, theta, x, psi).F
 
 
 def rate_breakdown(structure: StructureSet, theta, x, psi) -> RateBreakdown:
@@ -244,27 +248,16 @@ class _CurveBase:
     p: np.ndarray
     s_p: np.ndarray
     r_inv: np.ndarray
-    c: float
 
 
 def _curve_base(structure, x) -> _CurveBase:
-    """P = -M(x)/(2L), S(P), the inverse of the Cholesky factor R of P,
-    and c = F(theta_x, x, .)/beta, which no profile changes."""
-    cache = _cache_for(structure)
+    """P = -M(x)/(2L), S(P) and the inverse of the Cholesky factor R of P."""
     L = structure.L
     x = float(x)
-    m_mat = cache.m_matrix(x)
-    theta_x = -float(np.trace(m_mat).real) / (2.0 * L)
+    m_mat = _cache_for(structure).m_matrix(x)
     p = -m_mat / (2.0 * L)
-    chol = np.linalg.cholesky(p)
-    logdet_p = 2.0 * float(np.sum(np.log(np.diag(chol).real)))
-    s_p = apply_S(structure, p)
-    tpp = _re_trace(p, s_p)
-    lap = _re_trace(structure.a0, p)
-    u_x = cache.log_potential(x)
-    c = (L * (theta_x * x - 0.5 * (1.0 + np.log(2.0)) - 0.5 * u_x)
-         - L * L * tpp - L * lap - 0.5 * (logdet_p + L * np.log(L)))
-    return _CurveBase(x=x, theta_x=theta_x, p=p, s_p=s_p, r_inv=np.linalg.inv(chol), c=c)
+    return _CurveBase(x=x, theta_x=-float(np.trace(m_mat).real) / (2.0 * L), p=p,
+                      s_p=apply_S(structure, p), r_inv=np.linalg.inv(np.linalg.cholesky(p)))
 
 
 def _sup_curve(structure, psi, s_psi, base):
@@ -303,11 +296,8 @@ def _sup_curve(structure, psi, s_psi, base):
         if step <= 1e-15 * t:
             break
 
-    g_top = (base.c + top * (a - 0.5 * b * top)
-             - 0.5 * sum(math.log1p(top * m) for m in mu))
-    if base.c >= g_top:
-        top, g_top = 0.0, base.c
-    f = structure.beta * g_top
+    f = structure.beta * (top * (a - 0.5 * b * top)
+                          - 0.5 * sum(math.log1p(top * m) for m in mu))
     if f <= 0.0 or not np.isfinite(f):
         return base.theta_x, 0.0
     return base.theta_x + top, f
@@ -420,12 +410,12 @@ def rate_function(structure: StructureSet, x, opt_config=None,
     factor of 0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
     `_ESCAPE_ROUNDS` rounds, each kept only if it lowers the value.
 
-    The result is certified, and `stability_flag` is True, when the returned
-    profile passes the first-order test; otherwise `diagnostics["failed"]`
-    names the failed condition (d). `diagnostics["fevals"]` counts the
-    value-and-gradient evaluations of every phase,
-    `diagnostics["first_order_gap"]` holds the returned profile's gap, and
-    `epsilon_used` is q(psi_star).
+    `stability_flag` is True, and the result certified, when the returned
+    profile passes the first-order test: a first-order optimum, not
+    necessarily the global one. `diagnostics` holds `fevals`, the
+    value-and-gradient evaluations of every phase, and `first_order_gap`,
+    the returned profile's gap; `epsilon_used` is q(psi_star). No search
+    step evaluates the log potential U(x) (module docstring).
 
     The sampler tilt that realises I_beta(x) is L theta_star with profile
     phi_hat(theta_star, x, psi_star) (`RateResult`). x >= r_inf (the
@@ -445,8 +435,7 @@ def rate_function(structure: StructureSet, x, opt_config=None,
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=_re_trace(one, apply_S(structure, one)),
                           stability_flag=True,
-                          diagnostics={"fevals": 1, "certified": True,
-                                       "first_order_gap": 0.0})
+                          diagnostics={"fevals": 1, "first_order_gap": 0.0})
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x)
@@ -482,14 +471,11 @@ def rate_function(structure: StructureSet, x, opt_config=None,
         psi, s_psi, th, val = point
         gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
 
-    certified = bool(gap >= -_GAP_TOL)
-    diagnostics = {"fevals": sum(out.nfev for out in runs), "certified": certified,
-                   "first_order_gap": float(gap)}
-    if not certified:
-        diagnostics["failed"] = "d: first-order test fails"
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
-                      stability_flag=certified, diagnostics=diagnostics)
+                      stability_flag=bool(gap >= -_GAP_TOL),
+                      diagnostics={"fevals": sum(out.nfev for out in runs),
+                                   "first_order_gap": float(gap)})
 
 
 def rate_curve(structure: StructureSet, x_grid, opt_config=None) -> list:

@@ -8,6 +8,7 @@ verify itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -100,14 +101,10 @@ def _check_support_edges():
         f"edge errors {worst:.2e} (tol 1e-10), atom edge exact: {exact}")
 
 
-_SWEEP_CACHE = {}
-
-
+@functools.cache
 def _crossover_sweep():
     """Shared sweep: the K(theta, phi_hat) = L J identity defect and the
     trace/positivity of phi_hat over random structures, profiles and tilts."""
-    if _SWEEP_CACHE:
-        return _SWEEP_CACHE
     rng = stream(41, 9)
     worst_f = 0.0
     worst_trace = 0.0
@@ -128,8 +125,7 @@ def _crossover_sweep():
                     worst_trace = max(worst_trace,
                                       abs(float(np.trace(phi_hat).real) - 1.0))
                     min_eig = min(min_eig, float(np.linalg.eigvalsh(phi_hat)[0]))
-    _SWEEP_CACHE.update(worst_f=worst_f, worst_trace=worst_trace, min_eig=min_eig)
-    return _SWEEP_CACHE
+    return {"worst_f": worst_f, "worst_trace": worst_trace, "min_eig": min_eig}
 
 
 def _check_crossover_identity():
@@ -243,7 +239,7 @@ def run_checks(names=None, emit=None) -> list:
     unknown = [n for n in wanted if n not in table]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    _SWEEP_CACHE.clear()
+    _crossover_sweep.cache_clear()
     results = []
     for name in wanted:
         t0 = time.perf_counter()

@@ -74,11 +74,9 @@ def capped_sup(structure, psi, s_psi, theta_hi, base):
         if step <= 1e-15 * t:
             break
         d1, d2 = slope(t)
-    g_top = (base.c + top * (a - 0.5 * b * top)
-             - 0.5 * sum(math.log1p(top * m) for m in mu))
-    if base.c >= g_top:
-        top, g_top = 0.0, base.c
-    f = structure.beta * g_top
+    # F(theta_x) = 0 is an identity (the `kronldp.rate` docstring): g has no constant
+    f = structure.beta * (top * (a - 0.5 * b * top)
+                          - 0.5 * sum(math.log1p(top * m) for m in mu))
     if f <= 0.0 or not np.isfinite(f):
         return base.theta_x, 0.0
     return base.theta_x + top, f

@@ -22,7 +22,7 @@ def semicircle_m(z):
     Im z > 0; m in (-1, 0) for real z > 2).
     """
     z = complex(z)
-    s = np.sqrt(z * z - 4.0 + 0j)
+    s = np.sqrt((z - 2.0) * (z + 2.0) + 0j)  # factored: no cancellation next to the edge
     m = (-z + s) / 2.0
     if m.imag < 0 or (z.imag == 0 and not (-1.0 <= m.real <= 0.0)):
         m = (-z - s) / 2.0
@@ -47,7 +47,8 @@ def semicircle_log_potential(x):
 def scaled_semicircle_m(z, var):
     """Stieltjes transform of the semicircle with variance `var` (edge 2*sqrt(var))."""
     z = complex(z)
-    s = np.sqrt(z * z - 4.0 * var + 0j)
+    edge = 2.0 * np.sqrt(var)
+    s = np.sqrt((z - edge) * (z + edge) + 0j)
     m = (-z + s) / (2.0 * var)
     if m.imag < 0 or (z.imag == 0 and m.real < -1.0 / np.sqrt(var)):
         m = (-z - s) / (2.0 * var)

@@ -17,7 +17,7 @@ import pytest
 
 from kronldp import cli
 from kronldp.cli import main
-from kronldp.mde import NoInverseError, right_edge
+from kronldp.mde import NoInverseError, _SpectralCache, right_edge
 from kronldp.model import structure_from_dict
 from kronldp.outlier import TiltSearchError, largest_outlier
 
@@ -27,6 +27,8 @@ from test_oracles import FROZEN_GOE_RATE
 GOE_DOC = {"beta": 1, "A0": [[0.0]], "A": [[[1.0]]]}
 PAIR_DOC = {"beta": 1, "A0": [[0.2, 0.0], [0.0, -0.1]],
             "A": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.4], [0.4, 0.0]]]}
+# run_meta.json keys of one rate point; stability_flag is its one certificate
+RATE_POINT_KEYS = {"x", "fevals", "stability_flag", "optimality_residual", "first_order_gap"}
 
 
 def run_cli(tmp_path, doc, *flags, name="run.json"):
@@ -154,12 +156,28 @@ def test_rate_run_meta_reports_each_point(tmp_path):
                         parse_constant=reject_non_json_constant)["rate_points"]
     assert [p["x"] for p in points] == [3.0, 3.5]
     for p in points:
-        # one certified search per point, at the optimum of the tilt identity
+        # one certified search per point, at the optimum of the tilt identity;
+        # stability_flag is the one certificate
+        assert set(p) == RATE_POINT_KEYS
         assert p["fevals"] > 0
-        assert p["stability_flag"] is True and p["certified"] is True
-        assert "failed_condition" not in p
+        assert p["stability_flag"] is True
         assert p["optimality_residual"] <= 1e-10
         assert p["first_order_gap"] >= -1e-5
+
+
+def test_rate_command_never_evaluates_the_log_potential(tmp_path, monkeypatch):
+    # F(theta_x) = 0 is an identity: the rate command needs no U(x), so it
+    # runs with the log potential disabled (an internal error, exit 4, if not)
+    def disabled(self, x):
+        raise AssertionError("the rate command evaluated U(x)")
+
+    monkeypatch.setattr(_SpectralCache, "log_potential", disabled)
+    doc = {"command": "rate", "structure": PAIR_DOC, "seed": 1,
+           "rate": {"x_grid": [3.0]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    (p,) = json.loads((out / "run_meta.json").read_text())["rate_points"]
+    assert set(p) == RATE_POINT_KEYS and p["stability_flag"] is True
 
 
 def test_rate_run_meta_reports_one_certified_search_at_low_noise(tmp_path):
@@ -174,8 +192,8 @@ def test_rate_run_meta_reports_one_certified_search_at_low_noise(tmp_path):
     assert code == 0
     (p,) = json.loads((out / "run_meta.json").read_text(),
                       parse_constant=reject_non_json_constant)["rate_points"]
-    assert p["certified"] is True and p["stability_flag"] is True
-    assert "failed_condition" not in p
+    assert set(p) == RATE_POINT_KEYS
+    assert p["stability_flag"] is True
     _, body = read_csv(out / "rate.csv")
     # I_GOE((4.023 - 4) / 0.01), below I_GOE(4.023)
     want = goe_rate_closed((4.023 - 4.0) / 0.01)

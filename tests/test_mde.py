@@ -417,8 +417,10 @@ def test_real_m_matches_semicircle(beta, monkeypatch):
 def test_real_m_next_to_the_edge(beta, monkeypatch):
     # GOE/GUE m(2 + d) against the semicircle, cold cache: every point starts
     # from the far-field guess (no memoized solution is near enough). The
-    # errors measured here are 3.9e-12, 5.3e-13 and 3.7e-14; the bounds are
-    # those, rounded up by about a third
+    # oracle takes sqrt((z - 2)(z + 2)), exact to the last bit here against
+    # 40-digit mpmath. The errors measured here are 3.9e-12, 4.1e-13 and
+    # 2.6e-14; the bounds were set from 3.9e-12, 5.3e-13 and 3.7e-14 (the
+    # oracle's old sqrt(z^2 - 4) cancelled), rounded up by about a third
     monkeypatch.setattr(mde, "_CACHES", {})
     cache = mde._cache_for(make_structure(np.zeros((1, 1)), [np.ones((1, 1))], beta=beta))
     for d, bound in ((1e-10, 5e-12), (1e-8, 7e-13), (1e-6, 5e-14)):

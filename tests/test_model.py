@@ -338,15 +338,6 @@ def test_rho_profile_of_unit_vector_is_profile():
     as_profile(psi)  # validates PSD, Hermitian, trace 1
 
 
-def test_rho_profile_two_vector_form():
-    rng = stream(33)
-    u, w = rng.standard_normal((2, 40))
-    got = rho_profile(u, 2, w)
-    b1, b2 = u.reshape(2, -1), w.reshape(2, -1)
-    want = b1 @ b2.T + b2 @ b1.T
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
 @pytest.mark.parametrize("psi", [np.diag([0.25, 0.75]),
                                  np.array([[0.5, 0.2], [0.2, 0.5]]),
                                  np.diag([1.0, 0.0])])

@@ -33,7 +33,7 @@ from kronldp import (
     sup_theta,
 )
 from kronldp import rate as rate_mod
-from kronldp.mde import _cache_for
+from kronldp.mde import _SpectralCache, _cache_for
 from kronldp.outlier import lambda_sym
 from test_oracles import FROZEN_GOE_RATE
 
@@ -410,6 +410,8 @@ def test_rate_result_invariants(pair, pair_result):
     assert res.epsilon_used == pytest.approx(q, rel=1e-12)
     theta_x, t_hi = _newton_start(pair, res.x, psi)
     assert theta_x < res.theta_star <= theta_x + t_hi
+    # stability_flag is the one certificate; diagnostics count work and the gap
+    assert set(res.diagnostics) == {"fevals", "first_order_gap"}
 
 
 def test_rate_deterministic_under_seed(pair, pair_result):
@@ -463,8 +465,47 @@ def test_known_defect_rank_one_saddle_is_certified():
     st = random_structure(stream(717), 4)
     res = rate_function(st, right_edge(st).r_inf + 1.5)
     assert res.value <= 1.8720636046296 + 1e-9
-    assert res.diagnostics["certified"]
+    assert res.stability_flag
     assert res.diagnostics["first_order_gap"] >= -rate_mod._GAP_TOL
+
+
+@pytest.mark.xfail(reason="known defect: the certificate is first-order, and a "
+                          "projector start stays rank one (ROADMAP item 4)")
+def test_known_defect_certified_local_minimum():
+    """On a random complex L = 3 structure at r_inf + 0.6, seeds 0-2 and
+    6-10 reach 0.8615965164463601 (to 3e-15), while seeds 3-5 and 11 certify
+    0.8739172156205739, 1.4 % higher (first-order gap -4.2e-8). A projector
+    start C = u u* stays exactly rank one under L-BFGS-B, since every factor
+    gradient 2 (G - Tr[G Psi]) C / Tr has u* on the right, so the L + 1
+    projector starts search only rank-one profiles; only the identity and
+    the random starts search full rank, and with seed 3 none of them reaches
+    the lower optimum. Both optima solve the MDE at x (ROADMAP item 2)."""
+    rng = stream(934)
+    hs = []
+    for _ in range(3):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = (g + g.conj().T) / 2.0
+        hs.append(h / np.linalg.norm(h, 2))
+    st = make_structure(0.3 * hs[0], hs[1:], beta=2)
+    x = right_edge(st).r_inf + 0.6
+    best = rate_function(st, x, OptConfig(seed=0)).value
+    assert rate_function(st, x, OptConfig(seed=3)).value <= best * (1.0 + 1e-12)
+
+
+def test_rate_search_never_evaluates_the_log_potential(sc, pair, herm2, monkeypatch):
+    """F(theta_x) = 0 is an identity (the `rate` module docstring), so
+    neither sup_theta nor the profile search needs U(x): both run with the
+    log potential disabled."""
+    def disabled(self, x):
+        raise AssertionError("the rate search evaluated U(x)")
+
+    monkeypatch.setattr(_SpectralCache, "log_potential", disabled)
+    for st in (sc, pair, herm2):
+        edge = right_edge(st).r_inf
+        assert rate_function(st, edge + 1.0).stability_flag
+        assert sup_theta(st, edge + 0.5, np.eye(st.L) / st.L)[1] > 0.0
+    with pytest.raises(AssertionError, match="evaluated U"):
+        f_value(pair, 0.5, right_edge(pair).r_inf + 1.0, np.eye(2) / 2.0)
 
 
 def test_rate_requires_x_beyond_edge(sc):
@@ -477,8 +518,8 @@ def test_rate_breakdown_consistency(pair):
     bd = rate_breakdown(pair, 0.8, edge + 1.0, np.eye(2) / 2.0)
     assert bd.F == pytest.approx(1.0 * (2.0 * bd.J - bd.K), abs=1e-12)
     assert np.trace(bd.phi_hat).real == pytest.approx(1.0, abs=1e-10)
-    assert bd.F == pytest.approx(
-        f_value(pair, 0.8, edge + 1.0, np.eye(2) / 2.0), abs=1e-12)
+    # f_value is rate_breakdown's F: one assembly, bit for bit
+    assert bd.F == f_value(pair, 0.8, edge + 1.0, np.eye(2) / 2.0)
 
 
 @pytest.mark.parametrize("name", ["herm2", "twin-702"])
@@ -544,7 +585,7 @@ def test_rate_direct_sum_with_a_low_noise_block(sigma, shift, x, low_q):
     want = min(o.goe_rate_closed(x), o.goe_rate_closed((x - shift) / sigma))
     res = rate_function(st, x)
     assert res.value == pytest.approx(want, abs=1e-8)
-    assert res.stability_flag and res.diagnostics["certified"]
+    assert res.stability_flag
     if low_q:
         assert np.allclose(res.psi_star.psi, np.diag([0.0, 1.0]), atol=1e-12)
         assert res.epsilon_used == pytest.approx(sigma ** 2, rel=1e-12)
@@ -560,7 +601,7 @@ def test_rate_with_a_profile_that_s_annihilates(shift, x):
     assert sup_theta(st, x, np.diag([0.0, 1.0])) == (np.inf, np.inf)
     res = rate_function(st, x)
     assert res.value == pytest.approx(o.goe_rate_closed(x), rel=1e-12)
-    assert res.stability_flag and res.diagnostics["certified"]
+    assert res.stability_flag
     assert np.allclose(res.psi_star.psi, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -641,7 +682,7 @@ def test_certified_search_agrees_with_the_eps_ladder():
                 res = rate_function(st, x)
                 values[beta] = res.value
                 old = _ladder_rate(st, x)
-                assert res.stability_flag and res.diagnostics["certified"]
+                assert res.stability_flag
                 assert res.value <= old * (1.0 + 1e-12)
                 if abs(res.value - old) > 1e-12 * old:
                     lower.add((i, dx, beta))
@@ -711,7 +752,7 @@ def test_screened_search_matches_the_full_multistart():
     for st, x in points:
         res = rate_function(st, x)
         value, nfev = _full_multistart(st, x)
-        assert res.diagnostics["certified"]
+        assert res.stability_flag
         assert res.value == pytest.approx(value, rel=1e-12)
         assert res.value <= value + 1e-14 * max(1.0, value)
         fevals += res.diagnostics["fevals"]
