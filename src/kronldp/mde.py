@@ -23,11 +23,13 @@ real axis M negative definite and D -> M S[D] M of spectral radius below 1
 (another negative-definite root can pass the first test alone), after one
 polishing Newton step. A one-point solve that fails its test is redone from
 continuation in the imaginary offset eta from far above, which inherits the
-physical branch. The density grid is one stacked Newton per eta rung for
-all grid points at once, each started at the same x from the quadratic in
-eta through the three rungs above (the continuation's predictor,
-Allgower-Georg 1990); a point that fails is re-solved on its own from the
-rung above, with the continuation behind it, and counted.
+physical branch. The density is Im Tr M(x + i0)/(pi L): the grid is entered
+by one stacked Newton per eta rung down to 1e-3, each point started from the
+quadratic in eta through the three rungs above at the same x (the
+continuation's predictor, Allgower-Georg 1990), then solved on the axis
+itself from that quadratic at eta = 0, where a real solution must pass the
+radius test too; a point that fails is re-solved on its own, with the
+continuation behind it, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -100,9 +102,9 @@ class SpectralDensity:
 
     tol_q is the declared quadrature tolerance for the unit-mass invariant;
     it only binds when [grid[0], grid[-1]] covers the whole support.
-    fallback_points counts the point solves (over all eta rungs) that the
-    stacked solve handed back to a one-point solve with the eta continuation
-    behind it.
+    eta_final is 1e-3, the last rung above the axis. fallback_points counts
+    the points that the stacked solves (the rungs' and the axis') handed
+    back to a one-point solve with the eta continuation behind it.
     """
     grid: np.ndarray
     density: np.ndarray
@@ -244,7 +246,8 @@ def _polish_batch(structure, z, m):
 
     Near the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x -
     r_inf), so a residual at tol leaves M off by up to tol over it; one more
-    step squares that error away. The complex-axis solvers skip it.
+    step squares that error away. Every solve on the real axis takes it, the
+    memo's real M and the density's complex M(x + i0) alike.
     """
     L = structure.L
     b = _b_batch(structure, z, m)
@@ -254,45 +257,72 @@ def _polish_batch(structure, z, m):
 
 
 def _feedback_radius(structure, m):
-    """Spectral radius of D -> M S[D] M at one negative definite M or a
-    stack. On the real-axis branch that continues the Herglotz solution it
-    is below 1 (it reaches 1 at the edge, where the stability operator Id
-    minus this map turns singular); the other negative-definite roots (GOE:
-    m^2 > 1) exceed 1. With -M = R R*, D = R E R* makes the map E -> R*
-    S[R E R*] R, Hermitian (S is self-adjoint) and positive semidefinite, so
-    one eigvalsh gives the radius. R = V sqrt(-w) from -M's eigenpairs; a
-    positive eigenvalue of M is clipped, which makes the radius meaningless
-    there, and the caller's definiteness test rejects M anyway."""
+    """Spectral radius of D -> M* S[D] M at one M or a stack: the largest
+    |eigenvalue| of its row-major matrix kron(M*, M^T) k, k = sum_j
+    kron(A_j, A_j^T). At a real solution on the branch that continues the
+    Herglotz solution it is below 1 (it reaches 1 at the edge, where the
+    stability operator Id minus this map turns singular); the other real
+    roots (GOE: m^2 > 1) exceed 1. Where Im M is positive semidefinite and
+    nonzero at eta = 0 it is 1 (Im M = M* S[Im M] M is its Perron-Frobenius
+    eigenvector), so the radius only tells real roots apart."""
     L = structure.L
-    w, v = np.linalg.eigh(m)
-    r = v * np.sqrt(np.maximum(-w, 0.0))[..., None, :]
-    # vec(R E R*) = kron(R, conj R) vec E for row-major vec: entry ((a, b),
-    # (c, d)) is R[a, c] conj(R)[b, d]
-    c = (r[..., :, None, :, None] * np.conj(r)[..., None, :, None, :]).reshape(
+    mh, mt = np.conj(np.swapaxes(m, -1, -2)), np.swapaxes(m, -1, -2)
+    # vec(A D B) = kron(A, B^T) vec D for row-major vec: entry ((a, b),
+    # (c, d)) of kron(M*, M^T) is M*[a, c] M^T[b, d]
+    c = (mh[..., :, None, :, None] * mt[..., None, :, None, :]).reshape(
         m.shape[:-2] + (L * L, L * L))
-    op = np.conj(np.swapaxes(c, -1, -2)) @ structure.s_op.k @ c
-    return np.abs(np.linalg.eigvalsh(op)).max(axis=-1)
+    return np.abs(np.linalg.eigvals(c @ structure.s_op.k)).max(axis=-1)
 
 
-def _solve_real_batch(structure, t, m0, tol):
-    """Solve at a stack of real points t from the guesses m0: stacked Newton,
-    one polishing step, the physical-branch test. Returns (m, ok); ok is
-    False where Newton failed, M is not negative definite or its
-    _feedback_radius is not below 1, and the caller re-solves those."""
-    if structure.beta == 1:
-        z, m = t, np.real(m0).astype(float)
-    else:
-        z, m = t.astype(complex), np.array(m0, dtype=complex)
+def _newton_polish(structure, z, m, tol):
+    """Stacked Newton from m to tol, then one _polish_batch step: a real-axis
+    solve before its branch test. Returns (m, failed)."""
     m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
     ok = np.flatnonzero(~failed)
     try:
         m[ok] = _polish_batch(structure, z[ok], m[ok])
     except np.linalg.LinAlgError:
         failed[ok] = True  # some system is singular: the caller re-solves these
+    return m, failed
+
+
+def _solve_real_batch(structure, t, m0, tol):
+    """Solve at a stack of real points t from the guesses m0: _newton_polish,
+    then the physical-branch test. Returns (m, ok); ok is False where Newton
+    failed, M is not negative definite or its _feedback_radius is not below
+    1, and the caller re-solves those."""
+    if structure.beta == 1:
+        z, m = t, np.real(m0).astype(float)
+    else:
+        z, m = t.astype(complex), np.array(m0, dtype=complex)
+    m, failed = _newton_polish(structure, z, m, tol)
     ok = np.flatnonzero(~failed)
     m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
     failed[ok] = ((np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0)
                   | (_feedback_radius(structure, m[ok]) >= 1.0))
+    return m, ~failed
+
+
+def _solve_axis_batch(structure, x, m0, tol):
+    """M(x + i0) at a stack of real points x from the guesses m0:
+    _newton_polish on complex M, then the branch test. Returns (m, ok); ok
+    is False where Newton failed, Im M is not positive semidefinite, or Im M
+    vanishes (x off the support) and the _feedback_radius is not below 1. A
+    real solution of radius below 1 is M(x + i0): with T the feedback map,
+    M' = sum_k T^k[M^2] >= M^2 > 0, so M + i eta M' is Herglotz for small
+    eta, and the Herglotz solution is unique."""
+    z, m = x.astype(complex), np.array(m0, dtype=complex)
+    # the defect's rounding floor grows with M's condition number: next to a
+    # narrow band |M| ~ 1e3 and an absolute tol of 1e-12 is out of reach
+    m, failed = _newton_polish(structure, z, m, tol * np.linalg.cond(m))
+    ok = np.flatnonzero(~failed)
+    failed[ok] = ~_herglotz_ok(m[ok])
+    ok = np.flatnonzero(~failed)
+    # off the support Im M is rounding (<= 7e-14 (1 + |M|) on 76 structures);
+    # inside it, 1e-10 would put x within ~1e-20 of a square-root edge
+    real = ok[_spectral_norm((m[ok] - np.conj(np.swapaxes(m[ok], -1, -2))) / 2j)
+              <= 1e-10 * (1.0 + _spectral_norm(m[ok]))]
+    failed[real] = _feedback_radius(structure, m[real]) >= 1.0
     return m, ~failed
 
 
@@ -697,81 +727,61 @@ def log_potential(structure: StructureSet, x) -> float:
 # ---------------------------------------------------------------------------
 # density on a grid
 
-_EXTRAP_TOL = 1e-6  # density's stop rule: successive rungs agree to this
-
-
-def _default_eta_schedule():
-    etas = [1e-3]
-    while etas[-1] > 2e-8:
-        etas.append(etas[-1] * 0.5)
-    return etas
+# density's entry: eta = 1, where Newton converges from the far-field guess,
+# down by factors of 0.2, then 1e-3, the last rung above the axis
+_ENTRY_RUNGS = tuple(float(e) for e in np.cumprod([1.0] + [0.2] * 4)) + (1e-3,)
 
 
 def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
-            eta_schedule=None, components=False) -> SpectralDensity:
-    """Spectral density by Stieltjes inversion with a descending eta ladder.
+            components=False) -> SpectralDensity:
+    """Spectral density Im Tr M(x + i0) / (pi L) on the real axis.
 
-    The offset decreases through eta_schedule until successive density values
-    agree to `_EXTRAP_TOL` across the whole grid (or the schedule is exhausted);
-    the reported values are Im<M(x + i eta_final)>/pi.
-
-    Each rung solves the whole grid at once with the stacked Newton solver,
-    started from the quadratic extrapolation in eta of the last three rungs'
-    solutions (at their own eta, so any schedule works); the second rung
-    starts from the first, the third from the line through both. The first
-    rung is entered from eta = 1 (Newton from the one-step far-field guess)
-    down by factors of 0.2; these entry rungs do not count toward eta_final
-    or the stop rule. Points the stacked solve cannot settle are re-solved
-    one at a time from the rung above, with the eta continuation behind
-    them; fallback_points reports how many.
+    Inside the support the solution extends analytically to the real axis
+    (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
+    density to rounding. The grid is entered through `_ENTRY_RUNGS`, one
+    stacked solve per rung, each point started from the quadratic in eta
+    through the rungs above at the same x (fewer rungs: the line, or the
+    rung itself); _solve_axis_batch starts from that quadratic at eta = 0.
+    A point a stacked solve cannot settle is re-solved on its own, with the
+    eta continuation behind it (down to 1e-9 for the axis), and counted in
+    fallback_points; an axis point that fails again raises ConvergenceError.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
     if grid_size < 2:
         raise ValueError("need at least two grid points")
-    etas = list(eta_schedule) if eta_schedule is not None else _default_eta_schedule()
-    if not etas or any(e <= 0 for e in etas) or any(np.diff(etas) >= 0):
-        raise ValueError("eta_schedule must be positive and strictly decreasing")
 
     L = structure.L
     grid = np.linspace(float(x_lo), float(x_hi), int(grid_size))
     fallbacks = 0
 
     rungs = []  # (eta, M) of the last three rungs, the newest last
-
-    def solve_rung(eta):
+    for eta in _ENTRY_RUNGS:
         # every point at once, from the rungs above at the same x: near an
-        # edge at tiny eta the neighboring-x solution is too far for Newton,
+        # edge at small eta the neighboring-x solution is too far for Newton,
         # while the same point one rung up is right next door. A point handed
         # back restarts from the rung above, not from the extrapolation.
-        nonlocal fallbacks
         z = grid + 1j * eta
         m, ok = _solve_upper_batch(structure, z, _lagrange(rungs, eta), 1e-11)
         for i in np.flatnonzero(~ok):
             m[i] = _solve_point(structure, z[i], 1e-11, m0=rungs[-1][1][i] if rungs else None)
             fallbacks += 1
-        rungs[:] = rungs[-2:] + [(eta, m)]
-        return m
+        rungs = rungs[-2:] + [(eta, m)]
 
-    # enter from eta = 1, where Newton converges from the far-field guess,
-    # and continue down by factors of 0.2 to the first rung of the schedule
-    eta = 1.0
-    while eta > etas[0]:
-        solve_rung(eta)
-        eta *= 0.2
-    prev = None
-    for eta in etas:
-        m = solve_rung(eta)
-        vals = np.trace(m, axis1=1, axis2=2).imag / (L * np.pi)
-        if prev is not None and np.max(np.abs(vals - prev)) < _EXTRAP_TOL:
-            break
-        prev = vals
+    m, ok = _solve_axis_batch(structure, grid, _lagrange(rungs, 0.0), 1e-12)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        starts = np.concatenate([_eta_continuation(structure, x, 1e-9, 1e-11) for x in grid[bad]])
+        m[bad], ok[bad] = _solve_axis_batch(structure, grid[bad], starts, 1e-12)
+        if not ok.all():
+            raise ConvergenceError(f"no physical solution on the real axis at x={grid[~ok]}")
+        fallbacks += len(bad)
 
-    dens = np.clip(vals, 0.0, None)
+    dens = np.clip(np.trace(m, axis1=1, axis2=2).imag / (L * np.pi), 0.0, None)
     h = grid[1] - grid[0]
     tol_q = max(1e-3, 4.0 * h ** 1.5)
     comp_list = (list((m - np.conj(np.swapaxes(m, 1, 2))) / (2j * np.pi))
                  if components else None)
-    return SpectralDensity(grid=grid, density=dens, eta_final=float(eta),
+    return SpectralDensity(grid=grid, density=dens, eta_final=_ENTRY_RUNGS[-1],
                            tol_q=tol_q, matrix_components=comp_list,
                            fallback_points=fallbacks)

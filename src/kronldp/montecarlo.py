@@ -48,7 +48,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh, eigvalsh, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dpotrf, zpotrf
 from scipy.special import betaincinv
@@ -119,7 +118,6 @@ class ProfileHistogram:
     c_edges: np.ndarray | None = None
     counts: np.ndarray | None = None
     empirical_density: np.ndarray | None = None
-    analytic_density: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -643,31 +641,10 @@ def tilted_outlier_check(structure, theta, psi, n, reps, rng=0) -> TiltCheck:
 # ---------------------------------------------------------------------------
 # profiles of uniform sphere vectors
 
-def _wishart_density_bins(n, p_edges, c_edges, rule=24):
-    """Bin-averaged normalized density of (psi_11, Re psi_12) for L = 2:
-    proportional to det(psi)^((n-3)/2) on the lens det > 0. The edges must
-    cover the full support for the normalization to be correct."""
-    power = (n - 3) / 2.0
-    nodes, weights = leggauss(rule)
-    p_edges = np.asarray(p_edges, dtype=float)
-    c_edges = np.asarray(c_edges, dtype=float)
-    pm, ph = (p_edges[:-1] + p_edges[1:]) / 2, np.diff(p_edges) / 2
-    cm, ch = (c_edges[:-1] + c_edges[1:]) / 2, np.diff(c_edges) / 2
-    pp = pm[:, None] + ph[:, None] * nodes[None, :]          # (bp, rule)
-    cc = cm[:, None] + ch[:, None] * nodes[None, :]          # (bc, rule)
-    det = (pp * (1.0 - pp))[:, None, :, None] - (cc * cc)[None, :, None, :]
-    f = np.where(det > 0, np.abs(det) ** power, 0.0)
-    mass = np.einsum("a,b,iajb->ij", weights, weights,
-                     np.swapaxes(f, 1, 2)) * ph[:, None] * ch[None, :]
-    mass /= mass.sum()
-    return mass / (np.diff(p_edges)[:, None] * np.diff(c_edges)[None, :])
-
-
 def profile_histogram(L, n, reps, rng, bins=20) -> ProfileHistogram:
     """Sample rho(u) for u uniform on the real NL-sphere and summarize it.
 
-    For L = 2 the summary carries a binned density over (psi_11, Re psi_12)
-    next to the bin-averaged analytic law with exponent (N-L-1)/2.
+    For L = 2 the summary carries a binned density over (psi_11, Re psi_12).
     """
     if L < 1 or n < L:
         raise ValueError("need L >= 1 and N >= L")
@@ -699,12 +676,11 @@ def profile_histogram(L, n, reps, rng, bins=20) -> ProfileHistogram:
     counts, _, _ = np.histogram2d(psis[:, 0, 0], psis[:, 0, 1],
                                   bins=[p_edges, c_edges])
     emp = counts / (reps * np.diff(p_edges)[:, None] * np.diff(c_edges)[None, :])
-    ana = _wishart_density_bins(n, p_edges, c_edges)
     return ProfileHistogram(L=L, N=n, reps=reps, mean_profile=mean,
                             mean_se=sd / math.sqrt(reps), entry_sd=sd,
                             det_mode=det_mode, det_frac_below_half=frac,
                             p_edges=p_edges, c_edges=c_edges, counts=counts,
-                            empirical_density=emp, analytic_density=ana)
+                            empirical_density=emp)
 
 
 # ---------------------------------------------------------------------------

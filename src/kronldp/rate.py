@@ -320,10 +320,10 @@ def sup_theta(structure: StructureSet, x, psi):
 # ---------------------------------------------------------------------------
 # inf over profiles
 
-def _seed_factors(structure, cfg, warm, projectors, complex_params):
+def _seed_factors(structure, cfg, projectors, complex_params):
     """Start factors C for the search: the identity profile, the top
-    eigenprojector of A_0, the eigenprojectors of S(Id), seeded random
-    perturbations up to _STARTS, and any warm factor."""
+    eigenprojector of A_0, the eigenprojectors of S(Id) and seeded random
+    perturbations up to _STARTS."""
     L = structure.L
     seeds = [np.eye(L)]
     w, v = np.linalg.eigh(structure.a0)
@@ -336,8 +336,6 @@ def _seed_factors(structure, cfg, warm, projectors, complex_params):
         if complex_params:
             c = c + 0.7j * rng.standard_normal((L, L))
         seeds.append(c)
-    if warm is not None:
-        seeds.insert(0, np.array(warm))
     return seeds
 
 
@@ -392,8 +390,7 @@ def _profile_objective(v, structure, base):
     return f, _pack(2.0 * grad @ c / tr, complex_params)
 
 
-def rate_function(structure: StructureSet, x, opt_config=None,
-                  warm_start=None) -> RateResult:
+def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     """Rate I_beta(x) of the upper tail at x, beta = structure.beta: inf
     over profiles of sup over tilts. I_2 of a real structure is the rate of
     its beta = 2 twin, make_structure(A_0, A, beta=2).
@@ -455,7 +452,7 @@ def rate_function(structure: StructureSet, x, opt_config=None,
         return (psi, s_psi, *_sup_curve(structure, psi, s_psi, base))
 
     runs = [run(_pack(c0, complex_params), _SCREEN_OPTIONS)
-            for c0 in _seed_factors(structure, cfg, warm_start, projectors, complex_params)]
+            for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
     runs.append(run(min(runs, key=lambda out: out.fun).x, _LBFGS_OPTIONS))
     psi, s_psi, th, val = optimum(runs[-1])
     gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
@@ -479,11 +476,5 @@ def rate_function(structure: StructureSet, x, opt_config=None,
 
 
 def rate_curve(structure: StructureSet, x_grid, opt_config=None) -> list:
-    """Rate function on a grid, warm-starting each point from the previous."""
-    results = []
-    warm = None
-    for x in x_grid:
-        res = rate_function(structure, x, opt_config=opt_config, warm_start=warm)
-        results.append(res)
-        warm = _psd_factor(res.psi_star.psi)
-    return results
+    """rate_function at each point of a grid."""
+    return [rate_function(structure, x, opt_config=opt_config) for x in x_grid]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,41 @@ def atoms_m(z, atoms):
 def atoms_log_potential(x, atoms):
     atoms = np.asarray(atoms, dtype=float)
     return float(np.mean(np.log(np.abs(x - atoms))))
+
+
+# ---------------------------------------------------------------------------
+# single-noise structures: X = A_0 (x) Id + A (x) W with one GOE/GUE W
+
+def single_noise_density(a0, a, x, nodes=4001):
+    """Limiting density at the points x of X = A_0 (x) Id + A (x) W, A_0 any
+    Hermitian matrix and A real symmetric (they need not commute).
+
+    In W's eigenbasis X is the direct sum of A_0 + d A over W's eigenvalues d,
+    so the law is the semicircle pushed forward by each eigenvalue branch
+    lambda_l(d) of A_0 + d A, averaged over l:
+    (1/L) sum_l sum_{d: lambda_l(d) = x} rho_sc(d) / |lambda_l'(d)|, with
+    lambda_l'(d) = v_l* A v_l (Hellmann-Feynman). The roots in (-2, 2) are
+    bracketed on `nodes` points and polished by brentq.
+    """
+    a0, a = np.asarray(a0), np.asarray(a)
+    ell = len(a0)
+    ds = np.linspace(-2.0, 2.0, nodes)
+    lam = np.linalg.eigvalsh(a0[None] + ds[:, None, None] * a[None])
+
+    def branch(d, l):
+        return np.linalg.eigvalsh(a0 + d * a)[l]
+
+    out = []
+    for xi in np.atleast_1d(np.asarray(x, dtype=float)):
+        total = 0.0
+        for l in range(ell):
+            below = lam[:, l] < xi
+            for i in np.flatnonzero(below[:-1] != below[1:]):
+                d = brentq(lambda t: branch(t, l) - xi, ds[i], ds[i + 1], xtol=1e-15, rtol=1e-15)
+                v = np.linalg.eigh(a0 + d * a)[1][:, l]
+                total += semicircle_density(d) / abs(np.real(np.conj(v) @ a @ v))
+        out.append(total / ell)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

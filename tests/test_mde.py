@@ -450,7 +450,7 @@ def _bench_structures():
 
 
 BENCH_STRUCTURES = _bench_structures()
-PINNED = ["goe", "herm", "dsum", "sum-L3", "sum-L2"]  # the density stop rule's structures
+PINNED = ["goe", "herm", "dsum", "sum-L3", "sum-L2"]  # the density tests' structures
 
 
 def test_cold_build_needs_no_continuation(sc, monkeypatch):
@@ -624,6 +624,17 @@ def test_density_semicircle_values(sc):
     assert np.all(d.density >= 0.0)
     assert abs(d.mass - 1.0) < d.tol_q
     assert d.eta_final > 0
+    inside = np.abs(d.grid) <= 2.0 - 1e-6
+    assert np.max(np.abs(d.density - o.semicircle_density(d.grid))[inside]) <= 1e-13
+
+
+def test_density_gue_to_rounding():
+    # every grid point at least 1e-6 inside the edge (<= 2.4e-16 measured)
+    gue = make_structure(np.zeros((1, 1)), [np.ones((1, 1))], beta=2)
+    d = mde.density(gue, -2.5, 2.5, grid_size=4001)
+    inside = np.abs(d.grid) <= 2.0 - 1e-6
+    assert d.fallback_points == 0
+    assert np.max(np.abs(d.density - o.semicircle_density(d.grid))[inside]) <= 1e-13
 
 
 def test_density_two_block_support(sc2):
@@ -658,25 +669,21 @@ def test_density_input_validation(sc):
         mde.density(sc, 1.0, -1.0)
     with pytest.raises(ValueError):
         mde.density(sc, -1.0, 1.0, grid_size=1)
-    with pytest.raises(ValueError):
-        mde.density(sc, -1.0, 1.0, eta_schedule=[1e-3, 1e-3])
-
-
-def test_density_custom_schedule(sc):
-    d = mde.density(sc, -0.5, 0.5, grid_size=11, eta_schedule=[1e-4, 5e-5])
-    assert d.eta_final == pytest.approx(5e-5)
 
 
 def _assert_matches_pointwise(st, d, tol=1e-10):
-    """Every grid value (density and matrix components) against scalar
-    solve_mde at x + i eta_final, reached point by point down its own eta
-    ladder (a cold start at tiny eta can stall near an edge)."""
+    """Every grid value (density and matrix components) against the point's
+    own eta ladder, scalar solve_mde at x + i eta for eta = 1, 0.2, ... down
+    to 8e-10 (a cold start at tiny eta can stall near an edge), followed by
+    the same axis Newton and polish from there."""
     for x, rho, comp in zip(d.grid, d.density, d.matrix_components):
         m, eta = None, 1.0
-        while eta > d.eta_final:
+        while eta > 1e-9:
             m = mde.solve_mde(st, complex(x, eta), m0=m).m
             eta *= 0.2
-        m = mde.solve_mde(st, complex(x, d.eta_final), m0=m).m
+        m, failed = mde._newton_polish(st, np.array([complex(x)]), m[None], 1e-12)
+        assert not failed[0]
+        m = m[0]
         assert rho == pytest.approx(max(np.trace(m).imag / (st.L * np.pi), 0.0), abs=tol)
         assert np.max(np.abs(comp - (m - m.conj().T) / (2j * np.pi))) <= tol
 
@@ -693,14 +700,12 @@ def test_density_stacked_solve_matches_pointwise(name, sc, herm2):
     _assert_matches_pointwise(st, d)
 
 
-@pytest.mark.parametrize("name, eta_final", [
-    ("goe", 4.8828125e-07), ("herm", 4.8828125e-07), ("dsum", 9.765625e-07),
-    ("sum-L3", 4.8828125e-07), ("sum-L2", 4.8828125e-07)])
-def test_density_stop_rule_and_semicircle_mixtures(name, eta_final):
-    # eta_final and fallback_points are the values the per-j kernels gave,
-    # so faster kernels must leave the stop rule's rung count alone. The law
-    # is a mixture of semicircles of centre a_j and radius 2 g_j (herm: the
-    # standard semicircle); a_j, g_j as in the log-potential test above
+@pytest.mark.parametrize("name", PINNED)
+def test_density_semicircle_mixtures_to_rounding(name):
+    # the axis solve is exact to rounding (<= 8.0e-16 measured), with no
+    # point handed back. The law is a mixture of semicircles of centre a_j
+    # and radius 2 g_j (herm: the standard semicircle); a_j, g_j as in the
+    # log-potential test above
     st = BENCH_STRUCTURES[name]
     if name == "herm":
         a, g = [0.0], [1.0]
@@ -710,9 +715,9 @@ def test_density_stop_rule_and_semicircle_mixtures(name, eta_final):
     right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
     margin = 0.02 * (right - left)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
-    assert d.eta_final == eta_final and d.fallback_points == 0
+    assert d.fallback_points == 0
     want = np.mean([o.semicircle_density((d.grid - aj) / gj) / gj for aj, gj in zip(a, g)], axis=0)
-    assert np.max(np.abs(d.density - want)) <= 1e-6
+    assert np.max(np.abs(d.density - want)) <= 1e-13
 
 
 class _Work:
@@ -742,45 +747,34 @@ class _Work:
 
 
 def _density_from_the_rung_above(st, x_lo, x_hi, grid_size):
-    """density() with the zero-order start: each rung's stacked Newton starts
-    from the rung above at the same x. Returns (density, eta_final)."""
-    grid, etas = np.linspace(x_lo, x_hi, grid_size), mde._default_eta_schedule()
-
-    def rung(eta, m0):
+    """density() with the zero-order start: each entry rung's stacked Newton,
+    and then the axis solve, starts from the rung above at the same x."""
+    grid, m = np.linspace(x_lo, x_hi, grid_size), None
+    for eta in mde._ENTRY_RUNGS:
         z = grid + 1j * eta
-        m, ok = mde._solve_upper_batch(st, z, m0, 1e-11)
+        m0, (m, ok) = m, mde._solve_upper_batch(st, z, m, 1e-11)
         for i in np.flatnonzero(~ok):
             m[i] = mde._solve_point(st, z[i], 1e-11, m0=None if m0 is None else m0[i])
-        return m
-
-    m, eta = None, 1.0
-    while eta > etas[0]:
-        m, eta = rung(eta, m), 0.2 * eta
-    prev = None
-    for eta in etas:
-        m = rung(eta, m)
-        vals = np.trace(m, axis1=1, axis2=2).imag / (st.L * np.pi)
-        if prev is not None and np.max(np.abs(vals - prev)) < mde._EXTRAP_TOL:
-            break
-        prev = vals
-    return np.clip(vals, 0.0, None), eta
+    m, ok = mde._solve_axis_batch(st, grid, m, 1e-12)
+    assert ok.all()
+    return np.clip(np.trace(m, axis1=1, axis2=2).imag / (st.L * np.pi), 0.0, None)
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_density_eta_predictor_saves_work(name, monkeypatch):
-    # extrapolating each rung in eta from the three above it against the
-    # zero-order start: the same eta_final and densities, in at most 0.65x
-    # the stacked point solves (0.53x to 0.58x on these structures)
+    # extrapolating each rung, and the axis, in eta from the three rungs
+    # above against the zero-order start: the same densities, in at most
+    # 0.85x the stacked point solves (0.78x to 0.82x on these structures;
+    # the rungs below 1e-3, where the predictor saved most, are gone)
     st = BENCH_STRUCTURES[name]
     right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
     margin = 0.02 * (right - left)
     work = _Work(monkeypatch)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
     predicted, work.points = work.points, 0
-    want, eta_final = _density_from_the_rung_above(st, left - margin, right + margin, 201)
-    assert predicted <= 0.65 * work.points
-    assert d.eta_final == eta_final
-    assert np.max(np.abs(d.density - want)) <= 1e-10
+    want = _density_from_the_rung_above(st, left - margin, right + margin, 201)
+    assert predicted <= 0.85 * work.points
+    assert np.max(np.abs(d.density - want)) <= 1e-12
 
 
 def _nearest_start(cache, key):
@@ -822,31 +816,34 @@ def test_memo_predictor_saves_outlier_newton_steps(monkeypatch):
     assert np.max(np.abs(z - z_ref)) <= 1e-13
 
 
-def test_density_schedule_starting_above_one(coupled3):
-    d = mde.density(coupled3, -2.0, 2.0, grid_size=21, eta_schedule=[2.0, 1.0, 0.3],
-                    components=True)
-    assert d.eta_final == 0.3
-    assert d.fallback_points == 0
-    _assert_matches_pointwise(coupled3, d)
-
-
 def test_density_fallback_is_counted(coupled3, monkeypatch):
-    stacked = mde._solve_upper_batch
-    calls = {"n": 0}
+    # an axis point handed back is re-solved from its own eta continuation,
+    # then on the axis again; a point that fails there too raises
+    axis = mde._solve_axis_batch
+    calls = []
 
-    def flag_one(structure, z, m0, tol):
-        m, ok = stacked(structure, z, m0, tol)
-        calls["n"] += 1
-        if calls["n"] == 7:  # the rung at eta = 5e-4
-            m[4] = np.nan  # garbage left behind for the scalar re-solve
+    def flag_one(structure, x, m0, tol):
+        m, ok = axis(structure, x, m0, tol)
+        calls.append(len(x))
+        if len(calls) == 1:  # the stacked axis solve
+            m[4] = np.nan  # garbage left behind for the re-solve
             ok[4] = False
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_upper_batch", flag_one)
+    monkeypatch.setattr(mde, "_solve_axis_batch", flag_one)
     d = mde.density(coupled3, -2.0, 2.0, grid_size=21, components=True)
-    assert calls["n"] > 7
+    assert calls == [21, 1]
     assert d.fallback_points == 1
     _assert_matches_pointwise(coupled3, d)
+
+    def flag_always(structure, x, m0, tol):
+        m, ok = axis(structure, x, m0, tol)
+        ok[x == d.grid[4]] = False
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_axis_batch", flag_always)
+    with pytest.raises(mde.ConvergenceError, match=rf"x=\[{d.grid[4]}\]"):
+        mde.density(coupled3, -2.0, 2.0, grid_size=21)
 
 
 def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
@@ -877,6 +874,115 @@ def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
     d = mde.density(st, left - margin, right + margin, grid_size=201)
     assert not oks[4]  # the re-solve from the rung above fails too
     assert d.fallback_points == 1 and np.all(np.isfinite(d.density))
+
+
+def _single_noise(i):
+    """A k = 1 structure with a dense A_0 that does not commute with A:
+    L = 2, 3, 4, 2, 3 and beta = 1, 2, 1, 2, 1 for i = 0..4."""
+    rng = stream(31, i)
+    ell, beta = 2 + i % 3, 1 + i % 2
+    g = rng.standard_normal((ell, ell))
+    a = (g + g.T) / 2.0
+    g = rng.standard_normal((ell, ell))
+    if beta == 2:
+        g = g + 1j * rng.standard_normal((ell, ell))
+    return make_structure(0.25 * (g + g.conj().T), [a / np.linalg.norm(a, 2)], beta=beta)
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_density_matches_the_single_noise_pushforward(i):
+    # the semicircle pushed forward by A_0 + d A's eigenvalue branches: 41
+    # points across the support, gaps included (<= 3e-14 relative measured,
+    # and the gaps read <= 1e-15)
+    st = _single_noise(i)
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.05 * (right - left)
+    d = mde.density(st, left + margin, right - margin, grid_size=41)
+    want = o.single_noise_density(st.a0, st.a[0], d.grid)
+    assert d.fallback_points == 0
+    assert np.all(np.abs(d.density - want) <= np.where(want > 0, 1e-12 * want, 1e-14))
+    assert np.count_nonzero(want) >= 20
+
+
+@pytest.mark.parametrize("seed, gap", [(719, (-0.12, 0.12)), (727, (-0.01, 0.085))])
+def test_density_in_a_gap_is_zero_on_the_physical_branch(seed, gap, monkeypatch):
+    # between two bands M(x + i0) is real; the axis solve lands on the root
+    # of feedback radius below 1, where the eta ladder read 7.4e-6 (719) and
+    # 5.4e-5 (727) on this grid
+    from test_rate import random_structure
+
+    st = random_structure(stream(seed), 2 + (seed - 710) % 3)
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    axis, made = mde._solve_axis_batch, []
+
+    def recorded(structure, x, m0, tol):
+        m, ok = axis(structure, x, m0, tol)
+        made.append(m)
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_axis_batch", recorded)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    inside = (d.grid > gap[0]) & (d.grid < gap[1])
+    assert d.fallback_points == 0 and inside.sum() >= 4
+    assert d.density[inside].max() <= 1e-14
+    m, = made
+    im = (m[inside] - np.conj(np.swapaxes(m[inside], 1, 2))) / 2j
+    assert np.abs(im).max() <= 1e-13
+    assert mde._feedback_radius(st, m[inside]).max() < 1.0
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+def test_density_next_to_a_cusp(scale):
+    # A_0 = diag(-a, a) with a near a* = 1.1555106222, next to where the two
+    # bands meet in a cusp: at 0.999 a* they overlap, at a* a gap of
+    # half-width ~6e-4 is open at 0, at 1.001 a* a wider one. No point is handed
+    # back; swapping the basis maps A_0 to -A_0 and fixes A_1, so the
+    # density is even (the grid is exactly symmetric: step 1/32); near 0 a
+    # point's own eta ladder down to 1e-10 agrees to its bias (<= 2.5e-9)
+    a = 1.1555106222 * scale
+    st = make_structure(np.diag([-a, a]), [np.array([[1.0, 0.5], [0.5, 1.0]]) / 1.5])
+    d = mde.density(st, -3.0, 3.0, grid_size=193)
+    assert d.fallback_points == 0
+    assert np.max(np.abs(d.density - d.density[::-1])) <= 1e-12
+    near = mde.density(st, -1e-3, 1e-3, grid_size=9)
+    assert near.fallback_points == 0
+    for x, rho in zip(near.grid, near.density):
+        m, eta = None, 1.0
+        while eta > 1e-10:
+            m, eta = mde.solve_mde(st, complex(x, eta), m0=m).m, 0.5 * eta
+        assert rho == pytest.approx(np.trace(m).imag / (2.0 * np.pi), abs=5e-9)
+
+
+@pytest.mark.parametrize("sigma, bound", [(1e-3, 1e-9), (1e-4, 1e-7)])
+def test_density_across_a_narrow_band(sigma, bound):
+    # a rotated direct sum of a GOE block and a block of width 4 sigma at
+    # 0.7: |M| ~ 1 / sigma inside the band puts the defect's rounding floor
+    # above an absolute 1e-12, so the axis Newton's tol scales with cond(M).
+    # The law is the semicircle mixture; away from the band's edges (where
+    # rounding x moves the density by sqrt(rounding)) it holds to 3.2e-11
+    # and 4.9e-9 relative, the solve's own conditioning
+    q, _ = np.linalg.qr(stream(5).standard_normal((2, 2)))
+    st = make_structure(q @ np.diag([0.0, 0.7]) @ q.T,
+                        [q @ np.diag([1.0, 0.0]) @ q.T, sigma * q @ np.diag([0.0, 1.0]) @ q.T])
+    d = mde.density(st, 0.7 - 3.0 * sigma, 0.7 + 3.0 * sigma, grid_size=61)
+    u = (d.grid - 0.7) / sigma
+    want = 0.5 * (o.semicircle_density(d.grid) + o.semicircle_density(u) / sigma)
+    away = np.abs(np.abs(u) - 2.0) > 0.05
+    assert d.fallback_points == 0
+    assert np.max(np.abs(d.density - want)[away] / want[away]) <= bound
+
+
+def test_axis_solve_rejects_the_unphysical_root(sc):
+    # right of the edge at x = 3, Newton from -5 lands on the real root
+    # -2.618 (feedback radius m^2 > 1), which the axis test must turn down;
+    # from -0.4 it lands on the physical root (radius < 1)
+    physical = (np.sqrt(5.0) - 3.0) / 2.0
+    m, ok = mde._solve_axis_batch(sc, np.array([3.0, 3.0]),
+                                  np.array([[[-5.0 + 0j]], [[-0.4 + 0j]]]), 1e-12)
+    assert ok.tolist() == [False, True]
+    assert m[0, 0, 0] == pytest.approx(-3.0 - physical, abs=1e-14)
+    assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
 
 
 def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):

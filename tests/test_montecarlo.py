@@ -995,21 +995,22 @@ def test_tilted_tridiagonal_law_matches_dense(beta, a, theta):
 # profiles of uniform sphere vectors
 
 def test_profile_histogram_two_blocks():
+    import oracles as o
+
     h = profile_histogram(2, 100, 10**5, rng=11, bins=20)
     assert np.abs(h.mean_profile - np.eye(2) / 2).max() <= 0.005
     assert h.mean_se.max() <= 1e-3
     # determinant concentrates at its maximum 1/4 for N >> L
     assert 0.2 <= h.det_mode <= 0.2501
     assert h.det_frac_below_half <= 0.01
-    # binned density against the bin-averaged det^((N-3)/2) law
+    # binned density against the oracle's bin-averaged det^((N-3)/2) law
+    areas = np.diff(h.p_edges)[:, None] * np.diff(h.c_edges)[None, :]
+    want = o.wishart_l2_bin_probs(100, h.p_edges, h.c_edges) / areas
     mask = h.counts >= 500
     assert mask.sum() >= 10
-    rel = np.abs(h.empirical_density[mask] - h.analytic_density[mask])
-    rel /= h.analytic_density[mask]
+    rel = np.abs(h.empirical_density[mask] - want[mask]) / want[mask]
     assert rel.max() <= 0.1
-    areas = np.diff(h.p_edges)[:, None] * np.diff(h.c_edges)[None, :]
     assert np.sum(h.empirical_density * areas) == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(h.analytic_density * areas) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_profile_histogram_against_oracle_counts():
@@ -1026,7 +1027,7 @@ def test_profile_histogram_against_oracle_counts():
 def test_profile_histogram_one_and_three_blocks():
     h1 = profile_histogram(1, 40, 500, rng=2)
     assert h1.mean_profile[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert h1.counts is None and h1.analytic_density is None
+    assert h1.counts is None
     h3 = profile_histogram(3, 50, 2 * 10**4, rng=2)
     assert np.abs(h3.mean_profile - np.eye(3) / 3).max() <= 0.02
     assert h3.p_edges is None

@@ -114,3 +114,15 @@ def test_wishart_l2_density_normalized():
     # marginal of psi_11 is Beta(N/2, N/2): symmetric around 1/2
     marg = probs.sum(axis=1)
     assert np.allclose(marg, marg[::-1], atol=1e-12)
+
+
+def test_single_noise_density_reduces_to_semicircles():
+    # commuting A_0 = diag(c), A = diag(g): the mixture of the semicircles of
+    # centre c_l and radius 2 |g_l| (a negative g_l reflects its branch);
+    # the grid misses the edges, where a root at d = +-2 to rounding would
+    # put sqrt(rounding) into rho_sc
+    x = np.linspace(-3.0, 3.0, 61) + 1e-3
+    c, g = np.array([0.3, -1.0]), np.array([0.5, -1.2])
+    want = np.mean([o.semicircle_density((x - cl) / gl) / abs(gl) for cl, gl in zip(c, g)], axis=0)
+    got = o.single_noise_density(np.diag(c), np.diag(g), x)
+    assert np.max(np.abs(got - want)) <= 1e-12
