@@ -6,30 +6,29 @@ Stieltjes transform m(z) = Tr M(z) / L, the right support edge r_inf, the
 functional inverse of -m on (r_inf, inf) and the logarithmic potential
 U(x) = int ln|x-y| dmu(y).
 
-Solver strategy: one solver, Newton on the L^2-dimensional linearized
-system, stacked over a leading axis of spectral parameters (one batched
-linear solve per step); a one-point solve is a stack of one. S is one fixed
-L^2 x L^2 matrix per structure (`model.SuperOperator`, built once), so it
-acts on the whole stack as one matrix product, and so does the noise term
-of the Jacobian; the residual's spectral norm is sqrt(lambda_max(D* D)) of
-the defects D, one stacked symmetric eigensolve. Newton starts
-from a warm start where the caller has one. Above the axis the one cold
-start is Newton at Im z >= 1 from the one-step far-field guess -(z - A_0 +
-S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: high above the axis the fixed-point
-map contracts onto the Herglotz solution (Helton-Rashidi Far-Speicher
-2007). Every
-solution passes a branch test: Im M >= 0 (Herglotz) above the axis; on the
-real axis M negative definite and D -> M S[D] M of spectral radius below 1
-(another negative-definite root can pass the first test alone), after one
-polishing Newton step. A one-point solve that fails its test is redone from
-continuation in the imaginary offset eta from far above, which inherits the
-physical branch. The density is Im Tr M(x + i0)/(pi L): the grid is entered
-by one stacked Newton per eta rung down to 1e-3, each point started from the
-quadratic in eta through the three rungs above at the same x (the
-continuation's predictor, Allgower-Georg 1990), then solved on the axis
-itself from that quadratic at eta = 0, where a real solution must pass the
-radius test too; a point that fails is re-solved on its own, with the
-continuation behind it, and counted.
+Solver strategy: one solve for every z with Im z >= 0 (`_solve_batch`):
+Newton on the L^2-dimensional linearized system, stacked over a leading axis
+of spectral parameters (one batched linear solve per step); a one-point
+solve is a stack of one. S is one fixed L^2 x L^2 matrix per structure
+(`model.SuperOperator`, built once), so it acts on the whole stack as one
+matrix product, and so does the noise term of the Jacobian; the residual's
+spectral norm is sqrt(lambda_max(D* D)) of the defects D, one stacked
+symmetric eigensolve. Newton starts from a warm start where the caller has
+one; the one cold start is Newton at Im z >= 1 from the one-step far-field
+guess -(z - A_0 + S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: high above the axis
+the fixed-point map contracts onto the Herglotz solution (Helton-Rashidi
+Far-Speicher 2007). On the real axis one polishing Newton step follows.
+Every solution then passes one branch rule (`_branch_ok`): Im M >= 0, and
+where Im M vanishes (off the support) the feedback map D -> M* S[D] M of
+spectral radius below 1, which another real root can fail. Above the axis
+that is the Herglotz test; on it, it picks M(x + i0). A one-point solve
+that fails is redone from continuation in the imaginary offset eta from
+far above, which inherits the physical branch. The density is Im Tr M(x +
+i0)/(pi L): one loop of stacked solves over eta rungs down to 1e-3 and
+then eta = 0, each point started from the quadratic in eta through the
+three rungs above at the same x (the continuation's predictor,
+Allgower-Georg 1990); a point that fails at a rung is re-solved on its own,
+from its eta continuation, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -103,8 +102,8 @@ class SpectralDensity:
     tol_q is the declared quadrature tolerance for the unit-mass invariant;
     it only binds when [grid[0], grid[-1]] covers the whole support.
     eta_final is 1e-3, the last rung above the axis. fallback_points counts
-    the points that the stacked solves (the rungs' and the axis') handed
-    back to a one-point solve with the eta continuation behind it.
+    the points that a rung's stacked solve (the axis' too) handed back to a
+    one-point solve from their own eta continuation.
     """
     grid: np.ndarray
     density: np.ndarray
@@ -158,12 +157,6 @@ def _spectral_norm(d):
     D)): one stacked eigvalsh instead of an SVD per matrix."""
     gram = np.conj(np.swapaxes(d, -1, -2)) @ d
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
-
-
-def _herglotz_ok(m):
-    """Im M >= 0 up to rounding; m is one matrix or a stack of them."""
-    im = (m - np.conj(np.swapaxes(m, -1, -2))) / 2j
-    return np.linalg.eigvalsh(im).min(axis=-1) >= -1e-8 * (1.0 + _spectral_norm(m))
 
 
 def _b_batch(structure, z, m):
@@ -224,38 +217,6 @@ def _far_field_guess(structure, z):
     return -np.linalg.inv(_b_batch(structure, z, g0))
 
 
-def _solve_upper_batch(structure, z, m0, tol):
-    """Solve at a stack of Im z > 0 points with batched Newton, plus the
-    Herglotz test.
-
-    z has shape (G,); m0 has shape (G, L, L) and Newton starts from it, or is
-    None to start from the one-step far-field guess (_far_field_guess), the
-    cold start for Im z >= 1. Returns (m, ok); ok is False where a point did
-    not converge or landed off the Herglotz branch, and the caller re-solves
-    those.
-    """
-    m = _far_field_guess(structure, z) if m0 is None else np.array(m0, dtype=complex)
-    m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
-    ok = np.flatnonzero(~failed)
-    failed[ok] = ~_herglotz_ok(m[ok])
-    return m, ~failed
-
-
-def _polish_batch(structure, z, m):
-    """One Newton step past the residual test on a stack of real-axis solves.
-
-    Near the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x -
-    r_inf), so a residual at tol leaves M off by up to tol over it; one more
-    step squares that error away. Every solve on the real axis takes it, the
-    memo's real M and the density's complex M(x + i0) alike.
-    """
-    L = structure.L
-    b = _b_batch(structure, z, m)
-    g = np.eye(L) + b @ m
-    dm = np.linalg.solve(_jacobian(structure, b, m), -g.reshape(len(z), L * L, 1))
-    return m + dm.reshape(m.shape)
-
-
 def _feedback_radius(structure, m):
     """Spectral radius of D -> M* S[D] M at one M or a stack: the largest
     |eigenvalue| of its row-major matrix kron(M*, M^T) k, k = sum_j
@@ -274,75 +235,100 @@ def _feedback_radius(structure, m):
     return np.abs(np.linalg.eigvals(c @ structure.s_op.k)).max(axis=-1)
 
 
+def _branch_ok(structure, m):
+    """The branch rule, at a stack of solutions M at any Im z >= 0: Im M =
+    (M - M*)/2i is positive semidefinite up to 1e-8 (1 + |M|), and where it
+    vanishes (entrywise at most 1e-10 (1 + |M|)) the _feedback_radius is
+    below 1. Above the axis Im M > 0 and this is the Herglotz test; on the
+    axis inside the support it is the Herglotz test of M(x + i0). Off the
+    support M is flat and the radius tells the roots apart: a flat root of
+    radius below 1 is M(x + i0), because with T the feedback map, M' =
+    sum_k T^k[M^2] >= M^2 > 0, so M + i eta M' is Herglotz for small eta,
+    and the Herglotz solution is unique. Each test runs only where it
+    applies: eigvalsh on the points with an Im M, the radius on the flat
+    ones."""
+    im = (m - m.swapaxes(-1, -2).conj()) / 2j
+    # off the support Im M is rounding (<= 7e-14 (1 + |M|) on 76 structures);
+    # inside it, 1e-10 would put x within ~1e-20 of a square-root edge
+    flat = np.abs(im).max(axis=(-2, -1)) <= 1e-10 * (1.0 + np.abs(m).max(axis=(-2, -1)))
+    ok, n_flat = np.empty(len(m), dtype=bool), np.count_nonzero(flat)
+    if n_flat < len(m):
+        ok[~flat] = (np.linalg.eigvalsh(im[~flat]).min(axis=-1)
+                     >= -1e-8 * (1.0 + _spectral_norm(m[~flat])))
+    if n_flat:
+        ok[flat] = _feedback_radius(structure, m[flat]) < 1.0
+    return ok
+
+
 def _newton_polish(structure, z, m, tol):
-    """Stacked Newton from m to tol, then one _polish_batch step: a real-axis
-    solve before its branch test. Returns (m, failed)."""
+    """Stacked Newton from m to tol (a scalar or one per point), then one
+    more Newton step at the points on the real axis, with no branch test.
+    Near the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x -
+    r_inf), so a residual at tol leaves M off by up to tol over it; one more
+    step squares that error away. Returns (m, failed)."""
     m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
-    ok = np.flatnonzero(~failed)
-    try:
-        m[ok] = _polish_batch(structure, z[ok], m[ok])
-    except np.linalg.LinAlgError:
-        failed[ok] = True  # some system is singular: the caller re-solves these
+    axis = ~failed & (z.imag == 0)
+    if axis.any():
+        L, ma = structure.L, m[axis]
+        b = _b_batch(structure, z[axis], ma)
+        try:
+            dm = np.linalg.solve(_jacobian(structure, b, ma),
+                                 -(np.eye(L) + b @ ma).reshape(len(ma), L * L, 1))
+        except np.linalg.LinAlgError:
+            failed[axis] = True  # some system is singular: the caller re-solves these
+        else:
+            m[axis] = ma + dm.reshape(ma.shape)
     return m, failed
 
 
-def _solve_real_batch(structure, t, m0, tol):
-    """Solve at a stack of real points t from the guesses m0: _newton_polish,
-    then the physical-branch test. Returns (m, ok); ok is False where Newton
-    failed, M is not negative definite or its _feedback_radius is not below
-    1, and the caller re-solves those."""
-    if structure.beta == 1:
-        z, m = t, np.real(m0).astype(float)
-    else:
-        z, m = t.astype(complex), np.array(m0, dtype=complex)
+def _solve_batch(structure, z, m0, tol):
+    """The MDE at a stack of spectral parameters z, Im z >= 0: Newton from
+    m0 (shape (G, L, L)), or from the one-step far-field guess when m0 is
+    None (_far_field_guess, the cold start for Im z >= 1); _newton_polish;
+    then _branch_ok. M takes the dtype of m0, z and A_0 together, so with a
+    real structure a real start at real z stays real. Returns (m, ok); ok is
+    False where Newton failed or M is off the branch, and the caller
+    re-solves those."""
+    m = (_far_field_guess(structure, z) if m0 is None
+         else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
     m, failed = _newton_polish(structure, z, m, tol)
-    ok = np.flatnonzero(~failed)
-    m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    failed[ok] = ((np.linalg.eigvalsh(m[ok]).max(axis=-1) >= 0.0)
-                  | (_feedback_radius(structure, m[ok]) >= 1.0))
-    return m, ~failed
+    ok = ~failed
+    ok[ok] = _branch_ok(structure, m[ok])
+    return m, ok
 
 
-def _solve_axis_batch(structure, x, m0, tol):
-    """M(x + i0) at a stack of real points x from the guesses m0:
-    _newton_polish on complex M, then the branch test. Returns (m, ok); ok
-    is False where Newton failed, Im M is not positive semidefinite, or Im M
-    vanishes (x off the support) and the _feedback_radius is not below 1. A
-    real solution of radius below 1 is M(x + i0): with T the feedback map,
-    M' = sum_k T^k[M^2] >= M^2 > 0, so M + i eta M' is Herglotz for small
-    eta, and the Herglotz solution is unique."""
-    z, m = x.astype(complex), np.array(m0, dtype=complex)
-    # the defect's rounding floor grows with M's condition number: next to a
-    # narrow band |M| ~ 1e3 and an absolute tol of 1e-12 is out of reach
-    m, failed = _newton_polish(structure, z, m, tol * np.linalg.cond(m))
-    ok = np.flatnonzero(~failed)
-    failed[ok] = ~_herglotz_ok(m[ok])
-    ok = np.flatnonzero(~failed)
-    # off the support Im M is rounding (<= 7e-14 (1 + |M|) on 76 structures);
-    # inside it, 1e-10 would put x within ~1e-20 of a square-root edge
-    real = ok[_spectral_norm((m[ok] - np.conj(np.swapaxes(m[ok], -1, -2))) / 2j)
-              <= 1e-10 * (1.0 + _spectral_norm(m[ok]))]
-    failed[real] = _feedback_radius(structure, m[real]) >= 1.0
-    return m, ~failed
+def _solve_right(structure, x, m0, tol):
+    """M(x) at a stack of real points x right of the support, as the memo and
+    the fold walk keep it: _solve_batch from m0 (its real part at beta = 1),
+    then the Hermitian part, accepted only where it is negative definite. A
+    step of the fold walk into a gap meets a real root of radius below 1
+    that is not. Returns (m, ok)."""
+    m, ok = _solve_batch(structure, x, np.real(m0) if structure.beta == 1 else m0, tol)
+    m = 0.5 * (m + m.swapaxes(-1, -2).conj())
+    ok[ok] = np.linalg.eigvalsh(m[ok]).max(axis=-1) < 0.0
+    return m, ok
 
 
 def _eta_continuation(structure, x, eta_end, tol):
     """M at the last rung above eta_end of the ladder x + i eta, eta = 0.1 (1
-    + |x|) 0.2^k, each rung warm-started by the one above, so every rung
-    inherits the Herglotz branch from far above. The ladder is entered at
-    eta = max(1, 0.1 (1 + |x|)) by Newton from the one-step far-field guess.
-    Below 1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k from 1 would
-    retrace the density's own rungs, so a density point handed back would
-    fail again at the same jump. Returns a stack of one, or None when no
-    rung lies above eta_end."""
+    + |x|) 0.2^k, so every rung inherits the Herglotz branch from far above.
+    The ladder is entered at eta = max(1, 0.1 (1 + |x|)) by Newton from the
+    one-step far-field guess; each later rung starts from the polynomial in
+    eta through the last three rungs (_lagrange), as the density's do. Below
+    1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k from 1 would retrace
+    the density's own rungs, so a density point handed back would fail
+    again at the same jump. Returns a stack of one, or None when no rung
+    lies above eta_end."""
     top = 0.1 * (1.0 + abs(x))
-    eta, m = max(1.0, top), None
+    eta, rungs = max(1.0, top), []
     while eta > eta_end:
-        m, ok = _solve_upper_batch(structure, np.array([complex(x, eta)]), m, max(tol, 1e-11))
+        m, ok = _solve_batch(structure, np.array([complex(x, eta)]), _lagrange(rungs, eta),
+                             max(tol, 1e-11))
         if not ok[0]:
             raise ConvergenceError(f"eta continuation failed at z={complex(x, eta)!r}")
+        rungs = rungs[-2:] + [(eta, m)]
         eta = top if eta > top else 0.2 * eta
-    return m
+    return rungs[-1][1] if rungs else None
 
 
 def _lagrange(nodes, t):
@@ -362,22 +348,22 @@ def _lagrange(nodes, t):
 
 
 def _solve_point(structure, z, tol, m0=None):
-    """The solution at one z, Im z >= 0: Herglotz above the axis, the
-    physical branch on it. Newton from m0 (_solve_upper_batch, or
-    _solve_real_batch with its polish and branch test); without m0, or
-    where that fails, again from the eta continuation down to Im z, 1e-9 on
-    the axis (from the far-field guess itself when Im z is at or above the
+    """The solution at one z, Im z >= 0: the Herglotz solution above the axis
+    (_solve_batch), and right of the support the real (Hermitian) M(x) that
+    continues it (_solve_right). Newton from m0; without m0, or where that
+    fails, again from the eta continuation down to Im z, 1e-9 on the axis
+    (from the far-field guess itself when Im z is at or above the
     continuation's first rung)."""
     z = complex(z)
     if z.imag > 0:
-        zs, batch, eta_end = np.array([z]), _solve_upper_batch, z.imag
+        zs, solve, eta_end = np.array([z]), _solve_batch, z.imag
     else:
-        zs, batch, eta_end = np.array([z.real]), _solve_real_batch, 1e-9
+        zs, solve, eta_end = np.array([z.real]), _solve_right, 1e-9
     if m0 is not None:
-        m, ok = batch(structure, zs, np.asarray(m0)[None], tol)
+        m, ok = solve(structure, zs, np.asarray(m0)[None], tol)
         if ok[0]:
             return m[0]
-    m, ok = batch(structure, zs, _eta_continuation(structure, z.real, eta_end, tol), tol)
+    m, ok = solve(structure, zs, _eta_continuation(structure, z.real, eta_end, tol), tol)
     if ok[0]:
         return m[0]
     if z.imag > 0:
@@ -397,6 +383,12 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
     negative-definite branch that continues it, reached the same way.
     Im z < 0 returns the conjugate solution. residual is the spectral norm of
     the defect Id + (z - A_0 + S[M]) M at the returned M.
+
+    tol is absolute, while the defect's rounding floor grows with M's
+    condition number: next to a narrow spike (|M| ~ 1e3, as at x =
+    0.17764503222688965 on `random_structure(stream(727), 4)` in the tests)
+    it is 2e-12 to 4e-12, so the default 1e-12 is out of reach there and
+    raises ConvergenceError, while tol=1e-10 converges.
     """
     z = complex(z)
     if tol <= 0:
@@ -475,7 +467,7 @@ def _fold(structure, side=1):
             break
         step = 0.6 * gap
         for _ in range(30):
-            m_new, ok = _solve_real_batch(structure, np.array([x - step]), m[None], 1e-12)
+            m_new, ok = _solve_right(structure, np.array([x - step]), m[None], 1e-12)
             if ok[0]:
                 break
             step /= 2.0
@@ -732,19 +724,28 @@ def log_potential(structure: StructureSet, x) -> float:
 _ENTRY_RUNGS = tuple(float(e) for e in np.cumprod([1.0] + [0.2] * 4)) + (1e-3,)
 
 
+def _rung_tol(eta, m0):
+    """Newton's tol at a density rung: 1e-11 above the axis, and on it 1e-12
+    cond(M0) per point, M0 the start: the defect's rounding floor grows with
+    M's condition number, and next to a narrow band |M| ~ 1e3 puts it above
+    an absolute 1e-12."""
+    return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-11
+
+
 def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
             components=False) -> SpectralDensity:
     """Spectral density Im Tr M(x + i0) / (pi L) on the real axis.
 
     Inside the support the solution extends analytically to the real axis
     (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
-    density to rounding. The grid is entered through `_ENTRY_RUNGS`, one
-    stacked solve per rung, each point started from the quadratic in eta
-    through the rungs above at the same x (fewer rungs: the line, or the
-    rung itself); _solve_axis_batch starts from that quadratic at eta = 0.
-    A point a stacked solve cannot settle is re-solved on its own, with the
-    eta continuation behind it (down to 1e-9 for the axis), and counted in
-    fallback_points; an axis point that fails again raises ConvergenceError.
+    density to rounding. One loop runs over the rungs `_ENTRY_RUNGS` and
+    then eta = 0: each is one stacked _solve_batch, every point started from
+    the quadratic in eta through the rungs above at the same x (fewer rungs:
+    the line, or the rung itself; the far-field guess at the first), at the
+    tol of `_rung_tol`. A point that fails at a rung is handed back once: it
+    is re-solved from its own eta continuation down to max(eta, 1e-9) by
+    the same _solve_batch and counted in fallback_points; where that fails
+    too, ConvergenceError names x.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
@@ -753,29 +754,22 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
 
     L = structure.L
     grid = np.linspace(float(x_lo), float(x_hi), int(grid_size))
-    fallbacks = 0
-
-    rungs = []  # (eta, M) of the last three rungs, the newest last
-    for eta in _ENTRY_RUNGS:
+    rungs, fallbacks = [], 0  # (eta, M) of the last three rungs, the newest last
+    for eta in _ENTRY_RUNGS + (0.0,):
         # every point at once, from the rungs above at the same x: near an
         # edge at small eta the neighboring-x solution is too far for Newton,
-        # while the same point one rung up is right next door. A point handed
-        # back restarts from the rung above, not from the extrapolation.
+        # while the same point one rung up is right next door
         z = grid + 1j * eta
-        m, ok = _solve_upper_batch(structure, z, _lagrange(rungs, eta), 1e-11)
-        for i in np.flatnonzero(~ok):
-            m[i] = _solve_point(structure, z[i], 1e-11, m0=rungs[-1][1][i] if rungs else None)
-            fallbacks += 1
-        rungs = rungs[-2:] + [(eta, m)]
-
-    m, ok = _solve_axis_batch(structure, grid, _lagrange(rungs, 0.0), 1e-12)
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        starts = np.concatenate([_eta_continuation(structure, x, 1e-9, 1e-11) for x in grid[bad]])
-        m[bad], ok[bad] = _solve_axis_batch(structure, grid[bad], starts, 1e-12)
+        m0 = _lagrange(rungs, eta)
+        m, ok = _solve_batch(structure, z, m0, _rung_tol(eta, m0))
+        bad = np.flatnonzero(~ok)
+        for i in bad:
+            m0 = _eta_continuation(structure, grid[i], max(eta, 1e-9), 1e-11)
+            m[i:i + 1], ok[i:i + 1] = _solve_batch(structure, z[i:i + 1], m0, _rung_tol(eta, m0))
         if not ok.all():
-            raise ConvergenceError(f"no physical solution on the real axis at x={grid[~ok]}")
+            raise ConvergenceError(f"no physical solution at x={grid[~ok]} (eta={eta})")
         fallbacks += len(bad)
+        rungs = rungs[-2:] + [(eta, m)]
 
     dens = np.clip(np.trace(m, axis1=1, axis2=2).imag / (L * np.pi), 0.0, None)
     h = grid[1] - grid[0]

@@ -38,7 +38,7 @@ class CheckResult:
 def _semicircle_m(z):
     """Stieltjes transform (integral of 1/(t-z)) of the semicircle law."""
     z = complex(z)
-    root = np.sqrt(z * z - 4.0)
+    root = np.sqrt((z - 2.0) * (z + 2.0))  # factored: no cancellation next to the edge
     m = (-z + root) / 2.0
     if m.imag * np.sign(z.imag or 1.0) < 0:
         m = (-z - root) / 2.0

@@ -123,33 +123,64 @@ def test_real_z_inside_support_fails(sc):
         mde.solve_mde(sc, 0.0)
 
 
-def test_real_solve_rejects_the_unphysical_root(sc):
-    # m^2 + 3 m + 1 = 0 has the negative roots -0.382 (physical, m^2 < 1) and
-    # -2.618; Newton from -5 lands on the second, which must be turned down
-    physical = (np.sqrt(5.0) - 3.0) / 2.0
-    m, ok = mde._solve_real_batch(sc, np.array([3.0, 3.0]),
-                                  np.array([[[-5.0]], [[-0.4]]]), 1e-12)
-    assert ok.tolist() == [False, True]
-    assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
-    sol = mde.solve_mde(sc, 3.0, m0=-5.0 * np.eye(1))
-    assert sol.m[0, 0] == pytest.approx(physical, abs=1e-14)
+@pytest.mark.parametrize("case", ["real", "upper", "axis", "real-or-complex-start"])
+def test_solve_batch_branch_rule(sc, herm2, case):
+    # one branch rule for every z. Above the axis m^2 + z m + 1 = 0 has one
+    # root with Im m > 0 and one with Im m < 0; Newton started next to the
+    # second lands on it, which must be turned down in favour of the
+    # Herglotz root. At real x = 3 right of the edge it has the negative
+    # roots -0.382 (physical, feedback radius m^2 < 1) and -2.618; Newton
+    # from -5 lands on the second, which must be turned down, from a real
+    # start (the memo's real M) and from a complex one (M(x + i0)) alike.
+    # Right of the support a real start and a complex start reach the same
+    # M: in real arithmetic at beta = 1, in complex with a complex structure
+    from test_rate import random_structure
+
+    if case == "upper":
+        z = 1.0 + 0.1j
+        physical = o.semicircle_m(z)
+        other = -z - physical
+        assert physical.imag > 0 > other.imag
+        m, ok = mde._solve_batch(sc, np.array([z, z]),
+                                 np.array([[[other + 0.01]], [[physical + 0.01]]]), 1e-12)
+        assert ok.tolist() == [False, True]
+        sol = mde.solve_mde(sc, z, m0=np.array([[other + 0.01]]))
+        assert sol.m[0, 0] == pytest.approx(physical, abs=1e-12)
+        sol = mde.solve_mde(sc, np.conj(z), m0=np.array([[np.conj(other) + 0.01]]))
+        assert sol.m[0, 0] == pytest.approx(np.conj(physical), abs=1e-12)
+    elif case == "real-or-complex-start":
+        for st in (sc, herm2, random_structure(stream(502), 3)):
+            x = mde.right_edge(st).r_inf + np.array([1e-3, 0.1, 1.0])
+            m0 = -np.linalg.inv(x[:, None, None] * np.eye(st.L) - st.a0).real
+            m_real, ok_real = mde._solve_batch(st, x, m0, 1e-12)
+            m_cplx, ok_cplx = mde._solve_batch(st, x, m0.astype(complex), 1e-12)
+            assert ok_real.all() and ok_cplx.all()
+            assert m_real.dtype == (float if st.beta == 1 else complex)
+            assert np.max(np.abs(m_real - m_cplx)) <= 1e-14
+    else:
+        physical = (np.sqrt(5.0) - 3.0) / 2.0
+        m0 = np.array([[[-5.0]], [[-0.4]]], dtype=float if case == "real" else complex)
+        m, ok = mde._solve_batch(sc, np.array([3.0, 3.0]), m0, 1e-12)
+        assert m.dtype == m0.dtype
+        assert ok.tolist() == [False, True]
+        assert m[0, 0, 0] == pytest.approx(-3.0 - physical, abs=1e-14)
+        assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
+        sol = mde.solve_mde(sc, 3.0, m0=-5.0 * np.eye(1))
+        assert sol.m[0, 0] == pytest.approx(physical, abs=1e-14)
 
 
-def test_upper_solve_rejects_the_non_herglotz_root(sc):
-    # m^2 + z m + 1 = 0 has one root with Im m > 0 and one with Im m < 0;
-    # Newton started next to the second lands on it, which must be turned
-    # down in favour of the Herglotz root
-    z = 1.0 + 0.1j
-    physical = o.semicircle_m(z)
-    other = -z - physical
-    assert physical.imag > 0 > other.imag
-    m, ok = mde._solve_upper_batch(sc, np.array([z, z]),
-                                   np.array([[[other + 0.01]], [[physical + 0.01]]]), 1e-12)
-    assert ok.tolist() == [False, True]
-    sol = mde.solve_mde(sc, z, m0=np.array([[other + 0.01]]))
-    assert sol.m[0, 0] == pytest.approx(physical, abs=1e-12)
-    sol = mde.solve_mde(sc, np.conj(z), m0=np.array([[np.conj(other) + 0.01]]))
-    assert sol.m[0, 0] == pytest.approx(np.conj(physical), abs=1e-12)
+def test_solve_mde_next_to_a_narrow_spike():
+    # density ~ 78 and |M| ~ 1e3 at x: the eta continuation reaches x + 1e-6 i
+    # only with each rung started from the polynomial through the rungs above
+    # (from the rung above alone, Newton stalls at eta = 1.9e-4), and only at a
+    # tol above the defect's rounding floor there (2e-12 to 4e-12)
+    from test_rate import random_structure
+
+    st = random_structure(stream(727), 4)
+    sol = mde.solve_mde(st, 0.17764503222688965 + 1e-6j, tol=1e-10)
+    assert sol.residual <= 1e-10
+    assert np.linalg.eigvalsh((sol.m - sol.m.conj().T) / 2j).min() >= 0.0
+    assert np.trace(sol.m).imag / (np.pi * st.L) == pytest.approx(78.15, abs=5e-3)
 
 
 def test_bad_tol_rejected(sc):
@@ -299,14 +330,13 @@ def test_m_matrix_left_of_the_edge_raises_before_any_solve(sc, which, x, monkeyp
     cache = mde._cache_for(st)
     calls = []
 
-    def recorded(batch):
-        def solve(*args):
-            calls.append(batch.__name__)
-            return batch(*args)
-        return solve
+    stacked = mde._solve_batch
 
-    for name in ("_solve_upper_batch", "_solve_real_batch"):
-        monkeypatch.setattr(mde, name, recorded(getattr(mde, name)))
+    def recorded(structure, z, *args):
+        calls.extend(z.tolist())
+        return stacked(structure, z, *args)
+
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
     with pytest.raises(mde.DomainError, match=f"x={x}.*{cache.r_inf}"):
         cache.m_matrix(x)
     assert calls == []
@@ -459,14 +489,14 @@ def test_cold_build_needs_no_continuation(sc, monkeypatch):
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_upper_batch
+    stacked = mde._solve_batch
     at = []
 
     def recorded(structure, z, *args):
-        at.extend(z.tolist())
+        at.extend(z[z.imag > 0].tolist())
         return stacked(structure, z, *args)
 
-    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         mde.left_edge(st)
@@ -483,14 +513,14 @@ def test_real_axis_work_needs_no_continuation(sc, monkeypatch):
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_upper_batch
+    stacked = mde._solve_batch
     at = []
 
     def recorded(structure, z, *args):
-        at.extend(z.tolist())
+        at.extend(z[z.imag > 0].tolist())
         return stacked(structure, z, *args)
 
-    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         r, psi = mde.right_edge(st).r_inf, np.eye(st.L) / st.L
@@ -675,14 +705,14 @@ def _assert_matches_pointwise(st, d, tol=1e-10):
     """Every grid value (density and matrix components) against the point's
     own eta ladder, scalar solve_mde at x + i eta for eta = 1, 0.2, ... down
     to 8e-10 (a cold start at tiny eta can stall near an edge), followed by
-    the same axis Newton and polish from there."""
+    the same axis solve (Newton, polish and branch rule) from there."""
     for x, rho, comp in zip(d.grid, d.density, d.matrix_components):
         m, eta = None, 1.0
         while eta > 1e-9:
             m = mde.solve_mde(st, complex(x, eta), m0=m).m
             eta *= 0.2
-        m, failed = mde._newton_polish(st, np.array([complex(x)]), m[None], 1e-12)
-        assert not failed[0]
+        m, ok = mde._solve_batch(st, np.array([complex(x)]), m[None], 1e-12)
+        assert ok[0]
         m = m[0]
         assert rho == pytest.approx(max(np.trace(m).imag / (st.L * np.pi), 0.0), abs=tol)
         assert np.max(np.abs(comp - (m - m.conj().T) / (2j * np.pi))) <= tol
@@ -752,10 +782,10 @@ def _density_from_the_rung_above(st, x_lo, x_hi, grid_size):
     grid, m = np.linspace(x_lo, x_hi, grid_size), None
     for eta in mde._ENTRY_RUNGS:
         z = grid + 1j * eta
-        m0, (m, ok) = m, mde._solve_upper_batch(st, z, m, 1e-11)
+        m0, (m, ok) = m, mde._solve_batch(st, z, m, 1e-11)
         for i in np.flatnonzero(~ok):
             m[i] = mde._solve_point(st, z[i], 1e-11, m0=None if m0 is None else m0[i])
-    m, ok = mde._solve_axis_batch(st, grid, m, 1e-12)
+    m, ok = mde._solve_batch(st, grid, m, 1e-12 * np.linalg.cond(m))
     assert ok.all()
     return np.clip(np.trace(m, axis1=1, axis2=2).imag / (st.L * np.pi), 0.0, None)
 
@@ -819,39 +849,40 @@ def test_memo_predictor_saves_outlier_newton_steps(monkeypatch):
 def test_density_fallback_is_counted(coupled3, monkeypatch):
     # an axis point handed back is re-solved from its own eta continuation,
     # then on the axis again; a point that fails there too raises
-    axis = mde._solve_axis_batch
-    calls = []
+    stacked = mde._solve_batch
+    calls = []  # the sizes of the solves on the axis
 
-    def flag_one(structure, x, m0, tol):
-        m, ok = axis(structure, x, m0, tol)
-        calls.append(len(x))
-        if len(calls) == 1:  # the stacked axis solve
-            m[4] = np.nan  # garbage left behind for the re-solve
-            ok[4] = False
+    def flag_one(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        if not z.imag.any():
+            calls.append(len(z))
+            if len(calls) == 1:  # the stacked axis solve
+                m[4] = np.nan  # garbage left behind for the re-solve
+                ok[4] = False
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_axis_batch", flag_one)
+    monkeypatch.setattr(mde, "_solve_batch", flag_one)
     d = mde.density(coupled3, -2.0, 2.0, grid_size=21, components=True)
     assert calls == [21, 1]
     assert d.fallback_points == 1
     _assert_matches_pointwise(coupled3, d)
 
-    def flag_always(structure, x, m0, tol):
-        m, ok = axis(structure, x, m0, tol)
-        ok[x == d.grid[4]] = False
+    def flag_always(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        ok[z == d.grid[4]] = False
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_axis_batch", flag_always)
+    monkeypatch.setattr(mde, "_solve_batch", flag_always)
     with pytest.raises(mde.ConvergenceError, match=rf"x=\[{d.grid[4]}\]"):
         mde.density(coupled3, -2.0, 2.0, grid_size=21)
 
 
 def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
     # one direction carries little noise: started from the rung above, Newton
-    # at point 111 fails at eta = 0.008 (the fourth rung), and again from the
-    # rung above once the point is handed back. The eta predictor gets past
-    # it, so the hand-back is forced there; its continuation must not retrace
-    # the density's own rungs, where it would fail at the same jump
+    # at point 111 fails at eta = 0.008 (the fourth rung). The eta predictor
+    # gets past it, so the hand-back is forced there; its continuation must
+    # not retrace the density's own rungs, where it would fail at the same
+    # jump
     from test_rate import random_structure
 
     st = random_structure(stream(1392651949, 1, 1), 3)
@@ -859,7 +890,7 @@ def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
     margin = 0.02 * (right - left)
     assert mde.density(st, left - margin, right + margin, grid_size=201).fallback_points == 0
 
-    stacked = mde._solve_upper_batch
+    stacked = mde._solve_batch
     oks = []
 
     def flag_one(structure, z, m0, tol):
@@ -870,9 +901,8 @@ def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
         oks.append(ok.all())
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_upper_batch", flag_one)
+    monkeypatch.setattr(mde, "_solve_batch", flag_one)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
-    assert not oks[4]  # the re-solve from the rung above fails too
     assert d.fallback_points == 1 and np.all(np.isfinite(d.density))
 
 
@@ -914,14 +944,15 @@ def test_density_in_a_gap_is_zero_on_the_physical_branch(seed, gap, monkeypatch)
     st = random_structure(stream(seed), 2 + (seed - 710) % 3)
     right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
     margin = 0.02 * (right - left)
-    axis, made = mde._solve_axis_batch, []
+    stacked, made = mde._solve_batch, []
 
-    def recorded(structure, x, m0, tol):
-        m, ok = axis(structure, x, m0, tol)
-        made.append(m)
+    def recorded(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        if not z.imag.any():  # the solves on the axis
+            made.append(m)
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_axis_batch", recorded)
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
     inside = (d.grid > gap[0]) & (d.grid < gap[1])
     assert d.fallback_points == 0 and inside.sum() >= 4
@@ -973,18 +1004,6 @@ def test_density_across_a_narrow_band(sigma, bound):
     assert np.max(np.abs(d.density - want)[away] / want[away]) <= bound
 
 
-def test_axis_solve_rejects_the_unphysical_root(sc):
-    # right of the edge at x = 3, Newton from -5 lands on the real root
-    # -2.618 (feedback radius m^2 > 1), which the axis test must turn down;
-    # from -0.4 it lands on the physical root (radius < 1)
-    physical = (np.sqrt(5.0) - 3.0) / 2.0
-    m, ok = mde._solve_axis_batch(sc, np.array([3.0, 3.0]),
-                                  np.array([[[-5.0 + 0j]], [[-0.4 + 0j]]]), 1e-12)
-    assert ok.tolist() == [False, True]
-    assert m[0, 0, 0] == pytest.approx(-3.0 - physical, abs=1e-14)
-    assert m[1, 0, 0] == pytest.approx(physical, abs=1e-14)
-
-
 def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
     # the one cold start above the axis is Newton from the far-field guess at
     # Im z >= 1: a cold cache build never leaves the real axis, the density
@@ -993,15 +1012,16 @@ def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_upper_batch
-    oks = []
+    stacked = mde._solve_batch
+    oks = []  # the solves above the axis
 
     def recorded(structure, z, *args):
         m, ok = stacked(structure, z, *args)
-        oks.append(ok.all())
+        if (z.imag > 0).all():
+            oks.append(ok.all())
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_upper_batch", recorded)
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
     for st in (sc, dsum, herm2, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         oks.clear()
@@ -1083,10 +1103,19 @@ def test_stacked_kernels_match_reference_loops(beta, L, k, points, real_z, mirro
     close(mde._feedback_radius(st, neg), radius_ref)
     close(mde._feedback_radius(st, neg[0]), radius_ref[0])
 
-    im = (m - np.conj(np.swapaxes(m, 1, 2))) / 2j
-    ok_ref = (np.linalg.eigvalsh(im).min(axis=-1)
-              >= -1e-8 * (1.0 + np.linalg.norm(m, 2, axis=(1, 2))))
-    assert np.array_equal(mde._herglotz_ok(m), ok_ref)
+    # the branch rule on both stacks: the Herglotz test where Im M is
+    # nonzero, the radius (of D -> M* S[D] M) below 1 where it vanishes
+    both = np.concatenate([m, neg])
+    im = (both - np.conj(np.swapaxes(both, 1, 2))) / 2j
+    flat = np.abs(im).max(axis=(1, 2)) <= 1e-10 * (1.0 + np.abs(both).max(axis=(1, 2)))
+    herglotz = (np.linalg.eigvalsh(im).min(axis=-1)
+                >= -1e-8 * (1.0 + np.linalg.norm(both, 2, axis=(1, 2))))
+    radius = np.array([
+        np.abs(np.linalg.eigvals(sum((np.kron(mi.conj().T @ aj, (aj @ mi).T) for aj in st.a),
+                                     np.zeros((L * L, L * L))))).max()
+        for mi in both])
+    assert flat[points:].all()
+    assert np.array_equal(mde._branch_ok(st, both), np.where(flat, radius < 1.0, herglotz))
 
 
 # ---------------------------------------------------------------------------
