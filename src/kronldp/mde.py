@@ -27,7 +27,8 @@ far above, which inherits the physical branch. The density is Im Tr M(x +
 i0)/(pi L): one loop of stacked solves over eta rungs down to 1e-3 and
 then eta = 0, each point started from the quadratic in eta through the
 three rungs above at the same x (the continuation's predictor,
-Allgower-Georg 1990); a point that fails at a rung is re-solved on its own,
+Allgower-Georg 1990), the rungs above the axis solved only to the branch
+rule's resolution; a point that fails at a rung is re-solved on its own,
 from its eta continuation, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
@@ -601,6 +602,12 @@ class _SpectralCache:
         bisect.insort(self._m_keys, key)
         return m
 
+    def _keys_above(self, x):
+        """A snapshot of the memoized keys right of x, ascending. Another
+        thread's clear() leaves it usable: m_matrix re-solves a dropped key."""
+        keys = list(self._m_keys)
+        return keys[bisect.bisect_right(keys, x):]
+
     def _start(self, key):
         """Newton's start for a memo miss at key: the line in s = sqrt(x -
         r_inf) through the memoized solutions at the two keys nearest to it
@@ -725,11 +732,13 @@ _ENTRY_RUNGS = tuple(float(e) for e in np.cumprod([1.0] + [0.2] * 4)) + (1e-3,)
 
 
 def _rung_tol(eta, m0):
-    """Newton's tol at a density rung: 1e-11 above the axis, and on it 1e-12
-    cond(M0) per point, M0 the start: the defect's rounding floor grows with
-    M's condition number, and next to a narrow band |M| ~ 1e3 puts it above
-    an absolute 1e-12."""
-    return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-11
+    """Newton's tol at a density rung: 1e-8 above the axis, the resolution of
+    the branch rule's Im M test, and on it 1e-12 cond(M0) per point, M0 the
+    start: the defect's rounding floor grows with M's condition number, and
+    next to a narrow band |M| ~ 1e3 puts it above an absolute 1e-12. A rung
+    above the axis only seeds the next one's predictor; the axis solve sets
+    every value the density reports."""
+    return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-8
 
 
 def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
@@ -742,10 +751,12 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     then eta = 0: each is one stacked _solve_batch, every point started from
     the quadratic in eta through the rungs above at the same x (fewer rungs:
     the line, or the rung itself; the far-field guess at the first), at the
-    tol of `_rung_tol`. A point that fails at a rung is handed back once: it
-    is re-solved from its own eta continuation down to max(eta, 1e-9) by
-    the same _solve_batch and counted in fallback_points; where that fails
-    too, ConvergenceError names x.
+    tol of `_rung_tol`: the rungs above the axis only to the branch rule's
+    resolution, because they only seed the predictor, and the axis solve to
+    its rounding floor, because it sets the values. A point that fails at a
+    rung is handed back once: it is re-solved from its own eta continuation
+    down to max(eta, 1e-9) by the same _solve_batch and counted in
+    fallback_points; where that fails too, ConvergenceError names x.
     """
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")

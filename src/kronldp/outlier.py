@@ -20,8 +20,10 @@ shrinks as z grows, and lambda_max is non-increasing in z. This holds for
 singular Psi too, where the determinant's sign may flip any number of times
 below its largest root.
 
-The crossing is found by Newton on h(z) = 1/lambda_max(z) = 1 from just
-right of the edge, with no bracket and no safeguard, because h is concave
+The crossing is found by Newton on h(z) = 1/lambda_max(z) = 1 from the
+largest memoized real-axis point with lambda_max >= 1, or from just right
+of the edge when there is none, with no bracket and no safeguard: any start
+with lambda_max >= 1 lies at or left of the root, and h is concave
 and increasing wherever lambda_max > 0. -M(z) = int dV(t) / (z - t) is
 operator convex in z > r_inf, S is a positive map, so by the MDE
 -M(z)^{-1} = z - A_0 + S[M(z)] is operator concave and increasing, and so
@@ -53,6 +55,7 @@ No tilt reaches x when mu_max <= 0.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,19 +141,30 @@ def _lambda_slope(structure, theta, z, psi):
 def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     """Largest z > r_inf solving the outlier equation, or Z = r_inf if none.
 
-    Newton on 1/lambda_sym = 1 from z_0 = r_inf + 1e-9 (1 + |r_inf|), where
-    one evaluation decides whether a root exists (lambda < 1: none). 1/lambda
-    is concave and increasing (module docstring), so every iterate climbs
-    toward the root without passing it; Z is the last iterate, reached when
-    the step falls to rounding or lambda to 1.
+    Newton on 1/lambda_sym = 1 from the largest memoized real-axis point
+    with lambda_sym >= 1: lambda is non-increasing in z, so those points are
+    a prefix of the memo's sorted keys, found by bisection on memo hits (the
+    fold walk's points and earlier searches' iterates). Without one, from
+    z_0 = r_inf + 1e-9 (1 + |r_inf|), where one evaluation decides whether a
+    root exists (lambda < 1: none). Either start lies at or left of the
+    root, and 1/lambda is concave and increasing (module docstring), so
+    every iterate climbs toward the root without passing it; Z is the last
+    iterate, reached when the step falls to rounding or lambda to 1.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     prof = as_profile(_sized_psi(structure, psi))
-    r = _cache_for(structure).r_inf
-    z = r + 1e-9 * (1.0 + abs(r))
+    cache = _cache_for(structure)
+    r = cache.r_inf
+    keys = cache._keys_above(r)
+    # lambda >= 1 on a prefix of the keys: its length, by bisection
+    lo = bisect.bisect_left(keys, True,
+                            key=lambda t: lambda_sym(structure, theta, t, prof.psi) < 1.0)
+    z = keys[lo - 1] if lo else r + 1e-9 * (1.0 + abs(r))
     lam, slope = _lambda_slope(structure, theta, z, prof.psi)
-    if lam < 1.0:
+    # at a memoized start lambda < 1 only by rounding (its probe read >= 1),
+    # and the loop below returns that start: it is the root
+    if lam < 1.0 and not lo:
         return OutlierSolve(theta=float(theta), psi=prof, Z=float(r), residual=0.0)
     while lam > 1.0:
         step = lam * (lam - 1.0) / -slope

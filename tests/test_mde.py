@@ -906,6 +906,39 @@ def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
     assert d.fallback_points == 1 and np.all(np.isfinite(d.density))
 
 
+@pytest.mark.parametrize("path", [(727,), (1392651949, 1, 1)])
+def test_density_rungs_above_the_axis_need_only_the_branch_rule_resolution(path, monkeypatch):
+    # a rung above the axis only seeds the next rung's predictor: solved to
+    # 1e-8 instead of 1e-11, it leaves every point where the axis solve puts
+    # it, up to that solve's own rounding. That is 1e-14 where M is well
+    # conditioned; next to the narrow spike of 727 (cond(M) ~ 360) more
+    # Newton steps from the same M scatter the density by 3e-13, and the two
+    # tolerances differ by 1.5e-12. Measured: at most 0.13 eps cond(M)^2
+    # (0.41 on a 1001-point grid) over 1e-14, at 3 points of 727 and 1 of
+    # the near-atom structure of test_density_fallback_recovers_at_a_near_atom
+    from test_rate import random_structure
+
+    st = random_structure(stream(*path), 4 if path == (727,) else 3)
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    stacked, axis = mde._solve_batch, []
+
+    def recorded(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        if not z.imag.any():
+            axis.append(m)
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_batch", recorded)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    with monkeypatch.context() as mp:
+        mp.setattr(mde, "_rung_tol", lambda eta, m0: 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-11)
+        ref = mde.density(st, left - margin, right + margin, grid_size=201)
+    assert d.fallback_points == ref.fallback_points == 0
+    floor = 1e-14 + np.finfo(float).eps * np.linalg.cond(axis[0]) ** 2
+    assert np.all(np.abs(d.density - ref.density) <= floor)
+
+
 def _single_noise(i):
     """A k = 1 structure with a dense A_0 that does not commute with A:
     L = 2, 3, 4, 2, 3 and beta = 1, 2, 1, 2, 1 for i = 0..4."""

@@ -4,6 +4,9 @@ BBP closed forms from tests/oracles.py anchor the scalar cases; matrix cases
 are checked through round trips and method cross-agreement.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as hs
 from scipy.optimize import brentq
 
 import oracles as o
-from kronldp import make_structure, outlier, right_edge, stream
+from kronldp import make_structure, mde, outlier, right_edge, stream
 from kronldp.mde import DomainError, stieltjes_real
 from kronldp.model import s_big
 from kronldp.outlier import (
@@ -21,7 +24,7 @@ from kronldp.outlier import (
     outlier_det,
     tilt_for_target,
 )
-from kronldp.rate import phi_maps
+from kronldp.rate import phi_maps, rate_function
 from test_rate import random_pd_profile, random_structure
 
 
@@ -283,12 +286,17 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
 
 def test_largest_outlier_eval_count(sc, pair, monkeypatch):
     calls = _counting(monkeypatch, "_lambda_slope")
-    # no root: one evaluation next to the edge settles it
+    # no root: one evaluation next to the edge settles it, also once a search
+    # with a root has memoized its iterates (none of them has lambda >= 1)
     for st, theta in ((sc, 0.4), (pair, 0.9)):
-        calls.clear()
-        res = largest_outlier(st, theta, np.eye(st.L) / st.L)
-        assert res.Z == right_edge(st).r_inf
-        assert len(calls) <= 2
+        psi = np.eye(st.L) / st.L
+        for warm in (False, True):
+            if warm:
+                assert largest_outlier(st, 3.0, psi).Z > right_edge(st).r_inf
+            calls.clear()
+            res = largest_outlier(st, theta, psi)
+            assert res.Z == right_edge(st).r_inf
+            assert len(calls) <= 2
 
 
 def test_largest_outlier_eval_count_with_root(sc, monkeypatch):
@@ -337,22 +345,117 @@ def test_outlier_slope_matches_central_differences(sc, herm, rand3):
 
 
 def test_largest_outlier_climbs_monotonically(sc, herm, dsum, rand3, monkeypatch):
+    # the second pass runs on a memo warm with the first pass's iterates:
+    # each search starts from one of them, at or left of its root
     calls = _counting(monkeypatch, "_lambda_slope")
     rng = stream(59, 9)
     roots = 0
     for st in (sc, herm, dsum, rand3):
+        r = right_edge(st).r_inf
         for psi in _profiles(rng, st.L):
-            for theta in (0.7, 1.3, 2.6):
-                calls.clear()
-                res = largest_outlier(st, theta, psi)
-                if res.Z == right_edge(st).r_inf:
-                    assert len(calls) == 1
-                    continue
-                roots += 1
-                zs = [z for _, _, z, _ in calls]
-                assert np.all(np.diff(zs) > 0)
-                assert zs[-1] == res.Z
-    assert roots >= 16
+            for warm, thetas in enumerate(((0.7, 1.3, 2.6), (2.6, 1.9, 1.3, 1.0, 0.7))):
+                for theta in thetas:
+                    calls.clear()
+                    res = largest_outlier(st, theta, psi)
+                    if res.Z == r:
+                        assert len(calls) == 1
+                        continue
+                    roots += 1
+                    zs = [z for _, _, z, _ in calls]
+                    assert np.all(np.diff(zs) > 0)
+                    assert max(zs) <= res.Z and zs[-1] == res.Z
+                    if warm:
+                        assert zs[0] > r + 1e-9 * (1.0 + abs(r))
+    assert roots >= 40
+
+
+def _empty_memo(cache):
+    """cache with nothing memoized: a search on it starts at r_inf + 1e-9
+    (1 + |r_inf|)."""
+    cache._m_memo.clear()
+    cache._m_keys.clear()
+    return cache
+
+
+def test_memo_start_matches_the_edge_start(sc, pair, herm, rand3, monkeypatch):
+    # Z from the shared cache after a density, a rate_function call (which
+    # memoizes the points of its inverse and profile search) and the searches
+    # at the other thetas (ascending, then descending), against Z from an
+    # empty memo, where the search climbs from the edge
+    rng = stream(59, 10)
+    roots = 0
+    for st in (sc, pair, herm, rand3):
+        r = right_edge(st).r_inf
+        mde.density(st, r - 1.0, r + 0.1, grid_size=21)
+        rate_function(st, r + 0.5)
+        edge_start = mde._SpectralCache(st)
+        thetas = np.linspace(0.3, 3.0, 7)
+        for psi in ((ONE,) if st.L == 1 else _profiles(rng, st.L)):
+            for theta in np.concatenate([thetas, thetas[::-1]]):
+                z = largest_outlier(st, float(theta), psi).Z
+                _empty_memo(edge_start)
+                with monkeypatch.context() as mp:
+                    mp.setattr(outlier, "_cache_for", lambda _: edge_start)
+                    want = largest_outlier(st, float(theta), psi).Z
+                assert z == pytest.approx(want, abs=1e-13)
+                roots += z > r
+    assert roots >= 60
+
+
+def test_largest_outlier_starts_from_the_memo(sc, monkeypatch):
+    # GOE after theta = 1.0 (Z = 2.5): the search at theta = 1.1 starts at
+    # the memoized 2.5 and takes 4 Newton steps to 2.6545...; measured: 5
+    # evaluations, against 8 from r_inf + 3e-9 on an empty memo
+    cache = mde._SpectralCache(sc)
+    monkeypatch.setattr(outlier, "_cache_for", lambda _: cache)
+    largest_outlier(sc, 1.0, ONE)
+    calls = _counting(monkeypatch, "_lambda_slope")
+    assert largest_outlier(sc, 1.1, ONE).Z == pytest.approx(o.bbp_z(1.1), abs=1e-12)
+    assert len(calls) <= 5
+    edge_start = cache.r_inf + 1e-9 * (1.0 + abs(cache.r_inf))
+    assert all(z != edge_start for _, _, z, _ in calls)
+    _empty_memo(cache)
+    calls.clear()
+    largest_outlier(sc, 1.1, ONE)
+    assert calls[0][2] == edge_start and len(calls) == 8
+
+
+def test_largest_outlier_survives_concurrent_callers(sc, monkeypatch):
+    # 8 threads x 600 distinct points overflow the 4096-entry memo, so a
+    # clear lands between a search's snapshot of the keys and its probes,
+    # while each thread searches the theta grid as it goes
+    thetas = np.linspace(0.6, 3.0, 9)
+    single = mde._SpectralCache(sc)
+    monkeypatch.setattr(outlier, "_cache_for", lambda _: single)
+    want = [largest_outlier(sc, float(t), ONE).Z for t in thetas]
+    cache = mde._SpectralCache(sc)
+    monkeypatch.setattr(outlier, "_cache_for", lambda _: cache)
+    errors, got = [], []
+
+    def work(i):
+        try:
+            for j in range(600):
+                cache.m_matrix(2.5 + (8 * j + i) * 1e-4)
+                if j % 40 == 0:
+                    k = (j // 40 + i) % len(thetas)
+                    got.append((k, largest_outlier(sc, float(thetas[k]), ONE).Z))
+        except Exception as exc:  # the failure under test: report, don't hang
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(got) == 8 * 15
+    for k, z in got:
+        assert z == pytest.approx(want[k], abs=1e-13)
 
 
 def test_outlier_requires_positive_theta(sc):
