@@ -11,25 +11,29 @@ Newton on the L^2-dimensional linearized system, stacked over a leading axis
 of spectral parameters (one batched linear solve per step); a one-point
 solve is a stack of one. S is one fixed L^2 x L^2 matrix per structure
 (`model.SuperOperator`, built once), so it acts on the whole stack as one
-matrix product, and so does the noise term of the Jacobian; the residual's
-spectral norm is sqrt(lambda_max(D* D)) of the defects D, one stacked
-symmetric eigensolve. Newton starts from a warm start where the caller has
-one; the one cold start is Newton at Im z >= 1 from the one-step far-field
-guess -(z - A_0 + S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: high above the axis
-the fixed-point map contracts onto the Herglotz solution (Helton-Rashidi
-Far-Speicher 2007). On the real axis one polishing Newton step follows.
-Every solution then passes one branch rule (`_branch_ok`): Im M >= 0, and
-where Im M vanishes (off the support) the feedback map D -> M* S[D] M of
-spectral radius below 1, which another real root can fail. Above the axis
-that is the Herglotz test; on it, it picks M(x + i0). A one-point solve
-that fails is redone from continuation in the imaginary offset eta from
-far above, which inherits the physical branch. The density is Im Tr M(x +
-i0)/(pi L): one loop of stacked solves over eta rungs down to 1e-3 and
-then eta = 0, each point started from the quadratic in eta through the
-three rungs above at the same x (the continuation's predictor,
-Allgower-Georg 1990), the rungs above the axis solved only to the branch
-rule's resolution; a point that fails at a rung is re-solved on its own,
-from its eta continuation, and counted.
+matrix product, and so does the noise term of the Jacobian. Newton's line
+search runs on the Frobenius norm of the defects D = Id + B M, one
+reduction; acceptance is the spectral norm sqrt(lambda_max(D* D)), one
+stacked symmetric eigensolve, taken only where the Frobenius norm, within
+a factor sqrt(L) of it, cannot decide. Newton starts from a warm
+start where the caller has one; the one cold start is Newton at Im z >= 1
+from the one-step far-field guess -(z - A_0 + S[G_0])^{-1}, G_0 = -(z -
+A_0)^{-1}: high above the axis the fixed-point map contracts onto the
+Herglotz solution (Helton-Rashidi Far-Speicher 2007). On the real axis one
+polishing Newton step follows. Every solution that a value is read off
+then passes one branch rule (`_branch_ok`): Im M >= 0, and where Im M
+vanishes (off the support) the feedback map D -> M* S[D] M of spectral
+radius below 1, which another real root can fail. Above the axis that is the Herglotz
+test; on it, it picks M(x + i0). A one-point solve that fails is redone
+from continuation in the imaginary offset eta from far above, which
+inherits the physical branch. The density is Im Tr M(x + i0)/(pi L): one
+loop of stacked solves over eta rungs down to 1e-3 and then eta = 0, each
+point started from the quadratic in eta through the three rungs above at
+the same x (the continuation's predictor, Allgower-Georg 1990). The rungs
+above the axis only seed that predictor: Newton alone, to 1e-8; the axis
+solve takes the branch rule, which also catches a rung that drifted onto
+another root. A point that fails is re-solved on its own, from its eta
+continuation, and counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -130,6 +134,14 @@ class SupportInfo:
 # solver: stacked Newton over a leading axis of spectral parameters; a
 # one-point solve is a stack of one
 
+@functools.cache
+def _eye(L):
+    """The L x L identity, built once per L and read-only."""
+    eye = np.eye(L)
+    eye.flags.writeable = False
+    return eye
+
+
 def _jacobian(structure, b, x):
     """Row-major matrix of D -> B D + S[D] X: kron(B, Id) + sum_j
     kron(A_j, (A_j X)^T), at each point of a stack (a 2-D B, X is a stack of
@@ -140,8 +152,8 @@ def _jacobian(structure, b, x):
     L = structure.L
     bs, xs = b.reshape(-1, L, L), x.reshape(-1, L, L)
     g = len(bs)
-    noise = (structure.s_op.k4 @ np.moveaxis(xs, 0, 1).reshape(L, g * L)).reshape(L, L, L, g, L)
-    jac = bs[:, :, None, :, None] * np.eye(L)[:, None, :] + noise.transpose(3, 0, 4, 1, 2)
+    noise = (structure.s_op.k4 @ xs.transpose(1, 0, 2).reshape(L, g * L)).reshape(L, L, L, g, L)
+    jac = bs[:, :, None, :, None] * _eye(L)[:, None, :] + noise.transpose(3, 0, 4, 1, 2)
     return jac.reshape(b.shape[:-2] + (L * L, L * L))
 
 
@@ -149,7 +161,7 @@ def _dm_dz(structure, z, m):
     """dM/dz at a solution M(z): differentiating Id + B M = 0 gives
     B M' + S[M'] M = -M, one solve with the Newton Jacobian, which is -M^{-1}
     times the stability operator D -> D - M S[D] M."""
-    b = z * np.eye(structure.L) - structure.a0 + apply_S(structure, m)
+    b = z * _eye(structure.L) - structure.a0 + apply_S(structure, m)
     return np.linalg.solve(_jacobian(structure, b, m), -m.reshape(-1)).reshape(m.shape)
 
 
@@ -165,48 +177,62 @@ def _b_batch(structure, z, m):
     (G x L^2)(L^2 x L^2) product."""
     L = structure.L
     s_m = (m.reshape(len(m), L * L) @ structure.s_op.k.T).reshape(m.shape)
-    return z[:, None, None] * np.eye(L) - structure.a0 + s_m
+    return z[:, None, None] * _eye(L) - structure.a0 + s_m
 
 
 def _residual_batch(structure, z, m):
     """Spectral norm of the defect Id + B M at each point."""
-    return _spectral_norm(np.eye(structure.L) + _b_batch(structure, z, m) @ m)
+    return _spectral_norm(_eye(structure.L) + _b_batch(structure, z, m) @ m)
 
 
-def _newton_refine_batch(structure, z, m, res, tol, max_steps=60):
-    """Newton on the linearization B dM + S[dM] M = -(Id + B M), with a
-    halving line search on the residual, per point. Returns (m, res, failed);
-    a point fails when its line search stalls, its Newton system is singular
-    or it misses tol after max_steps."""
-    G, L = len(z), structure.L
-    eye = np.eye(L)
-    failed = np.zeros(G, dtype=bool)
+def _newton_refine_batch(structure, z, m, tol, max_steps=60):
+    """Newton on the linearization B dM + S[dM] M = -(Id + B M), per point,
+    with a halving line search on the merit ||D||_F of the defect D = Id +
+    B M, one reduction where the spectral norm takes an eigensolve. A point
+    stops, and is accepted, where ||D||_2 <= tol. Since ||D||_2 <= ||D||_F
+    <= sqrt(L) ||D||_2, the spectral norm is taken only where the merit
+    cannot decide: before each step at the points with merit in (tol,
+    sqrt(L) tol], and at the end at those still above tol (a line search
+    stalled at the rounding floor, a singular system, max_steps). Returns
+    (m, ok)."""
+    L = structure.L
+    b = _b_batch(structure, z, m)
+    d = _eye(L) + b @ m  # B and the defect at the current M, for the next step
+    res = np.linalg.norm(d, axis=(-2, -1))
+    tol = np.broadcast_to(tol, res.shape)
+    stalled = np.zeros(len(z), dtype=bool)
     for _ in range(max_steps):
-        idx = np.flatnonzero((res > tol) & ~failed)
+        near = np.flatnonzero((res > tol) & (res <= np.sqrt(L) * tol) & ~stalled)
+        if len(near):  # a spectral residual within tol stands in for the merit
+            spec = _spectral_norm(d[near])
+            res[near] = np.where(spec <= tol[near], spec, res[near])
+        idx = np.flatnonzero((res > tol) & ~stalled)
         if not len(idx):
             break
         zi, mi = z[idx], m[idx]
-        b = _b_batch(structure, zi, mi)
-        g = eye + b @ mi
         try:
-            dm = np.linalg.solve(_jacobian(structure, b, mi),
-                                 -g.reshape(len(idx), L * L, 1)).reshape(-1, L, L)
+            dm = np.linalg.solve(_jacobian(structure, b[idx], mi),
+                                 -d[idx].reshape(len(idx), L * L, 1)).reshape(-1, L, L)
         except np.linalg.LinAlgError:
-            failed[idx] = True  # some system is singular: re-solve these one by one
-            break
+            break  # some system is singular: the points above tol are checked below
         lam, todo = 1.0, np.arange(len(idx))
         for _ in range(10):
             cand = mi[todo] + lam * dm[todo]
-            r_new = _residual_batch(structure, zi[todo], cand)
+            b_new = _b_batch(structure, zi[todo], cand)
+            d_new = _eye(L) + b_new @ cand
+            r_new = np.linalg.norm(d_new, axis=(-2, -1))
             ok = r_new < res[idx[todo]]
-            m[idx[todo[ok]]] = cand[ok]
-            res[idx[todo[ok]]] = r_new[ok]
+            acc = idx[todo[ok]]
+            m[acc], b[acc], d[acc], res[acc] = cand[ok], b_new[ok], d_new[ok], r_new[ok]
             todo = todo[~ok]
             if not len(todo):
                 break
             lam /= 2.0
-        failed[idx[todo]] = True
-    return m, res, failed | (res > tol)
+        stalled[idx[todo]] = True
+    ok, above = res <= tol, res > tol  # a NaN merit is neither: it fails
+    if above.any():
+        ok[above] = _spectral_norm(d[above]) <= tol[above]
+    return m, ok
 
 
 def _far_field_guess(structure, z):
@@ -214,7 +240,7 @@ def _far_field_guess(structure, z):
     fixed-point step from the far field. At large Im z the fixed-point map
     contracts onto the unique solution with Im M > 0 (Helton-Rashidi
     Far-Speicher 2007); from Im z >= 1 on, Newton from here lands on it."""
-    g0 = -np.linalg.inv(z[:, None, None] * np.eye(structure.L) - structure.a0)
+    g0 = -np.linalg.inv(z[:, None, None] * _eye(structure.L) - structure.a0)
     return -np.linalg.inv(_b_batch(structure, z, g0))
 
 
@@ -261,39 +287,39 @@ def _branch_ok(structure, m):
     return ok
 
 
-def _newton_polish(structure, z, m, tol):
-    """Stacked Newton from m to tol (a scalar or one per point), then one
-    more Newton step at the points on the real axis, with no branch test.
-    Near the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x -
-    r_inf), so a residual at tol leaves M off by up to tol over it; one more
-    step squares that error away. Returns (m, failed)."""
-    m, _, failed = _newton_refine_batch(structure, z, m, _residual_batch(structure, z, m), tol)
-    axis = ~failed & (z.imag == 0)
+def _newton_polish(structure, z, m0, tol):
+    """Stacked Newton (_newton_refine_batch) to tol (a scalar or one per
+    point) from m0 (shape (G, L, L)), or from the one-step far-field guess
+    when m0 is None (_far_field_guess, the cold start for Im z >= 1), then one
+    more Newton step at the points on the real axis, with no branch test. M
+    takes the dtype of m0, z and A_0 together, so with a real structure a
+    real start at real z stays real. Near the edge the Jacobian's smallest
+    eigenvalue is only ~ 2 sqrt(x - r_inf), so a residual at tol leaves M off
+    by up to tol over it; one more step squares that error away. Returns (m,
+    ok); ok is False where Newton failed."""
+    m = (_far_field_guess(structure, z) if m0 is None
+         else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
+    m, ok = _newton_refine_batch(structure, z, m, tol)
+    axis = ok & (z.imag == 0)
     if axis.any():
         L, ma = structure.L, m[axis]
         b = _b_batch(structure, z[axis], ma)
         try:
             dm = np.linalg.solve(_jacobian(structure, b, ma),
-                                 -(np.eye(L) + b @ ma).reshape(len(ma), L * L, 1))
+                                 -(_eye(L) + b @ ma).reshape(len(ma), L * L, 1))
         except np.linalg.LinAlgError:
-            failed[axis] = True  # some system is singular: the caller re-solves these
+            ok[axis] = False  # some system is singular: the caller re-solves these
         else:
             m[axis] = ma + dm.reshape(ma.shape)
-    return m, failed
+    return m, ok
 
 
 def _solve_batch(structure, z, m0, tol):
-    """The MDE at a stack of spectral parameters z, Im z >= 0: Newton from
-    m0 (shape (G, L, L)), or from the one-step far-field guess when m0 is
-    None (_far_field_guess, the cold start for Im z >= 1); _newton_polish;
-    then _branch_ok. M takes the dtype of m0, z and A_0 together, so with a
-    real structure a real start at real z stays real. Returns (m, ok); ok is
-    False where Newton failed or M is off the branch, and the caller
-    re-solves those."""
-    m = (_far_field_guess(structure, z) if m0 is None
-         else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
-    m, failed = _newton_polish(structure, z, m, tol)
-    ok = ~failed
+    """The MDE at a stack of spectral parameters z, Im z >= 0, as every
+    value that is read off M is solved: _newton_polish, then _branch_ok.
+    Returns (m, ok); ok is False where Newton failed or M is off the branch,
+    and the caller re-solves those."""
+    m, ok = _newton_polish(structure, z, m0, tol)
     ok[ok] = _branch_ok(structure, m[ok])
     return m, ok
 
@@ -368,7 +394,12 @@ def _solve_point(structure, z, tol, m0=None):
     if ok[0]:
         return m[0]
     if z.imag > 0:
-        raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}")
+        res, why = float(_residual_batch(structure, zs, m)[0]), "M is off the branch"
+        if res > tol and _branch_ok(structure, m)[0]:
+            why = (f"Newton stopped on the branch at residual {res:.2g} > tol={tol:.2g}, with "
+                   f"cond(M) = {np.linalg.cond(m[0]):.2g}: the defect's rounding floor grows "
+                   f"with cond(M), and a larger tol converges")
+        raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}: {why}")
     raise ConvergenceError(
         f"no real solution on the physical branch at x={z.real}: M is not negative "
         f"definite or not the continuation of the Herglotz solution; x is "
@@ -388,8 +419,9 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
     tol is absolute, while the defect's rounding floor grows with M's
     condition number: next to a narrow spike (|M| ~ 1e3, as at x =
     0.17764503222688965 on `random_structure(stream(727), 4)` in the tests)
-    it is 2e-12 to 4e-12, so the default 1e-12 is out of reach there and
-    raises ConvergenceError, while tol=1e-10 converges.
+    it is 2e-12 to 6e-12, so the default 1e-12 is out of reach there and
+    raises a ConvergenceError that names the residual reached, the tol and
+    cond(M), while tol=1e-10 converges.
     """
     z = complex(z)
     if tol <= 0:
@@ -732,12 +764,11 @@ _ENTRY_RUNGS = tuple(float(e) for e in np.cumprod([1.0] + [0.2] * 4)) + (1e-3,)
 
 
 def _rung_tol(eta, m0):
-    """Newton's tol at a density rung: 1e-8 above the axis, the resolution of
-    the branch rule's Im M test, and on it 1e-12 cond(M0) per point, M0 the
-    start: the defect's rounding floor grows with M's condition number, and
-    next to a narrow band |M| ~ 1e3 puts it above an absolute 1e-12. A rung
-    above the axis only seeds the next one's predictor; the axis solve sets
-    every value the density reports."""
+    """Newton's tol at a density rung: 1e-8 above the axis, where a rung only
+    seeds the next one's predictor, and on it 1e-12 cond(M0) per point, M0
+    the start, because the axis solve sets every value the density reports:
+    the defect's rounding floor grows with M's condition number, and next to
+    a narrow band |M| ~ 1e3 puts it above an absolute 1e-12."""
     return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-8
 
 
@@ -748,14 +779,15 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     Inside the support the solution extends analytically to the real axis
     (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
     density to rounding. One loop runs over the rungs `_ENTRY_RUNGS` and
-    then eta = 0: each is one stacked _solve_batch, every point started from
-    the quadratic in eta through the rungs above at the same x (fewer rungs:
-    the line, or the rung itself; the far-field guess at the first), at the
-    tol of `_rung_tol`: the rungs above the axis only to the branch rule's
-    resolution, because they only seed the predictor, and the axis solve to
-    its rounding floor, because it sets the values. A point that fails at a
-    rung is handed back once: it is re-solved from its own eta continuation
-    down to max(eta, 1e-9) by the same _solve_batch and counted in
+    then eta = 0, one stacked solve each, every point started from the
+    quadratic in eta through the rungs above at the same x (fewer rungs: the
+    line, or the rung itself; the far-field guess at the first), at the tol
+    of `_rung_tol`. The rungs above the axis only seed the predictor, so
+    they run Newton alone (_newton_polish); the axis solve sets the values,
+    so it is _solve_batch, Newton and the branch rule, which also turns down
+    a point that a rung above carried onto another root. A point that fails
+    at a rung is handed back once: it is re-solved from its own eta
+    continuation down to max(eta, 1e-9) by _solve_batch and counted in
     fallback_points; where that fails too, ConvergenceError names x.
     """
     if x_hi <= x_lo:
@@ -772,7 +804,9 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
         # while the same point one rung up is right next door
         z = grid + 1j * eta
         m0 = _lagrange(rungs, eta)
-        m, ok = _solve_batch(structure, z, m0, _rung_tol(eta, m0))
+        # a rung above the axis only seeds the predictor: no branch rule
+        solve = _solve_batch if eta == 0 else _newton_polish
+        m, ok = solve(structure, z, m0, _rung_tol(eta, m0))
         bad = np.flatnonzero(~ok)
         for i in bad:
             m0 = _eta_continuation(structure, grid[i], max(eta, 1e-9), 1e-11)

@@ -183,6 +183,47 @@ def test_solve_mde_next_to_a_narrow_spike():
     assert np.trace(sol.m).imag / (np.pi * st.L) == pytest.approx(78.15, abs=5e-3)
 
 
+def test_solve_mde_names_the_residual_it_reached():
+    # at the default tol=1e-12 the last solve of the continuation stalls at
+    # the defect's rounding floor (cond(M) ~ 3.7e4 here) with M on the
+    # Herglotz branch: the error names the residual, the tol and cond(M)
+    from test_rate import random_structure
+
+    st = random_structure(stream(727), 4)
+    with pytest.raises(mde.ConvergenceError,
+                       match=r"Newton stopped on the branch at residual \S+ > tol=1e-12, with cond\(M\) = "
+                             r"3\.7e\+04: .* a larger tol converges"):
+        mde.solve_mde(st, 0.17764503222688965 + 1e-6j)
+
+
+def test_newton_refine_accepts_exactly_where_the_spectral_residual_is_within_tol(coupled3):
+    # Newton's merit is ||D||_F of the defect D = Id + B M, but a point is
+    # accepted exactly where ||D||_2 <= tol. ||D||_2 <= ||D||_F, so a tol
+    # between the two tells the rules apart: per point at max_steps=0 on
+    # random stacks, and after Newton from starts 1e-4 off the solution to a
+    # tol at the rounding floor, where line searches stall
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2.0, 2.0, 60) + 1j * rng.uniform(0.05, 1.0, 60)
+
+    def norms(m):
+        d = np.eye(3) + mde._b_batch(coupled3, z, m) @ m
+        return np.linalg.norm(d, 2, axis=(1, 2)), np.linalg.norm(d, axis=(1, 2))
+
+    m = rng.standard_normal((60, 3, 3)) + 1j * rng.standard_normal((60, 3, 3))
+    spec, frob = norms(m)
+    tol = np.choose(np.arange(60) % 3, [0.5 * spec, np.sqrt(spec * frob), 2.0 * frob])
+    _, ok = mde._newton_refine_batch(coupled3, z, m.copy(), tol, max_steps=0)
+    assert np.array_equal(ok, spec <= tol)
+    assert np.count_nonzero((spec <= tol) & (tol < frob)) == 20
+
+    sol = np.array([mde.solve_mde(coupled3, zi).m for zi in z])
+    start = sol + 1e-4 * (rng.standard_normal(sol.shape) + 1j * rng.standard_normal(sol.shape))
+    m, ok = mde._newton_refine_batch(coupled3, z, start, 1.5e-16)
+    spec, frob = norms(m)
+    assert np.array_equal(ok, spec <= 1.5e-16)
+    assert np.any((spec <= 1.5e-16) & (1.5e-16 < frob)) and not ok.all()
+
+
 def test_bad_tol_rejected(sc):
     with pytest.raises(ValueError):
         mde.solve_mde(sc, 1j, tol=0.0)
@@ -752,18 +793,30 @@ def test_density_semicircle_mixtures_to_rounding(name):
 
 class _Work:
     """Counts, while installed, the points the stacked Newton solves (every
-    point of every Jacobian built, so polishing and dM/dz count too) and the
-    Newton steps of _newton_refine_batch."""
+    point of every Jacobian built, so polishing and dM/dz count too), the
+    Newton steps of _newton_refine_batch, the points _spectral_norm and
+    _branch_ok see, and of the former those inside Newton (rechecks)."""
 
     def __init__(self, monkeypatch):
-        self.points = self.steps = 0
+        self.points = self.steps = self.norm_points = self.rechecks = self.branch_points = 0
         self._in_newton = False
         jacobian, refine = mde._jacobian, mde._newton_refine_batch
+        spectral_norm, branch_ok = mde._spectral_norm, mde._branch_ok
 
         def counted_jacobian(structure, b, x):
             self.points += len(np.reshape(b, (-1, structure.L, structure.L)))
             self.steps += self._in_newton
             return jacobian(structure, b, x)
+
+        def counted_norm(d):
+            n = len(np.reshape(d, (-1,) + np.shape(d)[-2:]))
+            self.norm_points += n
+            self.rechecks += n * self._in_newton
+            return spectral_norm(d)
+
+        def counted_branch(structure, m):
+            self.branch_points += len(m)
+            return branch_ok(structure, m)
 
         def counted_refine(*args, **kwargs):
             self._in_newton = True
@@ -774,6 +827,8 @@ class _Work:
 
         monkeypatch.setattr(mde, "_jacobian", counted_jacobian)
         monkeypatch.setattr(mde, "_newton_refine_batch", counted_refine)
+        monkeypatch.setattr(mde, "_spectral_norm", counted_norm)
+        monkeypatch.setattr(mde, "_branch_ok", counted_branch)
 
 
 def _density_from_the_rung_above(st, x_lo, x_hi, grid_size):
@@ -805,6 +860,29 @@ def test_density_eta_predictor_saves_work(name, monkeypatch):
     want = _density_from_the_rung_above(st, left - margin, right + margin, 201)
     assert predicted <= 0.85 * work.points
     assert np.max(np.abs(d.density - want)) <= 1e-12
+
+
+# stacked Jacobian points per 201-point density before Newton's merit was
+# the Frobenius norm and while every rung above the axis took the branch rule
+_PARENT_JACOBIAN_POINTS = {"goe": 3210, "herm": 3210, "dsum": 3340, "sum-L3": 3461, "sum-L2": 3370}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_density_runs_each_check_only_where_it_decides(name, monkeypatch):
+    # the branch rule runs on the axis solve alone, which sets the values:
+    # 201 points and no hand-back. The spectral norm runs on the branch
+    # rule's points with an Im M and on Newton's rechecks (points whose
+    # Frobenius merit cannot decide; 0 to 31 measured, against about 5800
+    # spectral-norm points per density before), and Newton takes no more steps
+    st = BENCH_STRUCTURES[name]
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    margin = 0.02 * (right - left)
+    work = _Work(monkeypatch)
+    d = mde.density(st, left - margin, right + margin, grid_size=201)
+    assert d.fallback_points == 0
+    assert work.branch_points == 201
+    assert work.norm_points <= 201 + work.rechecks and work.rechecks <= 40
+    assert work.points <= _PARENT_JACOBIAN_POINTS[name]
 
 
 def _nearest_start(cache, key):
@@ -890,31 +968,51 @@ def test_density_fallback_recovers_at_a_near_atom(monkeypatch):
     margin = 0.02 * (right - left)
     assert mde.density(st, left - margin, right + margin, grid_size=201).fallback_points == 0
 
-    stacked = mde._solve_batch
-    oks = []
+    newton = mde._newton_polish
 
     def flag_one(structure, z, m0, tol):
-        m, ok = stacked(structure, z, m0, tol)
-        if len(oks) == 3:  # the rung at eta = 0.008
+        m, ok = newton(structure, z, m0, tol)
+        if len(z) == 201 and z[0].imag == mde._ENTRY_RUNGS[3]:  # the stacked rung
             m[111] = np.nan
             ok[111] = False
-        oks.append(ok.all())
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_batch", flag_one)
+    monkeypatch.setattr(mde, "_newton_polish", flag_one)
     d = mde.density(st, left - margin, right + margin, grid_size=201)
     assert d.fallback_points == 1 and np.all(np.isfinite(d.density))
 
 
+def test_density_catches_a_wrong_root_rung_on_the_axis(sc, monkeypatch):
+    # the rungs above the axis run Newton alone, with no branch rule. Put
+    # the eta = 0.04 rung on the other root 1/m of m^2 + z m + 1 = 0 (Im < 0)
+    # at three points inside the bulk: the rungs below follow it down, the
+    # axis solve's branch rule turns it down, and the points are re-solved
+    # from their own eta continuation
+    newton, swapped = mde._newton_polish, [40, 110, 180]
+
+    def wrong_root(structure, z, m0, tol):
+        m, ok = newton(structure, z, m0, tol)
+        if len(z) == 251 and z[0].imag == mde._ENTRY_RUNGS[2]:
+            m[swapped] = 1.0 / m[swapped]
+        return m, ok
+
+    monkeypatch.setattr(mde, "_newton_polish", wrong_root)
+    d = mde.density(sc, -2.5, 2.5, grid_size=251)
+    assert d.fallback_points == len(swapped)
+    inside = np.abs(d.grid) <= 2.0 - 1e-6
+    assert np.max(np.abs(d.density - o.semicircle_density(d.grid))[inside]) <= 1e-13
+
+
 @pytest.mark.parametrize("path", [(727,), (1392651949, 1, 1)])
 def test_density_rungs_above_the_axis_need_only_the_branch_rule_resolution(path, monkeypatch):
-    # a rung above the axis only seeds the next rung's predictor: solved to
-    # 1e-8 instead of 1e-11, it leaves every point where the axis solve puts
-    # it, up to that solve's own rounding. That is 1e-14 where M is well
-    # conditioned; next to the narrow spike of 727 (cond(M) ~ 360) more
-    # Newton steps from the same M scatter the density by 3e-13, and the two
-    # tolerances differ by 1.5e-12. Measured: at most 0.13 eps cond(M)^2
-    # (0.41 on a 1001-point grid) over 1e-14, at 3 points of 727 and 1 of
+    # a rung above the axis only seeds the next rung's predictor, so it runs
+    # Newton alone (a wrong root is the axis solve's branch rule's to catch):
+    # solved to 1e-8 instead of 1e-11, it leaves every point where the axis
+    # solve puts it, up to that solve's own rounding. That is 1e-14 where M
+    # is well conditioned; next to the narrow spike of 727 (cond(M) ~ 360)
+    # more Newton steps from the same M scatter the density by 3e-13, and the
+    # two tolerances differ by 1.5e-12. Measured: at most 0.075 eps cond(M)^2
+    # (0.17 on a 1001-point grid) over 1e-14, at 4 points of 727 and 1 of
     # the near-atom structure of test_density_fallback_recovers_at_a_near_atom
     from test_rate import random_structure
 
