@@ -161,12 +161,16 @@ def cmd_density(cfg: RunConfig) -> int:
     if st.noiseless:
         # noiseless, atoms only: no continuous density to tabulate, but the edge is exact
         rows = []
+        cfg.meta.update(fallback_points=0, refine_fallbacks=0)
     else:
         dens = density(st, lo, hi, grid_size=grid_size)
         cell = np.zeros_like(dens.density)
         h = dens.grid[1] - dens.grid[0]
         cell[1:] = (dens.density[1:] + dens.density[:-1]) * h / 2.0
         rows = list(zip(dens.grid, dens.density, cell))
+        # the points the stacked solves turned down and solved again
+        cfg.meta.update(fallback_points=dens.fallback_points,
+                        refine_fallbacks=dens.refine_fallbacks)
     _write_rows(cfg.output_dir / "density.csv",
                 ["x", "density", "cell_mass"], rows)
     support = {

@@ -26,14 +26,20 @@ vanishes (off the support) the feedback map D -> M* S[D] M of spectral
 radius below 1, which another real root can fail. Above the axis that is the Herglotz
 test; on it, it picks M(x + i0). A one-point solve that fails is redone
 from continuation in the imaginary offset eta from far above, which
-inherits the physical branch. The density is Im Tr M(x + i0)/(pi L): one
-loop of stacked solves over eta rungs down to 1e-3 and then eta = 0, each
-point started from the quadratic in eta through the three rungs above at
-the same x (the continuation's predictor, Allgower-Georg 1990). The rungs
+inherits the physical branch. The density is Im Tr M(x + i0)/(pi L). On
+every 8th grid point (and the last) it is the rung loop: one loop of
+stacked solves over eta rungs down to 1e-3 and then eta = 0, each point
+started from the quadratic in eta through the three rungs above at the
+same x (the continuation's predictor, Allgower-Georg 1990). The rungs
 above the axis only seed that predictor: Newton alone, to 1e-8; the axis
 solve takes the branch rule, which also catches a rung that drifted onto
-another root. A point that fails is re-solved on its own, from its eta
-continuation, and counted.
+another root. M(x + i0) is analytic in x inside the support, so the other
+grid points are filled in on the axis alone, in two levels (step 2, then
+step 1), each one stacked axis solve with the branch rule, every point
+started from the cubic through the 4 nearest solved points. A point that
+a level turns down goes through the rung loop; a point that the rung loop
+turns down is re-solved on its own, from its eta continuation. Both are
+counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -108,7 +114,9 @@ class SpectralDensity:
     it only binds when [grid[0], grid[-1]] covers the whole support.
     eta_final is 1e-3, the last rung above the axis. fallback_points counts
     the points that a rung's stacked solve (the axis' too) handed back to a
-    one-point solve from their own eta continuation.
+    one-point solve from their own eta continuation; refine_fallbacks the
+    points that a refinement level in x turned down and the rung loop
+    solved again (`density`).
     """
     grid: np.ndarray
     density: np.ndarray
@@ -116,6 +124,7 @@ class SpectralDensity:
     tol_q: float
     matrix_components: list | None = None
     fallback_points: int = 0
+    refine_fallbacks: int = 0
 
     @property
     def mass(self) -> float:
@@ -341,11 +350,11 @@ def _eta_continuation(structure, x, eta_end, tol):
     + |x|) 0.2^k, so every rung inherits the Herglotz branch from far above.
     The ladder is entered at eta = max(1, 0.1 (1 + |x|)) by Newton from the
     one-step far-field guess; each later rung starts from the polynomial in
-    eta through the last three rungs (_lagrange), as the density's do. Below
-    1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k from 1 would retrace
-    the density's own rungs, so a density point handed back would fail
-    again at the same jump. Returns a stack of one, or None when no rung
-    lies above eta_end."""
+    eta through the last three rungs (_lagrange), as the density's rung
+    loop's do. Below 1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k
+    from 1 would retrace the rung loop's own rungs, so a point it hands
+    back would fail again at the same jump. Returns a stack of one, or None
+    when no rung lies above eta_end."""
     top = 0.1 * (1.0 + abs(x))
     eta, rungs = max(1.0, top), []
     while eta > eta_end:
@@ -772,49 +781,105 @@ def _rung_tol(eta, m0):
     return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-8
 
 
-def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
-            components=False) -> SpectralDensity:
-    """Spectral density Im Tr M(x + i0) / (pi L) on the real axis.
-
-    Inside the support the solution extends analytically to the real axis
-    (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
-    density to rounding. One loop runs over the rungs `_ENTRY_RUNGS` and
-    then eta = 0, one stacked solve each, every point started from the
-    quadratic in eta through the rungs above at the same x (fewer rungs: the
-    line, or the rung itself; the far-field guess at the first), at the tol
-    of `_rung_tol`. The rungs above the axis only seed the predictor, so
-    they run Newton alone (_newton_polish); the axis solve sets the values,
-    so it is _solve_batch, Newton and the branch rule, which also turns down
-    a point that a rung above carried onto another root. A point that fails
-    at a rung is handed back once: it is re-solved from its own eta
-    continuation down to max(eta, 1e-9) by _solve_batch and counted in
-    fallback_points; where that fails too, ConvergenceError names x.
-    """
-    if x_hi <= x_lo:
-        raise ValueError("x_hi must exceed x_lo")
-    if grid_size < 2:
-        raise ValueError("need at least two grid points")
-
-    L = structure.L
-    grid = np.linspace(float(x_lo), float(x_hi), int(grid_size))
+def _rung_loop(structure, xs):
+    """M(x + i0) at a stack of points xs by continuation in eta: one loop
+    over the rungs `_ENTRY_RUNGS` and then eta = 0, one stacked solve each,
+    every point started from the quadratic in eta through the rungs above at
+    the same x (fewer rungs: the line, or the rung itself; the far-field
+    guess at the first), at the tol of `_rung_tol`. The rungs above the axis
+    only seed the predictor, so they run Newton alone (_newton_polish); the
+    axis solve sets the values, so it is _solve_batch, Newton and the branch
+    rule, which also turns down a point that a rung above carried onto
+    another root. A point that fails at a rung is handed back once: it is
+    re-solved from its own eta continuation down to max(eta, 1e-9) by
+    _solve_batch; where that fails too, ConvergenceError names x. Returns
+    (M, the number of points handed back)."""
     rungs, fallbacks = [], 0  # (eta, M) of the last three rungs, the newest last
     for eta in _ENTRY_RUNGS + (0.0,):
         # every point at once, from the rungs above at the same x: near an
         # edge at small eta the neighboring-x solution is too far for Newton,
         # while the same point one rung up is right next door
-        z = grid + 1j * eta
+        z = xs + 1j * eta
         m0 = _lagrange(rungs, eta)
         # a rung above the axis only seeds the predictor: no branch rule
         solve = _solve_batch if eta == 0 else _newton_polish
         m, ok = solve(structure, z, m0, _rung_tol(eta, m0))
         bad = np.flatnonzero(~ok)
         for i in bad:
-            m0 = _eta_continuation(structure, grid[i], max(eta, 1e-9), 1e-11)
+            m0 = _eta_continuation(structure, xs[i], max(eta, 1e-9), 1e-11)
             m[i:i + 1], ok[i:i + 1] = _solve_batch(structure, z[i:i + 1], m0, _rung_tol(eta, m0))
         if not ok.all():
-            raise ConvergenceError(f"no physical solution at x={grid[~ok]} (eta={eta})")
+            raise ConvergenceError(f"no physical solution at x={xs[~ok]} (eta={eta})")
         fallbacks += len(bad)
         rungs = rungs[-2:] + [(eta, m)]
+    return m, fallbacks
+
+
+# the density's refinement in x: the rung loop on every _COARSE_STEP-th grid
+# index (and the last), then one stacked axis solve per level at these steps
+_COARSE_STEP = 8
+_REFINE_STEPS = (2, 1)
+
+
+def _cubic_start(m, solved, new):
+    """The cubic through the 4 solved grid points nearest to each new index
+    (two on each side, or the nearest 4 at an end; all of them where fewer
+    are solved), at that index: Newton's start for a refinement level. On
+    the uniform grid the weights are Lagrange's in the grid index, built
+    for the whole stack at once."""
+    k = min(4, len(solved))
+    first = np.clip(np.searchsorted(solved, new) - k // 2, 0, len(solved) - k)
+    nodes = solved[first[:, None] + np.arange(k)]  # (P, k) grid indices
+    t, tn = new.astype(float)[:, None, None], nodes.astype(float)
+    eye = np.eye(k, dtype=bool)
+    # w_j = prod_{l != j} (t - t_l) / (t_j - t_l), the diagonal factor 1
+    frac = (t - tn[:, None, :]) / (tn[:, :, None] - tn[:, None, :] + eye)
+    w = np.where(eye, 1.0, frac).prod(axis=2)
+    return np.einsum("pj,pjab->pab", w, m[nodes])
+
+
+def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
+            components=False) -> SpectralDensity:
+    """Spectral density Im Tr M(x + i0) / (pi L) on the real axis.
+
+    Inside the support the solution extends analytically to the real axis
+    (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
+    density to rounding, and M(x + i0) is analytic in x there, so solved
+    neighbours predict a point between them. The eta continuation
+    (`_rung_loop`) runs on every 8th grid index and the last only. Then two
+    refinement levels fill in the indices at step 2 and then step 1, each
+    one stacked axis solve (_solve_batch, Newton and the branch rule, at
+    the axis tol of `_rung_tol`), every point started from the cubic
+    through the 4 nearest solved points (`_cubic_start`). A point that a
+    level turns down (Newton fails, or the branch rule: the cubic reaches
+    across an edge or a cusp) is re-solved by `_rung_loop`, stacked with
+    the level's other rejects, and counted in refine_fallbacks; a point that
+    `_rung_loop` itself hands back to its eta continuation is counted in
+    fallback_points.
+    """
+    if x_hi <= x_lo:
+        raise ValueError("x_hi must exceed x_lo")
+    if grid_size < 2:
+        raise ValueError("need at least two grid points")
+
+    L, n = structure.L, int(grid_size)
+    grid = np.linspace(float(x_lo), float(x_hi), n)
+    solved = np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1])
+    m = np.empty((n, L, L), dtype=complex)
+    m[solved], fallbacks = _rung_loop(structure, grid[solved])
+    refine_fallbacks = 0
+    for step in _REFINE_STEPS:
+        new = np.setdiff1d(np.arange(0, n, step), solved)
+        if not len(new):
+            continue
+        m0 = _cubic_start(m, solved, new)
+        m[new], ok = _solve_batch(structure, grid[new], m0, _rung_tol(0.0, m0))
+        if not ok.all():
+            again = new[~ok]
+            m[again], handed_back = _rung_loop(structure, grid[again])
+            fallbacks += handed_back
+            refine_fallbacks += len(again)
+        solved = np.union1d(solved, new)
 
     dens = np.clip(np.trace(m, axis1=1, axis2=2).imag / (L * np.pi), 0.0, None)
     h = grid[1] - grid[0]
@@ -823,4 +888,4 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
                  if components else None)
     return SpectralDensity(grid=grid, density=dens, eta_final=_ENTRY_RUNGS[-1],
                            tol_q=tol_q, matrix_components=comp_list,
-                           fallback_points=fallbacks)
+                           fallback_points=fallbacks, refine_fallbacks=refine_fallbacks)

@@ -37,7 +37,7 @@ root of the herm structure with a positive definite profile). The slope is
 Hellmann-Feynman: d lambda / dz = w* (dQ/dz) w / lambda with w = B Q^1/2 v
 for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi. Q^1/2
 is never formed: with -M = R R* and 2 theta Psi = F F*, C = R x F is
-Q^1/2 U for a unitary U (`_q_factor`), so C* B C has the eigenvalues of
+Q^1/2 U for a unitary U (`_probe`), so C* B C has the eigenvalues of
 Q^1/2 B Q^1/2 and B C (U* v) = B Q^1/2 v is the same w.
 
 The same monotonicity inverts the tilt in closed form. For theta >=
@@ -76,6 +76,13 @@ class OutlierSolve:
     residual: float
 
 
+def _kron(a, b):
+    """np.kron(a, b) of two L x L matrices, bit for bit, as one broadcast
+    product: entry ((i, k), (j, l)) is a[i, j] b[k, l]."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf."""
     if theta < 0:
@@ -85,29 +92,31 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     if structure.noiseless:
         return 1.0
     big = structure.s_op.big
-    val = np.linalg.det(np.eye(big.shape[0]) + 2.0 * theta * big @ np.kron(m_mat, psi))
+    val = np.linalg.det(np.eye(big.shape[0]) + 2.0 * theta * big @ _kron(m_mat, psi))
     return float(np.real(val))
 
 
-def _q_factor(neg_m, h):
-    """C with C C* = -M x h (-M positive definite, h PSD) from L x L factors."""
-    return np.kron(np.linalg.cholesky(neg_m), _psd_factor(h))
+def _probe(cache, z, f):
+    """(C* S_big C, S_big C, M(z)) with C = chol(-M(z)) x F, so C C* = Q =
+    -M(z) x F F*, or None for a noiseless structure (S_big = 0, so
+    lambda_max = 0). F F* = 2 theta Psi is factored once per search."""
+    m_mat = cache.m_matrix(z)
+    if cache.structure.noiseless:
+        return None
+    c = _kron(np.linalg.cholesky(-m_mat), f)
+    bc = cache.structure.s_op.big @ c
+    return c.conj().T @ bc, bc, m_mat
 
 
 def _sym(structure, theta, z, psi):
-    """(C* S_big C, S_big C, M(z)) with C C* = Q = -M(z) x 2 theta Psi,
-    or None for a noiseless structure (S_big = 0, so lambda_max = 0)."""
+    """_probe at z once theta >= 0 and psi (PSD to -1e-12) are checked and
+    2 theta Psi is factored."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
     psi = _sized_psi(structure, psi)
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
-    m_mat = _cache_for(structure).m_matrix(z)
-    if structure.noiseless:
-        return None
-    c = _q_factor(-m_mat, 2.0 * theta * psi)
-    bc = structure.s_op.big @ c
-    return c.conj().T @ bc, bc, m_mat
+    return _probe(_cache_for(structure), z, _psd_factor(2.0 * theta * psi))
 
 
 def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
@@ -119,22 +128,27 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
     Requires positive semidefinite psi (up to the -1e-12 a Profile allows);
     lambda -> 0 linearly as theta -> 0.
     """
-    sym = _sym(structure, theta, z, psi)
+    return _lambda(_sym(structure, theta, z, psi))
+
+
+def _lambda(sym):
     return 0.0 if sym is None else float(np.linalg.eigvalsh(sym[0]).max())
 
 
-def _lambda_slope(structure, theta, z, psi):
-    """(lambda_sym, d lambda_sym / dz) at z: w* (dQ/dz) w / lambda with w = S_big C y
-    for the top unit eigenvector y of C* S_big C, dQ/dz = -M'(z) x 2 theta Psi
-    (Hellmann-Feynman on S_big Q); (A x B) w is A W B^T for w read as W, L x L."""
-    sym = _sym(structure, theta, z, psi)
+def _lambda_slope(cache, z, h, f):
+    """(lambda_sym, d lambda_sym / dz) at z for h = 2 theta Psi = F F*: w*
+    (dQ/dz) w / lambda with w = S_big C y for the top unit eigenvector y of
+    C* S_big C, dQ/dz = -M'(z) x h (Hellmann-Feynman on S_big Q); (A x B) w
+    is A W B^T for w read as W, L x L."""
+    sym = _probe(cache, z, f)
     if sym is None:
         return 0.0, 0.0
+    L = cache.structure.L
     vals, vecs = np.linalg.eigh(sym[0])
-    lam, w = float(vals[-1]), (sym[1] @ vecs[:, -1]).reshape(structure.L, structure.L)
+    lam, w = float(vals[-1]), (sym[1] @ vecs[:, -1]).reshape(L, L)
     if lam <= 0.0:
         return lam, 0.0
-    dq_w = -_dm_dz(structure, z, sym[2]) @ w @ (2.0 * theta * np.asarray(psi)).T
+    dq_w = -_dm_dz(cache.structure, z, sym[2]) @ w @ h.T
     return lam, float(np.real(np.vdot(w, dq_w))) / lam
 
 
@@ -149,19 +163,22 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     root exists (lambda < 1: none). Either start lies at or left of the
     root, and 1/lambda is concave and increasing (module docstring), so
     every iterate climbs toward the root without passing it; Z is the last
-    iterate, reached when the step falls to rounding or lambda to 1.
+    iterate, reached when the step falls to rounding or lambda to 1. Psi is
+    checked (as a Profile), the cache fetched and 2 theta Psi = F F*
+    factored once per search; every probe and iterate builds C = chol(-M) x
+    F from them.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    prof = as_profile(_sized_psi(structure, psi))
-    cache = _cache_for(structure)
+    prof = as_profile(_sized_psi(structure, psi))  # a Profile is PSD to -1e-12
+    h = 2.0 * theta * prof.psi
+    f, cache = _psd_factor(h), _cache_for(structure)
     r = cache.r_inf
     keys = cache._keys_above(r)
     # lambda >= 1 on a prefix of the keys: its length, by bisection
-    lo = bisect.bisect_left(keys, True,
-                            key=lambda t: lambda_sym(structure, theta, t, prof.psi) < 1.0)
+    lo = bisect.bisect_left(keys, True, key=lambda t: _lambda(_probe(cache, t, f)) < 1.0)
     z = keys[lo - 1] if lo else r + 1e-9 * (1.0 + abs(r))
-    lam, slope = _lambda_slope(structure, theta, z, prof.psi)
+    lam, slope = _lambda_slope(cache, z, h, f)
     # at a memoized start lambda < 1 only by rounding (its probe read >= 1),
     # and the loop below returns that start: it is the root
     if lam < 1.0 and not lo:
@@ -171,7 +188,7 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
         if step <= 1e-14 * (1.0 + abs(z)):
             break
         z += step
-        lam, slope = _lambda_slope(structure, theta, z, prof.psi)
+        lam, slope = _lambda_slope(cache, z, h, f)
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(z), residual=abs(lam - 1.0))
 
 
@@ -193,8 +210,8 @@ def tilt_for_target(structure: StructureSet, x, psi) -> float:
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")
     neg_m, big = -cache.m_matrix(x), structure.s_op.big
-    h = np.linalg.solve(np.eye(big.shape[0]) - big @ np.kron(neg_m, neg_m / structure.L), big)
-    c = _q_factor(neg_m, psi)
+    h = np.linalg.solve(np.eye(big.shape[0]) - big @ _kron(neg_m, neg_m / structure.L), big)
+    c = _kron(np.linalg.cholesky(neg_m), _psd_factor(psi))
     mu = float(np.linalg.eigvalsh(c.conj().T @ h @ c).max())
     if mu <= 0.0:
         raise TiltSearchError(f"no tilt reaches Z={x}: lambda_sym(theta, x, phi_hat) "

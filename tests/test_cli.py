@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from kronldp import cli
+from kronldp import cli, mde
 from kronldp.cli import main
 from kronldp.mde import NoInverseError, _SpectralCache, right_edge
 from kronldp.model import structure_from_dict
@@ -99,6 +99,39 @@ def test_density_rerun_is_byte_identical(tmp_path):
     assert meta["command"] == "density"
     assert meta["seed"] == 1
     assert "density.csv" in meta["files"]
+
+
+def test_density_run_meta_reports_the_points_solved_again(tmp_path, monkeypatch):
+    # run_meta.json carries the density's fallback_points and
+    # refine_fallbacks: 0 and 0 on GOE and with no noise, and a refinement
+    # level's reject (forced at the grid's second point) is counted
+    atoms = {"beta": 1, "A0": [[1.7, 0.0], [0.0, -0.3]], "A": []}
+    for structure, sub in ((GOE_DOC, "goe"), (atoms, "atoms")):
+        (tmp_path / sub).mkdir()
+        doc = {"command": "density", "structure": structure, "seed": 1, "density": {"grid_size": 201}}
+        code, out = run_cli(tmp_path / sub, doc)
+        assert code == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["fallback_points"] == 0 and meta["refine_fallbacks"] == 0
+
+    stacked, rejected = mde._solve_batch, []
+
+    def reject_once(structure, z, m0, tol):
+        m, ok = stacked(structure, z, m0, tol)
+        at = np.real(z) == np.linspace(-2.1, 2.1, 201)[1]
+        if at.any() and not rejected:  # the level's solve; the rung loop's stands
+            rejected.append(True)
+            ok[at] = False
+        return m, ok
+
+    monkeypatch.setattr(mde, "_solve_batch", reject_once)
+    doc = {"command": "density", "structure": GOE_DOC, "seed": 1,
+           "density": {"grid_size": 201, "x_lo": -2.1, "x_hi": 2.1}}
+    (tmp_path / "rejected").mkdir()
+    code, out = run_cli(tmp_path / "rejected", doc)
+    assert code == 0 and rejected
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["fallback_points"] == 0 and meta["refine_fallbacks"] == 1
 
 
 LEFT_ATOM_DOC = {"beta": 1, "A0": [[-5.0, 0.0], [0.0, 0.0]], "A": [[[0.0, 0.0], [0.0, 1.0]]]}

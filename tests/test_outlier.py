@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import oracles as o
 from kronldp import make_structure, mde, outlier, right_edge, stream
 from kronldp.mde import DomainError, stieltjes_real
-from kronldp.model import s_big
+from kronldp.model import _psd_factor, s_big
 from kronldp.outlier import (
     OutlierSolve,
     largest_outlier,
@@ -70,6 +70,13 @@ def _counting(monkeypatch, name="lambda_sym"):
 
 
 ONE = np.ones((1, 1))
+
+
+def _slope(st, theta, z, psi):
+    """_lambda_slope at z with the search's arguments: the cache, h = 2 theta
+    Psi and its factor."""
+    h = 2.0 * theta * np.asarray(psi)
+    return outlier._lambda_slope(outlier._cache_for(st), z, h, _psd_factor(h))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +344,7 @@ def test_outlier_slope_matches_central_differences(sc, herm, rand3):
             theta = float(rng.uniform(0.3, 3.0))
             for gap in (1e-3, 0.1, 2.0):
                 z, eps = r + gap, 1e-5 * gap
-                lam, slope = outlier._lambda_slope(st, theta, z, psi)
+                lam, slope = _slope(st, theta, z, psi)
                 assert lam == pytest.approx(lambda_sym(st, theta, z, psi), rel=1e-14)
                 fd = (lambda_sym(st, theta, z + eps, psi)
                       - lambda_sym(st, theta, z - eps, psi)) / (2.0 * eps)
@@ -361,7 +368,7 @@ def test_largest_outlier_climbs_monotonically(sc, herm, dsum, rand3, monkeypatch
                         assert len(calls) == 1
                         continue
                     roots += 1
-                    zs = [z for _, _, z, _ in calls]
+                    zs = [z for _, z, _, _ in calls]
                     assert np.all(np.diff(zs) > 0)
                     assert max(zs) <= res.Z and zs[-1] == res.Z
                     if warm:
@@ -413,11 +420,11 @@ def test_largest_outlier_starts_from_the_memo(sc, monkeypatch):
     assert largest_outlier(sc, 1.1, ONE).Z == pytest.approx(o.bbp_z(1.1), abs=1e-12)
     assert len(calls) <= 5
     edge_start = cache.r_inf + 1e-9 * (1.0 + abs(cache.r_inf))
-    assert all(z != edge_start for _, _, z, _ in calls)
+    assert all(z != edge_start for _, z, _, _ in calls)
     _empty_memo(cache)
     calls.clear()
     largest_outlier(sc, 1.1, ONE)
-    assert calls[0][2] == edge_start and len(calls) == 8
+    assert calls[0][1] == edge_start and len(calls) == 8
 
 
 def test_largest_outlier_survives_concurrent_callers(sc, monkeypatch):
@@ -603,8 +610,35 @@ def test_kronecker_factor_matches_the_whole_root(theta):
     for st, psi in _factor_cases():
         r = right_edge(st).r_inf
         for z in (r + 0.05, r + 0.7):
-            lam, slope = outlier._lambda_slope(st, theta, z, psi)
+            lam, slope = _slope(st, theta, z, psi)
             ref_lam, ref_slope = _root_reference(st, theta, z, psi)
             assert lam == pytest.approx(ref_lam, rel=1e-13, abs=1e-13)
             assert lambda_sym(st, theta, z, psi) == pytest.approx(ref_lam, rel=1e-13, abs=1e-13)
             assert slope == pytest.approx(ref_slope, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_broadcast_kronecker_product_is_np_kron_bit_for_bit(L):
+    # real and complex factors in every pairing the outlier module forms
+    rng = stream(911, 5, L)
+    real = [rng.standard_normal((L, L)) for _ in range(2)]
+    cplx = [r + 1j * rng.standard_normal((L, L)) for r in real]
+    for a in (real[0], cplx[0]):
+        for b in (real[1], cplx[1]):
+            got, want = outlier._kron(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_largest_outlier_factors_its_profile_once(sc, herm, rand3, monkeypatch):
+    # 2 theta Psi = F F* is factored once per search, whatever the number of
+    # memo probes and Newton iterates, on a cold memo and on a warm one
+    factor, calls = outlier._psd_factor, []
+    monkeypatch.setattr(outlier, "_psd_factor", lambda h: calls.append(h) or factor(h))
+    rng = stream(59, 11)
+    for st in (sc, herm, rand3):
+        for psi in ((ONE,) if st.L == 1 else _profiles(rng, st.L)):
+            for theta in (1.3, 0.8, 2.1, 0.4):
+                calls.clear()
+                largest_outlier(st, theta, psi)
+                assert len(calls) == 1
