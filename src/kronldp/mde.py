@@ -24,22 +24,24 @@ polishing Newton step follows. Every solution that a value is read off
 then passes one branch rule (`_branch_ok`): Im M >= 0, and where Im M
 vanishes (off the support) the feedback map D -> M* S[D] M of spectral
 radius below 1, which another real root can fail. Above the axis that is the Herglotz
-test; on it, it picks M(x + i0). A one-point solve that fails is redone
-from continuation in the imaginary offset eta from far above, which
-inherits the physical branch. The density is Im Tr M(x + i0)/(pi L). On
-every 8th grid point (and the last) it is the rung loop: one loop of
-stacked solves over eta rungs down to 1e-3 and then eta = 0, each point
-started from the quadratic in eta through the three rungs above at the
-same x (the continuation's predictor, Allgower-Georg 1990). The rungs
-above the axis only seed that predictor: Newton alone, to 1e-8; the axis
+test; on it, it picks M(x + i0).
+
+One continuation in the imaginary offset eta from far above, which
+inherits the physical branch, serves every solve without a warm start
+(`_rung_loop`): a stack of x walks down a ladder of eta rungs, one stacked
+solve each, every point started from the quadratic in eta through the
+three rungs above at the same x (Allgower-Georg 1990). The rungs above
+the target only seed that predictor (Newton alone, to 1e-8); the target's
 solve takes the branch rule, which also catches a rung that drifted onto
-another root. M(x + i0) is analytic in x inside the support, so the other
-grid points are filled in on the axis alone, in two levels (step 2, then
-step 1), each one stacked axis solve with the branch rule, every point
-started from the cubic through the 4 nearest solved points. A point that
-a level turns down goes through the rung loop; a point that the rung loop
-turns down is re-solved on its own, from its eta continuation. Both are
-counted.
+another root. The density's ladder is 1, 0.2, ..., 1e-3; a one-point
+solve, and a point that a density rung turns down (handed back, counted),
+walk a second ladder, 2, 0.4, ..., whose rungs lie between the first's.
+The density is Im Tr M(x + i0)/(pi L), the continuation's on every 8th
+grid point (and the last). M(x + i0) is analytic in x inside the
+support, so the other points are filled in on the axis alone, in two
+levels (step 2, then step 1), each one stacked axis solve with the branch
+rule from the cubic through the 4 nearest solved points. A point that a
+level turns down goes through the continuation, and is counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
@@ -84,7 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import StructureSet, apply_S, structure_hash
+from .model import StructureSet, _finite, apply_S, structure_hash
 
 
 class ConvergenceError(RuntimeError):
@@ -113,10 +115,10 @@ class SpectralDensity:
     tol_q is the declared quadrature tolerance for the unit-mass invariant;
     it only binds when [grid[0], grid[-1]] covers the whole support.
     eta_final is 1e-3, the last rung above the axis. fallback_points counts
-    the points that a rung's stacked solve (the axis' too) handed back to a
-    one-point solve from their own eta continuation; refine_fallbacks the
-    points that a refinement level in x turned down and the rung loop
-    solved again (`density`).
+    the points that a rung's stacked solve (the axis' too) handed back to
+    the continuation down the second ladder; refine_fallbacks the points
+    that a refinement level in x turned down and the continuation solved
+    again (`density`).
     """
     grid: np.ndarray
     density: np.ndarray
@@ -334,37 +336,16 @@ def _solve_batch(structure, z, m0, tol):
 
 
 def _solve_right(structure, x, m0, tol):
-    """M(x) at a stack of real points x right of the support, as the memo and
-    the fold walk keep it: _solve_batch from m0 (its real part at beta = 1),
-    then the Hermitian part, accepted only where it is negative definite. A
-    step of the fold walk into a gap meets a real root of radius below 1
-    that is not. Returns (m, ok)."""
-    m, ok = _solve_batch(structure, x, np.real(m0) if structure.beta == 1 else m0, tol)
+    """M(x) at a stack of real points x right of the support (complex with a
+    zero imaginary part, as the continuation passes them, or real), as the
+    memo and the fold walk keep it: _solve_batch at the real x from m0 (its
+    real part at beta = 1), then the Hermitian part, accepted only where it
+    is negative definite. A step of the fold walk into a gap meets a real
+    root of radius below 1 that is not. Returns (m, ok)."""
+    m, ok = _solve_batch(structure, np.real(x), np.real(m0) if structure.beta == 1 else m0, tol)
     m = 0.5 * (m + m.swapaxes(-1, -2).conj())
     ok[ok] = np.linalg.eigvalsh(m[ok]).max(axis=-1) < 0.0
     return m, ok
-
-
-def _eta_continuation(structure, x, eta_end, tol):
-    """M at the last rung above eta_end of the ladder x + i eta, eta = 0.1 (1
-    + |x|) 0.2^k, so every rung inherits the Herglotz branch from far above.
-    The ladder is entered at eta = max(1, 0.1 (1 + |x|)) by Newton from the
-    one-step far-field guess; each later rung starts from the polynomial in
-    eta through the last three rungs (_lagrange), as the density's rung
-    loop's do. Below 1 it keeps the offset 0.1 (1 + |x|): a ladder 0.2^k
-    from 1 would retrace the rung loop's own rungs, so a point it hands
-    back would fail again at the same jump. Returns a stack of one, or None
-    when no rung lies above eta_end."""
-    top = 0.1 * (1.0 + abs(x))
-    eta, rungs = max(1.0, top), []
-    while eta > eta_end:
-        m, ok = _solve_batch(structure, np.array([complex(x, eta)]), _lagrange(rungs, eta),
-                             max(tol, 1e-11))
-        if not ok[0]:
-            raise ConvergenceError(f"eta continuation failed at z={complex(x, eta)!r}")
-        rungs = rungs[-2:] + [(eta, m)]
-        eta = top if eta > top else 0.2 * eta
-    return rungs[-1][1] if rungs else None
 
 
 def _lagrange(nodes, t):
@@ -387,41 +368,26 @@ def _solve_point(structure, z, tol, m0=None):
     """The solution at one z, Im z >= 0: the Herglotz solution above the axis
     (_solve_batch), and right of the support the real (Hermitian) M(x) that
     continues it (_solve_right). Newton from m0; without m0, or where that
-    fails, again from the eta continuation down to Im z, 1e-9 on the axis
-    (from the far-field guess itself when Im z is at or above the
-    continuation's first rung)."""
+    fails, the continuation (_rung_loop) down the second ladder to Im z,
+    which raises a ConvergenceError where it fails."""
     z = complex(z)
-    if z.imag > 0:
-        zs, solve, eta_end = np.array([z]), _solve_batch, z.imag
-    else:
-        zs, solve, eta_end = np.array([z.real]), _solve_right, 1e-9
+    zs, solve = (np.array([z]), _solve_batch) if z.imag > 0 else (np.array([z.real]), _solve_right)
     if m0 is not None:
         m, ok = solve(structure, zs, np.asarray(m0)[None], tol)
         if ok[0]:
             return m[0]
-    m, ok = solve(structure, zs, _eta_continuation(structure, z.real, eta_end, tol), tol)
-    if ok[0]:
-        return m[0]
-    if z.imag > 0:
-        res, why = float(_residual_batch(structure, zs, m)[0]), "M is off the branch"
-        if res > tol and _branch_ok(structure, m)[0]:
-            why = (f"Newton stopped on the branch at residual {res:.2g} > tol={tol:.2g}, with "
-                   f"cond(M) = {np.linalg.cond(m[0]):.2g}: the defect's rounding floor grows "
-                   f"with cond(M), and a larger tol converges")
-        raise ConvergenceError(f"could not reach the Herglotz branch at z={z!r}: {why}")
-    raise ConvergenceError(
-        f"no real solution on the physical branch at x={z.real}: M is not negative "
-        f"definite or not the continuation of the Herglotz solution; x is "
-        f"inside or too close to the support")
+    return _rung_loop(structure, zs.real, _side_rungs(z.imag), z.imag, solve, tol)[0][0]
 
 
 def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
     """Solve the MDE at a spectral parameter z, from m0 if given.
 
-    Im z > 0 returns the Herglotz solution (Im M >= 0): a start that fails
-    to converge or converges off that branch is redone by continuation in
-    eta from far above. Real z > r_inf returns the symmetric (Hermitian)
-    negative-definite branch that continues it, reached the same way.
+    Im z > 0 returns the Herglotz solution (Im M >= 0): without m0, or where
+    Newton from m0 fails to converge or converges off that branch, it is
+    reached by the one continuation in eta from far above (`_rung_loop`,
+    down the ladder 2, 0.4, ... to Im z). Real z > r_inf returns the
+    symmetric (Hermitian) negative-definite branch that continues it,
+    reached the same way (the ladder down to 1.6e-9, then the axis).
     Im z < 0 returns the conjugate solution. residual is the spectral norm of
     the defect Id + (z - A_0 + S[M]) M at the returned M.
 
@@ -433,7 +399,9 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
     cond(M), while tol=1e-10 converges.
     """
     z = complex(z)
-    if tol <= 0:
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if z.imag < 0:
         sol = solve_mde(structure, z.conjugate(), tol=tol,
@@ -746,22 +714,25 @@ def _cache_for(structure: StructureSet) -> _SpectralCache:
 
 def stieltjes_real(structure: StructureSet, x):
     """m(x) and M(x) for real x > r_inf + guard (1e-8)."""
+    x = _finite(x, "x")
     cache = _cache_for(structure)
     if x <= cache.r_inf + 1e-8:
         raise DomainError(
             f"x={x} must exceed r_inf={cache.r_inf} by more than 1e-8")
-    m_mat = cache.m_matrix(float(x))
+    m_mat = cache.m_matrix(x)
     return float(np.trace(m_mat).real) / structure.L, m_mat
 
 
 def inverse_neg_stieltjes(structure: StructureSet, two_theta) -> float:
     """t > r_inf with -m(t) = two_theta; NoInverseError outside the range of -m."""
-    return _cache_for(structure).inverse_neg_m(float(two_theta))
+    two_theta = _finite(two_theta, "two_theta")
+    return _cache_for(structure).inverse_neg_m(two_theta)
 
 
 def log_potential(structure: StructureSet, x) -> float:
     """U(x) = int ln|x-y| dmu_inf(y) for x >= r_inf."""
-    return _cache_for(structure).log_potential(float(x))
+    x = _finite(x, "x")
+    return _cache_for(structure).log_potential(x)
 
 
 # ---------------------------------------------------------------------------
@@ -773,46 +744,68 @@ _ENTRY_RUNGS = tuple(float(e) for e in np.cumprod([1.0] + [0.2] * 4)) + (1e-3,)
 
 
 def _rung_tol(eta, m0):
-    """Newton's tol at a density rung: 1e-8 above the axis, where a rung only
-    seeds the next one's predictor, and on it 1e-12 cond(M0) per point, M0
-    the start, because the axis solve sets every value the density reports:
-    the defect's rounding floor grows with M's condition number, and next to
-    a narrow band |M| ~ 1e3 puts it above an absolute 1e-12."""
+    """Newton's tol at a rung of the continuation: 1e-8 above the axis,
+    where a rung only seeds the next one's predictor, and on it 1e-12
+    cond(M0) per point, M0 the start, because the axis solve sets every
+    value the density reports: the defect's rounding floor grows with M's
+    condition number, and next to a narrow band |M| ~ 1e3 puts it above an
+    absolute 1e-12."""
     return 1e-12 * np.linalg.cond(m0) if eta == 0 else 1e-8
 
 
-def _rung_loop(structure, xs):
-    """M(x + i0) at a stack of points xs by continuation in eta: one loop
-    over the rungs `_ENTRY_RUNGS` and then eta = 0, one stacked solve each,
-    every point started from the quadratic in eta through the rungs above at
-    the same x (fewer rungs: the line, or the rung itself; the far-field
-    guess at the first), at the tol of `_rung_tol`. The rungs above the axis
-    only seed the predictor, so they run Newton alone (_newton_polish); the
-    axis solve sets the values, so it is _solve_batch, Newton and the branch
-    rule, which also turns down a point that a rung above carried onto
-    another root. A point that fails at a rung is handed back once: it is
-    re-solved from its own eta continuation down to max(eta, 1e-9) by
-    _solve_batch; where that fails too, ConvergenceError names x. Returns
-    (M, the number of points handed back)."""
-    rungs, fallbacks = [], 0  # (eta, M) of the last three rungs, the newest last
-    for eta in _ENTRY_RUNGS + (0.0,):
+def _side_rungs(eta):
+    """The second ladder, down to max(eta, 1e-9): 2 * 0.2^k, for a point that
+    the density's ladder hands back and for _solve_point's cold start. It is
+    entered at 2, where Newton converges from the far-field guess, and no
+    rung lies within a factor 1.5 of a rung of _ENTRY_RUNGS (2 and 2.5 from
+    the nearest two, 1.56 from 1e-3), so a point handed back never retraces
+    the jump it failed at."""
+    return tuple(float(e) for e in 2.0 * 0.2 ** np.arange(14) if e > max(eta, 1e-9))
+
+
+def _no_solution(structure, e, z, m, tol):
+    """The ConvergenceError of the continuation's solve at eta = e, naming
+    the points z it left at M = m: where the first is on the branch with its
+    residual above tol, the residual, the tol and cond(M) too, because the
+    defect's rounding floor grows with cond(M)."""
+    res, why = float(_residual_batch(structure, z[:1], m[:1])[0]), "M is off the branch"
+    if res > tol and _branch_ok(structure, m[:1])[0]:
+        why = (f"Newton stopped on the branch at residual {res:.2g} > tol={tol:.2g}, with "
+               f"cond(M) = {np.linalg.cond(m[0]):.2g}: the defect's rounding floor grows "
+               f"with cond(M), and a larger tol converges")
+    return ConvergenceError(f"no physical solution at x={z.real} (eta={e}): {why}")
+
+
+def _rung_loop(structure, xs, ladder=_ENTRY_RUNGS, eta=0.0, solve=None, tol=None):
+    """M at a stack of points xs + i eta by continuation in eta from far
+    above: one stacked solve per rung of ladder (all above eta) and then at
+    eta, each point started from the quadratic in eta through the last three
+    rungs at the same x (fewer: the line, the rung itself, the far-field
+    guess). A rung above eta only seeds the predictor: Newton alone
+    (_newton_polish) at `_rung_tol`. The solve at eta sets the values:
+    `solve` (_solve_batch by default, whose branch rule also turns down a
+    point that a rung carried onto another root; _solve_right right of the
+    support) at tol (by default `_rung_tol`). On the density's ladder,
+    _ENTRY_RUNGS, the points that fail at a rung are handed back once,
+    together, down the second ladder (`_side_rungs`) to that rung; that
+    ladder hands nothing back, and where it fails ConvergenceError names x.
+    Returns (M, the number of points handed back)."""
+    rungs, handed_back = [], 0  # (eta, M) of the last three rungs, the newest last
+    for e in ladder + (eta,):
         # every point at once, from the rungs above at the same x: near an
         # edge at small eta the neighboring-x solution is too far for Newton,
         # while the same point one rung up is right next door
-        z = xs + 1j * eta
-        m0 = _lagrange(rungs, eta)
-        # a rung above the axis only seeds the predictor: no branch rule
-        solve = _solve_batch if eta == 0 else _newton_polish
-        m, ok = solve(structure, z, m0, _rung_tol(eta, m0))
+        z, m0 = xs + 1j * e, _lagrange(rungs, e)
+        t = tol if e == eta and tol is not None else _rung_tol(e, m0)
+        m, ok = (_newton_polish if e > eta else solve or _solve_batch)(structure, z, m0, t)
         bad = np.flatnonzero(~ok)
-        for i in bad:
-            m0 = _eta_continuation(structure, xs[i], max(eta, 1e-9), 1e-11)
-            m[i:i + 1], ok[i:i + 1] = _solve_batch(structure, z[i:i + 1], m0, _rung_tol(eta, m0))
-        if not ok.all():
-            raise ConvergenceError(f"no physical solution at x={xs[~ok]} (eta={eta})")
-        fallbacks += len(bad)
-        rungs = rungs[-2:] + [(eta, m)]
-    return m, fallbacks
+        if len(bad) and ladder is not _ENTRY_RUNGS:
+            raise _no_solution(structure, e, z[bad], m[bad], np.broadcast_to(t, ok.shape)[bad[0]])
+        if len(bad):
+            m[bad] = _rung_loop(structure, xs[bad], _side_rungs(e), e)[0]
+            handed_back += len(bad)
+        rungs = rungs[-2:] + [(e, m)]
+    return m, handed_back
 
 
 # the density's refinement in x: the rung loop on every _COARSE_STEP-th grid
@@ -846,24 +839,25 @@ def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,
     (Alt-Erdos-Kruger 2020), so Newton at eta = 0 on complex M gives the
     density to rounding, and M(x + i0) is analytic in x there, so solved
     neighbours predict a point between them. The eta continuation
-    (`_rung_loop`) runs on every 8th grid index and the last only. Then two
-    refinement levels fill in the indices at step 2 and then step 1, each
-    one stacked axis solve (_solve_batch, Newton and the branch rule, at
-    the axis tol of `_rung_tol`), every point started from the cubic
-    through the 4 nearest solved points (`_cubic_start`). A point that a
-    level turns down (Newton fails, or the branch rule: the cubic reaches
-    across an edge or a cusp) is re-solved by `_rung_loop`, stacked with
-    the level's other rejects, and counted in refine_fallbacks; a point that
-    `_rung_loop` itself hands back to its eta continuation is counted in
-    fallback_points.
+    (`_rung_loop` on the ladder `_ENTRY_RUNGS`) runs on every 8th grid index
+    and the last only. Then two refinement levels fill in the indices at
+    step 2 and then step 1, each one stacked axis solve (_solve_batch,
+    Newton and the branch rule, at the axis tol of `_rung_tol`), every
+    point started from the cubic through the 4 nearest solved points
+    (`_cubic_start`). A point that a level turns down (Newton fails, or the
+    branch rule: the cubic reaches across an edge or a cusp) is re-solved
+    by `_rung_loop`, stacked with the level's other rejects, and counted in
+    refine_fallbacks; a point that a rung of `_rung_loop` hands back to the
+    continuation down the second ladder is counted in fallback_points.
     """
+    x_lo, x_hi = _finite(x_lo, "x_lo"), _finite(x_hi, "x_hi")
     if x_hi <= x_lo:
         raise ValueError("x_hi must exceed x_lo")
     if grid_size < 2:
         raise ValueError("need at least two grid points")
 
     L, n = structure.L, int(grid_size)
-    grid = np.linspace(float(x_lo), float(x_hi), n)
+    grid = np.linspace(x_lo, x_hi, n)
     solved = np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1])
     m = np.empty((n, L, L), dtype=complex)
     m[solved], fallbacks = _rung_loop(structure, grid[solved])

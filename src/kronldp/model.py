@@ -142,7 +142,18 @@ def structure_hash(structure: StructureSet) -> str:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number: Python's json also reads NaN and Infinity."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and (isinstance(x, int) or math.isfinite(x)))
+
+
+def _finite(value, name) -> float:
+    """value as a float; a ValueError naming `name` where it is NaN or
+    infinite, so a library entry point rejects it before any solve or draw."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _entry(x, name):
@@ -150,15 +161,17 @@ def _entry(x, name):
         return float(x)
     if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
         return complex(x[0], x[1])
-    raise StructureError(f"{name} entries must be numbers or [re, im] pairs of "
-                         f"numbers, got {x!r}")
+    raise StructureError(f"{name} entries must be finite numbers or [re, im] pairs of "
+                         f"finite numbers, got {x!r}")
 
 
 def parse_number(value, name, kind=float):
-    """A JSON number as kind (an integral one for int); anything else, a
-    boolean included, raises StructureError naming `name`."""
+    """A finite JSON number as kind (an integral one for int); anything
+    else, a boolean, NaN or Infinity included, raises StructureError naming
+    `name`."""
     if not _is_number(value) or (kind is int and not float(value).is_integer()):
-        raise StructureError(f"{name} must be {kind.__name__}, got {json.dumps(value)}")
+        what = "int" if kind is int else "a finite number"
+        raise StructureError(f"{name} must be {what}, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -371,7 +384,7 @@ def _tilt_blocks(structure: StructureSet, u) -> np.ndarray:
 
 def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
     """One NL x NL draw of the tilted measure: X of the blocks W_j + 2 theta C_j."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be >= 0")
     u = np.asarray(u)
     if u.size != n * structure.L:

@@ -54,7 +54,7 @@ from scipy.special import betaincinv
 
 from .mde import right_edge
 from .model import (as_profile, profile_vector, rho_profile, structure_hash, _draw_blocks,
-                    _draw_stream, _tilt_blocks)
+                    _draw_stream, _finite, _tilt_blocks)
 from .outlier import largest_outlier, tilt_for_target
 
 # Draws are grouped into batches of _batch_size(NL, reps) and batch b draws
@@ -363,10 +363,12 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
     """Average over reps of the L x L matrix of per-block normalized resolvent
     traces (1/N) Tr[(X - z)^-1_{ij}]; the finite-N counterpart of M(z). Each
     draw's is the sum of its parts' shares (`_Part.resolvent_trace`)."""
-    parts, draws = _draws(structure, n, reps, rng)
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if z.imag <= 0 and z.real <= right_edge(structure).r_inf + 1e-8:
         raise ValueError("z must have positive imaginary part or lie right of the support")
+    parts, draws = _draws(structure, n, reps, rng)
     return sum(part.resolvent_trace(blocks, z) for blocks in draws for part in parts) / reps
 
 
@@ -470,6 +472,7 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
+    x, delta = _finite(x, "x"), _finite(delta, "delta")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if sampler == "auto":
@@ -523,6 +526,7 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     """
     if reps < 1 or n < 1:
         raise ValueError("N and reps must be >= 1")
+    x, delta = _finite(x, "x"), _finite(delta, "delta")
     if delta <= 0:
         raise ValueError("delta must be positive")
     psi = as_profile(np.eye(structure.L) / structure.L if psi is None else psi)
@@ -531,7 +535,7 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
             raise ValueError("window lower edge x - delta must exceed the support "
                              "edge; pass theta explicitly otherwise")
         theta = tilt_for_target(structure, x - delta, psi)
-    elif theta < 0:
+    elif not theta >= 0:
         raise ValueError("theta must be >= 0")
 
     u = profile_vector(structure, psi, n, _draw_stream(rng, reps))

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mde import _cache_for, _dm_dz
-from .model import Profile, StructureSet, _psd_factor, _sized_psi, as_profile
+from .model import Profile, StructureSet, _finite, _psd_factor, _sized_psi, as_profile
 
 
 class TiltSearchError(RuntimeError):
@@ -85,9 +85,9 @@ def _kron(a, b):
 
 def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be non-negative")
-    psi = _sized_psi(structure, psi)
+    psi, z = _sized_psi(structure, psi), _finite(z, "z")
     m_mat = _cache_for(structure).m_matrix(z)
     if structure.noiseless:
         return 1.0
@@ -111,9 +111,9 @@ def _probe(cache, z, f):
 def _sym(structure, theta, z, psi):
     """_probe at z once theta >= 0 and psi (PSD to -1e-12) are checked and
     2 theta Psi is factored."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be non-negative")
-    psi = _sized_psi(structure, psi)
+    psi, z = _sized_psi(structure, psi), _finite(z, "z")
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
     return _probe(_cache_for(structure), z, _psd_factor(2.0 * theta * psi))
@@ -168,7 +168,7 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     factored once per search; every probe and iterate builds C = chol(-M) x
     F from them.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     prof = as_profile(_sized_psi(structure, psi))  # a Profile is PSD to -1e-12
     h = 2.0 * theta * prof.psi
@@ -204,8 +204,8 @@ def tilt_for_target(structure: StructureSet, x, psi) -> float:
     solves L lambda_sym(theta*, x, phi_hat(theta*)) = 1, a different theta
     with a different profile. x >= r_inf (the fold's exact M at r_inf).
     """
+    x = _finite(x, "x")
     cache = _cache_for(structure)
-    x = float(x)
     psi = as_profile(_sized_psi(structure, psi)).psi
     if np.linalg.eigvalsh(psi).min() <= 0:
         raise ValueError("psi must be positive definite")

@@ -85,7 +85,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .mde import _cache_for
-from .model import Profile, StructureSet, _psd_factor, _sized_psi, apply_S, as_profile, stream
+from .model import (Profile, StructureSet, _finite, _psd_factor, _sized_psi, apply_S, as_profile,
+                    stream)
 
 
 class DegenerateModelError(ValueError):
@@ -156,10 +157,10 @@ def _re_trace(a, b):
 def j_value(structure: StructureSet, x, theta) -> float:
     """Two-branch tilted log-potential functional J(x, theta), theta > 0,
     x >= r_inf (the fold's exact M at r_inf)."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive (callers use F(0) = 0 instead)")
+    x = _finite(x, "x")
     cache = _cache_for(structure)
-    x = float(x)
     m_x = float(np.trace(cache.m_matrix(x)).real) / structure.L
     head = -0.5 * (1.0 + np.log(2.0 * theta))
     if 2.0 * theta <= -m_x:
@@ -170,7 +171,7 @@ def j_value(structure: StructureSet, x, theta) -> float:
 
 def k_value(structure: StructureSet, theta, psi) -> float:
     """Tilted cumulant functional K(theta, psi); -inf for singular psi."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be non-negative")
     psi = _sized_psi(structure, psi)
     if np.max(np.abs(psi - psi.conj().T)) > 1e-8:
@@ -195,10 +196,10 @@ def phi_maps(structure: StructureSet, theta, x, psi):
     to x); phi_hat adds (1 + m(x)/(2 theta))_+ Psi and has unit trace;
     x >= r_inf (the fold's exact M at r_inf).
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
+    x = _finite(x, "x")
     cache = _cache_for(structure)
-    x = float(x)
     psi = as_profile(_sized_psi(structure, psi)).psi
     L = structure.L
     m_mat = cache.m_matrix(x)
@@ -217,7 +218,7 @@ def phi_maps(structure: StructureSet, theta, x, psi):
 def f_value(structure: StructureSet, theta, x, psi) -> float:
     """F(theta, x, psi) = beta (L J - K at phi_hat), beta = structure.beta,
     as `rate_breakdown` assembles it; F(0) := 0 by continuity."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be non-negative")
     if theta == 0:
         return 0.0
@@ -226,7 +227,7 @@ def f_value(structure: StructureSet, theta, x, psi) -> float:
 
 def rate_breakdown(structure: StructureSet, theta, x, psi) -> RateBreakdown:
     """All intermediate quantities behind one F evaluation."""
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive for a breakdown")
     prof = as_profile(_sized_psi(structure, psi))
     varphi, phi_hat = phi_maps(structure, theta, x, prof.psi)
@@ -312,8 +313,9 @@ def sup_theta(structure: StructureSet, x, psi):
     available, and (inf, inf) where S annihilates psi and F grows without
     bound. x >= r_inf; left of it the DomainError names x.
     """
+    x = _finite(x, "x")
     psi = as_profile(_sized_psi(structure, psi)).psi
-    base = _curve_base(structure, float(x))
+    base = _curve_base(structure, x)
     return _sup_curve(structure, psi, apply_S(structure, psi), base)
 
 
@@ -419,11 +421,11 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     fold's exact M at r_inf).
     """
     cfg = opt_config or OptConfig()
+    x = _finite(x, "x")
     if structure.noiseless:
         raise DegenerateModelError(
             "Tr[Psi S(Psi)] vanishes for every profile; the variational "
             "rate function is not defined for a noiseless model")
-    x = float(x)
     L = structure.L
 
     if L == 1:

@@ -388,6 +388,24 @@ def test_malformed_numeric_param_is_config_error(tmp_path, capsys, command, para
     assert "config error" in err and named in err
 
 
+@pytest.mark.parametrize("command, params, named", [
+    ("outlier", {"theta_grid": [float("nan"), 1.0]}, "outlier.theta_grid"),
+    ("rate", {"x_grid": [float("inf"), 2.5]}, "rate.x_grid"),
+    ("simulate", {"N": 10, "reps": 5, "x": float("nan"), "delta": 0.1}, "simulate.x"),
+])
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, params, named):
+    # Python's json reads NaN and Infinity: they are named as config errors
+    # before any output file is written, not carried into a CSV row (outlier
+    # wrote nan,3,nan), a solve (rate exited 2) or a record that strict JSON
+    # cannot hold (simulate wrote its CSV and then exited 1)
+    doc = {"command": command, "structure": GOE_DOC, "seed": 1, command: params}
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and named in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("structure, params, named", [
     (PAIR_DOC, {"psi": [[0.5, "0.1"], [0.1, 0.5]]}, "outlier.psi"),
     (PAIR_DOC, {"psi": [[0.5, None], [0.1, 0.5]]}, "outlier.psi"),

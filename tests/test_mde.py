@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 import oracles as o
 from kronldp import mde
 from kronldp.model import apply_S, make_structure, s_big, stream
+from test_rate import CONTINUATION_SETTINGS
 
 SQRT2 = np.sqrt(2.0)
 
@@ -526,18 +527,19 @@ PINNED = ["goe", "herm", "dsum", "sum-L3", "sum-L2"]  # the density tests' struc
 
 def test_cold_build_needs_no_continuation(sc, monkeypatch):
     # both fold walks start Newton from the far-field guess: a cold build
-    # makes no solve off the real axis
+    # makes no solve off the real axis (every solve, a rung of the
+    # continuation too, goes through _newton_polish)
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_batch
+    newton = mde._newton_polish
     at = []
 
     def recorded(structure, z, *args):
         at.extend(z[z.imag > 0].tolist())
-        return stacked(structure, z, *args)
+        return newton(structure, z, *args)
 
-    monkeypatch.setattr(mde, "_solve_batch", recorded)
+    monkeypatch.setattr(mde, "_newton_polish", recorded)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         mde.left_edge(st)
@@ -554,14 +556,14 @@ def test_real_axis_work_needs_no_continuation(sc, monkeypatch):
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_batch
+    newton = mde._newton_polish
     at = []
 
     def recorded(structure, z, *args):
         at.extend(z[z.imag > 0].tolist())
-        return stacked(structure, z, *args)
+        return newton(structure, z, *args)
 
-    monkeypatch.setattr(mde, "_solve_batch", recorded)
+    monkeypatch.setattr(mde, "_newton_polish", recorded)
     for st in (sc, dsum, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         r, psi = mde.right_edge(st).r_inf, np.eye(st.L) / st.L
@@ -742,17 +744,23 @@ def test_density_input_validation(sc):
         mde.density(sc, -1.0, 1.0, grid_size=1)
 
 
+def _hand_ladder(st, x, eta_end=0.0):
+    """The last M of scalar solve_mde down x + i eta, eta = 1, 0.2, ... above
+    max(eta_end, 1e-9) (a cold start at tiny eta can stall near an edge),
+    each rung warm-started from the one above."""
+    m, eta = None, 1.0
+    while eta > max(eta_end, 1e-9):
+        m = mde.solve_mde(st, complex(x, eta), m0=m).m
+        eta *= 0.2
+    return m
+
+
 def _assert_matches_pointwise(st, d, tol=1e-10):
     """Every grid value (density and matrix components) against the point's
-    own eta ladder, scalar solve_mde at x + i eta for eta = 1, 0.2, ... down
-    to 8e-10 (a cold start at tiny eta can stall near an edge), followed by
-    the same axis solve (Newton, polish and branch rule) from there."""
+    own eta ladder (_hand_ladder, down to 8e-10), followed by the same axis
+    solve (Newton, polish and branch rule) from there."""
     for x, rho, comp in zip(d.grid, d.density, d.matrix_components):
-        m, eta = None, 1.0
-        while eta > 1e-9:
-            m = mde.solve_mde(st, complex(x, eta), m0=m).m
-            eta *= 0.2
-        m, ok = mde._solve_batch(st, np.array([complex(x)]), m[None], 1e-12)
+        m, ok = mde._solve_batch(st, np.array([complex(x)]), _hand_ladder(st, x)[None], 1e-12)
         assert ok[0]
         m = m[0]
         assert rho == pytest.approx(max(np.trace(m).imag / (st.L * np.pi), 0.0), abs=tol)
@@ -1151,6 +1159,53 @@ def test_density_catches_a_wrong_root_rung_on_the_axis(sc, monkeypatch):
     assert np.max(np.abs(d.density - o.semicircle_density(d.grid))[inside]) <= 1e-13
 
 
+@pytest.mark.parametrize("fail_at", [mde._ENTRY_RUNGS[3], 0.0])
+def test_hand_back_ladder_never_retraces_the_density_rungs(sc, fail_at, monkeypatch):
+    # a point that a density rung turns down is handed back, stacked with
+    # the rung's other failures, to one continuation down the second ladder.
+    # A ladder that met the density's rungs (as 0.1 (1 + |x|) 0.2^k does at
+    # |x| = 1, 9 and 49, and nearly at |x| = 1.0001) would fail again at the
+    # same jump: no rung of a hand-back at or below 1 lies within a factor
+    # 1.5 of a density rung, at any x, and the points land where the rung
+    # loop without the failure puts them
+    xs = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 1.0001, -1.0001, 9.0, -9.0, 49.0])
+    want, _ = mde._rung_loop(sc, xs)
+    newton, loop = mde._newton_polish, mde._rung_loop
+    failed, ladders, etas = [], [], []  # etas: the Newton solves inside a hand-back
+
+    def fail_once(structure, z, m0, tol):
+        m, ok = newton(structure, z, m0, tol)
+        if ladders:
+            etas.extend(np.imag(z).tolist())
+        elif float(np.imag(z[0])) == fail_at and not failed:
+            failed.append(True)
+            m[:] = np.nan
+            ok[:] = False
+        return m, ok
+
+    def recorded(structure, xs, *args):
+        if not args:
+            return loop(structure, xs)
+        ladders.append((xs.tolist(), args[:2]))
+        try:
+            return loop(structure, xs, *args)
+        finally:
+            etas.append(None)  # the hand-back's end
+
+    monkeypatch.setattr(mde, "_newton_polish", fail_once)
+    monkeypatch.setattr(mde, "_rung_loop", recorded)
+    m, handed_back = mde._rung_loop(sc, xs)
+    assert handed_back == len(xs) and len(ladders) == 1
+    (back_xs, (ladder, eta)), = ladders
+    assert back_xs == xs.tolist() and eta == fail_at
+    rungs = sorted(set(etas[:etas.index(None)]) - {fail_at}, reverse=True)
+    assert rungs == list(ladder) and rungs[0] >= 1.0 and rungs[-1] > max(fail_at, 1e-9)
+    for r in rungs:
+        if r <= 1.0:
+            assert all(max(r / e, e / r) > 1.5 for e in mde._ENTRY_RUNGS), r
+    assert np.max(np.abs(m - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("path", [(727,), (1392651949, 1, 1)])
 def test_density_rungs_above_the_axis_need_only_the_branch_rule_resolution(path, monkeypatch):
     # a rung above the axis only seeds the next rung's predictor, so it runs
@@ -1275,20 +1330,22 @@ def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
     # the one cold start above the axis is Newton from the far-field guess at
     # Im z >= 1: a cold cache build never leaves the real axis, the density
     # hands no point back, and a cold solve_mde (the eta continuation, near
-    # the axis inside the bulk too) fails no rung and no first attempt
+    # the axis inside the bulk too) fails no rung and no first attempt. Every
+    # solve, a rung's Newton alone and the branch-ruled target's, goes
+    # through _newton_polish
     from test_rate import random_structure
 
     dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    stacked = mde._solve_batch
+    newton = mde._newton_polish
     oks = []  # the solves above the axis
 
     def recorded(structure, z, *args):
-        m, ok = stacked(structure, z, *args)
+        m, ok = newton(structure, z, *args)
         if (z.imag > 0).all():
             oks.append(ok.all())
         return m, ok
 
-    monkeypatch.setattr(mde, "_solve_batch", recorded)
+    monkeypatch.setattr(mde, "_newton_polish", recorded)
     for st in (sc, dsum, herm2, random_structure(stream(502), 3)):
         monkeypatch.setattr(mde, "_CACHES", {})
         oks.clear()
@@ -1300,6 +1357,27 @@ def test_cold_starts_need_no_retry(sc, herm2, monkeypatch):
         for x in np.linspace(left, right, 9)[1:-1]:
             mde.solve_mde(st, complex(x, 1e-3))
         assert len(oks) > 8 and all(oks)
+
+
+@CONTINUATION_SETTINGS
+@given(beta=hs.sampled_from([1, 2]), L=hs.integers(1, 3), k=hs.integers(1, 2),
+       seed=hs.integers(0, 2 ** 32 - 1), u=hs.floats(0.0, 1.0),
+       log_eta=hs.floats(-6.0, float(np.log10(2.0))), d=hs.floats(1e-3, 2.0))
+def test_cold_solve_matches_the_warm_ladder(beta, L, k, seed, u, log_eta, d):
+    # a cold solve_mde runs the one continuation (_rung_loop down the second
+    # ladder, Newton alone above the target, the branch rule at it). At x +
+    # i eta, x across the support and 10 % beyond either edge, and at a real
+    # x right of the edge, it lands where the warm ladder by hand does
+    rng = np.random.default_rng(seed)
+    a = [h / np.linalg.norm(h, 2) for h in (_random_hermitian(rng, beta, L) for _ in range(k))]
+    st = make_structure(0.3 * _random_hermitian(rng, beta, L), a, beta=beta)
+    right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+    x = left + (1.2 * u - 0.1) * (right - left)
+    for z in (complex(x, 10.0 ** log_eta), complex(right + d)):
+        cold, warm = mde.solve_mde(st, z), mde.solve_mde(st, z, m0=_hand_ladder(st, z.real, z.imag))
+        assert cold.residual <= 1e-12 and warm.residual <= 1e-12
+        assert np.max(np.abs(cold.m - warm.m)) <= 1e-10
+        assert np.linalg.eigvalsh((cold.m - cold.m.conj().T) / 2j).min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

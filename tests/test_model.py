@@ -405,3 +405,53 @@ def test_complex_profile_at_beta_one_is_rejected(call):
 def test_real_profile_of_complex_dtype_is_taken_as_real_at_beta_one(call):
     psi = np.array([[0.5, 0.25], [0.25, 0.5]])
     assert _profile_call(call, psi.astype(complex)) == _profile_call(call, psi)
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_CALLS = {  # each call on GOE, and the argument its error names
+    "largest_outlier theta": (lambda st: kronldp.largest_outlier(st, NAN, [[1.0]]), "theta"),
+    "tail_probability x": (lambda st: kronldp.tail_probability(st, NAN, 0.1, 20, 100, 1), "x"),
+    "tail_probability delta": (lambda st: kronldp.tail_probability(st, 3.0, NAN, 20, 100, 1),
+                               "delta"),
+    "importance_tail theta": (lambda st: kronldp.importance_tail(st, 3.0, 0.1, 20, 100, 1,
+                                                                 theta=NAN), "theta"),
+    "lambda_sym theta": (lambda st: kronldp.lambda_sym(st, NAN, 3.0, [[1.0]]), "theta"),
+    "outlier_det theta": (lambda st: kronldp.outlier_det(st, NAN, [[1.0]], 3.0), "theta"),
+    "outlier_det z": (lambda st: kronldp.outlier_det(st, 1.0, [[1.0]], NAN), "z"),
+    "lambda_sym z": (lambda st: kronldp.lambda_sym(st, 1.0, NAN, [[1.0]]), "z"),
+    "density x_lo": (lambda st: kronldp.density(st, NAN, 2.5), "x_lo"),
+    "density x_hi": (lambda st: kronldp.density(st, -2.5, INF), "x_hi"),
+    "rate_function x": (lambda st: kronldp.rate_function(st, NAN), "x"),
+    "sup_theta x": (lambda st: kronldp.sup_theta(st, NAN, [[1.0]]), "x"),
+    "stieltjes_real x": (lambda st: kronldp.stieltjes_real(st, NAN), "x"),
+    "tilt_for_target x": (lambda st: kronldp.tilt_for_target(st, NAN, [[1.0]]), "x"),
+    "j_value x": (lambda st: kronldp.j_value(st, NAN, 1.0), "x"),
+    "phi_maps x": (lambda st: kronldp.phi_maps(st, 1.0, NAN, [[1.0]]), "x"),
+    "log_potential x": (lambda st: kronldp.log_potential(st, NAN), "x"),
+    "inverse_neg_stieltjes two_theta": (lambda st: kronldp.inverse_neg_stieltjes(st, NAN),
+                                        "two_theta"),
+    "solve_mde z": (lambda st: kronldp.solve_mde(st, complex(NAN, 1.0)), "z"),
+    "block_resolvent_trace z": (lambda st: kronldp.block_resolvent_trace(st, 10, 2,
+                                                                         complex(NAN, 1.0)), "z"),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_argument_is_rejected_before_any_solve(call, monkeypatch):
+    # NaN passed guards written theta <= 0 and delta <= 0: largest_outlier
+    # returned Z = 3, the samplers p_hat = 0, lambda_sym, outlier_det and
+    # block_resolvent_trace NaN, and the real-axis calls and solve_mde raised
+    # a ConvergenceError. Each is a ValueError naming the argument, raised
+    # on a cold cache before a solve or a draw
+    from kronldp import mde, montecarlo
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved or drew before checking its arguments")
+
+    monkeypatch.setattr(mde, "_CACHES", {})
+    monkeypatch.setattr(mde, "_newton_polish", forbidden)
+    monkeypatch.setattr(montecarlo, "_draw_blocks", forbidden)
+    fn, name = NON_FINITE_CALLS[call]
+    with pytest.raises(ValueError, match=rf"^{name} must be") as err:
+        fn(make_structure(np.zeros((1, 1)), [np.ones((1, 1))]))
+    assert not isinstance(err.value, mde.DomainError)

@@ -765,6 +765,9 @@ def test_screened_search_matches_the_full_multistart():
 
 # few derandomized examples: every one costs several rate_function calls
 ORACLE_SETTINGS = settings(max_examples=8, deadline=None, derandomize=True)
+# the gate of the MDE's one continuation (tests/test_mde.py): a few solve
+# ladders per example, so more examples
+CONTINUATION_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 CASES = hs.tuples(hs.integers(0, 2 ** 16), hs.sampled_from([2, 3]), hs.sampled_from([1, 2]))
 
 
