@@ -256,14 +256,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
                           "together: give both for tail.jsonl, or neither")
     if x is not None:
         x, delta = parse_number(x, "simulate.x"), parse_number(delta, "simulate.delta")
+    # every draw and the tail estimate before any file: a failure leaves none
     draws = simulate_lambda1(st, n, reps, cfg.seed)
+    est = None if x is None else tail_probability(
+        st, x, delta, n, reps, cfg.seed, sampler=cfg.params.get("sampler", "dense"))
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
     _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)
     cfg.meta["mean_profile"] = format_matrix(np.mean([p.psi for _, p in draws], axis=0), st.beta)
     cfg.meta["sampler_processes"] = 1  # the lambda_1 draws are one stream, drawn here
-    if x is not None:
-        est = tail_probability(st, x, delta, n, reps, cfg.seed,
-                               sampler=cfg.params.get("sampler", "dense"))
+    if est is not None:
         out = cfg.output_dir / "tail.jsonl"
         out.unlink(missing_ok=True)
         write_jsonl(out, [estimate_record(est, st, cfg.seed)])
@@ -273,6 +274,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     names = cfg.params.get("checks")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(n, str) for n in names)):
+        raise ConfigError("config field 'verify.checks' must be a list of check names "
+                          f"(strings), got {json.dumps(names)}")
     results = run_checks(names=names, emit=print)
     report = render_table(results)
     (cfg.output_dir / "verify.txt").write_text(report + "\n", encoding="utf-8")

@@ -6,33 +6,30 @@ Stieltjes transform m(z) = Tr M(z) / L, the right support edge r_inf, the
 functional inverse of -m on (r_inf, inf) and the logarithmic potential
 U(x) = int ln|x-y| dmu(y).
 
-Solver strategy: one solve for every z with Im z >= 0 (`_solve_batch`):
-Newton on the L^2-dimensional linearized system, stacked over a leading axis
-of spectral parameters (one batched linear solve per step); a one-point
-solve is a stack of one. S is one fixed L^2 x L^2 matrix per structure
-(`model.SuperOperator`, built once), so it acts on the whole stack as one
-matrix product, and so does the noise term of the Jacobian. Newton's line
-search runs on the Frobenius norm of the defects D = Id + B M, one
-reduction; acceptance is the spectral norm sqrt(lambda_max(D* D)), one
-stacked symmetric eigensolve, taken only where the Frobenius norm, within
-a factor sqrt(L) of it, cannot decide. Newton starts from a warm
-start where the caller has one; the one cold start is Newton at Im z >= 1
-from the one-step far-field guess -(z - A_0 + S[G_0])^{-1}, G_0 = -(z -
-A_0)^{-1}: high above the axis the fixed-point map contracts onto the
-Herglotz solution (Helton-Rashidi Far-Speicher 2007). On the real axis one
-polishing Newton step follows. Every solution that a value is read off
-then passes one branch rule (`_branch_ok`): Im M >= 0, and where Im M
-vanishes (off the support) the feedback map D -> M* S[D] M of spectral
-radius below 1, which another real root can fail. Above the axis that is the Herglotz
-test; on it, it picks M(x + i0).
+Solver strategy: one Newton loop; starts: the predictor or the far-field
+guess. Every solve at any z with Im z >= 0 is one Newton loop
+(`_newton_polish`), stacked over a leading axis of spectral parameters (a
+one-point solve is a stack of one); S is one fixed L^2 x L^2 matrix per
+structure (`model.SuperOperator`), so it acts on the whole stack as one
+matrix product, and so does the noise term of the Jacobian. On the real
+axis the loop's last step is one more full step. It starts from the
+Lagrange predictor (`_lagrange`) through solutions at hand near the point
+(Allgower-Georg 1990), or, where none is near, from the one-step far-field
+guess -(z - A_0 + S[G_0])^{-1}, G_0 = -(z - A_0)^{-1}: at Im z >= 1 and
+far right of the support the fixed-point map contracts onto the Herglotz
+solution (Helton-Rashidi Far-Speicher 2007). Every solution that a value
+is read off then passes one branch rule (`_branch_ok`): Im M >= 0, and
+where Im M vanishes (off the support) the feedback map D -> M* S[D] M of
+spectral radius below 1, which another real root can fail. Above the axis
+that is the Herglotz test; on it, it picks M(x + i0).
 
 One continuation in the imaginary offset eta from far above, which
 inherits the physical branch, serves every solve without a warm start
 (`_rung_loop`): a stack of x walks down a ladder of eta rungs, one stacked
-solve each, every point started from the quadratic in eta through the
-three rungs above at the same x (Allgower-Georg 1990). The rungs above
-the target only seed that predictor (Newton alone, to 1e-8); the target's
-solve takes the branch rule, which also catches a rung that drifted onto
+solve each, every point started from the predictor, the quadratic in eta
+through the three rungs above at the same x. The rungs above the target
+only seed that predictor (Newton alone, to 1e-8); the target's solve
+takes the branch rule, which also catches a rung that drifted onto
 another root. The density's ladder is 1, 0.2, ..., 1e-3; a one-point
 solve, and a point that a density rung turns down (handed back, counted),
 walk a second ladder, 2, 0.4, ..., whose rungs lie between the first's.
@@ -40,15 +37,16 @@ The density is Im Tr M(x + i0)/(pi L), the continuation's on every 8th
 grid point (and the last). M(x + i0) is analytic in x inside the
 support, so the other points are filled in on the axis alone, in two
 levels (step 2, then step 1), each one stacked axis solve with the branch
-rule from the cubic through the 4 nearest solved points. A point that a
-level turns down goes through the continuation, and is counted.
+rule from the predictor, the cubic in x through the 4 nearest solved
+points. A point that a level turns down goes through the continuation,
+and is counted.
 
 The right edge r_inf is the fold of the real-axis equation: where the
 stability operator D -> D - M S[D] M turns singular, M(x) folds back. A
 walk in along the real axis gets close, each step Newton warm-started by
-the last and the first from the far-field guess -(x - A_0)^{-1}, so a cold
-cache build runs no eta continuation at all. Newton on the extended system
-(the equation, a kernel vector, its normalization) lands on it to rounding.
+the last and the first from the far-field guess, so a cold cache build
+runs no eta continuation at all. Newton on the extended system (the
+equation, a kernel vector, its normalization) lands on it to rounding.
 The left edge is the mirrored structure's right edge, solved on first use.
 
 On the real axis everything is read off the memoized exact solve M(x), kept
@@ -66,15 +64,15 @@ O(|dM|^2). (-m)^{-1} is one bracket solve in s = sqrt(t - r_inf), which
 makes the edge analytic, on the exact m. The memo starts out with the right
 fold walk's solutions; a miss starts Newton from the line in s through the
 two nearest memoized solutions, or from the far-field guess where none is
-near. Every real-axis solve takes one Newton step past its residual test:
-near the edge the Jacobian's smallest eigenvalue is ~ 2 sqrt(x - r_inf), so
-the residual alone would leave M off by up to tol over that.
+near. Every real-axis solve takes the loop's last step past its residual
+test: near the edge the Jacobian's smallest eigenvalue is ~ 2 sqrt(x -
+r_inf), so the residual alone would leave M off by up to tol over that.
 
 A noiseless structure (`StructureSet.noiseless`, S = 0) has atoms only: its
 edges are A_0's extreme eigenvalues, with no fold, and M(x) = -(x -
-A_0)^{-1} is the far-field guess itself, so m, U and (-m)^{-1} take the
-same path as above. Only (-m)^{-1}'s bracket differs, because -m diverges
-at the atom r_inf.
+A_0)^{-1} is the far-field guess itself (S[G_0] = 0), so m, U and
+(-m)^{-1} take the same path as above. Only (-m)^{-1}'s bracket differs,
+because -m diverges at the atom r_inf.
 """
 
 from __future__ import annotations
@@ -196,61 +194,12 @@ def _residual_batch(structure, z, m):
     return _spectral_norm(_eye(structure.L) + _b_batch(structure, z, m) @ m)
 
 
-def _newton_refine_batch(structure, z, m, tol, max_steps=60):
-    """Newton on the linearization B dM + S[dM] M = -(Id + B M), per point,
-    with a halving line search on the merit ||D||_F of the defect D = Id +
-    B M, one reduction where the spectral norm takes an eigensolve. A point
-    stops, and is accepted, where ||D||_2 <= tol. Since ||D||_2 <= ||D||_F
-    <= sqrt(L) ||D||_2, the spectral norm is taken only where the merit
-    cannot decide: before each step at the points with merit in (tol,
-    sqrt(L) tol], and at the end at those still above tol (a line search
-    stalled at the rounding floor, a singular system, max_steps). Returns
-    (m, ok)."""
-    L = structure.L
-    b = _b_batch(structure, z, m)
-    d = _eye(L) + b @ m  # B and the defect at the current M, for the next step
-    res = np.linalg.norm(d, axis=(-2, -1))
-    tol = np.broadcast_to(tol, res.shape)
-    stalled = np.zeros(len(z), dtype=bool)
-    for _ in range(max_steps):
-        near = np.flatnonzero((res > tol) & (res <= np.sqrt(L) * tol) & ~stalled)
-        if len(near):  # a spectral residual within tol stands in for the merit
-            spec = _spectral_norm(d[near])
-            res[near] = np.where(spec <= tol[near], spec, res[near])
-        idx = np.flatnonzero((res > tol) & ~stalled)
-        if not len(idx):
-            break
-        zi, mi = z[idx], m[idx]
-        try:
-            dm = np.linalg.solve(_jacobian(structure, b[idx], mi),
-                                 -d[idx].reshape(len(idx), L * L, 1)).reshape(-1, L, L)
-        except np.linalg.LinAlgError:
-            break  # some system is singular: the points above tol are checked below
-        lam, todo = 1.0, np.arange(len(idx))
-        for _ in range(10):
-            cand = mi[todo] + lam * dm[todo]
-            b_new = _b_batch(structure, zi[todo], cand)
-            d_new = _eye(L) + b_new @ cand
-            r_new = np.linalg.norm(d_new, axis=(-2, -1))
-            ok = r_new < res[idx[todo]]
-            acc = idx[todo[ok]]
-            m[acc], b[acc], d[acc], res[acc] = cand[ok], b_new[ok], d_new[ok], r_new[ok]
-            todo = todo[~ok]
-            if not len(todo):
-                break
-            lam /= 2.0
-        stalled[idx[todo]] = True
-    ok, above = res <= tol, res > tol  # a NaN merit is neither: it fails
-    if above.any():
-        ok[above] = _spectral_norm(d[above]) <= tol[above]
-    return m, ok
-
-
 def _far_field_guess(structure, z):
     """-(z - A_0 + S[G_0])^{-1} with G_0 = -(z - A_0)^{-1} at each point: one
-    fixed-point step from the far field. At large Im z the fixed-point map
-    contracts onto the unique solution with Im M > 0 (Helton-Rashidi
-    Far-Speicher 2007); from Im z >= 1 on, Newton from here lands on it."""
+    fixed-point step from the far field, the Newton loop's one cold start.
+    At large Im z the fixed-point map contracts onto the unique solution
+    with Im M > 0 (Helton-Rashidi Far-Speicher 2007); from Im z >= 1 on, and
+    far right of the support, Newton from here lands on it."""
     g0 = -np.linalg.inv(z[:, None, None] * _eye(structure.L) - structure.a0)
     return -np.linalg.inv(_b_batch(structure, z, g0))
 
@@ -298,30 +247,74 @@ def _branch_ok(structure, m):
     return ok
 
 
-def _newton_polish(structure, z, m0, tol):
-    """Stacked Newton (_newton_refine_batch) to tol (a scalar or one per
-    point) from m0 (shape (G, L, L)), or from the one-step far-field guess
-    when m0 is None (_far_field_guess, the cold start for Im z >= 1), then one
-    more Newton step at the points on the real axis, with no branch test. M
-    takes the dtype of m0, z and A_0 together, so with a real structure a
-    real start at real z stays real. Near the edge the Jacobian's smallest
-    eigenvalue is only ~ 2 sqrt(x - r_inf), so a residual at tol leaves M off
-    by up to tol over it; one more step squares that error away. Returns (m,
-    ok); ok is False where Newton failed."""
+def _newton_polish(structure, z, m0, tol, max_steps=60):
+    """The one MDE Newton loop, stacked, to tol (a scalar or one per point),
+    with no branch test. It starts from m0 (shape (G, L, L)), or from the
+    one-step far-field guess when m0 is None (_far_field_guess, the cold
+    start for Im z >= 1). Each step solves the linearization B dM + S[dM] M
+    = -D of the defect D = Id + B M, B = z Id - A_0 + S[M], at the points
+    not yet accepted, with a halving line search on the merit ||D||_F, one
+    reduction where the spectral norm takes an eigensolve. A point is
+    accepted where ||D||_2 <= tol. Since ||D||_2 <= ||D||_F <= sqrt(L)
+    ||D||_2, the spectral norm is taken only where the merit cannot decide:
+    before each step at the points with merit in (tol, sqrt(L) tol], and at
+    the end at those still above tol (a line search stalled at the rounding
+    floor, a singular system, max_steps). The loop's last step is a full one
+    at the accepted points on the real axis, from the B and D it keeps: near
+    the edge the Jacobian's smallest eigenvalue is only ~ 2 sqrt(x - r_inf),
+    so a residual at tol leaves M off by up to tol over it, and one more
+    step squares that error away. M takes the dtype of m0, z and A_0
+    together, so with a real structure a real start at real z stays real.
+    Returns (m, ok); ok is False where Newton failed."""
+    L = structure.L
     m = (_far_field_guess(structure, z) if m0 is None
          else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
-    m, ok = _newton_refine_batch(structure, z, m, tol)
-    axis = ok & (z.imag == 0)
-    if axis.any():
-        L, ma = structure.L, m[axis]
-        b = _b_batch(structure, z[axis], ma)
+    b = _b_batch(structure, z, m)
+    d = _eye(L) + b @ m  # B and the defect at the current M, for the next step
+    res = np.linalg.norm(d, axis=(-2, -1))
+    tol = np.broadcast_to(tol, res.shape)
+    stalled = np.zeros(len(z), dtype=bool)
+    for it in range(max_steps + 1):
+        near = np.flatnonzero((res > tol) & (res <= np.sqrt(L) * tol) & ~stalled)
+        if len(near):  # a spectral residual within tol stands in for the merit
+            spec = _spectral_norm(d[near])
+            res[near] = np.where(spec <= tol[near], spec, res[near])
+        idx = np.flatnonzero((res > tol) & ~stalled)
+        last = it == max_steps or not len(idx)
+        if last:  # accept, then the last step at the accepted points on the axis
+            ok, above = res <= tol, res > tol  # a NaN merit is neither: it fails
+            if above.any():
+                ok[above] = _spectral_norm(d[above]) <= tol[above]
+            idx = np.flatnonzero(ok & (z.imag == 0))
+            if not len(idx):
+                break
+        zi, mi = z[idx], m[idx]
         try:
-            dm = np.linalg.solve(_jacobian(structure, b, ma),
-                                 -(_eye(L) + b @ ma).reshape(len(ma), L * L, 1))
-        except np.linalg.LinAlgError:
-            ok[axis] = False  # some system is singular: the caller re-solves these
-        else:
-            m[axis] = ma + dm.reshape(ma.shape)
+            dm = np.linalg.solve(_jacobian(structure, b[idx], mi),
+                                 -d[idx].reshape(len(idx), L * L, 1)).reshape(-1, L, L)
+        except np.linalg.LinAlgError:  # some system is singular
+            if last:
+                ok[idx] = False  # the caller re-solves these
+                break
+            stalled[idx] = True  # its points above tol fail the acceptance
+            continue
+        if last:
+            m[idx] = mi + dm
+            break
+        lam, todo = 1.0, np.arange(len(idx))
+        for _ in range(10):
+            cand = mi[todo] + lam * dm[todo]
+            b_new = _b_batch(structure, zi[todo], cand)
+            d_new = _eye(L) + b_new @ cand
+            r_new = np.linalg.norm(d_new, axis=(-2, -1))
+            fell = r_new < res[idx[todo]]
+            acc = idx[todo[fell]]
+            m[acc], b[acc], d[acc], res[acc] = cand[fell], b_new[fell], d_new[fell], r_new[fell]
+            todo = todo[~fell]
+            if not len(todo):
+                break
+            lam /= 2.0
+        stalled[idx[todo]] = True
     return m, ok
 
 
@@ -348,20 +341,22 @@ def _solve_right(structure, x, m0, tol):
     return m, ok
 
 
-def _lagrange(nodes, t):
-    """The polynomial through the (t_k, M_k) nodes, at t: the predictor that
-    starts a continuation's next Newton solve. One node gives its M, none
+def _lagrange(t_nodes, m_nodes, t):
+    """The Lagrange predictor that starts a continuation's next Newton solve,
+    at every point of a stack at once: the polynomial through the k nodes
+    (t_nodes[j], m_nodes[j]), at t. Node j is one stack of M, m_nodes[j] of
+    shape (..., L, L); its t_nodes[j] is one per point (shape (...), as t
+    is) or one shared by every point (a scalar). One node gives its M, none
     None."""
-    if not nodes:
+    tn = np.asarray(t_nodes, dtype=float)
+    k = len(tn)
+    if not k:
         return None
-    out = 0.0
-    for k, (tk, mk) in enumerate(nodes):
-        w = 1.0
-        for j, (tj, _) in enumerate(nodes):
-            if j != k:
-                w *= (t - tj) / (tk - tj)
-        out = out + w * mk
-    return out
+    eye = np.eye(k, dtype=bool).reshape((k, k) + (1,) * (tn.ndim - 1))
+    # w_j = prod_{l != j} (t - t_l) / (t_j - t_l), the diagonal factor 1
+    frac = (np.asarray(t, dtype=float) - tn[None]) / (tn[:, None] - tn[None] + eye)
+    w = np.where(eye, 1.0, frac).prod(axis=1)
+    return np.einsum("j...,j...ab->...ab", w, m_nodes)
 
 
 def _solve_point(structure, z, tol, m0=None):
@@ -415,6 +410,11 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
 # ---------------------------------------------------------------------------
 # right edge: the fold of the real-axis equation
 
+# the tol of every exact real-axis solve right of the support: the fold
+# walk's and the memo's
+_REAL_TOL = 1e-12
+
+
 def _scan_hi(structure):
     norms = [np.linalg.norm(aj, 2) for aj in structure.a]
     return float(np.linalg.norm(structure.a0, 2)
@@ -438,7 +438,7 @@ def _fold(structure, side=1):
     of the mirror A_0 -> -A_0, whose solution is M'(x) = -M(-x).
 
     Walk in from _scan_hi, where Newton starts from the far-field guess
-    -(x - A_0)^{-1}, by warm-started Newton, stepping 0.6 (x - r_hat):
+    (_far_field_guess), by warm-started Newton, stepping 0.6 (x - r_hat):
     r_hat extrapolates the squared smallest |eigenvalue| of the Jacobian,
     linear in x - r_inf near the edge, to zero. A step whose solve fails
     (inside the support or a gap) is halved. It stops within 2e-2 of r_hat
@@ -460,7 +460,7 @@ def _fold(structure, side=1):
         structure = replace(structure, a0=-structure.a0)
     L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
     x = _scan_hi(structure)
-    m = _solve_point(structure, x, 1e-12, m0=-np.linalg.inv(x * eye - structure.a0))
+    m = _solve_point(structure, x, _REAL_TOL, m0=_far_field_guess(structure, np.array([x]))[0])
     prev, walk = None, [(x, m)]
     for steps in range(61):
         b = x * eye - structure.a0 + apply_S(structure, m)
@@ -477,7 +477,7 @@ def _fold(structure, side=1):
             break
         step = 0.6 * gap
         for _ in range(30):
-            m_new, ok = _solve_right(structure, np.array([x - step]), m[None], 1e-12)
+            m_new, ok = _solve_right(structure, np.array([x - step]), m[None], _REAL_TOL)
             if ok[0]:
                 break
             step /= 2.0
@@ -585,16 +585,13 @@ class _SpectralCache:
             raise failure
         return edge
 
-    def m_matrix(self, x, tol=1e-12):
+    def m_matrix(self, x):
         """Real MDE solution M(x), memoized, x >= r_inf: the fold's M at
         r_inf, DomainError before any solve left of it (and at it, with
-        atoms only). A miss starts Newton from the linear interpolation (or
-        extrapolation) in s = sqrt(x - r_inf) of the two nearest memoized
-        solutions, or from the far-field guess -(x - A_0)^{-1} when none
-        lies within half the distance to the edge (`_start`). With atoms
-        only (S = 0) the equation is linear, M(x) = -(x - A_0)^{-1}: that
-        guess is the exact solution, and Newton reaches it in one step from
-        any other start."""
+        atoms only). A miss is one Newton solve to _REAL_TOL from `_start`.
+        With atoms only (S = 0) the equation is linear, M(x) = -(x -
+        A_0)^{-1}: the far-field guess is the exact solution, and Newton
+        reaches it in one step from any other start."""
         key = float(x)
         if key <= self.r_inf:
             if key == self.r_inf and not self.structure.noiseless:
@@ -603,7 +600,7 @@ class _SpectralCache:
         hit = self._m_memo.get(key)
         if hit is not None:
             return hit
-        m = _solve_point(self.structure, key, tol, m0=self._start(key))
+        m = _solve_point(self.structure, key, _REAL_TOL, m0=self._start(key))
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()
@@ -618,25 +615,27 @@ class _SpectralCache:
         return keys[bisect.bisect_right(keys, x):]
 
     def _start(self, key):
-        """Newton's start for a memo miss at key: the line in s = sqrt(x -
-        r_inf) through the memoized solutions at the two keys nearest to it
-        (M is analytic in s at the edge), or the far-field guess -(x -
-        A_0)^{-1} when the nearest lies half the distance to the edge or
-        farther. A key another thread's clear() dropped after the keys were
-        read is left out, and so is a second node whose s rounds onto the
-        first's."""
+        """Newton's start for a memo miss at key, one of the loop's two:
+        the predictor (_lagrange) in s = sqrt(x - r_inf), the line through
+        the memoized solutions at the two keys nearest to it (M is analytic
+        in s at the edge), or the one-step far-field guess
+        (_far_field_guess) when the nearest lies half the distance to the
+        edge or farther. A key another thread's clear() dropped after the
+        keys were read is left out, and so is a second node whose s rounds
+        onto the first's."""
         i = bisect.bisect_left(self._m_keys, key)
         near = sorted(self._m_keys[max(i - 2, 0):i + 2], key=lambda t: abs(t - key))[:2]
-        nodes = []
+        s_nodes, m_nodes = [], []
         if near and abs(near[0] - key) < 0.5 * (key - self.r_inf):
             for t in near:
                 m, s = self._m_memo.get(t), np.sqrt(t - self.r_inf)
-                if m is None or (nodes and s == nodes[0][0]):
+                if m is None or s in s_nodes:
                     break
-                nodes.append((s, m))
-        if nodes:
-            return _lagrange(nodes, np.sqrt(key - self.r_inf))
-        return -np.linalg.inv(key * np.eye(self.structure.L) - self.structure.a0)
+                s_nodes.append(s)
+                m_nodes.append(m)
+        if s_nodes:
+            return _lagrange(s_nodes, m_nodes, np.sqrt(key - self.r_inf))
+        return _far_field_guess(self.structure, np.array([key]))[0]
 
     def m_scalar(self, x):
         """m(x) = Tr M(x) / L for real x >= r_inf, from the memoized exact solve."""
@@ -779,10 +778,10 @@ def _no_solution(structure, e, z, m, tol):
 def _rung_loop(structure, xs, ladder=_ENTRY_RUNGS, eta=0.0, solve=None, tol=None):
     """M at a stack of points xs + i eta by continuation in eta from far
     above: one stacked solve per rung of ladder (all above eta) and then at
-    eta, each point started from the quadratic in eta through the last three
-    rungs at the same x (fewer: the line, the rung itself, the far-field
-    guess). A rung above eta only seeds the predictor: Newton alone
-    (_newton_polish) at `_rung_tol`. The solve at eta sets the values:
+    eta, each point started from the predictor (_lagrange), the quadratic in
+    eta through the last three rungs at the same x (fewer: the line, the
+    rung itself, the far-field guess). A rung above eta only seeds the
+    predictor: Newton alone (_newton_polish) at `_rung_tol`. The solve at eta sets the values:
     `solve` (_solve_batch by default, whose branch rule also turns down a
     point that a rung carried onto another root; _solve_right right of the
     support) at tol (by default `_rung_tol`). On the density's ladder,
@@ -790,12 +789,12 @@ def _rung_loop(structure, xs, ladder=_ENTRY_RUNGS, eta=0.0, solve=None, tol=None
     together, down the second ladder (`_side_rungs`) to that rung; that
     ladder hands nothing back, and where it fails ConvergenceError names x.
     Returns (M, the number of points handed back)."""
-    rungs, handed_back = [], 0  # (eta, M) of the last three rungs, the newest last
+    etas, ms, handed_back = [], [], 0  # the last three rungs and their M, the newest last
     for e in ladder + (eta,):
         # every point at once, from the rungs above at the same x: near an
         # edge at small eta the neighboring-x solution is too far for Newton,
         # while the same point one rung up is right next door
-        z, m0 = xs + 1j * e, _lagrange(rungs, e)
+        z, m0 = xs + 1j * e, _lagrange(etas, ms, e)
         t = tol if e == eta and tol is not None else _rung_tol(e, m0)
         m, ok = (_newton_polish if e > eta else solve or _solve_batch)(structure, z, m0, t)
         bad = np.flatnonzero(~ok)
@@ -804,7 +803,7 @@ def _rung_loop(structure, xs, ladder=_ENTRY_RUNGS, eta=0.0, solve=None, tol=None
         if len(bad):
             m[bad] = _rung_loop(structure, xs[bad], _side_rungs(e), e)[0]
             handed_back += len(bad)
-        rungs = rungs[-2:] + [(e, m)]
+        etas, ms = etas[-2:] + [e], ms[-2:] + [m]
     return m, handed_back
 
 
@@ -815,20 +814,14 @@ _REFINE_STEPS = (2, 1)
 
 
 def _cubic_start(m, solved, new):
-    """The cubic through the 4 solved grid points nearest to each new index
-    (two on each side, or the nearest 4 at an end; all of them where fewer
-    are solved), at that index: Newton's start for a refinement level. On
-    the uniform grid the weights are Lagrange's in the grid index, built
-    for the whole stack at once."""
+    """Newton's start for a refinement level: at each new grid index, the
+    cubic (_lagrange, in the grid index) through the 4 solved grid points
+    nearest to it (two on each side, or the nearest 4 at an end; all of them
+    where fewer are solved)."""
     k = min(4, len(solved))
     first = np.clip(np.searchsorted(solved, new) - k // 2, 0, len(solved) - k)
-    nodes = solved[first[:, None] + np.arange(k)]  # (P, k) grid indices
-    t, tn = new.astype(float)[:, None, None], nodes.astype(float)
-    eye = np.eye(k, dtype=bool)
-    # w_j = prod_{l != j} (t - t_l) / (t_j - t_l), the diagonal factor 1
-    frac = (t - tn[:, None, :]) / (tn[:, :, None] - tn[:, None, :] + eye)
-    w = np.where(eye, 1.0, frac).prod(axis=2)
-    return np.einsum("pj,pjab->pab", w, m[nodes])
+    nodes = solved[first + np.arange(k)[:, None]]  # (k, P) grid indices
+    return _lagrange(nodes, m[nodes], new)
 
 
 def density(structure: StructureSet, x_lo, x_hi, grid_size=1001,

@@ -89,8 +89,6 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
         raise ValueError("theta must be non-negative")
     psi, z = _sized_psi(structure, psi), _finite(z, "z")
     m_mat = _cache_for(structure).m_matrix(z)
-    if structure.noiseless:
-        return 1.0
     big = structure.s_op.big
     val = np.linalg.det(np.eye(big.shape[0]) + 2.0 * theta * big @ _kron(m_mat, psi))
     return float(np.real(val))
@@ -98,11 +96,10 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
 
 def _probe(cache, z, f):
     """(C* S_big C, S_big C, M(z)) with C = chol(-M(z)) x F, so C C* = Q =
-    -M(z) x F F*, or None for a noiseless structure (S_big = 0, so
-    lambda_max = 0). F F* = 2 theta Psi is factored once per search."""
+    -M(z) x F F*. F F* = 2 theta Psi is factored once per search. A
+    noiseless structure takes the same path: S_big = 0 gives lambda_sym = 0,
+    so det = 1 and Z = r_inf."""
     m_mat = cache.m_matrix(z)
-    if cache.structure.noiseless:
-        return None
     c = _kron(np.linalg.cholesky(-m_mat), f)
     bc = cache.structure.s_op.big @ c
     return c.conj().T @ bc, bc, m_mat
@@ -132,7 +129,7 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
 
 
 def _lambda(sym):
-    return 0.0 if sym is None else float(np.linalg.eigvalsh(sym[0]).max())
+    return float(np.linalg.eigvalsh(sym[0]).max())
 
 
 def _lambda_slope(cache, z, h, f):
@@ -141,8 +138,6 @@ def _lambda_slope(cache, z, h, f):
     C* S_big C, dQ/dz = -M'(z) x h (Hellmann-Feynman on S_big Q); (A x B) w
     is A W B^T for w read as W, L x L."""
     sym = _probe(cache, z, f)
-    if sym is None:
-        return 0.0, 0.0
     L = cache.structure.L
     vals, vecs = np.linalg.eigh(sym[0])
     lam, w = float(vals[-1]), (sym[1] @ vecs[:, -1]).reshape(L, L)

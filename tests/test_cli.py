@@ -370,6 +370,24 @@ def test_simulate_zero_reps_exits_1(tmp_path, capsys):
     assert "reps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("structure, params, named", [
+    (GOE_DOC, {"delta": -0.1}, "delta"),
+    (GOE_DOC, {"delta": 0.1, "sampler": "tridiag"}, "tridiag"),
+    (PAIR_DOC, {"delta": 0.1, "sampler": "tridiagonal"}, "tridiagonal"),
+], ids=["negative-delta", "unknown-sampler", "tridiagonal-at-L2"])
+def test_simulate_tail_failure_writes_no_file(tmp_path, capsys, structure, params, named):
+    # the tail window's parameters are checked by the tail estimate, after
+    # the draws: both are computed before either file is written, so a bad
+    # window leaves no simulate.csv behind (it was written, then exit 1)
+    doc = {"command": "simulate", "structure": structure, "seed": 1,
+           "simulate": {"N": 10, "reps": 5, "x": 2.5, **params}}
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and named in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, params, named", [
     ("outlier", {"theta_grid": [1.0, None]}, "outlier.theta_grid"),
     ("rate", {"x_grid": [2.5, [3]]}, "rate.x_grid"),
@@ -619,6 +637,29 @@ def test_verify_unknown_check_is_config_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, doc)
     assert code == 1
     assert "no-such-suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [["support-edges", 3], "rate-goe", {"rate-goe": True}],
+                         ids=["non-string-name", "one-string", "object"])
+def test_verify_checks_not_a_list_of_names_is_config_error(tmp_path, capsys, checks):
+    # a non-string name was an internal error (exit 4, a TypeError in the
+    # message join), and one string was read as its characters ("unknown
+    # checks: r, a, t, e, ..."); both name the field and exit 1
+    doc = {"command": "verify", "structure": GOE_DOC, "seed": 1, "verify": {"checks": checks}}
+    code, out = run_cli(tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and "verify.checks" in err
+    assert "unknown checks" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("names", [["support-edges", 3], "rate-goe"])
+def test_run_checks_rejects_names_that_are_not_strings(names):
+    from kronldp.verify import run_checks
+
+    with pytest.raises(ValueError, match="list of check names"):
+        run_checks(names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -213,16 +213,43 @@ def test_newton_refine_accepts_exactly_where_the_spectral_residual_is_within_tol
     m = rng.standard_normal((60, 3, 3)) + 1j * rng.standard_normal((60, 3, 3))
     spec, frob = norms(m)
     tol = np.choose(np.arange(60) % 3, [0.5 * spec, np.sqrt(spec * frob), 2.0 * frob])
-    _, ok = mde._newton_refine_batch(coupled3, z, m.copy(), tol, max_steps=0)
+    _, ok = mde._newton_polish(coupled3, z, m.copy(), tol, max_steps=0)
     assert np.array_equal(ok, spec <= tol)
     assert np.count_nonzero((spec <= tol) & (tol < frob)) == 20
 
     sol = np.array([mde.solve_mde(coupled3, zi).m for zi in z])
     start = sol + 1e-4 * (rng.standard_normal(sol.shape) + 1j * rng.standard_normal(sol.shape))
-    m, ok = mde._newton_refine_batch(coupled3, z, start, 1.5e-16)
+    m, ok = mde._newton_polish(coupled3, z, start, 1.5e-16)
     spec, frob = norms(m)
     assert np.array_equal(ok, spec <= 1.5e-16)
     assert np.any((spec <= 1.5e-16) & (1.5e-16 < frob)) and not ok.all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lagrange_reproduces_a_polynomial_through_its_nodes(k):
+    # the stacked predictor through k nodes is exact on the polynomials of
+    # degree k - 1 (matrix coefficients, complex), to rounding: with nodes
+    # per point, grid indices around each new index (a refinement level's
+    # form), and with nodes shared by the stack, the eta of the last rungs
+    # at the next rung (the rung loop's form)
+    rng = np.random.default_rng(k)
+    coef = rng.standard_normal((k, 9, 3, 3)) + 1j * rng.standard_normal((k, 9, 3, 3))
+
+    def poly(t):
+        return sum(c * np.reshape(t, (-1, 1, 1)) ** j for j, c in enumerate(coef))
+
+    new = rng.integers(0, 200, 9)
+    nodes = np.clip(new - k // 2, 0, 200 - k) + np.arange(k)[:, None]
+    nodes[nodes >= new] += 1  # k grid indices next to each new one, not it
+    got = mde._lagrange(nodes, [poly(t) for t in nodes], new)
+    assert np.max(np.abs(got - poly(new))) <= 1e-14 * np.max(np.abs(poly(new)))
+
+    etas = list(mde._ENTRY_RUNGS[:k])
+    got = mde._lagrange(etas, [poly(e) for e in etas], mde._ENTRY_RUNGS[k])
+    assert np.max(np.abs(got - poly(mde._ENTRY_RUNGS[k]))) <= 1e-14 * np.max(np.abs(coef))
+    if k == 1:  # one node is its M, none no start
+        assert np.array_equal(got, poly(etas[0]))
+        assert mde._lagrange([], [], 0.5) is None
 
 
 def test_bad_tol_rejected(sc):
@@ -801,8 +828,9 @@ def test_density_semicircle_mixtures_to_rounding(name):
 
 class _Work:
     """Counts, while installed, the points the stacked Newton solves (every
-    point of every Jacobian built, so polishing and dM/dz count too), the
-    Newton steps of _newton_refine_batch, the points _spectral_norm and
+    point of every Jacobian built, so the axis step and dM/dz count too), the
+    Newton steps of _newton_polish (not its last, full step at the accepted
+    points on the real axis), the points _spectral_norm and
     _branch_ok see, and of the former those inside Newton (rechecks). Of a
     density it also records the size of each refinement level (an axis
     solve outside _rung_loop), the points that the levels turned down, and
@@ -812,7 +840,7 @@ class _Work:
         self.points = self.steps = self.norm_points = self.rechecks = self.branch_points = 0
         self.levels, self.level_rejects, self.rung_loop_points = [], 0, 0
         self._in_newton = self._in_rung_loop = False
-        jacobian, refine = mde._jacobian, mde._newton_refine_batch
+        jacobian, newton = mde._jacobian, mde._newton_polish
         spectral_norm, branch_ok = mde._spectral_norm, mde._branch_ok
         solve_batch, rung_loop = mde._solve_batch, mde._rung_loop
 
@@ -831,12 +859,17 @@ class _Work:
             self.branch_points += len(m)
             return branch_ok(structure, m)
 
-        def counted_refine(*args, **kwargs):
+        def counted_newton(structure, z, *args, **kwargs):
             self._in_newton = True
             try:
-                return refine(*args, **kwargs)
+                m, ok = newton(structure, z, *args, **kwargs)
             finally:
                 self._in_newton = False
+            # the axis step runs where Newton accepted a point on the real
+            # axis: one Jacobian, not a Newton step (counted all the same
+            # where that step's system is singular and its points fail)
+            self.steps -= bool(np.any(ok & (np.imag(z) == 0)))
+            return m, ok
 
         def counted_solve(structure, z, m0, tol):
             m, ok = solve_batch(structure, z, m0, tol)
@@ -854,7 +887,7 @@ class _Work:
                 self._in_rung_loop = False
 
         monkeypatch.setattr(mde, "_jacobian", counted_jacobian)
-        monkeypatch.setattr(mde, "_newton_refine_batch", counted_refine)
+        monkeypatch.setattr(mde, "_newton_polish", counted_newton)
         monkeypatch.setattr(mde, "_spectral_norm", counted_norm)
         monkeypatch.setattr(mde, "_branch_ok", counted_branch)
         monkeypatch.setattr(mde, "_solve_batch", counted_solve)
@@ -952,7 +985,7 @@ def _nearest_start(cache, key):
         nearest = min(near, key=lambda t: abs(t - key))
         if abs(nearest - key) < 0.5 * (key - cache.r_inf):
             return cache._m_memo[nearest]
-    return -np.linalg.inv(key * np.eye(cache.structure.L) - cache.structure.a0)
+    return mde._far_field_guess(cache.structure, np.array([key]))[0]
 
 
 def test_memo_predictor_saves_outlier_newton_steps(monkeypatch):
@@ -1003,13 +1036,13 @@ def _all_points_rung_loop(st, grid):
     every grid point: the rungs _ENTRY_RUNGS above the axis by Newton alone,
     then the axis by _solve_batch, each point from the quadratic in eta
     through the rungs above; no point may need a hand-back."""
-    rungs = []
+    etas, ms = [], []
     for eta in mde._ENTRY_RUNGS + (0.0,):
-        m0 = mde._lagrange(rungs, eta)
+        m0 = mde._lagrange(etas, ms, eta)
         solve = mde._solve_batch if eta == 0 else mde._newton_polish
         m, ok = solve(st, grid + 1j * eta, m0, mde._rung_tol(eta, m0))
         assert ok.all()
-        rungs = rungs[-2:] + [(eta, m)]
+        etas, ms = etas[-2:] + [eta], ms[-2:] + [m]
     return m
 
 
