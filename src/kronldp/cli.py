@@ -212,13 +212,15 @@ def _rate_point_meta(st, x, res):
     """run_meta.json entry of one rate point. stability_flag is the one
     certificate: Psi* passes rate_function's first-order test on the
     trace-one PSD profiles, whose first-order gap is 0 at a first-order
-    optimum and below -1e-5 where it fails. The optimality residual is
+    optimum and below -1e-5 where it fails; polish names the search's last
+    step (`rate_function`). The optimality residual is
     |L lambda_sym(theta*, x, phi_hat*) - 1|: at the optimum the tilt L theta*
     with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x."""
     phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]
     return {"x": x, "fevals": res.diagnostics["fevals"], "stability_flag": res.stability_flag,
             "optimality_residual": abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0),
-            "first_order_gap": res.diagnostics["first_order_gap"]}
+            "first_order_gap": res.diagnostics["first_order_gap"],
+            "polish": res.diagnostics["polish"]}
 
 
 def cmd_outlier(cfg: RunConfig) -> int:
@@ -274,10 +276,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     names = cfg.params.get("checks")
-    if names is not None and not (isinstance(names, list)
+    if names is not None and not (isinstance(names, list) and names
                                   and all(isinstance(n, str) for n in names)):
-        raise ConfigError("config field 'verify.checks' must be a list of check names "
-                          f"(strings), got {json.dumps(names)}")
+        raise ConfigError("config field 'verify.checks' must be a non-empty list of check "
+                          f"names (strings), got {json.dumps(names)}")
     results = run_checks(names=names, emit=print)
     report = render_table(results)
     (cfg.output_dir / "verify.txt").write_text(report + "\n", encoding="utf-8")

@@ -10,8 +10,9 @@ that limit is taken exactly here. For fixed Psi the sup over all
 theta >= theta_x is finite whenever q = Tr[Psi S(Psi)] > 0 and is found in
 closed form below, and the inf over q > 0 of that sup is the eps -> 0 limit
 of the constrained inf. So one search minimizes the uncapped sup, with no
-constraint and no projection: it screens every start loosely, polishes only
-the best, and passes the first-order test on trace-one PSD profiles
+constraint and no projection: it screens every start only as far as
+ranking them needs, polishes the best on the MDE's second real solution at
+x (below), and passes the first-order test on trace-one PSD profiles
 (`rate_function`).
 
 beta is the structure's symmetry class, `StructureSet.beta`: 1 for GOE and
@@ -70,6 +71,18 @@ Psi can be a stationary point that is no minimum: the first-order test on
 trace-one PSD profiles is lambda_min(G) >= Re Tr[G Psi], and where it fails,
 F falls from Psi toward G's bottom eigenvector w (the direction w w*).
 
+The optimum is the MDE's second real solution at x. With t = theta - theta_x
+and M~ = -2 L (P + t Psi) = M(x) - 2 L t Psi, S(M~) = -2 L (S(P) + t S(Psi))
+and (P + t Psi)^{-1} = -2 L M~^{-1}, so G = beta t L (M~^{-1} + S[M~] - A_0).
+At a full-rank optimum G = lambda Id (the trace multiplier): M~ solves the
+MDE -M~^{-1} = zeta - A_0 + S[M~] with zeta = -lambda / (L t), and pairing
+G with Psi and g'(t) = 0 gives lambda = -L t x, so zeta = x. M~ is not the
+physical root M(x), and theta* = -Tr M~/(2 L), Psi* = D / Tr D with
+D = M(x) - M~ positive semidefinite. Rank-deficient optima (a direct sum's
+rank-one Psi*) were measured to solve it too. So the search polishes by Newton on the MDE at
+x from the best screened point, and keeps the result only where it is such
+a candidate with a value no higher than the screened one.
+
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
 fails by exactly L ln L for every L >= 2, which would make F's plateau at 0
@@ -84,7 +97,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .mde import _cache_for
+from .mde import _cache_for, _newton_polish
 from .model import (Profile, StructureSet, _finite, _psd_factor, _sized_psi, apply_S, as_profile,
                     stream)
 
@@ -139,8 +152,12 @@ class OptConfig:
     seed: int = 0
 
 
-_SCREEN_OPTIONS = {"ftol": 1e-8, "gtol": 1e-5, "maxiter": 500}  # every profile search start
-_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}  # the best screened start
+# every profile search start, only as far as ranking the starts needs: the
+# MDE Newton polish lands on the optimum from there
+_SCREEN_OPTIONS = {"ftol": 1e-6, "gtol": 1e-3, "maxiter": 500}
+# the polish of the best screened start where the MDE polish finds no
+# candidate, and every escape round
+_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 _STARTS = 8  # starts per search, random ones filling up to this count
 _GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
 _ESCAPE_ROUNDS = 5  # polishes from a descent direction off a failed test
@@ -392,6 +409,37 @@ def _profile_objective(v, structure, base):
     return f, _pack(2.0 * grad @ c / tr, complex_params)
 
 
+def _mde_polish(structure, base, psi, theta, screened):
+    """Polish a screened profile psi with maximizer theta and value screened
+    on the MDE's second real solution at x (module docstring): Newton with no
+    branch rule (_newton_polish) from M~0 = M(x) - 2 L (theta - theta_x) psi
+    to M~, at tol 1e-12 cond(M~0), since the defect's rounding floor grows
+    with |M~|. M~ is accepted as a candidate where D = M(x) - M~ is PSD
+    (eigenvalues >= -1e-12 Tr D, the Profile's own rounding; measured
+    >= -4e-16 Tr D) with Tr D > 0, and its profile psi* = D / Tr D where
+    sup_theta F there is no higher than screened, up to 1e-14 max(1,
+    screened): where the screen already reached the optimum, the two read it
+    a few ulps apart. Returns (psi*, S(psi*), theta*, value), or None where
+    any of this fails."""
+    L = structure.L
+    m_x = -2.0 * L * base.p
+    m0 = (m_x - 2.0 * L * (theta - base.theta_x) * psi)[None]
+    m, ok = _newton_polish(structure, np.array([base.x]), m0, 1e-12 * np.linalg.cond(m0))
+    if not ok[0]:
+        return None
+    d = m_x - m[0]
+    w, v = np.linalg.eigh(0.5 * (d + d.conj().T))
+    if not (w.sum() > 0.0 and w[0] >= -1e-12 * w.sum()):
+        return None
+    w = w.clip(0.0)
+    psi = (v * (w / w.sum())) @ v.conj().T
+    s_psi = apply_S(structure, psi)
+    th, val = _sup_curve(structure, psi, s_psi, base)
+    if not val <= screened + 1e-14 * max(1.0, screened):
+        return None
+    return psi, s_psi, th, val
+
+
 def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     """Rate I_beta(x) of the upper tail at x, beta = structure.beta: inf
     over profiles of sup over tilts. I_2 of a real structure is the rate of
@@ -402,19 +450,26 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     constraint on q = Tr[Psi S(Psi)] and no cap on theta (module
     docstring: this is the eps -> 0 limit). It runs L-BFGS-B on the
     closed-form gradient of that sup from every start to the screening
-    tolerance `_SCREEN_OPTIONS`, then polishes only the start with the
-    lowest screened value to `_LBFGS_OPTIONS`. While the polished profile
-    fails the first-order test, first_order_gap = (lambda_min(G) -
-    Re Tr[G Psi]) / max(1, value) < -_GAP_TOL, it is polished again from the
-    factor of 0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
+    tolerance `_SCREEN_OPTIONS`, which only ranks the starts. It polishes the
+    start with the lowest screened value by Newton on the MDE at the same x,
+    from M~0 = M(x) - 2 L (theta - theta_x) Psi, onto the second real
+    solution M~ that the optimum is (module docstring), and takes Psi* =
+    (M(x) - M~) / Tr(M(x) - M~) where that is PSD and its value is no higher
+    than the screened one (`_mde_polish`); elsewhere it polishes by L-BFGS-B
+    to `_LBFGS_OPTIONS`. While the polished profile fails the first-order
+    test, first_order_gap = (lambda_min(G) - Re Tr[G Psi]) / max(1, value)
+    < -_GAP_TOL, it is polished again by L-BFGS-B from the factor of
+    0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
     `_ESCAPE_ROUNDS` rounds, each kept only if it lowers the value.
 
     `stability_flag` is True, and the result certified, when the returned
     profile passes the first-order test: a first-order optimum, not
-    necessarily the global one. `diagnostics` holds `fevals`, the
-    value-and-gradient evaluations of every phase, and `first_order_gap`,
-    the returned profile's gap; `epsilon_used` is q(psi_star). No search
-    step evaluates the log potential U(x) (module docstring).
+    necessarily the global one. `diagnostics` holds `fevals`, the L-BFGS-B
+    value-and-gradient evaluations of every phase, `first_order_gap`, the
+    returned profile's gap, and `polish`, which polish ran: "mde-newton" or
+    "l-bfgs-b" ("none" at L = 1, where no search runs); `epsilon_used` is
+    q(psi_star). No search step evaluates the log potential U(x) (module
+    docstring).
 
     The sampler tilt that realises I_beta(x) is L theta_star with profile
     phi_hat(theta_star, x, psi_star) (`RateResult`). x >= r_inf (the
@@ -434,7 +489,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=_re_trace(one, apply_S(structure, one)),
                           stability_flag=True,
-                          diagnostics={"fevals": 1, "first_order_gap": 0.0})
+                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "polish": "none"})
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x)
@@ -455,8 +510,13 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
 
     runs = [run(_pack(c0, complex_params), _SCREEN_OPTIONS)
             for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
-    runs.append(run(min(runs, key=lambda out: out.fun).x, _LBFGS_OPTIONS))
-    psi, s_psi, th, val = optimum(runs[-1])
+    best = min(runs, key=lambda out: out.fun)
+    psi, _, th, val = optimum(best)
+    point, polish = _mde_polish(structure, base, psi, th, val), "mde-newton"
+    if point is None:  # no candidate at or below the screened value
+        runs.append(run(best.x, _LBFGS_OPTIONS))
+        point, polish = optimum(runs[-1]), "l-bfgs-b"
+    psi, s_psi, th, val = point
     gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
     for _ in range(_ESCAPE_ROUNDS):
         if gap >= -_GAP_TOL:
@@ -474,7 +534,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
                       stability_flag=bool(gap >= -_GAP_TOL),
                       diagnostics={"fevals": sum(out.nfev for out in runs),
-                                   "first_order_gap": float(gap)})
+                                   "first_order_gap": float(gap), "polish": polish})
 
 
 def rate_curve(structure: StructureSet, x_grid, opt_config=None) -> list:

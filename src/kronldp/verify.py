@@ -252,10 +252,12 @@ CHECKS = [
 
 def run_checks(names=None, emit=None) -> list:
     """Run the named checks (all by default), emitting one table line each;
-    names is a list of check names, and anything else a ValueError."""
+    names is a non-empty list of check names, and anything else a
+    ValueError: an empty list would report a run that checked nothing."""
     wanted = list(names) if names is not None else [n for n, _ in CHECKS]
-    if isinstance(names, str) or not all(isinstance(n, str) for n in wanted):
-        raise ValueError(f"names must be a list of check names (strings), got {names!r}")
+    if isinstance(names, str) or not wanted or not all(isinstance(n, str) for n in wanted):
+        raise ValueError(f"names must be a non-empty list of check names (strings), "
+                         f"got {names!r}")
     table = dict(CHECKS)
     unknown = [n for n in wanted if n not in table]
     if unknown:

@@ -156,6 +156,55 @@ def single_noise_density(a0, a, x, nodes=4001):
     return np.array(out)
 
 
+def single_noise_interval(a0, a, t):
+    """(d_-, d_+) = {d : f(d) < t} for the convex f(d) = lambda_max(A_0 +
+    d A), at a t above r_inf = max(f(-2), f(2)) (`single_noise_edge`), so
+    d_- < -2 and d_+ > 2. lambda_1(X) < t exactly when W's spectrum lies in
+    this interval. Right of 2, f (convex, f(2) < t) crosses t at most
+    once, and does cross where lambda_max(A), the limit of its slope, is
+    positive; the end is infinite where f stays below t up to d = 1e8, as
+    it does for ever where A is negative semidefinite. The left end is the
+    right end of A_0 - d A, negated. Each root is bracketed by doubling, found by
+    brentq and polished by one Newton step."""
+    a0, a = np.asarray(a0), np.asarray(a)
+
+    def right_end(b):
+        def gap(d):
+            return np.linalg.eigvalsh(a0 + d * b)[-1] - t
+
+        hi = 4.0
+        while gap(hi) < 0.0:
+            if hi > 1e8:
+                return np.inf
+            hi *= 2.0
+        d = brentq(gap, 2.0, hi, xtol=1e-15, rtol=1e-15)
+        # one Newton step, f'(d) = v* A v (Hellmann-Feynman), takes d from
+        # brentq's 1e-15 relative to f's own rounding
+        w, v = np.linalg.eigh(a0 + d * b)
+        return d - (w[-1] - t) / np.real(np.conj(v[:, -1]) @ b @ v[:, -1])
+
+    return -right_end(-a), right_end(a)
+
+
+def single_noise_edge(a0, a):
+    """r_inf = max(f(-2), f(2)), f(d) = lambda_max(A_0 + d A): the spectrum
+    of A_0 + d A over W's semicircle support [-2, 2], whose top is convex
+    in d."""
+    a0, a = np.asarray(a0), np.asarray(a)
+    return max(np.linalg.eigvalsh(a0 + d * a)[-1] for d in (-2.0, 2.0))
+
+
+def single_noise_rate(a0, a, beta, x):
+    """I_beta(x) = beta min(I_GOE(d_+), I_GOE(-d_-)) at x > r_inf, with
+    (d_-, d_+) = `single_noise_interval`(A_0, A, x) and a side with no root
+    dropped: lambda_1(X) >= x needs W's top eigenvalue at or above d_+ or its
+    bottom one at or below d_-, and the contraction principle turns the LDPs
+    of lambda_max(W) and lambda_min(W) (rate beta I_GOE, edge 2) into
+    this."""
+    ends = single_noise_interval(a0, a, x)
+    return beta * min(goe_rate_closed(abs(d)) for d in ends if np.isfinite(d))
+
+
 # ---------------------------------------------------------------------------
 # the tilt's shift, assembled whole
 

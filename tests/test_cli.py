@@ -9,6 +9,7 @@ here is contract, not math: which files appear, which exit code fires,
 which stream carries the diagnostic.
 """
 import json
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,8 @@ GOE_DOC = {"beta": 1, "A0": [[0.0]], "A": [[[1.0]]]}
 PAIR_DOC = {"beta": 1, "A0": [[0.2, 0.0], [0.0, -0.1]],
             "A": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.4], [0.4, 0.0]]]}
 # run_meta.json keys of one rate point; stability_flag is its one certificate
-RATE_POINT_KEYS = {"x", "fevals", "stability_flag", "optimality_residual", "first_order_gap"}
+RATE_POINT_KEYS = {"x", "fevals", "stability_flag", "optimality_residual", "first_order_gap",
+                   "polish"}
 
 
 def run_cli(tmp_path, doc, *flags, name="run.json"):
@@ -196,6 +198,23 @@ def test_rate_run_meta_reports_each_point(tmp_path):
         assert p["stability_flag"] is True
         assert p["optimality_residual"] <= 1e-10
         assert p["first_order_gap"] >= -1e-5
+        assert p["polish"] == "mde-newton"
+
+
+def test_rate_run_meta_reports_the_lbfgsb_fallback(tmp_path, monkeypatch):
+    # where the MDE Newton polish fails, L-BFGS-B polishes instead, and each
+    # point says so: no silent fallback
+    import kronldp.rate as rate_mod
+
+    monkeypatch.setattr(rate_mod, "_newton_polish",
+                        lambda structure, z, m0, tol: (m0.copy(), np.zeros(len(z), dtype=bool)))
+    doc = {"command": "rate", "structure": PAIR_DOC, "seed": 1,
+           "rate": {"x_grid": [3.0, 3.5]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    points = json.loads((out / "run_meta.json").read_text())["rate_points"]
+    assert [p["polish"] for p in points] == ["l-bfgs-b", "l-bfgs-b"]
+    assert all(p["stability_flag"] is True for p in points)
 
 
 def test_rate_command_never_evaluates_the_log_potential(tmp_path, monkeypatch):
@@ -226,7 +245,7 @@ def test_rate_run_meta_reports_one_certified_search_at_low_noise(tmp_path):
     (p,) = json.loads((out / "run_meta.json").read_text(),
                       parse_constant=reject_non_json_constant)["rate_points"]
     assert set(p) == RATE_POINT_KEYS
-    assert p["stability_flag"] is True
+    assert p["stability_flag"] is True and p["polish"] == "mde-newton"
     _, body = read_csv(out / "rate.csv")
     # I_GOE((4.023 - 4) / 0.01), below I_GOE(4.023)
     want = goe_rate_closed((4.023 - 4.0) / 0.01)
@@ -606,6 +625,18 @@ def test_help_and_version_exit_0(flag, capsys):
     assert capsys.readouterr().out
 
 
+def test_version_matches_pyproject():
+    # both are bumped by hand, and run_meta.json and tail.jsonl stamp
+    # __version__; a regex, since Python 3.10 has no tomllib
+    from pathlib import Path
+
+    from kronldp import __version__
+
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
+
+
 def test_cells_are_locale_free_17g(tmp_path):
     doc = {"command": "outlier", "structure": GOE_DOC, "seed": 1,
            "outlier": {"theta_grid": [1.0 / 3.0]}}
@@ -639,12 +670,14 @@ def test_verify_unknown_check_is_config_error(tmp_path, capsys):
     assert "no-such-suite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("checks", [["support-edges", 3], "rate-goe", {"rate-goe": True}],
-                         ids=["non-string-name", "one-string", "object"])
+@pytest.mark.parametrize("checks", [["support-edges", 3], "rate-goe", {"rate-goe": True}, []],
+                         ids=["non-string-name", "one-string", "object", "empty"])
 def test_verify_checks_not_a_list_of_names_is_config_error(tmp_path, capsys, checks):
     # a non-string name was an internal error (exit 4, a TypeError in the
-    # message join), and one string was read as its characters ("unknown
-    # checks: r, a, t, e, ..."); both name the field and exit 1
+    # message join), one string was read as its characters ("unknown
+    # checks: r, a, t, e, ..."), and an empty list ran no check and wrote
+    # "0/0 checks passed" with exit 0; all name the field and exit 1, and
+    # write no verify.txt
     doc = {"command": "verify", "structure": GOE_DOC, "seed": 1, "verify": {"checks": checks}}
     code, out = run_cli(tmp_path, doc)
     err = capsys.readouterr().err
@@ -654,7 +687,7 @@ def test_verify_checks_not_a_list_of_names_is_config_error(tmp_path, capsys, che
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("names", [["support-edges", 3], "rate-goe"])
+@pytest.mark.parametrize("names", [["support-edges", 3], "rate-goe", []])
 def test_run_checks_rejects_names_that_are_not_strings(names):
     from kronldp.verify import run_checks
 

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 import oracles as o
 from kronldp import mde
 from kronldp.model import apply_S, make_structure, s_big, stream
-from test_rate import CONTINUATION_SETTINGS
+from test_rate import CONTINUATION_SETTINGS, single_noise_structure
 
 SQRT2 = np.sqrt(2.0)
 
@@ -1272,14 +1272,7 @@ def test_density_rungs_above_the_axis_need_only_the_branch_rule_resolution(path,
 def _single_noise(i):
     """A k = 1 structure with a dense A_0 that does not commute with A:
     L = 2, 3, 4, 2, 3 and beta = 1, 2, 1, 2, 1 for i = 0..4."""
-    rng = stream(31, i)
-    ell, beta = 2 + i % 3, 1 + i % 2
-    g = rng.standard_normal((ell, ell))
-    a = (g + g.T) / 2.0
-    g = rng.standard_normal((ell, ell))
-    if beta == 2:
-        g = g + 1j * rng.standard_normal((ell, ell))
-    return make_structure(0.25 * (g + g.conj().T), [a / np.linalg.norm(a, 2)], beta=beta)
+    return single_noise_structure(stream(31, i), 2 + i % 3, 1 + i % 2, scale=0.5)
 
 
 @pytest.mark.parametrize("i", range(5))
