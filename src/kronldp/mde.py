@@ -585,13 +585,15 @@ class _SpectralCache:
             raise failure
         return edge
 
-    def m_matrix(self, x):
+    def m_matrix(self, x, m0=None):
         """Real MDE solution M(x), memoized, x >= r_inf: the fold's M at
         r_inf, DomainError before any solve left of it (and at it, with
-        atoms only). A miss is one Newton solve to _REAL_TOL from `_start`.
-        With atoms only (S = 0) the equation is linear, M(x) = -(x -
-        A_0)^{-1}: the far-field guess is the exact solution, and Newton
-        reaches it in one step from any other start."""
+        atoms only). A miss is one Newton solve to _REAL_TOL from m0 when
+        given (the outlier search's converged iterate), else from `_start`,
+        and takes the branch rule either way (`_solve_point`). With atoms
+        only (S = 0) the equation is linear, M(x) = -(x - A_0)^{-1}: the
+        far-field guess is the exact solution, and Newton reaches it in one
+        step from any other start."""
         key = float(x)
         if key <= self.r_inf:
             if key == self.r_inf and not self.structure.noiseless:
@@ -600,7 +602,8 @@ class _SpectralCache:
         hit = self._m_memo.get(key)
         if hit is not None:
             return hit
-        m = _solve_point(self.structure, key, _REAL_TOL, m0=self._start(key))
+        m = _solve_point(self.structure, key, _REAL_TOL,
+                         m0=self._start(key) if m0 is None else m0)
         if len(self._m_memo) > 4096:
             self._m_memo.clear()
             self._m_keys.clear()

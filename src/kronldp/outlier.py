@@ -20,22 +20,40 @@ shrinks as z grows, and lambda_max is non-increasing in z. This holds for
 singular Psi too, where the determinant's sign may flip any number of times
 below its largest root.
 
-The crossing is found by Newton on h(z) = 1/lambda_max(z) = 1 from the
-largest memoized real-axis point with lambda_max >= 1, or from just right
-of the edge when there is none, with no bracket and no safeguard: any start
-with lambda_max >= 1 lies at or left of the root, and h is concave
-and increasing wherever lambda_max > 0. -M(z) = int dV(t) / (z - t) is
+The crossing is found by Newton on the extended system (Keller 1977) in
+the L^2 + 1 unknowns (M, z): {Id + (z - A_0 + S[M]) M = 0, 1/lambda_max(M)
+= 1}, the MDE and the outlier equation together, so a search needs one
+exact real-axis solve, at the root, instead of one per iterate. It starts
+from the largest memoized real-axis point with lambda_max >= 1 and its
+exact M, or from just right of the edge when there is none. At an exact M
+the first block of a step gives dM = M'(z) dz, so the step in z is
+Newton's on h(z) = 1/lambda_max(z) = 1, which needs no bracket: any point
+with lambda_max >= 1 lies at or left of the root, and h is concave and
+increasing wherever lambda_max > 0. -M(z) = int dV(t) / (z - t) is
 operator convex in z > r_inf, S is a positive map, so by the MDE
 -M(z)^{-1} = z - A_0 + S[M(z)] is operator concave and increasing, and so
 is Q(z)^+ = -M(z)^{-1} x (2 theta Psi)^+ on the range of Q, which does not
 depend on z. With y = Q^1/2 x, h(z) = min over y in that range with
 y* B y > 0 of y* Q(z)^+ y / y* B y: a minimum of concave increasing
-functions. Its tangent lies above it, so each Newton iterate stays at or
-below the root and climbs toward it. At a multiple top eigenvalue any v in
-the eigenspace gives a supergradient, which keeps the argument (the double
-root of the herm structure with a positive definite profile). The slope is
-Hellmann-Feynman: d lambda / dz = w* (dQ/dz) w / lambda with w = B Q^1/2 v
-for the top unit eigenvector v, and dQ/dz = -M'(z) x 2 theta Psi. Q^1/2
+functions. Its tangent lies above it, so that step stays at or below the
+root. At a multiple top eigenvalue any v in the eigenspace gives a
+supergradient, which keeps the argument (the double root of the herm
+structure with a positive definite profile). Off the solution, where M is
+the previous step's M + dM, a step is Newton's on the whole system; its
+iterate is kept only where it is admissible (right of the edge, -M
+positive definite and within a factor 4 of the last -M, at most a fixed
+number per search, and a nonsingular step at it), and otherwise the
+search re-anchors on the memo's exact M(z) at the current z and steps
+again. Iterates may pass the root: that is
+harmless, the root being unique with lambda_max < 1 right of it, and an
+exact step from there is taken at most halfway to the edge. Once the step
+rounds away, M is solved exactly at the root from the last iterate, and
+the root is accepted only if the step recomputed there still rounds away.
+
+The gradient is Hellmann-Feynman: d lambda = w* dQ w / lambda with w = B
+Q^1/2 v for the top unit eigenvector v, and dQ = -dM x 2 theta Psi, so
+d(1/lambda) = tr(dM X) / lambda^3, X = W (2 theta Psi)^T W* for w read as
+the L x L matrix W: the row that borders the MDE's Newton Jacobian. Q^1/2
 is never formed: with -M = R R* and 2 theta Psi = F F*, C = R x F is
 Q^1/2 U for a unitary U (`_probe`), so C* B C has the eigenvalues of
 Q^1/2 B Q^1/2 and B C (U* v) = B Q^1/2 v is the same w.
@@ -60,8 +78,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mde import _cache_for, _dm_dz
-from .model import Profile, StructureSet, _finite, _psd_factor, _sized_psi, as_profile
+from .mde import _cache_for, _eye, _jacobian
+from .model import (Profile, StructureSet, _finite, _psd_factor, _sized_psi, apply_S,
+                    as_profile)
 
 
 class TiltSearchError(RuntimeError):
@@ -94,26 +113,25 @@ def outlier_det(structure: StructureSet, theta, psi, z) -> float:
     return float(np.real(val))
 
 
-def _probe(cache, z, f):
-    """(C* S_big C, S_big C, M(z)) with C = chol(-M(z)) x F, so C C* = Q =
-    -M(z) x F F*. F F* = 2 theta Psi is factored once per search. A
-    noiseless structure takes the same path: S_big = 0 gives lambda_sym = 0,
-    so det = 1 and Z = r_inf."""
-    m_mat = cache.m_matrix(z)
-    c = _kron(np.linalg.cholesky(-m_mat), f)
-    bc = cache.structure.s_op.big @ c
-    return c.conj().T @ bc, bc, m_mat
+def _probe(structure, m, f):
+    """(C* S_big C, S_big C) with C = chol(-M) x F, so C C* = Q = -M x F F*
+    (LinAlgError where -M is not positive definite). F F* = 2 theta Psi is
+    factored once per search. A noiseless structure takes the same path:
+    S_big = 0 gives lambda_sym = 0, so det = 1 and Z = r_inf."""
+    c = _kron(np.linalg.cholesky(-m), f)
+    bc = structure.s_op.big @ c
+    return c.conj().T @ bc, bc
 
 
 def _sym(structure, theta, z, psi):
-    """_probe at z once theta >= 0 and psi (PSD to -1e-12) are checked and
+    """_probe at M(z) once theta >= 0 and psi (PSD to -1e-12) are checked and
     2 theta Psi is factored."""
     if not theta >= 0:
         raise ValueError("theta must be non-negative")
     psi, z = _sized_psi(structure, psi), _finite(z, "z")
     if np.linalg.eigvalsh(psi).min() < -1e-12:
         raise ValueError("psi must be positive semidefinite")
-    return _probe(_cache_for(structure), z, _psd_factor(2.0 * theta * psi))
+    return _probe(structure, _cache_for(structure).m_matrix(z), _psd_factor(2.0 * theta * psi))
 
 
 def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
@@ -132,36 +150,83 @@ def _lambda(sym):
     return float(np.linalg.eigvalsh(sym[0]).max())
 
 
-def _lambda_slope(cache, z, h, f):
-    """(lambda_sym, d lambda_sym / dz) at z for h = 2 theta Psi = F F*: w*
-    (dQ/dz) w / lambda with w = S_big C y for the top unit eigenvector y of
-    C* S_big C, dQ/dz = -M'(z) x h (Hellmann-Feynman on S_big Q); (A x B) w
-    is A W B^T for w read as W, L x L."""
-    sym = _probe(cache, z, f)
-    L = cache.structure.L
-    vals, vecs = np.linalg.eigh(sym[0])
-    lam, w = float(vals[-1]), (sym[1] @ vecs[:, -1]).reshape(L, L)
+def _top(structure, m, h, f):
+    """(lambda_sym, X) at M for h = 2 theta Psi = F F*: d lambda_sym =
+    -tr(dM X) / lambda_sym with X = W h^T W*, w = S_big C y for the top unit
+    eigenvector y of C* S_big C, read as the L x L matrix W (module
+    docstring)."""
+    sym, bc = _probe(structure, m, f)
+    vals, vecs = np.linalg.eigh(sym)
+    w = (bc @ vecs[:, -1]).reshape(structure.L, structure.L)
+    return float(vals[-1]), w @ h.T @ w.conj().T
+
+
+def _newton_step(structure, z, m, h, f):
+    """(lambda_sym, dz, dM) at (M, z): one Newton step on the extended
+    system {Id + B M = 0, 1/lambda_sym(M) = 1}, B = z Id - A_0 + S[M], in
+    the L^2 + 1 unknowns (M, z). Its matrix is the MDE's Newton Jacobian
+    (`mde._jacobian`) bordered by vec M (the z column) and by the row of
+    d(1/lambda) = tr(dM X) / lambda^3 (`_top`). dz is taken real and dM
+    Hermitian. Where lambda_sym <= 0 or the bordered system is singular there
+    is no step: dz = -inf, dM = None. LinAlgError where -M is not positive
+    definite."""
+    L, n = structure.L, structure.L ** 2
+    lam, x = _top(structure, m, h, f)
     if lam <= 0.0:
-        return lam, 0.0
-    dq_w = -_dm_dz(cache.structure, z, sym[2]) @ w @ h.T
-    return lam, float(np.real(np.vdot(w, dq_w))) / lam
+        return lam, -np.inf, None
+    b = z * _eye(L) - structure.a0 + apply_S(structure, m)
+    jac = np.zeros((n + 1, n + 1), dtype=np.result_type(m, x, b))
+    jac[:n, :n] = _jacobian(structure, b, m)
+    jac[:n, n] = m.reshape(-1)
+    jac[n, :n] = x.T.reshape(-1) / lam ** 3
+    rhs = np.empty(n + 1, dtype=jac.dtype)
+    rhs[:n], rhs[n] = -(_eye(L) + b @ m).reshape(-1), 1.0 - 1.0 / lam
+    try:
+        delta = np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError:
+        return lam, -np.inf, None
+    dm = delta[:-1].reshape(L, L)
+    return lam, float(delta[-1].real), 0.5 * (dm + dm.conj().T)
+
+
+# bordered iterates one search may keep; past them every step is anchored
+# (the searches of the tests keep at most 7)
+_MAX_KEPT = 16
+
+
+def _within_cap(m, dm):
+    """The step cap: -(M + dM) lies within a factor 4 of -M in the Loewner
+    order, so it is negative definite and M's linearization is not trusted
+    past where M changes by more than that (GOE at theta = 2.6 from the
+    memoized z = 3: the line M + M' dz to the root meets -M ~ 0 there)."""
+    # -(M + dM) = -M (Id - T), T = (-M)^{-1} dM, whose eigenvalues are real:
+    # those of the Hermitian R^{-1} dM R^{-*} for -M = R R*
+    t = np.linalg.eigvals(np.linalg.solve(-m, dm)).real
+    return -3.0 < t.min() and t.max() < 0.75
 
 
 def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     """Largest z > r_inf solving the outlier equation, or Z = r_inf if none.
 
-    Newton on 1/lambda_sym = 1 from the largest memoized real-axis point
-    with lambda_sym >= 1: lambda is non-increasing in z, so those points are
-    a prefix of the memo's sorted keys, found by bisection on memo hits (the
-    fold walk's points and earlier searches' iterates). Without one, from
-    z_0 = r_inf + 1e-9 (1 + |r_inf|), where one evaluation decides whether a
-    root exists (lambda < 1: none). Either start lies at or left of the
-    root, and 1/lambda is concave and increasing (module docstring), so
-    every iterate climbs toward the root without passing it; Z is the last
-    iterate, reached when the step falls to rounding or lambda to 1. Psi is
-    checked (as a Profile), the cache fetched and 2 theta Psi = F F*
-    factored once per search; every probe and iterate builds C = chol(-M) x
-    F from them.
+    Newton on the extended system (M, z) (`_newton_step`, module docstring)
+    from the largest memoized real-axis point with lambda_sym >= 1 and its
+    exact M: lambda is non-increasing in z, so those points are a prefix of
+    the memo's sorted keys, found by bisection on memo hits (the fold
+    walk's points and earlier searches' roots and anchors). Without one,
+    from z_0 = r_inf + 1e-9 (1 + |r_inf|), where one evaluation decides
+    whether a root exists (lambda < 1: none). An iterate (z + dz, M + dM)
+    is kept where admissible: z + dz > r_inf, -(M + dM) within a factor 4
+    of -M (`_within_cap`), at most _MAX_KEPT of them per search, and a
+    step at it (lambda > 0, a nonsingular bordered system). Otherwise the
+    loop re-anchors on the memo's exact M(z) at the current z and steps
+    again; from an exact M the step is the proven Newton step on
+    1/lambda_sym, which an exact anchor takes whole (solving M there) from
+    left of the root and at most halfway to the edge from right of it.
+    Once |dz| <= 1e-14 (1 + |z|), M at
+    z + dz is solved exactly from M + dM through the memo, and Z is that
+    point if the step recomputed there still rounds away; residual is
+    |lambda_sym - 1| at Z. Psi is checked (as a Profile), the cache fetched
+    and 2 theta Psi = F F* factored once per search.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
@@ -171,19 +236,29 @@ def largest_outlier(structure: StructureSet, theta, psi) -> OutlierSolve:
     r = cache.r_inf
     keys = cache._keys_above(r)
     # lambda >= 1 on a prefix of the keys: its length, by bisection
-    lo = bisect.bisect_left(keys, True, key=lambda t: _lambda(_probe(cache, t, f)) < 1.0)
+    lo = bisect.bisect_left(
+        keys, True, key=lambda t: _lambda(_probe(structure, cache.m_matrix(t), f)) < 1.0)
     z = keys[lo - 1] if lo else r + 1e-9 * (1.0 + abs(r))
-    lam, slope = _lambda_slope(cache, z, h, f)
+    m, exact, kept = cache.m_matrix(z), True, 0
+    lam, dz, dm = _newton_step(structure, z, m, h, f)
     # at a memoized start lambda < 1 only by rounding (its probe read >= 1),
-    # and the loop below returns that start: it is the root
+    # and its step rounds away: it is the root
     if lam < 1.0 and not lo:
         return OutlierSolve(theta=float(theta), psi=prof, Z=float(r), residual=0.0)
-    while lam > 1.0:
-        step = lam * (lam - 1.0) / -slope
-        if step <= 1e-14 * (1.0 + abs(z)):
-            break
-        z += step
-        lam, slope = _lambda_slope(cache, z, h, f)
+    while True:  # a dz of -inf (no step) is never kept: it re-anchors, or halves z - r_inf
+        if abs(dz) <= 1e-14 * (1.0 + abs(z)):
+            if exact:
+                break
+            z, exact = z + dz, True
+            m = cache.m_matrix(z, m0=m + dm)
+        elif kept < _MAX_KEPT and z + dz > r and _within_cap(m, dm):
+            z, m, exact, kept = z + dz, m + dm, False, kept + 1
+        elif exact:  # the proven step, at most halfway to the edge
+            z = max(z + dz, 0.5 * (z + r))
+            m = cache.m_matrix(z)
+        else:  # re-anchor
+            m, exact = cache.m_matrix(z), True
+        lam, dz, dm = _newton_step(structure, z, m, h, f)
     return OutlierSolve(theta=float(theta), psi=prof, Z=float(z), residual=abs(lam - 1.0))
 
 

@@ -342,7 +342,9 @@ def sup_theta(structure: StructureSet, x, psi):
 def _seed_factors(structure, cfg, projectors, complex_params):
     """Start factors C for the search: the identity profile, the top
     eigenprojector of A_0, the eigenprojectors of S(Id) and seeded random
-    perturbations up to _STARTS."""
+    perturbations up to _STARTS, each distinct profile C C*/Tr once: where
+    A_0 commutes with S(Id) (every direct sum), A_0's top eigenprojector is
+    one of S(Id)'s, within rounding, and that start is dropped."""
     L = structure.L
     seeds = [np.eye(L)]
     w, v = np.linalg.eigh(structure.a0)
@@ -355,7 +357,14 @@ def _seed_factors(structure, cfg, projectors, complex_params):
         if complex_params:
             c = c + 0.7j * rng.standard_normal((L, L))
         seeds.append(c)
-    return seeds
+    distinct, profiles = [], []
+    for c in seeds:
+        p = c @ c.conj().T
+        p = p / np.trace(p).real
+        if all(np.abs(p - q).max() > 1e-12 for q in profiles):
+            distinct.append(c)
+            profiles.append(p)
+    return distinct
 
 
 def _pack(c, complex_params):

@@ -990,29 +990,59 @@ def _nearest_start(cache, key):
 
 def test_memo_predictor_saves_outlier_newton_steps(monkeypatch):
     # a memo miss starts from the line in s = sqrt(x - r_inf) through the two
-    # nearest memoized solutions: over the outlier scans of the benchmark's
-    # tilts, fewer real-axis Newton steps than from the nearest solution
-    # alone, and the same Z
-    from kronldp.outlier import largest_outlier
-
-    thetas = np.linspace(0.6, 3.0, 6)
+    # nearest memoized solutions: at the real-axis points of the outlier
+    # scans of the benchmark's tilts as version 0.9.6 solved them (every
+    # iterate of its monotone search, `_monotone_root`), in that order on a
+    # fresh cache, fewer real-axis Newton steps than from the nearest
+    # solution alone (measured: 244 against 293 at 99 points), and the same
+    # M (measured: 8.9e-16 apart)
+    from test_outlier import _monotone_root
 
     structures = [BENCH_STRUCTURES[name] for name in PINNED]
+    points = []
+    for st in structures:
+        cache = mde._SpectralCache(st)
+        walk = len(cache._m_memo)
+        for t in np.linspace(0.6, 3.0, 6):
+            _monotone_root(cache, st, float(t), np.eye(st.L) / st.L)
+        points.append(list(cache._m_memo)[walk:])  # in the order they were solved
+    assert sum(map(len, points)) >= 90
 
-    def scan():
-        monkeypatch.setattr(mde, "_CACHES", {})
-        for st in structures:
-            mde.right_edge(st)
+    def replay():
+        caches = [mde._SpectralCache(st) for st in structures]
         work = _Work(monkeypatch)
-        zs = [largest_outlier(st, float(t), np.eye(st.L) / st.L).Z
-              for st in structures for t in thetas]
-        return np.array(zs), work.steps
+        ms = [cache.m_matrix(x) for cache, xs in zip(caches, points) for x in xs]
+        return ms, work.steps
 
-    z, steps = scan()
+    m, steps = replay()
     monkeypatch.setattr(mde._SpectralCache, "_start", _nearest_start)
-    z_ref, steps_ref = scan()
+    m_ref, steps_ref = replay()
     assert steps < steps_ref
-    assert np.max(np.abs(z - z_ref)) <= 1e-13
+    assert max(np.abs(a - b).max() for a, b in zip(m, m_ref)) <= 1e-13
+
+
+def test_outlier_searches_solve_once_per_root(monkeypatch):
+    # the 30 searches of the benchmark's spectral plan at seed 1 (GOE, herm,
+    # the seed's L = 2 direct sum, dsum and the fixed L = 3 one, at six
+    # tilts each, after the edges and the 201-point density): one exact
+    # real-axis solve per root, at Z, and a few anchors. Measured: 29
+    # (version 0.9.6, an exact solve at every iterate: 101)
+    from kronldp.outlier import largest_outlier
+
+    monkeypatch.setattr(mde, "_CACHES", {})
+    structures = [BENCH_STRUCTURES["goe"], BENCH_STRUCTURES["herm"],
+                  _rotated_direct_sum(stream(1, 1, 0), 2), BENCH_STRUCTURES["dsum"],
+                  BENCH_STRUCTURES["sum-L3"]]
+    solve_right, solves = mde._solve_right, []
+    for st in structures:
+        right, left = mde.right_edge(st).r_inf, mde.left_edge(st)
+        margin = 0.02 * (right - left)
+        mde.density(st, left - margin, right + margin, grid_size=201)
+        with monkeypatch.context() as mp:
+            mp.setattr(mde, "_solve_right", lambda *a: solves.append(a[1]) or solve_right(*a))
+            for t in np.linspace(0.6, 3.0, 6):
+                largest_outlier(st, float(t), np.eye(st.L) / st.L)
+    assert len(solves) <= 36
 
 
 def _record_axis(monkeypatch):

@@ -4,6 +4,7 @@ BBP closed forms from tests/oracles.py anchor the scalar cases; matrix cases
 are checked through round trips and method cross-agreement.
 """
 
+import bisect
 import sys
 import threading
 
@@ -73,10 +74,38 @@ ONE = np.ones((1, 1))
 
 
 def _slope(st, theta, z, psi):
-    """_lambda_slope at z with the search's arguments: the cache, h = 2 theta
-    Psi and its factor."""
+    """(lambda_sym, d lambda_sym / dz) at z from the search's gradient
+    (`outlier._top`, the border row of its Newton step): -tr(M' X) / lambda
+    with M' = dM/dz (`mde._dm_dz`)."""
     h = 2.0 * theta * np.asarray(psi)
-    return outlier._lambda_slope(outlier._cache_for(st), z, h, _psd_factor(h))
+    m = outlier._cache_for(st).m_matrix(z)
+    lam, x = outlier._top(st, m, h, _psd_factor(h))
+    return lam, -float(np.real(np.trace(mde._dm_dz(st, z, m) @ x))) / lam
+
+
+def _monotone_root(cache, st, theta, psi):
+    """(Z, residual) by version 0.9.6's search: from the same memo start,
+    Newton on 1/lambda_sym(z) = 1 with an exact, memoized M at every
+    iterate, which climbs to the root without passing it."""
+    h = 2.0 * theta * np.asarray(psi)
+    f, r = _psd_factor(h), cache.r_inf
+    keys = cache._keys_above(r)
+    lo = bisect.bisect_left(
+        keys, True, key=lambda t: outlier._lambda(outlier._probe(st, cache.m_matrix(t), f)) < 1.0)
+    z = keys[lo - 1] if lo else r + 1e-9 * (1.0 + abs(r))
+    m = cache.m_matrix(z)
+    lam, x = outlier._top(st, m, h, f)
+    if lam < 1.0 and not lo:
+        return float(r), 0.0
+    while lam > 1.0:
+        # lambda (lambda - 1) / -slope, slope = -tr(M' X) / lambda (_slope)
+        step = lam ** 2 * (lam - 1.0) / float(np.real(np.trace(mde._dm_dz(st, z, m) @ x)))
+        if step <= 1e-14 * (1.0 + abs(z)):
+            break
+        z += step
+        m = cache.m_matrix(z)
+        lam, x = outlier._top(st, m, h, f)
+    return z, abs(lam - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +320,24 @@ def test_largest_outlier_matches_linear_scan(sc, pair, herm, rand3):
         assert largest_outlier(sc, theta, ONE).Z == _linear_scan(sc, theta, ONE)
 
 
+def _recording(monkeypatch):
+    """Every Newton step of a search: (z, M, lambda_sym, dz) at each iterate
+    it steps from, the exact start first."""
+    calls, step = [], outlier._newton_step
+
+    def recorded(structure, z, m, h, f):
+        lam, dz, dm = step(structure, z, m, h, f)
+        calls.append((z, m, lam, dz))
+        return lam, dz, dm
+
+    monkeypatch.setattr(outlier, "_newton_step", recorded)
+    return calls
+
+
 def test_largest_outlier_eval_count(sc, pair, monkeypatch):
-    calls = _counting(monkeypatch, "_lambda_slope")
+    calls = _recording(monkeypatch)
     # no root: one evaluation next to the edge settles it, also once a search
-    # with a root has memoized its iterates (none of them has lambda >= 1)
+    # with a root has memoized its root (lambda < 1 there)
     for st, theta in ((sc, 0.4), (pair, 0.9)):
         psi = np.eye(st.L) / st.L
         for warm in (False, True):
@@ -303,16 +346,16 @@ def test_largest_outlier_eval_count(sc, pair, monkeypatch):
             calls.clear()
             res = largest_outlier(st, theta, psi)
             assert res.Z == right_edge(st).r_inf
-            assert len(calls) <= 2
+            assert len(calls) == 1
 
 
 def test_largest_outlier_eval_count_with_root(sc, monkeypatch):
-    # Newton from r_inf + 3e-9: linear while the square-root edge dominates,
-    # quadratic near the root
-    calls = _counting(monkeypatch, "_lambda_slope")
+    # bordered Newton from the memo's start, then the exact M(Z) and its
+    # step; measured: 6 evaluations
+    calls = _recording(monkeypatch)
     res = largest_outlier(sc, 1.0, ONE)
     assert res.Z == pytest.approx(2.5, abs=1e-11)
-    assert len(calls) <= 10
+    assert len(calls) <= 6
 
 
 def _profiles(rng, L):
@@ -351,29 +394,88 @@ def test_outlier_slope_matches_central_differences(sc, herm, rand3):
                 assert slope == pytest.approx(fd, rel=1e-6)
 
 
-def test_largest_outlier_climbs_monotonically(sc, herm, dsum, rand3, monkeypatch):
-    # the second pass runs on a memo warm with the first pass's iterates:
-    # each search starts from one of them, at or left of its root
-    calls = _counting(monkeypatch, "_lambda_slope")
+def _admissible(st, calls):
+    """Every iterate a search steps from lies right of the edge with a
+    Hermitian, negative definite M."""
+    r = right_edge(st).r_inf
+    return all(z > r and np.array_equal(m, m.conj().T) and np.linalg.eigvalsh(m).max() < 0.0
+               for z, m, _, _ in calls)
+
+
+def test_largest_outlier_first_step_stays_left_of_the_root(sc, herm, dsum, rand3, monkeypatch):
+    # the second pass runs on a memo warm with the first pass's roots: each
+    # search starts from one of them, at or left of its root. The first step,
+    # from the exact start, is the Newton step on 1/lambda, whose tangent lies
+    # above it (module docstring), so it does not pass Z (measured: by at most
+    # 2.7e-16 (1 + |Z|), rounding); later iterates may, and every one the
+    # search steps from is admissible
+    calls = _recording(monkeypatch)
     rng = stream(59, 9)
     roots = 0
     for st in (sc, herm, dsum, rand3):
         r = right_edge(st).r_inf
+        ref_cache = mde._SpectralCache(st)
         for psi in _profiles(rng, st.L):
             for warm, thetas in enumerate(((0.7, 1.3, 2.6), (2.6, 1.9, 1.3, 1.0, 0.7))):
                 for theta in thetas:
                     calls.clear()
                     res = largest_outlier(st, theta, psi)
+                    z_ref, _ = _monotone_root(ref_cache, st, theta, psi)
+                    assert res.Z == pytest.approx(z_ref, rel=0.0, abs=1e-13 * (1.0 + abs(z_ref)))
                     if res.Z == r:
                         assert len(calls) == 1
                         continue
                     roots += 1
-                    zs = [z for _, z, _, _ in calls]
-                    assert np.all(np.diff(zs) > 0)
-                    assert max(zs) <= res.Z and zs[-1] == res.Z
+                    z0, _, _, dz0 = calls[0]
+                    assert z0 + dz0 <= res.Z + 1e-14 * (1.0 + abs(res.Z))
+                    assert _admissible(st, calls)
                     if warm:
-                        assert zs[0] > r + 1e-9 * (1.0 + abs(r))
+                        assert z0 > r + 1e-9 * (1.0 + abs(r))
     assert roots >= 40
+
+
+_THETA_RUN = (0.7, 1.3, 2.6, 2.6, 1.9, 1.3, 1.0, 0.7, 0.6, 1.08, 1.56, 2.04, 2.52, 3.0, 0.51, 5, 20)
+
+
+def _search_cases(sc, herm, dsum, rand3, pair):
+    """The structures and profiles of the next two tests: GOE, herm, dsum,
+    rand3 and pair with a rank-one and a positive definite profile, then 12
+    random structures (L = 2-5) with Id/L; each is searched at _THETA_RUN in
+    that order, on a memo that grows warm."""
+    rng = stream(59, 9)
+    for st in (sc, herm, dsum, rand3, pair):
+        for psi in _profiles(rng, st.L):
+            yield st, psi
+    for i in range(12):
+        st = random_structure(stream(500 + i), 2 + i % 4)
+        yield st, np.eye(st.L) / st.L
+
+
+def test_largest_outlier_matches_the_monotone_loop(sc, herm, dsum, rand3, pair):
+    # 374 searches against version 0.9.6's loop (`_monotone_root`) on its own
+    # warm memo; measured: |dZ| <= 9.9e-15 (1 + |Z|) and residual <= 6.9e-15
+    # (the monotone loop's worst: 5.7e-14)
+    roots = 0
+    for st, psi in _search_cases(sc, herm, dsum, rand3, pair):
+        ref_cache = mde._SpectralCache(st)
+        for theta in _THETA_RUN:
+            res = largest_outlier(st, float(theta), psi)
+            z_ref, _ = _monotone_root(ref_cache, st, float(theta), psi)
+            assert abs(res.Z - z_ref) <= 1e-13 * (1.0 + abs(z_ref))
+            assert res.residual <= 5e-14
+            roots += res.Z > ref_cache.r_inf
+    assert roots >= 240
+
+
+def test_largest_outlier_keeps_only_admissible_iterates(sc, herm, dsum, rand3, pair, monkeypatch):
+    # an iterate (z + dz, M + dM) is kept only right of the edge with -M
+    # positive definite; a rejected one is re-anchored on the memo's exact M
+    calls = _recording(monkeypatch)
+    for st, psi in _search_cases(sc, herm, dsum, rand3, pair):
+        for theta in _THETA_RUN:
+            calls.clear()
+            largest_outlier(st, float(theta), psi)
+            assert calls and _admissible(st, calls)
 
 
 def _empty_memo(cache):
@@ -411,20 +513,21 @@ def test_memo_start_matches_the_edge_start(sc, pair, herm, rand3, monkeypatch):
 
 def test_largest_outlier_starts_from_the_memo(sc, monkeypatch):
     # GOE after theta = 1.0 (Z = 2.5): the search at theta = 1.1 starts at
-    # the memoized 2.5 and takes 4 Newton steps to 2.6545...; measured: 5
-    # evaluations, against 8 from r_inf + 3e-9 on an empty memo
+    # the memoized 2.5 and takes 4 bordered steps to 2.6545..., then one
+    # from the exact M(Z); measured: 6 evaluations, against 10 from r_inf +
+    # 2e-9 on an empty memo (the square-root edge slows the first steps)
     cache = mde._SpectralCache(sc)
     monkeypatch.setattr(outlier, "_cache_for", lambda _: cache)
     largest_outlier(sc, 1.0, ONE)
-    calls = _counting(monkeypatch, "_lambda_slope")
+    calls = _recording(monkeypatch)
     assert largest_outlier(sc, 1.1, ONE).Z == pytest.approx(o.bbp_z(1.1), abs=1e-12)
-    assert len(calls) <= 5
+    assert len(calls) <= 6
     edge_start = cache.r_inf + 1e-9 * (1.0 + abs(cache.r_inf))
-    assert all(z != edge_start for _, z, _, _ in calls)
+    assert all(z != edge_start for z, _, _, _ in calls)
     _empty_memo(cache)
     calls.clear()
     largest_outlier(sc, 1.1, ONE)
-    assert calls[0][1] == edge_start and len(calls) == 8
+    assert calls[0][0] == edge_start and len(calls) == 10
 
 
 def test_largest_outlier_survives_concurrent_callers(sc, monkeypatch):
@@ -577,7 +680,7 @@ def _root_reference(st, theta, z, psi):
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     vals, vecs = np.linalg.eigh(root @ big @ root)
     lam, top = vals[-1], big @ root @ vecs[:, -1]
-    dq = np.kron(-outlier._dm_dz(st, z, m_mat), 2.0 * theta * psi)
+    dq = np.kron(-mde._dm_dz(st, z, m_mat), 2.0 * theta * psi)
     return lam, float(np.real(np.conj(top) @ dq @ top)) / lam
 
 

@@ -733,12 +733,13 @@ def test_screened_search_matches_the_full_multistart():
     best, gives the value of the eps-constrained reference at eps = q0 /
     1024 with every start polished, on the 60 points of the eps ladder test
     and on 12 points of rotated L = 2 direct sums, with at most 0.6 times
-    the evaluations (measured 5746 against 16661; 9138 before the screen
+    the evaluations (measured 5734 against 16649 with each distinct start
+    screened once; 5746 against 16661 before, and 9138 before the screen
     was loosened for the MDE polish). A value may sit above the reference's
     only by the polish's own resolution, 1e-14 max(1, I): the largest rise
-    is 2.6e-15 at stream(707), L = 3, x = r_inf + 1.5, beta = 1, and the
-    largest relative difference 3.3e-14 at stream(704), L = 3,
-    x = r_inf + 0.05, beta = 1."""
+    is 3.0e-15 at stream(703), L = 2, x = r_inf + 1.5, beta = 2, and the
+    largest relative difference 4.6e-14 at stream(707), L = 3,
+    x = r_inf + 0.05, beta = 2."""
     points = []
     for i in range(10):
         plain = random_structure(stream(700 + i), 2 + i % 3)
