@@ -32,7 +32,10 @@ P = R R*). The -(L/2) ln theta of L J cancels the one of K, leaving
 F(theta_x + t) = beta g(t) with
 
     g(t) = a t - b t^2 / 2 - (1/2) sum_i ln(1 + t mu_i),
-    a = L (x - 2 L Tr[P S(Psi)] - Tr[A_0 Psi]),  b = 2 L^2 Tr[Psi S(Psi)].
+    a = L (x - Tr[H Psi]),  b = 2 L^2 Tr[Psi S(Psi)],
+
+with H = 2 L S(P) + A_0 fixed by x: S is self-adjoint under the trace, so
+2 L Tr[P S(Psi)] + Tr[A_0 Psi] = Tr[H Psi].
 
 g has no constant term: F(theta_x) = 0 is an identity. With M = M(x),
 theta_x = -Tr M/(2L) and the log potential in its Dyson free energy form
@@ -63,7 +66,7 @@ L <= 8: the difference is at least 8 + (16 L - 8) ||A_0|| > 0.
 
 The inf over profiles follows the gradient of sup_theta F, which by the
 envelope theorem is that of beta g at the maximizer t: d sup F = Re Tr[G dPsi],
-G = beta (t L (-2 L S(P) - A_0) - 2 L^2 t^2 S(Psi) - (t/2) (P + t Psi)^{-1}),
+G = beta (-t L H - 2 L^2 t^2 S(Psi) - (t/2) (P + t Psi)^{-1}),
 a Hermitian matrix (G = 0 where the sup is F(theta_x) = 0). In the factor
 of Psi = C C*/Tr(C C*) it is 2 (G - Tr[G Psi] Id) C / Tr(C C*). That
 factor gradient vanishes wherever G C = Tr[G Psi] C, so a rank-deficient
@@ -95,9 +98,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
-from .mde import _cache_for, _newton_polish
+from .mde import _cache_for, _eye, _newton_polish
 from .model import (Profile, StructureSet, _finite, _psd_factor, _sized_psi, apply_S, as_profile,
                     stream)
 
@@ -164,8 +167,9 @@ _ESCAPE_ROUNDS = 5  # polishes from a descent direction off a failed test
 
 
 def _re_trace(a, b):
-    """Re Tr[a b]."""
-    return float(np.trace(a @ b).real)
+    """Re Tr[a b] for a Hermitian a (the precondition): vdot sums
+    conj(a_ij) b_ij = Tr[a* b], which is Tr[a b] where a* = a."""
+    return float(np.vdot(a, b).real)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +268,20 @@ class _CurveBase:
     x: float
     theta_x: float
     p: np.ndarray
-    s_p: np.ndarray
+    h: np.ndarray
     r_inv: np.ndarray
 
 
 def _curve_base(structure, x) -> _CurveBase:
-    """P = -M(x)/(2L), S(P) and the inverse of the Cholesky factor R of P."""
+    """P = -M(x)/(2L), H = 2 L S(P) + A_0 and the inverse of the Cholesky
+    factor R of P."""
     L = structure.L
     x = float(x)
     m_mat = _cache_for(structure).m_matrix(x)
     p = -m_mat / (2.0 * L)
     return _CurveBase(x=x, theta_x=-float(np.trace(m_mat).real) / (2.0 * L), p=p,
-                      s_p=apply_S(structure, p), r_inv=np.linalg.inv(np.linalg.cholesky(p)))
+                      h=2.0 * L * apply_S(structure, p) + structure.a0,
+                      r_inv=np.linalg.inv(np.linalg.cholesky(p)))
 
 
 def _sup_curve(structure, psi, s_psi, base):
@@ -289,7 +295,7 @@ def _sup_curve(structure, psi, s_psi, base):
     a > 0, where F grows without bound.
     """
     L = structure.L
-    a = L * (base.x - 2.0 * L * _re_trace(base.p, s_psi) - _re_trace(structure.a0, psi))
+    a = L * (base.x - _re_trace(base.h, psi))
     b = 2.0 * L * L * _re_trace(psi, s_psi)
     if a > 0.0 and not b > 0.0:
         return np.inf, np.inf
@@ -299,7 +305,7 @@ def _sup_curve(structure, psi, s_psi, base):
     def slope(t):
         """g'(t) and g''(t)."""
         q = [m / (1.0 + t * m) for m in mu]
-        return a - b * t - 0.5 * sum(q), 0.5 * sum(v * v for v in q) - b
+        return a - b * t - 0.5 * sum(q), 0.5 * sum([v * v for v in q]) - b
 
     t = top = a / b if a > 0.0 else 0.0  # g' <= a - b t <= 0 right of t
     for _ in range(100 if t > 0.0 else 0):
@@ -315,8 +321,8 @@ def _sup_curve(structure, psi, s_psi, base):
             break
 
     f = structure.beta * (top * (a - 0.5 * b * top)
-                          - 0.5 * sum(math.log1p(top * m) for m in mu))
-    if f <= 0.0 or not np.isfinite(f):
+                          - 0.5 * sum([math.log1p(top * m) for m in mu]))
+    if f <= 0.0 or not math.isfinite(f):
         return base.theta_x, 0.0
     return base.theta_x + top, f
 
@@ -380,8 +386,7 @@ def _envelope_gradient(structure, base, psi, s_psi, theta):
     """G, the Hermitian gradient in Psi of sup_theta F at its maximizer theta,
     with s_psi = S(psi) (module docstring)."""
     L, t = structure.L, theta - base.theta_x
-    g = (t * L * (-2.0 * L * base.s_p - structure.a0) - 2.0 * L * L * t * t * s_psi
-         - 0.5 * t * np.linalg.inv(base.p + t * psi))
+    g = -t * L * base.h - 2.0 * L * L * t * t * s_psi - 0.5 * t * np.linalg.inv(base.p + t * psi)
     return 0.5 * structure.beta * (g + g.conj().T)  # Hermitian up to rounding
 
 
@@ -414,8 +419,27 @@ def _profile_objective(v, structure, base):
         grad = _envelope_gradient(structure, base, psi, s_psi, th)
     except (ValueError, np.linalg.LinAlgError):
         return 1e6, np.zeros_like(v)
-    grad = grad - _re_trace(grad, psi) * np.eye(L)
-    return f, _pack(2.0 * grad @ c / tr, complex_params)
+    grad -= _re_trace(grad, psi) * _eye(L)
+    return f, _pack(grad @ c * (2.0 / tr), complex_params)
+
+
+def _lbfgs(structure, base, v, options):
+    """One L-BFGS-B run of _profile_objective from v. The start is evaluated
+    once: where max |gradient| <= options["gtol"] it is returned as the run's
+    result, as L-BFGS-B itself stops there at iteration 0 (x = v, the same
+    fun, nfev 1), and otherwise L-BFGS-B takes that evaluation for its first
+    call, so nfev counts every evaluation once."""
+    fun, grad = start = _profile_objective(v, structure, base)
+    if np.abs(grad).max() <= options["gtol"]:
+        return OptimizeResult(x=v, fun=fun, nfev=1)
+    pending = [start]
+
+    def objective(u):
+        if pending and np.array_equal(u, v):
+            return pending.pop()
+        return _profile_objective(u, structure, base)
+
+    return minimize(objective, v, method="L-BFGS-B", jac=True, options=options)
 
 
 def _mde_polish(structure, base, psi, theta, screened):
@@ -459,7 +483,10 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     constraint on q = Tr[Psi S(Psi)] and no cap on theta (module
     docstring: this is the eps -> 0 limit). It runs L-BFGS-B on the
     closed-form gradient of that sup from every start to the screening
-    tolerance `_SCREEN_OPTIONS`, which only ranks the starts. It polishes the
+    tolerance `_SCREEN_OPTIONS`, which only ranks the starts; a start that
+    already meets L-BFGS-B's first stopping test, max |gradient| <= gtol
+    (on a direct sum, each eigenprojector of S(Id)), is taken without a run
+    (`_lbfgs`), where L-BFGS-B would stop at once. It polishes the
     start with the lowest screened value by Newton on the MDE at the same x,
     from M~0 = M(x) - 2 L (theta - theta_x) Psi, onto the second real
     solution M~ that the optimum is (module docstring), and takes Psi* =
@@ -505,10 +532,6 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     projectors = [np.outer(u, u.conj())
                   for u in np.linalg.eigh(apply_S(structure, np.eye(L) / L))[1].T]
 
-    def run(v, options):
-        return minimize(_profile_objective, v, args=(structure, base),
-                        method="L-BFGS-B", jac=True, options=options)
-
     def optimum(out):
         """(psi, S(psi), theta, value) at a run's optimum."""
         c = _unpack(out.x, L, complex_params)
@@ -517,13 +540,13 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
         s_psi = apply_S(structure, psi)
         return (psi, s_psi, *_sup_curve(structure, psi, s_psi, base))
 
-    runs = [run(_pack(c0, complex_params), _SCREEN_OPTIONS)
+    runs = [_lbfgs(structure, base, _pack(c0, complex_params), _SCREEN_OPTIONS)
             for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
     best = min(runs, key=lambda out: out.fun)
     psi, _, th, val = optimum(best)
     point, polish = _mde_polish(structure, base, psi, th, val), "mde-newton"
     if point is None:  # no candidate at or below the screened value
-        runs.append(run(best.x, _LBFGS_OPTIONS))
+        runs.append(_lbfgs(structure, base, best.x, _LBFGS_OPTIONS))
         point, polish = optimum(runs[-1]), "l-bfgs-b"
     psi, s_psi, th, val = point
     gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
@@ -532,7 +555,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
             break
         # F falls from psi toward w w*: polish again from a step that way
         step = _psd_factor(0.9 * psi + 0.1 * np.outer(w, w.conj()))
-        runs.append(run(_pack(step, complex_params), _LBFGS_OPTIONS))
+        runs.append(_lbfgs(structure, base, _pack(step, complex_params), _LBFGS_OPTIONS))
         point = optimum(runs[-1])
         if not point[3] < val:
             break

@@ -470,8 +470,8 @@ def test_known_defect_rank_one_saddle_is_certified():
     assert res.diagnostics["first_order_gap"] >= -rate_mod._GAP_TOL
 
 
-@pytest.mark.xfail(reason="known defect: the certificate is first-order, and a "
-                          "projector start stays rank one (ROADMAP item 4)")
+@pytest.mark.xfail(strict=True, reason="known defect: the certificate is first-order, "
+                                       "and a projector start stays rank one (ROADMAP item 4)")
 def test_known_defect_certified_local_minimum():
     """On a random complex L = 3 structure at r_inf + 0.6, seeds 0-2 and
     6-10 reach 0.8615965164463601 (to 3e-15), while seeds 3-5 and 11 certify
@@ -919,6 +919,141 @@ def test_profile_gradient_matches_central_differences(case):
     w, u = np.linalg.eigh(psi)
     c = u * np.sqrt(w)
     assert _relative_gradient_error(rate_mod._pack(c, complex_params), args) <= 1e-6
+
+
+def _explicit_objective(v, st, x):
+    """_profile_objective written out from the module docstring's formulas,
+    term by term: Re Tr[a b] as np.trace(a @ b), a with its P S(Psi) and
+    A_0 terms apart, G from S(P) and A_0, and the explicit inverse of
+    P + t Psi; the sup over theta by the same Newton descent from a/b."""
+    L, complex_params = st.L, not st.is_real
+    m = _cache_for(st).m_matrix(x)
+    p, theta_x = -m / (2.0 * L), -np.trace(m).real / (2.0 * L)
+    c = rate_mod._unpack(v, L, complex_params)
+    psi = c @ c.conj().T
+    tr = np.trace(psi).real
+    psi = psi / tr
+    s_psi = apply_S(st, psi)
+    a = L * (x - 2.0 * L * np.trace(p @ s_psi).real - np.trace(st.a0 @ psi).real)
+    b = 2.0 * L * L * np.trace(psi @ s_psi).real
+    r_inv = np.linalg.inv(np.linalg.cholesky(p))
+    mu = np.linalg.eigvalsh(r_inv @ psi @ r_inv.conj().T).clip(0.0)
+    t = top = a / b if a > 0.0 else 0.0
+    for _ in range(100 if t > 0.0 else 0):
+        q = mu / (1.0 + t * mu)
+        d1, d2 = a - b * t - 0.5 * q.sum(), 0.5 * (q * q).sum() - b
+        if d1 >= 0.0:
+            break
+        step = d1 / d2 if d2 < 0.0 else np.inf
+        if step >= t:
+            top = 0.0
+            break
+        t = top = t - step
+        if step <= 1e-15 * t:
+            break
+    f = st.beta * (top * (a - 0.5 * b * top) - 0.5 * np.log1p(top * mu).sum())
+    if not f > 0.0:
+        return 0.0, np.zeros_like(v)
+    g = st.beta * (top * L * (-2.0 * L * apply_S(st, p) - st.a0)
+                   - 2.0 * L * L * top * top * s_psi - 0.5 * top * np.linalg.inv(p + top * psi))
+    g = 0.5 * (g + g.conj().T)
+    g = g - np.trace(g @ psi).real * np.eye(L)
+    return f, rate_mod._pack(2.0 * g @ c / tr, complex_params)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_profile_objective_matches_its_explicit_formulas(ell, beta):
+    """The one-pass objective (H = 2 L S(P) + A_0, Re Tr by vdot, the
+    gradient made Hermitian once) matches the formulas written out, to
+    1e-13 max(1, |f|) in value and 1e-12 relative in gradient, on random,
+    rank-one projector and near-singular profiles."""
+    rng = stream(41, ell, beta)
+    st = random_structure(rng, ell)
+    if beta == 2:
+        st = conjugated(twin(st), random_unitary(rng, ell, 2))
+    complex_params = not st.is_real
+    x = right_edge(st).r_inf + float(rng.uniform(0.2, 1.0))
+    base = rate_mod._curve_base(st, x)
+
+    def factor(shape):
+        c = rng.standard_normal(shape)
+        return c + 1j * rng.standard_normal(shape) if complex_params else c
+
+    factors = []
+    for _ in range(5):
+        factors.append(factor((ell, ell)))  # random
+        u = factor(ell)
+        factors.append(np.outer(u, np.eye(ell)[0]))  # C C* = u u*, a rank-one projector
+        w, q = np.linalg.eigh(random_pd_profile(rng, ell))
+        factors.append(q * np.sqrt(np.r_[1e-9, w[1:]]))  # near-singular
+    positive = 0
+    for c in factors:
+        v = rate_mod._pack(c, complex_params)
+        value, grad = rate_mod._profile_objective(v, st, base)
+        want, want_grad = _explicit_objective(v, st, x)
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+        assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+        positive += want > 0.0
+    assert positive >= len(factors) // 2
+
+
+@pytest.mark.parametrize("complex_params", [False, True])
+def test_re_trace_is_the_real_trace_of_the_product(complex_params):
+    """_re_trace(a, b) = Re Tr[a b] for a Hermitian a, b, by vdot."""
+    rng = stream(41, 7)
+    for ell in (1, 2, 3, 4, 8):
+        a, b = (rng.standard_normal((ell, ell)) for _ in range(2))
+        if complex_params:
+            a, b = a + 1j * rng.standard_normal((ell, ell)), b + 1j * rng.standard_normal((ell, ell))
+        a, b = a + a.conj().T, b + b.conj().T
+        want = np.trace(a @ b).real
+        assert abs(rate_mod._re_trace(a, b) - want) <= 1e-14 * np.abs(a).sum() * np.abs(b).max()
+
+
+def test_stationary_start_runs_no_lbfgsb(pair, monkeypatch):
+    """A start whose gradient already meets L-BFGS-B's first stopping test
+    (max |gradient| <= gtol) is taken as it is, with no L-BFGS-B run: on a
+    direct sum each of the L eigenprojectors of S(Id) is such a start, so
+    L-BFGS-B runs from the other distinct starts only. pair is one too in
+    effect: A_0 and every A_j map diagonal matrices to diagonal ones, so
+    M(x) and G are diagonal at the diagonal projectors. rs710 has no such
+    start. The result is bitwise the one where every start runs L-BFGS-B,
+    which stops there at iteration 0 with the same value and nfev 1."""
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    dsum = make_structure(np.diag([0.0, 0.3]), [e11, e22])
+    cases = [(dsum, 2.8, 2), (rotated_direct_sum(stream(27, 0), 2), None, 2), (pair, None, 2),
+             (random_structure(stream(710), 2), None, 0)]
+    runs = []
+    scipy_minimize = rate_mod.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return scipy_minimize(*args, **kwargs)
+
+    def every_start_runs(structure, base, v, options):
+        return minimize(rate_mod._profile_objective, v, args=(structure, base),
+                        method="L-BFGS-B", jac=True, options=options)
+
+    for st, x, skipped in cases:
+        x = x if x is not None else right_edge(st).r_inf + 0.75
+        projectors = [np.outer(u, u.conj())
+                      for u in np.linalg.eigh(apply_S(st, np.eye(st.L) / st.L))[1].T]
+        starts = len(rate_mod._seed_factors(st, OptConfig(), projectors, not st.is_real))
+        with monkeypatch.context() as mp:
+            mp.setattr(rate_mod, "minimize", counted)
+            runs.clear()
+            res = rate_function(st, x)
+        assert res.stability_flag and res.diagnostics["polish"] == "mde-newton"
+        assert len(runs) == starts - skipped
+        with monkeypatch.context() as mp:
+            mp.setattr(rate_mod, "_lbfgs", every_start_runs)
+            want = rate_function(st, x)
+        assert (res.value, res.theta_star, res.epsilon_used) == \
+            (want.value, want.theta_star, want.epsilon_used)
+        assert np.array_equal(res.psi_star.psi, want.psi_star.psi)
+        assert res.diagnostics == want.diagnostics
+        assert res.stability_flag == want.stability_flag
 
 
 @ORACLE_SETTINGS
