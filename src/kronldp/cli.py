@@ -6,9 +6,10 @@ override the corresponding config fields. Numeric CSV cells are
 written with repr-faithful 17-significant-digit formatting so re-running a
 config byte-reproduces the file bodies; wall-clock metadata goes to a
 separate run_meta.json that is allowed to differ between runs, together with
-what a command reports about its own work (for rate: each point's profile
-search evaluations, stability flag (its certificate), optimality residual
-and first-order gap; for simulate: the mean profile rho(v_1) of the draws).
+the names of the files the run wrote and what a command reports about its
+own work (for rate: each point's profile search evaluations, stability flag
+(its certificate), optimality residual and first-order gap; for simulate:
+the mean profile rho(v_1) of the draws).
 
 Exit codes: 0 success, 1 config error (a command-line usage error
 included), 2 numerical failure (no MDE convergence or no fold at the edge,
@@ -59,6 +60,12 @@ class RunConfig:
     output_dir: Path
     seed: int
     meta: dict = field(default_factory=dict)  # command-specific run_meta.json entries
+    files: list = field(default_factory=list)  # the output files this run wrote
+
+    def out(self, name) -> Path:
+        """The path of output file `name`, recorded for run_meta.json's files."""
+        self.files.append(name)
+        return self.output_dir / name
 
 
 def _fmt(x) -> str:
@@ -126,7 +133,7 @@ def _write_rows(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_meta(cfg: RunConfig, started, files):
+def _write_meta(cfg: RunConfig, started):
     meta = {
         "command": cfg.command,
         "seed": cfg.seed,
@@ -134,7 +141,7 @@ def _write_meta(cfg: RunConfig, started, files):
         "version": __version__,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(started)),
         "elapsed_seconds": round(time.time() - started, 3),
-        "files": sorted(files),
+        "files": sorted(cfg.files),
         **cfg.meta,
     }
     (cfg.output_dir / "run_meta.json").write_text(
@@ -171,7 +178,7 @@ def cmd_density(cfg: RunConfig) -> int:
         # the points the stacked solves turned down and solved again
         cfg.meta.update(fallback_points=dens.fallback_points,
                         refine_fallbacks=dens.refine_fallbacks)
-    _write_rows(cfg.output_dir / "density.csv",
+    _write_rows(cfg.out("density.csv"),
                 ["x", "density", "cell_mass"], rows)
     support = {
         "r_inf": info.r_inf,
@@ -181,7 +188,7 @@ def cmd_density(cfg: RunConfig) -> int:
         "fold_steps": info.fold_steps,
         "left_edge": left,
     }
-    (cfg.output_dir / "support.json").write_text(
+    cfg.out("support.json").write_text(
         json.dumps(support, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -202,7 +209,7 @@ def cmd_rate(cfg: RunConfig) -> int:
     results = [rate_function(st, x) for x in usable]
     rows = [(x, r.value, r.theta_star, r.epsilon_used)
             for x, r in zip(usable, results)]
-    _write_rows(cfg.output_dir / "rate.csv",
+    _write_rows(cfg.out("rate.csv"),
                 ["x", "rate", "theta_star", "epsilon"], rows)
     cfg.meta["rate_points"] = [_rate_point_meta(st, x, r) for x, r in zip(usable, results)]
     return EXIT_OK
@@ -240,7 +247,7 @@ def cmd_outlier(cfg: RunConfig) -> int:
             raise ConfigError("config field 'outlier.psi' has [re, im] entries but beta=1")
     results = [largest_outlier(st, parse_number(t, "outlier.theta_grid"), psi) for t in grid]
     rows = [(t, r.Z, r.residual) for t, r in zip(grid, results)]
-    _write_rows(cfg.output_dir / "outlier.csv", ["theta", "Z", "residual"], rows)
+    _write_rows(cfg.out("outlier.csv"), ["theta", "Z", "residual"], rows)
     return EXIT_OK
 
 
@@ -263,11 +270,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     est = None if x is None else tail_probability(
         st, x, delta, n, reps, cfg.seed, sampler=cfg.params.get("sampler", "dense"))
     rows = [(i, lam) for i, (lam, _) in enumerate(draws)]
-    _write_rows(cfg.output_dir / "simulate.csv", ["rep", "lambda1"], rows)
+    _write_rows(cfg.out("simulate.csv"), ["rep", "lambda1"], rows)
     cfg.meta["mean_profile"] = format_matrix(np.mean([p.psi for _, p in draws], axis=0), st.beta)
     cfg.meta["sampler_processes"] = 1  # the lambda_1 draws are one stream, drawn here
     if est is not None:
-        out = cfg.output_dir / "tail.jsonl"
+        out = cfg.out("tail.jsonl")
         out.unlink(missing_ok=True)
         write_jsonl(out, [estimate_record(est, st, cfg.seed)])
         cfg.meta["sampler_processes"] = est.processes
@@ -282,7 +289,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                           f"names (strings), got {json.dumps(names)}")
     results = run_checks(names=names, emit=print)
     report = render_table(results)
-    (cfg.output_dir / "verify.txt").write_text(report + "\n", encoding="utf-8")
+    cfg.out("verify.txt").write_text(report + "\n", encoding="utf-8")
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"first failing suite: {failed[0]}", file=sys.stderr)
@@ -358,9 +365,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    files = [p.name for p in cfg.output_dir.iterdir()
-             if p.name not in ("run_meta.json",)]
-    _write_meta(cfg, started, files)
+    _write_meta(cfg, started)
     return code
 
 

@@ -403,7 +403,13 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Profile:
-    """Trace-one positive semi-definite L x L matrix (eigenvector profile)."""
+    """Trace-one positive semi-definite L x L matrix (eigenvector profile).
+
+    The one rule for a valid profile: Hermitian to 1e-10 entrywise (no
+    relative slack), trace 1 to 1e-12 and eigenvalues >= -1e-12. psi is
+    stored as its exact Hermitian part (exactly Hermitian input bit for
+    bit), so a function that reads one triangle and one that reads the
+    whole matrix see the same profile."""
 
     psi: np.ndarray
 
@@ -411,14 +417,14 @@ class Profile:
         psi = np.asarray(self.psi)
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
             raise ValueError("profile must be a square matrix")
-        if not np.allclose(psi, psi.conj().T, atol=1e-10):
+        if not np.allclose(psi, psi.conj().T, atol=1e-10, rtol=0.0):
             raise ValueError("profile must be symmetric/Hermitian")
+        psi = np.array(_hermitian_part(psi))
         if abs(np.trace(psi).real - 1.0) > 1e-12:
             raise ValueError(f"profile trace {np.trace(psi)!r} != 1")
         w = np.linalg.eigvalsh(psi)
         if w.min() < -1e-12:
-            raise ValueError(f"profile not PSD: min eigenvalue {w.min():.3e}")
-        psi = psi.copy()
+            raise ValueError(f"profile not positive semidefinite: min eigenvalue {w.min():.3e}")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
 

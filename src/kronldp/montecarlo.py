@@ -128,10 +128,6 @@ def _batch_size(nl, reps):
     return max(1, min(512, cap, reps))
 
 
-def _nbatches(reps, size):
-    return -(-reps // size)
-
-
 def _cpu_count():
     """CPUs this process may run on: its affinity mask, where there is one."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -156,25 +152,31 @@ def _processes(nbatches, rng):
     return min(cpus, nbatches)
 
 
-def _map_batches(fn, nbatches, rng):
-    """[fn(b) for b in range(nbatches)], in batch order.
+def _map_batches(fn, reps, size, rng):
+    """(results, processes): reps draws split into batches of size draws,
+    results[b] = fn(b, count_b) in batch order, where batch b holds the
+    count_b = min(size, reps - b size) draws from b size on (the last batch
+    takes the remainder), and processes is how many processes ran them.
 
-    Batch b draws from stream (seed, b) whoever runs it, so the results do
-    not depend on the schedule. With more than one process (`_processes`)
-    the batches go to a pool of forked workers, each of which inherits the
-    caller's modules; fn and its results are pickled, so fn is a module-level
+    This is the one place the batch plan is worked out: fn receives its
+    batch's index, which names its stream (seed, b), and its count. Batch b
+    draws from that stream whoever runs it, so the results do not depend on
+    the schedule. With more than one process (`_processes`) the batches go
+    to a pool of forked workers, each of which inherits the caller's
+    modules; fn and its results are pickled, so fn is a module-level
     function (or a partial of one). The pool is shut down, every worker
     joined, before the call returns, and an exception raised in a batch is
     re-raised here as its own type.
     """
-    processes = _processes(nbatches, rng)
+    counts = [min(size, reps - start) for start in range(0, reps, size)]
+    processes = _processes(len(counts), rng)
     if processes == 1:
-        return [fn(b) for b in range(nbatches)]
+        return [fn(b, count) for b, count in enumerate(counts)], 1
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, range(nbatches)))
+        return list(pool.map(fn, range(len(counts)), counts)), processes
 
 
 # A structure is split into L parts when every matrix is diagonal to this
@@ -291,26 +293,54 @@ class _Part:
         return self.basis @ (cross @ (1.0 / (vals - z)) / n) @ self.basis.conj().T
 
 
-def _window_draws(structure, x, delta, n, reps, rng, one_sided, batch, mean=None):
+def _window_draws(structure, x, delta, n, rng, one_sided, batch, count, mean=None):
     """The blocks W (each plus the mean, when given) of batch `batch`'s
-    draws whose X has lambda_1 in the window: lambda_1 >= x - delta, and for
-    a two-sided window also lambda_1 <= x + delta.
+    count draws whose X has lambda_1 in the window: lambda_1 >= x - delta,
+    and for a two-sided window also lambda_1 <= x + delta.
 
-    Batch b takes the _batch_size draws from b _batch_size on, from stream
-    (seed, b). No eigenvalue is computed: a draw is in the window when some
+    The count draws come from stream (seed, batch); `_map_batches` sets the
+    count. No eigenvalue is computed: a draw is in the window when some
     part fails the Cholesky test at x - delta and, two-sided, every such
     part passes it at x + delta. The test is exact up to rounding, so a draw
     is placed differently from an eigensolve only when its lambda_1 lies
     within rounding of a window end. The yielded blocks are fresh for every
     draw.
     """
-    bs = _batch_size(structure.L * n, reps)
-    parts, draws = _draws(structure, n, min(bs, reps - batch * bs), _draw_stream(rng, batch),
-                          mean)
+    parts, draws = _draws(structure, n, count, _draw_stream(rng, batch), mean)
     for blocks in draws:
         above = [part for part in parts if not part.below(blocks, x - delta)]
         if above and (one_sided or all(part.below(blocks, x + delta) for part in above)):
             yield blocks
+
+
+def _window_args(x, delta, n, reps):
+    """x and delta as floats, after the window estimators' shared checks."""
+    if reps < 1 or n < 1:
+        raise ValueError("N and reps must be >= 1")
+    x, delta = _finite(x, "x"), _finite(delta, "delta")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return x, delta
+
+
+def _tail_estimate(x, delta, n, reps, hits, processes, weights=None):
+    """The TailEstimate of hits in reps draws, each hit of its weight (an
+    importance estimate) or of weight 1 (a direct count, weights None):
+    p_hat = sum w / reps, and the Clopper-Pearson interval for the hit count
+    scaled by the mean hit weight, exact for a direct count and a heuristic
+    otherwise. ess, the effective sample size of the hits, is reported only
+    for weights, and below 10 flags the estimate unreliable."""
+    sum_w = float(hits) if weights is None else math.fsum(weights)
+    p_hat = sum_w / reps
+    lo, hi = _clopper_pearson(hits, reps)
+    scale = sum_w / hits if hits else 1.0
+    ess = None if weights is None else (
+        sum_w * sum_w / math.fsum(w * w for w in weights) if hits else 0.0)
+    return TailEstimate(x=float(x), delta=float(delta), N=n, reps=reps, hits=hits,
+                        p_hat=p_hat, rate_hat=math.inf if p_hat <= 0 else -math.log(p_hat) / n,
+                        ci_low=lo * scale, ci_high=hi * scale,
+                        method="direct" if weights is None else "importance", ess=ess,
+                        unreliable=ess is not None and ess < 10, processes=processes)
 
 
 def _clopper_pearson(hits, reps, alpha=0.05):
@@ -375,8 +405,8 @@ def block_resolvent_trace(structure, n, reps, z, rng=0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # direct window counting
 
-def _dense_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch):
-    return sum(1 for _ in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch))
+def _dense_batch_hits(structure, x, delta, n, rng, one_sided, batch, count):
+    return sum(1 for _ in _window_draws(structure, x, delta, n, rng, one_sided, batch, count))
 
 
 def _sturm_below(d, e2, t):
@@ -424,12 +454,11 @@ def _scalar_coefficients(structure):
     return float(np.real(structure.a0[0, 0])), float(np.real(structure.a[0][0, 0]))
 
 
-def _tridiagonal_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch):
-    """Hits among batch `batch`'s tridiagonal draws, from stream (seed, b)."""
+def _tridiagonal_batch_hits(structure, x, delta, n, rng, one_sided, batch, count):
+    """Hits among batch `batch`'s count tridiagonal draws, from stream (seed, b)."""
     c, a = _scalar_coefficients(structure)
-    m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
     if structure.noiseless:
-        return m * int(c >= x - delta if one_sided else abs(c - x) <= delta)  # X = c Id
+        return count * int(c >= x - delta if one_sided else abs(c - x) <= delta)  # X = c Id
     # lambda_1(X) < s  <=>  all eigenvalues of W below (s-c)/a   (a > 0)
     #                  <=>  no eigenvalue of W below (s-c)/a     (a < 0)
 
@@ -437,7 +466,7 @@ def _tridiagonal_batch_hits(structure, x, delta, n, reps, rng, one_sided, batch)
         cnt = _sturm_below(d, e2, (s - c) / a)
         return cnt == n if a > 0 else cnt == 0
 
-    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, m)
+    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, count)
     hit = ~below(d, e2, x - delta)
     if not one_sided:
         # only the draws above the lower edge need the upper-edge sweep
@@ -470,11 +499,7 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
     -c 0` keeps them in-process), at most one per batch; `processes` reports
     how many drew them. The estimate is the same either way.
     """
-    if reps < 1 or n < 1:
-        raise ValueError("N and reps must be >= 1")
-    x, delta = _finite(x, "x"), _finite(delta, "delta")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    x, delta = _window_args(x, delta, n, reps)
     if sampler == "auto":
         sampler = "tridiagonal" if _tridiagonal_ok(structure) else "dense"
     if sampler == "tridiagonal":
@@ -485,15 +510,9 @@ def tail_probability(structure, x, delta, n, reps, rng, one_sided=False,
         batch_hits, size = _dense_batch_hits, _batch_size(structure.L * n, reps)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    nbatches = _nbatches(reps, size)
-    batch = functools.partial(batch_hits, structure, x, delta, n, reps, rng, one_sided)
-    hits = sum(_map_batches(batch, nbatches, rng))
-    p_hat = hits / reps
-    rate_hat = math.inf if hits == 0 else -math.log(p_hat) / n
-    lo, hi = _clopper_pearson(hits, reps)
-    return TailEstimate(x=float(x), delta=float(delta), N=n, reps=reps, hits=hits,
-                        p_hat=p_hat, rate_hat=rate_hat, ci_low=lo, ci_high=hi,
-                        method="direct", processes=_processes(nbatches, rng))
+    batch = functools.partial(batch_hits, structure, x, delta, n, rng, one_sided)
+    hits, processes = _map_batches(batch, reps, size, rng)
+    return _tail_estimate(x, delta, n, reps, sum(hits), processes)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +543,7 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
     at both ends, block by block when the matrices commute), and its weight
     is read off the blocks: X is never assembled.
     """
-    if reps < 1 or n < 1:
-        raise ValueError("N and reps must be >= 1")
-    x, delta = _finite(x, "x"), _finite(delta, "delta")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    x, delta = _window_args(x, delta, n, reps)
     psi = as_profile(np.eye(structure.L) / structure.L if psi is None else psi)
     if theta is None:
         if x - delta <= right_edge(structure).r_inf:
@@ -539,30 +554,19 @@ def importance_tail(structure, x, delta, n, reps, rng, psi=None, theta=None,
         raise ValueError("theta must be >= 0")
 
     u = profile_vector(structure, psi, n, _draw_stream(rng, reps))
-    nbatches = _nbatches(reps, _batch_size(structure.L * n, reps))
-    batch = functools.partial(_importance_batch_weights, structure, x, delta, n, reps, rng,
+    batch = functools.partial(_importance_batch_weights, structure, x, delta, n, rng,
                               one_sided, theta, u)
-    w_hit = [w for ws in _map_batches(batch, nbatches, rng) for w in ws]
-    hits = len(w_hit)
-
-    sum_hit = math.fsum(w_hit)
-    p_hat = sum_hit / reps
-    rate_hat = math.inf if p_hat <= 0 else -math.log(p_hat) / n
-    ess = sum_hit * sum_hit / math.fsum(w * w for w in w_hit) if hits else 0.0
-    lo, hi = _clopper_pearson(hits, reps)
-    scale = sum_hit / hits if hits else 1.0
-    return TailEstimate(x=float(x), delta=float(delta), N=n, reps=reps, hits=hits,
-                        p_hat=p_hat, rate_hat=rate_hat, ci_low=lo * scale,
-                        ci_high=hi * scale, method="importance", ess=ess,
-                        unreliable=ess < 10, processes=_processes(nbatches, rng))
+    batches, processes = _map_batches(batch, reps, _batch_size(structure.L * n, reps), rng)
+    weights = [w for ws in batches for w in ws]
+    return _tail_estimate(x, delta, n, reps, len(weights), processes, weights)
 
 
-def _importance_batch_weights(structure, x, delta, n, reps, rng, one_sided, theta, u, batch):
-    """The weights of batch `batch`'s tilted hits, in draw order."""
+def _importance_batch_weights(structure, x, delta, n, rng, one_sided, theta, u, batch, count):
+    """The weights of batch `batch`'s tilted hits among its count draws, in draw order."""
     c = _tilt_blocks(structure, u)
     t2 = float(np.vdot(c, c).real)
     weights = []
-    for blocks in _window_draws(structure, x, delta, n, reps, rng, one_sided, batch,
+    for blocks in _window_draws(structure, x, delta, n, rng, one_sided, batch, count,
                                 2.0 * theta * c):
         t1 = float(np.vdot(c, blocks).real)
         weights.append(math.exp(structure.beta * n * theta * (theta * t2 - t1)))
@@ -584,17 +588,16 @@ def _tilted_tridiagonal_lambda1(structure, theta, n, reps, rng):
     c, a = _scalar_coefficients(structure)
     if structure.noiseless:
         return np.full(reps, c)
-    batch = functools.partial(_tilted_tridiagonal_batch, structure, theta, n, reps, rng)
-    return c + a * np.concatenate(_map_batches(batch, _nbatches(reps, _TRI_BATCH), rng))
+    batch = functools.partial(_tilted_tridiagonal_batch, structure, theta, n, rng)
+    return c + a * np.concatenate(_map_batches(batch, reps, _TRI_BATCH, rng)[0])
 
 
-def _tilted_tridiagonal_batch(structure, theta, n, reps, rng, batch):
+def _tilted_tridiagonal_batch(structure, theta, n, rng, batch, count):
     """The spiked tridiagonal's top (a > 0) or bottom (a < 0) eigenvalue for
-    each of batch `batch`'s draws, from stream (seed, b)."""
+    each of batch `batch`'s count draws, from stream (seed, b)."""
     a = _scalar_coefficients(structure)[1]
     k = n - 1 if a > 0 else 0
-    m = min(_TRI_BATCH, reps - batch * _TRI_BATCH)
-    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, m)
+    d, e2 = _tridiagonal_batch(_draw_stream(rng, batch), structure.beta, n, count)
     d[0] += 2.0 * theta * a
     e = np.sqrt(e2, out=e2)
     return np.array([eigvalsh_tridiagonal(dj, ej, select="i", select_range=(k, k))[0]

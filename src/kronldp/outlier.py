@@ -103,10 +103,11 @@ def _kron(a, b):
 
 
 def outlier_det(structure: StructureSet, theta, psi, z) -> float:
-    """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf."""
+    """det(Id + 2 theta S_big (M(z) x Psi)) for real z >= r_inf; psi must be
+    an L x L profile (`model.Profile`), real at beta = 1."""
     if not theta >= 0:
         raise ValueError("theta must be non-negative")
-    psi, z = _sized_psi(structure, psi), _finite(z, "z")
+    psi, z = as_profile(_sized_psi(structure, psi)).psi, _finite(z, "z")
     m_mat = _cache_for(structure).m_matrix(z)
     big = structure.s_op.big
     val = np.linalg.det(np.eye(big.shape[0]) + 2.0 * theta * big @ _kron(m_mat, psi))
@@ -124,13 +125,11 @@ def _probe(structure, m, f):
 
 
 def _sym(structure, theta, z, psi):
-    """_probe at M(z) once theta >= 0 and psi (PSD to -1e-12) are checked and
-    2 theta Psi is factored."""
+    """_probe at M(z) once theta >= 0 is checked, psi taken as a Profile and
+    2 theta Psi factored."""
     if not theta >= 0:
         raise ValueError("theta must be non-negative")
-    psi, z = _sized_psi(structure, psi), _finite(z, "z")
-    if np.linalg.eigvalsh(psi).min() < -1e-12:
-        raise ValueError("psi must be positive semidefinite")
+    psi, z = as_profile(_sized_psi(structure, psi)).psi, _finite(z, "z")
     return _probe(structure, _cache_for(structure).m_matrix(z), _psd_factor(2.0 * theta * psi))
 
 
@@ -140,8 +139,9 @@ def lambda_sym(structure: StructureSet, theta, z, psi) -> float:
     Its nonzero eigenvalues are those of -2 theta S_big (M x Psi), so it
     reaches 1 at the outlier determinant's largest root (module docstring),
     but through a Hermitian eigenproblem (that of C* S_big C, `_sym`).
-    Requires positive semidefinite psi (up to the -1e-12 a Profile allows);
-    lambda -> 0 linearly as theta -> 0.
+    psi must be an L x L profile (`model.Profile`: Hermitian, trace one,
+    positive semidefinite), real at beta = 1; lambda -> 0 linearly as
+    theta -> 0.
     """
     return _lambda(_sym(structure, theta, z, psi))
 

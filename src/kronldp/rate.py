@@ -191,14 +191,11 @@ def j_value(structure: StructureSet, x, theta) -> float:
 
 
 def k_value(structure: StructureSet, theta, psi) -> float:
-    """Tilted cumulant functional K(theta, psi); -inf for singular psi."""
+    """Tilted cumulant functional K(theta, psi); -inf for singular psi.
+    psi must be an L x L profile (`model.Profile`), real at beta = 1."""
     if not theta >= 0:
         raise ValueError("theta must be non-negative")
-    psi = _sized_psi(structure, psi)
-    if np.max(np.abs(psi - psi.conj().T)) > 1e-8:
-        raise ValueError("psi must be symmetric/Hermitian")
-    if np.linalg.eigvalsh(psi).min() < -1e-10:
-        raise ValueError("psi must be positive semi-definite")
+    psi = as_profile(_sized_psi(structure, psi)).psi
     L = structure.L
     sign, logdet = np.linalg.slogdet(psi)
     if sign <= 0 or not np.isfinite(logdet):

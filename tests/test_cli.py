@@ -103,6 +103,21 @@ def test_density_rerun_is_byte_identical(tmp_path):
     assert "density.csv" in meta["files"]
 
 
+def test_run_meta_lists_only_the_files_the_run_wrote(tmp_path):
+    # an output directory that already holds an unrelated file and an older
+    # density.csv: run_meta.json names the rate run's own file, not the
+    # directory's listing
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "unrelated.txt").write_text("kept\n", encoding="utf-8")
+    (out / "density.csv").write_text("x,density,cell_mass\n", encoding="utf-8")
+    doc = {"command": "rate", "structure": GOE_DOC, "seed": 1, "rate": {"x_grid": [3.0]}}
+    code, out = run_cli(tmp_path, doc)
+    assert code == 0
+    assert json.loads((out / "run_meta.json").read_text())["files"] == ["rate.csv"]
+    assert (out / "unrelated.txt").read_text(encoding="utf-8") == "kept\n"
+
+
 def test_density_run_meta_reports_the_points_solved_again(tmp_path, monkeypatch):
     # run_meta.json carries the density's fallback_points and
     # refine_fallbacks: 0 and 0 on GOE and with no noise, and a refinement

@@ -400,6 +400,32 @@ def test_complex_profile_at_beta_one_is_rejected(call):
         _profile_call(call, psi)
 
 
+@pytest.mark.parametrize("psi, message", [
+    # an asymmetry of 2e-6 passed np.allclose's default rtol = 1e-5, and
+    # lambda_sym read one triangle of psi while sup_theta read all of it
+    (np.array([[0.5, 0.3], [0.300002, 0.5]]), r"profile must be symmetric/Hermitian"),
+    # k_value, lambda_sym and outlier_det took any trace
+    (np.diag([0.7, 0.7]), r"profile trace"),
+], ids=["asymmetric", "trace"])
+@pytest.mark.parametrize("call", PROFILE_CALLS)
+def test_invalid_profile_is_rejected(call, psi, message):
+    with pytest.raises(ValueError, match=message):
+        _profile_call(call, psi)
+
+
+def test_profile_is_stored_as_its_exact_hermitian_part():
+    # within the 1e-10 a profile may be asymmetric, every function sees its
+    # Hermitian part: psi and psi^T give the same lambda_sym bit for bit
+    psi = np.array([[0.5, 0.3], [0.3 + 4e-11, 0.5]])
+    stored = as_profile(psi).psi
+    assert np.array_equal(stored, stored.T) and np.array_equal(stored, (psi + psi.T) / 2)
+    exact = np.array([[0.5, 0.3], [0.3, 0.5]])
+    assert as_profile(exact).psi.tobytes() == exact.tobytes()
+    st = make_structure(np.diag([0.3, -0.1]), [np.diag([1.0, 0.5]), 0.4 * (1.0 - np.eye(2))])
+    z = kronldp.right_edge(st).r_inf + 0.5
+    assert kronldp.lambda_sym(st, 1.0, z, psi) == kronldp.lambda_sym(st, 1.0, z, psi.T)
+
+
 @pytest.mark.parametrize("call", ["f_value", "sup_theta", "k_value", "lambda_sym",
                                   "tilt_for_target", "outlier_det"])
 def test_real_profile_of_complex_dtype_is_taken_as_real_at_beta_one(call):
