@@ -265,7 +265,12 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
     so a residual at tol leaves M off by up to tol over it, and one more
     step squares that error away. M takes the dtype of m0, z and A_0
     together, so with a real structure a real start at real z stays real.
-    Returns (m, ok); ok is False where Newton failed."""
+
+    Where every point steps, a step works on the whole stack, and a line
+    search trial that lowers the merit at every point it tries is kept in
+    one indexed assignment; copying out the stepping points would change no
+    point's arithmetic. The rate search polishes every screened start in
+    one call. Returns (m, ok); ok is False where Newton failed."""
     L = structure.L
     m = (_far_field_guess(structure, z) if m0 is None
          else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
@@ -273,13 +278,17 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
     d = _eye(L) + b @ m  # B and the defect at the current M, for the next step
     res = np.linalg.norm(d, axis=(-2, -1))
     tol = np.broadcast_to(tol, res.shape)
+    wide = np.sqrt(L) * tol  # above it, ||D||_2 > tol follows from the merit
     stalled = np.zeros(len(z), dtype=bool)
     for it in range(max_steps + 1):
-        near = np.flatnonzero((res > tol) & (res <= np.sqrt(L) * tol) & ~stalled)
+        above = (res > tol) & ~stalled
+        near = np.flatnonzero(above & (res <= wide))
         if len(near):  # a spectral residual within tol stands in for the merit
             spec = _spectral_norm(d[near])
-            res[near] = np.where(spec <= tol[near], spec, res[near])
-        idx = np.flatnonzero((res > tol) & ~stalled)
+            within = spec <= tol[near]
+            res[near] = np.where(within, spec, res[near])
+            above[near] = ~within
+        idx = np.flatnonzero(above)
         last = it == max_steps or not len(idx)
         if last:  # accept, then the last step at the accepted points on the axis
             ok, above = res <= tol, res > tol  # a NaN merit is neither: it fails
@@ -288,10 +297,11 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
             idx = np.flatnonzero(ok & (z.imag == 0))
             if not len(idx):
                 break
-        zi, mi = z[idx], m[idx]
+        zi, mi, bi, di = ((z, m, b, d) if len(idx) == len(z)
+                          else (z[idx], m[idx], b[idx], d[idx]))
         try:
-            dm = np.linalg.solve(_jacobian(structure, b[idx], mi),
-                                 -d[idx].reshape(len(idx), L * L, 1)).reshape(-1, L, L)
+            dm = np.linalg.solve(_jacobian(structure, bi, mi),
+                                 -di.reshape(len(idx), L * L, 1)).reshape(-1, L, L)
         except np.linalg.LinAlgError:  # some system is singular
             if last:
                 ok[idx] = False  # the caller re-solves these
@@ -301,20 +311,23 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
         if last:
             m[idx] = mi + dm
             break
-        lam, todo = 1.0, np.arange(len(idx))
+        lam, todo = 1.0, idx
         for _ in range(10):
-            cand = mi[todo] + lam * dm[todo]
-            b_new = _b_batch(structure, zi[todo], cand)
+            cand = mi + lam * dm
+            b_new = _b_batch(structure, zi, cand)
             d_new = _eye(L) + b_new @ cand
             r_new = np.linalg.norm(d_new, axis=(-2, -1))
-            fell = r_new < res[idx[todo]]
-            acc = idx[todo[fell]]
-            m[acc], b[acc], d[acc], res[acc] = cand[fell], b_new[fell], d_new[fell], r_new[fell]
-            todo = todo[~fell]
-            if not len(todo):
+            fell = r_new < res[todo]
+            if fell.all():
+                m[todo], b[todo], d[todo], res[todo] = cand, b_new, d_new, r_new
                 break
+            acc = todo[fell]
+            m[acc], b[acc], d[acc], res[acc] = cand[fell], b_new[fell], d_new[fell], r_new[fell]
+            rest = ~fell
+            todo, zi, mi, dm = todo[rest], zi[rest], mi[rest], dm[rest]
             lam /= 2.0
-        stalled[idx[todo]] = True
+        else:
+            stalled[todo] = True
     return m, ok
 
 

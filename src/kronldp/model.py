@@ -405,8 +405,8 @@ def sample_tilted(structure: StructureSet, n, theta, u, rng) -> np.ndarray:
 class Profile:
     """Trace-one positive semi-definite L x L matrix (eigenvector profile).
 
-    The one rule for a valid profile: Hermitian to 1e-10 entrywise (no
-    relative slack), trace 1 to 1e-12 and eigenvalues >= -1e-12. psi is
+    The one rule for a valid profile: finite, Hermitian to 1e-10 entrywise
+    (no relative slack), trace 1 to 1e-12 and eigenvalues >= -1e-12. psi is
     stored as its exact Hermitian part (exactly Hermitian input bit for
     bit), so a function that reads one triangle and one that reads the
     whole matrix see the same profile."""
@@ -417,6 +417,8 @@ class Profile:
         psi = np.asarray(self.psi)
         if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
             raise ValueError("profile must be a square matrix")
+        if not np.isfinite(psi).all():
+            raise ValueError("profile entries must be finite")
         if not np.allclose(psi, psi.conj().T, atol=1e-10, rtol=0.0):
             raise ValueError("profile must be symmetric/Hermitian")
         psi = np.array(_hermitian_part(psi))

@@ -10,10 +10,10 @@ that limit is taken exactly here. For fixed Psi the sup over all
 theta >= theta_x is finite whenever q = Tr[Psi S(Psi)] > 0 and is found in
 closed form below, and the inf over q > 0 of that sup is the eps -> 0 limit
 of the constrained inf. So one search minimizes the uncapped sup, with no
-constraint and no projection: it screens every start only as far as
-ranking them needs, polishes the best on the MDE's second real solution at
-x (below), and passes the first-order test on trace-one PSD profiles
-(`rate_function`).
+constraint and no projection: it screens every start only into the Newton
+basin of an optimum, polishes every screened start on the MDE's second real
+solution at x (below), keeps the least, and passes the first-order test on
+trace-one PSD profiles (`rate_function`).
 
 beta is the structure's symmetry class, `StructureSet.beta`: 1 for GOE and
 2 for GUE noise. The paper's formulas carry a prime, the transpose at
@@ -82,9 +82,14 @@ MDE -M~^{-1} = zeta - A_0 + S[M~] with zeta = -lambda / (L t), and pairing
 G with Psi and g'(t) = 0 gives lambda = -L t x, so zeta = x. M~ is not the
 physical root M(x), and theta* = -Tr M~/(2 L), Psi* = D / Tr D with
 D = M(x) - M~ positive semidefinite. Rank-deficient optima (a direct sum's
-rank-one Psi*) were measured to solve it too. So the search polishes by Newton on the MDE at
-x from the best screened point, and keeps the result only where it is such
-a candidate with a value no higher than the screened one.
+rank-one Psi*) were measured to solve it too. Every optimum is such a
+candidate, so the search need not rank its starts before it polishes: one
+stacked Newton on the MDE at x takes every screened start to the M~ of
+its basin, a start's M~ counts only where it is a candidate with a value
+no higher than that start's screened one, and the least of them is the
+result. The screen then only has to reach a basin, not to rank, and the
+starts that reach different optima (two certified ones compete on some
+complex L = 3 structures) are all compared at full precision.
 
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
@@ -155,11 +160,13 @@ class OptConfig:
     seed: int = 0
 
 
-# every profile search start, only as far as ranking the starts needs: the
-# MDE Newton polish lands on the optimum from there
-_SCREEN_OPTIONS = {"ftol": 1e-6, "gtol": 1e-3, "maxiter": 500}
-# the polish of the best screened start where the MDE polish finds no
-# candidate, and every escape round
+# every profile search start, only into its candidate's Newton basin: the
+# MDE polish of every start lands on the optimum from there. One decade
+# tighter than ftol 1e-1, gtol 1, which misses the optimum of rs746 (L = 3,
+# r_inf + 0.1) in tests/test_rate.py
+_SCREEN_OPTIONS = {"ftol": 1e-2, "gtol": 1e-1, "maxiter": 500}
+# the polish of the lowest screened start where no start gives the MDE
+# polish a candidate, and every escape round
 _LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 _STARTS = 8  # starts per search, random ones filling up to this count
 _GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
@@ -439,35 +446,38 @@ def _lbfgs(structure, base, v, options):
     return minimize(objective, v, method="L-BFGS-B", jac=True, options=options)
 
 
-def _mde_polish(structure, base, psi, theta, screened):
-    """Polish a screened profile psi with maximizer theta and value screened
-    on the MDE's second real solution at x (module docstring): Newton with no
-    branch rule (_newton_polish) from M~0 = M(x) - 2 L (theta - theta_x) psi
-    to M~, at tol 1e-12 cond(M~0), since the defect's rounding floor grows
-    with |M~|. M~ is accepted as a candidate where D = M(x) - M~ is PSD
-    (eigenvalues >= -1e-12 Tr D, the Profile's own rounding; measured
-    >= -4e-16 Tr D) with Tr D > 0, and its profile psi* = D / Tr D where
-    sup_theta F there is no higher than screened, up to 1e-14 max(1,
-    screened): where the screen already reached the optimum, the two read it
-    a few ulps apart. Returns (psi*, S(psi*), theta*, value), or None where
-    any of this fails."""
+def _mde_polish(structure, base, points):
+    """Polish screened points (psi, S(psi), theta, value) on the MDE's second
+    real solution at x (module docstring): one stacked Newton with no branch
+    rule (_newton_polish) from M~0 = M(x) - 2 L (theta - theta_x) psi at
+    each point to its M~, at a tol of 1e-12 cond(M~0) per point, since the
+    defect's rounding floor grows with |M~|. An M~ is a candidate where
+    D = M(x) - M~ is PSD (eigenvalues >= -1e-12 Tr D, the Profile's own
+    rounding; measured >= -4e-16 Tr D) with Tr D > 0, and its profile
+    psi* = D / Tr D has sup_theta F no higher than its own start's screened
+    value, up to 1e-14 max(1, screened): where the screen already reached
+    the optimum, the two read it a few ulps apart. Returns the candidates as
+    (psi*, S(psi*), theta*, value), in the order of points."""
     L = structure.L
     m_x = -2.0 * L * base.p
-    m0 = (m_x - 2.0 * L * (theta - base.theta_x) * psi)[None]
-    m, ok = _newton_polish(structure, np.array([base.x]), m0, 1e-12 * np.linalg.cond(m0))
-    if not ok[0]:
-        return None
-    d = m_x - m[0]
-    w, v = np.linalg.eigh(0.5 * (d + d.conj().T))
-    if not (w.sum() > 0.0 and w[0] >= -1e-12 * w.sum()):
-        return None
-    w = w.clip(0.0)
-    psi = (v * (w / w.sum())) @ v.conj().T
-    s_psi = apply_S(structure, psi)
-    th, val = _sup_curve(structure, psi, s_psi, base)
-    if not val <= screened + 1e-14 * max(1.0, screened):
-        return None
-    return psi, s_psi, th, val
+    m0 = np.array([m_x - 2.0 * L * (th - base.theta_x) * psi for psi, _, th, _ in points])
+    m, ok = _newton_polish(structure, np.full(len(points), base.x), m0,
+                           1e-12 * np.linalg.cond(m0))
+    idx = np.flatnonzero(ok)
+    d = m_x - m[idx]
+    w, v = np.linalg.eigh(0.5 * (d + d.conj().swapaxes(-1, -2)))
+    candidates = []
+    for i, wi, vi in zip(idx, w, v):
+        if not (wi.sum() > 0.0 and wi[0] >= -1e-12 * wi.sum()):
+            continue
+        wi = wi.clip(0.0)
+        psi = (vi * (wi / wi.sum())) @ vi.conj().T
+        s_psi = apply_S(structure, psi)
+        th, val = _sup_curve(structure, psi, s_psi, base)
+        screened = points[i][3]
+        if val <= screened + 1e-14 * max(1.0, screened):
+            candidates.append((psi, s_psi, th, val))
+    return candidates
 
 
 def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
@@ -480,16 +490,19 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     constraint on q = Tr[Psi S(Psi)] and no cap on theta (module
     docstring: this is the eps -> 0 limit). It runs L-BFGS-B on the
     closed-form gradient of that sup from every start to the screening
-    tolerance `_SCREEN_OPTIONS`, which only ranks the starts; a start that
-    already meets L-BFGS-B's first stopping test, max |gradient| <= gtol
-    (on a direct sum, each eigenprojector of S(Id)), is taken without a run
-    (`_lbfgs`), where L-BFGS-B would stop at once. It polishes the
-    start with the lowest screened value by Newton on the MDE at the same x,
-    from M~0 = M(x) - 2 L (theta - theta_x) Psi, onto the second real
-    solution M~ that the optimum is (module docstring), and takes Psi* =
-    (M(x) - M~) / Tr(M(x) - M~) where that is PSD and its value is no higher
-    than the screened one (`_mde_polish`); elsewhere it polishes by L-BFGS-B
-    to `_LBFGS_OPTIONS`. While the polished profile fails the first-order
+    tolerance `_SCREEN_OPTIONS`, which only brings the start into the
+    Newton basin of an optimum; a start that already meets L-BFGS-B's first
+    stopping test, max |gradient| <= gtol (on a direct sum, each
+    eigenprojector of S(Id)), is taken without a run (`_lbfgs`), where
+    L-BFGS-B would stop at once. Every screened start with a finite tilt and
+    value is then polished, in one stacked Newton on the MDE at the same x,
+    from M~0 = M(x) - 2 L (theta - theta_x) Psi onto the second real
+    solution M~ that an optimum is (module docstring); its candidate is
+    Psi = (M(x) - M~) / Tr(M(x) - M~) where that is PSD and its value is no
+    higher than that start's screened one (`_mde_polish`), and the least
+    candidate is the result. Where no start gives a candidate, the lowest
+    screened start is polished by L-BFGS-B to `_LBFGS_OPTIONS` instead.
+    While the polished profile fails the first-order
     test, first_order_gap = (lambda_min(G) - Re Tr[G Psi]) / max(1, value)
     < -_GAP_TOL, it is polished again by L-BFGS-B from the factor of
     0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
@@ -499,8 +512,10 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     profile passes the first-order test: a first-order optimum, not
     necessarily the global one. `diagnostics` holds `fevals`, the L-BFGS-B
     value-and-gradient evaluations of every phase, `first_order_gap`, the
-    returned profile's gap, and `polish`, which polish ran: "mde-newton" or
-    "l-bfgs-b" ("none" at L = 1, where no search runs); `epsilon_used` is
+    returned profile's gap, `polish`, which polish ran: "mde-newton" or
+    "l-bfgs-b" ("none" at L = 1, where no search runs), and `candidates`,
+    the number of screened starts that gave a candidate (0 where the
+    L-BFGS-B polish ran, and at L = 1); `epsilon_used` is
     q(psi_star). No search step evaluates the log potential U(x) (module
     docstring).
 
@@ -522,7 +537,8 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=_re_trace(one, apply_S(structure, one)),
                           stability_flag=True,
-                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "polish": "none"})
+                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "polish": "none",
+                                       "candidates": 0})
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x)
@@ -539,10 +555,12 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
 
     runs = [_lbfgs(structure, base, _pack(c0, complex_params), _SCREEN_OPTIONS)
             for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
-    best = min(runs, key=lambda out: out.fun)
-    psi, _, th, val = optimum(best)
-    point, polish = _mde_polish(structure, base, psi, th, val), "mde-newton"
-    if point is None:  # no candidate at or below the screened value
+    screened = [p for p in map(optimum, runs) if math.isfinite(p[2]) and math.isfinite(p[3])]
+    candidates = _mde_polish(structure, base, screened)
+    if candidates:
+        point, polish = min(candidates, key=lambda p: p[3]), "mde-newton"
+    else:  # no start gives a candidate at or below its screened value
+        best = min(runs, key=lambda out: out.fun)
         runs.append(_lbfgs(structure, base, best.x, _LBFGS_OPTIONS))
         point, polish = optimum(runs[-1]), "l-bfgs-b"
     psi, s_psi, th, val = point
@@ -563,7 +581,8 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
                       stability_flag=bool(gap >= -_GAP_TOL),
                       diagnostics={"fevals": sum(out.nfev for out in runs),
-                                   "first_order_gap": float(gap), "polish": polish})
+                                   "first_order_gap": float(gap), "polish": polish,
+                                   "candidates": len(candidates)})
 
 
 def rate_curve(structure: StructureSet, x_grid, opt_config=None) -> list:

@@ -406,7 +406,10 @@ def test_complex_profile_at_beta_one_is_rejected(call):
     (np.array([[0.5, 0.3], [0.300002, 0.5]]), r"profile must be symmetric/Hermitian"),
     # k_value, lambda_sym and outlier_det took any trace
     (np.diag([0.7, 0.7]), r"profile trace"),
-], ids=["asymmetric", "trace"])
+    # a NaN entry was reported as an asymmetry and an infinite one as a trace
+    (np.array([[0.5, np.nan], [np.nan, 0.5]]), r"profile entries must be finite"),
+    (np.diag([np.inf, 0.0]), r"profile entries must be finite"),
+], ids=["asymmetric", "trace", "nan", "inf"])
 @pytest.mark.parametrize("call", PROFILE_CALLS)
 def test_invalid_profile_is_rejected(call, psi, message):
     with pytest.raises(ValueError, match=message):
