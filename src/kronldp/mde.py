@@ -269,8 +269,13 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
     Where every point steps, a step works on the whole stack, and a line
     search trial that lowers the merit at every point it tries is kept in
     one indexed assignment; copying out the stepping points would change no
-    point's arithmetic. The rate search polishes every screened start in
-    one call. Returns (m, ok); ok is False where Newton failed."""
+    point's arithmetic. A singular system fails alone: where the stacked
+    solve raises, each system is solved by itself, and a singular one
+    stalls its own point, or at the last step keeps its accepted M and ok
+    (a second real root on a continuum of solutions, as the rate search
+    meets where the noise is proportional to Id). The rate search polishes
+    every screened start in one call. Returns (m, ok); ok is False where
+    Newton failed."""
     L = structure.L
     m = (_far_field_guess(structure, z) if m0 is None
          else np.array(m0, dtype=np.result_type(m0, z, structure.a0)))
@@ -299,15 +304,20 @@ def _newton_polish(structure, z, m0, tol, max_steps=60):
                 break
         zi, mi, bi, di = ((z, m, b, d) if len(idx) == len(z)
                           else (z[idx], m[idx], b[idx], d[idx]))
+        jac, rhs = _jacobian(structure, bi, mi), -di.reshape(len(idx), L * L, 1)
         try:
-            dm = np.linalg.solve(_jacobian(structure, bi, mi),
-                                 -di.reshape(len(idx), L * L, 1)).reshape(-1, L, L)
-        except np.linalg.LinAlgError:  # some system is singular
-            if last:
-                ok[idx] = False  # the caller re-solves these
-                break
-            stalled[idx] = True  # its points above tol fail the acceptance
-            continue
+            dm = np.linalg.solve(jac, rhs).reshape(-1, L, L)
+        except np.linalg.LinAlgError:  # some system is singular: solve each alone
+            dm, solved = np.zeros(mi.shape, np.result_type(jac, rhs)), np.ones(len(idx), bool)
+            for i in range(len(idx)):
+                try:
+                    dm[i] = np.linalg.solve(jac[i], rhs[i]).reshape(L, L)
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            # a singular point stalls (above tol it fails the acceptance), or
+            # at the last step keeps its accepted M
+            stalled[idx[~solved]] = True
+            idx, zi, mi, dm = idx[solved], zi[solved], mi[solved], dm[solved]
         if last:
             m[idx] = mi + dm
             break
@@ -428,13 +438,6 @@ def solve_mde(structure: StructureSet, z, tol=1e-12, m0=None) -> MdeSolution:
 _REAL_TOL = 1e-12
 
 
-def _scan_hi(structure):
-    norms = [np.linalg.norm(aj, 2) for aj in structure.a]
-    return float(np.linalg.norm(structure.a0, 2)
-                 + 2.0 * np.sqrt(max(structure.k, 1)) * (max(norms) if norms else 0.0)
-                 + 1.0)
-
-
 def _no_fold(x, side, crowded=False):
     why = ("the smallest eigenvalues of the stability operator do not separate, as "
            "where two edges of different widths coincide" if crowded else
@@ -450,14 +453,17 @@ def _fold(structure, side=1):
     there is no fold (an atom on the edge). The left edge is the right edge
     of the mirror A_0 -> -A_0, whose solution is M'(x) = -M(-x).
 
-    Walk in from _scan_hi, where Newton starts from the far-field guess
-    (_far_field_guess), by warm-started Newton, stepping 0.6 (x - r_hat):
-    r_hat extrapolates the squared smallest |eigenvalue| of the Jacobian,
-    linear in x - r_inf near the edge, to zero. A step whose solve fails
-    (inside the support or a gap) is halved. It stops within 2e-2 of r_hat
-    once that eigenvalue is at most half the next distinct one (1e-8 apart):
-    next to a second edge the smallest mode can be that edge's, or a cross
-    mode orthogonal to dM/dz (two coincident edges never separate). Then
+    Walk in from ||A_0|| + r + 1, r = 2 sqrt(k) max ||A_j|| the noise
+    radius (the support lies within r of A_0's spectrum), where Newton
+    starts from the far-field guess (_far_field_guess), by warm-started
+    Newton, stepping 0.6 (x - r_hat): r_hat extrapolates the squared
+    smallest |eigenvalue| of the Jacobian, linear in x - r_inf near the
+    edge, to zero. A step whose solve fails (inside the support or a gap)
+    is halved. It stops within 2e-2 r of r_hat, a scale a narrow band
+    shares, once that eigenvalue is at most half the next distinct one
+    (1e-8 apart): next to a second edge the smallest mode can be that
+    edge's, or a cross mode orthogonal to dM/dz (two coincident edges never
+    separate). Then
     Newton on {Id + B M = 0, B V + S[V] M = 0, <l, V> = 1}, B = x - A_0 +
     S[M], for (M, x, V)
     (Keller 1977), in least squares: by symmetry the kernel can have more
@@ -468,11 +474,15 @@ def _fold(structure, side=1):
     can be blind to part of M's error (A_1 = Id: V = E_11 misses the other
     diagonal entry), which then shrinks only linearly and stalls near the
     square root of rounding, where the defect, quadratic in it, vanishes.
+    It stops once a step is at most 1e-13 max(1, |x|, max |M|), since
+    |M| ~ 1/r next to a narrow band.
     """
     if side < 0:
         structure = replace(structure, a0=-structure.a0)
     L, n, eye = structure.L, structure.L ** 2, np.eye(structure.L)
-    x = _scan_hi(structure)
+    norms = [np.linalg.norm(aj, 2) for aj in structure.a]
+    radius = 2.0 * np.sqrt(max(structure.k, 1)) * (max(norms) if norms else 0.0)
+    x = float(np.linalg.norm(structure.a0, 2) + radius + 1.0)
     m = _solve_point(structure, x, _REAL_TOL, m0=_far_field_guess(structure, np.array([x]))[0])
     prev, walk = None, [(x, m)]
     for steps in range(61):
@@ -483,7 +493,7 @@ def _fold(structure, side=1):
         # far from the edge the Jacobian is ~ x - A_0: step by half |lambda|
         gap = (lam2 * (prev[0] - x) / (prev[1] - lam2) if prev and prev[1] > lam2
                else 0.5 * np.sqrt(lam2))
-        near = gap < 2e-2 * max(1.0, abs(x))
+        near = gap < 2e-2 * radius
         others = mags[mags > (1.0 + 1e-8) * mags[0]]
         crowded = near and others.size > 0 and mags[0] > 0.5 * others[0]
         if near and not crowded:
@@ -513,7 +523,7 @@ def _fold(structure, side=1):
         jac_m = _jacobian(structure, b, m)
         rhs = np.concatenate([(eye + b @ m).reshape(-1), jac_m @ v, [ell @ v - 1.0]])
         res = float(np.linalg.norm(rhs))
-        if size <= 1e-13 * max(1.0, abs(x)):
+        if size <= 1e-13 * max(1.0, abs(x), np.abs(m).max()):
             break
         vm = v.reshape(L, L)
         jac = np.block([[jac_m, m.reshape(-1, 1), np.zeros((n, n))],

@@ -12,8 +12,8 @@ closed form below, and the inf over q > 0 of that sup is the eps -> 0 limit
 of the constrained inf. So one search minimizes the uncapped sup, with no
 constraint and no projection: it screens every start only into the Newton
 basin of an optimum, polishes every screened start on the MDE's second real
-solution at x (below), keeps the least, and passes the first-order test on
-trace-one PSD profiles (`rate_function`).
+solution at x (below), its one landing, keeps the least, and passes the
+first-order test on trace-one PSD profiles (`rate_function`).
 
 beta is the structure's symmetry class, `StructureSet.beta`: 1 for GOE and
 2 for GUE noise. The paper's formulas carry a prime, the transpose at
@@ -89,7 +89,12 @@ its basin, a start's M~ counts only where it is a candidate with a value
 no higher than that start's screened one, and the least of them is the
 result. The screen then only has to reach a basin, not to rank, and the
 starts that reach different optima (two certified ones compete on some
-complex L = 3 structures) are all compared at full precision.
+complex L = 3 structures) are all compared at full precision. At a
+candidate the first-order test holds identically: G = -beta t L x Id, so
+lambda_min(G) = Re Tr[G Psi], and the test's gap measures only rounding.
+Where M~ lies on a continuum of solutions (noise proportional to Id and a
+repeated eigenvalue of A_0) its Newton Jacobian can be exactly singular;
+such a start fails only itself in the stacked Newton (`_newton_polish`).
 
 A note on K: the constant term is (ln det Psi + L ln L) / 2. With the other
 sign the identity K(theta, phi_hat) = L J(x, theta) on 2 theta <= -m(x)
@@ -105,9 +110,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .mde import _cache_for, _eye, _newton_polish
-from .model import (Profile, StructureSet, _finite, _psd_factor, _sized_psi, apply_S, as_profile,
-                    stream)
+from .mde import ConvergenceError, _cache_for, _eye, _newton_polish
+from .model import Profile, StructureSet, _finite, _sized_psi, apply_S, as_profile, stream
 
 
 class DegenerateModelError(ValueError):
@@ -165,12 +169,8 @@ class OptConfig:
 # tighter than ftol 1e-1, gtol 1, which misses the optimum of rs746 (L = 3,
 # r_inf + 0.1) in tests/test_rate.py
 _SCREEN_OPTIONS = {"ftol": 1e-2, "gtol": 1e-1, "maxiter": 500}
-# the polish of the lowest screened start where no start gives the MDE
-# polish a candidate, and every escape round
-_LBFGS_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 _STARTS = 8  # starts per search, random ones filling up to this count
 _GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
-_ESCAPE_ROUNDS = 5  # polishes from a descent direction off a failed test
 
 
 def _re_trace(a, b):
@@ -395,14 +395,13 @@ def _envelope_gradient(structure, base, psi, s_psi, theta):
 
 
 def _first_order_gap(structure, base, psi, s_psi, theta, value):
-    """(lambda_min(G) - Re Tr[G Psi]) / max(1, value), and G's bottom
-    eigenvector w. The gap is <= 0, and 0 at a first-order optimum over the
-    trace-one PSD profiles; a negative one is the slope of F from Psi toward
-    w w* over max(1, value), so a rank-deficient saddle of the C C*
+    """(lambda_min(G) - Re Tr[G Psi]) / max(1, value). The gap is <= 0, and
+    0 at a first-order optimum over the trace-one PSD profiles; a negative
+    one is the slope of F from Psi toward w w*, w G's bottom eigenvector,
+    over max(1, value), so a rank-deficient saddle of the C C*
     parametrization fails it."""
     g = _envelope_gradient(structure, base, psi, s_psi, theta)
-    w, v = np.linalg.eigh(g)
-    return (w[0] - _re_trace(g, psi)) / max(1.0, value), v[:, 0]
+    return (np.linalg.eigvalsh(g)[0] - _re_trace(g, psi)) / max(1.0, value)
 
 
 def _profile_objective(v, structure, base):
@@ -427,14 +426,14 @@ def _profile_objective(v, structure, base):
     return f, _pack(grad @ c * (2.0 / tr), complex_params)
 
 
-def _lbfgs(structure, base, v, options):
-    """One L-BFGS-B run of _profile_objective from v. The start is evaluated
-    once: where max |gradient| <= options["gtol"] it is returned as the run's
-    result, as L-BFGS-B itself stops there at iteration 0 (x = v, the same
-    fun, nfev 1), and otherwise L-BFGS-B takes that evaluation for its first
-    call, so nfev counts every evaluation once."""
+def _lbfgs(structure, base, v):
+    """One L-BFGS-B run of _profile_objective from v to `_SCREEN_OPTIONS`.
+    The start is evaluated once: where max |gradient| <= gtol it is returned
+    as the run's result, as L-BFGS-B itself stops there at iteration 0
+    (x = v, the same fun, nfev 1), and otherwise L-BFGS-B takes that
+    evaluation for its first call, so nfev counts every evaluation once."""
     fun, grad = start = _profile_objective(v, structure, base)
-    if np.abs(grad).max() <= options["gtol"]:
+    if np.abs(grad).max() <= _SCREEN_OPTIONS["gtol"]:
         return OptimizeResult(x=v, fun=fun, nfev=1)
     pending = [start]
 
@@ -443,7 +442,7 @@ def _lbfgs(structure, base, v, options):
             return pending.pop()
         return _profile_objective(u, structure, base)
 
-    return minimize(objective, v, method="L-BFGS-B", jac=True, options=options)
+    return minimize(objective, v, method="L-BFGS-B", jac=True, options=_SCREEN_OPTIONS)
 
 
 def _mde_polish(structure, base, points):
@@ -500,24 +499,21 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     solution M~ that an optimum is (module docstring); its candidate is
     Psi = (M(x) - M~) / Tr(M(x) - M~) where that is PSD and its value is no
     higher than that start's screened one (`_mde_polish`), and the least
-    candidate is the result. Where no start gives a candidate, the lowest
-    screened start is polished by L-BFGS-B to `_LBFGS_OPTIONS` instead.
-    While the polished profile fails the first-order
-    test, first_order_gap = (lambda_min(G) - Re Tr[G Psi]) / max(1, value)
-    < -_GAP_TOL, it is polished again by L-BFGS-B from the factor of
-    0.9 Psi + 0.1 w w*, w the bottom eigenvector of G, for at most
-    `_ESCAPE_ROUNDS` rounds, each kept only if it lowers the value.
+    candidate is the result. That polish is the search's one landing: where
+    no screened start gives a candidate, ConvergenceError names x and the
+    number of screened starts.
 
     `stability_flag` is True, and the result certified, when the returned
-    profile passes the first-order test: a first-order optimum, not
-    necessarily the global one. `diagnostics` holds `fevals`, the L-BFGS-B
-    value-and-gradient evaluations of every phase, `first_order_gap`, the
-    returned profile's gap, `polish`, which polish ran: "mde-newton" or
-    "l-bfgs-b" ("none" at L = 1, where no search runs), and `candidates`,
-    the number of screened starts that gave a candidate (0 where the
-    L-BFGS-B polish ran, and at L = 1); `epsilon_used` is
-    q(psi_star). No search step evaluates the log potential U(x) (module
-    docstring).
+    profile passes the first-order test, first_order_gap =
+    (lambda_min(G) - Re Tr[G Psi]) / max(1, value) >= -_GAP_TOL: a
+    first-order optimum, not necessarily the global one. At a candidate the
+    test holds identically, since G = -beta t L x Id there (module
+    docstring), so the gap measures only rounding. `diagnostics` holds
+    `fevals`, the L-BFGS-B value-and-gradient evaluations of the screen,
+    `first_order_gap`, the returned profile's gap, and `candidates`, the
+    number of screened starts that gave a candidate (0 at L = 1, where no
+    search runs); `epsilon_used` is q(psi_star). No search step evaluates
+    the log potential U(x) (module docstring).
 
     The sampler tilt that realises I_beta(x) is L theta_star with profile
     phi_hat(theta_star, x, psi_star) (`RateResult`). x >= r_inf (the
@@ -537,8 +533,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=_re_trace(one, apply_S(structure, one)),
                           stability_flag=True,
-                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "polish": "none",
-                                       "candidates": 0})
+                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "candidates": 0})
 
     complex_params = not structure.is_real
     base = _curve_base(structure, x)
@@ -553,35 +548,20 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
         s_psi = apply_S(structure, psi)
         return (psi, s_psi, *_sup_curve(structure, psi, s_psi, base))
 
-    runs = [_lbfgs(structure, base, _pack(c0, complex_params), _SCREEN_OPTIONS)
+    runs = [_lbfgs(structure, base, _pack(c0, complex_params))
             for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
     screened = [p for p in map(optimum, runs) if math.isfinite(p[2]) and math.isfinite(p[3])]
     candidates = _mde_polish(structure, base, screened)
-    if candidates:
-        point, polish = min(candidates, key=lambda p: p[3]), "mde-newton"
-    else:  # no start gives a candidate at or below its screened value
-        best = min(runs, key=lambda out: out.fun)
-        runs.append(_lbfgs(structure, base, best.x, _LBFGS_OPTIONS))
-        point, polish = optimum(runs[-1]), "l-bfgs-b"
-    psi, s_psi, th, val = point
-    gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
-    for _ in range(_ESCAPE_ROUNDS):
-        if gap >= -_GAP_TOL:
-            break
-        # F falls from psi toward w w*: polish again from a step that way
-        step = _psd_factor(0.9 * psi + 0.1 * np.outer(w, w.conj()))
-        runs.append(_lbfgs(structure, base, _pack(step, complex_params), _LBFGS_OPTIONS))
-        point = optimum(runs[-1])
-        if not point[3] < val:
-            break
-        psi, s_psi, th, val = point
-        gap, w = _first_order_gap(structure, base, psi, s_psi, th, val)
-
+    if not candidates:
+        raise ConvergenceError(f"no candidate for the rate at x={x}: the MDE polish of "
+                               f"{len(screened)} screened starts gave none")
+    psi, s_psi, th, val = min(candidates, key=lambda p: p[3])
+    gap = _first_order_gap(structure, base, psi, s_psi, th, val)
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
                       stability_flag=bool(gap >= -_GAP_TOL),
                       diagnostics={"fevals": sum(out.nfev for out in runs),
-                                   "first_order_gap": float(gap), "polish": polish,
+                                   "first_order_gap": float(gap),
                                    "candidates": len(candidates)})
 
 

@@ -30,7 +30,7 @@ PAIR_DOC = {"beta": 1, "A0": [[0.2, 0.0], [0.0, -0.1]],
             "A": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.4], [0.4, 0.0]]]}
 # run_meta.json keys of one rate point; stability_flag is its one certificate
 RATE_POINT_KEYS = {"x", "fevals", "stability_flag", "optimality_residual", "first_order_gap",
-                   "polish", "candidates"}
+                   "candidates"}
 
 
 def run_cli(tmp_path, doc, *flags, name="run.json"):
@@ -213,12 +213,12 @@ def test_rate_run_meta_reports_each_point(tmp_path):
         assert p["stability_flag"] is True
         assert p["optimality_residual"] <= 1e-10
         assert p["first_order_gap"] >= -1e-5
-        assert p["polish"] == "mde-newton"
+        assert p["candidates"] >= 1
 
 
-def test_rate_run_meta_reports_the_lbfgsb_fallback(tmp_path, monkeypatch):
-    # where the MDE Newton polish fails, L-BFGS-B polishes instead, and each
-    # point says so: no silent fallback
+def test_rate_without_a_candidate_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # where the MDE polish gives no screened start a candidate, the point is
+    # a numerical failure (exit 2) that names x, and no file is written
     import kronldp.rate as rate_mod
 
     monkeypatch.setattr(rate_mod, "_newton_polish",
@@ -226,10 +226,9 @@ def test_rate_run_meta_reports_the_lbfgsb_fallback(tmp_path, monkeypatch):
     doc = {"command": "rate", "structure": PAIR_DOC, "seed": 1,
            "rate": {"x_grid": [3.0, 3.5]}}
     code, out = run_cli(tmp_path, doc)
-    assert code == 0
-    points = json.loads((out / "run_meta.json").read_text())["rate_points"]
-    assert [p["polish"] for p in points] == ["l-bfgs-b", "l-bfgs-b"]
-    assert all(p["stability_flag"] is True for p in points)
+    assert code == 2
+    assert "no candidate for the rate at x=3.0" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_rate_command_never_evaluates_the_log_potential(tmp_path, monkeypatch):
@@ -260,7 +259,7 @@ def test_rate_run_meta_reports_one_certified_search_at_low_noise(tmp_path):
     (p,) = json.loads((out / "run_meta.json").read_text(),
                       parse_constant=reject_non_json_constant)["rate_points"]
     assert set(p) == RATE_POINT_KEYS
-    assert p["stability_flag"] is True and p["polish"] == "mde-newton"
+    assert p["stability_flag"] is True and p["candidates"] >= 1
     _, body = read_csv(out / "rate.csv")
     # I_GOE((4.023 - 4) / 0.01), below I_GOE(4.023)
     want = goe_rate_closed((4.023 - 4.0) / 0.01)

@@ -197,6 +197,21 @@ def test_solve_mde_names_the_residual_it_reached():
         mde.solve_mde(st, 0.17764503222688965 + 1e-6j)
 
 
+def test_newton_polish_isolates_a_singular_system():
+    # A_0 = 0, A = [Id, Id] at x = 3: every diagonal M with entries in
+    # {-1, -1/2} solves -M^{-1} = 3 + 2M exactly (M(3) = -Id/2), and at
+    # diag(-1, -1/2) the Jacobian D -> (3 + 2M) D + 2 D M kills E_12, so its
+    # system is singular. That point fails only itself: each one is accepted
+    # with M unchanged, alone and in the stack
+    st = make_structure(np.zeros((2, 2)), [np.eye(2), np.eye(2)])
+    stack = np.array([-np.eye(2), np.diag([-1.0, -0.5]), -0.5 * np.eye(2)])
+    m, ok = mde._newton_polish(st, np.full(3, 3.0), stack.copy(), 1e-12)
+    assert ok.all() and np.array_equal(m, stack)
+    for start in stack:
+        m, ok = mde._newton_polish(st, np.array([3.0]), start[None].copy(), 1e-12)
+        assert ok[0] and np.array_equal(m[0], start)
+
+
 def test_newton_refine_accepts_exactly_where_the_spectral_residual_is_within_tol(coupled3):
     # Newton's merit is ||D||_F of the defect D = Id + B M, but a point is
     # accepted exactly where ||D||_2 <= tol. ||D||_2 <= ||D||_F, so a tol
@@ -293,6 +308,27 @@ def test_edge_two_bands():
     st = make_structure(np.diag([0.0, 10.0]), [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
     assert mde.right_edge(st).r_inf == pytest.approx(11.0, abs=1e-10)
     assert mde.left_edge(st) == pytest.approx(-2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("shift", [2.48, 4.0])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_edge_of_a_narrow_band(shift, ell):
+    # a semicircle of radius 2e-4 at shift, alone (L = 1) or next to a GOE
+    # block (L = 2): the fold walk stops within 2e-2 of the noise radius of
+    # the edge, not 2e-2 |x|, and the extended Newton's step test scales
+    # with |M| ~ 1e4, so the edge is exact. The rate at r_inf + 1e-4 is the
+    # closed form to 1e-11 relative: measured 4.4e-12 at most, the rounding
+    # of x - Tr[H Psi] ~ 3e-4 at |x| ~ 4
+    from kronldp.rate import rate_function
+
+    sigma = 1e-4
+    st = (make_structure(np.array([[shift]]), [np.array([[sigma]])]) if ell == 1 else
+          make_structure(np.diag([0.0, shift]), [np.diag([1.0, 0.0]), np.diag([0.0, sigma])]))
+    r_inf = mde.right_edge(st).r_inf
+    assert r_inf == pytest.approx(shift + 2.0 * sigma, rel=1e-15)
+    x = r_inf + 1e-4
+    want = min([o.goe_rate_closed((x - shift) / sigma)] + [o.goe_rate_closed(x)] * (ell - 1))
+    assert rate_function(st, x).value == pytest.approx(want, rel=1e-11)
 
 
 def _near_equal_edges(k, gap):
