@@ -82,7 +82,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import StructureSet, _finite, apply_S, structure_hash
 
@@ -702,6 +701,9 @@ class _SpectralCache:
         Within ~1e-12 of the edge it reads ~1e-10 and worse closer in: there
         the real-axis solve that evaluates m(t) loses digits itself (the
         Jacobian's smallest eigenvalue is ~ 2 sqrt(t - r_inf))."""
+        # deferred: the one scipy.optimize use, kept out of `import kronldp`
+        from scipy.optimize import brentq
+
         if q <= 0:
             raise NoInverseError("two_theta must be positive")
         if q >= self.q_edge:

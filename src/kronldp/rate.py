@@ -108,7 +108,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
 
 from .mde import ConvergenceError, _cache_for, _eye, _newton_polish
 from .model import Profile, StructureSet, _finite, _sized_psi, apply_S, as_profile, stream
@@ -164,11 +163,14 @@ class OptConfig:
     seed: int = 0
 
 
-# every profile search start, only into its candidate's Newton basin: the
-# MDE polish of every start lands on the optimum from there. One decade
+# the stopping tests of the L-BFGS screen (`_lbfgs`): ftol on a step's
+# relative decrease, gtol on max |gradient|, at most maxiter steps. It
+# brings every profile search start only into its candidate's Newton basin:
+# the MDE polish of every start lands on the optimum from there. One decade
 # tighter than ftol 1e-1, gtol 1, which misses the optimum of rs746 (L = 3,
 # r_inf + 0.1) in tests/test_rate.py
 _SCREEN_OPTIONS = {"ftol": 1e-2, "gtol": 1e-1, "maxiter": 500}
+_MEMORY = 10  # (s, y) pairs the L-BFGS screen keeps
 _STARTS = 8  # starts per search, random ones filling up to this count
 _GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
 
@@ -268,23 +270,31 @@ def rate_breakdown(structure: StructureSet, theta, x, psi) -> RateBreakdown:
 
 @dataclass
 class _CurveBase:
-    """Profile-independent pieces of theta -> F(theta, x, .) for one x."""
+    """Profile-independent pieces of theta -> F(theta, x, .) for one x.
+    dx and h are x and H less lambda_max(A_0) (times Id for H)."""
     x: float
     theta_x: float
     p: np.ndarray
+    dx: float
     h: np.ndarray
     r_inv: np.ndarray
 
 
 def _curve_base(structure, x) -> _CurveBase:
-    """P = -M(x)/(2L), H = 2 L S(P) + A_0 and the inverse of the Cholesky
-    factor R of P."""
+    """P = -M(x)/(2L), x - lambda_max(A_0), H - lambda_max(A_0) Id with
+    H = 2 L S(P) + A_0, and the inverse of the Cholesky factor R of P.
+    Since Tr Psi = 1, a = L (x - Re Tr[H Psi]) is the difference of the two
+    shifted terms, which next to a narrow band at lambda_max(A_0) far from 0
+    are small, so a keeps its relative precision where x and Tr[H Psi]
+    would cancel. The shift adds a multiple of Id to the envelope gradient
+    G, which both the projected gradient and the first-order gap remove."""
     L = structure.L
     x = float(x)
     m_mat = _cache_for(structure).m_matrix(x)
     p = -m_mat / (2.0 * L)
-    return _CurveBase(x=x, theta_x=-float(np.trace(m_mat).real) / (2.0 * L), p=p,
-                      h=2.0 * L * apply_S(structure, p) + structure.a0,
+    top = float(np.linalg.eigvalsh(structure.a0)[-1])
+    return _CurveBase(x=x, theta_x=-float(np.trace(m_mat).real) / (2.0 * L), p=p, dx=x - top,
+                      h=2.0 * L * apply_S(structure, p) + (structure.a0 - top * _eye(L)),
                       r_inv=np.linalg.inv(np.linalg.cholesky(p)))
 
 
@@ -299,7 +309,7 @@ def _sup_curve(structure, psi, s_psi, base):
     a > 0, where F grows without bound.
     """
     L = structure.L
-    a = L * (base.x - _re_trace(base.h, psi))
+    a = L * (base.dx - _re_trace(base.h, psi))
     b = 2.0 * L * L * _re_trace(psi, s_psi)
     if a > 0.0 and not b > 0.0:
         return np.inf, np.inf
@@ -388,7 +398,9 @@ def _unpack(v, L, complex_params):
 
 def _envelope_gradient(structure, base, psi, s_psi, theta):
     """G, the Hermitian gradient in Psi of sup_theta F at its maximizer theta,
-    with s_psi = S(psi) (module docstring)."""
+    with s_psi = S(psi) (module docstring), plus beta t L lambda_max(A_0) Id
+    from base.h's shift: on trace-one profiles the gradient is defined up to
+    a multiple of Id, and its every use here removes that multiple."""
     L, t = structure.L, theta - base.theta_x
     g = -t * L * base.h - 2.0 * L * L * t * t * s_psi - 0.5 * t * np.linalg.inv(base.p + t * psi)
     return 0.5 * structure.beta * (g + g.conj().T)  # Hermitian up to rounding
@@ -405,44 +417,73 @@ def _first_order_gap(structure, base, psi, s_psi, theta, value):
 
 
 def _profile_objective(v, structure, base):
-    """sup_theta F at the profile C C*/Tr(C C*), C = _unpack(v), and its
-    gradient in v (module docstring); 1e6 where S annihilates the profile
-    and the sup is +inf."""
+    """sup_theta F at the profile C C*/Tr(C C*), C = _unpack(v), its
+    gradient in v (module docstring) and the point (psi, S(psi), theta,
+    value) there; 1e6, a zero gradient and no point (None) where S
+    annihilates the profile and the sup is +inf."""
     L, complex_params = structure.L, not structure.is_real
     c = _unpack(v, L, complex_params)
     tr = float(np.vdot(c, c).real)
     if not np.isfinite(tr) or tr <= 1e-300:
-        return 1e6, np.zeros_like(v)
+        return 1e6, np.zeros_like(v), None
     psi = c @ c.conj().T / tr
     s_psi = apply_S(structure, psi)
     try:
         th, f = _sup_curve(structure, psi, s_psi, base)
         if f == np.inf:
-            return 1e6, np.zeros_like(v)
+            return 1e6, np.zeros_like(v), None
         grad = _envelope_gradient(structure, base, psi, s_psi, th)
     except (ValueError, np.linalg.LinAlgError):
-        return 1e6, np.zeros_like(v)
+        return 1e6, np.zeros_like(v), None
     grad -= _re_trace(grad, psi) * _eye(L)
-    return f, _pack(grad @ c * (2.0 / tr), complex_params)
+    return f, _pack(grad @ c * (2.0 / tr), complex_params), (psi, s_psi, th, f)
 
 
 def _lbfgs(structure, base, v):
-    """One L-BFGS-B run of _profile_objective from v to `_SCREEN_OPTIONS`.
-    The start is evaluated once: where max |gradient| <= gtol it is returned
-    as the run's result, as L-BFGS-B itself stops there at iteration 0
-    (x = v, the same fun, nfev 1), and otherwise L-BFGS-B takes that
-    evaluation for its first call, so nfev counts every evaluation once."""
-    fun, grad = start = _profile_objective(v, structure, base)
-    if np.abs(grad).max() <= _SCREEN_OPTIONS["gtol"]:
-        return OptimizeResult(x=v, fun=fun, nfev=1)
-    pending = [start]
-
-    def objective(u):
-        if pending and np.array_equal(u, v):
-            return pending.pop()
-        return _profile_objective(u, structure, base)
-
-    return minimize(objective, v, method="L-BFGS-B", jac=True, options=_SCREEN_OPTIONS)
+    """One L-BFGS run (Liu-Nocedal; Nocedal-Wright, ch. 7) of
+    _profile_objective from v to `_SCREEN_OPTIONS`, with no bounds: the
+    two-loop recursion over the last _MEMORY pairs (s, y), scaled by
+    s'y / y'y, and a step of length 1 along -gradient while no pair is
+    kept; Armijo backtracking (c1 = 1e-4) from the full step, halving at
+    most 30 times; no pair where y's <= 1e-10 y'y. The run stops where
+    max |gradient| <= gtol (a start that meets it takes no step), where a
+    step lowers the value by at most ftol max(|f|, |f_new|, 1), after
+    maxiter steps, and where every halving fails, at its last accepted
+    point. Returns that point (psi, S(psi), theta, value), None at the 1e6
+    sentinel, and the number of evaluations, each counted once."""
+    f, g, point = _profile_objective(v, structure, base)
+    fevals, pairs = 1, []
+    for _ in range(_SCREEN_OPTIONS["maxiter"]):
+        if np.abs(g).max() <= _SCREEN_OPTIONS["gtol"]:
+            break
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            d *= (s @ y) / (y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        armijo = 1e-4 * (g @ d)  # c1 times the slope along d
+        step = 1.0 if pairs else 1.0 / np.linalg.norm(d)
+        for _ in range(31):
+            u = v + step * d
+            f_new, g_new, p_new = _profile_objective(u, structure, base)
+            fevals += 1
+            if f_new <= f + step * armijo:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = u - v, g_new - g
+        if s @ y > 1e-10 * (y @ y):
+            pairs = pairs[1 - _MEMORY:] + [(s, y, 1.0 / (s @ y))]
+        done = f - f_new <= _SCREEN_OPTIONS["ftol"] * max(abs(f), abs(f_new), 1.0)
+        v, f, g, point = u, f_new, g_new, p_new
+        if done:
+            break
+    return point, fevals
 
 
 def _mde_polish(structure, base, points):
@@ -487,14 +528,15 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     Profiles are parametrized as C C*/Tr(C C*) (PSD and trace one for free).
     One search minimizes the exact sup over theta >= theta_x, with no
     constraint on q = Tr[Psi S(Psi)] and no cap on theta (module
-    docstring: this is the eps -> 0 limit). It runs L-BFGS-B on the
-    closed-form gradient of that sup from every start to the screening
-    tolerance `_SCREEN_OPTIONS`, which only brings the start into the
-    Newton basin of an optimum; a start that already meets L-BFGS-B's first
-    stopping test, max |gradient| <= gtol (on a direct sum, each
-    eigenprojector of S(Id)), is taken without a run (`_lbfgs`), where
-    L-BFGS-B would stop at once. Every screened start with a finite tilt and
-    value is then polished, in one stacked Newton on the MDE at the same x,
+    docstring: this is the eps -> 0 limit). It runs an L-BFGS loop
+    (`_lbfgs`) on the closed-form gradient of that sup from every start, one
+    start at a time, to the screening tolerance `_SCREEN_OPTIONS`, which only
+    brings the start into the Newton basin of an optimum; a start that
+    already meets its gtol test, max |gradient| <= gtol (on a direct sum,
+    each eigenprojector of S(Id)), takes no step. Each run hands on its last
+    point with its tilt and value, so no screened start is evaluated again.
+    Every screened start with a finite tilt and value is then polished, in
+    one stacked Newton on the MDE at the same x,
     from M~0 = M(x) - 2 L (theta - theta_x) Psi onto the second real
     solution M~ that an optimum is (module docstring); its candidate is
     Psi = (M(x) - M~) / Tr(M(x) - M~) where that is PSD and its value is no
@@ -509,7 +551,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     first-order optimum, not necessarily the global one. At a candidate the
     test holds identically, since G = -beta t L x Id there (module
     docstring), so the gap measures only rounding. `diagnostics` holds
-    `fevals`, the L-BFGS-B value-and-gradient evaluations of the screen,
+    `fevals`, the value-and-gradient evaluations of the L-BFGS screen,
     `first_order_gap`, the returned profile's gap, and `candidates`, the
     number of screened starts that gave a candidate (0 at L = 1, where no
     search runs); `epsilon_used` is q(psi_star). No search step evaluates
@@ -540,17 +582,9 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     projectors = [np.outer(u, u.conj())
                   for u in np.linalg.eigh(apply_S(structure, np.eye(L) / L))[1].T]
 
-    def optimum(out):
-        """(psi, S(psi), theta, value) at a run's optimum."""
-        c = _unpack(out.x, L, complex_params)
-        psi = c @ c.conj().T
-        psi = psi / np.trace(psi).real
-        s_psi = apply_S(structure, psi)
-        return (psi, s_psi, *_sup_curve(structure, psi, s_psi, base))
-
     runs = [_lbfgs(structure, base, _pack(c0, complex_params))
             for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
-    screened = [p for p in map(optimum, runs) if math.isfinite(p[2]) and math.isfinite(p[3])]
+    screened = [point for point, _ in runs if point is not None]
     candidates = _mde_polish(structure, base, screened)
     if not candidates:
         raise ConvergenceError(f"no candidate for the rate at x={x}: the MDE polish of "
@@ -560,7 +594,7 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
                       stability_flag=bool(gap >= -_GAP_TOL),
-                      diagnostics={"fevals": sum(out.nfev for out in runs),
+                      diagnostics={"fevals": sum(n for _, n in runs),
                                    "first_order_gap": float(gap),
                                    "candidates": len(candidates)})
 

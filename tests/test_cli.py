@@ -724,3 +724,13 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     _, body = read_csv(tmp_path / "out" / "outlier.csv")
     assert float(body[0][1]) == pytest.approx(2.5, abs=1e-6)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the package's one scipy.optimize use, brentq in the spectral cache's
+    # inverse of -m, imports it on its first call, so a fresh process that
+    # imports the package and its CLI never loads it
+    code = "import sys, kronldp, kronldp.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -310,15 +310,16 @@ def test_edge_two_bands():
     assert mde.left_edge(st) == pytest.approx(-2.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("shift", [2.48, 4.0])
+@pytest.mark.parametrize("shift", [2.48, 4.0, 40.0])
 @pytest.mark.parametrize("ell", [1, 2])
 def test_edge_of_a_narrow_band(shift, ell):
     # a semicircle of radius 2e-4 at shift, alone (L = 1) or next to a GOE
     # block (L = 2): the fold walk stops within 2e-2 of the noise radius of
     # the edge, not 2e-2 |x|, and the extended Newton's step test scales
-    # with |M| ~ 1e4, so the edge is exact. The rate at r_inf + 1e-4 is the
-    # closed form to 1e-11 relative: measured 4.4e-12 at most, the rounding
-    # of x - Tr[H Psi] ~ 3e-4 at |x| ~ 4
+    # with |M| ~ 1e4, so the edge is exact. The rate at r_inf + 1e-5 and
+    # r_inf + 1e-4 is the closed form to 1e-14 relative (measured 5.2e-15 at
+    # most): x - Tr[H Psi] ~ 3e-4 is taken with both terms less
+    # lambda_max(A_0), so it keeps its relative precision at |x| ~ 40
     from kronldp.rate import rate_function
 
     sigma = 1e-4
@@ -326,9 +327,9 @@ def test_edge_of_a_narrow_band(shift, ell):
           make_structure(np.diag([0.0, shift]), [np.diag([1.0, 0.0]), np.diag([0.0, sigma])]))
     r_inf = mde.right_edge(st).r_inf
     assert r_inf == pytest.approx(shift + 2.0 * sigma, rel=1e-15)
-    x = r_inf + 1e-4
-    want = min([o.goe_rate_closed((x - shift) / sigma)] + [o.goe_rate_closed(x)] * (ell - 1))
-    assert rate_function(st, x).value == pytest.approx(want, rel=1e-11)
+    for x in (r_inf + 1e-5, r_inf + 1e-4):
+        want = min([o.goe_rate_closed((x - shift) / sigma)] + [o.goe_rate_closed(x)] * (ell - 1))
+        assert rate_function(st, x).value == pytest.approx(want, rel=1e-14)
 
 
 def _near_equal_edges(k, gap):

@@ -851,6 +851,52 @@ def test_mde_polish_lands_on_the_second_real_solution(pair, herm2, monkeypatch):
         assert np.max(np.abs(m_t - m_x)) > 1e-3
 
 
+def test_rate_evaluates_no_screened_start_twice(pair, herm2, monkeypatch):
+    """One rate point calls _sup_curve once per screen evaluation (fevals,
+    each inside _profile_objective) and once per polished M~ whose
+    D = M(x) - M~ passes the candidate's PSD test, and nowhere else: each
+    L-BFGS run hands its last point on, so no screened start is evaluated
+    again. On the 36 points of the MDE polish tests and dsum at the
+    benchmark's six x."""
+    counts = {"evaluations": 0, "inside": 0, "outside": 0, "busy": False}
+    objective, sup_curve, newton = (rate_mod._profile_objective, rate_mod._sup_curve,
+                                    rate_mod._newton_polish)
+    landed = []
+
+    def counted_objective(*args):
+        counts["evaluations"] += 1
+        counts["busy"] = True
+        try:
+            return objective(*args)
+        finally:
+            counts["busy"] = False
+
+    def counted_sup_curve(*args):
+        counts["inside" if counts["busy"] else "outside"] += 1
+        return sup_curve(*args)
+
+    def recorded(*args, **kwargs):
+        m, ok = newton(*args, **kwargs)
+        landed.append(m[ok].copy())
+        return m, ok
+
+    monkeypatch.setattr(rate_mod, "_profile_objective", counted_objective)
+    monkeypatch.setattr(rate_mod, "_sup_curve", counted_sup_curve)
+    monkeypatch.setattr(rate_mod, "_newton_polish", recorded)
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    points = _polish_points(pair, herm2) + [(dsum, x) for x in (2.5, 2.65, 2.8, 3.0, 3.3, 3.6)]
+    for st, x in points:
+        for key in ("evaluations", "inside", "outside"):
+            counts[key] = 0
+        landed.clear()
+        res = rate_function(st, x)
+        d = _cache_for(st).m_matrix(x) - landed[0]
+        w = np.linalg.eigvalsh(0.5 * (d + d.conj().swapaxes(-1, -2)))
+        admissible = int(np.sum((w.sum(axis=1) > 0.0) & (w[:, 0] >= -1e-12 * w.sum(axis=1))))
+        assert counts["inside"] == counts["evaluations"] == res.diagnostics["fevals"]
+        assert counts["outside"] == admissible >= res.diagnostics["candidates"] >= 1
+
+
 def test_rate_without_a_candidate_is_a_numerical_failure(pair, herm2, monkeypatch):
     """The MDE polish is the search's one landing: where it gives no screened
     start a candidate, rate_function raises a ConvergenceError naming x and
@@ -972,7 +1018,7 @@ def oracle_case(case):
 
 
 def _relative_gradient_error(v, args):
-    value, grad = rate_mod._profile_objective(v, *args)
+    value, grad, _ = rate_mod._profile_objective(v, *args)
     h = 1e-6
     num = np.array([(rate_mod._profile_objective(v + h * e, *args)[0]
                      - rate_mod._profile_objective(v - h * e, *args)[0]) / (2.0 * h)
@@ -1079,7 +1125,7 @@ def test_profile_objective_matches_its_explicit_formulas(ell, beta):
     positive = 0
     for c in factors:
         v = rate_mod._pack(c, complex_params)
-        value, grad = rate_mod._profile_objective(v, st, base)
+        value, grad, _ = rate_mod._profile_objective(v, st, base)
         want, want_grad = _explicit_objective(v, st, x)
         assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
         assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
@@ -1100,29 +1146,37 @@ def test_re_trace_is_the_real_trace_of_the_product(complex_params):
         assert abs(rate_mod._re_trace(a, b) - want) <= 1e-14 * np.abs(a).sum() * np.abs(b).max()
 
 
-def test_stationary_start_runs_no_lbfgsb(pair, monkeypatch):
-    """A start whose gradient already meets L-BFGS-B's first stopping test
-    (max |gradient| <= gtol) is taken as it is, with no L-BFGS-B run: on a
-    direct sum each of the L eigenprojectors of S(Id) is such a start, so
-    L-BFGS-B runs from the other distinct starts only. pair is one too in
-    effect: A_0 and every A_j map diagonal matrices to diagonal ones, so
-    M(x) and G are diagonal at the diagonal projectors. rs710 has no such
-    start. The result is bitwise the one where every start runs L-BFGS-B,
-    which stops there at iteration 0 with the same value and nfev 1."""
+def test_stationary_start_takes_no_step(pair, monkeypatch):
+    """A start whose gradient already meets the screen's gtol test
+    (max |gradient| <= gtol) is taken as it is, one evaluation and no step:
+    on a direct sum each of the L eigenprojectors of S(Id) is such a start,
+    so only the other distinct starts step. pair is one too in effect: A_0
+    and every A_j map diagonal matrices to diagonal ones, so M(x) and G are
+    diagonal at the diagonal projectors. rs710 has no such start. The
+    result is bitwise the one where every start steps, each stationary one
+    run again with no gtol test (gtol -1): there every trial step fails the
+    Armijo test or moves the start by a rounding-sized step, and the polish
+    lands where it did."""
     e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     dsum = make_structure(np.diag([0.0, 0.3]), [e11, e22])
     cases = [(dsum, 2.8, 2), (rotated_direct_sum(stream(27, 0), 2), None, 2), (pair, None, 2),
              (random_structure(stream(710), 2), None, 0)]
-    runs = []
-    scipy_minimize = rate_mod.minimize
+    lbfgs = rate_mod._lbfgs
+    evaluations = []
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return scipy_minimize(*args, **kwargs)
+    def counted(structure, base, v):
+        point, fevals = lbfgs(structure, base, v)
+        evaluations.append(fevals)
+        return point, fevals
 
-    def every_start_runs(structure, base, v):
-        return minimize(rate_mod._profile_objective, v, args=(structure, base),
-                        method="L-BFGS-B", jac=True, options=rate_mod._SCREEN_OPTIONS)
+    def every_start_steps(structure, base, v):
+        point, fevals = lbfgs(structure, base, v)
+        if fevals > 1:
+            return point, fevals
+        with monkeypatch.context() as mp, np.errstate(divide="ignore", invalid="ignore"):
+            # a zero gradient makes the first trial step NaN: the 1e6 sentinel
+            mp.setattr(rate_mod, "_SCREEN_OPTIONS", {**rate_mod._SCREEN_OPTIONS, "gtol": -1.0})
+            return lbfgs(structure, base, v)
 
     for st, x, skipped in cases:
         x = x if x is not None else right_edge(st).r_inf + 0.75
@@ -1130,18 +1184,22 @@ def test_stationary_start_runs_no_lbfgsb(pair, monkeypatch):
                       for u in np.linalg.eigh(apply_S(st, np.eye(st.L) / st.L))[1].T]
         starts = len(rate_mod._seed_factors(st, OptConfig(), projectors, not st.is_real))
         with monkeypatch.context() as mp:
-            mp.setattr(rate_mod, "minimize", counted)
-            runs.clear()
+            mp.setattr(rate_mod, "_lbfgs", counted)
+            evaluations.clear()
             res = rate_function(st, x)
         assert res.stability_flag and res.diagnostics["candidates"] >= 1
-        assert len(runs) == starts - skipped
+        assert len(evaluations) == starts
+        assert sum(n > 1 for n in evaluations) == starts - skipped
+        assert sum(evaluations) == res.diagnostics["fevals"]
         with monkeypatch.context() as mp:
-            mp.setattr(rate_mod, "_lbfgs", every_start_runs)
+            mp.setattr(rate_mod, "_lbfgs", every_start_steps)
             want = rate_function(st, x)
         assert (res.value, res.theta_star, res.epsilon_used) == \
             (want.value, want.theta_star, want.epsilon_used)
         assert np.array_equal(res.psi_star.psi, want.psi_star.psi)
-        assert res.diagnostics == want.diagnostics
+        assert want.diagnostics["fevals"] > res.diagnostics["fevals"] or skipped == 0
+        for key in ("first_order_gap", "candidates"):
+            assert res.diagnostics[key] == want.diagnostics[key]
         assert res.stability_flag == want.stability_flag
 
 
