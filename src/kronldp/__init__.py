@@ -69,4 +69,4 @@ from .rate import (
     sup_theta,
 )
 
-__version__ = "0.9.12"
+__version__ = "0.9.13"

@@ -221,14 +221,16 @@ def _rate_point_meta(st, x, res):
     trace-one PSD profiles, whose first-order gap is 0 at a first-order
     optimum and below -1e-5 where it fails; candidates counts the screened
     starts that the MDE polish, the search's one landing, took to an
-    admissible candidate (`rate_function`). The optimality residual is
+    admissible candidate, and runner_up is the least candidate value above
+    the rate, or null (`rate_function`). The optimality residual is
     |L lambda_sym(theta*, x, phi_hat*) - 1|: at the optimum the tilt L theta*
     with profile phi_hat* = phi_hat(theta*, x, Psi*) plants the outlier at x."""
     phi_hat = phi_maps(st, res.theta_star, x, res.psi_star.psi)[1]
     return {"x": x, "fevals": res.diagnostics["fevals"], "stability_flag": res.stability_flag,
             "optimality_residual": abs(st.L * lambda_sym(st, res.theta_star, x, phi_hat) - 1.0),
             "first_order_gap": res.diagnostics["first_order_gap"],
-            "candidates": res.diagnostics["candidates"]}
+            "candidates": res.diagnostics["candidates"],
+            "runner_up": res.diagnostics["runner_up"]}
 
 
 def cmd_outlier(cfg: RunConfig) -> int:

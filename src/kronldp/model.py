@@ -277,8 +277,8 @@ def stream(seed, *path) -> Generator:
     An integer seed plus a path of task indices gives an independent,
     reproducible Philox stream; a Generator passes through unchanged. It is
     kept for model inputs, not draws: the random test structures, the
-    benchmark's fixed and seeded structures, the random starts of the rate
-    search and the structures of `verify` all come from it, so keeping it
+    benchmark's fixed and seeded structures and the structures of `verify`
+    all come from it, so keeping it
     keeps those inputs as they are. Monte Carlo draws use `_draw_stream`.
     """
     if isinstance(seed, Generator):

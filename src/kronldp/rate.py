@@ -89,7 +89,11 @@ its basin, a start's M~ counts only where it is a candidate with a value
 no higher than that start's screened one, and the least of them is the
 result. The screen then only has to reach a basin, not to rank, and the
 starts that reach different optima (two certified ones compete on some
-complex L = 3 structures) are all compared at full precision. At a
+complex L = 3 and 4 structures) are all compared at full precision. No
+start is random: the starts are the identity and eigenprojectors of A_0,
+S(Id) and M(x) (`_seed_factors`), since an optimum is an MDE solution at x
+(Alt-Erdos-Kruger, Doc. Math. 2020) whose tilt puts the outlier at x
+(Guionnet-Husson, Ann. Probab. 2020). At a
 candidate the first-order test holds identically: G = -beta t L x Id, so
 lambda_min(G) = Re Tr[G Psi], and the test's gap measures only rounding.
 Where M~ lies on a continuum of solutions (noise proportional to Id and a
@@ -110,7 +114,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mde import ConvergenceError, _cache_for, _eye, _newton_polish
-from .model import Profile, StructureSet, _finite, _sized_psi, apply_S, as_profile, stream
+from .model import Profile, StructureSet, _finite, _sized_psi, apply_S, as_profile
 
 
 class DegenerateModelError(ValueError):
@@ -155,12 +159,11 @@ class RateResult:
 
 @dataclass
 class OptConfig:
-    """Knobs for the profile optimizer; defaults match the CLI. seed draws
-    the random starts. max_rungs is read by nothing here: it stays only
-    because the benchmark harness reads OptConfig().max_rungs, and the
-    benchmark change first on ROADMAP.md's open items deletes it."""
+    """No knob of the profile search, which has none: max_rungs is read by
+    nothing here. The class stays only because the benchmark harness reads
+    OptConfig().max_rungs, and it goes with ROADMAP.md's item 1, the
+    benchmark change that stops that read."""
     max_rungs: int = 12
-    seed: int = 0
 
 
 # the stopping tests of the L-BFGS screen (`_lbfgs`): ftol on a step's
@@ -171,7 +174,6 @@ class OptConfig:
 # r_inf + 0.1) in tests/test_rate.py
 _SCREEN_OPTIONS = {"ftol": 1e-2, "gtol": 1e-1, "maxiter": 500}
 _MEMORY = 10  # (s, y) pairs the L-BFGS screen keeps
-_STARTS = 8  # starts per search, random ones filling up to this count
 _GAP_TOL = 1e-5  # first-order gap below -_GAP_TOL fails the first-order test
 
 
@@ -359,26 +361,18 @@ def sup_theta(structure: StructureSet, x, psi):
 # ---------------------------------------------------------------------------
 # inf over profiles
 
-def _seed_factors(structure, cfg, projectors, complex_params):
-    """Start factors C for the search: the identity profile, the top
-    eigenprojector of A_0, the eigenprojectors of S(Id) and seeded random
-    perturbations up to _STARTS, each distinct profile C C*/Tr once: where
-    A_0 commutes with S(Id) (every direct sum), A_0's top eigenprojector is
-    one of S(Id)'s, within rounding, and that start is dropped."""
+def _seed_factors(structure, base):
+    """Start factors C for the search: the identity, the top eigenprojector
+    of A_0 and the eigenprojectors of S(Id) and of M(x) (base.p's), each
+    distinct profile C C*/Tr once. On a direct sum the three families
+    coincide within rounding, so L + 1 starts remain."""
     L = structure.L
-    seeds = [np.eye(L)]
     w, v = np.linalg.eigh(structure.a0)
     top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(L)[:, 0]
-    seeds.append(np.outer(top, top.conj()))
-    seeds += projectors
-    rng = stream(cfg.seed, 7, 10)  # a fixed key: another one moves every random start
-    while len(seeds) < _STARTS:
-        c = np.eye(L) / np.sqrt(L) + 0.7 * rng.standard_normal((L, L))
-        if complex_params:
-            c = c + 0.7j * rng.standard_normal((L, L))
-        seeds.append(c)
+    vectors = [top, *np.linalg.eigh(apply_S(structure, np.eye(L) / L))[1].T,
+               *np.linalg.eigh(base.p)[1].T]
     distinct, profiles = [], []
-    for c in seeds:
+    for c in [np.eye(L)] + [np.outer(u, u.conj()) for u in vectors]:
         p = c @ c.conj().T
         p = p / np.trace(p).real
         if all(np.abs(p - q).max() > 1e-12 for q in profiles):
@@ -520,7 +514,7 @@ def _mde_polish(structure, base, points):
     return candidates
 
 
-def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
+def rate_function(structure: StructureSet, x) -> RateResult:
     """Rate I_beta(x) of the upper tail at x, beta = structure.beta: inf
     over profiles of sup over tilts. I_2 of a real structure is the rate of
     its beta = 2 twin, make_structure(A_0, A, beta=2).
@@ -531,9 +525,11 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     docstring: this is the eps -> 0 limit). It runs an L-BFGS loop
     (`_lbfgs`) on the closed-form gradient of that sup from every start, one
     start at a time, to the screening tolerance `_SCREEN_OPTIONS`, which only
-    brings the start into the Newton basin of an optimum; a start that
-    already meets its gtol test, max |gradient| <= gtol (on a direct sum,
-    each eigenprojector of S(Id)), takes no step. Each run hands on its last
+    brings the start into the Newton basin of an optimum. No start is
+    random (`_seed_factors`), so the result depends on nothing but the
+    structure and x. A start that already meets its gtol test,
+    max |gradient| <= gtol (on a direct sum, each of the L
+    eigenprojectors), takes no step. Each run hands on its last
     point with its tilt and value, so no screened start is evaluated again.
     Every screened start with a finite tilt and value is then polished, in
     one stacked Newton on the MDE at the same x,
@@ -554,36 +550,33 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
     `fevals`, the value-and-gradient evaluations of the L-BFGS screen,
     `first_order_gap`, the returned profile's gap, and `candidates`, the
     number of screened starts that gave a candidate (0 at L = 1, where no
-    search runs); `epsilon_used` is q(psi_star). No search step evaluates
+    search runs), and `runner_up`, the least candidate value more than
+    1e-12 relative above the result (a close competitor) or None;
+    `epsilon_used` is q(psi_star). No search step evaluates
     the log potential U(x) (module docstring).
 
     The sampler tilt that realises I_beta(x) is L theta_star with profile
     phi_hat(theta_star, x, psi_star) (`RateResult`). x >= r_inf (the
     fold's exact M at r_inf).
     """
-    cfg = opt_config or OptConfig()
     x = _finite(x, "x")
     if structure.noiseless:
         raise DegenerateModelError(
             "Tr[Psi S(Psi)] vanishes for every profile; the variational "
             "rate function is not defined for a noiseless model")
-    L = structure.L
 
-    if L == 1:
+    if structure.L == 1:
         one = np.ones((1, 1))
         th, val = sup_theta(structure, x, one)
         return RateResult(x=x, value=val, theta_star=th, psi_star=as_profile(one),
                           epsilon_used=_re_trace(one, apply_S(structure, one)),
                           stability_flag=True,
-                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "candidates": 0})
+                          diagnostics={"fevals": 1, "first_order_gap": 0.0, "candidates": 0,
+                                       "runner_up": None})
 
-    complex_params = not structure.is_real
     base = _curve_base(structure, x)
-    projectors = [np.outer(u, u.conj())
-                  for u in np.linalg.eigh(apply_S(structure, np.eye(L) / L))[1].T]
-
-    runs = [_lbfgs(structure, base, _pack(c0, complex_params))
-            for c0 in _seed_factors(structure, cfg, projectors, complex_params)]
+    runs = [_lbfgs(structure, base, _pack(c0, not structure.is_real))
+            for c0 in _seed_factors(structure, base)]
     screened = [point for point, _ in runs if point is not None]
     candidates = _mde_polish(structure, base, screened)
     if not candidates:
@@ -591,14 +584,16 @@ def rate_function(structure: StructureSet, x, opt_config=None) -> RateResult:
                                f"{len(screened)} screened starts gave none")
     psi, s_psi, th, val = min(candidates, key=lambda p: p[3])
     gap = _first_order_gap(structure, base, psi, s_psi, th, val)
+    rivals = [p[3] for p in candidates if p[3] > val + 1e-12 * abs(val)]
     return RateResult(x=x, value=float(val), theta_star=float(th),
                       psi_star=as_profile(psi), epsilon_used=_re_trace(psi, s_psi),
                       stability_flag=bool(gap >= -_GAP_TOL),
                       diagnostics={"fevals": sum(n for _, n in runs),
                                    "first_order_gap": float(gap),
-                                   "candidates": len(candidates)})
+                                   "candidates": len(candidates),
+                                   "runner_up": float(min(rivals)) if rivals else None})
 
 
-def rate_curve(structure: StructureSet, x_grid, opt_config=None) -> list:
+def rate_curve(structure: StructureSet, x_grid) -> list:
     """rate_function at each point of a grid."""
-    return [rate_function(structure, x, opt_config=opt_config) for x in x_grid]
+    return [rate_function(structure, x) for x in x_grid]

@@ -30,7 +30,7 @@ PAIR_DOC = {"beta": 1, "A0": [[0.2, 0.0], [0.0, -0.1]],
             "A": [[[1.0, 0.0], [0.0, 0.5]], [[0.0, 0.4], [0.4, 0.0]]]}
 # run_meta.json keys of one rate point; stability_flag is its one certificate
 RATE_POINT_KEYS = {"x", "fevals", "stability_flag", "optimality_residual", "first_order_gap",
-                   "candidates"}
+                   "candidates", "runner_up"}
 
 
 def run_cli(tmp_path, doc, *flags, name="run.json"):

@@ -18,7 +18,6 @@ from kronldp import (
     ConvergenceError,
     DegenerateModelError,
     DomainError,
-    OptConfig,
     apply_S,
     f_value,
     j_value,
@@ -85,6 +84,19 @@ def random_structure(rng, ell):
         mats.append(m / max(np.linalg.norm(m, 2), 1e-3))
     g = rng.standard_normal((ell, ell))
     return make_structure(0.3 * (g + g.T) / 2.0, mats)
+
+
+def random_complex(i):
+    """Random complex structure i: L = 2 + i % 3, k = 1 + i % 3, beta = 2,
+    from stream(900 + i); each matrix is a complex Hermitian Gaussian of unit
+    spectral norm, and A_0 is 0.3 times the first."""
+    rng, ell = stream(900 + i), 2 + i % 3
+    hs = []
+    for _ in range(2 + i % 3):
+        g = rng.standard_normal((ell, ell)) + 1j * rng.standard_normal((ell, ell))
+        h = (g + g.conj().T) / 2.0
+        hs.append(h / np.linalg.norm(h, 2))
+    return make_structure(0.3 * hs[0], hs[1:], beta=2)
 
 
 def random_pd_profile(rng, ell):
@@ -412,15 +424,24 @@ def test_rate_result_invariants(pair, pair_result):
     assert res.epsilon_used == pytest.approx(q, rel=1e-12)
     theta_x, t_hi = _newton_start(pair, res.x, psi)
     assert theta_x < res.theta_star <= theta_x + t_hi
-    # stability_flag is the one certificate; diagnostics count work, the gap
-    # and how many screened starts gave the MDE polish a candidate
-    assert set(res.diagnostics) == {"fevals", "first_order_gap", "candidates"}
+    # stability_flag is the one certificate; diagnostics count work, the gap,
+    # how many screened starts gave the MDE polish a candidate and the
+    # runner-up candidate's value
+    assert set(res.diagnostics) == {"fevals", "first_order_gap", "candidates", "runner_up"}
 
 
-def test_rate_deterministic_under_seed(pair, pair_result):
-    again = rate_function(pair, pair_result.x, opt_config=OptConfig(seed=0))
-    assert again.value == pair_result.value
-    assert again.theta_star == pair_result.theta_star
+def test_rate_is_bitwise_reproducible(pair, herm2):
+    """No start is random, so a rate depends on nothing but the structure
+    and x: two calls, the first on a cold spectral cache, agree bit for
+    bit, diagnostics included."""
+    for plain in (pair, herm2, random_structure(stream(710), 3)):
+        st = make_structure(plain.a0, list(plain.a), beta=plain.beta)
+        x = right_edge(st).r_inf + 0.6
+        first, again = rate_function(st, x), rate_function(st, x)
+        assert (first.value, first.theta_star, first.epsilon_used, first.stability_flag) == \
+            (again.value, again.theta_star, again.epsilon_used, again.stability_flag)
+        assert np.array_equal(first.psi_star.psi, again.psi_star.psi)
+        assert first.diagnostics == again.diagnostics
 
 
 def test_rate_one_s_application_per_evaluation(pair, monkeypatch):
@@ -444,10 +465,13 @@ def test_rate_one_s_application_per_evaluation(pair, monkeypatch):
 
     monkeypatch.setattr(rate_mod, "_profile_objective", counted_objective)
     monkeypatch.setattr(rate_mod, "apply_S", counted_s)
-    # one search takes ~20 evaluations here: count over six points
-    edge = right_edge(pair).r_inf
-    fevals = sum(rate_function(pair, edge + dx).diagnostics["fevals"]
-                 for dx in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+    # a search takes ~5 evaluations on pair, whose diagonal projectors are
+    # stationary starts, and ~35 on rs710: count over six points of each
+    fevals = 0
+    for st in (pair, random_structure(stream(710), 2)):
+        edge = right_edge(st).r_inf
+        fevals += sum(rate_function(st, edge + dx).diagnostics["fevals"]
+                      for dx in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
     assert fevals > 100
     assert counts["inside"] == counts["evaluations"] == fevals
 
@@ -471,9 +495,9 @@ def test_known_defect_rank_one_saddle_is_certified():
     default seed's best start ends at 1.872535239467589, an exactly rank-one
     saddle of the C C* parametrization whose first-order test on trace-one
     PSD profiles fails (gap -0.108). The MDE polish of every screened start
-    lands each of the 8 on a candidate and returns 1.8720636046291, the
-    value seeds 1-4 reach too (to 3e-15), with the first-order test
-    passed; the beta = 2 twin's rate is twice that."""
+    returns 1.8720636046291, the value that seeds 1-4 of the former random
+    starts reached too (to 3e-15), with the first-order test passed; the
+    beta = 2 twin's rate is twice that."""
     st = random_structure(stream(717), 4)
     res = rate_function(st, right_edge(st).r_inf + 1.5)
     assert res.value <= 1.8720636046296 + 1e-9
@@ -490,20 +514,29 @@ def test_known_defect_certified_local_minimum():
     has u* on the right, and when only the lowest-screened start was
     polished, seeds 3-5 and 11 certified the higher one. The MDE polish of
     every screened start reaches the lower one at seeds 0-11 (measured
-    0.8615965164463582 to ...586, 2.1e-15 relative at most); the
-    enumeration of candidates stays the only global certificate."""
-    rng = stream(934)
-    hs = []
-    for _ in range(3):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        h = (g + g.conj().T) / 2.0
-        hs.append(h / np.linalg.norm(h, 2))
-    st = make_structure(0.3 * hs[0], hs[1:], beta=2)
-    x = right_edge(st).r_inf + 0.6
-    for seed in range(12):
-        res = rate_function(st, x, OptConfig(seed=seed))
-        assert res.stability_flag
-        assert res.value == pytest.approx(0.86159651644636, rel=1e-12)
+    0.8615965164463582 to ...586, 2.1e-15 relative at most), and so does
+    the search from the eigenprojector starts alone, which reports the
+    higher optimum as its runner-up; the enumeration of candidates stays
+    the only global certificate."""
+    st = random_complex(34)
+    res = rate_function(st, right_edge(st).r_inf + 0.6)
+    assert res.stability_flag
+    assert res.value == pytest.approx(0.86159651644636, rel=1e-12)
+    assert res.diagnostics["runner_up"] == pytest.approx(0.873917215621, abs=1e-12)
+
+
+def test_rate_reaches_the_lower_of_two_certified_optima_at_cx989():
+    """On a random complex L = 4 structure at r_inf + 0.1 (cx989) two
+    certified optima compete: 0.065457322925 and 0.066579669407, 1.7 %
+    higher. The search that filled its starts with random factors returned
+    the higher one at 9 of seeds 0-11, the default seed among them, with its
+    first-order test passed. M(x)'s eigenprojectors reach the lower one, and
+    the higher one shows as the runner-up candidate."""
+    st = random_complex(89)
+    res = rate_function(st, right_edge(st).r_inf + 0.1)
+    assert res.stability_flag
+    assert res.value == pytest.approx(0.065457322925, abs=1e-12)
+    assert res.diagnostics["runner_up"] == pytest.approx(0.066579669407, abs=1e-12)
 
 
 def test_rate_search_never_evaluates_the_log_potential(sc, pair, herm2, monkeypatch):
@@ -574,11 +607,8 @@ def test_rate_finds_the_optimum_on_an_eigenvector_of_s_id():
     st = random_structure(stream(705), 4)
     st2 = make_structure(st.a0, list(st.a), beta=2)
     x = right_edge(st).r_inf + 0.4
-    for seed in range(10):
-        cfg = OptConfig(seed=seed)
-        i1 = rate_function(st, x, opt_config=cfg).value
-        i2 = rate_function(st2, x, opt_config=cfg).value
-        assert abs(i2 - 2.0 * i1) <= 1e-10
+    i1, i2 = rate_function(st, x).value, rate_function(st2, x).value
+    assert abs(i2 - 2.0 * i1) <= 1e-10
 
 
 @pytest.mark.parametrize("sigma, shift, x, low_q", [
@@ -648,19 +678,34 @@ def test_rate_with_noise_proportional_to_the_identity():
 _TIGHT_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10, "maxiter": 500}
 
 
-def _ladder_seed_factors(st, cfg, rung, warm, complex_params):
-    """Start factors of the eps ladder the certified search replaced: the
-    identity, the top eigenprojector of A_0, random perturbations, a warm factor."""
-    ell = st.L
-    w, v = np.linalg.eigh(st.a0)
-    top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(ell)[:, 0]
-    seeds = [np.eye(ell), np.outer(top, top.conj())]
-    rng = stream(cfg.seed, 7, rung)
-    while len(seeds) < max(rate_mod._STARTS, 2):
+# the random starts of the reference searches below: their own seed, and
+# random factors filling up to this count
+_REFERENCE_SEED, _REFERENCE_STARTS = 0, 8
+
+
+def _random_fill(st, seeds, key):
+    """seeds filled up to _REFERENCE_STARTS with random perturbations of the
+    identity factor from stream(_REFERENCE_SEED, 7, key)."""
+    ell, rng = st.L, stream(_REFERENCE_SEED, 7, key)
+    seeds = list(seeds)
+    while len(seeds) < _REFERENCE_STARTS:
         c = np.eye(ell) / np.sqrt(ell) + 0.7 * rng.standard_normal((ell, ell))
-        if complex_params:
+        if not st.is_real:
             c = c + 0.7j * rng.standard_normal((ell, ell))
         seeds.append(c)
+    return seeds
+
+
+def _top_projector(st):
+    w, v = np.linalg.eigh(st.a0)
+    top = v[:, -1] if abs(w[-1]) > 1e-12 else np.eye(st.L)[:, 0]
+    return np.outer(top, top.conj())
+
+
+def _ladder_seed_factors(st, rung, warm):
+    """Start factors of the eps ladder the certified search replaced: the
+    identity, the top eigenprojector of A_0, random perturbations, a warm factor."""
+    seeds = _random_fill(st, [np.eye(st.L), _top_projector(st)], rung)
     if warm is not None:
         seeds.insert(0, np.array(warm))
     return seeds
@@ -670,7 +715,6 @@ def _ladder_rate(st, x):
     """The eps ladder on the eps-constrained reference: eps = q0 2^-rung for
     rungs 0-11, each warm-started from the last, until two rungs agree to
     1e-4 relative. Returns the last rung's value."""
-    cfg = OptConfig()
     ell, complex_params = st.L, not st.is_real
     id_l = np.eye(ell) / ell
     s_id = apply_S(st, id_l)
@@ -683,7 +727,7 @@ def _ladder_rate(st, x):
         runs = [minimize(ref.objective, rate_mod._pack(c0, complex_params),
                          args=(st, base, s_id, eps, th_hi), method="L-BFGS-B",
                          jac=True, options=_TIGHT_OPTIONS)
-                for c0 in _ladder_seed_factors(st, cfg, rung, warm, complex_params)]
+                for c0 in _ladder_seed_factors(st, rung, warm)]
         c = rate_mod._unpack(min(runs, key=lambda out: out.fun).x, ell, complex_params)
         psi = c @ c.conj().T
         psi, s_psi, _ = ref.feasible(st, psi / np.trace(psi).real, eps, s_id)
@@ -740,22 +784,37 @@ def test_certified_search_agrees_with_the_eps_ladder():
     assert all(i == 5 for i, _, _ in lower)
 
 
+def _random_seed_factors(st, s_id):
+    """The start factors of the search before it went seed-free: the
+    identity, the top eigenprojector of A_0, the eigenprojectors of S(Id)
+    and random factors up to _REFERENCE_STARTS, each distinct profile once."""
+    seeds = [np.eye(st.L), _top_projector(st)]
+    seeds += [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
+    distinct, profiles = [], []
+    for c in _random_fill(st, seeds, 10):
+        p = c @ c.conj().T
+        p = p / np.trace(p).real
+        if all(np.abs(p - q).max() > 1e-12 for q in profiles):
+            distinct.append(c)
+            profiles.append(p)
+    return distinct
+
+
 def _full_multistart(st, x):
     """The eps-constrained reference at eps = q0 / 1024 from the search's
-    starts, every one polished to _TIGHT_OPTIONS and the best kept.
-    Returns (value, summed nfev)."""
-    cfg = OptConfig()
+    former starts, random ones included (_random_seed_factors), every one
+    polished to _TIGHT_OPTIONS and the best kept. Returns (value, summed
+    nfev)."""
     ell, complex_params = st.L, not st.is_real
     id_l = np.eye(ell) / ell
     s_id = apply_S(st, id_l)
     eps = rate_mod._re_trace(id_l, s_id) / 1024.0
     base = rate_mod._curve_base(st, x)
     th_hi = ref.theta_cap(st, x, eps)
-    projectors = [np.outer(u, u.conj()) for u in np.linalg.eigh(s_id)[1].T]
     runs = [minimize(ref.objective, rate_mod._pack(c0, complex_params),
                      args=(st, base, s_id, eps, th_hi), method="L-BFGS-B",
                      jac=True, options=_TIGHT_OPTIONS)
-            for c0 in rate_mod._seed_factors(st, cfg, projectors, complex_params)]
+            for c0 in _random_seed_factors(st, s_id)]
     best = min(runs, key=lambda out: out.fun).x
     return ref.projected_value(st, best, base, s_id, eps, th_hi), sum(out.nfev for out in runs)
 
@@ -1180,9 +1239,7 @@ def test_stationary_start_takes_no_step(pair, monkeypatch):
 
     for st, x, skipped in cases:
         x = x if x is not None else right_edge(st).r_inf + 0.75
-        projectors = [np.outer(u, u.conj())
-                      for u in np.linalg.eigh(apply_S(st, np.eye(st.L) / st.L))[1].T]
-        starts = len(rate_mod._seed_factors(st, OptConfig(), projectors, not st.is_real))
+        starts = len(rate_mod._seed_factors(st, rate_mod._curve_base(st, x)))
         with monkeypatch.context() as mp:
             mp.setattr(rate_mod, "_lbfgs", counted)
             evaluations.clear()
@@ -1201,6 +1258,36 @@ def test_stationary_start_takes_no_step(pair, monkeypatch):
         for key in ("first_order_gap", "candidates"):
             assert res.diagnostics[key] == want.diagnostics[key]
         assert res.stability_flag == want.stability_flag
+
+
+def test_direct_sum_runs_l_plus_one_starts(monkeypatch):
+    """On a direct sum the eigenprojectors of A_0, S(Id) and M(x) coincide,
+    so a point runs L + 1 starts, the identity and the L eigenprojectors,
+    and each eigenprojector is a stationary start of one evaluation: dsum
+    at the benchmark's six x, and rotated L = 2 and L = 3 direct sums 0.25
+    and 0.75 right of the edge. The benchmark's rate plans are such points."""
+    lbfgs = rate_mod._lbfgs
+    evaluations = []
+
+    def counted(structure, base, v):
+        point, fevals = lbfgs(structure, base, v)
+        evaluations.append(fevals)
+        return point, fevals
+
+    monkeypatch.setattr(rate_mod, "_lbfgs", counted)
+    dsum = make_structure(np.diag([0.0, 0.3]), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    points = [(dsum, x) for x in (2.5, 2.65, 2.8, 3.0, 3.3, 3.6)]
+    for ell, count in ((2, 6), (3, 3)):
+        for i in range(count):
+            st = rotated_direct_sum(stream(27, i), ell)
+            points += [(st, right_edge(st).r_inf + dx) for dx in (0.25, 0.75)]
+    for st, x in points:
+        evaluations.clear()
+        res = rate_function(st, x)
+        assert res.stability_flag
+        assert len(evaluations) == st.L + 1
+        assert evaluations.count(1) == st.L
+        assert sum(evaluations) == res.diagnostics["fevals"]
 
 
 @ORACLE_SETTINGS
