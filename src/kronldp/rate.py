@@ -159,10 +159,10 @@ class RateResult:
 
 @dataclass
 class OptConfig:
-    """No knob of the profile search, which has none: max_rungs is read by
-    nothing here. The class stays only because the benchmark harness reads
-    OptConfig().max_rungs, and it goes with ROADMAP.md's item 1, the
-    benchmark change that stops that read."""
+    """Not a knob: the profile search has none, and nothing here reads
+    max_rungs. The class stays only because the benchmark harness reads
+    OptConfig().max_rungs; it goes with ROADMAP.md's item 1, the benchmark
+    change that stops that read."""
     max_rungs: int = 12
 
 
